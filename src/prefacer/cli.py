@@ -42,7 +42,7 @@ from .textio import (
     print_report,
     print_transform_report,
 )
-from .transformer import apply_transforms
+from .transformer import TransformReport, apply_transforms
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -159,15 +159,26 @@ def _cmd_validate(config: RunConfig, model: Model, eff: EffectiveDefinitions,
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
-def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
-                   diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    structural = builtin_check(model)
-    diags = structural + diags
+def _transform_prelude(config: RunConfig, model: Model, eff: EffectiveDefinitions,
+                       diags: list[Diagnostic], stderr: IO[str],
+                       ) -> tuple[Model, TransformReport, list[Diagnostic]] | None:
+    """Structural check, then statechart induction unless anything so far
+    is an error; ``None`` (with the diagnostics written) when it stops."""
+
+    diags = builtin_check(model) + diags
     if has_errors(diags):
         stderr.write(render_diagnostics(diags, config.format))
-        return EXIT_DIAGNOSTICS
+        return None
     transformed, report = apply_transforms(model, eff)
-    diags = diags + report.diagnostics
+    return transformed, report, diags + report.diagnostics
+
+
+def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
+                   diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
+    prelude = _transform_prelude(config, model, eff, diags, stderr)
+    if prelude is None:
+        return EXIT_DIAGNOSTICS
+    transformed, report, diags = prelude
     stderr.write(render_diagnostics(diags, config.format))
     stderr.write(print_transform_report(report))
     text = print_model(transformed)
@@ -196,13 +207,10 @@ def _cmd_explain(config: RunConfig, eff: EffectiveDefinitions,
 
 def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                   diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    structural = builtin_check(model)
-    diags = structural + diags
-    if has_errors(diags):
-        stderr.write(render_diagnostics(diags, config.format))
+    prelude = _transform_prelude(config, model, eff, diags, stderr)
+    if prelude is None:
         return EXIT_DIAGNOSTICS
-    transformed, report = apply_transforms(model, eff)
-    diags = diags + report.diagnostics
+    transformed, _, diags = prelude
     if has_errors(diags):
         stderr.write(render_diagnostics(diags, config.format))
         return EXIT_DIAGNOSTICS

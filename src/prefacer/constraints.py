@@ -31,6 +31,8 @@ from .model import (
     Statechart,
     Transition,
     member_path,
+    metaclass_of,
+    stereotypes_of,
     transition_path,
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
@@ -141,13 +143,7 @@ def _navigate(element: Value, e: E.Nav, env: Env) -> Value:
         raise EvalError(
             f"cannot navigate '.{feature}' on a {_type_label(element)}", e.loc)
     raise EvalError(
-        f"'{feature}' is not a feature of {_type_label_element(element)}", e.loc)
-
-
-def _type_label_element(element: Value) -> str:
-    from .model import metaclass_of
-
-    return metaclass_of(element)  # type: ignore[arg-type]
+        f"'{feature}' is not a feature of {metaclass_of(element)}", e.loc)
 
 
 def _call(e: E.Call, env: Env) -> Value:
@@ -170,8 +166,6 @@ def _call(e: E.Call, env: Env) -> Value:
         if not isinstance(name, str):
             raise EvalError(
                 f"hasStereotype expects a string, got {_type_label(name)}", e.loc)
-        from .model import stereotypes_of
-
         return name in stereotypes_of(element)
     raise EvalError(f"unknown function '{e.fn}'", e.loc)
 

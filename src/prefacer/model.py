@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SourceLocation
-from .expr import Expr, LiteralValue
+from .expr import And, Expr, LiteralValue
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -97,6 +97,17 @@ class Operation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
+
+    @property
+    def effective_pre(self) -> Expr | None:
+        """``pre_authored and pre_induced``, either alone, or ``None``: the
+        one definition the printer, skeletons and transform report share."""
+
+        if self.pre_induced is None:
+            return self.pre_authored
+        if self.pre_authored is None:
+            return self.pre_induced[0]
+        return And(self.pre_authored, self.pre_induced[0])
 
 
 @dataclass(frozen=True)

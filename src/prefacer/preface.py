@@ -23,6 +23,7 @@ that ``explain`` stays total over option keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import Expr, LiteralValue
@@ -218,6 +219,38 @@ class NoApplicableRuleError(LookupError):
 # ---------------------------------------------------------------------------
 
 
+def _walk_imports(repo: PackageRepository,
+                  start_ids: Iterable[str]) -> Iterator[tuple[str, str, Any]]:
+    """Iterative depth-first walk over imports, from each start in turn.
+
+    Yields ``("unknown", importer, missing)``, ``("cycle", pkg_id, path)``
+    for an import back onto the current path (``path`` runs from ``pkg_id``
+    round to it again) and ``("done", pkg_id, None)`` once every import of
+    a package is done, in ``flatten_imports`` order.  Bad edges are skipped.
+    """
+
+    done: set[str] = set()
+    for start in start_ids:
+        if start in done:
+            continue
+        path = {start: iter(repo[start].imports)}  # package -> imports left
+        while path:
+            pkg_id, imports = next(reversed(path.items()))
+            for imported in imports:
+                if imported not in repo:
+                    yield "unknown", pkg_id, imported
+                elif imported in path:
+                    trail = list(path)
+                    yield "cycle", imported, trail[trail.index(imported):] + [imported]
+                elif imported not in done:
+                    path[imported] = iter(repo[imported].imports)
+                    break
+            else:
+                path.popitem()
+                done.add(pkg_id)
+                yield "done", pkg_id, None
+
+
 def flatten_imports(repo: PackageRepository, root_id: str) -> list[Package]:
     """Total package order for composition: depth first, imports before
     importer, first occurrence only, root last.
@@ -227,26 +260,12 @@ def flatten_imports(repo: PackageRepository, root_id: str) -> list[Package]:
         raise UnknownRootError(root_id)
 
     emitted: list[Package] = []
-    done: set[str] = set()
-    in_progress: list[str] = []
-
-    def visit(pkg_id: str) -> None:
-        if pkg_id in done:
-            return
-        if pkg_id in in_progress:
-            cycle = in_progress[in_progress.index(pkg_id):] + [pkg_id]
-            raise CycleDetectedError(cycle)
-        in_progress.append(pkg_id)
-        pkg = repo[pkg_id]
-        for imported in pkg.imports:
-            if imported not in repo:
-                raise UnknownImportError(pkg_id, imported)
-            visit(imported)
-        in_progress.pop()
-        done.add(pkg_id)
-        emitted.append(pkg)
-
-    visit(root_id)
+    for event, pkg_id, detail in _walk_imports(repo, (root_id,)):
+        if event == "unknown":
+            raise UnknownImportError(pkg_id, detail)
+        if event == "cycle":
+            raise CycleDetectedError(detail)
+        emitted.append(repo[pkg_id])
     return emitted
 
 
@@ -453,30 +472,13 @@ def explain(eff: EffectiveDefinitions, key: str) -> OverrideChain:
 def _cycle_diagnostics(repo: PackageRepository) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     reported: set[frozenset[str]] = set()
-    done: set[str] = set()
-
-    def visit(pkg_id: str, trail: list[str]) -> None:
-        if pkg_id in done:
-            return
-        if pkg_id in trail:
-            cycle = trail[trail.index(pkg_id):] + [pkg_id]
-            signature = frozenset(cycle)
-            if signature not in reported:
-                reported.add(signature)
-                diags.append(Diagnostic(
-                    "error", "E102", pkg_id,
-                    "import cycle: " + " -> ".join(cycle),
-                    repo[pkg_id].loc))
-            return
-        trail.append(pkg_id)
-        for imported in repo[pkg_id].imports:
-            if imported in repo:
-                visit(imported, trail)
-        trail.pop()
-        done.add(pkg_id)
-
-    for pkg_id in repo:
-        visit(pkg_id, [])
+    for event, pkg_id, cycle in _walk_imports(repo, repo):
+        if event != "cycle" or frozenset(cycle) in reported:
+            continue
+        reported.add(frozenset(cycle))
+        diags.append(Diagnostic(
+            "error", "E102", pkg_id, "import cycle: " + " -> ".join(cycle),
+            repo[pkg_id].loc))
     return diags
 
 
@@ -507,7 +509,6 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
     diags.extend(_cycle_diagnostics(repo))
 
     declared_stereotypes: set[str] = set()
-    stereotype_base: dict[str, str] = {}
     for pkg in repo.values():
         for definition in pkg.definitions:
             if isinstance(definition, StereotypeDef):
@@ -537,15 +538,6 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
                         f"stereotype '{definition.name}' defined twice in "
                         f"package '{pkg.id}'", definition.loc))
                 seen_stereotypes.add(definition.name)
-                previous_base = stereotype_base.get(definition.name)
-                if previous_base is not None and previous_base != definition.base:
-                    diags.append(Diagnostic(
-                        "warning", "W102", pkg.id,
-                        f"stereotype '{definition.name}' redefined on metaclass "
-                        f"'{definition.base}' (previously '{previous_base}'); "
-                        "the newest definition wins",
-                        definition.loc))
-                stereotype_base[definition.name] = definition.base
             elif isinstance(definition, TagDef):
                 if definition.name in seen_tags:
                     diags.append(Diagnostic(
@@ -569,5 +561,25 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
                         f"rule for '{definition.property_key}' tests unknown "
                         f"metaclass '{predicate.metaclass}'",
                         definition.loc))
+
+    # Base changes are judged in composition order, so "newest" is the one
+    # ``compose`` keeps; packages the root never reaches are not compared.
+    stereotype_base: dict[str, str] = {}
+    walk = _walk_imports(repo, (root_id,)) if root_id in repo else ()
+    for event, pkg_id, _ in walk:
+        if event != "done":
+            continue
+        for definition in repo[pkg_id].definitions:
+            if not isinstance(definition, StereotypeDef):
+                continue
+            previous_base = stereotype_base.get(definition.name)
+            if previous_base is not None and previous_base != definition.base:
+                diags.append(Diagnostic(
+                    "warning", "W102", pkg_id,
+                    f"stereotype '{definition.name}' redefined on metaclass "
+                    f"'{definition.base}' (previously '{previous_base}'); "
+                    "the newest definition wins",
+                    definition.loc))
+            stereotype_base[definition.name] = definition.base
 
     return diags

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import expr as E
-from .model import ClassDef, Model, Operation, Origin, Statechart
-from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
+from .model import ClassDef, Model, Operation, Statechart
+from .preface import EffectiveDefinitions
 from .textio import format_expr
+from .transformer import induced_by
 
 
 class UntransformedInputError(Exception):
@@ -45,12 +45,6 @@ class SkeletonUnit:
 # ---------------------------------------------------------------------------
 
 
-def _induced_by(origin: Origin, chart: Statechart) -> bool:
-    return (origin.kind == "induced"
-            and origin.rule_id == STATECHART_TO_CLASS
-            and origin.chart_name == chart.name)
-
-
 def _charts_of(model: Model, cls: ClassDef) -> list[Statechart]:
     return [sc for sc in model.statecharts if sc.attached_to == cls.name]
 
@@ -59,18 +53,10 @@ def _require_transformed(cls: ClassDef, charts: list[Statechart]) -> None:
     for chart in charts:
         if not chart.states:
             continue
-        if not any(_induced_by(a.origin, chart) for a in cls.attributes):
+        if not any(induced_by(a.origin, chart) for a in cls.attributes):
             raise UntransformedInputError(
                 f"class '{cls.name}' has no state flags for statechart "
                 f"'{chart.name}'; run the statechart-to-class transform first")
-
-
-def _effective_pre(op: Operation) -> E.Expr | None:
-    if op.pre_authored is not None and op.pre_induced is not None:
-        return E.And(op.pre_authored, op.pre_induced[0])
-    if op.pre_induced is not None:
-        return op.pre_induced[0]
-    return op.pre_authored
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +65,8 @@ def _effective_pre(op: Operation) -> E.Expr | None:
 
 
 def _update_lines(chart: Statechart, event: str, indent: str) -> list[str]:
-    moves: list[tuple[str, str]] = []
-    for t in chart.transitions:
-        if t.event == event and (t.source, t.target) not in moves:
-            moves.append((t.source, t.target))
+    moves = list(dict.fromkeys(
+        (t.source, t.target) for t in chart.transitions if t.event == event))
     if not moves:
         return []
 
@@ -115,7 +99,7 @@ def _routine_lines(
 ) -> list[str]:
     params = ", ".join(f"{p.name} : {p.type_name}" for p in op.params)
     lines = [f"  ROUTINE {op.name}({params})"]
-    pre = _effective_pre(op)
+    pre = op.effective_pre
     if pre is not None:
         lines.append(f"    GUARD {format_expr(pre)} ELSE {on_violation}")
     lines.append("    TODO body")
@@ -166,31 +150,26 @@ def generate_skeleton(model: Model, eff: EffectiveDefinitions) -> list[SkeletonU
 # ---------------------------------------------------------------------------
 
 
-def _call_sequences(chart: Statechart, max_len: int = 3) -> list[list[str]]:
+def _call_sequences(chart: Statechart, max_len: int = 3) -> list[tuple[str, ...]]:
     """Event sequences of every path from the initial state that reuses no
     transition, up to ``max_len`` calls, in transition declaration order."""
 
     initials = chart.initial_states()
     if not initials:
         return []
-    sequences: list[list[str]] = []
+    sequences: list[tuple[str, ...]] = []
 
-    def walk(state: str, used: frozenset[int], events: list[str]) -> None:
+    def walk(state: str, used: frozenset[int], events: tuple[str, ...]) -> None:
         for index, t in enumerate(chart.transitions):
             if t.source != state or index in used:
                 continue
-            seq = events + [t.event]
+            seq = events + (t.event,)
             sequences.append(seq)
             if len(seq) < max_len:
                 walk(t.target, used | {index}, seq)
 
-    walk(initials[0].name, frozenset(), [])
-
-    unique: list[list[str]] = []
-    for seq in sequences:
-        if seq not in unique:
-            unique.append(seq)
-    return unique
+    walk(initials[0].name, frozenset(), ())
+    return list(dict.fromkeys(sequences))
 
 
 def generate_monitor(model: Model, eff: EffectiveDefinitions) -> list[SkeletonUnit]:
@@ -210,7 +189,7 @@ def generate_monitor(model: Model, eff: EffectiveDefinitions) -> list[SkeletonUn
         lines = [f"MONITOR {cls.name}", "  // check after every operation"]
         for chart in charts:
             for inv in cls.invariants:
-                if _induced_by(inv.origin, chart):
+                if induced_by(inv.origin, chart):
                     lines.append(f"  ASSERT {format_expr(inv.expr)}")
         for chart in charts:
             for seq in _call_sequences(chart):

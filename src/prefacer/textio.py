@@ -12,9 +12,11 @@ Comments run from ``//`` to end of line in both.  Parsers are recursive
 descent over a shared token stream and fail with a located ``ParseError``;
 they never guess.  Printers emit a canonical form (two-space indentation,
 declaration order, ``LF`` line ends) chosen so that parse-print-parse is
-the identity on everything structural.  Induced elements are annotated
-with a trailing ``// induced by <rule>`` comment, which the parser, like
-any comment, ignores.
+the identity on everything structural except origins.  Induced elements
+are annotated with a trailing ``// induced by <rule>`` comment, which the
+parser, like any comment, ignores: a printed transformed model reads back
+with every element authored (an induced precondition merged into the
+authored one), so transforming that text again reports E301 clashes.
 
 Expression operator precedence, loosest first::
 
@@ -373,7 +375,7 @@ def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     return out
 
 
-def _parse_member(p: _Parser, cls_name: str):
+def _parse_member(p: _Parser):
     if p.at_word("attribute"):
         loc = p.advance().loc
         name = p.ident("an attribute name").text
@@ -433,7 +435,7 @@ def _parse_class(p: _Parser) -> ClassDef:
     operations: list[Operation] = []
     invariants: list[Invariant] = []
     while not p.at_sym("}"):
-        member = _parse_member(p, name)
+        member = _parse_member(p)
         if isinstance(member, Attribute):
             attributes.append(member)
         elif isinstance(member, Operation):
@@ -689,10 +691,7 @@ def _induced_note(origin) -> str:
 def _print_operation(op: Operation) -> str:
     params = ", ".join(f"{p.name} : {p.type_name}" for p in op.params)
     line = f"operation {op.name}({params})"
-    pre: E.Expr | None = op.pre_authored
-    if op.pre_induced is not None:
-        pre = (E.And(pre, op.pre_induced[0]) if pre is not None
-               else op.pre_induced[0])
+    pre = op.effective_pre
     if pre is not None:
         line += f" pre: {format_expr(pre)}"
     if op.post_authored is not None:

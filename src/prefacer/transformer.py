@@ -37,6 +37,7 @@ from .model import (
     member_path,
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
+from .textio import format_expr
 
 TRANSFORM_ID = STATECHART_TO_CLASS
 
@@ -63,7 +64,10 @@ def _origin_for(chart: Statechart) -> Origin:
     return Origin("induced", TRANSFORM_ID, chart.name)
 
 
-def _induced_here(origin: Origin, chart: Statechart) -> bool:
+def induced_by(origin: Origin, chart: Statechart) -> bool:
+    """Whether an element with this origin was induced from ``chart`` by
+    this transform: the one test every consumer of induced output uses."""
+
     return (origin.kind == "induced"
             and origin.rule_id == TRANSFORM_ID
             and origin.chart_name == chart.name)
@@ -106,7 +110,7 @@ def rule1_state_attributes(model: Model, chart: Statechart) -> tuple[Model, Tran
     for state in chart.states:
         existing = attrs.get(state.name)
         if existing is not None:
-            if _induced_here(existing.origin, chart):
+            if induced_by(existing.origin, chart):
                 continue
             report.diagnostics.append(Diagnostic(
                 "error", "E301", member_path(cls, state.name),
@@ -159,8 +163,6 @@ def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, Trans
     in between, the stale invariant is replaced rather than duplicated.
     """
 
-    from .textio import format_expr
-
     report = TransformReport()
     if not chart.states:
         return model, report
@@ -170,7 +172,7 @@ def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, Trans
     kept: list[Invariant] = []
     found = False
     for inv in cls.invariants:
-        if _induced_here(inv.origin, chart):
+        if induced_by(inv.origin, chart):
             if inv.expr == wanted and not found:
                 found = True
                 kept.append(inv)
@@ -192,11 +194,7 @@ def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, Trans
 def chart_events(chart: Statechart) -> tuple[str, ...]:
     """Distinct event names in transition declaration order."""
 
-    seen: list[str] = []
-    for t in chart.transitions:
-        if t.event not in seen:
-            seen.append(t.event)
-    return tuple(seen)
+    return tuple(dict.fromkeys(t.event for t in chart.transitions))
 
 
 def rule3_event_operations(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
@@ -252,8 +250,6 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
     was already reported).  Postconditions are left alone.
     """
 
-    from .textio import format_expr
-
     report = TransformReport()
     cls = _attached(model, chart)
     attrs = {a.name: a for a in cls.attributes}
@@ -266,7 +262,7 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
             {t.source for t in chart.transitions if t.event == event},
             key=lambda name: order.get(name, len(order)))
         flags_ok = all(
-            name in attrs and _induced_here(attrs[name].origin, chart)
+            name in attrs and induced_by(attrs[name].origin, chart)
             for name in sources)
         if not sources or not flags_ok:
             continue
@@ -290,9 +286,8 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
         changed = True
         description = format_expr(wanted)
         if op.pre_authored is not None:
-            description += (
-                "; effective precondition: "
-                + format_expr(E.And(op.pre_authored, wanted)))
+            description += "; effective precondition: " + format_expr(
+                new_ops[index].effective_pre)
         report.induced_preconditions.append((member_path(cls, event), description))
 
     if not changed:

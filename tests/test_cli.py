@@ -217,6 +217,16 @@ def test_unknown_import_exits_three(tmp_path):
     assert "ghost" in err
 
 
+def test_a_thousand_package_chain_composes(tmp_path):
+    # "p0000" imports "p0001" ... imports "p0999"; the root file sorts first.
+    for i in range(1000):
+        body = f' import "p{i + 1:04d}" ' if i < 999 else " "
+        (tmp_path / f"p{i:04d}.preface").write_text(f'package "p{i:04d}" {{{body}}}\n')
+    code, out, err = cli(RunConfig("compose", str(tmp_path), "p0000"))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.index("  p0999\n") < out.index("  p0000\n")
+
+
 def test_json_diagnostics_are_valid_json(sample_dir, tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text(BAD_MODEL)

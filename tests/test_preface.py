@@ -48,6 +48,7 @@ from prefacer.preface import (
     validate_preface,
 )
 from prefacer.expr import Literal
+from prefacer.textio import parse_package
 
 
 def ids(flattened):
@@ -300,6 +301,50 @@ def test_cycles_are_reported_once_per_loop():
     assert len(out) == 2
 
 
+def test_import_diagnostics_are_pinned_byte_for_byte():
+    # One cycle only "w" reaches, one the root enters half way round, a
+    # self-import and an unknown import, in a deliberately mixed load order.
+    texts = [
+        ("w.preface", 'package "w" {\n  import "x"\n  import "ghost"\n}\n'),
+        ("x.preface", '// x\npackage "x" {\n  import "y"\n}\n'),
+        ("y.preface", 'package "y" {\n  import "x"\n}\n'),
+        ("root.preface", 'package "root" {\n  import "b"\n  import "s"\n}\n'),
+        ("a.preface", 'package "a" {\n  import "b"\n}\n'),
+        ("b.preface", '// b\n\n  package "b" {\n  import "c"\n}\n'),
+        ("c.preface", 'package "c" {\n  import "a"\n}\n'),
+        ("s.preface", 'package "s" {\n  import "s"\n}\n'),
+    ]
+    repo = {}
+    for file, text in texts:
+        pkg = parse_package(text, file)
+        repo[pkg.id] = pkg
+    out = [(d.code, d.path, d.message, str(d.location))
+           for d in validate_preface(repo, "root")]
+    assert out == [
+        ("E101", "w", "package 'w' imports unknown package 'ghost'", "w.preface:1:1"),
+        ("E102", "x", "import cycle: x -> y -> x", "x.preface:2:1"),
+        ("E102", "b", "import cycle: b -> c -> a -> b", "b.preface:3:3"),
+        ("E102", "s", "import cycle: s -> s", "s.preface:1:1"),
+    ]
+
+
+def chain_repo(length: int, root_first: bool) -> dict[str, Package]:
+    """``p0`` imports ``p1`` imports ... ``p<length-1>``; ``p0`` is the root."""
+
+    packages = [Package(f"p{i}", (f"p{i + 1}",) if i + 1 < length else ())
+                for i in range(length)]
+    if not root_first:
+        packages.reverse()
+    return {pkg.id: pkg for pkg in packages}
+
+
+@pytest.mark.parametrize("root_first", [True, False])
+def test_a_thousand_package_chain_flattens_and_validates(root_first):
+    repo = chain_repo(1000, root_first)
+    assert ids(flatten_imports(repo, "p0")) == [f"p{i}" for i in range(999, -1, -1)]
+    assert validate_preface(repo, "p0") == []
+
+
 def test_option_key_and_value_are_checked():
     repo = {"a": Package("a", (), (
         OptionDef("nonsense.key", "x"),
@@ -327,6 +372,30 @@ def test_stereotype_base_change_warns_across_packages():
     out = validate_preface(repo, "b")
     assert [d.code for d in out] == ["W102"]
     assert out[0].severity == "warning"
+
+
+def test_stereotype_base_change_names_the_definition_that_wins():
+    # Loaded a, b, r; flattened b, a, r: the definition in "a" wins.
+    repo = {
+        "a": Package("a", (), (StereotypeDef("ev", "Class"),)),
+        "b": Package("b", (), (StereotypeDef("ev", "Attribute"),)),
+        "r": Package("r", ("b", "a")),
+    }
+    assert compose(repo, "r").stereotypes["ev"][0].base == "Class"
+    out = validate_preface(repo, "r")
+    assert [(d.code, d.path, d.message) for d in out] == [(
+        "W102", "a",
+        "stereotype 'ev' redefined on metaclass 'Class' (previously "
+        "'Attribute'); the newest definition wins")]
+
+
+def test_stereotype_base_change_outside_the_root_is_not_reported():
+    repo = {
+        "a": Package("a", (), (StereotypeDef("ev", "Class"),)),
+        "b": Package("b", ("a",), (StereotypeDef("ev", "Operation"),)),
+        "r": Package("r"),
+    }
+    assert validate_preface(repo, "r") == []
 
 
 def test_rule_predicates_are_checked():
