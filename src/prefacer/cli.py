@@ -68,24 +68,27 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _diagnostics_payload(diags: list[Diagnostic]) -> list[dict]:
+    return [
+        {
+            "severity": d.severity,
+            "code": d.code,
+            "file": d.location.file if d.location else None,
+            "line": d.location.line if d.location else None,
+            "col": d.location.column if d.location else None,
+            "path": d.path,
+            "message": d.message,
+            "provenance": d.provenance,
+        }
+        for d in diags
+    ]
+
+
 def render_diagnostics(diags: list[Diagnostic], format: str = "text") -> str:
     """Stable text or JSON rendering; empty string for an empty list."""
 
     if format == "json":
-        payload = [
-            {
-                "severity": d.severity,
-                "code": d.code,
-                "file": d.location.file if d.location else None,
-                "line": d.location.line if d.location else None,
-                "col": d.location.column if d.location else None,
-                "path": d.path,
-                "message": d.message,
-                "provenance": d.provenance,
-            }
-            for d in diags
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(_diagnostics_payload(diags), indent=2) + "\n"
 
     lines = []
     for d in diags:
@@ -159,28 +162,44 @@ def _cmd_validate(config: RunConfig, model: Model, eff: EffectiveDefinitions,
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
-def _transform_prelude(config: RunConfig, model: Model, eff: EffectiveDefinitions,
-                       diags: list[Diagnostic], stderr: IO[str],
-                       ) -> tuple[Model, TransformReport, list[Diagnostic]] | None:
+def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diagnostic],
+                       ) -> tuple[Model | None, TransformReport | None, list[Diagnostic]]:
     """Structural check, then statechart induction unless anything so far
-    is an error; ``None`` (with the diagnostics written) when it stops."""
+    is an error; the model and the report are ``None`` when it stops."""
 
     diags = builtin_check(model) + diags
     if has_errors(diags):
-        stderr.write(render_diagnostics(diags, config.format))
-        return None
+        return None, None, diags
     transformed, report = apply_transforms(model, eff)
     return transformed, report, diags + report.diagnostics
 
 
+_REPORT_SECTIONS = ("induced_attributes", "induced_invariants",
+                    "induced_operations", "induced_preconditions")
+
+
+def _render_transform(diags: list[Diagnostic], report: TransformReport | None,
+                      format: str) -> str:
+    """The diagnostics, then the report of what was induced (``None`` when
+    nothing was transformed); under ``json`` one object holding both."""
+
+    if format == "json":
+        payload: dict[str, list] = {"diagnostics": _diagnostics_payload(diags)}
+        for section in _REPORT_SECTIONS:
+            entries = getattr(report, section) if report is not None else []
+            payload[section] = [{"path": path, "description": description}
+                                for path, description in entries]
+        return json.dumps(payload, indent=2) + "\n"
+    text = render_diagnostics(diags)
+    return text + print_transform_report(report) if report is not None else text
+
+
 def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                    diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    prelude = _transform_prelude(config, model, eff, diags, stderr)
-    if prelude is None:
+    transformed, report, diags = _transform_prelude(model, eff, diags)
+    stderr.write(_render_transform(diags, report, config.format))
+    if transformed is None:
         return EXIT_DIAGNOSTICS
-    transformed, report, diags = prelude
-    stderr.write(render_diagnostics(diags, config.format))
-    stderr.write(print_transform_report(report))
     text = print_model(transformed)
     if config.output:
         Path(config.output).write_text(text, encoding="utf-8", newline="\n")
@@ -207,11 +226,8 @@ def _cmd_explain(config: RunConfig, eff: EffectiveDefinitions,
 
 def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                   diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    prelude = _transform_prelude(config, model, eff, diags, stderr)
-    if prelude is None:
-        return EXIT_DIAGNOSTICS
-    transformed, _, diags = prelude
-    if has_errors(diags):
+    transformed, _, diags = _transform_prelude(model, eff, diags)
+    if transformed is None or has_errors(diags):
         stderr.write(render_diagnostics(diags, config.format))
         return EXIT_DIAGNOSTICS
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import And, Expr, LiteralValue
@@ -181,17 +182,33 @@ class Model:
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "statecharts", tuple(self.statecharts))
 
-    def class_named(self, name: str) -> ClassDef | None:
+    # The name indexes are built on first lookup and cached in the
+    # instance dict: they are not fields, so equality, repr and
+    # ``dataclasses.replace`` ignore them, and a replaced model builds its own.
+
+    @cached_property
+    def _class_index(self) -> dict[str, ClassDef]:
+        index: dict[str, ClassDef] = {}
         for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None
+            index.setdefault(cls.name, cls)
+        return index
+
+    @cached_property
+    def _chart_index(self) -> dict[str, Statechart]:
+        index: dict[str, Statechart] = {}
+        for chart in self.statecharts:
+            index.setdefault(chart.name, chart)
+        return index
+
+    def class_named(self, name: str) -> ClassDef | None:
+        """The first class declared with ``name``, or ``None``."""
+
+        return self._class_index.get(name)
 
     def chart_named(self, name: str) -> Statechart | None:
-        for chart in self.statecharts:
-            if chart.name == name:
-                return chart
-        return None
+        """The first statechart declared with ``name``, or ``None``."""
+
+        return self._chart_index.get(name)
 
 
 ModelElement = Model | ClassDef | Attribute | Operation | Statechart | Transition | State
@@ -283,7 +300,7 @@ def lookup_element(model: Model, path: str) -> ModelElement | None:
         chart = model.chart_named(head)
         if chart is None:
             return None
-        if item.isdigit():
+        if item.isascii() and item.isdigit():
             index = int(item)
             if index < len(chart.transitions):
                 return chart.transitions[index]
@@ -320,7 +337,8 @@ def _check_origin(origin: Origin, path: str, loc: SourceLocation | None,
         diags.append(_err("E015", path, "induced element lacks a rule id", loc))
 
 
-def _check_class(model: Model, cls: ClassDef, diags: list[Diagnostic]) -> None:
+def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
+                 diags: list[Diagnostic]) -> None:
     attr_names: set[str] = set()
     for attr in cls.attributes:
         path = member_path(cls, attr.name)
@@ -364,7 +382,7 @@ def _check_class(model: Model, cls: ClassDef, diags: list[Diagnostic]) -> None:
         if model.class_named(sup) is None:
             diags.append(_err(
                 "E007", cls.name, f"unknown superclass '{sup}' of '{cls.name}'", cls.loc))
-    if _inherits_from_itself(model, cls):
+    if on_cycle:
         diags.append(_err(
             "E008", cls.name, f"'{cls.name}' is its own transitive superclass", cls.loc))
 
@@ -372,20 +390,80 @@ def _check_class(model: Model, cls: ClassDef, diags: list[Diagnostic]) -> None:
         _check_origin(inv.origin, cls.name, cls.loc, diags)
 
 
-def _inherits_from_itself(model: Model, cls: ClassDef) -> bool:
-    seen: set[str] = set()
-    work = list(cls.superclasses)
-    while work:
-        name = work.pop()
-        if name == cls.name:
-            return True
-        if name in seen:
+def _names_on_cycles(graph: dict[str, tuple[str, ...]]) -> set[str]:
+    """The names that reach themselves along one or more edges: members of
+    strongly connected components of two or more names, and names with an
+    edge to themselves.
+
+    Tarjan's algorithm with an explicit stack of (name, successor
+    iterator) frames, so the depth of the graph never meets the recursion
+    limit.  Every successor must be a key of ``graph``.
+    """
+
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: list[str] = []
+    on_component: set[str] = set()
+    cyclic: set[str] = set()
+
+    for root in graph:
+        if root in order:
             continue
-        seen.add(name)
-        parent = model.class_named(name)
-        if parent is not None:
-            work.extend(parent.superclasses)
-    return False
+        order[root] = low[root] = len(order)
+        component.append(root)
+        on_component.add(root)
+        frames = [(root, iter(graph[root]))]
+        while frames:
+            name, successors = frames[-1]
+            for succ in successors:
+                if succ not in order:
+                    order[succ] = low[succ] = len(order)
+                    component.append(succ)
+                    on_component.add(succ)
+                    frames.append((succ, iter(graph[succ])))
+                    break
+                if succ in on_component:
+                    low[name] = min(low[name], order[succ])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[name])
+                if low[name] == order[name]:
+                    members = []
+                    while True:
+                        member = component.pop()
+                        on_component.discard(member)
+                        members.append(member)
+                        if member == name:
+                            break
+                    if len(members) > 1 or name in graph[name]:
+                        cyclic.update(members)
+    return cyclic
+
+
+def _classes_on_cycles(model: Model) -> list[bool]:
+    """For each class of ``model``, whether walking up from its own
+    superclasses reaches its name (E008).
+
+    A superclass name stands for the first class declared with it, and
+    unknown names lead nowhere, so the first class of each name is on a
+    cycle exactly when its name is.  A later class of a repeated name
+    (already an E001 error) has superclasses of its own: it is on a cycle
+    exactly when its name is in the graph where the name's edges are its
+    superclasses, which costs one more pass for each such class.
+    """
+
+    index = model._class_index
+
+    def edges(cls: ClassDef) -> tuple[str, ...]:
+        return tuple(s for s in cls.superclasses if s in index)
+
+    graph = {name: edges(cls) for name, cls in index.items()}
+    cyclic = _names_on_cycles(graph)
+    return [cls.name in cyclic if index[cls.name] is cls
+            else cls.name in _names_on_cycles({**graph, cls.name: edges(cls)})
+            for cls in model.classes]
 
 
 def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> None:
@@ -431,11 +509,11 @@ def builtin_check(model: Model) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     seen_classes: set[str] = set()
-    for cls in model.classes:
+    for cls, on_cycle in zip(model.classes, _classes_on_cycles(model)):
         if cls.name in seen_classes:
             diags.append(_err("E001", cls.name, f"duplicate class name '{cls.name}'", cls.loc))
         seen_classes.add(cls.name)
-        _check_class(model, cls, diags)
+        _check_class(model, cls, on_cycle, diags)
 
     seen_charts: set[str] = set()
     for chart in model.statecharts:

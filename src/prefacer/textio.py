@@ -115,9 +115,9 @@ def _lex(source: str, file: str) -> list[Token]:
             col += i - start
             toks.append(Token("ident", source[start:i], loc))
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start, loc = i, here()
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 i += 1
             col += i - start
             toks.append(Token("int", source[start:i], loc))

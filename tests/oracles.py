@@ -359,6 +359,43 @@ def boolean_assignments_satisfying(e: Expr, names: list[str]) -> list[dict[str, 
 
 
 # ---------------------------------------------------------------------------
+# Inheritance cycles, one class at a time
+# ---------------------------------------------------------------------------
+
+
+def _first_class_named(model: Model, name: str) -> ClassDef | None:
+    for cls in model.classes:
+        if cls.name == name:
+            return cls
+    return None
+
+
+def inherits_from_itself_reference(model: Model, cls: ClassDef) -> bool:
+    """Whether walking up from ``cls``'s own superclasses reaches its name.
+
+    The per-class ancestry walk ``builtin_check`` used before it found
+    cycles in one pass, kept as written except that each name is looked up
+    by a linear scan: a name stands for the first class declared with it,
+    and unknown names end the walk.  Cubic on a chain, so only for small
+    models.
+    """
+
+    seen: set[str] = set()
+    work = list(cls.superclasses)
+    while work:
+        name = work.pop()
+        if name == cls.name:
+            return True
+        if name in seen:
+            continue
+        seen.add(name)
+        parent = _first_class_named(model, name)
+        if parent is not None:
+            work.extend(parent.superclasses)
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive element paths
 # ---------------------------------------------------------------------------
 

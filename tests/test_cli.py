@@ -195,6 +195,23 @@ def test_unparsable_model_exits_two(sample_dir, tmp_path):
     assert err.startswith("parse error:")
 
 
+def test_non_ascii_digit_in_a_model_is_a_parse_error(sample_dir, tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_text("model m\n  class C {\n    attribute n : Integer\n"
+                   "    invariant n < \u00b2\n  }\n", encoding="utf-8")
+    code, out, err = cli(config_for(sample_dir, "validate", model_path=str(bad)))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: {bad}:4:19: unexpected character '\u00b2'\n"
+
+
+def test_non_ascii_digit_in_a_package_is_a_parse_error(tmp_path):
+    package = tmp_path / "p.preface"
+    package.write_text('package "p" { const max = \u0661 }\n', encoding="utf-8")
+    code, out, err = cli(RunConfig("compose", str(tmp_path), "p"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: {package}:1:27: unexpected character '\u0661'\n"
+
+
 def test_unknown_root_exits_three(sample_dir):
     code, _, err = cli(config_for(sample_dir, "compose", root_package="ghost"))
     assert code == EXIT_COMPOSITION
@@ -241,6 +258,31 @@ def test_json_diagnostics_are_valid_json(sample_dir, tmp_path):
     assert entry["file"] == str(bad)
     assert isinstance(entry["line"], int)
     assert entry["provenance"] is None
+
+
+def test_transform_json_is_one_document(sample_dir):
+    code, out, err = cli(config_for(sample_dir, "transform", format="json"))
+    assert code == EXIT_OK
+    assert "// induced by statechart-to-class" in out
+    payload = json.loads(err)
+    assert list(payload) == ["diagnostics", "induced_attributes", "induced_invariants",
+                             "induced_operations", "induced_preconditions"]
+    assert payload["diagnostics"] == []
+    assert payload["induced_attributes"] == [
+        {"path": f"C.s{i}", "description": f"s{i} : Boolean"} for i in (1, 2, 3)]
+    assert all(set(entry) == {"path", "description"}
+               for section in list(payload)[1:] for entry in payload[section])
+
+
+def test_transform_json_of_a_broken_model_is_one_document(sample_dir, tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_text(BAD_MODEL)
+    code, out, err = cli(config_for(
+        sample_dir, "transform", model_path=str(bad), format="json"))
+    assert (code, out) == (EXIT_DIAGNOSTICS, "")
+    payload = json.loads(err)
+    assert [entry["code"] for entry in payload["diagnostics"]] == ["E007"]
+    assert payload["induced_attributes"] == payload["induced_preconditions"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_model
-from oracles import all_element_paths
+from oracles import all_element_paths, inherits_from_itself_reference
+from prefacer.diagnostics import Diagnostic, SourceLocation
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -78,6 +79,27 @@ def test_lookup_transition_by_index():
 ])
 def test_malformed_paths_raise(path):
     model = Model("m", (ClassDef("C"),), ())
+    with pytest.raises(MalformedPathError):
+        lookup_element(model, path)
+
+
+def test_lookup_by_name_returns_the_first_of_duplicates():
+    first, second = ClassDef("C", superclasses=("A",)), ClassDef("C")
+    chart1 = Statechart("S", "C", (State("a", initial=True),), ())
+    chart2 = Statechart("S", "C", (State("b", initial=True),), ())
+    model = Model("m", (ClassDef("A"), first, second), (chart1, chart2))
+    assert model.class_named("C") is first
+    assert model.chart_named("S") is chart1
+    assert model.class_named("Nope") is None
+    assert model.chart_named("Nope") is None
+
+
+@pytest.mark.parametrize("path", ["SC/\u00b2", "SC/\u0661"])
+def test_non_ascii_digits_are_not_transition_indexes(path):
+    model = Model("m", (ClassDef("C"),), (
+        Statechart("SC", "C", (State("a", initial=True),), (
+            Transition("a", "a", "go"), Transition("a", "a", "stay"))),
+    ))
     with pytest.raises(MalformedPathError):
         lookup_element(model, path)
 
@@ -184,3 +206,77 @@ def test_initial_state_count_must_be_one():
     assert codes(out) == ["E011", "E011"]
     assert "2 initial states" in out[0].message
     assert "0 initial states" in out[1].message
+
+
+# ---------------------------------------------------------------------------
+# Inheritance: unknown superclasses and cycles against the per-class walk
+# ---------------------------------------------------------------------------
+
+
+def _random_class_graph(rng: random.Random) -> Model:
+    """Classes drawn from a small name pool, so names repeat; superclasses
+    from the pool plus names no class bears, self-loops included.  Each
+    class has its own location, so a diagnostic identifies its class."""
+
+    pool = [f"K{i}" for i in range(rng.randint(1, 7))]
+    supers_pool = pool + ["Ghost", "Nil"]
+    classes = []
+    for line in range(1, rng.randint(1, 12) + 1):
+        supers = tuple(rng.choice(supers_pool) for _ in range(rng.randint(0, 3)))
+        classes.append(ClassDef(rng.choice(pool), superclasses=supers,
+                                loc=SourceLocation("g.model", line, 1)))
+    return Model("g", tuple(classes))
+
+
+def _hierarchy_diagnostics_reference(model: Model) -> list[Diagnostic]:
+    names = {cls.name for cls in model.classes}
+    out = []
+    for cls in model.classes:
+        for sup in cls.superclasses:
+            if sup not in names:
+                out.append(Diagnostic("error", "E007", cls.name,
+                                      f"unknown superclass '{sup}' of '{cls.name}'", cls.loc))
+        if inherits_from_itself_reference(model, cls):
+            out.append(Diagnostic("error", "E008", cls.name,
+                                  f"'{cls.name}' is its own transitive superclass", cls.loc))
+    return out
+
+
+def test_hierarchy_diagnostics_match_the_per_class_walk_on_random_graphs():
+    rng = random.Random(404)
+    cycles = duplicates = 0
+    for _ in range(3000):
+        model = _random_class_graph(rng)
+        expected = _hierarchy_diagnostics_reference(model)
+        got = [d for d in builtin_check(model) if d.code in ("E007", "E008")]
+        assert got == expected, model
+        cycles += any(d.code == "E008" for d in expected)
+        duplicates += len({c.name for c in model.classes}) < len(model.classes)
+    # The corpus must exercise both cycles and duplicate names.
+    assert cycles > 500 and duplicates > 500
+
+
+def test_cycle_in_a_long_chain_marks_exactly_its_members():
+    # Each C{i} specializes C{i-1}, except that C2500 specializes C2501,
+    # C2501 specializes C2502 and C2502 specializes C2500: a 3-cycle, with
+    # C2503 (and the rest of the chain above it) hanging off it.  Only the
+    # three members are E008.
+    n = 5000
+    supers = {f"C{i}": (f"C{i - 1}",) for i in range(1, n)}
+    supers["C2502"] = ("C2500",)
+    supers["C2501"] = ("C2502",)
+    supers["C2500"] = ("C2501",)
+    model = Model("chain", tuple(ClassDef(f"C{i}", superclasses=supers.get(f"C{i}", ()))
+                                 for i in range(n)))
+    out = builtin_check(model)
+    assert [(d.code, d.path) for d in out] == [
+        ("E008", "C2500"), ("E008", "C2501"), ("E008", "C2502")]
+
+
+def test_a_twenty_thousand_class_chain_checks_without_recursion():
+    n = 20000
+    model = Model("chain", tuple(ClassDef(f"C{i}", superclasses=(f"C{i - 1}",) if i else ())
+                                 for i in range(n)))
+    assert builtin_check(model) == []
+    looped = Model("loop", (ClassDef("C0", superclasses=(f"C{n - 1}",)),) + model.classes[1:])
+    assert [d.path for d in builtin_check(looped)] == [f"C{i}" for i in range(n)]

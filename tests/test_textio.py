@@ -105,6 +105,24 @@ def test_parse_errors_carry_locations():
         parse_expr("a ? b")
 
 
+# "²" (superscript two) and "١" (Arabic-Indic one) are Unicode digits but
+# not integer literals: each must be refused where it stands.
+NON_ASCII_DIGITS = ("\u00b2", "\u0661")
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_not_integer_literals(digit):
+    with pytest.raises(ParseError, match="1:5: unexpected character") as failure:
+        parse_expr(f"x = {digit}")
+    assert repr(digit) in str(failure.value)
+    with pytest.raises(ParseError, match="4:19: unexpected character"):
+        parse_model("model m\n  class C {\n    attribute n : Integer\n"
+                    f"    invariant n < {digit}\n  }}\n")
+    with pytest.raises(ParseError, match="1:28: unexpected character"):
+        parse_package(f'package "p" {{ const max = 1{digit} }}')
+    assert parse_expr("x = 0123456789") == parse_expr("x = 123456789")
+
+
 def test_format_inserts_only_needed_parentheses():
     cases = [
         ("a or b and c", "a or (b and c)"),
