@@ -208,15 +208,26 @@ def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
+def _render_explain(diags: list[Diagnostic], error: str | None, format: str) -> str:
+    """The diagnostics, then the error when the key is not defined (``None``
+    when it is); under ``json`` one object holding both."""
+
+    if format == "json":
+        payload = {"diagnostics": _diagnostics_payload(diags), "error": error}
+        return json.dumps(payload, indent=2) + "\n"
+    text = render_diagnostics(diags)
+    return text + f"error: {error}\n" if error is not None else text
+
+
 def _cmd_explain(config: RunConfig, eff: EffectiveDefinitions,
                  diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    stderr.write(render_diagnostics(diags, config.format))
     assert config.key is not None
     try:
         chain = explain(eff, config.key)
     except NotDefinedError as failure:
-        stderr.write(f"error: {failure}\n")
+        stderr.write(_render_explain(diags, str(failure), config.format))
         return EXIT_DIAGNOSTICS
+    stderr.write(_render_explain(diags, None, config.format))
     stdout.write(f"{config.key}\n")
     for index, entry in enumerate(chain.entries):
         mark = " (winner)" if index == len(chain.entries) - 1 else ""

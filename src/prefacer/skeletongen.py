@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ClassDef, Model, Operation, Statechart
+from .model import ClassDef, Model, Operation, Statechart, Transition
 from .preface import EffectiveDefinitions
 from .textio import format_expr
 from .transformer import induced_by
@@ -157,11 +157,14 @@ def _call_sequences(chart: Statechart, max_len: int = 3) -> list[tuple[str, ...]
     initials = chart.initial_states()
     if not initials:
         return []
+    outgoing: dict[str, list[tuple[int, Transition]]] = {}
+    for index, t in enumerate(chart.transitions):
+        outgoing.setdefault(t.source, []).append((index, t))
     sequences: list[tuple[str, ...]] = []
 
     def walk(state: str, used: frozenset[int], events: tuple[str, ...]) -> None:
-        for index, t in enumerate(chart.transitions):
-            if t.source != state or index in used:
+        for index, t in outgoing.get(state, ()):
+            if index in used:
                 continue
             seq = events + (t.event,)
             sequences.append(seq)

@@ -633,50 +633,85 @@ def parse_package(source: str, file: str = "<package>") -> Package:
 
 _IMPLIES, _OR, _AND, _NOT, _CMP, _ADD, _POSTFIX = range(1, 8)
 
-
-def _fmt(e: E.Expr, floor: int) -> str:
-    if isinstance(e, E.Literal):
-        return render_literal(e.value)
-    if isinstance(e, E.VarRef):
-        return e.name
-    if isinstance(e, E.Nav):
-        return f"{_fmt(e.target, _POSTFIX)}.{e.feature}"
-    if isinstance(e, E.Call):
-        return f"{e.fn}({', '.join(_fmt(a, _IMPLIES) for a in e.args)})"
-    if isinstance(e, E.Forall):
-        return f"forall({e.var} in {_fmt(e.domain, _IMPLIES)} | {_fmt(e.body, _IMPLIES)})"
-    if isinstance(e, E.Exists):
-        return f"exists({e.var} in {_fmt(e.domain, _IMPLIES)} | {_fmt(e.body, _IMPLIES)})"
-
-    if isinstance(e, E.Implies):
-        text, level = f"{_fmt(e.lhs, _OR)} implies {_fmt(e.rhs, _IMPLIES)}", _IMPLIES
-    elif isinstance(e, E.Or):
-        # Conjunctive operands are parenthesized even though precedence
-        # does not demand it; disjunctions of conjunctions read better as
-        # (a and not b) or (not a and b).
-        lhs = _fmt(e.lhs, _NOT if isinstance(e.lhs, E.And) else _OR)
-        rhs = _fmt(e.rhs, _NOT if isinstance(e.rhs, E.And) else _AND)
-        text, level = f"{lhs} or {rhs}", _OR
-    elif isinstance(e, E.And):
-        text, level = f"{_fmt(e.lhs, _AND)} and {_fmt(e.rhs, _NOT)}", _AND
-    elif isinstance(e, E.Not):
-        text, level = f"not {_fmt(e.operand, _NOT)}", _NOT
-    elif isinstance(e, E.Compare):
-        text, level = f"{_fmt(e.lhs, _ADD)} {e.op} {_fmt(e.rhs, _ADD)}", _CMP
-    elif isinstance(e, E.Add):
-        text, level = f"{_fmt(e.lhs, _ADD)} + {_fmt(e.rhs, _POSTFIX)}", _ADD
-    elif isinstance(e, E.Sub):
-        text, level = f"{_fmt(e.lhs, _ADD)} - {_fmt(e.rhs, _POSTFIX)}", _ADD
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    return f"({text})" if level < floor else text
+#: Binary operators spelled the same in every node: the text between the
+#: operands, the operator's own level, and the floors its left and right
+#: operands print at.  ``Compare`` spells its own operator.
+_INFIX: dict[type, tuple[str, int, int, int]] = {
+    E.Implies: (" implies ", _IMPLIES, _OR, _IMPLIES),
+    E.Or: (" or ", _OR, _OR, _AND),
+    E.And: (" and ", _AND, _AND, _NOT),
+    E.Add: (" + ", _ADD, _ADD, _POSTFIX),
+    E.Sub: (" - ", _ADD, _ADD, _POSTFIX),
+}
 
 
 def format_expr(e: E.Expr) -> str:
     """Canonical text of an expression, with the fewest parentheses that
-    keep reparsing structure-faithful."""
+    keep reparsing structure-faithful.
 
-    return _fmt(e, _IMPLIES)
+    One pass over an explicit stack, so a tree of any depth prints without
+    recursion; the pieces of text go into one list, joined once.
+    """
+
+    if isinstance(e, E.VarRef):
+        return e.name
+    if isinstance(e, E.Literal):
+        return render_literal(e.value)
+
+    parts: list[str] = []
+    # Work still to do, last in first out: text to emit as it is, or a node
+    # to print at a floor, parenthesized when its own level is lower.
+    stack: list[str | tuple[E.Expr, int]] = [(e, _IMPLIES)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, floor = item
+        kind = type(node)
+        if kind is E.VarRef:
+            parts.append(node.name)
+        elif kind is E.Not:
+            if _NOT < floor:
+                parts.append("(")
+                stack.append(")")
+            parts.append("not ")
+            stack.append((node.operand, _NOT))
+        elif kind in _INFIX or kind is E.Compare:
+            if kind is E.Compare:
+                text, level, lhs_floor, rhs_floor = f" {node.op} ", _CMP, _ADD, _ADD
+            else:
+                text, level, lhs_floor, rhs_floor = _INFIX[kind]
+            if kind is E.Or:
+                # Conjunctive operands are parenthesized even though
+                # precedence does not demand it; disjunctions of
+                # conjunctions read better as (a and not b) or (not a and b).
+                if type(node.lhs) is E.And:
+                    lhs_floor = _NOT
+                if type(node.rhs) is E.And:
+                    rhs_floor = _NOT
+            if level < floor:
+                parts.append("(")
+                stack.append(")")
+            stack += ((node.rhs, rhs_floor), text, (node.lhs, lhs_floor))
+        elif kind is E.Literal:
+            parts.append(render_literal(node.value))
+        elif kind is E.Nav:
+            stack += ("." + node.feature, (node.target, _POSTFIX))
+        elif kind is E.Call:
+            parts.append(node.fn + "(")
+            stack.append(")")
+            for index in range(len(node.args) - 1, -1, -1):
+                stack.append((node.args[index], _IMPLIES))
+                if index:
+                    stack.append(", ")
+        elif kind is E.Forall or kind is E.Exists:
+            keyword = "forall" if kind is E.Forall else "exists"
+            parts.append(f"{keyword}({node.var} in ")
+            stack += (")", (node.body, _IMPLIES), " | ", (node.domain, _IMPLIES))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -143,16 +143,18 @@ def rule1_state_attributes(model: Model, chart: Statechart) -> tuple[Model, Tran
 def exactly_one(names: tuple[str, ...]) -> E.Expr:
     """Exactly one of ``names`` is true, as a disjunction of full
     conjunctions in declaration order: ``(a and not b) or (not a and b)``.
-    A single name is just that name."""
+    A single name is just that name.
 
-    terms: list[E.Expr] = []
-    for index, _ in enumerate(names):
-        literals: list[E.Expr] = [
-            E.VarRef(n) if j == index else E.Not(E.VarRef(n))
-            for j, n in enumerate(names)
-        ]
-        terms.append(E.conjoin(literals))
-    return E.disjoin(terms)
+    Each flag and its negation is one node that every conjunction shares,
+    so only the ``And``/``Or`` spine grows with the square of the names.
+    """
+
+    flags = [E.VarRef(n) for n in names]
+    negations = [E.Not(flag) for flag in flags]
+    return E.disjoin([
+        E.conjoin([flag if j == index else negations[j] for j, flag in enumerate(flags)])
+        for index in range(len(flags))
+    ])
 
 
 def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:

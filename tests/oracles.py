@@ -27,6 +27,8 @@ from prefacer.expr import (
     Or,
     Sub,
     VarRef,
+    conjoin,
+    disjoin,
 )
 from prefacer.model import (
     Attribute,
@@ -46,6 +48,7 @@ from prefacer.preface import (
     TagDef,
     TransformSelection,
     OPTION_CATALOGUE,
+    render_literal,
 )
 
 
@@ -447,3 +450,99 @@ def authored_view(model: Model) -> Model:
             invariants=tuple(i for i in cls.invariants if i.origin.kind == "authored"),
         ))
     return replace(model, classes=tuple(classes))
+
+
+# ---------------------------------------------------------------------------
+# Expression printing, recursively
+# ---------------------------------------------------------------------------
+
+_IMPLIES, _OR, _AND, _NOT, _CMP, _ADD, _POSTFIX = range(1, 8)
+
+
+def _fmt(e: Expr, floor: int) -> str:
+    if isinstance(e, Literal):
+        return render_literal(e.value)
+    if isinstance(e, VarRef):
+        return e.name
+    if isinstance(e, Nav):
+        return f"{_fmt(e.target, _POSTFIX)}.{e.feature}"
+    if isinstance(e, Call):
+        return f"{e.fn}({', '.join(_fmt(a, _IMPLIES) for a in e.args)})"
+    if isinstance(e, Forall):
+        return f"forall({e.var} in {_fmt(e.domain, _IMPLIES)} | {_fmt(e.body, _IMPLIES)})"
+    if isinstance(e, Exists):
+        return f"exists({e.var} in {_fmt(e.domain, _IMPLIES)} | {_fmt(e.body, _IMPLIES)})"
+
+    if isinstance(e, Implies):
+        text, level = f"{_fmt(e.lhs, _OR)} implies {_fmt(e.rhs, _IMPLIES)}", _IMPLIES
+    elif isinstance(e, Or):
+        # Conjunctive operands are parenthesized even though precedence
+        # does not demand it; disjunctions of conjunctions read better as
+        # (a and not b) or (not a and b).
+        lhs = _fmt(e.lhs, _NOT if isinstance(e.lhs, And) else _OR)
+        rhs = _fmt(e.rhs, _NOT if isinstance(e.rhs, And) else _AND)
+        text, level = f"{lhs} or {rhs}", _OR
+    elif isinstance(e, And):
+        text, level = f"{_fmt(e.lhs, _AND)} and {_fmt(e.rhs, _NOT)}", _AND
+    elif isinstance(e, Not):
+        text, level = f"not {_fmt(e.operand, _NOT)}", _NOT
+    elif isinstance(e, Compare):
+        text, level = f"{_fmt(e.lhs, _ADD)} {e.op} {_fmt(e.rhs, _ADD)}", _CMP
+    elif isinstance(e, Add):
+        text, level = f"{_fmt(e.lhs, _ADD)} + {_fmt(e.rhs, _POSTFIX)}", _ADD
+    elif isinstance(e, Sub):
+        text, level = f"{_fmt(e.lhs, _ADD)} - {_fmt(e.rhs, _POSTFIX)}", _ADD
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({text})" if level < floor else text
+
+
+def format_expr_reference(e: Expr) -> str:
+    """The recursive printer ``textio.format_expr`` replaced, kept as
+    written: one call per node, each level building its own string.
+    Recurses as deep as the tree, so only for trees a few hundred deep."""
+
+    return _fmt(e, _IMPLIES)
+
+
+# ---------------------------------------------------------------------------
+# Statechart induction and monitors, as first written
+# ---------------------------------------------------------------------------
+
+
+def exactly_one_reference(names: tuple[str, ...]) -> Expr:
+    """Exactly one of ``names`` is true, as a disjunction of full
+    conjunctions in declaration order, with fresh nodes for every literal
+    of every conjunction."""
+
+    terms: list[Expr] = []
+    for index, _ in enumerate(names):
+        literals: list[Expr] = [
+            VarRef(n) if j == index else Not(VarRef(n))
+            for j, n in enumerate(names)
+        ]
+        terms.append(conjoin(literals))
+    return disjoin(terms)
+
+
+def call_sequences_reference(chart: Statechart, max_len: int = 3) -> list[tuple[str, ...]]:
+    """Event sequences of every path from the initial state that reuses no
+    transition, up to ``max_len`` calls, in transition declaration order;
+    every step scans all transitions of the chart."""
+
+    initials = chart.initial_states()
+    if not initials:
+        return []
+    sequences: list[tuple[str, ...]] = []
+
+    def walk(state: str, used: frozenset[int], events: tuple[str, ...]) -> None:
+        for index, t in enumerate(chart.transitions):
+            if t.source != state or index in used:
+                continue
+            seq = events + (t.event,)
+            sequences.append(seq)
+            if len(seq) < max_len:
+                walk(t.target, used | {index}, seq)
+
+    walk(initials[0].name, frozenset(), ())
+    return list(dict.fromkeys(sequences))

@@ -285,6 +285,44 @@ def test_transform_json_of_a_broken_model_is_one_document(sample_dir, tmp_path):
     assert payload["induced_attributes"] == payload["induced_preconditions"] == []
 
 
+def test_explain_json_is_one_document(sample_dir):
+    code, out, err = cli(config_for(sample_dir, "explain", key="max", format="json"))
+    assert code == EXIT_OK
+    assert out == "max\n  uml-core: 10\n  project-p: 8 (winner)\n"
+    assert json.loads(err) == {"diagnostics": [], "error": None}
+
+
+def test_explain_json_of_an_unknown_key_is_one_document(sample_dir):
+    code, out, err = cli(config_for(sample_dir, "explain", key="ghost", format="json"))
+    assert (code, out) == (EXIT_DIAGNOSTICS, "")
+    assert json.loads(err) == {
+        "diagnostics": [], "error": "'ghost' is not defined by the preface"}
+    # text mode keeps its one plain line
+    assert cli(config_for(sample_dir, "explain", key="ghost"))[2] == (
+        "error: 'ghost' is not defined by the preface\n")
+
+
+def test_a_six_hundred_state_chart_goes_through_every_command(sample_dir, tmp_path, capsys):
+    preface_dir, root, _ = sample_dir
+    names = [f"s{i}" for i in range(600)]
+    lines = ["model big", "  class C { }", "  statechart SC for C {",
+             "    initial state s0", *(f"    state {n}" for n in names[1:]),
+             "    transition s0 -> s1 on go",
+             *(f"    transition {n} -> s0 on reset" for n in names), "  }"]
+    model = tmp_path / "big.model"
+    model.write_text("\n".join(lines) + "\n")
+    transformed = tmp_path / "transformed.model"
+    common = ["--preface", str(preface_dir), "--root", root]
+
+    assert main(["transform", str(model), "-o", str(transformed), *common]) == EXIT_OK
+    assert main(["skeleton", str(model), "-o", str(tmp_path / "out"), *common]) == EXIT_OK
+    assert main(["validate", str(transformed), *common]) == EXIT_OK
+    capsys.readouterr()
+    invariant = "(s0 and " + " and ".join(f"not {n}" for n in names[1:]) + ")"
+    assert f"    invariant {invariant} or (not s0 and s1 and " in transformed.read_text()
+    assert f"  ASSERT {invariant} or " in (tmp_path / "out" / "C.monitor").read_text()
+
+
 # ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from generators import random_model
+from oracles import call_sequences_reference
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -25,6 +26,7 @@ from prefacer.preface import (
 )
 from prefacer.skeletongen import (
     UntransformedInputError,
+    _call_sequences,
     generate_monitor,
     generate_skeleton,
 )
@@ -199,6 +201,32 @@ def test_monitor_sequences_reuse_no_transition():
     # go; go,back; go,back,?? -- the third call would need transition 0
     # again, so the walk stops at length 2.
     assert sequences == ["SEQUENCE go", "SEQUENCE go, back"]
+
+
+def _random_chart(rng: random.Random) -> Statechart:
+    """A chart whose transitions crowd on a hub state, loop back to their
+    source and reuse a few event names; some charts have no initial state
+    and some transitions name states the chart does not declare."""
+
+    names = [f"s{i}" for i in range(rng.randint(0, 8))]
+    initial = rng.choice(names) if names and rng.random() < 0.85 else None
+    states = tuple(State(n, initial=n == initial) for n in names)
+    pool = names + ["ghost"]
+    hub = rng.choice(pool)
+    transitions = []
+    for _ in range(rng.randint(0, 24)):
+        source = hub if rng.random() < 0.4 else rng.choice(pool)
+        target = source if rng.random() < 0.2 else rng.choice(pool)
+        transitions.append(Transition(source, target, rng.choice(("go", "back", "stop"))))
+    return Statechart("SC", "C", states, tuple(transitions))
+
+
+def test_call_sequences_match_the_reference_walk():
+    rng = random.Random(442)
+    for _ in range(800):
+        chart = _random_chart(rng)
+        for max_len in (1, 3, 4):
+            assert _call_sequences(chart, max_len) == call_sequences_reference(chart, max_len)
 
 
 def test_generation_is_deterministic():

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_expr, random_model, random_package
+from oracles import format_expr_reference
 from prefacer import expr as E
 from prefacer.model import Origin
 from prefacer.preface import (
@@ -157,6 +161,114 @@ def test_expression_round_trip_on_random_trees():
 def test_expression_round_trip_is_seed_independent(seed):
     e = random_expr(random.Random(seed), depth=4)
     assert parse_expr(format_expr(e)) == e
+
+
+def _nodes(e):
+    """Every node of a small expression tree, preorder."""
+
+    yield e
+    for f in fields(e):
+        value = getattr(e, f.name)
+        children = value if isinstance(value, tuple) else (value,)
+        for child in children:
+            if is_dataclass(child):
+                yield from _nodes(child)
+
+
+def _negate_some_integers(e, rng: random.Random):
+    """The tree with some positive integer literals made negative, which
+    no parser produces but a program may build."""
+
+    if isinstance(e, E.Literal):
+        if type(e.value) is int and e.value > 0 and rng.random() < 0.5:
+            return E.Literal(-e.value)
+        return e
+    changes = {}
+    for f in fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, tuple):
+            changes[f.name] = tuple(_negate_some_integers(a, rng) for a in value)
+        elif is_dataclass(value):
+            changes[f.name] = _negate_some_integers(value, rng)
+    return replace(e, **changes)
+
+
+def _literal_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int):
+        return "negative int" if value < 0 else "int"
+    return "string"
+
+
+def test_format_matches_the_recursive_printer_on_random_trees():
+    rng = random.Random(453)
+    kinds: set[str] = set()
+    for index in range(2400):
+        e = random_expr(rng, depth=rng.randint(0, 6))
+        if index % 2:
+            e = _negate_some_integers(e, rng)
+        for node in _nodes(e):
+            kinds.add(type(node).__name__)
+            if isinstance(node, E.Literal):
+                kinds.add(_literal_kind(node.value))
+            if isinstance(node, E.Call):
+                kinds.add(f"{len(node.args)}-argument call")
+        assert format_expr(e) == format_expr_reference(e)
+    assert kinds >= {
+        "Literal", "VarRef", "Nav", "Call", "Forall", "Exists", "And", "Or",
+        "Not", "Implies", "Compare", "Add", "Sub", "bool", "int",
+        "negative int", "string", "1-argument call", "2-argument call"}
+
+
+def _sample_expressions() -> list:
+    sample = Path(__file__).resolve().parent.parent / "sample"
+    repo = {}
+    for path in sorted((sample / "defs").glob("*.preface")):
+        pkg = parse_package(path.read_text(encoding="utf-8"), str(path))
+        repo[pkg.id] = pkg
+    model = parse_model((sample / "example.model").read_text(encoding="utf-8"))
+    transformed, _ = apply_transforms(model, compose(repo, "project-p"))
+    found = [d.body for pkg in repo.values() for d in pkg.definitions
+             if hasattr(d, "body")]
+    for m in (model, transformed):
+        for cls in m.classes:
+            found.extend(inv.expr for inv in cls.invariants)
+            for op in cls.operations:
+                found.extend(x for x in (op.pre_authored, op.post_authored,
+                                         op.effective_pre) if x is not None)
+        for chart in m.statecharts:
+            found.extend(t.guard for t in chart.transitions if t.guard is not None)
+    return found
+
+
+def test_format_matches_the_recursive_printer_on_the_sample():
+    found = _sample_expressions()
+    assert len(found) >= 4  # the induced invariant and three preconditions
+    for e in found:
+        assert format_expr(e) == format_expr_reference(e)
+
+
+def test_format_of_deep_trees_needs_no_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    names = [f"x{i}" for i in range(1200)]
+    assert format_expr(E.conjoin([E.VarRef(n) for n in names])) == " and ".join(names)
+
+    nest = E.VarRef("x")
+    for _ in range(5000):
+        nest = E.Not(nest)
+    assert format_expr(nest) == "not " * 5000 + "x"
+
+    right = E.VarRef("x5000")
+    for i in reversed(range(5000)):
+        right = E.Implies(E.VarRef(f"x{i}"), right)
+    assert format_expr(right) == " implies ".join(f"x{i}" for i in range(5001))
+
+    left = E.VarRef("x0")
+    for i in range(1, 5001):
+        left = E.Implies(left, E.VarRef(f"x{i}"))
+    assert format_expr(left) == "(" * 4999 + "x0" + "".join(
+        f" implies x{i})" for i in range(1, 5000)) + " implies x5000"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_model
-from oracles import authored_view
+from oracles import authored_view, exactly_one_reference
 from prefacer import expr as E
 from prefacer.model import (
     Attribute,
@@ -85,6 +85,43 @@ def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
 def test_exactly_one_of_a_single_state_is_the_bare_flag():
     assert format_expr(exactly_one(("s",))) == "s"
     assert format_expr(exactly_one(("a", "b"))) == "(a and not b) or (not a and b)"
+
+
+def test_exactly_one_matches_the_reference_encoding():
+    for n in range(1, 61):
+        names = tuple(f"s{i}" for i in range(n))
+        built = exactly_one(names)
+        reference = exactly_one_reference(names)
+        assert built == reference
+        assert format_expr(built) == format_expr(reference)
+
+
+def _distinct_nodes_by_kind(e) -> dict[str, int]:
+    """How many distinct node objects of each kind the tree is made of."""
+
+    counts: dict[str, int] = {}
+    seen: set[int] = set()
+    work = [e]
+    while work:
+        node = work.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = type(node).__name__
+        counts[kind] = counts.get(kind, 0) + 1
+        if isinstance(node, E.Not):
+            work.append(node.operand)
+        elif isinstance(node, (E.And, E.Or)):
+            work.extend((node.lhs, node.rhs))
+    return counts
+
+
+def test_exactly_one_builds_each_literal_once():
+    assert exactly_one(("s",)) == E.VarRef("s")
+    for n in (2, 3, 7, 40):
+        names = tuple(f"s{i}" for i in range(n))
+        assert _distinct_nodes_by_kind(exactly_one(names)) == {
+            "VarRef": n, "Not": n, "And": n * (n - 1), "Or": n - 1}
 
 
 def test_rule3_binds_existing_operations_and_invents_missing_ones():
