@@ -23,7 +23,7 @@ from typing import Iterable, Literal
 Severity = Literal["error", "warning", "info"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
     """1-based position of a construct inside an input file."""
 

@@ -23,19 +23,19 @@ LiteralValue = bool | int | str
 COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: LiteralValue
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     name: str
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nav:
     """Feature navigation, ``target.feature``."""
 
@@ -44,7 +44,7 @@ class Nav:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     """Built-in call: ``size``, ``isEmpty`` or ``hasStereotype``."""
 
@@ -56,7 +56,7 @@ class Call:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     domain: Expr
@@ -64,7 +64,7 @@ class Forall:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     domain: Expr
@@ -72,34 +72,34 @@ class Exists:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     op: str
     lhs: Expr
@@ -107,14 +107,14 @@ class Compare:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     lhs: Expr
     rhs: Expr

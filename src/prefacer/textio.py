@@ -10,13 +10,28 @@ Two line-oriented surface syntaxes share one expression sub-grammar:
 
 Comments run from ``//`` to end of line in both.  Parsers are recursive
 descent over a shared token stream and fail with a located ``ParseError``;
-they never guess.  Printers emit a canonical form (two-space indentation,
-declaration order, ``LF`` line ends) chosen so that parse-print-parse is
-the identity on everything structural except origins.  Induced elements
-are annotated with a trailing ``// induced by <rule>`` comment, which the
-parser, like any comment, ignores: a printed transformed model reads back
-with every element authored (an induced precondition merged into the
-authored one), so transforming that text again reports E301 clashes.
+they never guess.
+
+The lexer is one master-pattern regular expression scanned with
+``finditer``, as in the "Writing a Tokenizer" recipe of the ``re``
+documentation.  Identifiers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``, what
+``model.is_identifier`` accepts) and integers are runs of ASCII digits; any
+other character outside a string or comment is a located "unexpected
+character".  A token is a plain ``(kind, text, line, column)`` tuple: a
+``SourceLocation`` is built only where one is kept, on a node, an element
+or a ``ParseError``.  ``parse_expr``, ``parse_model`` and ``parse_package``
+pause the cyclic garbage collector while they build their tree and then
+restore the caller's setting.  That is safe because a parse only allocates
+and its trees hold no reference cycles, so reference counting alone frees
+them; collections during the parse would only traverse the growing tree.
+
+Printers emit a canonical form (two-space indentation, declaration order,
+``LF`` line ends) chosen so that parse-print-parse is the identity on
+everything structural except origins.  Induced elements are annotated
+with a trailing ``// induced by <rule>`` comment, which the parser, like
+any comment, ignores: a printed transformed model reads back with every
+element authored (an induced precondition merged into the authored one),
+so transforming that text again reports E301 clashes.
 
 Expression operator precedence, loosest first::
 
@@ -25,7 +40,10 @@ Expression operator precedence, loosest first::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import gc
+import re
+from contextlib import contextmanager
+from typing import Iterator, NamedTuple
 
 from . import expr as E
 from .diagnostics import SourceLocation
@@ -77,74 +95,62 @@ class ImportAfterDefinitionError(ParseError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TWO_CHAR_SYMS = ("->", "<<", ">>", "<>", "<=", ">=")
-_ONE_CHAR_SYMS = "{}()[]:,=.<>+-|"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "sym" | "eof"
     text: str
-    loc: SourceLocation
+    line: int
+    column: int
+
+
+#: Blanks, then one alternative per token kind, tried in order.  Two-character
+#: symbols come before one-character ones; the last alternative but one
+#: catches any character no other accepts (a stray quote is an unterminated
+#: string), and the last matches trailing blanks at the end of input.
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?:
+      (?P<newline>\n)
+    | (?P<comment>//[^\n]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>[0-9]+)
+    | (?P<string>"[^"\n]*")
+    | (?P<sym>->|<<|>>|<>|<=|>=|[{}()\[\]:,=.<>+|-])
+    | (?P<bad>.)
+    | \Z
+    )
+""", re.VERBOSE)
+
+#: Builds a ``Token`` from a tuple without the Python-level ``__new__``.
+_new_token = tuple.__new__
 
 
 def _lex(source: str, file: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def here() -> SourceLocation:
-        return SourceLocation(file, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+    append = toks.append
+    line, line_start, comment_start = 1, 0, -1
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start, loc = i, here()
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            col += i - start
-            toks.append(Token("ident", source[start:i], loc))
-            continue
-        if "0" <= ch <= "9":
-            start, loc = i, here()
-            while i < n and "0" <= source[i] <= "9":
-                i += 1
-            col += i - start
-            toks.append(Token("int", source[start:i], loc))
-            continue
-        if ch == '"':
-            loc = here()
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise ParseError("unterminated string", loc)
-            toks.append(Token("string", source[i + 1:j], loc))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_SYMS:
-            toks.append(Token("sym", two, here()))
-            i, col = i + 2, col + 2
-            continue
-        if ch in _ONE_CHAR_SYMS:
-            toks.append(Token("sym", ch, here()))
-            i, col = i + 1, col + 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", here())
-
-    toks.append(Token("eof", "", SourceLocation(file, line, col)))
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "comment":
+            comment_start = match.start(kind)
+        elif kind == "bad":
+            ch = match[kind]
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise ParseError(
+                message, SourceLocation(file, line, match.start(kind) - line_start + 1))
+        else:
+            text = match[kind]
+            if kind == "string":
+                text = text[1:-1]
+            append(_new_token(Token, (kind, text, line, match.start(kind) - line_start + 1)))
+    # A comment on the last line runs to the end of input, and the end
+    # token sits where the comment began.
+    end = comment_start if comment_start >= line_start else len(source)
+    append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -155,8 +161,14 @@ def _lex(source: str, file: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, source: str, file: str):
+        self.file = file
         self.toks = _lex(source, file)
         self.pos = 0
+
+    def loc(self, tok: Token) -> SourceLocation:
+        """The location of ``tok``, built only where it is kept."""
+
+        return SourceLocation(self.file, tok.line, tok.column)
 
     # -- stream primitives --------------------------------------------------
 
@@ -172,7 +184,7 @@ class _Parser:
     def fail(self, expected: str) -> ParseError:
         tok = self.peek()
         found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(f"expected {expected}, found {found}", tok.loc)
+        return ParseError(f"expected {expected}, found {found}", self.loc(tok))
 
     # -- matchers ------------------------------------------------------------
 
@@ -229,27 +241,27 @@ class _Parser:
     def _implies(self) -> E.Expr:
         lhs = self._or()
         if self.at_word("implies"):
-            loc = self.advance().loc
+            loc = self.loc(self.advance())
             return E.Implies(lhs, self._implies(), loc=loc)
         return lhs
 
     def _or(self) -> E.Expr:
         out = self._and()
         while self.at_word("or"):
-            loc = self.advance().loc
+            loc = self.loc(self.advance())
             out = E.Or(out, self._and(), loc=loc)
         return out
 
     def _and(self) -> E.Expr:
         out = self._not()
         while self.at_word("and"):
-            loc = self.advance().loc
+            loc = self.loc(self.advance())
             out = E.And(out, self._not(), loc=loc)
         return out
 
     def _not(self) -> E.Expr:
         if self.at_word("not"):
-            loc = self.advance().loc
+            loc = self.loc(self.advance())
             return E.Not(self._not(), loc=loc)
         return self._comparison()
 
@@ -258,7 +270,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "sym" and tok.text in E.COMPARE_OPS:
             self.advance()
-            return E.Compare(tok.text, lhs, self._additive(), loc=tok.loc)
+            return E.Compare(tok.text, lhs, self._additive(), loc=self.loc(tok))
         return lhs
 
     def _additive(self) -> E.Expr:
@@ -266,8 +278,8 @@ class _Parser:
         while self.at_sym("+") or self.at_sym("-"):
             tok = self.advance()
             rhs = self._postfix()
-            out = E.Add(out, rhs, loc=tok.loc) if tok.text == "+" else \
-                E.Sub(out, rhs, loc=tok.loc)
+            out = E.Add(out, rhs, loc=self.loc(tok)) if tok.text == "+" else \
+                E.Sub(out, rhs, loc=self.loc(tok))
         return out
 
     def _postfix(self) -> E.Expr:
@@ -275,11 +287,11 @@ class _Parser:
         while self.at_sym("."):
             self.advance()
             feature = self.ident("a feature name")
-            out = E.Nav(out, feature.text, loc=feature.loc)
+            out = E.Nav(out, feature.text, loc=self.loc(feature))
         return out
 
     def _quantifier(self, keyword: str) -> E.Expr:
-        loc = self.eat_word(keyword).loc
+        loc = self.loc(self.eat_word(keyword))
         self.eat_sym("(")
         var = self.ident("a variable name").text
         self.eat_word("in")
@@ -294,10 +306,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return E.Literal(int(tok.text), loc=tok.loc)
+            return E.Literal(int(tok.text), loc=self.loc(tok))
         if tok.kind == "string":
             self.advance()
-            return E.Literal(tok.text, loc=tok.loc)
+            return E.Literal(tok.text, loc=self.loc(tok))
         if self.at_sym("("):
             self.advance()
             inner = self.expression()
@@ -307,7 +319,7 @@ class _Parser:
             raise self.fail("an expression")
         if tok.text == "true" or tok.text == "false":
             self.advance()
-            return E.Literal(tok.text == "true", loc=tok.loc)
+            return E.Literal(tok.text == "true", loc=self.loc(tok))
         if tok.text in ("forall", "exists"):
             return self._quantifier(tok.text)
         if tok.text in ("size", "isEmpty") and self.toks[self.pos + 1].text == "(":
@@ -315,7 +327,7 @@ class _Parser:
             self.eat_sym("(")
             arg = self.expression()
             self.eat_sym(")")
-            return E.Call(tok.text, (arg,), loc=tok.loc)
+            return E.Call(tok.text, (arg,), loc=self.loc(tok))
         if tok.text == "hasStereotype" and self.toks[self.pos + 1].text == "(":
             self.advance()
             self.eat_sym("(")
@@ -325,12 +337,12 @@ class _Parser:
             self.eat_sym(")")
             return E.Call(
                 "hasStereotype",
-                (element, E.Literal(name.text, loc=name.loc)),
-                loc=tok.loc)
+                (element, E.Literal(name.text, loc=self.loc(name))),
+                loc=self.loc(tok))
         if tok.text in self._RESERVED:
             raise self.fail("an expression")
         self.advance()
-        return E.VarRef(tok.text, loc=tok.loc)
+        return E.VarRef(tok.text, loc=self.loc(tok))
 
     # -- literals (package constants) ----------------------------------------
 
@@ -359,7 +371,7 @@ class _Parser:
         if tok.text not in METACLASSES:
             raise ParseError(
                 f"'{tok.text}' is not a metaclass (expected one of "
-                f"{', '.join(sorted(METACLASSES))})", tok.loc)
+                f"{', '.join(sorted(METACLASSES))})", self.loc(tok))
         return tok.text
 
 
@@ -368,6 +380,24 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's state.
+
+    A parse allocates its whole tree before any of it can die, so every
+    collection it would trigger traverses the growing tree in vain; the
+    trees hold no cycles, so reference counting alone frees them."""
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     parser = _Parser(source, file)
     out = parser.expression()
@@ -377,13 +407,13 @@ def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
 
 def _parse_member(p: _Parser):
     if p.at_word("attribute"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         name = p.ident("an attribute name").text
         p.eat_sym(":")
         type_name = p.ident("a type name").text
         return Attribute(name, type_name, loc=loc)
     if p.at_word("operation"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         name = p.ident("an operation name").text
         p.eat_sym("(")
         params: list[Param] = []
@@ -414,7 +444,7 @@ def _parse_member(p: _Parser):
 
 
 def _parse_class(p: _Parser) -> ClassDef:
-    loc = p.eat_word("class").loc
+    loc = p.loc(p.eat_word("class"))
     name = p.ident("a class name").text
     superclasses: list[str] = []
     if p.take_word("specializes"):
@@ -454,7 +484,7 @@ def _parse_class(p: _Parser) -> ClassDef:
 
 
 def _parse_chart(p: _Parser) -> Statechart:
-    loc = p.eat_word("statechart").loc
+    loc = p.loc(p.eat_word("statechart"))
     name = p.ident("a statechart name").text
     p.eat_word("for")
     attached_to = p.ident("a class name").text
@@ -464,10 +494,10 @@ def _parse_chart(p: _Parser) -> Statechart:
     while not p.at_sym("}"):
         if p.at_word("initial") or p.at_word("state"):
             initial = p.take_word("initial")
-            state_loc = p.eat_word("state").loc
+            state_loc = p.loc(p.eat_word("state"))
             states.append(State(p.ident("a state name").text, initial, loc=state_loc))
         elif p.at_word("transition"):
-            t_loc = p.advance().loc
+            t_loc = p.loc(p.advance())
             source = p.ident("a state name").text
             p.eat_sym("->")
             target = p.ident("a state name").text
@@ -485,12 +515,13 @@ def _parse_chart(p: _Parser) -> Statechart:
     return Statechart(name, attached_to, tuple(states), tuple(transitions), loc=loc)
 
 
+@_collector_paused()
 def parse_model(source: str, file: str = "<model>") -> Model:
     """Parse one model file.  Name resolution is not attempted here; a
     structurally broken model parses fine and fails ``builtin_check``."""
 
     p = _Parser(source, file)
-    loc = p.eat_word("model").loc
+    loc = p.loc(p.eat_word("model"))
     name = p.ident("a model name").text
     classes: list[ClassDef] = []
     charts: list[Statechart] = []
@@ -527,17 +558,17 @@ def _dotted_ident(p: _Parser) -> str:
 
 def _parse_definition(p: _Parser) -> Definition:
     if p.at_word("const"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         key = p.ident("a constant name").text
         p.eat_sym("=")
         return ConstDef(key, p.literal(), loc=loc)
     if p.at_word("option"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         key = _dotted_ident(p)
         p.eat_sym("=")
         return OptionDef(key, p.ident("an option value").text, loc=loc)
     if p.at_word("stereotype"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         name = p.ident("a stereotype name").text
         p.eat_word("on")
         base = p.metaclass()
@@ -549,17 +580,17 @@ def _parse_definition(p: _Parser) -> Definition:
                 required.append(p.ident("a tag name").text)
         return StereotypeDef(name, base, tuple(required), loc=loc)
     if p.at_word("tagdef"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         name = p.ident("a tag name").text
         p.eat_sym(":")
         value_type = p.ident("'string', 'int' or 'bool'")
         if value_type.text not in ("string", "int", "bool"):
             raise ParseError(
                 f"'{value_type.text}' is not a tag type (expected string, int or bool)",
-                value_type.loc)
+                p.loc(value_type))
         return TagDef(name, value_type.text, loc=loc)
     if p.at_word("constraint"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         name = p.ident("a constraint name").text
         p.eat_word("on")
         scope = p.metaclass()
@@ -569,12 +600,12 @@ def _parse_definition(p: _Parser) -> Definition:
             if tok.text not in ("error", "warning"):
                 raise ParseError(
                     f"'{tok.text}' is not a severity (expected error or warning)",
-                    tok.loc)
+                    p.loc(tok))
             severity = tok.text
         p.eat_sym(":")
         return ConstraintDef(name, scope, severity, p.expression(), loc=loc)
     if p.at_word("rule"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         key = p.ident("a property key").text
         p.eat_word("when")
         predicate: Predicate
@@ -595,7 +626,7 @@ def _parse_definition(p: _Parser) -> Definition:
         p.eat_sym("=")
         return PredicatedRuleDef(key, predicate, p.ident("a value").text, loc=loc)
     if p.at_word("transform"):
-        loc = p.advance().loc
+        loc = p.loc(p.advance())
         transform_id = _dashed_ident(p)
         if p.take_word("on"):
             return TransformSelection(transform_id, True, loc=loc)
@@ -605,11 +636,12 @@ def _parse_definition(p: _Parser) -> Definition:
     raise p.fail("a definition or '}'")
 
 
+@_collector_paused()
 def parse_package(source: str, file: str = "<package>") -> Package:
     """Parse one package file: quoted id, imports first, then definitions."""
 
     p = _Parser(source, file)
-    loc = p.eat_word("package").loc
+    loc = p.loc(p.eat_word("package"))
     pkg_id = p.string("a quoted package id").text
     p.eat_sym("{")
     imports: list[str] = []
@@ -620,7 +652,7 @@ def parse_package(source: str, file: str = "<package>") -> Package:
     while not p.at_sym("}"):
         if p.at_word("import"):
             raise ImportAfterDefinitionError(
-                "imports must precede all definitions", p.peek().loc)
+                "imports must precede all definitions", p.loc(p.peek()))
         definitions.append(_parse_definition(p))
     p.eat_sym("}")
     p.expect_eof()

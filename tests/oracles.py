@@ -10,7 +10,7 @@ production code against these on randomly generated inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from prefacer.expr import (
     Add,
@@ -50,6 +50,8 @@ from prefacer.preface import (
     OPTION_CATALOGUE,
     render_literal,
 )
+from prefacer.diagnostics import SourceLocation
+from prefacer.textio import ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +548,83 @@ def call_sequences_reference(chart: Statechart, max_len: int = 3) -> list[tuple[
 
     walk(initials[0].name, frozenset(), ())
     return list(dict.fromkeys(sequences))
+
+
+# ---------------------------------------------------------------------------
+# Lexing, one character at a time
+# ---------------------------------------------------------------------------
+
+# The character loop the master-pattern lexer of ``textio`` replaced, kept
+# as it was.  It differs from ``textio`` in one documented way: it reads any
+# Unicode letter or digit as part of an identifier (``str.isalpha`` and
+# ``str.isalnum``), where ``textio`` reads ASCII identifiers only.
+
+_TWO_CHAR_SYMS = ("->", "<<", ">>", "<>", "<=", ">=")
+_ONE_CHAR_SYMS = "{}()[]:,=.<>+-|"
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "ident" | "int" | "string" | "sym" | "eof"
+    text: str
+    loc: SourceLocation
+
+
+def lex_reference(source: str, file: str) -> list[Token]:
+    toks: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+
+    def here() -> SourceLocation:
+        return SourceLocation(file, line, col)
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start, loc = i, here()
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            col += i - start
+            toks.append(Token("ident", source[start:i], loc))
+            continue
+        if "0" <= ch <= "9":
+            start, loc = i, here()
+            while i < n and "0" <= source[i] <= "9":
+                i += 1
+            col += i - start
+            toks.append(Token("int", source[start:i], loc))
+            continue
+        if ch == '"':
+            loc = here()
+            j = i + 1
+            while j < n and source[j] not in '"\n':
+                j += 1
+            if j >= n or source[j] != '"':
+                raise ParseError("unterminated string", loc)
+            toks.append(Token("string", source[i + 1:j], loc))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        two = source[i:i + 2]
+        if two in _TWO_CHAR_SYMS:
+            toks.append(Token("sym", two, here()))
+            i, col = i + 2, col + 2
+            continue
+        if ch in _ONE_CHAR_SYMS:
+            toks.append(Token("sym", ch, here()))
+            i, col = i + 1, col + 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", here())
+
+    toks.append(Token("eof", "", SourceLocation(file, line, col)))
+    return toks

@@ -212,6 +212,25 @@ def test_non_ascii_digit_in_a_package_is_a_parse_error(tmp_path):
     assert err == f"parse error: {package}:1:27: unexpected character '\u0661'\n"
 
 
+def test_non_ascii_identifier_in_a_model_is_a_parse_error(sample_dir, tmp_path):
+    # before identifiers were ASCII-only this model parsed and validated
+    bad = tmp_path / "bad.model"
+    bad.write_text("model m\n  class C {\n    operation caf\u00e9()\n  }\n"
+                   "  statechart SC for C {\n    initial state s1\n    state s2\n"
+                   "    transition s1 -> s2 on caf\u00e9\n  }\n", encoding="utf-8")
+    code, out, err = cli(config_for(sample_dir, "validate", model_path=str(bad)))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: {bad}:3:18: unexpected character '\u00e9'\n"
+
+
+def test_non_ascii_identifier_in_a_package_is_a_parse_error(tmp_path):
+    package = tmp_path / "p.preface"
+    package.write_text('package "p" { const x\u00b2 = 1 }\n', encoding="utf-8")
+    code, out, err = cli(RunConfig("compose", str(tmp_path), "p"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: {package}:1:22: unexpected character '\u00b2'\n"
+
+
 def test_unknown_root_exits_three(sample_dir):
     code, _, err = cli(config_for(sample_dir, "compose", root_package="ghost"))
     assert code == EXIT_COMPOSITION

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import random
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_expr, random_model, random_package
-from oracles import format_expr_reference
+from oracles import format_expr_reference, lex_reference
 from prefacer import expr as E
 from prefacer.model import Origin
 from prefacer.preface import (
@@ -25,6 +27,7 @@ from prefacer.preface import (
 )
 from prefacer.textio import (
     ImportAfterDefinitionError,
+    _lex,
     ParseError,
     format_expr,
     parse_expr,
@@ -478,3 +481,252 @@ def test_transform_report_rendering():
     assert print_transform_report(report) == (
         "induced attributes\n  C.s1: s1 : Boolean\n"
         "induced preconditions\n  C.m1: s1\n")
+
+
+# ---------------------------------------------------------------------------
+# Source locations
+# ---------------------------------------------------------------------------
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+
+#: Every element and expression node kind, spread over lines, with tabs,
+#: comments and continuation lines, so a column or line slip shows.
+EVERY_NODE_MODEL = """\
+// every element and expression node kind
+model every
+\tclass Base { }
+  class Order specializes Base <<event, audited>> {
+    attribute total : Integer   // trailing comment
+    attribute items : Item
+    operation add(amount : Integer,
+                  label : String)
+      pre: amount > 0 and
+           not (label = "")
+      post: total >= amount - 1 + 2
+    operation close() pre: forall(i in items | i.open <> false) implies
+        exists(j in self.items | size(j.tags) < 3 or isEmpty(j.tags))
+    invariant hasStereotype(self, "event") or total <= 10
+  }
+  statechart SC for Order {
+    initial state fresh
+\tstate closed
+    transition fresh -> closed on close [total = 0 and
+      true]
+    transition closed -> fresh on add
+  }
+"""
+
+EVERY_DEFINITION_PACKAGE = """\
+// every definition kind
+package "every" {
+  import "base"
+\timport "more"
+  const max = -3
+  const title = "core"
+  const strict = true
+  option statechart.unexpected_event = error
+  stereotype event on Class requires owner,
+    weight
+  tagdef owner : string
+  constraint small on Class severity warning :
+    size(self.attributes) < max + 1
+  rule persistence when all = persistent
+  rule persistence when stereotype(event) = transient
+  rule depth when metaclass(Statechart) = shallow
+  transform statechart-to-class on
+  transform flatten-inheritance off
+}
+"""
+
+
+def _location_sources() -> list[tuple[str, str, object]]:
+    """(name, text, parser) of every source the location snapshot covers."""
+
+    out = [("every-node.model", EVERY_NODE_MODEL, parse_model),
+           ("every-definition.preface", EVERY_DEFINITION_PACKAGE, parse_package)]
+    for path in sorted(SAMPLE.rglob("*")):
+        parser = {".model": parse_model, ".preface": parse_package}.get(path.suffix)
+        if parser is not None:
+            name = path.relative_to(SAMPLE.parent).as_posix()
+            out.append((name, path.read_text(encoding="utf-8"), parser))
+    return out
+
+
+def _located_nodes(tree, file: str) -> list[list]:
+    """``[type, line, column]`` of every node under ``tree`` that has a
+    ``loc`` field, depth first in field order, walked with an explicit
+    stack.  Every location must name ``file``."""
+
+    out: list[list] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (tuple, list)):
+            stack.extend(reversed(node))
+            continue
+        if not is_dataclass(node):
+            continue
+        names = [f.name for f in fields(node)]
+        if "loc" in names:
+            loc = node.loc
+            assert loc is not None and loc.file == file, (node, loc)
+            out.append([type(node).__name__, loc.line, loc.column])
+        stack.extend(getattr(node, name) for name in reversed(names) if name != "loc")
+    return out
+
+
+def test_node_locations_match_the_snapshot():
+    # The snapshot was taken with the character-loop lexer; ``Expr``
+    # equality ignores ``loc``, so only this test sees a moved location.
+    snapshot = json.loads((Path(__file__).parent / "locations.json").read_text())
+    seen: set[str] = set()
+    for name, text, parser in _location_sources():
+        located = _located_nodes(parser(text, file=name), name)
+        assert located == snapshot[name], name
+        seen.update(kind for kind, _, _ in located)
+    expr_kinds = {"Literal", "VarRef", "Nav", "Call", "Forall", "Exists", "And",
+                  "Or", "Not", "Implies", "Compare", "Add", "Sub"}
+    element_kinds = {"Model", "ClassDef", "Attribute", "Operation", "Statechart",
+                     "State", "Transition", "Package", "ConstDef", "OptionDef",
+                     "StereotypeDef", "TagDef", "ConstraintDef",
+                     "PredicatedRuleDef", "TransformSelection"}
+    assert expr_kinds | element_kinds <= seen
+    assert set(snapshot) == {name for name, _, _ in _location_sources()}
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the character loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _lexed(tokens_of, source: str):
+    """``(tokens, None)`` or ``(None, (message, line, column))``."""
+
+    try:
+        return tokens_of(source), None
+    except ParseError as failure:
+        return None, (str(failure), failure.loc.line, failure.loc.column)
+
+
+def _lex_new(source: str):
+    return [(t.kind, t.text, t.line, t.column) for t in _lex(source, "t")]
+
+
+def _lex_old(source: str):
+    return [(t.kind, t.text, t.loc.line, t.loc.column)
+            for t in lex_reference(source, "t")]
+
+
+def _offset(source: str, line: int, column: int) -> int:
+    lines = source.split("\n")
+    return sum(len(text) + 1 for text in lines[:line - 1]) + column - 1
+
+
+def _compare_with_reference(source: str) -> str:
+    """Assert that ``_lex`` agrees with the reference on ``source``; return
+    ``"same"``, or ``"ascii"`` for the one documented difference: a
+    non-ASCII letter or digit the reference reads inside an identifier."""
+
+    new, old = _lexed(_lex_new, source), _lexed(_lex_old, source)
+    if new == old:
+        return "same"
+    tokens, error = new
+    assert tokens is None, (source, new, old)
+    message, line, column = error
+    offset = _offset(source, line, column)
+    ch = source[offset]
+    assert not ch.isascii() and message == f"t:{line}:{column}: unexpected character {ch!r}"
+    # Everything before the character lexes the same ...
+    assert _lexed(_lex_new, source[:offset]) == _lexed(_lex_old, source[:offset])
+    # ... and the reference reads the character as part of an identifier.
+    old_tokens, _ = _lexed(_lex_old, source[:offset + 1])
+    assert any(kind == "ident" and tok_line == line
+               and tok_column <= column < tok_column + len(text)
+               for kind, text, tok_line, tok_column in old_tokens), source
+    return "ascii"
+
+
+LEX_PIECES = (
+    *"{}()[]:,=.<>+-|", "->", "<<", ">>", "<>", "<=", ">=",
+    " ", "\t", "\r", "\n", "//", '"', "\f", "\v", "\u00a0",
+    "\u00e9", "\u00b2", "\u0661",
+    "a", "Z", "_", "x1", "and", "not", "0", "42", "007", '"s t"', "// c\n",
+)
+
+
+def test_lexer_matches_the_reference_on_random_text():
+    rng = random.Random(6)
+    outcomes: dict[str, int] = {}
+    errors: set[str] = set()
+    for _ in range(6000):
+        # Half the texts leave out the pieces that always fail, so many
+        # lex to the end.
+        benign = rng.random() < 0.5
+        pieces = [piece for piece in LEX_PIECES
+                  if not benign or piece not in ('"', "\f", "\v", "\u00a0")]
+        source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        outcome = _compare_with_reference(source)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        tokens, error = _lexed(_lex_new, source)
+        if error is not None:
+            errors.add(error[0].split(": ", 1)[1].partition(" '")[0])
+        else:
+            outcomes["lexed"] = outcomes.get("lexed", 0) + 1
+            assert tokens[-1][0] == "eof"
+    assert outcomes["ascii"] > 100 and outcomes["lexed"] > 1000, outcomes
+    assert errors == {"unexpected character", "unterminated string"}
+
+
+def test_lexer_matches_the_reference_on_the_sample():
+    for name, text, _ in _location_sources():
+        assert _compare_with_reference(text) == "same", name
+        assert _compare_with_reference(text.replace("\n", "\r\n")) == "same", name
+    # a comment at the very end leaves the end-of-input column where it began
+    assert _lex_new("a // tail") == _lex_old("a // tail") == [
+        ("ident", "a", 1, 1), ("eof", "", 1, 3)]
+
+
+# ``café`` and ``x²`` are identifiers for ``str.isalnum`` but not for
+# ``model.is_identifier``; the lexer refuses them at the non-ASCII character.
+@pytest.mark.parametrize("word, column", [("café", 4), ("x²", 2),
+                                          ("été", 1)])
+def test_identifiers_are_ascii(word, column):
+    bad = repr(word[column - 1])
+    with pytest.raises(ParseError) as failure:
+        parse_expr(f"a and {word}", file="q")
+    assert str(failure.value) == f"q:1:{6 + column}: unexpected character {bad}"
+    with pytest.raises(ParseError) as failure:
+        parse_model(f"model m\n  class C {{\n    operation {word}()\n  }}\n", file="m")
+    assert str(failure.value) == f"m:3:{14 + column}: unexpected character {bad}"
+    with pytest.raises(ParseError) as failure:
+        parse_package(f'package "p" {{\n  const {word} = 1\n}}\n', file="p")
+    assert str(failure.value) == f"p:2:{8 + column}: unexpected character {bad}"
+    # inside strings and comments any character is fine
+    assert parse_expr(f'a = "{word}" // {word}') == E.Compare(
+        "=", E.VarRef("a"), E.Literal(word))
+
+
+# ---------------------------------------------------------------------------
+# The collector pause
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parsing_leaves_the_collector_as_the_caller_had_it(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_expr("a and not b")
+        assert gc.isenabled() is enabled
+        parse_model(MODEL_SOURCE)
+        assert gc.isenabled() is enabled
+        parse_package(PACKAGE_SOURCE)
+        assert gc.isenabled() is enabled
+        for parser, source in ((parse_expr, "a and"), (parse_expr, '"open'),
+                               (parse_model, "model m class"),
+                               (parse_package, 'package "p" { const x = ? }')):
+            with pytest.raises(ParseError):
+                parser(source)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
