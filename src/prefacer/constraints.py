@@ -6,6 +6,8 @@ sequences.  Evaluation is strict: a type mismatch anywhere is an
 silent ``false``.  The single concession is that ``and`` and ``or`` stop
 after a deciding left operand, so the right side of ``false and x`` is
 never looked at; every operand that *is* evaluated must be a boolean.
+``exactlyOne`` evaluates all of its arguments, left to right, and each
+must be a boolean; it holds when exactly one of them is true.
 Quantifiers evaluate their body under every binding (``forall`` over an
 empty sequence is true, ``exists`` false).
 
@@ -167,6 +169,10 @@ def _call(e: E.Call, env: Env) -> Value:
             raise EvalError(
                 f"hasStereotype expects a string, got {_type_label(name)}", e.loc)
         return name in stereotypes_of(element)
+    if e.fn == "exactlyOne":
+        if not e.args:
+            raise EvalError("exactlyOne takes at least one argument", e.loc)
+        return sum(_need_bool(eval_expr(arg, env), e) for arg in e.args) == 1
     raise EvalError(f"unknown function '{e.fn}'", e.loc)
 
 

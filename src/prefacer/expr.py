@@ -3,7 +3,8 @@
 The language is a small navigational predicate calculus: boolean
 connectives, integer arithmetic (+ / -), six comparison operators,
 bounded quantifiers over sequences, feature navigation via ``.``, and
-three built-in calls (``size``, ``isEmpty``, ``hasStereotype``).
+four built-in calls (``size``, ``isEmpty``, ``hasStereotype`` and the
+n-ary ``exactlyOne``).
 
 Nodes are immutable.  Source locations are carried for diagnostics but
 never participate in structural equality, so a reparsed expression
@@ -46,7 +47,8 @@ class Nav:
 
 @dataclass(frozen=True, slots=True)
 class Call:
-    """Built-in call: ``size``, ``isEmpty`` or ``hasStereotype``."""
+    """Built-in call: ``size``, ``isEmpty``, ``hasStereotype`` or
+    ``exactlyOne``, which takes one or more Boolean arguments."""
 
     fn: str
     args: tuple[Expr, ...]

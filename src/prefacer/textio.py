@@ -339,6 +339,15 @@ class _Parser:
                 "hasStereotype",
                 (element, E.Literal(name.text, loc=self.loc(name))),
                 loc=self.loc(tok))
+        if tok.text == "exactlyOne" and self.toks[self.pos + 1].text == "(":
+            self.advance()
+            self.eat_sym("(")
+            args = [self.expression()]
+            while self.at_sym(","):
+                self.advance()
+                args.append(self.expression())
+            self.eat_sym(")")
+            return E.Call("exactlyOne", tuple(args), loc=self.loc(tok))
         if tok.text in self._RESERVED:
             raise self.fail("an expression")
         self.advance()

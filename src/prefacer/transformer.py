@@ -5,6 +5,7 @@ is attached to:
 
 1. one Boolean attribute per state ("the object is in s1"),
 2. one class invariant requiring exactly one of those flags to hold,
+   ``exactlyOne(s1, ..., sn)``, or the bare flag of a one-state chart,
 3. one operation per distinct event name, bound by name and created
    parameterless when the class does not already have it,
 4. one induced precondition per event: the disjunction of the flags of the
@@ -141,20 +142,13 @@ def rule1_state_attributes(model: Model, chart: Statechart) -> tuple[Model, Tran
 
 
 def exactly_one(names: tuple[str, ...]) -> E.Expr:
-    """Exactly one of ``names`` is true, as a disjunction of full
-    conjunctions in declaration order: ``(a and not b) or (not a and b)``.
-    A single name is just that name.
-
-    Each flag and its negation is one node that every conjunction shares,
-    so only the ``And``/``Or`` spine grows with the square of the names.
+    """Exactly one of ``names`` is true: the built-in call
+    ``exactlyOne(a, b, ...)`` over the flags in declaration order, one
+    node per name.  A single name is just that name.
     """
 
-    flags = [E.VarRef(n) for n in names]
-    negations = [E.Not(flag) for flag in flags]
-    return E.disjoin([
-        E.conjoin([flag if j == index else negations[j] for j, flag in enumerate(flags)])
-        for index in range(len(flags))
-    ])
+    flags = tuple(E.VarRef(n) for n in names)
+    return flags[0] if len(flags) == 1 else E.Call("exactlyOne", flags)
 
 
 def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
@@ -242,6 +236,19 @@ def rule3_event_operations(model: Model, chart: Statechart) -> tuple[Model, Tran
 # ---------------------------------------------------------------------------
 
 
+def _disjuncts(e: E.Expr) -> list[E.Expr]:
+    """The operands of a left-associated disjunction, in order, found with
+    a loop rather than the recursive ``==`` down its spine."""
+
+    out = []
+    while type(e) is E.Or:
+        out.append(e.rhs)
+        e = e.lhs
+    out.append(e)
+    out.reverse()
+    return out
+
+
 def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
     """Give every event operation the induced precondition "the object is
     in one of the event's source states".
@@ -256,24 +263,28 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
     cls = _attached(model, chart)
     attrs = {a.name: a for a in cls.attributes}
     order = {name: i for i, name in enumerate(chart.state_names())}
+    sources_of: dict[str, set[str]] = {}
+    for t in chart.transitions:
+        sources_of.setdefault(t.event, set()).add(t.source)
+    op_index: dict[str, int] = {}
+    for i, o in enumerate(cls.operations):
+        op_index.setdefault(o.name, i)
 
     new_ops = list(cls.operations)
     changed = False
-    for event in chart_events(chart):
-        sources = sorted(
-            {t.source for t in chart.transitions if t.event == event},
-            key=lambda name: order.get(name, len(order)))
+    for event, source_set in sources_of.items():
+        sources = sorted(source_set, key=lambda name: order.get(name, len(order)))
         flags_ok = all(
             name in attrs and induced_by(attrs[name].origin, chart)
             for name in sources)
-        if not sources or not flags_ok:
+        if not flags_ok:
             continue
 
-        index = next((i for i, o in enumerate(new_ops) if o.name == event), None)
+        index = op_index.get(event)
         if index is None:
             continue
         op = new_ops[index]
-        wanted = E.disjoin([E.VarRef(name) for name in sources])
+        flags = [E.VarRef(name) for name in sources]
         if op.pre_induced is not None:
             previous_origin = op.pre_induced[1]
             if previous_origin.chart_name != chart.name:
@@ -282,8 +293,9 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
                     f"precondition for '{event}' was already induced from "
                     f"'{previous_origin.chart_name}'; '{chart.name}' leaves it alone"))
                 continue
-            if op.pre_induced[0] == wanted:
+            if _disjuncts(op.pre_induced[0]) == flags:
                 continue
+        wanted = E.disjoin(flags)
         new_ops[index] = replace(op, pre_induced=(wanted, _origin_for(chart)))
         changed = True
         description = format_expr(wanted)

@@ -240,7 +240,7 @@ def random_expr(rng: random.Random, depth: int = 3) -> E.Expr:
         return E.Literal(rng.random() < 0.5)
 
     sub = lambda: random_expr(rng, rng.randint(0, depth - 1))
-    kind = rng.randrange(12)
+    kind = rng.randrange(13)
     if kind == 0:
         return E.Nav(sub(), rng.choice(_FEATURE_POOL))
     if kind == 1:
@@ -264,6 +264,8 @@ def random_expr(rng: random.Random, depth: int = 3) -> E.Expr:
         return E.Add(sub(), sub())
     if kind == 10:
         return E.Sub(sub(), sub())
+    if kind == 11:
+        return E.Call("exactlyOne", tuple(sub() for _ in range(rng.randint(1, 4))))
     return random_expr(rng, 0)
 
 
@@ -359,7 +361,7 @@ def scoped_expr(rng: random.Random, metaclass: str, depth: int = 3) -> E.Expr:
                 return E.Literal(rng.random() < 0.5)
             return E.Compare(
                 rng.choice(E.COMPARE_OPS), gen_int(env, 0), gen_int(env, 0))
-        roll = rng.randrange(8)
+        roll = rng.randrange(9)
         if roll == 0:
             return E.And(gen_bool(env, d - 1), gen_bool(env, d - 1))
         if roll == 1:
@@ -384,6 +386,9 @@ def scoped_expr(rng: random.Random, metaclass: str, depth: int = 3) -> E.Expr:
                 node = E.Forall if rng.random() < 0.5 else E.Exists
                 body = gen_bool({**env, var: seq[1]}, d - 1)
                 return node(var, seq[0], body)
+        if roll == 7:
+            return E.Call("exactlyOne", tuple(
+                gen_bool(env, d - 1) for _ in range(rng.randint(1, 4))))
         if rng.random() < 0.5:
             return E.Compare(
                 rng.choice(("=", "<>", "<", "<=")), gen_int(env, d - 1),

@@ -280,7 +280,8 @@ def brute_eval(e: Expr, bindings: dict[str, object], model: Model | None = None)
 
     Same semantics as the production evaluator is supposed to have:
     strict types, ``and``/``or`` stop on a deciding left operand, both
-    quantifiers visit every element of their domain.
+    quantifiers visit every element of their domain, and ``exactlyOne``
+    evaluates every argument.
     """
 
     def ev(node: Expr, env: dict[str, object]) -> object:
@@ -310,6 +311,9 @@ def brute_eval(e: Expr, bindings: dict[str, object], model: Model | None = None)
                     raise BruteEvalFailure("hasStereotype name is not a string")
                 carried = subject.stereotypes if isinstance(subject, ClassDef) else frozenset()
                 return name in carried
+            case Call(fn="exactlyOne", args=args) if args:
+                values = [_as_bool(ev(arg, env)) for arg in args]
+                return values.count(True) == 1
             case Call():
                 raise BruteEvalFailure(f"unknown call {node.fn}/{len(node.args)}")
             case Forall(var=v, domain=d, body=b):

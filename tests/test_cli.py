@@ -337,9 +337,9 @@ def test_a_six_hundred_state_chart_goes_through_every_command(sample_dir, tmp_pa
     assert main(["skeleton", str(model), "-o", str(tmp_path / "out"), *common]) == EXIT_OK
     assert main(["validate", str(transformed), *common]) == EXIT_OK
     capsys.readouterr()
-    invariant = "(s0 and " + " and ".join(f"not {n}" for n in names[1:]) + ")"
-    assert f"    invariant {invariant} or (not s0 and s1 and " in transformed.read_text()
-    assert f"  ASSERT {invariant} or " in (tmp_path / "out" / "C.monitor").read_text()
+    invariant = "exactlyOne(" + ", ".join(names) + ")"
+    assert f"    invariant {invariant} // induced by" in transformed.read_text()
+    assert f"  ASSERT {invariant}\n" in (tmp_path / "out" / "C.monitor").read_text()
 
 
 # ---------------------------------------------------------------------------

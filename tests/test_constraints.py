@@ -170,6 +170,24 @@ def test_builtin_calls():
         eval_expr(parse_expr('hasStereotype(self.name, "event")'), env)
 
 
+def test_exactly_one_counts_the_true_arguments():
+    assert ev("exactlyOne(true)") is True
+    assert ev("exactlyOne(false)") is False
+    assert ev("exactlyOne(a, b, c)", a=False, b=True, c=False) is True
+    assert ev("exactlyOne(a, b, c)", a=True, b=False, c=True) is False
+    assert ev("exactlyOne(a, b, c)", a=False, b=False, c=False) is False
+
+
+def test_exactly_one_evaluates_every_argument():
+    with pytest.raises(EvalError, match="expected a boolean, got integer"):
+        ev("exactlyOne(1, true)")
+    # Two true arguments already decide the call; the third is still checked.
+    with pytest.raises(EvalError):
+        ev('exactlyOne(true, true, 1 = "x")')
+    with pytest.raises(EvalError, match="at least one argument"):
+        eval_expr(E.Call("exactlyOne", ()), Env())
+
+
 # ---------------------------------------------------------------------------
 # Differential: the evaluator vs. the brute-force interpreter
 # ---------------------------------------------------------------------------

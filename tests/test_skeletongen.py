@@ -82,8 +82,7 @@ END
 WORKED_MONITOR = """\
 MONITOR C
   // check after every operation
-  ASSERT (s1 and not s2 and not s3) or (not s1 and s2 and not s3) \
-or (not s1 and not s2 and s3)
+  ASSERT exactlyOne(s1, s2, s3)
   SEQUENCE m1
   SEQUENCE m1, m2
   SEQUENCE m1, m2, m3

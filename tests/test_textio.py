@@ -93,6 +93,27 @@ def test_quantifier_and_builtin_syntax():
 def test_builtin_names_are_plain_variables_without_parens():
     assert parse_expr("size") == E.VarRef("size")
     assert parse_expr("size + 1") == E.Add(E.VarRef("size"), E.Literal(1))
+    assert parse_expr("exactlyOne") == E.VarRef("exactlyOne")
+    assert parse_expr("exactlyOne and x") == E.And(E.VarRef("exactlyOne"), E.VarRef("x"))
+
+
+def test_exactly_one_takes_one_or_more_expressions():
+    a, b, c, d = (E.VarRef(n) for n in "abcd")
+    e = parse_expr("exactlyOne(a, b or c, not d)")
+    assert e == E.Call("exactlyOne", (a, E.Or(b, c), E.Not(d)))
+    assert format_expr(e) == "exactlyOne(a, b or c, not d)"
+    assert parse_expr("exactlyOne(a)") == E.Call("exactlyOne", (a,))
+    located = parse_expr("a and exactlyOne(b, c)", file="q.expr").rhs.loc
+    assert (located.file, located.line, located.column) == ("q.expr", 1, 7)
+
+
+def test_exactly_one_needs_an_argument():
+    with pytest.raises(ParseError) as failure:
+        parse_expr("exactlyOne()", file="q.expr")
+    assert str(failure.value) == "q.expr:1:12: expected an expression, found ')'"
+    for source in ("exactlyOne(a,)", "exactlyOne(a b)", "exactlyOne(a"):
+        with pytest.raises(ParseError):
+            parse_expr(source)
 
 
 def test_reserved_words_cannot_be_variables():
@@ -350,7 +371,7 @@ def test_printed_induced_elements_carry_a_comment(three_state_model):
     transformed, _ = apply_transforms(three_state_model, eff)
     text = print_model(transformed)
     assert "attribute s1 : Boolean // induced by statechart-to-class" in text
-    assert "invariant (s1 and not s2 and not s3)" in text
+    assert "invariant exactlyOne(s1, s2, s3) // induced by statechart-to-class" in text
     # the comments are just comments: the text reparses fine
     reparsed = parse_model(text)
     assert reparsed.class_named("C").attributes[0].origin == Origin("authored")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_model
-from oracles import authored_view, exactly_one_reference
+from oracles import authored_view, brute_eval, exactly_one_reference
 from prefacer import expr as E
+from prefacer.constraints import Env, eval_expr
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -75,25 +77,24 @@ def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
     model, _ = rule1_state_attributes(three_state_model, chart)
     model, report = rule2_mutex_invariant(model, chart)
     (inv,) = model.class_named("C").invariants
-    assert format_expr(inv.expr) == (
-        "(s1 and not s2 and not s3) or (not s1 and s2 and not s3) "
-        "or (not s1 and not s2 and s3)")
+    assert format_expr(inv.expr) == "exactlyOne(s1, s2, s3)"
     assert inv.origin == Origin("induced", TRANSFORM_ID, "SC")
     assert report.induced_invariants == [("C", format_expr(inv.expr))]
 
 
 def test_exactly_one_of_a_single_state_is_the_bare_flag():
     assert format_expr(exactly_one(("s",))) == "s"
-    assert format_expr(exactly_one(("a", "b"))) == "(a and not b) or (not a and b)"
+    assert format_expr(exactly_one(("a", "b"))) == "exactlyOne(a, b)"
 
 
-def test_exactly_one_matches_the_reference_encoding():
-    for n in range(1, 61):
+def test_exactly_one_agrees_with_the_reference_encoding():
+    for n in range(1, 11):
         names = tuple(f"s{i}" for i in range(n))
         built = exactly_one(names)
         reference = exactly_one_reference(names)
-        assert built == reference
-        assert format_expr(built) == format_expr(reference)
+        for values in itertools.product((False, True), repeat=n):
+            bindings = dict(zip(names, values))
+            assert eval_expr(built, Env(bindings)) == brute_eval(reference, bindings)
 
 
 def _distinct_nodes_by_kind(e) -> dict[str, int]:
@@ -109,10 +110,8 @@ def _distinct_nodes_by_kind(e) -> dict[str, int]:
         seen.add(id(node))
         kind = type(node).__name__
         counts[kind] = counts.get(kind, 0) + 1
-        if isinstance(node, E.Not):
-            work.append(node.operand)
-        elif isinstance(node, (E.And, E.Or)):
-            work.extend((node.lhs, node.rhs))
+        if isinstance(node, E.Call):
+            work.extend(node.args)
     return counts
 
 
@@ -120,8 +119,7 @@ def test_exactly_one_builds_each_literal_once():
     assert exactly_one(("s",)) == E.VarRef("s")
     for n in (2, 3, 7, 40):
         names = tuple(f"s{i}" for i in range(n))
-        assert _distinct_nodes_by_kind(exactly_one(names)) == {
-            "VarRef": n, "Not": n, "And": n * (n - 1), "Or": n - 1}
+        assert _distinct_nodes_by_kind(exactly_one(names)) == {"Call": 1, "VarRef": n}
 
 
 def test_rule3_binds_existing_operations_and_invents_missing_ones():
@@ -264,6 +262,24 @@ def test_transforming_twice_changes_nothing(three_state_model):
     assert second_report.induced_invariants == []
     assert second_report.induced_operations == []
     assert second_report.induced_preconditions == []
+
+
+def test_transforming_twice_is_a_no_op_at_six_hundred_states():
+    # Every state has a ``reset`` transition, so that event's induced
+    # precondition is a 600-deep ``or`` spine.
+    names = [f"s{i}" for i in range(600)]
+    chart = Statechart(
+        "SC", "C",
+        (State(names[0], initial=True), *(State(n) for n in names[1:])),
+        (Transition("s0", "s1", "go"), *(Transition(n, "s0", "reset") for n in names)))
+    once, _ = transform(Model("big", (ClassDef("C"),), (chart,)))
+    twice, second_report = transform(once)
+    assert twice is once
+    assert second_report.induced_attributes == []
+    assert second_report.induced_invariants == []
+    assert second_report.induced_operations == []
+    assert second_report.induced_preconditions == []
+    assert second_report.diagnostics == []
 
 
 def test_idempotence_on_random_models():
