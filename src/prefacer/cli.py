@@ -7,9 +7,13 @@ transformed model, ``explain`` shows a key's override chain, ``skeleton``
 writes skeleton and monitor files.
 
 Exit codes: 0 success (warnings allowed), 1 error diagnostics, 2 parse or
-usage failure, 3 composition failure (import cycle, unknown import or
-root).  Diagnostics go to standard error, payload and summaries to
-standard output, and identical inputs produce identical output bytes.
+usage failure (an input file that cannot be read or is not UTF-8 is one
+``error: <path>: ...`` line), 3 composition failure (import cycle, unknown
+import or root).  Diagnostics go to standard error, payload and summaries
+to standard output, and identical inputs produce identical output bytes.
+No run ends in a traceback: any other exception (an evaluation too deep
+for the interpreter, say) is reported as one ``internal error: <type>:
+<message>`` line on standard error, with exit code 2.
 """
 
 from __future__ import annotations
@@ -108,6 +112,17 @@ def render_diagnostics(diags: list[Diagnostic], format: str = "text") -> str:
 # ---------------------------------------------------------------------------
 
 
+class UnreadableInputError(Exception):
+    """An input file whose bytes are not UTF-8 text."""
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as failure:
+        raise UnreadableInputError(f"{path}: {failure}") from None
+
+
 def _load_repository(preface_dir: str, stderr: IO[str],
                      diags: list[Diagnostic]) -> PackageRepository | None:
     directory = Path(preface_dir)
@@ -120,7 +135,7 @@ def _load_repository(preface_dir: str, stderr: IO[str],
         return None
     repo: PackageRepository = {}
     for path in files:
-        pkg = parse_package(path.read_text(encoding="utf-8"), str(path))
+        pkg = parse_package(_read_text(path), str(path))
         if pkg.id in repo:
             diags.append(Diagnostic(
                 "error", "E108", pkg.id,
@@ -131,8 +146,7 @@ def _load_repository(preface_dir: str, stderr: IO[str],
 
 def _read_model(config: RunConfig) -> Model:
     assert config.model_path is not None
-    text = Path(config.model_path).read_text(encoding="utf-8")
-    return parse_model(text, config.model_path)
+    return parse_model(_read_text(Path(config.model_path)), config.model_path)
 
 
 def _summary(diags: list[Diagnostic]) -> str:
@@ -272,14 +286,21 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
         stderr: IO[str] | None = None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    try:
+        return _run(config, stdout, stderr)
+    except Exception as failure:  # the last resort: one line, not a traceback
+        stderr.write(f"internal error: {type(failure).__name__}: {failure}\n")
+        return EXIT_USAGE
 
+
+def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
     diags: list[Diagnostic] = []
     try:
         repo = _load_repository(config.preface_dir, stderr, diags)
     except ParseError as failure:
         stderr.write(f"parse error: {failure}\n")
         return EXIT_USAGE
-    except OSError as failure:
+    except (OSError, UnreadableInputError) as failure:
         stderr.write(f"error: {failure}\n")
         return EXIT_USAGE
     if repo is None:
@@ -299,7 +320,7 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
         except ParseError as failure:
             stderr.write(f"parse error: {failure}\n")
             return EXIT_USAGE
-        except OSError as failure:
+        except (OSError, UnreadableInputError) as failure:
             stderr.write(f"error: {failure}\n")
             return EXIT_USAGE
 

@@ -9,21 +9,34 @@ Two line-oriented surface syntaxes share one expression sub-grammar:
   transform switches).
 
 Comments run from ``//`` to end of line in both.  Parsers are recursive
-descent over a shared token stream and fail with a located ``ParseError``;
-they never guess.
+descent over the token texts of one scan and fail with a located
+``ParseError``; they never guess.
 
-The lexer is one master-pattern regular expression scanned with
-``finditer``, as in the "Writing a Tokenizer" recipe of the ``re``
-documentation.  Identifiers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``, what
-``model.is_identifier`` accepts) and integers are runs of ASCII digits; any
-other character outside a string or comment is a located "unexpected
-character".  A token is a plain ``(kind, text, line, column)`` tuple: a
-``SourceLocation`` is built only where one is kept, on a node, an element
-or a ``ParseError``.  ``parse_expr``, ``parse_model`` and ``parse_package``
-pause the cyclic garbage collector while they build their tree and then
-restore the caller's setting.  That is safe because a parse only allocates
-and its trees hold no reference cycles, so reference counting alone frees
-them; collections during the parse would only traverse the growing tree.
+The scanner is one regular expression applied with ``split``, so the
+whole text is cut up in C into one flat list of strings, with no tuple
+per match.  Each match is the blanks and comments before a token, then
+the token or one character no token accepts.  Identifiers are
+ASCII (``[A-Za-z_][A-Za-z0-9_]*``, what ``model.is_identifier`` accepts)
+and integers are runs of ASCII digits; any other character outside a
+string or comment is a located "unexpected character".  A parse keeps two
+lists, the token texts and their start offsets, and the parser builds no
+object per token.  A string keeps its quotes, so the first character of a text tells
+its kind: a letter or ``_`` starts an identifier, a digit an integer,
+``"`` a string, anything else is a symbol, and the empty text is the end
+of input.  A ``SourceLocation`` is built only where one is kept, on a
+node, an element or a ``ParseError``: its line is found by bisection over
+the line-start offsets, which a parse computes once, when it first needs
+a location.
+
+Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
+located ``ParseError``, so no text makes a parser (or the evaluator, on
+what a parser built) exhaust the interpreter's recursion limit.
+
+``parse_expr``, ``parse_model`` and ``parse_package`` pause the cyclic
+garbage collector while they build their tree and then restore the
+caller's setting.  That is safe because a parse only allocates and its
+trees hold no reference cycles, so reference counting alone frees them;
+collections during the parse would only traverse the growing tree.
 
 Printers emit a canonical form (two-space indentation, declaration order,
 ``LF`` line ends) chosen so that parse-print-parse is the identity on
@@ -42,8 +55,11 @@ from __future__ import annotations
 
 import gc
 import re
+from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from itertools import accumulate, count, islice
+from operator import add
+from typing import Iterator
 
 from . import expr as E
 from .diagnostics import SourceLocation
@@ -91,297 +107,349 @@ class ImportAfterDefinitionError(ParseError):
     """Imports must all precede the first definition of a package."""
 
 
+#: How deeply an expression may nest.  Each ``(`` (of a group, a call or a
+#: quantifier), each ``not`` and each right operand of ``implies`` opens
+#: one level; text that opens more fails at the token opening the extra
+#: level.  At this depth a parse, a print and an evaluation all stay far
+#: below the interpreter's default recursion limit.
+MAX_NESTING = 100
+
 # ---------------------------------------------------------------------------
-# Lexer
+# Scanner
 # ---------------------------------------------------------------------------
 
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | "sym" | "eof"
-    text: str
-    line: int
-    column: int
-
-
-#: Blanks, then one alternative per token kind, tried in order.  Two-character
-#: symbols come before one-character ones; the last alternative but one
-#: catches any character no other accepts (a stray quote is an unterminated
-#: string), and the last matches trailing blanks at the end of input.
-_TOKEN = re.compile(r"""
-    [ \t\r]*
+#: Blanks, line ends and comments, then a token (two-character symbols
+#: before one-character ones) or one character no token accepts (a stray
+#: quote is an unterminated string).  At the end of input neither
+#: matches.
+_SCAN = re.compile(r"""
+    ([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)
     (?:
-      (?P<newline>\n)
-    | (?P<comment>//[^\n]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<int>[0-9]+)
-    | (?P<string>"[^"\n]*")
-    | (?P<sym>->|<<|>>|<>|<=|>=|[{}()\[\]:,=.<>+|-])
-    | (?P<bad>.)
-    | \Z
-    )
+      ( [A-Za-z_][A-Za-z0-9_]*
+      | [0-9]+
+      | "[^"\n]*"
+      | ->|<<|>>|<>|<=|>=|[{}()\[\]:,=.<>+|-]
+      )
+    | (.)
+    )?
 """, re.VERBOSE)
 
-#: Builds a ``Token`` from a tuple without the Python-level ``__new__``.
-_new_token = tuple.__new__
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
 
 
-def _lex(source: str, file: str) -> list[Token]:
-    toks: list[Token] = []
-    append = toks.append
-    line, line_start, comment_start = 1, 0, -1
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind == "comment":
-            comment_start = match.start(kind)
-        elif kind == "bad":
-            ch = match[kind]
-            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
-            raise ParseError(
-                message, SourceLocation(file, line, match.start(kind) - line_start + 1))
-        else:
-            text = match[kind]
-            if kind == "string":
-                text = text[1:-1]
-            append(_new_token(Token, (kind, text, line, match.start(kind) - line_start + 1)))
-    # A comment on the last line runs to the end of input, and the end
-    # token sits where the comment began.
-    end = comment_start if comment_start >= line_start else len(source)
-    append(Token("eof", "", line, end - line_start + 1))
-    return toks
+def _scan(source: str, file: str) -> tuple[list[str], list[int]]:
+    """The token texts of ``source`` and the offset where each starts.
+
+    The last text is ``""``, the end of input, which sits at the end of the
+    text or, when the last line ends in a comment, where that comment
+    begins.  Strings keep their quotes.
+    """
+
+    # One flat list, four entries per match: the text between matches
+    # (always empty, as matches touch), the blanks and comments, the token
+    # and the refused character, which are None where they did not match.
+    parts = _SCAN.split(source)
+    if any(parts[3::4]):
+        _refuse(source, file, parts)
+    del parts[3::4]
+    # The last match, or the last two when blanks or a comment trail the
+    # last token, have no token: the first of them is the end of input.
+    end = len(parts) - 2
+    if end > 2 and parts[end - 3] is None:
+        end -= 3
+    tail = parts[end - 1]
+    parts[end] = ""
+    del parts[end + 1:]
+    texts = parts[2::3]
+    # The offsets after each entry; every third is where a token starts.
+    starts = list(islice(accumulate(map(len, parts)), 1, None, 3))
+    del parts
+    comment = tail.find("//", tail.rfind("\n") + 1)
+    if comment >= 0:
+        starts[-1] -= len(tail) - comment
+    return texts, starts
+
+
+def _refuse(source: str, file: str, parts: list[str | None]) -> None:
+    """Raise the error for the first character no token accepts."""
+
+    index = 4 * next(i for i, refused in enumerate(parts[3::4]) if refused) + 3
+    offset = sum(map(len, filter(None, parts[:index])))
+    line_start = source.rfind("\n", 0, offset) + 1
+    loc = SourceLocation(file, source.count("\n", 0, offset) + 1, offset - line_start + 1)
+    refused = parts[index]
+    raise ParseError(
+        "unterminated string" if refused == '"' else f"unexpected character {refused!r}",
+        loc)
 
 
 # ---------------------------------------------------------------------------
 # Parser plumbing
 # ---------------------------------------------------------------------------
 
+_COMPARE = frozenset(E.COMPARE_OPS)
+
+_RESERVED = frozenset({
+    "and", "or", "not", "implies", "forall", "exists", "in", "true", "false",
+})
+
+#: The built-in calls of the expression grammar.
+_CALLS = frozenset({"size", "isEmpty", "hasStereotype", "exactlyOne"})
+
 
 class _Parser:
+    """A position in the token texts of one source.  The primitives look
+    at ``texts[pos]``; a method that consumes a token returns its text
+    (unquoted, for a string) or its index, which ``loc`` turns into a
+    location where one is kept."""
+
+    __slots__ = ("file", "source", "texts", "starts", "pos", "depth", "line_starts")
+
     def __init__(self, source: str, file: str):
         self.file = file
-        self.toks = _lex(source, file)
+        self.source = source
+        self.texts, self.starts = _scan(source, file)
         self.pos = 0
+        self.depth = 0
+        self.line_starts: list[int] | None = None
 
-    def loc(self, tok: Token) -> SourceLocation:
-        """The location of ``tok``, built only where it is kept."""
+    def loc(self, index: int) -> SourceLocation:
+        """The location of the token at ``index``."""
 
-        return SourceLocation(self.file, tok.line, tok.column)
+        line_starts = self.line_starts
+        if line_starts is None:
+            # Each line starts one past the lengths of the lines before it.
+            line_starts = self.line_starts = [0, *map(
+                add, accumulate(map(len, self.source.split("\n"))), count(1))]
+        offset = self.starts[index]
+        line = bisect_right(line_starts, offset)
+        return SourceLocation(self.file, line, offset - line_starts[line - 1] + 1)
 
-    # -- stream primitives --------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    # -- primitives ------------------------------------------------------------
 
     def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(f"expected {expected}, found {found}", self.loc(tok))
+        text = self.texts[self.pos]
+        found = repr(text[1:-1] if text[:1] == '"' else text) if text else "end of input"
+        return ParseError(f"expected {expected}, found {found}", self.loc(self.pos))
 
-    # -- matchers ------------------------------------------------------------
+    def at(self, text: str) -> bool:
+        return self.texts[self.pos] == text
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+    def eat(self, text: str) -> int:
+        """Consume ``text``, or fail; the index of the token eaten."""
 
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
-
-    def eat_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
+        index = self.pos
+        if self.texts[index] != text:
             raise self.fail(f"'{text}'")
-        return self.advance()
+        self.pos = index + 1
+        return index
 
-    def eat_word(self, text: str) -> Token:
-        if not self.at_word(text):
-            raise self.fail(f"'{text}'")
-        return self.advance()
+    def take(self, text: str) -> bool:
+        """Consume ``text`` if it is next."""
 
-    def take_word(self, text: str) -> bool:
-        if self.at_word(text):
-            self.advance()
+        if self.texts[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def ident(self, what: str = "an identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
+    def ident(self, what: str) -> str:
+        text = self.texts[self.pos]
+        if text[:1] not in _IDENT_START:
             raise self.fail(what)
-        return self.advance()
+        self.pos += 1
+        return text
 
-    def string(self, what: str = "a quoted string") -> Token:
-        tok = self.peek()
-        if tok.kind != "string":
+    def string(self, what: str) -> str:
+        text = self.texts[self.pos]
+        if text[:1] != '"':
             raise self.fail(what)
-        return self.advance()
+        self.pos += 1
+        return text[1:-1]
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
+        if self.texts[self.pos]:
             raise self.fail("end of input")
 
-    # -- shared expression grammar -------------------------------------------
+    def deeper(self, index: int) -> None:
+        """Open one more nesting level at the token at ``index``."""
 
-    _RESERVED = frozenset({
-        "and", "or", "not", "implies", "forall", "exists", "in",
-        "true", "false",
-    })
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", self.loc(index))
+
+    # -- shared expression grammar -------------------------------------------
+    #
+    # Five methods, one per frame of the recursion through a nesting level:
+    # ``expression`` (implies, or), ``_conjunction`` (and), ``_negation``
+    # (not, comparison), ``_sum`` (+ -) and ``_operand`` (literals,
+    # variables, groups, calls, quantifiers, navigation).
 
     def expression(self) -> E.Expr:
-        return self._implies()
+        texts = self.texts
+        out = self._conjunction()
+        while texts[self.pos] == "or":
+            index = self.pos
+            self.pos = index + 1
+            out = E.Or(out, self._conjunction(), loc=self.loc(index))
+        if texts[self.pos] != "implies":
+            return out
+        index = self.pos
+        self.pos = index + 1
+        self.deeper(index)
+        rhs = self.expression()
+        self.depth -= 1
+        return E.Implies(out, rhs, loc=self.loc(index))
 
-    def _implies(self) -> E.Expr:
-        lhs = self._or()
-        if self.at_word("implies"):
-            loc = self.loc(self.advance())
-            return E.Implies(lhs, self._implies(), loc=loc)
-        return lhs
-
-    def _or(self) -> E.Expr:
-        out = self._and()
-        while self.at_word("or"):
-            loc = self.loc(self.advance())
-            out = E.Or(out, self._and(), loc=loc)
+    def _conjunction(self) -> E.Expr:
+        texts = self.texts
+        out = self._negation()
+        while texts[self.pos] == "and":
+            index = self.pos
+            self.pos = index + 1
+            out = E.And(out, self._negation(), loc=self.loc(index))
         return out
 
-    def _and(self) -> E.Expr:
-        out = self._not()
-        while self.at_word("and"):
-            loc = self.loc(self.advance())
-            out = E.And(out, self._not(), loc=loc)
+    def _negation(self) -> E.Expr:
+        texts = self.texts
+        first = self.pos
+        while texts[self.pos] == "not":
+            self.deeper(self.pos)
+            self.pos += 1
+        nots = range(first, self.pos)
+        out = self._sum()
+        index = self.pos
+        if texts[index] in _COMPARE:
+            self.pos = index + 1
+            out = E.Compare(texts[index], out, self._sum(), loc=self.loc(index))
+        for index in reversed(nots):
+            out = E.Not(out, loc=self.loc(index))
+        self.depth -= len(nots)
         return out
 
-    def _not(self) -> E.Expr:
-        if self.at_word("not"):
-            loc = self.loc(self.advance())
-            return E.Not(self._not(), loc=loc)
-        return self._comparison()
+    def _sum(self) -> E.Expr:
+        texts = self.texts
+        out = self._operand()
+        while True:
+            index = self.pos
+            op = texts[index]
+            if op == "+":
+                node = E.Add
+            elif op == "-":
+                node = E.Sub
+            else:
+                return out
+            self.pos = index + 1
+            out = node(out, self._operand(), loc=self.loc(index))
 
-    def _comparison(self) -> E.Expr:
-        lhs = self._additive()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in E.COMPARE_OPS:
-            self.advance()
-            return E.Compare(tok.text, lhs, self._additive(), loc=self.loc(tok))
-        return lhs
-
-    def _additive(self) -> E.Expr:
-        out = self._postfix()
-        while self.at_sym("+") or self.at_sym("-"):
-            tok = self.advance()
-            rhs = self._postfix()
-            out = E.Add(out, rhs, loc=self.loc(tok)) if tok.text == "+" else \
-                E.Sub(out, rhs, loc=self.loc(tok))
+    def _operand(self) -> E.Expr:
+        texts = self.texts
+        index = self.pos
+        text = texts[index]
+        head = text[:1]
+        if head in _IDENT_START:
+            if text in _RESERVED:
+                if text == "true" or text == "false":
+                    self.pos = index + 1
+                    out = E.Literal(text == "true", loc=self.loc(index))
+                elif text == "forall" or text == "exists":
+                    out = self._quantifier(index)
+                else:
+                    raise self.fail("an expression")
+            # A call is told by the next text with any quotes taken off, so
+            # ``size "("`` fails at the string, expecting '('.
+            elif text in _CALLS and texts[index + 1] in ("(", '"("'):
+                out = self._call(index)
+            else:
+                self.pos = index + 1
+                out = E.VarRef(text, loc=self.loc(index))
+        elif head in _DIGITS:
+            self.pos = index + 1
+            out = E.Literal(int(text), loc=self.loc(index))
+        elif head == '"':
+            self.pos = index + 1
+            out = E.Literal(text[1:-1], loc=self.loc(index))
+        elif text == "(":
+            self.pos = index + 1
+            self.deeper(index)
+            out = self.expression()
+            self.eat(")")
+            self.depth -= 1
+        else:
+            raise self.fail("an expression")
+        while texts[self.pos] == ".":
+            index = self.pos + 1
+            self.pos = index
+            out = E.Nav(out, self.ident("a feature name"), loc=self.loc(index))
         return out
 
-    def _postfix(self) -> E.Expr:
-        out = self._primary()
-        while self.at_sym("."):
-            self.advance()
-            feature = self.ident("a feature name")
-            out = E.Nav(out, feature.text, loc=self.loc(feature))
-        return out
-
-    def _quantifier(self, keyword: str) -> E.Expr:
-        loc = self.loc(self.eat_word(keyword))
-        self.eat_sym("(")
-        var = self.ident("a variable name").text
-        self.eat_word("in")
+    def _quantifier(self, index: int) -> E.Expr:
+        node = E.Forall if self.texts[index] == "forall" else E.Exists
+        self.pos = index + 1
+        self.deeper(self.eat("("))
+        var = self.ident("a variable name")
+        self.eat("in")
         domain = self.expression()
-        self.eat_sym("|")
+        self.eat("|")
         body = self.expression()
-        self.eat_sym(")")
-        node = E.Forall if keyword == "forall" else E.Exists
-        return node(var, domain, body, loc=loc)
+        self.eat(")")
+        self.depth -= 1
+        return node(var, domain, body, loc=self.loc(index))
 
-    def _primary(self) -> E.Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return E.Literal(int(tok.text), loc=self.loc(tok))
-        if tok.kind == "string":
-            self.advance()
-            return E.Literal(tok.text, loc=self.loc(tok))
-        if self.at_sym("("):
-            self.advance()
-            inner = self.expression()
-            self.eat_sym(")")
-            return inner
-        if tok.kind != "ident":
-            raise self.fail("an expression")
-        if tok.text == "true" or tok.text == "false":
-            self.advance()
-            return E.Literal(tok.text == "true", loc=self.loc(tok))
-        if tok.text in ("forall", "exists"):
-            return self._quantifier(tok.text)
-        if tok.text in ("size", "isEmpty") and self.toks[self.pos + 1].text == "(":
-            self.advance()
-            self.eat_sym("(")
-            arg = self.expression()
-            self.eat_sym(")")
-            return E.Call(tok.text, (arg,), loc=self.loc(tok))
-        if tok.text == "hasStereotype" and self.toks[self.pos + 1].text == "(":
-            self.advance()
-            self.eat_sym("(")
+    def _call(self, index: int) -> E.Expr:
+        fn = self.texts[index]
+        self.pos = index + 1
+        self.deeper(self.eat("("))
+        if fn == "hasStereotype":
             element = self.expression()
-            self.eat_sym(",")
+            self.eat(",")
+            name_index = self.pos
             name = self.string("a stereotype name string")
-            self.eat_sym(")")
-            return E.Call(
-                "hasStereotype",
-                (element, E.Literal(name.text, loc=self.loc(name))),
-                loc=self.loc(tok))
-        if tok.text == "exactlyOne" and self.toks[self.pos + 1].text == "(":
-            self.advance()
-            self.eat_sym("(")
-            args = [self.expression()]
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.expression())
-            self.eat_sym(")")
-            return E.Call("exactlyOne", tuple(args), loc=self.loc(tok))
-        if tok.text in self._RESERVED:
-            raise self.fail("an expression")
-        self.advance()
-        return E.VarRef(tok.text, loc=self.loc(tok))
+            args: tuple[E.Expr, ...] = (element, E.Literal(name, loc=self.loc(name_index)))
+        elif fn == "exactlyOne":
+            found = [self.expression()]
+            while self.take(","):
+                found.append(self.expression())
+            args = tuple(found)
+        else:
+            args = (self.expression(),)
+        self.eat(")")
+        self.depth -= 1
+        return E.Call(fn, args, loc=self.loc(index))
 
     # -- literals (package constants) ----------------------------------------
 
     def literal(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return int(tok.text)
-        if self.at_sym("-"):
-            self.advance()
-            number = self.peek()
-            if number.kind != "int":
+        text = self.texts[self.pos]
+        head = text[:1]
+        if head in _DIGITS:
+            self.pos += 1
+            return int(text)
+        if text == "-":
+            self.pos += 1
+            number = self.texts[self.pos]
+            if number[:1] not in _DIGITS:
                 raise self.fail("an integer")
-            self.advance()
-            return -int(number.text)
-        if tok.kind == "string":
-            self.advance()
-            return tok.text
-        if tok.kind == "ident" and tok.text in ("true", "false"):
-            self.advance()
-            return tok.text == "true"
+            self.pos += 1
+            return -int(number)
+        if head == '"':
+            self.pos += 1
+            return text[1:-1]
+        if text == "true" or text == "false":
+            self.pos += 1
+            return text == "true"
         raise self.fail("a literal (integer, string, true or false)")
 
     def metaclass(self) -> str:
-        tok = self.ident("a metaclass name")
-        if tok.text not in METACLASSES:
+        index = self.pos
+        name = self.ident("a metaclass name")
+        if name not in METACLASSES:
             raise ParseError(
-                f"'{tok.text}' is not a metaclass (expected one of "
-                f"{', '.join(sorted(METACLASSES))})", self.loc(tok))
-        return tok.text
+                f"'{name}' is not a metaclass (expected one of "
+                f"{', '.join(sorted(METACLASSES))})", self.loc(index))
+        return name
+
 
 
 # ---------------------------------------------------------------------------
@@ -414,74 +482,65 @@ def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     return out
 
 
-def _parse_member(p: _Parser):
-    if p.at_word("attribute"):
-        loc = p.loc(p.advance())
-        name = p.ident("an attribute name").text
-        p.eat_sym(":")
-        type_name = p.ident("a type name").text
-        return Attribute(name, type_name, loc=loc)
-    if p.at_word("operation"):
-        loc = p.loc(p.advance())
-        name = p.ident("an operation name").text
-        p.eat_sym("(")
-        params: list[Param] = []
-        if not p.at_sym(")"):
-            while True:
-                pname = p.ident("a parameter name").text
-                p.eat_sym(":")
-                ptype = p.ident("a type name").text
-                params.append(Param(pname, ptype))
-                if not p.at_sym(","):
-                    break
-                p.advance()
-        p.eat_sym(")")
-        pre = post = None
-        if p.at_word("pre"):
-            p.advance()
-            p.eat_sym(":")
-            pre = p.expression()
-        if p.at_word("post"):
-            p.advance()
-            p.eat_sym(":")
-            post = p.expression()
-        return Operation(name, tuple(params), pre, post, loc=loc)
-    if p.at_word("invariant"):
-        p.advance()
-        return Invariant(p.expression())
-    raise p.fail("'attribute', 'operation', 'invariant' or '}'")
+def _parse_operation(p: _Parser, index: int) -> Operation:
+    name = p.ident("an operation name")
+    p.eat("(")
+    params: list[Param] = []
+    if not p.at(")"):
+        while True:
+            pname = p.ident("a parameter name")
+            p.eat(":")
+            params.append(Param(pname, p.ident("a type name")))
+            if not p.take(","):
+                break
+    p.eat(")")
+    pre = post = None
+    if p.take("pre"):
+        p.eat(":")
+        pre = p.expression()
+    if p.take("post"):
+        p.eat(":")
+        post = p.expression()
+    return Operation(name, tuple(params), pre, post, loc=p.loc(index))
+
+
+def _names(p: _Parser, what: str) -> list[str]:
+    """One identifier, then more after commas."""
+
+    names = [p.ident(what)]
+    while p.take(","):
+        names.append(p.ident(what))
+    return names
 
 
 def _parse_class(p: _Parser) -> ClassDef:
-    loc = p.loc(p.eat_word("class"))
-    name = p.ident("a class name").text
-    superclasses: list[str] = []
-    if p.take_word("specializes"):
-        superclasses.append(p.ident("a class name").text)
-        while p.at_sym(","):
-            p.advance()
-            superclasses.append(p.ident("a class name").text)
+    loc = p.loc(p.eat("class"))
+    name = p.ident("a class name")
+    superclasses = _names(p, "a class name") if p.take("specializes") else []
     stereotypes: list[str] = []
-    if p.at_sym("<<"):
-        p.advance()
-        stereotypes.append(p.ident("a stereotype name").text)
-        while p.at_sym(","):
-            p.advance()
-            stereotypes.append(p.ident("a stereotype name").text)
-        p.eat_sym(">>")
-    p.eat_sym("{")
+    if p.take("<<"):
+        stereotypes = _names(p, "a stereotype name")
+        p.eat(">>")
+    p.eat("{")
     attributes: list[Attribute] = []
     operations: list[Operation] = []
     invariants: list[Invariant] = []
-    while not p.at_sym("}"):
-        member = _parse_member(p)
-        if isinstance(member, Attribute):
-            attributes.append(member)
-        elif isinstance(member, Operation):
-            operations.append(member)
+    texts = p.texts
+    while not p.take("}"):
+        index = p.pos
+        word = texts[index]
+        if word not in ("attribute", "operation", "invariant"):
+            raise p.fail("'attribute', 'operation', 'invariant' or '}'")
+        p.pos = index + 1
+        if word == "attribute":
+            attr_name = p.ident("an attribute name")
+            p.eat(":")
+            attributes.append(
+                Attribute(attr_name, p.ident("a type name"), loc=p.loc(index)))
+        elif word == "operation":
+            operations.append(_parse_operation(p, index))
         else:
-            invariants.append(member)
-    p.eat_sym("}")
+            invariants.append(Invariant(p.expression()))
     return ClassDef(
         name,
         superclasses=tuple(superclasses),
@@ -493,34 +552,35 @@ def _parse_class(p: _Parser) -> ClassDef:
 
 
 def _parse_chart(p: _Parser) -> Statechart:
-    loc = p.loc(p.eat_word("statechart"))
-    name = p.ident("a statechart name").text
-    p.eat_word("for")
-    attached_to = p.ident("a class name").text
-    p.eat_sym("{")
+    loc = p.loc(p.eat("statechart"))
+    name = p.ident("a statechart name")
+    p.eat("for")
+    attached_to = p.ident("a class name")
+    p.eat("{")
     states: list[State] = []
     transitions: list[Transition] = []
-    while not p.at_sym("}"):
-        if p.at_word("initial") or p.at_word("state"):
-            initial = p.take_word("initial")
-            state_loc = p.loc(p.eat_word("state"))
-            states.append(State(p.ident("a state name").text, initial, loc=state_loc))
-        elif p.at_word("transition"):
-            t_loc = p.loc(p.advance())
-            source = p.ident("a state name").text
-            p.eat_sym("->")
-            target = p.ident("a state name").text
-            p.eat_word("on")
-            event = p.ident("an event name").text
+    texts = p.texts
+    while not p.take("}"):
+        index = p.pos
+        word = texts[index]
+        if word == "state" or word == "initial":
+            initial = p.take("initial")
+            state_index = p.eat("state")
+            states.append(State(p.ident("a state name"), initial, loc=p.loc(state_index)))
+        elif word == "transition":
+            p.pos = index + 1
+            source = p.ident("a state name")
+            p.eat("->")
+            target = p.ident("a state name")
+            p.eat("on")
+            event = p.ident("an event name")
             guard = None
-            if p.at_sym("["):
-                p.advance()
+            if p.take("["):
                 guard = p.expression()
-                p.eat_sym("]")
-            transitions.append(Transition(source, target, event, guard, loc=t_loc))
+                p.eat("]")
+            transitions.append(Transition(source, target, event, guard, loc=p.loc(index)))
         else:
             raise p.fail("'state', 'initial', 'transition' or '}'")
-    p.eat_sym("}")
     return Statechart(name, attached_to, tuple(states), tuple(transitions), loc=loc)
 
 
@@ -530,18 +590,21 @@ def parse_model(source: str, file: str = "<model>") -> Model:
     structurally broken model parses fine and fails ``builtin_check``."""
 
     p = _Parser(source, file)
-    loc = p.loc(p.eat_word("model"))
-    name = p.ident("a model name").text
+    loc = p.loc(p.eat("model"))
+    name = p.ident("a model name")
     classes: list[ClassDef] = []
     charts: list[Statechart] = []
-    while p.peek().kind != "eof":
-        if p.at_word("class"):
+    texts = p.texts
+    while True:
+        word = texts[p.pos]
+        if word == "class":
             classes.append(_parse_class(p))
-        elif p.at_word("statechart"):
+        elif word == "statechart":
             charts.append(_parse_chart(p))
+        elif not word:
+            return Model(name, tuple(classes), tuple(charts), loc=loc)
         else:
             raise p.fail("'class', 'statechart' or end of input")
-    return Model(name, tuple(classes), tuple(charts), loc=loc)
 
 
 # ---------------------------------------------------------------------------
@@ -549,100 +612,105 @@ def parse_model(source: str, file: str = "<model>") -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _dashed_ident(p: _Parser) -> str:
-    parts = [p.ident("a transform id").text]
-    while p.at_sym("-"):
-        p.advance()
-        parts.append(p.ident("a transform id").text)
-    return "-".join(parts)
+def _joined_ident(p: _Parser, separator: str, what: str) -> str:
+    """Identifiers joined by ``separator``: a dashed transform id or a
+    dotted option key."""
+
+    parts = [p.ident(what)]
+    while p.take(separator):
+        parts.append(p.ident(what))
+    return separator.join(parts)
 
 
-def _dotted_ident(p: _Parser) -> str:
-    parts = [p.ident("an option key").text]
-    while p.at_sym("."):
-        p.advance()
-        parts.append(p.ident("an option key").text)
-    return ".".join(parts)
+# Each definition parser starts after its keyword, whose location it is given.
 
 
-def _parse_definition(p: _Parser) -> Definition:
-    if p.at_word("const"):
-        loc = p.loc(p.advance())
-        key = p.ident("a constant name").text
-        p.eat_sym("=")
-        return ConstDef(key, p.literal(), loc=loc)
-    if p.at_word("option"):
-        loc = p.loc(p.advance())
-        key = _dotted_ident(p)
-        p.eat_sym("=")
-        return OptionDef(key, p.ident("an option value").text, loc=loc)
-    if p.at_word("stereotype"):
-        loc = p.loc(p.advance())
-        name = p.ident("a stereotype name").text
-        p.eat_word("on")
-        base = p.metaclass()
-        required: list[str] = []
-        if p.take_word("requires"):
-            required.append(p.ident("a tag name").text)
-            while p.at_sym(","):
-                p.advance()
-                required.append(p.ident("a tag name").text)
-        return StereotypeDef(name, base, tuple(required), loc=loc)
-    if p.at_word("tagdef"):
-        loc = p.loc(p.advance())
-        name = p.ident("a tag name").text
-        p.eat_sym(":")
-        value_type = p.ident("'string', 'int' or 'bool'")
-        if value_type.text not in ("string", "int", "bool"):
+def _parse_const(p: _Parser, loc: SourceLocation) -> Definition:
+    key = p.ident("a constant name")
+    p.eat("=")
+    return ConstDef(key, p.literal(), loc=loc)
+
+
+def _parse_option(p: _Parser, loc: SourceLocation) -> Definition:
+    key = _joined_ident(p, ".", "an option key")
+    p.eat("=")
+    return OptionDef(key, p.ident("an option value"), loc=loc)
+
+
+def _parse_stereotype(p: _Parser, loc: SourceLocation) -> Definition:
+    name = p.ident("a stereotype name")
+    p.eat("on")
+    base = p.metaclass()
+    required = _names(p, "a tag name") if p.take("requires") else []
+    return StereotypeDef(name, base, tuple(required), loc=loc)
+
+
+def _parse_tagdef(p: _Parser, loc: SourceLocation) -> Definition:
+    name = p.ident("a tag name")
+    p.eat(":")
+    index = p.pos
+    value_type = p.ident("'string', 'int' or 'bool'")
+    if value_type not in ("string", "int", "bool"):
+        raise ParseError(
+            f"'{value_type}' is not a tag type (expected string, int or bool)",
+            p.loc(index))
+    return TagDef(name, value_type, loc=loc)
+
+
+def _parse_constraint(p: _Parser, loc: SourceLocation) -> Definition:
+    name = p.ident("a constraint name")
+    p.eat("on")
+    scope = p.metaclass()
+    severity = "error"
+    if p.take("severity"):
+        index = p.pos
+        severity = p.ident("'error' or 'warning'")
+        if severity not in ("error", "warning"):
             raise ParseError(
-                f"'{value_type.text}' is not a tag type (expected string, int or bool)",
-                p.loc(value_type))
-        return TagDef(name, value_type.text, loc=loc)
-    if p.at_word("constraint"):
-        loc = p.loc(p.advance())
-        name = p.ident("a constraint name").text
-        p.eat_word("on")
-        scope = p.metaclass()
-        severity = "error"
-        if p.take_word("severity"):
-            tok = p.ident("'error' or 'warning'")
-            if tok.text not in ("error", "warning"):
-                raise ParseError(
-                    f"'{tok.text}' is not a severity (expected error or warning)",
-                    p.loc(tok))
-            severity = tok.text
-        p.eat_sym(":")
-        return ConstraintDef(name, scope, severity, p.expression(), loc=loc)
-    if p.at_word("rule"):
-        loc = p.loc(p.advance())
-        key = p.ident("a property key").text
-        p.eat_word("when")
-        predicate: Predicate
-        if p.take_word("all"):
-            predicate = MatchAll()
-        elif p.at_word("stereotype"):
-            p.advance()
-            p.eat_sym("(")
-            predicate = HasStereotype(p.ident("a stereotype name").text)
-            p.eat_sym(")")
-        elif p.at_word("metaclass"):
-            p.advance()
-            p.eat_sym("(")
-            predicate = IsMetaclass(p.metaclass())
-            p.eat_sym(")")
-        else:
-            raise p.fail("'all', 'stereotype(...)' or 'metaclass(...)'")
-        p.eat_sym("=")
-        return PredicatedRuleDef(key, predicate, p.ident("a value").text, loc=loc)
-    if p.at_word("transform"):
-        loc = p.loc(p.advance())
-        transform_id = _dashed_ident(p)
-        if p.take_word("on"):
-            return TransformSelection(transform_id, True, loc=loc)
-        if p.take_word("off"):
-            return TransformSelection(transform_id, False, loc=loc)
-        raise p.fail("'on' or 'off'")
-    raise p.fail("a definition or '}'")
+                f"'{severity}' is not a severity (expected error or warning)",
+                p.loc(index))
+    p.eat(":")
+    return ConstraintDef(name, scope, severity, p.expression(), loc=loc)
+
+
+def _parse_rule(p: _Parser, loc: SourceLocation) -> Definition:
+    key = p.ident("a property key")
+    p.eat("when")
+    predicate: Predicate
+    if p.take("all"):
+        predicate = MatchAll()
+    elif p.take("stereotype"):
+        p.eat("(")
+        predicate = HasStereotype(p.ident("a stereotype name"))
+        p.eat(")")
+    elif p.take("metaclass"):
+        p.eat("(")
+        predicate = IsMetaclass(p.metaclass())
+        p.eat(")")
+    else:
+        raise p.fail("'all', 'stereotype(...)' or 'metaclass(...)'")
+    p.eat("=")
+    return PredicatedRuleDef(key, predicate, p.ident("a value"), loc=loc)
+
+
+def _parse_transform(p: _Parser, loc: SourceLocation) -> Definition:
+    transform_id = _joined_ident(p, "-", "a transform id")
+    if p.take("on"):
+        return TransformSelection(transform_id, True, loc=loc)
+    if p.take("off"):
+        return TransformSelection(transform_id, False, loc=loc)
+    raise p.fail("'on' or 'off'")
+
+
+_DEFINITIONS = {
+    "const": _parse_const,
+    "option": _parse_option,
+    "stereotype": _parse_stereotype,
+    "tagdef": _parse_tagdef,
+    "constraint": _parse_constraint,
+    "rule": _parse_rule,
+    "transform": _parse_transform,
+}
 
 
 @_collector_paused()
@@ -650,20 +718,25 @@ def parse_package(source: str, file: str = "<package>") -> Package:
     """Parse one package file: quoted id, imports first, then definitions."""
 
     p = _Parser(source, file)
-    loc = p.loc(p.eat_word("package"))
-    pkg_id = p.string("a quoted package id").text
-    p.eat_sym("{")
+    loc = p.loc(p.eat("package"))
+    pkg_id = p.string("a quoted package id")
+    p.eat("{")
     imports: list[str] = []
-    while p.at_word("import"):
-        p.advance()
-        imports.append(p.string("a quoted package id").text)
+    while p.take("import"):
+        imports.append(p.string("a quoted package id"))
     definitions: list[Definition] = []
-    while not p.at_sym("}"):
-        if p.at_word("import"):
-            raise ImportAfterDefinitionError(
-                "imports must precede all definitions", p.loc(p.peek()))
-        definitions.append(_parse_definition(p))
-    p.eat_sym("}")
+    texts = p.texts
+    while not p.take("}"):
+        index = p.pos
+        word = texts[index]
+        parse = _DEFINITIONS.get(word)
+        if parse is None:
+            if word == "import":
+                raise ImportAfterDefinitionError(
+                    "imports must precede all definitions", p.loc(index))
+            raise p.fail("a definition or '}'")
+        p.pos = index + 1
+        definitions.append(parse(p, p.loc(index)))
     p.expect_eof()
     return Package(pkg_id, tuple(imports), tuple(definitions), loc=loc)
 

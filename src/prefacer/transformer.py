@@ -74,11 +74,6 @@ def induced_by(origin: Origin, chart: Statechart) -> bool:
             and origin.chart_name == chart.name)
 
 
-def _swap_class(model: Model, new_cls: ClassDef) -> Model:
-    classes = tuple(new_cls if c.name == new_cls.name else c for c in model.classes)
-    return replace(model, classes=classes)
-
-
 def _attached(model: Model, chart: Statechart) -> ClassDef:
     cls = model.class_named(chart.attached_to)
     if cls is None:
@@ -93,8 +88,9 @@ def _attached(model: Model, chart: Statechart) -> ClassDef:
 # ---------------------------------------------------------------------------
 
 
-def rule1_state_attributes(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
-    """Give the attached class one Boolean flag per state.
+def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
+    """Give ``cls``, the class ``chart`` is attached to, one Boolean flag
+    per state.
 
     A state whose name an authored attribute or operation already bears is
     reported as a name clash and skipped; the other states are still
@@ -103,7 +99,6 @@ def rule1_state_attributes(model: Model, chart: Statechart) -> tuple[Model, Tran
     """
 
     report = TransformReport()
-    cls = _attached(model, chart)
     attrs = {a.name: a for a in cls.attributes}
     ops = {o.name for o in cls.operations}
 
@@ -131,9 +126,8 @@ def rule1_state_attributes(model: Model, chart: Statechart) -> tuple[Model, Tran
             (member_path(cls, state.name), f"{state.name} : Boolean"))
 
     if not added:
-        return model, report
-    new_cls = replace(cls, attributes=cls.attributes + tuple(added))
-    return _swap_class(model, new_cls), report
+        return cls, report
+    return replace(cls, attributes=cls.attributes + tuple(added)), report
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +145,8 @@ def exactly_one(names: tuple[str, ...]) -> E.Expr:
     return flags[0] if len(flags) == 1 else E.Call("exactlyOne", flags)
 
 
-def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
-    """Add the exactly-one invariant over the chart's state flags.
+def rule2_mutex_invariant(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
+    """Add the exactly-one invariant over the chart's state flags to ``cls``.
 
     Requires rule 1 to have run for this chart.  The invariant this rule
     added on an earlier run is recognised by origin; if the chart changed
@@ -161,8 +155,7 @@ def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, Trans
 
     report = TransformReport()
     if not chart.states:
-        return model, report
-    cls = _attached(model, chart)
+        return cls, report
     wanted = exactly_one(chart.state_names())
 
     kept: list[Invariant] = []
@@ -178,8 +171,8 @@ def rule2_mutex_invariant(model: Model, chart: Statechart) -> tuple[Model, Trans
         kept.append(Invariant(wanted, _origin_for(chart)))
         report.induced_invariants.append((cls.name, format_expr(wanted)))
     if tuple(kept) == cls.invariants:
-        return model, report
-    return _swap_class(model, replace(cls, invariants=tuple(kept))), report
+        return cls, report
+    return replace(cls, invariants=tuple(kept)), report
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +186,9 @@ def chart_events(chart: Statechart) -> tuple[str, ...]:
     return tuple(dict.fromkeys(t.event for t in chart.transitions))
 
 
-def rule3_event_operations(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
-    """Bind every event to the same-named operation of the attached class.
+def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
+    """Bind every event to the same-named operation of ``cls``, the
+    attached class.
 
     An event with no such operation gets a parameterless one, recorded
     with an informational diagnostic.  An event whose name an attribute
@@ -202,7 +196,6 @@ def rule3_event_operations(model: Model, chart: Statechart) -> tuple[Model, Tran
     """
 
     report = TransformReport()
-    cls = _attached(model, chart)
     op_names = {o.name for o in cls.operations}
     attr_names = {a.name for a in cls.attributes}
 
@@ -226,9 +219,8 @@ def rule3_event_operations(model: Model, chart: Statechart) -> tuple[Model, Tran
             f"of '{chart.name}'"))
 
     if not added:
-        return model, report
-    new_cls = replace(cls, operations=cls.operations + tuple(added))
-    return _swap_class(model, new_cls), report
+        return cls, report
+    return replace(cls, operations=cls.operations + tuple(added)), report
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +241,10 @@ def _disjuncts(e: E.Expr) -> list[E.Expr]:
     return out
 
 
-def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, TransformReport]:
-    """Give every event operation the induced precondition "the object is
-    in one of the event's source states".
+def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
+    """Give every event operation of ``cls``, the attached class, the
+    induced precondition "the object is in one of the event's source
+    states".
 
     The disjuncts follow state declaration order, and a single source
     prints as the bare flag.  Requires rules 1 and 3 for this chart; an
@@ -260,7 +253,6 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
     """
 
     report = TransformReport()
-    cls = _attached(model, chart)
     attrs = {a.name: a for a in cls.attributes}
     order = {name: i for i, name in enumerate(chart.state_names())}
     sources_of: dict[str, set[str]] = {}
@@ -305,8 +297,8 @@ def rule4_preconditions(model: Model, chart: Statechart) -> tuple[Model, Transfo
         report.induced_preconditions.append((member_path(cls, event), description))
 
     if not changed:
-        return model, report
-    return _swap_class(model, replace(cls, operations=tuple(new_ops))), report
+        return cls, report
+    return replace(cls, operations=tuple(new_ops)), report
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +314,10 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
     a chart whose rule-1 run clashed (its invariant would name the wrong
     attribute), rule 4 skips the affected events, and everything else
     proceeds.  Applying the pass twice is a no-op the second time.
+
+    The rules work on the attached class alone.  A class a chart changed is
+    kept by name, so a later chart on the same class sees what the earlier
+    ones induced, and the model is rebuilt once, at the end.
     """
 
     report = TransformReport()
@@ -335,14 +331,21 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
                 f"'{chart.name}' was not transformed", chart.loc))
         return model, report
 
+    changed: dict[str, ClassDef] = {}
     for chart in model.statecharts:
-        model, r1 = rule1_state_attributes(model, chart)
+        before = changed.get(chart.attached_to) or _attached(model, chart)
+        cls, r1 = rule1_state_attributes(before, chart)
         report.merge(r1)
         if not has_errors(r1.diagnostics):
-            model, r2 = rule2_mutex_invariant(model, chart)
+            cls, r2 = rule2_mutex_invariant(cls, chart)
             report.merge(r2)
-        model, r3 = rule3_event_operations(model, chart)
+        cls, r3 = rule3_event_operations(cls, chart)
         report.merge(r3)
-        model, r4 = rule4_preconditions(model, chart)
+        cls, r4 = rule4_preconditions(cls, chart)
         report.merge(r4)
-    return model, report
+        if cls is not before:
+            changed[cls.name] = cls
+    if not changed:
+        return model, report
+    return replace(model, classes=tuple(
+        changed.get(c.name, c) for c in model.classes)), report

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from prefacer import cli as cli_module
 from prefacer.cli import (
     EXIT_COMPOSITION,
     EXIT_DIAGNOSTICS,
@@ -229,6 +230,57 @@ def test_non_ascii_identifier_in_a_package_is_a_parse_error(tmp_path):
     code, out, err = cli(RunConfig("compose", str(tmp_path), "p"))
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"parse error: {package}:1:22: unexpected character '\u00b2'\n"
+
+
+def test_a_model_that_is_not_utf8_is_one_error_line(sample_dir, tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"model m\n  class C\xff { }\n")
+    code, out, err = cli(config_for(sample_dir, "validate", model_path=str(bad)))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff in "
+                   "position 17: invalid start byte\n")
+
+
+def test_a_package_that_is_not_utf8_is_one_error_line(tmp_path):
+    package = tmp_path / "p.preface"
+    package.write_bytes(b'package "p" { const title = "caf\xe9" }\n')
+    code, out, err = cli(RunConfig("compose", str(tmp_path), "p"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: {package}: 'utf-8' codec can't decode byte 0xe9 in "
+                   "position 32: invalid continuation byte\n")
+
+
+def test_three_hundred_parentheses_are_one_parse_error(sample_dir, tmp_path):
+    bad = tmp_path / "deep.model"
+    bad.write_text("model m\n  class C {\n    operation go() pre: "
+                   + "(" * 300 + "true" + ")" * 300 + "\n  }\n")
+    code, out, err = cli(config_for(sample_dir, "validate", model_path=str(bad)))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: {bad}:3:125: expression nested deeper than 100 levels\n"
+
+
+def test_an_unexpected_exception_is_one_line(sample_dir, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "compose", broken)
+    code, out, err = cli(config_for(sample_dir, "compose"))
+    assert (code, out, err) == (EXIT_USAGE, "", "internal error: RuntimeError: boom\n")
+
+
+def test_an_evaluation_too_deep_is_one_line_not_a_traceback(sample_dir, capsys):
+    preface_dir, root, model_path = sample_dir
+    chain = " and ".join(["true"] * 1200)
+    (preface_dir / "deep.preface").write_text(
+        f'package "deep" {{ constraint deep on Class : {chain} }}\n')
+    project = preface_dir / "project-p.preface"
+    project.write_text(project.read_text().replace("{", '{\n  import "deep"', 1))
+    code = main(["validate", str(model_path), "--preface", str(preface_dir),
+                 "--root", root])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("internal error: RecursionError: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_unknown_root_exits_three(sample_dir):

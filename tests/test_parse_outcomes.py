@@ -1,0 +1,187 @@
+"""Parse outcomes pinned on about 400 texts, broken ones included.
+
+``tests/parse_outcomes.json`` holds seeded texts (the ``sample/`` files,
+the two location-test sources, generated models, packages and
+expressions, and mutations of each: a token deleted, duplicated or swapped
+with its neighbour, a stray character inserted, the text cut short) and
+what the parser that reads each kind made of it: the ``ParseError``
+string, or a digest of the tree's ``repr`` (sets sorted) with the ``[type, line,
+column]`` of every located node.  ``repr`` leaves locations out, so the
+two together pin the tree and every position in it.
+
+The snapshot is the judge of any change to the lexer or the parser:
+every outcome must stay byte for byte.  Regenerate it only for a
+deliberate change of the grammar or its messages, with
+``PYTHONPATH=src python tests/test_parse_outcomes.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import re
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
+
+from generators import random_expr, random_model, random_package
+from prefacer.model import Invariant
+from prefacer.preface import ConstraintDef, Package, TransformSelection, resolve
+from prefacer.textio import (
+    ParseError,
+    format_expr,
+    parse_expr,
+    parse_model,
+    parse_package,
+    print_model,
+    print_package,
+)
+from prefacer.transformer import TRANSFORM_ID, apply_transforms
+from test_textio import EVERY_DEFINITION_PACKAGE, EVERY_NODE_MODEL, _located_nodes
+
+SNAPSHOT = Path(__file__).parent / "parse_outcomes.json"
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+
+PARSERS = {"model": parse_model, "package": parse_package, "expr": parse_expr}
+
+#: A rough token splitter, independent of the one under test: comments,
+#: strings, two-character symbols, words, numbers, any other character.
+_PIECE = re.compile(r'//[^\n]*|"[^"\n]*"|->|<<|>>|<>|<=|>=|\w+|\S')
+
+#: Characters a mutation inserts: refused ones, a stray quote, ones the
+#: grammar knows but not there, and blanks.
+_STRAY = ("?", "@", "#", "!", "é", "²", '"', "\t", "{", ")", ",", "-", "\n")
+
+_ENABLED = resolve([Package("t", (), (TransformSelection(TRANSFORM_ID, True),))])
+
+
+def _mutate(text: str, kind: str, rng: random.Random) -> str:
+    pieces = [m.span() for m in _PIECE.finditer(text)]
+    if kind == "cut":
+        return text[:rng.randrange(len(text) + 1)]
+    if kind == "stray":
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(_STRAY) + text[at:]
+    if not pieces:
+        return text
+    index = rng.randrange(len(pieces))
+    start, end = pieces[index]
+    if kind == "delete":
+        return text[:start] + text[end:]
+    if kind == "duplicate":
+        return text[:end] + " " + text[start:end] + text[end:]
+    # swap with the next piece, or the previous one at the end
+    if len(pieces) < 2:
+        return text
+    if index == len(pieces) - 1:
+        index -= 1
+    (a0, a1), (b0, b1) = pieces[index], pieces[index + 1]
+    return text[:a0] + text[b0:b1] + text[a1:b0] + text[a0:a1] + text[b1:]
+
+
+MUTATIONS = ("delete", "duplicate", "swap", "stray", "cut")
+
+
+def _generated_model(rng: random.Random) -> str:
+    model = random_model(rng)
+    classes = tuple(
+        replace(cls, invariants=cls.invariants + (Invariant(random_expr(rng, 3)),))
+        if rng.random() < 0.5 else cls
+        for cls in model.classes)
+    model = replace(model, classes=classes)
+    if rng.random() < 0.5:
+        # induced elements print with a trailing comment
+        model, _ = apply_transforms(model, _ENABLED)
+    text = print_model(model)
+    return text.replace("\n", "\r\n") if rng.random() < 0.2 else text
+
+
+def _generated_package(rng: random.Random) -> str:
+    pkg = random_package(rng)
+    body = random_expr(rng, 3)
+    pkg = replace(pkg, definitions=pkg.definitions + (
+        ConstraintDef("generated", "Class", "error", body),))
+    return print_package(pkg)
+
+
+def _inputs() -> list[tuple[str, str, str]]:
+    """``(name, parser kind, text)`` of every text the snapshot covers."""
+
+    rng = random.Random(8)
+    bases: list[tuple[str, str, str, int]] = []  # name, kind, text, mutants per kind
+    for path in sorted(SAMPLE.rglob("*")):
+        kind = {".model": "model", ".preface": "package"}.get(path.suffix)
+        if kind is not None:
+            name = path.relative_to(SAMPLE.parent).as_posix()
+            bases.append((name, kind, path.read_text(encoding="utf-8"), 3))
+    bases.append(("every-node.model", "model", EVERY_NODE_MODEL, 3))
+    bases.append(("every-definition.preface", "package", EVERY_DEFINITION_PACKAGE, 3))
+    for i in range(18):
+        bases.append((f"model-{i}", "model", _generated_model(rng), 1))
+    for i in range(18):
+        bases.append((f"package-{i}", "package", _generated_package(rng), 1))
+    for i in range(20):
+        bases.append((f"expr-{i}", "expr", format_expr(random_expr(rng, 4)), 1))
+
+    out = []
+    for name, kind, text, per_kind in bases:
+        out.append((name, kind, text))
+        for mutation in MUTATIONS:
+            for n in range(per_kind):
+                out.append((f"{name}#{mutation}{n}", kind, _mutate(text, mutation, rng)))
+    return out
+
+
+def _canonical(value) -> str:
+    """``repr`` with set and dict members sorted, so that it does not
+    depend on string hashing; like ``repr``, it leaves locations out."""
+
+    if is_dataclass(value):
+        shown = (f"{f.name}={_canonical(getattr(value, f.name))}"
+                 for f in fields(value) if f.repr)
+        return f"{type(value).__name__}({', '.join(shown)})"
+    if isinstance(value, (tuple, list)):
+        return "(" + ", ".join(_canonical(v) for v in value) + ")"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(_canonical(v) for v in value)) + "}"
+    if isinstance(value, dict):
+        return "{" + ", ".join(sorted(
+            f"{_canonical(k)}: {_canonical(v)}" for k, v in value.items())) + "}"
+    return repr(value)
+
+
+def _outcome(kind: str, text: str, name: str):
+    """The ``ParseError`` text, or a digest of the tree's canonical
+    ``repr`` and its located nodes."""
+
+    try:
+        tree = PARSERS[kind](text, name)
+    except ParseError as failure:
+        return {"error": str(failure)}
+    return {"repr": hashlib.sha256(_canonical(tree).encode()).hexdigest()[:24],
+            "located": _located_nodes(tree, name)}
+
+
+def test_parse_outcomes_match_the_snapshot():
+    snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    assert len(snapshot) >= 400
+    errors = 0
+    for entry in snapshot:
+        outcome = _outcome(entry["parser"], entry["text"], entry["name"])
+        assert outcome == entry["outcome"], entry["name"]
+        errors += "error" in outcome
+    # both kinds of outcome are well represented
+    assert 50 < errors < len(snapshot) - 50, errors
+
+
+def _write_snapshot() -> None:
+    entries = [{"name": name, "parser": kind, "text": text,
+                "outcome": _outcome(kind, text, name)}
+               for name, kind, text in _inputs()]
+    lines = ",\n".join(json.dumps(entry, ensure_ascii=False) for entry in entries)
+    SNAPSHOT.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(entries)} outcomes to {SNAPSHOT}")
+
+
+if __name__ == "__main__":
+    _write_snapshot()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from generators import random_expr, random_model, random_package
 from oracles import format_expr_reference, lex_reference
 from prefacer import expr as E
+from prefacer.constraints import Env, eval_expr
 from prefacer.model import Origin
 from prefacer.preface import (
     ConstDef,
@@ -26,9 +27,10 @@ from prefacer.preface import (
     compose,
 )
 from prefacer.textio import (
+    MAX_NESTING,
     ImportAfterDefinitionError,
-    _lex,
     ParseError,
+    _scan,
     format_expr,
     parse_expr,
     parse_model,
@@ -95,6 +97,10 @@ def test_builtin_names_are_plain_variables_without_parens():
     assert parse_expr("size + 1") == E.Add(E.VarRef("size"), E.Literal(1))
     assert parse_expr("exactlyOne") == E.VarRef("exactlyOne")
     assert parse_expr("exactlyOne and x") == E.And(E.VarRef("exactlyOne"), E.VarRef("x"))
+    # A call is told by the next token's text with any quotes taken off.
+    with pytest.raises(ParseError) as failure:
+        parse_expr('size "("', file="q")
+    assert str(failure.value) == "q:1:6: expected '(', found '('"
 
 
 def test_exactly_one_takes_one_or_more_expressions():
@@ -131,6 +137,54 @@ def test_parse_errors_carry_locations():
     assert "unterminated" in str(failure.value)
     with pytest.raises(ParseError):
         parse_expr("a ? b")
+
+
+def _nested(form: str, levels: int) -> str:
+    """An expression of ``true`` under ``levels`` nesting levels of one form."""
+
+    if form == "group":
+        return "(" * levels + "true" + ")" * levels
+    if form == "not":
+        return "not " * levels + "true"
+    if form == "call":
+        return "exactlyOne(" * levels + "true" + ")" * levels
+    if form == "quantifier":
+        return "exists(a in s | " * levels + "true" + ")" * levels
+    return " implies ".join(["true"] * (levels + 1))
+
+
+#: Where each form opens its level 101: the ``(``, ``not`` or ``implies``.
+EXTRA_LEVEL_COLUMN = {"group": 101, "not": 401, "call": 1111,
+                      "quantifier": 1607, "implies": 1306}
+
+
+@pytest.mark.parametrize("form", sorted(EXTRA_LEVEL_COLUMN))
+def test_expressions_nest_a_hundred_levels_deep(form):
+    assert MAX_NESTING == 100
+    e = parse_expr(_nested(form, 100))
+    assert parse_expr(format_expr(e)) == e
+    assert eval_expr(e, Env({"s": (1,)})) is True
+    with pytest.raises(ParseError) as failure:
+        parse_expr(_nested(form, 101), file="q")
+    assert str(failure.value) == (
+        f"q:1:{EXTRA_LEVEL_COLUMN[form]}: expression nested deeper than 100 levels")
+
+
+def test_a_long_not_chain_fails_at_the_extra_level():
+    with pytest.raises(ParseError) as failure:
+        parse_expr("not " * 1200 + "x", file="q")
+    assert str(failure.value) == "q:1:401: expression nested deeper than 100 levels"
+    # levels close again: a hundred at a time, side by side, is fine
+    wide = " and ".join([_nested("group", 100)] * 3 + [_nested("not", 100)] * 3)
+    assert eval_expr(parse_expr(wide), Env()) is True
+
+
+def test_nesting_is_limited_in_models_and_packages():
+    deep = _nested("group", 101)
+    with pytest.raises(ParseError, match="m:3:125: expression nested deeper"):
+        parse_model(f"model m\n  class C {{\n    operation go() pre: {deep}\n  }}\n", "m")
+    with pytest.raises(ParseError, match="p:1:139: expression nested deeper"):
+        parse_package(f'package "p" {{ constraint c on Class : {deep} }}', "p")
 
 
 # "²" (superscript two) and "١" (Arabic-Indic one) are Unicode digits but
@@ -629,8 +683,30 @@ def _lexed(tokens_of, source: str):
         return None, (str(failure), failure.loc.line, failure.loc.column)
 
 
+def _kind(text: str) -> str:
+    """A token's kind, told by the first character of its text."""
+
+    if not text:
+        return "eof"
+    if text[0].isdigit():
+        return "int"
+    if text[0] == '"':
+        return "string"
+    return "ident" if text[0].isalpha() or text[0] == "_" else "sym"
+
+
 def _lex_new(source: str):
-    return [(t.kind, t.text, t.line, t.column) for t in _lex(source, "t")]
+    """``(kind, text, line, column)`` of every token, rebuilt from the
+    scanner's texts and start offsets."""
+
+    texts, starts = _scan(source, "t")
+    out = []
+    for text, start in zip(texts, starts):
+        line_start = source.rfind("\n", 0, start) + 1
+        kind = _kind(text)
+        out.append((kind, text[1:-1] if kind == "string" else text,
+                    source.count("\n", 0, start) + 1, start - line_start + 1))
+    return out
 
 
 def _lex_old(source: str):
@@ -644,7 +720,7 @@ def _offset(source: str, line: int, column: int) -> int:
 
 
 def _compare_with_reference(source: str) -> str:
-    """Assert that ``_lex`` agrees with the reference on ``source``; return
+    """Assert that the scanner agrees with the reference on ``source``; return
     ``"same"``, or ``"ascii"`` for the one documented difference: a
     non-ASCII letter or digit the reference reads inside an identifier."""
 

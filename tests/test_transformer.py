@@ -13,6 +13,7 @@ from generators import random_model
 from oracles import authored_view, brute_eval, exactly_one_reference
 from prefacer import expr as E
 from prefacer.constraints import Env, eval_expr
+from prefacer.diagnostics import has_errors
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -30,9 +31,10 @@ from prefacer.preface import (
     TransformSelection,
     resolve,
 )
-from prefacer.textio import format_expr
+from prefacer.textio import format_expr, print_model
 from prefacer.transformer import (
     TRANSFORM_ID,
+    TransformReport,
     apply_transforms,
     chart_events,
     exactly_one,
@@ -60,9 +62,8 @@ def induced_attrs(cls):
 
 
 def test_rule1_adds_one_boolean_flag_per_state(three_state_model):
-    model, report = rule1_state_attributes(
-        three_state_model, three_state_model.statecharts[0])
-    cls = model.class_named("C")
+    cls, report = rule1_state_attributes(
+        three_state_model.class_named("C"), three_state_model.statecharts[0])
     assert [(a.name, a.type_name) for a in cls.attributes] == [
         ("s1", "Boolean"), ("s2", "Boolean"), ("s3", "Boolean")]
     for a in cls.attributes:
@@ -74,9 +75,9 @@ def test_rule1_adds_one_boolean_flag_per_state(three_state_model):
 
 def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
     chart = three_state_model.statecharts[0]
-    model, _ = rule1_state_attributes(three_state_model, chart)
-    model, report = rule2_mutex_invariant(model, chart)
-    (inv,) = model.class_named("C").invariants
+    cls, _ = rule1_state_attributes(three_state_model.class_named("C"), chart)
+    cls, report = rule2_mutex_invariant(cls, chart)
+    (inv,) = cls.invariants
     assert format_expr(inv.expr) == "exactlyOne(s1, s2, s3)"
     assert inv.origin == Origin("induced", TRANSFORM_ID, "SC")
     assert report.induced_invariants == [("C", format_expr(inv.expr))]
@@ -126,8 +127,8 @@ def test_rule3_binds_existing_operations_and_invents_missing_ones():
     cls = ClassDef("C", operations=(Operation("m1"),))
     chart = Statechart("SC", "C", (State("x", initial=True),), (
         Transition("x", "x", "m1"), Transition("x", "x", "ping")))
-    model, report = rule3_event_operations(Model("m", (cls,), (chart,)), chart)
-    ops = model.class_named("C").operations
+    out, report = rule3_event_operations(cls, chart)
+    ops = out.operations
     assert [op.name for op in ops] == ["m1", "ping"]
     assert ops[0].origin.kind == "authored"
     assert ops[1].origin == Origin("induced", TRANSFORM_ID, "SC")
@@ -179,9 +180,8 @@ def test_authored_precondition_is_kept_and_conjoined_in_reports():
 def test_rule1_clash_with_authored_attribute():
     cls = ClassDef("C", attributes=(Attribute("s1", "Integer"),))
     chart = Statechart("SC", "C", (State("s1", initial=True), State("s2")), ())
-    model, report = rule1_state_attributes(Model("m", (cls,), (chart,)), chart)
+    out, report = rule1_state_attributes(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E301"]
-    out = model.class_named("C")
     # The clashing flag is withheld, the other state is still induced.
     assert [(a.name, a.type_name) for a in out.attributes] == [
         ("s1", "Integer"), ("s2", "Boolean")]
@@ -190,7 +190,7 @@ def test_rule1_clash_with_authored_attribute():
 def test_rule1_clash_with_authored_operation():
     cls = ClassDef("C", operations=(Operation("s1"),))
     chart = Statechart("SC", "C", (State("s1", initial=True),), ())
-    _, report = rule1_state_attributes(Model("m", (cls,), (chart,)), chart)
+    _, report = rule1_state_attributes(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E301"]
 
 
@@ -198,9 +198,9 @@ def test_rule3_clash_with_authored_attribute():
     cls = ClassDef("C", attributes=(Attribute("ping", "String"),))
     chart = Statechart("SC", "C", (State("x", initial=True),),
                        (Transition("x", "x", "ping"),))
-    model, report = rule3_event_operations(Model("m", (cls,), (chart,)), chart)
+    out, report = rule3_event_operations(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E302"]
-    assert model.class_named("C").operations == ()
+    assert out.operations == ()
 
 
 def test_clash_withholds_the_invariant_but_not_the_rest():
@@ -230,6 +230,76 @@ def test_precondition_clash_between_two_charts_warns():
     # The first chart's precondition stands.
     assert op.pre_induced[1].chart_name == "A"
     assert format_expr(op.pre_induced[0]) == "a1"
+
+
+def test_a_second_chart_on_a_class_sees_what_the_first_induced():
+    first = Statechart("A", "C", (State("a1", initial=True), State("a2")),
+                       (Transition("a1", "a2", "go"),))
+    second = Statechart("B", "C", (State("b1", initial=True),), (
+        Transition("b1", "b1", "go"), Transition("b1", "b1", "stop")))
+    model, report = transform(Model("m", (ClassDef("C"),), (first, second)))
+    assert print_model(model) == (
+        "model m\n"
+        "  class C {\n"
+        "    attribute a1 : Boolean // induced by statechart-to-class\n"
+        "    attribute a2 : Boolean // induced by statechart-to-class\n"
+        "    attribute b1 : Boolean // induced by statechart-to-class\n"
+        "    operation go() pre: a1 // induced by statechart-to-class\n"
+        "    operation stop() pre: b1 // induced by statechart-to-class\n"
+        "    invariant exactlyOne(a1, a2) // induced by statechart-to-class\n"
+        "    invariant b1 // induced by statechart-to-class\n"
+        "  }\n"
+        "  statechart A for C {\n"
+        "    initial state a1\n"
+        "    state a2\n"
+        "    transition a1 -> a2 on go\n"
+        "  }\n"
+        "  statechart B for C {\n"
+        "    initial state b1\n"
+        "    transition b1 -> b1 on go\n"
+        "    transition b1 -> b1 on stop\n"
+        "  }\n")
+    # B binds the operation A induced and leaves A's precondition alone.
+    assert [(d.code, d.path) for d in report.diagnostics] == [
+        ("I301", "C.go"), ("I301", "C.stop"), ("W301", "C.go")]
+    assert [o.origin.chart_name for o in model.class_named("C").operations] == ["A", "B"]
+    assert (model, report) == _transform_chart_by_chart(
+        Model("m", (ClassDef("C"),), (first, second)))
+
+
+def _transform_chart_by_chart(model):
+    """The pass with every rule's class put back into the model before the
+    next rule looks it up: the reference that the one rebuild per pass
+    must agree with."""
+
+    report = TransformReport()
+
+    def run(rule, chart):
+        nonlocal model
+        cls, found = rule(model.class_named(chart.attached_to), chart)
+        report.merge(found)
+        model = replace(model, classes=tuple(
+            cls if c.name == cls.name else c for c in model.classes))
+        return found
+
+    for chart in model.statecharts:
+        if not has_errors(run(rule1_state_attributes, chart).diagnostics):
+            run(rule2_mutex_invariant, chart)
+        run(rule3_event_operations, chart)
+        run(rule4_preconditions, chart)
+    return model, report
+
+
+def test_one_rebuild_per_pass_agrees_with_chart_by_chart_rebuilds():
+    rng = random.Random(433)
+    shared = 0
+    for index in range(300):
+        # one or two classes, so that charts often share one
+        model = random_model(rng, max_classes=1 + index % 2)
+        owners = [chart.attached_to for chart in model.statecharts]
+        shared += len(owners) != len(set(owners))
+        assert transform(model) == _transform_chart_by_chart(model)
+    assert shared > 50, shared
 
 
 # ---------------------------------------------------------------------------
