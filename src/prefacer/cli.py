@@ -40,6 +40,7 @@ from .preface import (
 from .skeletongen import UntransformedInputError, generate_monitor, generate_skeleton
 from .textio import (
     ParseError,
+    collector_paused,
     parse_model,
     parse_package,
     print_model,
@@ -123,6 +124,7 @@ def _read_text(path: Path) -> str:
         raise UnreadableInputError(f"{path}: {failure}") from None
 
 
+@collector_paused()  # once for the whole directory, not once per file
 def _load_repository(preface_dir: str, stderr: IO[str],
                      diags: list[Diagnostic]) -> PackageRepository | None:
     directory = Path(preface_dir)

@@ -11,6 +11,12 @@ must be a boolean; it holds when exactly one of them is true.
 Quantifiers evaluate their body under every binding (``forall`` over an
 empty sequence is true, ``exists`` false).
 
+An expression is compiled once, then run on every element in scope:
+``compile_expr`` settles all dispatch and returns a function of
+``(bindings, model)``.  A chain of ``and``, ``or``, ``+``/``-`` or ``.`` runs
+as one loop, so evaluation recurses only through nesting, which the parser
+bounds at ``textio.MAX_NESTING`` levels.
+
 The feature table is closed.  Classes navigate to ``name``,
 ``superclasses``, ``attributes``, ``operations`` and ``stereotypes``;
 statecharts to ``name``, ``states`` (the state names), ``transitions`` and
@@ -20,7 +26,9 @@ attributes and operations expose ``name`` only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import expr as E
 from .diagnostics import Diagnostic, SourceLocation
@@ -28,7 +36,6 @@ from .model import (
     Attribute,
     ClassDef,
     Model,
-    ModelElement,
     Operation,
     Statechart,
     Transition,
@@ -57,196 +64,193 @@ class Env:
     bindings: dict[str, Value] = field(default_factory=dict)
     model: Model | None = None
 
-    def bound(self, name: str, value: Value) -> "Env":
-        child = dict(self.bindings)
-        child[name] = value
-        return Env(child, self.model)
-
 
 # ---------------------------------------------------------------------------
 # Evaluator
 # ---------------------------------------------------------------------------
 
 _ELEMENT_TYPES = (ClassDef, Attribute, Operation, Statechart, Transition)
+_LABELS = {bool: "boolean", int: "integer", str: "string", tuple: "sequence",
+           **dict.fromkeys(_ELEMENT_TYPES, "element")}
 
 
 def _type_label(value: Value) -> str:
-    if type(value) is bool:
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, tuple):
-        return "sequence"
-    if isinstance(value, _ELEMENT_TYPES):
-        return "element"
-    return type(value).__name__
+    return next((label for kind, label in _LABELS.items() if isinstance(value, kind)),
+                type(value).__name__)
 
 
-def _need_bool(value: Value, e: E.Expr) -> bool:
-    if type(value) is not bool:
-        raise EvalError(f"expected a boolean, got {_type_label(value)}", e.loc)
+def _need(value: Value, kind, loc, what: str = "", verb: str = "expected") -> Value:
+    """``value`` if it is a ``kind``, else an ``EvalError`` at ``loc``."""
+    if not isinstance(value, kind):
+        what = what or {bool: "a boolean", tuple: "a sequence"}[kind]
+        raise EvalError(f"{verb} {what}, got {_type_label(value)}", loc)
     return value
 
 
-def _need_int(value: Value, e: E.Expr) -> int:
-    if type(value) is bool or not isinstance(value, int):
-        raise EvalError(f"expected an integer, got {_type_label(value)}", e.loc)
-    return value
+def _raising(message: str, loc) -> Callable:
+    def fail(*args):
+        raise EvalError(message, loc)
+    return fail
 
 
-def _need_seq(value: Value, e: E.Expr) -> tuple:
-    if not isinstance(value, tuple):
-        raise EvalError(f"expected a sequence, got {_type_label(value)}", e.loc)
-    return value
-
-
-def _resolve_class(name: str, env: Env, e: E.Expr) -> ClassDef:
-    cls = env.model.class_named(name) if env.model is not None else None
+def _resolve_class(name: str, model: Model | None, nav: E.Nav) -> ClassDef:
+    cls = model.class_named(name) if model is not None else None
     if cls is None:
-        raise EvalError(f"cannot resolve class '{name}'", e.loc)
+        raise EvalError(f"cannot resolve class '{name}'", nav.loc)
     return cls
 
 
-def _navigate(element: Value, e: E.Nav, env: Env) -> Value:
-    feature = e.feature
-    if isinstance(element, ClassDef):
-        if feature == "name":
-            return element.name
-        if feature == "superclasses":
-            return tuple(_resolve_class(n, env, e) for n in element.superclasses)
-        if feature == "attributes":
-            return tuple(element.attributes)
-        if feature == "operations":
-            return tuple(element.operations)
-        if feature == "stereotypes":
-            return tuple(sorted(element.stereotypes))
-    elif isinstance(element, Statechart):
-        if feature == "name":
-            return element.name
-        if feature == "states":
-            return element.state_names()
-        if feature == "transitions":
-            return tuple(element.transitions)
-        if feature == "attachedTo":
-            return _resolve_class(element.attached_to, env, e)
-    elif isinstance(element, Transition):
-        if feature == "source":
-            return element.source
-        if feature == "target":
-            return element.target
-        if feature == "event":
-            return element.event
-    elif isinstance(element, (Attribute, Operation)):
-        if feature == "name":
-            return element.name
-    else:
-        raise EvalError(
-            f"cannot navigate '.{feature}' on a {_type_label(element)}", e.loc)
-    raise EvalError(
-        f"'{feature}' is not a feature of {metaclass_of(element)}", e.loc)
+#: Feature name -> element type -> getter of ``(element, model, nav node)``.
+_FEATURES = {
+    "name": dict.fromkeys((ClassDef, Statechart, Attribute, Operation), lambda x, m, n: x.name),
+    "superclasses": {ClassDef: lambda c, m, n: tuple(
+        _resolve_class(name, m, n) for name in c.superclasses)},
+    "attributes": {ClassDef: lambda c, m, n: tuple(c.attributes)},
+    "operations": {ClassDef: lambda c, m, n: tuple(c.operations)},
+    "stereotypes": {ClassDef: lambda c, m, n: tuple(sorted(c.stereotypes))},
+    "states": {Statechart: lambda s, m, n: s.state_names()},
+    "transitions": {Statechart: lambda s, m, n: tuple(s.transitions)},
+    "attachedTo": {Statechart: lambda s, m, n: _resolve_class(s.attached_to, m, n)},
+    "source": {Transition: lambda t, m, n: t.source},
+    "target": {Transition: lambda t, m, n: t.target},
+    "event": {Transition: lambda t, m, n: t.event},
+}
 
 
-def _call(e: E.Call, env: Env) -> Value:
-    if e.fn == "size":
-        if len(e.args) != 1:
-            raise EvalError("size takes exactly one argument", e.loc)
-        return len(_need_seq(eval_expr(e.args[0], env), e))
-    if e.fn == "isEmpty":
-        if len(e.args) != 1:
-            raise EvalError("isEmpty takes exactly one argument", e.loc)
-        return len(_need_seq(eval_expr(e.args[0], env), e)) == 0
-    if e.fn == "hasStereotype":
-        if len(e.args) != 2:
-            raise EvalError("hasStereotype takes exactly two arguments", e.loc)
-        element = eval_expr(e.args[0], env)
-        if not isinstance(element, _ELEMENT_TYPES):
-            raise EvalError(
-                f"hasStereotype expects an element, got {_type_label(element)}", e.loc)
-        name = eval_expr(e.args[1], env)
-        if not isinstance(name, str):
-            raise EvalError(
-                f"hasStereotype expects a string, got {_type_label(name)}", e.loc)
-        return name in stereotypes_of(element)
-    if e.fn == "exactlyOne":
-        if not e.args:
-            raise EvalError("exactlyOne takes at least one argument", e.loc)
-        return sum(_need_bool(eval_expr(arg, env), e) for arg in e.args) == 1
-    raise EvalError(f"unknown function '{e.fn}'", e.loc)
+def _getter(value: Value, getters: dict, nav: E.Nav) -> Callable:
+    """The getter for a value whose exact type the table does not list."""
+    for kind, getter in getters.items():
+        if isinstance(value, kind):
+            return getter
+    if isinstance(value, _ELEMENT_TYPES):
+        raise EvalError(f"'{nav.feature}' is not a feature of {metaclass_of(value)}", nav.loc)
+    raise EvalError(f"cannot navigate '.{nav.feature}' on a {_type_label(value)}", nav.loc)
 
 
-def _compare(e: E.Compare, env: Env) -> bool:
-    lhs = eval_expr(e.lhs, env)
-    rhs = eval_expr(e.rhs, env)
-    if _type_label(lhs) != _type_label(rhs):
-        raise EvalError(
-            f"cannot compare {_type_label(lhs)} with {_type_label(rhs)}", e.loc)
-    if e.op == "=":
-        return lhs == rhs
-    if e.op == "<>":
-        return lhs != rhs
-    if _type_label(lhs) not in ("integer", "string"):
-        raise EvalError(
-            f"ordering is not defined on {_type_label(lhs)} values", e.loc)
-    if e.op == "<":
-        return lhs < rhs
-    if e.op == "<=":
-        return lhs <= rhs
-    if e.op == ">":
-        return lhs > rhs
-    if e.op == ">=":
-        return lhs >= rhs
-    raise EvalError(f"unknown comparison operator '{e.op}'", e.loc)
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compile_expr(e: E.Expr) -> Callable:
+    """Compile ``e`` into a function of ``(bindings, model)`` that raises
+    ``EvalError`` exactly where evaluating ``e`` fails.  Compiling never raises;
+    neither recurses through a helper, so each nests about as deep as the parser."""
+
+    loc = getattr(e, "loc", None)
+    if isinstance(e, E.Literal):
+        value = e.value
+        return lambda bindings, model: value
+    if isinstance(e, E.VarRef):
+        name, unbound = e.name, _raising(f"unbound variable '{e.name}'", loc)
+        return lambda bindings, model: bindings[name] if name in bindings else unbound()
+    if isinstance(e, (E.And, E.Or, E.Add, E.Sub)):
+        # A left-leaning chain; each operand is checked at the node that joins it.
+        kinds = (E.Add, E.Sub) if isinstance(e, (E.Add, E.Sub)) else type(e)
+        nodes = []
+        while isinstance(e, kinds):
+            nodes.append(e)
+            e = e.lhs
+        steps = [(compile_expr(e), nodes[-1].loc, False)]
+        for node in reversed(nodes):
+            steps.append((compile_expr(node.rhs), node.loc, isinstance(node, E.Sub)))
+        if kinds is not E.And and kinds is not E.Or:
+            def total(bindings, model):
+                value = 0
+                for run, at, minus in steps:
+                    term = run(bindings, model)
+                    if type(term) is bool or not isinstance(term, int):
+                        raise EvalError(f"expected an integer, got {_type_label(term)}", at)
+                    value = value - term if minus else value + term
+                return value
+            return total
+        decisive = kinds is E.Or  # or stops at true, and at false
+        def junction(bindings, model):
+            for run, at, _ in steps:
+                value = run(bindings, model)
+                if value is decisive:
+                    return decisive
+                if type(value) is not bool:
+                    _need(value, bool, at)
+            return not decisive
+        return junction
+    if isinstance(e, E.Nav):
+        steps = []
+        while isinstance(e, E.Nav):
+            steps.append((_FEATURES.get(e.feature, {}), e))
+            e = e.target
+        target, steps = compile_expr(e), steps[::-1]
+        def navigate(bindings, model):
+            value = target(bindings, model)
+            for getters, nav in steps:
+                getter = getters.get(type(value)) or _getter(value, getters, nav)
+                value = getter(value, model, nav)
+            return value
+        return navigate
+    if isinstance(e, E.Compare):
+        lhs, rhs, ordered = compile_expr(e.lhs), compile_expr(e.rhs), e.op not in ("=", "<>")
+        test = _COMPARISONS.get(e.op) or _raising(f"unknown comparison operator '{e.op}'", loc)
+        def compare(bindings, model):
+            left, right = lhs(bindings, model), rhs(bindings, model)
+            if type(left) is not type(right) or ordered and type(left) not in (int, str):
+                label = _type_label(left)
+                if label != _type_label(right):
+                    raise EvalError(f"cannot compare {label} with {_type_label(right)}", loc)
+                if ordered and label not in ("integer", "string"):
+                    raise EvalError(f"ordering is not defined on {label} values", loc)
+            return test(left, right)
+        return compare
+    if isinstance(e, (E.Forall, E.Exists)):
+        domain, body, var = compile_expr(e.domain), compile_expr(e.body), e.var
+        universal = isinstance(e, E.Forall)  # forall fails at false, exists holds at true
+        def quantifier(bindings, model):
+            result, inner = universal, dict(bindings)
+            for item in _need(domain(bindings, model), tuple, loc):
+                inner[var] = item
+                value = body(inner, model)
+                if value is not universal:
+                    result = _need(value, bool, loc)
+            return result
+        return quantifier
+    if isinstance(e, E.Not):
+        operand = compile_expr(e.operand)
+        return lambda bindings, model: not _need(operand(bindings, model), bool, loc)
+    if isinstance(e, E.Implies):
+        lhs, rhs = compile_expr(e.lhs), compile_expr(e.rhs)
+        return lambda bindings, model: (  # implication is <= on booleans
+            _need(lhs(bindings, model), bool, loc) <= _need(rhs(bindings, model), bool, loc))
+    if not isinstance(e, E.Call):
+        return _raising(f"not an expression node: {e!r}", loc)
+    fn, runs = e.fn, list(map(compile_expr, e.args))
+    if fn in ("size", "isEmpty") and len(runs) == 1:
+        arg = runs[0]
+        if fn == "size":
+            return lambda bindings, model: len(_need(arg(bindings, model), tuple, loc))
+        return lambda bindings, model: not _need(arg(bindings, model), tuple, loc)
+    if fn == "hasStereotype" and len(runs) == 2:
+        element_of, name_of = runs
+        def has_stereotype(bindings, model):
+            verb = "hasStereotype expects"
+            element = _need(element_of(bindings, model), _ELEMENT_TYPES, loc, "an element", verb)
+            name = _need(name_of(bindings, model), str, loc, "a string", verb)
+            return name in stereotypes_of(element)
+        return has_stereotype
+    if fn == "exactlyOne" and runs:
+        def exactly_one(bindings, model):
+            count = 0
+            for run in runs:
+                count += _need(run(bindings, model), bool, loc)
+            return count == 1
+        return exactly_one
+    arity = {"size": "exactly one argument", "isEmpty": "exactly one argument",
+             "hasStereotype": "exactly two arguments", "exactlyOne": "at least one argument"}
+    message = f"{fn} takes {arity[fn]}" if fn in arity else f"unknown function '{fn}'"
+    return _raising(message, loc)
 
 
 def eval_expr(e: E.Expr, env: Env) -> Value:
     """Evaluate ``e`` under ``env``; raises ``EvalError``, never anything else."""
 
-    if isinstance(e, E.Literal):
-        return e.value
-    if isinstance(e, E.VarRef):
-        try:
-            return env.bindings[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{e.name}'", e.loc) from None
-    if isinstance(e, E.Nav):
-        return _navigate(eval_expr(e.target, env), e, env)
-    if isinstance(e, E.Call):
-        return _call(e, env)
-    if isinstance(e, E.Forall):
-        domain = _need_seq(eval_expr(e.domain, env), e)
-        result = True
-        for item in domain:
-            result = _need_bool(eval_expr(e.body, env.bound(e.var, item)), e) and result
-        return result
-    if isinstance(e, E.Exists):
-        domain = _need_seq(eval_expr(e.domain, env), e)
-        result = False
-        for item in domain:
-            result = _need_bool(eval_expr(e.body, env.bound(e.var, item)), e) or result
-        return result
-    if isinstance(e, E.And):
-        if not _need_bool(eval_expr(e.lhs, env), e):
-            return False
-        return _need_bool(eval_expr(e.rhs, env), e)
-    if isinstance(e, E.Or):
-        if _need_bool(eval_expr(e.lhs, env), e):
-            return True
-        return _need_bool(eval_expr(e.rhs, env), e)
-    if isinstance(e, E.Not):
-        return not _need_bool(eval_expr(e.operand, env), e)
-    if isinstance(e, E.Implies):
-        lhs = _need_bool(eval_expr(e.lhs, env), e)
-        rhs = _need_bool(eval_expr(e.rhs, env), e)
-        return (not lhs) or rhs
-    if isinstance(e, E.Compare):
-        return _compare(e, env)
-    if isinstance(e, E.Add):
-        return _need_int(eval_expr(e.lhs, env), e) + _need_int(eval_expr(e.rhs, env), e)
-    if isinstance(e, E.Sub):
-        return _need_int(eval_expr(e.lhs, env), e) - _need_int(eval_expr(e.rhs, env), e)
-    raise EvalError(f"not an expression node: {e!r}", getattr(e, "loc", None))
+    return compile_expr(e)(env.bindings, env.model)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +283,12 @@ def iter_scope(model: Model, metaclass: str):
         raise ValueError(f"unknown metaclass '{metaclass}'")
 
 
-def _check_one(
-    model: Model,
-    definition,
-    provenance_id: str,
-    diags: list[Diagnostic],
-) -> None:
+def _check_one(model: Model, definition, provenance_id: str,
+               diags: list[Diagnostic]) -> None:
+    holds_for = compile_expr(definition.body)
     for path, element in iter_scope(model, definition.scope):
-        env = Env({"self": element}, model)
         try:
-            holds = eval_expr(definition.body, env)
+            holds = holds_for({"self": element}, model)
         except EvalError as failure:
             diags.append(Diagnostic(
                 "error", "E202", path,

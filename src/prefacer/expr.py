@@ -141,26 +141,33 @@ Expr = (
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    """Names of unbound variable references, ``self`` included."""
+    """Names of unbound variable references, ``self`` included.
 
-    if isinstance(e, Literal):
-        return frozenset()
-    if isinstance(e, VarRef):
-        return frozenset((e.name,))
-    if isinstance(e, Nav):
-        return free_vars(e.target)
-    if isinstance(e, Call):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, (Forall, Exists)):
-        return free_vars(e.domain) | (free_vars(e.body) - {e.var})
-    if isinstance(e, Not):
-        return free_vars(e.operand)
-    if isinstance(e, (And, Or, Implies, Compare, Add, Sub)):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    raise TypeError(f"not an expression node: {e!r}")
+    One pass over an explicit stack of (node, names bound around it), so
+    a tree of any depth or chain length is walked without recursion."""
+
+    out: set[str] = set()
+    stack: list[tuple[Expr, frozenset[str]]] = [(e, frozenset())]
+    while stack:
+        e, bound = stack.pop()
+        if isinstance(e, VarRef):
+            if e.name not in bound:
+                out.add(e.name)
+        elif isinstance(e, Nav):
+            stack.append((e.target, bound))
+        elif isinstance(e, Call):
+            stack.extend((a, bound) for a in reversed(e.args))
+        elif isinstance(e, (Forall, Exists)):
+            stack.append((e.body, bound | {e.var}))
+            stack.append((e.domain, bound))
+        elif isinstance(e, Not):
+            stack.append((e.operand, bound))
+        elif isinstance(e, (And, Or, Implies, Compare, Add, Sub)):
+            stack.append((e.rhs, bound))
+            stack.append((e.lhs, bound))
+        elif not isinstance(e, Literal):
+            raise TypeError(f"not an expression node: {e!r}")
+    return frozenset(out)
 
 
 def conjoin(parts: list[Expr]) -> Expr:

@@ -458,12 +458,14 @@ class _Parser:
 
 
 @contextmanager
-def _collector_paused() -> Iterator[None]:
+def collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore the caller's state.
 
     A parse allocates its whole tree before any of it can die, so every
     collection it would trigger traverses the growing tree in vain; the
-    trees hold no cycles, so reference counting alone frees them."""
+    trees hold no cycles, so reference counting alone frees them.  A
+    caller that parses many texts in a row, like the command line reading
+    a preface directory, pauses it once around the whole loop."""
 
     enabled = gc.isenabled()
     gc.disable()
@@ -474,7 +476,7 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@_collector_paused()
+@collector_paused()
 def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     parser = _Parser(source, file)
     out = parser.expression()
@@ -584,7 +586,7 @@ def _parse_chart(p: _Parser) -> Statechart:
     return Statechart(name, attached_to, tuple(states), tuple(transitions), loc=loc)
 
 
-@_collector_paused()
+@collector_paused()
 def parse_model(source: str, file: str = "<model>") -> Model:
     """Parse one model file.  Name resolution is not attempted here; a
     structurally broken model parses fine and fails ``builtin_check``."""
@@ -713,7 +715,7 @@ _DEFINITIONS = {
 }
 
 
-@_collector_paused()
+@collector_paused()
 def parse_package(source: str, file: str = "<package>") -> Package:
     """Parse one package file: quoted id, imports first, then definitions."""
 

@@ -511,6 +511,31 @@ def format_expr_reference(e: Expr) -> str:
     return _fmt(e, _IMPLIES)
 
 
+def free_vars_reference(e: Expr) -> frozenset[str]:
+    """The recursive ``expr.free_vars`` that an explicit-stack walk
+    replaced, kept as written.  Recurses once per node of a chain, so only
+    for trees a few hundred deep."""
+
+    if isinstance(e, Literal):
+        return frozenset()
+    if isinstance(e, VarRef):
+        return frozenset((e.name,))
+    if isinstance(e, Nav):
+        return free_vars_reference(e.target)
+    if isinstance(e, Call):
+        out: frozenset[str] = frozenset()
+        for a in e.args:
+            out |= free_vars_reference(a)
+        return out
+    if isinstance(e, (Forall, Exists)):
+        return free_vars_reference(e.domain) | (free_vars_reference(e.body) - {e.var})
+    if isinstance(e, Not):
+        return free_vars_reference(e.operand)
+    if isinstance(e, (And, Or, Implies, Compare, Add, Sub)):
+        return free_vars_reference(e.lhs) | free_vars_reference(e.rhs)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 # ---------------------------------------------------------------------------
 # Statechart induction and monitors, as first written
 # ---------------------------------------------------------------------------

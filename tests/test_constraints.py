@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_model, scoped_expr
-from oracles import BruteEvalFailure, brute_eval
+from generators import random_expr, random_model, scoped_expr
+from oracles import BruteEvalFailure, brute_eval, free_vars_reference
 from prefacer import expr as E
 from prefacer.constraints import (
     Env,
     EvalError,
     check_constraints,
+    compile_expr,
     eval_expr,
     iter_scope,
 )
@@ -34,7 +35,7 @@ from prefacer.preface import (
     TransformSelection,
     resolve,
 )
-from prefacer.textio import parse_expr
+from prefacer.textio import MAX_NESTING, ParseError, parse_expr
 
 
 def ev(source: str, model: Model | None = None, **bindings):
@@ -186,6 +187,93 @@ def test_exactly_one_evaluates_every_argument():
         ev('exactlyOne(true, true, 1 = "x")')
     with pytest.raises(EvalError, match="at least one argument"):
         eval_expr(E.Call("exactlyOne", ()), Env())
+
+
+# ---------------------------------------------------------------------------
+# Chains and nesting depth
+# ---------------------------------------------------------------------------
+
+
+def test_each_chain_operand_is_checked_at_the_node_that_joins_it():
+    def failure(source):
+        with pytest.raises(EvalError) as caught:
+            ev(source, model=SAMPLE, self=SAMPLE.class_named("C"))
+        return str(caught.value), caught.value.loc.column
+
+    assert failure("1 and true and true") == ("expected a boolean, got integer", 3)
+    assert failure("true and true and 1") == ("expected a boolean, got integer", 15)
+    assert failure("false or 2 or true") == ("expected a boolean, got integer", 7)
+    assert failure('1 + 2 - "a" + 4') == ("expected an integer, got string", 7)
+    assert failure('"a" - 1 + 2') == ("expected an integer, got string", 5)
+    assert failure("self.name.name.size") == ("cannot navigate '.name' on a string", 11)
+    assert failure("self.operations.name") == (
+        "cannot navigate '.name' on a sequence", 17)
+    assert ev("1 - 2 + 3 - 4") == -2
+    assert ev("false and 1 and ghost") is False
+    assert ev("true or 1 or ghost") is True
+
+
+@pytest.mark.parametrize("term, joiner, value", [
+    ("true", " and ", True), ("false", " or ", False), ("1", " + ", 1200)])
+def test_a_twelve_hundred_term_chain_evaluates(term, joiner, value):
+    assert ev(joiner.join([term] * 1200)) == value
+
+
+def test_a_twelve_hundred_step_navigation_fails_where_a_short_one_does():
+    cls = SAMPLE.class_named("C")
+    diagnostics = []
+    for steps in (3, 1200):
+        body = parse_expr("self" + ".name" * steps, f"nav{steps}")
+        eff = eff_with(ConstraintDef("deep", "Class", "error", body))
+        out = [d for d in check_constraints(SAMPLE, eff) if d.path == cls.name]
+        diagnostics.append([(d.code, d.message, d.location.line, d.location.column)
+                            for d in out])
+    assert diagnostics[0] == diagnostics[1] == [(
+        "E202", "constraint 'deep' could not be evaluated: "
+        "cannot navigate '.name' on a string", 1, 11)]
+
+
+def _deepest(shape: str) -> str:
+    """The most deeply nested text of one shape that still parses: every
+    level holds an implies, an or, an and, a comparison, a sum and a
+    navigation around the next level, which the evaluator must reach."""
+
+    for levels in range(MAX_NESTING, 0, -1):
+        text = "self"
+        for k in range(levels):
+            text = shape.format(k=k, inner=f"false or true and 1 + {text}.name = 0 implies true")
+        try:
+            parse_expr(text)
+        except ParseError:
+            continue
+        assert levels >= MAX_NESTING - 2
+        return text
+    raise AssertionError(shape)
+
+
+@pytest.mark.parametrize("shape", [
+    "({inner})", "exactlyOne({inner})", "exists(v{k} in self.attributes | {inner})"])
+def test_the_deepest_text_that_parses_compiles_and_evaluates(shape):
+    text = _deepest(shape)
+    e = parse_expr(text)
+    run = compile_expr(e)
+    # The innermost level adds a class name to 1: a located EvalError
+    # there, not a RecursionError on the way.
+    with pytest.raises(EvalError, match="expected an integer, got string") as caught:
+        run({"self": SAMPLE.class_named("C")}, SAMPLE)
+    assert caught.value.loc.column == text.index("+ self.name") + 1
+    assert E.free_vars(e) == {"self"}
+
+
+def test_free_vars_matches_the_recursive_walk_on_random_trees():
+    rng = random.Random(77)
+    for _ in range(2000):
+        e = random_expr(rng, 4)
+        assert E.free_vars(e) == free_vars_reference(e), e
+    long = parse_expr(" or ".join(f"v{i % 7}" for i in range(1200)))
+    assert E.free_vars(long) == {f"v{i}" for i in range(7)}
+    nested = parse_expr("forall(a in a | exists(b in a.x | a and b and c)) or b")
+    assert E.free_vars(nested) == free_vars_reference(nested) == {"a", "b", "c"}
 
 
 # ---------------------------------------------------------------------------
