@@ -46,6 +46,7 @@ from .textio import (
     print_model,
     print_report,
     print_transform_report,
+    transform_report_sections,
 )
 from .transformer import TransformReport, apply_transforms
 
@@ -190,10 +191,6 @@ def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diag
     return transformed, report, diags + report.diagnostics
 
 
-_REPORT_SECTIONS = ("induced_attributes", "induced_invariants",
-                    "induced_operations", "induced_preconditions")
-
-
 def _render_transform(diags: list[Diagnostic], report: TransformReport | None,
                       format: str) -> str:
     """The diagnostics, then the report of what was induced (``None`` when
@@ -201,10 +198,9 @@ def _render_transform(diags: list[Diagnostic], report: TransformReport | None,
 
     if format == "json":
         payload: dict[str, list] = {"diagnostics": _diagnostics_payload(diags)}
-        for section in _REPORT_SECTIONS:
-            entries = getattr(report, section) if report is not None else []
-            payload[section] = [{"path": path, "description": description}
-                                for path, description in entries]
+        for title, entries in transform_report_sections(report or TransformReport()):
+            payload[title.replace(" ", "_")] = [
+                {"path": path, "description": description} for path, description in entries]
         return json.dumps(payload, indent=2) + "\n"
     text = render_diagnostics(diags)
     return text + print_transform_report(report) if report is not None else text

@@ -1,7 +1,7 @@
 """Emission of code skeletons and monitors from a transformed model.
 
 The output is a neutral line-oriented pseudo-language (keywords ``CLASS``,
-``ROUTINE``, ``GUARD``, ``TRAP``, ``RETURN``, ``SET``, ``ASSERT``) so the
+``ROUTINE``, ``GUARD``, ``TRAP``, ``RETURN``, ``ENTER``, ``ASSERT``) so the
 result reads the same whatever the eventual implementation language.  Both
 generators expect a model that already went through statechart induction:
 the skeleton guards each routine with the operation's effective
@@ -9,20 +9,27 @@ precondition and keeps the state flags up to date, the monitor restates
 the exactly-one state invariant as an executable check and scripts short
 call sequences through the chart.
 
+A state move is one line, ``ENTER <state> OF <chart>``: set ``<state>``'s
+flag, then clear the flag of every other state of ``<chart>``, in
+declaration order.  For the chart ``SC`` of states ``s1``, ``s2``, ``s3``
+on class ``C``, ``ENTER s2 OF SC`` stands for ``SET s2 := true``, ``SET
+s1 := false``, ``SET s3 := false``.  An event whose moves share a target
+enters it unguarded; one with several targets wraps each move in ``GUARD
+<source> ... END``, so the move taken is the one whose source flag holds.
+
 What happens when a guard fails is the preface's decision, not ours:
 ``statechart.unexpected_event = error`` plants a ``TRAP
 precondition_violation`` marker, ``ignore`` an early ``RETURN``.  The
 header comment records the framing and communication options verbatim so
 a reader of the generated file knows which interpretation was in force.
 Output text is a byte-deterministic function of the model and the
-effective definitions.
-"""
+effective definitions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ClassDef, Model, Operation, Statechart, Transition
+from .model import ClassDef, Model, Statechart, Transition
 from .preface import EffectiveDefinitions
 from .textio import format_expr
 from .transformer import induced_by
@@ -45,8 +52,11 @@ class SkeletonUnit:
 # ---------------------------------------------------------------------------
 
 
-def _charts_of(model: Model, cls: ClassDef) -> list[Statechart]:
-    return [sc for sc in model.statecharts if sc.attached_to == cls.name]
+def _charts_by_class(model: Model) -> dict[str, list[Statechart]]:
+    charts: dict[str, list[Statechart]] = {}
+    for sc in model.statecharts:
+        charts.setdefault(sc.attached_to, []).append(sc)
+    return charts
 
 
 def _require_transformed(cls: ClassDef, charts: list[Statechart]) -> None:
@@ -64,49 +74,26 @@ def _require_transformed(cls: ClassDef, charts: list[Statechart]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _update_lines(chart: Statechart, event: str, indent: str) -> list[str]:
-    moves = list(dict.fromkeys(
-        (t.source, t.target) for t in chart.transitions if t.event == event))
-    if not moves:
-        return []
+def _move_lines(charts: list[Statechart]) -> dict[str, list[str]]:
+    """Each event's state moves as routine body lines, chart by chart, from
+    one pass over each chart's transitions: one ``ENTER`` line when every
+    move of the event has the same target, else a guarded one per move."""
 
-    state_names = chart.state_names()
-
-    def flag_block(target: str, pad: str) -> list[str]:
-        block = [f"{pad}SET {target} := true"]
-        block.extend(
-            f"{pad}SET {name} := false" for name in state_names if name != target)
-        return block
-
-    targets = {target for _, target in moves}
-    if len(targets) == 1:
-        return flag_block(moves[0][1], indent)
-
-    # Several different targets: pick the move whose source flag holds.
-    lines: list[str] = []
-    for source, target in moves:
-        lines.append(f"{indent}GUARD {source}")
-        lines.extend(flag_block(target, indent + "  "))
-        lines.append(f"{indent}END")
-    return lines
-
-
-def _routine_lines(
-    cls: ClassDef,
-    op: Operation,
-    charts: list[Statechart],
-    on_violation: str,
-) -> list[str]:
-    params = ", ".join(f"{p.name} : {p.type_name}" for p in op.params)
-    lines = [f"  ROUTINE {op.name}({params})"]
-    pre = op.effective_pre
-    if pre is not None:
-        lines.append(f"    GUARD {format_expr(pre)} ELSE {on_violation}")
-    lines.append("    TODO body")
+    lines: dict[str, list[str]] = {}
     for chart in charts:
-        if any(t.event == op.name for t in chart.transitions):
-            lines.extend(_update_lines(chart, op.name, "    "))
-    lines.append("  END")
+        moves: dict[str, dict[tuple[str, str], None]] = {}
+        for t in chart.transitions:
+            moves.setdefault(t.event, {})[(t.source, t.target)] = None
+        for event, pairs in moves.items():
+            targets = {target for _, target in pairs}
+            block = lines.setdefault(event, [])
+            if len(targets) == 1:
+                block.append(f"    ENTER {targets.pop()} OF {chart.name}")
+                continue
+            # Several different targets: pick the move whose source flag holds.
+            for source, target in pairs:
+                block += (f"    GUARD {source}", f"      ENTER {target} OF {chart.name}",
+                          "    END")
     return lines
 
 
@@ -127,10 +114,12 @@ def generate_skeleton(model: Model, eff: EffectiveDefinitions) -> list[SkeletonU
         f"// communication.paradigm = {eff.option('communication.paradigm')}",
     ]
 
+    charts_of = _charts_by_class(model)
     units: list[SkeletonUnit] = []
     for cls in model.classes:
-        charts = _charts_of(model, cls)
+        charts = charts_of.get(cls.name, [])
         _require_transformed(cls, charts)
+        moves = _move_lines(charts)
         lines = list(header)
         lines.append(f"CLASS {cls.name}")
         for attr in cls.attributes:
@@ -139,7 +128,14 @@ def generate_skeleton(model: Model, eff: EffectiveDefinitions) -> list[SkeletonU
             else:
                 lines.append(f"  VAR {attr.name} : {attr.type_name}")
         for op in cls.operations:
-            lines.extend(_routine_lines(cls, op, charts, on_violation))
+            params = ", ".join(f"{p.name} : {p.type_name}" for p in op.params)
+            lines.append(f"  ROUTINE {op.name}({params})")
+            pre = op.effective_pre
+            if pre is not None:
+                lines.append(f"    GUARD {format_expr(pre)} ELSE {on_violation}")
+            lines.append("    TODO body")
+            lines.extend(moves.get(op.name, ()))
+            lines.append("  END")
         lines.append("END")
         units.append(SkeletonUnit(cls.name, text="\n".join(lines) + "\n"))
     return units
@@ -183,9 +179,10 @@ def generate_monitor(model: Model, eff: EffectiveDefinitions) -> list[SkeletonUn
     transition path from the initial state.
     """
 
+    charts_of = _charts_by_class(model)
     units: list[SkeletonUnit] = []
     for cls in model.classes:
-        charts = _charts_of(model, cls)
+        charts = charts_of.get(cls.name)
         if not charts:
             continue
         _require_transformed(cls, charts)

@@ -230,7 +230,7 @@ class _Parser:
 
     def fail(self, expected: str) -> ParseError:
         text = self.texts[self.pos]
-        found = repr(text[1:-1] if text[:1] == '"' else text) if text else "end of input"
+        found = repr(text) if text else "end of input"
         return ParseError(f"expected {expected}, found {found}", self.loc(self.pos))
 
     def at(self, text: str) -> bool:
@@ -1030,22 +1030,31 @@ def print_report(eff: EffectiveDefinitions) -> str:
     return "\n".join(out[:-1]) + "\n" if out else "\n"
 
 
+def transform_report_sections(report) -> list[tuple[str, list[tuple[str, str]]]]:
+    """The four sections of a ``TransformReport``: titles with ``(path,
+    description)`` entries, the induced expressions formatted here.  A
+    precondition entry holds its effective precondition when an authored
+    part was conjoined to the induced one, else ``None``."""
+
+    return [
+        ("induced attributes", report.induced_attributes),
+        ("induced invariants", [(p, format_expr(e)) for p, e in report.induced_invariants]),
+        ("induced operations", report.induced_operations),
+        ("induced preconditions", [
+            (p, format_expr(pre) if full is None
+             else f"{format_expr(pre)}; effective precondition: {format_expr(full)}")
+            for p, pre, full in report.induced_preconditions]),
+    ]
+
+
 def print_transform_report(report) -> str:
     """Render what a transformation run induced (diagnostics excluded)."""
 
     out: list[str] = []
-
-    def section(title: str, entries: list[tuple[str, str]]) -> None:
-        if not entries:
-            return
-        out.append(title)
-        for path, description in entries:
-            out.append(f"  {path}: {description}")
-
-    section("induced attributes", report.induced_attributes)
-    section("induced invariants", report.induced_invariants)
-    section("induced operations", report.induced_operations)
-    section("induced preconditions", report.induced_preconditions)
+    for title, entries in transform_report_sections(report):
+        if entries:
+            out.append(title)
+            out.extend(f"  {path}: {description}" for path, description in entries)
     if not out:
         return "nothing induced\n"
     return "\n".join(out) + "\n"

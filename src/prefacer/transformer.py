@@ -38,19 +38,19 @@ from .model import (
     member_path,
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
-from .textio import format_expr
 
 TRANSFORM_ID = STATECHART_TO_CLASS
 
 
 @dataclass
 class TransformReport:
-    """What a transformation run added, and what it had to refuse."""
+    """What a transformation run added, and what it had to refuse; its
+    expressions are formatted when rendered, by ``textio``."""
 
     induced_attributes: list[tuple[str, str]] = field(default_factory=list)
-    induced_invariants: list[tuple[str, str]] = field(default_factory=list)
+    induced_invariants: list[tuple[str, E.Expr]] = field(default_factory=list)
     induced_operations: list[tuple[str, str]] = field(default_factory=list)
-    induced_preconditions: list[tuple[str, str]] = field(default_factory=list)
+    induced_preconditions: list[tuple[str, E.Expr, E.Expr | None]] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def merge(self, other: "TransformReport") -> None:
@@ -169,7 +169,7 @@ def rule2_mutex_invariant(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, T
         kept.append(inv)
     if not found:
         kept.append(Invariant(wanted, _origin_for(chart)))
-        report.induced_invariants.append((cls.name, format_expr(wanted)))
+        report.induced_invariants.append((cls.name, wanted))
     if tuple(kept) == cls.invariants:
         return cls, report
     return replace(cls, invariants=tuple(kept)), report
@@ -290,11 +290,8 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
         wanted = E.disjoin(flags)
         new_ops[index] = replace(op, pre_induced=(wanted, _origin_for(chart)))
         changed = True
-        description = format_expr(wanted)
-        if op.pre_authored is not None:
-            description += "; effective precondition: " + format_expr(
-                new_ops[index].effective_pre)
-        report.induced_preconditions.append((member_path(cls, event), description))
+        effective = new_ops[index].effective_pre if op.pre_authored is not None else None
+        report.induced_preconditions.append((member_path(cls, event), wanted, effective))
 
     if not changed:
         return cls, report

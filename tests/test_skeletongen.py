@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from generators import random_model
 from oracles import call_sequences_reference
+from skeleton_oracle import skeleton_reference
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -22,6 +26,7 @@ from prefacer.preface import (
     OptionDef,
     Package,
     TransformSelection,
+    compose,
     resolve,
 )
 from prefacer.skeletongen import (
@@ -30,7 +35,10 @@ from prefacer.skeletongen import (
     generate_monitor,
     generate_skeleton,
 )
+from prefacer.textio import parse_model, parse_package
 from prefacer.transformer import TRANSFORM_ID, apply_transforms
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def eff_with_options(*options):
@@ -58,23 +66,17 @@ CLASS C
   ROUTINE m1()
     GUARD s1 ELSE TRAP precondition_violation
     TODO body
-    SET s2 := true
-    SET s1 := false
-    SET s3 := false
+    ENTER s2 OF SC
   END
   ROUTINE m2()
     GUARD s2 ELSE TRAP precondition_violation
     TODO body
-    SET s1 := true
-    SET s2 := false
-    SET s3 := false
+    ENTER s1 OF SC
   END
   ROUTINE m3()
     GUARD s1 or s2 ELSE TRAP precondition_violation
     TODO body
-    SET s3 := true
-    SET s1 := false
-    SET s2 := false
+    ENTER s3 OF SC
   END
 END
 """
@@ -156,12 +158,10 @@ def test_multi_target_event_guards_each_move():
             Transition("a", "b", "split"), Transition("b", "c", "split"))),
     ))
     (unit,) = generate_skeleton(transformed(model), DEFAULT_EFF)
-    body = unit.text
-    assert "    GUARD a\n      SET b := true\n" in body
-    assert "    GUARD b\n      SET c := true\n" in body
-    # Each guarded block clears the two other flags and closes with END.
-    for line in ("      SET a := false", "      SET c := false", "    END"):
-        assert line in body.splitlines()
+    assert ("    TODO body\n"
+            "    GUARD a\n      ENTER b OF SC\n    END\n"
+            "    GUARD b\n      ENTER c OF SC\n    END\n"
+            "  END\n") in unit.text
 
 
 def test_operations_without_preconditions_have_no_guard():
@@ -241,3 +241,105 @@ def test_generation_is_deterministic():
         assert generate_monitor(model, DEFAULT_EFF) == generate_monitor(model, DEFAULT_EFF)
         generated += 1
     assert generated > 20
+
+
+# ---------------------------------------------------------------------------
+# ENTER lines against the flag assignments they stand for
+# ---------------------------------------------------------------------------
+
+_ENTER = re.compile(r"( *)ENTER (\S+) OF (\S+)")
+
+
+def expand_entries(text: str, model: Model) -> str:
+    """``text`` with each ``ENTER s OF SC`` line written out as the block it
+    means: ``SET s := true``, then ``SET x := false`` for every other state
+    ``x`` of ``SC``, in declaration order, at the same indentation."""
+
+    states = {sc.name: sc.state_names() for sc in model.statecharts}
+    out = []
+    for line in text.splitlines():
+        entry = _ENTER.fullmatch(line)
+        if entry is None:
+            out.append(line)
+            continue
+        pad, target, chart = entry.groups()
+        out.append(f"{pad}SET {target} := true")
+        out.extend(f"{pad}SET {name} := false" for name in states[chart] if name != target)
+    return "\n".join(out) + "\n"
+
+
+def assert_expands_to_the_reference(model, eff) -> None:
+    got = [(u.class_name, expand_entries(u.text, model)) for u in generate_skeleton(model, eff)]
+    assert got == skeleton_reference(model, eff)
+
+
+def test_sample_skeleton_expands_to_the_flag_assignments():
+    repo = {}
+    for path in sorted((SAMPLE / "defs").glob("*.preface")):
+        pkg = parse_package(path.read_text(encoding="utf-8"), str(path))
+        repo[pkg.id] = pkg
+    eff = compose(repo, "project-p")
+    model = parse_model((SAMPLE / "example.model").read_text(encoding="utf-8"))
+    assert_expands_to_the_reference(transformed(model, eff), eff)
+
+
+def test_two_charts_on_a_class_expand_to_the_flag_assignments():
+    model = Model("m", (ClassDef("C", operations=(Operation("go"),)), ClassDef("D")), (
+        Statechart("A", "C", (State("a1", initial=True), State("a2"), State("a3")), (
+            Transition("a1", "a2", "go"), Transition("a2", "a3", "go"),
+            Transition("a1", "a2", "go"), Transition("a3", "a1", "back"))),
+        Statechart("B", "C", (State("b1", initial=True), State("b2")), (
+            Transition("b1", "b2", "go"), Transition("b2", "b2", "go"),
+            Transition("b2", "b1", "stop"))),
+    ))
+    for policy in ("error", "ignore"):
+        eff = eff_with_options(("statechart.unexpected_event", policy))
+        out = transformed(model, eff)
+        assert_expands_to_the_reference(out, eff)
+    (unit, _) = generate_skeleton(out, eff)
+    assert "    GUARD a1\n      ENTER a2 OF A\n    END\n" in unit.text
+    assert "    TODO body\n    ENTER b1 OF B\n  END\n" in unit.text
+
+
+def _own_state_names(model: Model) -> Model:
+    """``model`` with each chart's states prefixed by the chart's name, so
+    two charts on one class induce different flags instead of clashing."""
+
+    charts = []
+    for sc in model.statecharts:
+        own = {st.name: f"{sc.name}_{st.name}" for st in sc.states}
+        charts.append(replace(
+            sc, states=tuple(replace(st, name=own[st.name]) for st in sc.states),
+            transitions=tuple(replace(t, source=own[t.source], target=own[t.target])
+                              for t in sc.transitions)))
+    return replace(model, statecharts=tuple(charts))
+
+
+def test_random_skeletons_expand_to_the_flag_assignments():
+    rng = random.Random(443)
+    policies = [eff_with_options(("statechart.unexpected_event", p)) for p in ("error", "ignore")]
+    checked = two_chart_classes = 0
+    for index in range(320):
+        eff = policies[index % 2]
+        model, report = apply_transforms(_own_state_names(random_model(rng)), eff)
+        if any(d.severity == "error" for d in report.diagnostics):
+            continue  # name clash between charts; generation would refuse
+        assert_expands_to_the_reference(model, eff)
+        checked += 1
+        owners = [sc.attached_to for sc in model.statecharts]
+        two_chart_classes += len(owners) != len(set(owners))
+    assert checked >= 200
+    assert two_chart_classes >= 20
+
+
+def test_a_ring_of_six_hundred_states_has_a_linear_skeleton():
+    names = [f"s{i}" for i in range(600)]
+    model = Model("m", (ClassDef("C"),), (Statechart(
+        "SC", "C", tuple(State(n, initial=not i) for i, n in enumerate(names)),
+        tuple(Transition(n, names[(i + 1) % 600], "step") for i, n in enumerate(names))),))
+    (unit,) = generate_skeleton(transformed(model), DEFAULT_EFF)
+    lines = unit.text.splitlines()
+    # One FLAG line per state and a guarded ENTER (three lines) per move;
+    # spelling each move out as flag assignments took over 360,000 lines.
+    assert len(lines) <= len(names) + 3 * 600 + 10
+    assert lines.count("    END") == 600

@@ -97,10 +97,11 @@ def test_builtin_names_are_plain_variables_without_parens():
     assert parse_expr("size + 1") == E.Add(E.VarRef("size"), E.Literal(1))
     assert parse_expr("exactlyOne") == E.VarRef("exactlyOne")
     assert parse_expr("exactlyOne and x") == E.And(E.VarRef("exactlyOne"), E.VarRef("x"))
-    # A call is told by the next token's text with any quotes taken off.
+    # A call is told by the next token's text with any quotes taken off,
+    # but the message names the string token as it was written.
     with pytest.raises(ParseError) as failure:
         parse_expr('size "("', file="q")
-    assert str(failure.value) == "q:1:6: expected '(', found '('"
+    assert str(failure.value) == "q:1:6: expected '(', found '\"(\"'"
 
 
 def test_exactly_one_takes_one_or_more_expressions():
@@ -552,7 +553,7 @@ def test_transform_report_rendering():
     report = TransformReport()
     assert print_transform_report(report) == "nothing induced\n"
     report.induced_attributes.append(("C.s1", "s1 : Boolean"))
-    report.induced_preconditions.append(("C.m1", "s1"))
+    report.induced_preconditions.append(("C.m1", E.VarRef("s1"), None))
     assert print_transform_report(report) == (
         "induced attributes\n  C.s1: s1 : Boolean\n"
         "induced preconditions\n  C.m1: s1\n")

@@ -31,7 +31,7 @@ from prefacer.preface import (
     TransformSelection,
     resolve,
 )
-from prefacer.textio import format_expr, print_model
+from prefacer.textio import format_expr, print_model, print_transform_report
 from prefacer.transformer import (
     TRANSFORM_ID,
     TransformReport,
@@ -80,7 +80,7 @@ def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
     (inv,) = cls.invariants
     assert format_expr(inv.expr) == "exactlyOne(s1, s2, s3)"
     assert inv.origin == Origin("induced", TRANSFORM_ID, "SC")
-    assert report.induced_invariants == [("C", format_expr(inv.expr))]
+    assert report.induced_invariants == [("C", inv.expr)]
 
 
 def test_exactly_one_of_a_single_state_is_the_bare_flag():
@@ -144,7 +144,7 @@ def test_rule4_induces_source_state_preconditions(three_state_model):
     assert format_expr(ops["m3"].pre_induced[0]) == "s1 or s2"
     assert ops["m1"].pre_authored is None
     assert ops["m1"].post_authored is None  # rule 4 never touches posts
-    assert [path for path, _ in report.induced_preconditions] == [
+    assert [path for path, _, _ in report.induced_preconditions] == [
         "C.m1", "C.m2", "C.m3"]
 
 
@@ -167,9 +167,10 @@ def test_authored_precondition_is_kept_and_conjoined_in_reports():
     op = model.class_named("C").operations[0]
     assert op.pre_authored == E.VarRef("ready")
     assert format_expr(op.pre_induced[0]) == "x"
-    (path, description) = report.induced_preconditions[0]
-    assert path == "C.m1"
-    assert description == "x; effective precondition: ready and x"
+    (path, pre, effective) = report.induced_preconditions[0]
+    assert (path, pre, effective) == ("C.m1", E.VarRef("x"), op.effective_pre)
+    assert print_transform_report(report).endswith(
+        "  C.m1: x; effective precondition: ready and x\n")
 
 
 # ---------------------------------------------------------------------------
