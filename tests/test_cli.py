@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from oracles import replay_view, snapshot_view
 from prefacer import cli as cli_module
 from prefacer.cli import (
     EXIT_COMPOSITION,
@@ -18,6 +19,8 @@ from prefacer.cli import (
     main,
     run,
 )
+from prefacer.preface import resolve
+from prefacer.textio import parse_package
 
 BAD_MODEL = "model m\n  class X specializes Ghost { }\n"
 
@@ -415,6 +418,53 @@ def test_explain_json_of_an_unknown_key_is_one_document(sample_dir):
     # text mode keeps its one plain line
     assert cli(config_for(sample_dir, "explain", key="ghost"))[2] == (
         "error: 'ghost' is not defined by the preface\n")
+
+
+#: One name in all seven definition kinds.  Constants and options share one
+#: namespace, so the option overrides the constant; every other kind keeps
+#: its own.
+ONE_NAME_EVERY_KIND = """\
+package "r" {
+  const foo = 1
+  option foo = bar
+  stereotype foo on Class
+  tagdef foo : int
+  constraint foo on Class : true
+  rule foo when all = x
+  transform foo on
+}
+"""
+
+
+def test_one_name_in_every_definition_kind(tmp_path):
+    path = tmp_path / "r.preface"
+    path.write_text(ONE_NAME_EVERY_KIND)
+    unknown_option = f"error E103 {path}:3:3 r: unknown option key 'foo'\n"
+
+    code, out, err = cli(RunConfig("compose", str(tmp_path), "r"))
+    assert (code, err) == (EXIT_DIAGNOSTICS, unknown_option)
+    assert out == (
+        "packages\n  r\n\n"
+        'constants\n  foo = "bar" (r, overrides r: 1)\n\n'
+        "options\n"
+        "  aggregation.semantics = weak (default)\n"
+        "  communication.paradigm = procedure_call (default)\n"
+        "  framing.default = unconstrained (default)\n"
+        "  inheritance.multiple = allowed (default)\n"
+        "  statechart.attach_to = class (default)\n"
+        "  statechart.unexpected_event = error (default)\n\n"
+        "rules\n  foo\n    when all -> x (r)\n\n"
+        "constraints\n  foo on Class severity error (r)\n\n"
+        "stereotypes\n  foo on Class (r)\n\n"
+        "tags\n  foo : int (r)\n\n"
+        "transforms\n  foo = on (r)\n")
+
+    code, out, err = cli(RunConfig("explain", str(tmp_path), "r", key="foo"))
+    assert (code, err) == (EXIT_DIAGNOSTICS, unknown_option)
+    assert out == 'foo\n  r: 1\n  r: "bar" (winner)\n'
+
+    flattened = [parse_package(ONE_NAME_EVERY_KIND)]
+    assert snapshot_view(resolve(flattened)) == replay_view(flattened)
 
 
 def test_a_six_hundred_state_chart_goes_through_every_command(sample_dir, tmp_path, capsys):

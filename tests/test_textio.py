@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_expr, random_model, random_package
+from generators import random_expr, random_model, random_package, random_repo
 from oracles import format_expr_reference, lex_reference
+from report_oracle import report_reference
 from prefacer import expr as E
 from prefacer.constraints import Env, eval_expr
 from prefacer.model import Origin
@@ -25,6 +26,8 @@ from prefacer.preface import (
     MatchAll,
     Package,
     compose,
+    flatten_imports,
+    resolve,
 )
 from prefacer.textio import (
     MAX_NESTING,
@@ -547,6 +550,20 @@ def test_report_renders_empty_sections():
     text = print_report(compose({"solo": Package("solo")}, "solo"))
     assert "constants\n  (none)\n" in text
     assert "rules\n  (none)\n" in text
+
+
+def test_report_agrees_with_the_replay_reference():
+    sample: dict[str, Package] = {}
+    for path in sorted((SAMPLE / "defs").glob("*.preface")):
+        pkg = parse_package(path.read_text(encoding="utf-8"), str(path))
+        sample[pkg.id] = pkg
+    flattened = flatten_imports(sample, "project-p")
+    assert print_report(resolve(flattened)) == report_reference(flattened)
+    rng = random.Random(4701)
+    for _ in range(2000):
+        repo, root = random_repo(rng)
+        flattened = flatten_imports(repo, root)
+        assert print_report(resolve(flattened)) == report_reference(flattened)
 
 
 def test_transform_report_rendering():
