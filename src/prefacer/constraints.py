@@ -44,7 +44,7 @@ from .model import (
     stereotypes_of,
     transition_path,
 )
-from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
+from .preface import STATECHART_TO_CLASS, EffectiveDefinitions, lookup_scalar
 
 Value = object  # bool | int | str | element reference | tuple of Value
 
@@ -315,7 +315,7 @@ def _check_single_inheritance(model: Model, eff: EffectiveDefinitions,
                 "error", "E203", cls.name,
                 f"'{cls.name}' has {len(cls.superclasses)} superclasses but "
                 "inheritance.multiple is forbidden",
-                cls.loc, eff.scalars["inheritance.multiple"][1].package_id))
+                cls.loc, lookup_scalar(eff, "inheritance.multiple")[1].package_id))
 
 
 def _check_event_names(model: Model, diags: list[Diagnostic]) -> None:
@@ -365,7 +365,8 @@ def check_constraints(model: Model, eff: EffectiveDefinitions) -> list[Diagnosti
 
     diags: list[Diagnostic] = []
 
-    active = sorted(eff.constraints.values(), key=lambda pair: pair[1].definition_index)
+    active = sorted(eff.winners("constraint").values(),
+                    key=lambda pair: pair[1].definition_index)
     for definition, prov in active:
         _check_one(model, definition, prov.package_id, diags)
 

@@ -9,15 +9,18 @@ after everything it imports.
 
 ``flatten_imports`` turns the import graph into that total order (imports
 first, in listed order, depth first, each package emitted once, root last).
-``resolve`` then replays every definition in order into an
-``EffectiveDefinitions``: for scalar keys and registries the last
-definition wins; predicated rules stack into a chain consulted newest
-first, so a later, more specific rule shadows an older general one exactly
-like an if-then-else with the newest test on top.
+``resolve`` then replays every definition in order into one provenance
+table, ``EffectiveDefinitions.chains``: each ``(kind, key)`` holds every
+definition of that key with where it came from, oldest first.  ``KINDS``
+names the kind and the key of each definition class; constants and options
+share the ``scalar`` kind.  The newest entry of a chain wins.  A predicated
+rule chain is consulted newest first, so a later, more specific rule
+shadows an older general one exactly like an if-then-else with the newest
+test on top.
 
-Options the preface never mentions fall back to the built-in catalogue
-default, recorded with the synthetic provenance ``catalogue-default`` so
-that ``explain`` stays total over option keys.
+An option the preface never mentions gets a one-entry chain holding the
+built-in catalogue default, with the synthetic provenance
+``catalogue-default``, so that ``explain`` stays total over option keys.
 """
 
 from __future__ import annotations
@@ -146,6 +149,18 @@ Definition = (
     | PredicatedRuleDef
     | TransformSelection
 )
+
+#: Definition class -> (kind, name of its key field).  Two definitions
+#: override each other exactly when they share kind and key.
+KINDS: dict[type, tuple[str, str]] = {
+    ConstDef: ("scalar", "key"),
+    OptionDef: ("scalar", "key"),
+    StereotypeDef: ("stereotype", "name"),
+    TagDef: ("tag", "name"),
+    ConstraintDef: ("constraint", "name"),
+    PredicatedRuleDef: ("rule", "property_key"),
+    TransformSelection: ("transform", "transform_id"),
+}
 
 
 @dataclass(frozen=True)
@@ -315,87 +330,55 @@ def render_literal(value: LiteralValue) -> str:
     return f'"{value}"'
 
 
+#: Every definition of one ``(kind, key)`` with its provenance, oldest first.
+Chain = tuple[tuple[Definition, Provenance], ...]
+
+
 @dataclass(frozen=True)
 class EffectiveDefinitions:
-    """The language member a flattened preface denotes.
+    """The language member a flattened preface denotes, as one provenance
+    table.
 
-    Mappings are insertion-ordered by first definition; the stored values
-    are always the newest (winning) ones.  ``predicated`` chains are kept
-    newest first, which is the order ``resolve_predicated`` consults them
-    in.  ``scalar_history`` powers ``explain`` and the report printer.
+    ``chains`` maps each ``(kind, key)`` of ``KINDS`` to its chain, so
+    ``chain[-1]`` is the winner.  It is ordered by first definition, with
+    the catalogue defaults of unset options last.
     """
 
-    scalars: dict[str, tuple[LiteralValue, Provenance]]
-    predicated: dict[str, tuple[tuple[Predicate, str, Provenance], ...]]
-    constraints: dict[str, tuple[ConstraintDef, Provenance]]
-    stereotypes: dict[str, tuple[StereotypeDef, Provenance]]
-    tags: dict[str, tuple[TagDef, Provenance]]
-    transforms: dict[str, tuple[bool, Provenance]]
     flattened_order: tuple[str, ...]
-    scalar_history: dict[str, tuple[ChainEntry, ...]]
+    chains: dict[tuple[str, str], Chain]
+
+    def winners(self, kind: str) -> dict[str, tuple[Definition, Provenance]]:
+        """The winning definition of every key of ``kind``, by key."""
+
+        return {key: chain[-1] for (k, key), chain in self.chains.items() if k == kind}
 
     def option(self, key: str) -> str:
-        value, _ = self.scalars[key]
-        return str(value)
+        return str(self.chains["scalar", key][-1][0].value)
 
     def transform_enabled(self, transform_id: str) -> bool:
-        entry = self.transforms.get(transform_id)
-        return entry is not None and entry[0]
+        chain = self.chains.get(("transform", transform_id))
+        return chain is not None and chain[-1][0].enabled
 
 
 def resolve(flattened: list[Package]) -> EffectiveDefinitions:
-    """Replay every definition in flattened order; the newest wins.
+    """Replay every definition in flattened order onto the end of its chain,
+    then give each option nobody set its catalogue default."""
 
-    Constraints are replaced wholesale when redefined under the same name.
-    Predicated rules accumulate instead of replacing: each redefinition is
-    pushed onto the front of its property's chain.
-    """
-
-    scalars: dict[str, tuple[LiteralValue, Provenance]] = {}
-    history: dict[str, list[ChainEntry]] = {}
-    predicated: dict[str, list[tuple[Predicate, str, Provenance]]] = {}
-    constraints: dict[str, tuple[ConstraintDef, Provenance]] = {}
-    stereotypes: dict[str, tuple[StereotypeDef, Provenance]] = {}
-    tags: dict[str, tuple[TagDef, Provenance]] = {}
-    transforms: dict[str, tuple[bool, Provenance]] = {}
-
+    chains: dict[tuple[str, str], list[tuple[Definition, Provenance]]] = {}
     index = 0
     for pkg in flattened:
         for definition in pkg.definitions:
-            prov = Provenance(pkg.id, index)
+            kind, key_field = KINDS[type(definition)]
+            chains.setdefault((kind, getattr(definition, key_field)), []).append(
+                (definition, Provenance(pkg.id, index)))
             index += 1
-            if isinstance(definition, (ConstDef, OptionDef)):
-                scalars[definition.key] = (definition.value, prov)
-                history.setdefault(definition.key, []).append(
-                    ChainEntry(pkg.id, definition.value))
-            elif isinstance(definition, PredicatedRuleDef):
-                chain = predicated.setdefault(definition.property_key, [])
-                chain.insert(0, (definition.predicate, definition.value, prov))
-            elif isinstance(definition, ConstraintDef):
-                constraints[definition.name] = (definition, prov)
-            elif isinstance(definition, StereotypeDef):
-                stereotypes[definition.name] = (definition, prov)
-            elif isinstance(definition, TagDef):
-                tags[definition.name] = (definition, prov)
-            elif isinstance(definition, TransformSelection):
-                transforms[definition.transform_id] = (definition.enabled, prov)
-            else:
-                raise TypeError(f"unknown definition kind: {definition!r}")
 
     for key, entry in OPTION_CATALOGUE.items():
-        if key not in scalars:
-            scalars[key] = (entry.default, Provenance(CATALOGUE_DEFAULT, -1))
+        chains.setdefault(("scalar", key), [
+            (OptionDef(key, entry.default), Provenance(CATALOGUE_DEFAULT, -1))])
 
     return EffectiveDefinitions(
-        scalars=scalars,
-        predicated={k: tuple(v) for k, v in predicated.items()},
-        constraints=constraints,
-        stereotypes=stereotypes,
-        tags=tags,
-        transforms=transforms,
-        flattened_order=tuple(pkg.id for pkg in flattened),
-        scalar_history={k: tuple(v) for k, v in history.items()},
-    )
+        tuple(pkg.id for pkg in flattened), {k: tuple(v) for k, v in chains.items()})
 
 
 def compose(repo: PackageRepository, root_id: str) -> EffectiveDefinitions:
@@ -409,13 +392,18 @@ def compose(repo: PackageRepository, root_id: str) -> EffectiveDefinitions:
 # ---------------------------------------------------------------------------
 
 
+def _scalar_chain(eff: EffectiveDefinitions, key: str) -> Chain:
+    try:
+        return eff.chains["scalar", key]
+    except KeyError:
+        raise NotDefinedError(key) from None
+
+
 def lookup_scalar(eff: EffectiveDefinitions, key: str) -> tuple[LiteralValue, Provenance]:
     """The winning value of a constant or option key."""
 
-    try:
-        return eff.scalars[key]
-    except KeyError:
-        raise NotDefinedError(key) from None
+    definition, prov = _scalar_chain(eff, key)[-1]
+    return definition.value, prov
 
 
 def resolve_predicated(
@@ -432,10 +420,9 @@ def resolve_predicated(
     if-then-else with the newest, most specific case on top.
     """
 
-    chain = eff.predicated.get(property_key, ())
-    for predicate, value, prov in chain:
-        if _matches(predicate, subject):
-            return value, prov
+    for definition, prov in reversed(eff.chains.get(("rule", property_key), ())):
+        if _matches(definition.predicate, subject):
+            return definition.value, prov
     raise NoApplicableRuleError(property_key)
 
 
@@ -450,18 +437,11 @@ def _matches(predicate: Predicate, subject: ModelElement) -> bool:
 
 
 def explain(eff: EffectiveDefinitions, key: str) -> OverrideChain:
-    """Every definition of ``key`` in flattened order, winner last.
+    """Every definition of a constant or option key in flattened order,
+    winner last."""
 
-    Option keys nobody set explain as a single catalogue-default entry.
-    """
-
-    entries = eff.scalar_history.get(key)
-    if entries:
-        return OverrideChain(key, entries)
-    if key in OPTION_CATALOGUE:
-        return OverrideChain(
-            key, (ChainEntry(CATALOGUE_DEFAULT, OPTION_CATALOGUE[key].default),))
-    raise NotDefinedError(key)
+    return OverrideChain(key, (ChainEntry(prov.package_id, definition.value)
+                               for definition, prov in _scalar_chain(eff, key)))
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ from .model import (
 from .preface import (
     CATALOGUE_DEFAULT,
     OPTION_CATALOGUE,
-    ChainEntry,
+    Chain,
     ConstDef,
     ConstraintDef,
     Definition,
@@ -942,92 +942,54 @@ def print_package(pkg: Package) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _chain_note(entries: tuple[ChainEntry, ...]) -> str:
-    if len(entries) == 1 and entries[0].package_id == CATALOGUE_DEFAULT:
-        return "(default)"
-    winner = entries[-1]
-    if len(entries) == 1:
-        return f"({winner.package_id})"
+def _chain_note(chain: Chain) -> str:
+    *older, (_, winner) = chain
+    if not older:
+        return "(default)" if winner.package_id == CATALOGUE_DEFAULT else f"({winner.package_id})"
     overridden = ", ".join(
-        f"{entry.package_id}: {entry.render()}" for entry in entries[:-1])
+        f"{prov.package_id}: {render_literal(definition.value)}" for definition, prov in older)
     return f"({winner.package_id}, overrides {overridden})"
 
 
 def print_report(eff: EffectiveDefinitions) -> str:
     """Human-readable summary of a composed preface.
 
-    Each section is sorted by key; scalar lines show the winning value and
-    the full override chain, e.g. ``max = 8 (project-p, overrides
-    uml-core: 10)``.  Catalogue defaults are marked ``(default)``.
+    One pass over the chains, sorted by kind and key, fills the sections.
+    Scalar lines show the winning value and the full override chain, e.g.
+    ``max = 8 (project-p, overrides uml-core: 10)``; catalogue defaults are
+    marked ``(default)``.  Rules list every case, newest first.
     """
 
-    out: list[str] = []
+    sections: dict[str, list[str]] = {title: [] for title in (
+        "packages", "constants", "options", "rules", "constraints", "stereotypes",
+        "tags", "transforms")}
+    sections["packages"] = [f"  {pkg_id}" for pkg_id in eff.flattened_order]
+    for kind, key in sorted(eff.chains):
+        chain = eff.chains[kind, key]
+        definition, prov = chain[-1]
+        source = f"({prov.package_id})"
+        if kind == "scalar" and key in OPTION_CATALOGUE:
+            sections["options"].append(f"  {key} = {definition.value} {_chain_note(chain)}")
+        elif kind == "scalar":
+            sections["constants"].append(
+                f"  {key} = {render_literal(definition.value)} {_chain_note(chain)}")
+        elif kind == "rule":
+            sections["rules"].append(f"  {key}")
+            sections["rules"].extend(
+                f"    when {_print_predicate(d.predicate)} -> {d.value} ({p.package_id})"
+                for d, p in reversed(chain))
+        elif kind == "constraint":
+            sections["constraints"].append(
+                f"  {key} on {definition.scope} severity {definition.severity} {source}")
+        elif kind == "transform":
+            sections["transforms"].append(
+                f"  {key} = {'on' if definition.enabled else 'off'} {source}")
+        else:  # a stereotype or tag: its definition line without the keyword
+            sections[kind + "s"].append(
+                "  " + _print_definition(definition).split(" ", 1)[1] + f" {source}")
 
-    def section(title: str, lines: list[str]) -> None:
-        out.append(title)
-        out.extend(lines if lines else ["  (none)"])
-        out.append("")
-
-    section("packages", [f"  {pkg_id}" for pkg_id in eff.flattened_order])
-
-    constants = []
-    for key in sorted(k for k in eff.scalars if k not in OPTION_CATALOGUE):
-        value, _ = eff.scalars[key]
-        constants.append(
-            f"  {key} = {render_literal(value)} "
-            + _chain_note(eff.scalar_history[key]))
-    section("constants", constants)
-
-    options = []
-    for key in sorted(k for k in eff.scalars if k in OPTION_CATALOGUE):
-        value, prov = eff.scalars[key]
-        if prov.package_id == CATALOGUE_DEFAULT:
-            options.append(f"  {key} = {value} (default)")
-        else:
-            options.append(
-                f"  {key} = {value} " + _chain_note(eff.scalar_history[key]))
-    section("options", options)
-
-    rules = []
-    for key in sorted(eff.predicated):
-        rules.append(f"  {key}")
-        for predicate, value, prov in eff.predicated[key]:
-            rules.append(
-                f"    when {_print_predicate(predicate)} -> {value} ({prov.package_id})")
-    section("rules", rules)
-
-    constraint_lines = []
-    for name in sorted(eff.constraints):
-        definition, prov = eff.constraints[name]
-        constraint_lines.append(
-            f"  {name} on {definition.scope} severity {definition.severity} "
-            f"({prov.package_id})")
-    section("constraints", constraint_lines)
-
-    stereotype_lines = []
-    for name in sorted(eff.stereotypes):
-        definition, prov = eff.stereotypes[name]
-        line = f"  {name} on {definition.base}"
-        if definition.required_tags:
-            line += " requires " + ", ".join(definition.required_tags)
-        stereotype_lines.append(line + f" ({prov.package_id})")
-    section("stereotypes", stereotype_lines)
-
-    tag_lines = []
-    for name in sorted(eff.tags):
-        definition, prov = eff.tags[name]
-        tag_lines.append(f"  {name} : {definition.value_type} ({prov.package_id})")
-    section("tags", tag_lines)
-
-    transform_lines = []
-    for transform_id in sorted(eff.transforms):
-        enabled, prov = eff.transforms[transform_id]
-        transform_lines.append(
-            f"  {transform_id} = " + ("on" if enabled else "off")
-            + f" ({prov.package_id})")
-    section("transforms", transform_lines)
-
-    return "\n".join(out[:-1]) + "\n" if out else "\n"
+    return "\n\n".join(title + "".join("\n" + line for line in lines or ["  (none)"])
+                       for title, lines in sections.items()) + "\n"
 
 
 def transform_report_sections(report) -> list[tuple[str, list[tuple[str, str]]]]:

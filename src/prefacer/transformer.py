@@ -39,8 +39,6 @@ from .model import (
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
 
-TRANSFORM_ID = STATECHART_TO_CLASS
-
 
 @dataclass
 class TransformReport:
@@ -62,7 +60,7 @@ class TransformReport:
 
 
 def _origin_for(chart: Statechart) -> Origin:
-    return Origin("induced", TRANSFORM_ID, chart.name)
+    return Origin("induced", STATECHART_TO_CLASS, chart.name)
 
 
 def induced_by(origin: Origin, chart: Statechart) -> bool:
@@ -70,7 +68,7 @@ def induced_by(origin: Origin, chart: Statechart) -> bool:
     this transform: the one test every consumer of induced output uses."""
 
     return (origin.kind == "induced"
-            and origin.rule_id == TRANSFORM_ID
+            and origin.rule_id == STATECHART_TO_CLASS
             and origin.chart_name == chart.name)
 
 
@@ -318,7 +316,7 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
     """
 
     report = TransformReport()
-    if not eff.transform_enabled(TRANSFORM_ID):
+    if not eff.transform_enabled(STATECHART_TO_CLASS):
         return model, report
     if eff.option("statechart.attach_to") == "method":
         for chart in model.statecharts:

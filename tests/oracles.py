@@ -150,32 +150,24 @@ def replay_view(flattened: list[Package]) -> dict:
 def snapshot_view(eff) -> dict:
     """The same index-free snapshot, taken from an ``EffectiveDefinitions``."""
 
+    def winners(kind: str, *fields: str) -> dict:
+        return {key: tuple(getattr(d, f) for f in fields) + (prov.package_id,)
+                for key, (d, prov) in eff.winners(kind).items()}
+
+    def chains(kind: str) -> dict:
+        return {key: chain for (k, key), chain in eff.chains.items() if k == kind}
+
+    history = {key: tuple((p.package_id, d.value) for d, p in chain if p.definition_index >= 0)
+               for key, chain in chains("scalar").items()}
     return {
-        "scalars": {k: (v, p.package_id) for k, (v, p) in eff.scalars.items()},
-        "history": {
-            k: tuple((e.package_id, e.value) for e in entries)
-            for k, entries in eff.scalar_history.items()
-        },
-        "rules": {
-            k: tuple((pred, value, prov.package_id) for pred, value, prov in chain)
-            for k, chain in eff.predicated.items()
-        },
-        "constraints": {
-            name: (d.scope, d.severity, d.body, prov.package_id)
-            for name, (d, prov) in eff.constraints.items()
-        },
-        "stereotypes": {
-            name: (d.base, d.required_tags, prov.package_id)
-            for name, (d, prov) in eff.stereotypes.items()
-        },
-        "tags": {
-            name: (d.value_type, prov.package_id)
-            for name, (d, prov) in eff.tags.items()
-        },
-        "transforms": {
-            tid: (enabled, prov.package_id)
-            for tid, (enabled, prov) in eff.transforms.items()
-        },
+        "scalars": winners("scalar", "value"),
+        "history": {key: entries for key, entries in history.items() if entries},
+        "rules": {key: tuple((d.predicate, d.value, p.package_id) for d, p in reversed(chain))
+                  for key, chain in chains("rule").items()},
+        "constraints": winners("constraint", "scope", "severity", "body"),
+        "stereotypes": winners("stereotype", "base", "required_tags"),
+        "tags": winners("tag", "value_type"),
+        "transforms": winners("transform", "enabled"),
     }
 
 

@@ -179,10 +179,11 @@ def test_criterion_5_composition_agrees_with_replay_oracle():
                 continue
             swapped = order[:i] + [order[i + 1], order[i]] + order[i + 2:]
             other = resolve(swapped)
-            assert other.scalars.keys() == eff.scalars.keys()
-            for key, (value, provenance) in eff.scalars.items():
-                other_value, other_provenance = other.scalars[key]
-                assert other_value == value, key
+            scalars, other_scalars = eff.winners("scalar"), other.winners("scalar")
+            assert other_scalars.keys() == scalars.keys()
+            for key, (definition, provenance) in scalars.items():
+                other_definition, other_provenance = other_scalars[key]
+                assert other_definition.value == definition.value, key
                 assert other_provenance.package_id == provenance.package_id, key
             swaps += 1
             break

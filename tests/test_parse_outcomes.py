@@ -26,7 +26,13 @@ from pathlib import Path
 
 from generators import random_expr, random_model, random_package
 from prefacer.model import Invariant
-from prefacer.preface import ConstraintDef, Package, TransformSelection, resolve
+from prefacer.preface import (
+    STATECHART_TO_CLASS,
+    ConstraintDef,
+    Package,
+    TransformSelection,
+    resolve,
+)
 from prefacer.textio import (
     ParseError,
     format_expr,
@@ -36,7 +42,7 @@ from prefacer.textio import (
     print_model,
     print_package,
 )
-from prefacer.transformer import TRANSFORM_ID, apply_transforms
+from prefacer.transformer import apply_transforms
 from test_textio import EVERY_DEFINITION_PACKAGE, EVERY_NODE_MODEL, _located_nodes
 
 SNAPSHOT = Path(__file__).parent / "parse_outcomes.json"
@@ -52,7 +58,7 @@ _PIECE = re.compile(r'//[^\n]*|"[^"\n]*"|->|<<|>>|<>|<=|>=|\w+|\S')
 #: grammar knows but not there, and blanks.
 _STRAY = ("?", "@", "#", "!", "é", "²", '"', "\t", "{", ")", ",", "-", "\n")
 
-_ENABLED = resolve([Package("t", (), (TransformSelection(TRANSFORM_ID, True),))])
+_ENABLED = resolve([Package("t", (), (TransformSelection(STATECHART_TO_CLASS, True),))])
 
 
 def _mutate(text: str, kind: str, rng: random.Random) -> str:

@@ -169,7 +169,7 @@ def test_constraints_are_replaced_wholesale_by_name():
     first = ConstraintDef("named", "Class", "error", Literal(True))
     second = ConstraintDef("named", "Operation", "warning", Literal(False))
     eff = resolve([Package("a", (), (first,)), Package("b", (), (second,))])
-    definition, prov = eff.constraints["named"]
+    definition, prov = eff.winners("constraint")["named"]
     assert definition is second
     assert prov.package_id == "b"
 
@@ -187,8 +187,8 @@ def test_registries_keep_the_newest_definition():
             TransformSelection("statechart-to-class", False),
         )),
     ])
-    assert eff.stereotypes["event"][0].base == "Operation"
-    assert eff.tags["owner"][0].value_type == "int"
+    assert eff.winners("stereotype")["event"][0].base == "Operation"
+    assert eff.winners("tag")["owner"][0].value_type == "int"
     assert eff.transform_enabled("statechart-to-class") is False
 
 
@@ -381,7 +381,7 @@ def test_stereotype_base_change_names_the_definition_that_wins():
         "b": Package("b", (), (StereotypeDef("ev", "Attribute"),)),
         "r": Package("r", ("b", "a")),
     }
-    assert compose(repo, "r").stereotypes["ev"][0].base == "Class"
+    assert compose(repo, "r").winners("stereotype")["ev"][0].base == "Class"
     out = validate_preface(repo, "r")
     assert [(d.code, d.path, d.message) for d in out] == [(
         "W102", "a",

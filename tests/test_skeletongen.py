@@ -23,6 +23,7 @@ from prefacer.model import (
     Transition,
 )
 from prefacer.preface import (
+    STATECHART_TO_CLASS,
     OptionDef,
     Package,
     TransformSelection,
@@ -36,13 +37,13 @@ from prefacer.skeletongen import (
     generate_skeleton,
 )
 from prefacer.textio import parse_model, parse_package
-from prefacer.transformer import TRANSFORM_ID, apply_transforms
+from prefacer.transformer import apply_transforms
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def eff_with_options(*options):
-    defs = (TransformSelection(TRANSFORM_ID, True),) + tuple(
+    defs = (TransformSelection(STATECHART_TO_CLASS, True),) + tuple(
         OptionDef(k, v) for k, v in options)
     return resolve([Package("t", (), defs)])
 

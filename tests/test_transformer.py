@@ -26,6 +26,7 @@ from prefacer.model import (
     Transition,
 )
 from prefacer.preface import (
+    STATECHART_TO_CLASS,
     OptionDef,
     Package,
     TransformSelection,
@@ -33,7 +34,6 @@ from prefacer.preface import (
 )
 from prefacer.textio import format_expr, print_model, print_transform_report
 from prefacer.transformer import (
-    TRANSFORM_ID,
     TransformReport,
     apply_transforms,
     chart_events,
@@ -44,7 +44,7 @@ from prefacer.transformer import (
     rule4_preconditions,
 )
 
-ENABLED = resolve([Package("t", (), (TransformSelection(TRANSFORM_ID, True),))])
+ENABLED = resolve([Package("t", (), (TransformSelection(STATECHART_TO_CLASS, True),))])
 DISABLED = resolve([Package("t", (), ())])
 
 
@@ -67,7 +67,7 @@ def test_rule1_adds_one_boolean_flag_per_state(three_state_model):
     assert [(a.name, a.type_name) for a in cls.attributes] == [
         ("s1", "Boolean"), ("s2", "Boolean"), ("s3", "Boolean")]
     for a in cls.attributes:
-        assert a.origin == Origin("induced", TRANSFORM_ID, "SC")
+        assert a.origin == Origin("induced", STATECHART_TO_CLASS, "SC")
     assert [path for path, _ in report.induced_attributes] == [
         "C.s1", "C.s2", "C.s3"]
     assert report.diagnostics == []
@@ -79,7 +79,7 @@ def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
     cls, report = rule2_mutex_invariant(cls, chart)
     (inv,) = cls.invariants
     assert format_expr(inv.expr) == "exactlyOne(s1, s2, s3)"
-    assert inv.origin == Origin("induced", TRANSFORM_ID, "SC")
+    assert inv.origin == Origin("induced", STATECHART_TO_CLASS, "SC")
     assert report.induced_invariants == [("C", inv.expr)]
 
 
@@ -131,7 +131,7 @@ def test_rule3_binds_existing_operations_and_invents_missing_ones():
     ops = out.operations
     assert [op.name for op in ops] == ["m1", "ping"]
     assert ops[0].origin.kind == "authored"
-    assert ops[1].origin == Origin("induced", TRANSFORM_ID, "SC")
+    assert ops[1].origin == Origin("induced", STATECHART_TO_CLASS, "SC")
     assert [d.code for d in report.diagnostics] == ["I301"]
     assert report.induced_operations == [("C.ping", "ping()")]
 
@@ -317,7 +317,7 @@ def test_disabled_transform_is_the_identity(three_state_model):
 
 def test_method_attachment_skips_charts_with_a_warning(three_state_model):
     eff = resolve([Package("t", (), (
-        TransformSelection(TRANSFORM_ID, True),
+        TransformSelection(STATECHART_TO_CLASS, True),
         OptionDef("statechart.attach_to", "method"),
     ))])
     model, report = apply_transforms(three_state_model, eff)
