@@ -6,6 +6,18 @@ checks a model, ``transform`` applies statechart induction and prints the
 transformed model, ``explain`` shows a key's override chain, ``skeleton``
 writes skeleton and monitor files.
 
+A preface directory is a library: it may hold many prefaces, and a
+preface is a root package together with everything it imports.  The
+command decides how much of the directory is read.  ``compose``, the
+preface author's command, parses every ``.preface`` file and checks every
+package.  The model commands (``validate``, ``transform``, ``explain`` and
+``skeleton``) read each file only up to its imports, walk the imports from
+the root and parse in full only the packages it reaches.  So the preface
+checks (E101–E106, E109, E110, W101) judge the root's own preface, and a
+package the root does not reach stops the run only when its id or
+imports do not read.  Both loads report a package id that two files
+define (E108).
+
 Exit codes: 0 success (warnings allowed), 1 error diagnostics, 2 parse or
 usage failure (an input file that cannot be read or is not UTF-8 is one
 ``error: <path>: ...`` line), 3 composition failure (import cycle, unknown
@@ -33,6 +45,7 @@ from .preface import (
     EffectiveDefinitions,
     NotDefinedError,
     PackageRepository,
+    _walk_imports,
     compose,
     explain,
     validate_preface,
@@ -46,6 +59,7 @@ from .textio import (
     print_model,
     print_report,
     print_transform_report,
+    read_package_header,
     transform_report_sections,
 )
 from .transformer import TransformReport, apply_transforms
@@ -126,8 +140,18 @@ def _read_text(path: Path) -> str:
 
 
 @collector_paused()  # once for the whole directory, not once per file
-def _load_repository(preface_dir: str, stderr: IO[str],
-                     diags: list[Diagnostic]) -> PackageRepository | None:
+def _load_repository(preface_dir: str, stderr: IO[str], diags: list[Diagnostic],
+                     root_id: str | None = None) -> PackageRepository | None:
+    """The packages of ``preface_dir``: every one, or with ``root_id`` the
+    ones that root reaches, each from the last file (in sorted order) that
+    defines its id.
+
+    Every file is read, in full or up to its imports, so a second file
+    defining an id is E108 in both loads.  The closure is walked over
+    those headers and only the files it reaches are parsed in full, in
+    sorted order; the repository keeps the order in which the files first
+    defined each id."""
+
     directory = Path(preface_dir)
     if not directory.is_dir():
         stderr.write(f"error: '{preface_dir}' is not a directory\n")
@@ -136,15 +160,24 @@ def _load_repository(preface_dir: str, stderr: IO[str],
     if not files:
         stderr.write(f"error: no .preface files in '{preface_dir}'\n")
         return None
+    read = parse_package if root_id is None else read_package_header
     repo: PackageRepository = {}
+    sources: dict[str, tuple[str, str]] = {}  # id -> its file's path and text
     for path in files:
-        pkg = parse_package(_read_text(path), str(path))
+        text = _read_text(path)
+        pkg = read(text, str(path))
         if pkg.id in repo:
             diags.append(Diagnostic(
                 "error", "E108", pkg.id,
                 f"package '{pkg.id}' is defined by more than one file", pkg.loc))
         repo[pkg.id] = pkg
-    return repo
+        sources[pkg.id] = str(path), text
+    if root_id is None:
+        return repo
+    walk = _walk_imports(repo, (root_id,)) if root_id in repo else ()
+    reached = sorted(sources[pkg_id] for event, pkg_id, _ in walk if event == "done")
+    parsed = {pkg.id: pkg for pkg in (parse_package(text, path) for path, text in reached)}
+    return {pkg_id: parsed[pkg_id] for pkg_id in repo if pkg_id in parsed}
 
 
 def _read_model(config: RunConfig) -> Model:
@@ -294,7 +327,9 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
 def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
     diags: list[Diagnostic] = []
     try:
-        repo = _load_repository(config.preface_dir, stderr, diags)
+        # compose, the preface author's command, reads the whole directory
+        root = None if config.command == "compose" else config.root_package
+        repo = _load_repository(config.preface_dir, stderr, diags, root)
     except ParseError as failure:
         stderr.write(f"parse error: {failure}\n")
         return EXIT_USAGE

@@ -21,6 +21,8 @@ test on top.
 An option the preface never mentions gets a one-entry chain holding the
 built-in catalogue default, with the synthetic provenance
 ``catalogue-default``, so that ``explain`` stays total over option keys.
+That id is reserved: ``validate_preface`` reports a package that takes
+it (E110).
 """
 
 from __future__ import annotations
@@ -466,9 +468,10 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
     """Repository-wide hygiene checks, reported as diagnostics.
 
     Composition itself raises (see ``flatten_imports``); this reports the
-    same problems, plus the ones composition tolerates: unknown option
-    keys or values, duplicate stereotype or tag definitions inside one
-    package, and predicated rules whose stereotype test nothing declares.
+    same problems, plus the ones composition tolerates: a package that
+    takes the reserved id ``catalogue-default``, unknown option keys or
+    values, duplicate stereotype or tag definitions inside one package,
+    and predicated rules whose stereotype test nothing declares.
     """
 
     diags: list[Diagnostic] = []
@@ -479,6 +482,10 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
             f"root package '{root_id}' is not in the repository"))
 
     for pkg in repo.values():
+        if pkg.id == CATALOGUE_DEFAULT:
+            diags.append(Diagnostic(
+                "error", "E110", pkg.id,
+                f"package id '{CATALOGUE_DEFAULT}' is reserved", pkg.loc))
         for imported in pkg.imports:
             if imported not in repo:
                 diags.append(Diagnostic(

@@ -32,6 +32,10 @@ Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
 located ``ParseError``, so no text makes a parser (or the evaluator, on
 what a parser built) exhaust the interpreter's recursion limit.
 
+``read_package_header`` reads a package file only as far as its last
+import, matching ``_SCAN`` one token at a time, and hands any text whose
+header is broken to ``parse_package`` for the error.
+
 ``parse_expr``, ``parse_model`` and ``parse_package`` pause the cyclic
 garbage collector while they build their tree and then restore the
 caller's setting.  That is safe because a parse only allocates and its
@@ -175,13 +179,18 @@ def _refuse(source: str, file: str, parts: list[str | None]) -> None:
     """Raise the error for the first character no token accepts."""
 
     index = 4 * next(i for i, refused in enumerate(parts[3::4]) if refused) + 3
-    offset = sum(map(len, filter(None, parts[:index])))
-    line_start = source.rfind("\n", 0, offset) + 1
-    loc = SourceLocation(file, source.count("\n", 0, offset) + 1, offset - line_start + 1)
     refused = parts[index]
     raise ParseError(
         "unterminated string" if refused == '"' else f"unexpected character {refused!r}",
-        loc)
+        _location(source, file, sum(map(len, filter(None, parts[:index])))))
+
+
+def _location(source: str, file: str, offset: int) -> SourceLocation:
+    """Where ``offset`` sits in ``source``, for a parse that keeps no
+    line starts."""
+
+    line_start = source.rfind("\n", 0, offset) + 1
+    return SourceLocation(file, source.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +750,31 @@ def parse_package(source: str, file: str = "<package>") -> Package:
         definitions.append(parse(p, p.loc(index)))
     p.expect_eof()
     return Package(pkg_id, tuple(imports), tuple(definitions), loc=loc)
+
+
+def read_package_header(source: str, file: str = "<package>") -> Package:
+    """The id, imports and location of a package file, as a ``Package``
+    without definitions, read no further than its last import.
+
+    Text that does not start like a package (``package``, a quoted id,
+    ``{``, then ``import`` and a quoted id any number of times) goes to
+    ``parse_package``, so a broken header fails with the same
+    ``ParseError``; whatever follows the imports is not read."""
+
+    head = _SCAN.match(source)
+    # The token texts after ``package``; a refused character or the end of
+    # input reads as "", which no step of the header accepts.
+    texts = (found[2] or "" for found in _SCAN.finditer(source, head.end()))
+    pkg_id = next(texts, "") if head[2] == "package" else ""
+    if pkg_id[:1] != '"' or next(texts, "") != "{":
+        return parse_package(source, file)
+    imports: list[str] = []
+    while next(texts, "") == "import":
+        imported = next(texts, "")
+        if imported[:1] != '"':
+            return parse_package(source, file)
+        imports.append(imported[1:-1])
+    return Package(pkg_id[1:-1], tuple(imports), loc=_location(source, file, head.start(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,98 @@ def test_reading_a_preface_directory_pauses_the_collector_once(tmp_path):
     assert (len(repo), len(started) <= 1, gc.isenabled()) == (100, True, True)
 
 
+# ---------------------------------------------------------------------------
+# Which packages a command reads: the model commands the root's closure,
+# compose the whole directory
+# ---------------------------------------------------------------------------
+
+ONE_CLASS_MODEL = "model m\n  class C { }\n"
+
+
+def _closure_dir(tmp_path, packages: dict[str, str]):
+    """``name.preface`` files from ``packages``, and a one-class model."""
+
+    preface_dir = tmp_path / "defs"
+    preface_dir.mkdir()
+    for name, text in packages.items():
+        (preface_dir / f"{name}.preface").write_text(text)
+    model_path = tmp_path / "m.model"
+    model_path.write_text(ONE_CLASS_MODEL)
+    return preface_dir, model_path
+
+
+def _broken_unreached(tmp_path):
+    preface_dir, model_path = _closure_dir(tmp_path, {
+        "a-broken": 'package "broken" {\n  const = 1\n}\n',
+        "r": 'package "r" {\n  const max = 3\n}\n'})
+    broken = preface_dir / "a-broken.preface"
+    parse_failure = f"parse error: {broken}:2:9: expected a constant name, found '='\n"
+    return preface_dir, model_path, parse_failure
+
+
+def test_an_unreached_package_that_fails_to_parse_is_not_read(tmp_path):
+    preface_dir, model_path, parse_failure = _broken_unreached(tmp_path)
+    code, out, err = cli(RunConfig("validate", str(preface_dir), "r", str(model_path)))
+    assert (code, out, err) == (EXIT_OK, "0 errors, 0 warnings\n", "")
+    code, out, err = cli(RunConfig("explain", str(preface_dir), "r", key="max"))
+    assert (code, out, err) == (EXIT_OK, "max\n  r: 3 (winner)\n", "")
+    # Reached, the same package stops the model commands too.
+    code, out, err = cli(RunConfig("validate", str(preface_dir), "broken", str(model_path)))
+    assert (code, out, err) == (EXIT_USAGE, "", parse_failure)
+
+
+def test_compose_still_reads_an_unreached_package_that_fails_to_parse(tmp_path):
+    preface_dir, _, parse_failure = _broken_unreached(tmp_path)
+    code, out, err = cli(RunConfig("compose", str(preface_dir), "r"))
+    assert (code, out, err) == (EXIT_USAGE, "", parse_failure)
+
+
+def _stereotype_unreached(tmp_path):
+    return _closure_dir(tmp_path, {
+        "r": 'package "r" {\n  rule persistence when stereotype(ghost) = transient\n}\n',
+        "u": 'package "u" {\n  stereotype ghost on Class\n}\n'})
+
+
+def test_a_stereotype_only_an_unreached_package_declares_does_not_silence_w101(tmp_path):
+    preface_dir, model_path = _stereotype_unreached(tmp_path)
+    w101 = (f"warning W101 {preface_dir / 'r.preface'}:2:3 r: rule for 'persistence' "
+            "tests stereotype 'ghost', which no package declares\n")
+    code, out, err = cli(RunConfig("validate", str(preface_dir), "r", str(model_path)))
+    assert (code, out, err) == (EXIT_OK, "0 errors, 1 warnings\n", w101)
+
+
+def test_compose_counts_a_stereotype_an_unreached_package_declares(tmp_path):
+    preface_dir, _ = _stereotype_unreached(tmp_path)
+    code, _, err = cli(RunConfig("compose", str(preface_dir), "r"))
+    assert (code, err) == (EXIT_OK, "")
+
+
+def test_a_duplicate_package_file_is_reported_by_validate(tmp_path):
+    preface_dir, model_path = _closure_dir(tmp_path, {
+        "r": 'package "r" { }\n',
+        "u1": 'package "u" {\n  const max = 1\n}\n',
+        "u2": '// the same id again\npackage "u" {\n  const max = 2\n}\n'})
+    e108 = (f"error E108 {preface_dir / 'u2.preface'}:2:1 u: package 'u' is defined "
+            "by more than one file\n")
+
+    for command in ("validate", "compose"):
+        code, _, err = cli(RunConfig(command, str(preface_dir), "r", str(model_path)))
+        assert (code, err) == (EXIT_DIAGNOSTICS, e108), command
+
+
+def test_the_catalogue_default_id_is_reserved(tmp_path):
+    preface_dir, model_path = _closure_dir(tmp_path, {
+        "c": 'package "catalogue-default" {\n  option framing.default = unconstrained\n}\n',
+        "r": 'package "r" {\n  import "catalogue-default"\n}\n'})
+    e110 = (f"error E110 {preface_dir / 'c.preface'}:1:1 catalogue-default: "
+            "package id 'catalogue-default' is reserved\n")
+
+    code, _, err = cli(RunConfig("compose", str(preface_dir), "r"))
+    assert (code, err) == (EXIT_DIAGNOSTICS, e110)
+    code, out, err = cli(RunConfig("validate", str(preface_dir), "r", str(model_path)))
+    assert (code, out, err) == (EXIT_DIAGNOSTICS, "1 errors, 0 warnings\n", e110)
+
+
 def test_a_thousand_package_chain_composes(tmp_path):
     # "p0000" imports "p0001" ... imports "p0999"; the root file sorts first.
     for i in range(1000):

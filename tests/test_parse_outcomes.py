@@ -21,6 +21,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from prefacer.textio import (
     parse_package,
     print_model,
     print_package,
+    read_package_header,
 )
 from prefacer.transformer import apply_transforms
 from test_textio import EVERY_DEFINITION_PACKAGE, EVERY_NODE_MODEL, _located_nodes
@@ -178,6 +180,73 @@ def test_parse_outcomes_match_the_snapshot():
         errors += "error" in outcome
     # both kinds of outcome are well represented
     assert 50 < errors < len(snapshot) - 50, errors
+
+
+def _header_texts() -> list[tuple[str, str]]:
+    """``(name, text)``: generated packages with one mutation in the part
+    up to their last import, so that headers break in every way."""
+
+    rng = random.Random(12)
+    out = []
+    for i in range(300):
+        pkg = random_package(rng)
+        text = ("// a leading comment\n" if rng.random() < 0.3 else "") + print_package(pkg)
+        # The header ends with the line of the last import, or with "{".
+        cut = text.index("\n", text.rfind("import")) + 1 if pkg.imports else text.index("{") + 1
+        mutation = MUTATIONS[i % len(MUTATIONS)]
+        out.append((f"header-{i}", _mutate(text[:cut], mutation, rng) + text[cut:]))
+    return out
+
+
+def _offset(text: str, line: int, column: int) -> int:
+    starts = [0, *(i + 1 for i, c in enumerate(text) if c == "\n")]
+    return starts[line - 1] + column - 1
+
+
+def _header_end(text: str, imports: int) -> int:
+    """Where the header ends, by the rough splitter: past ``package``, the
+    id, ``{`` and each ``import`` and its id."""
+
+    pieces = [m for m in _PIECE.finditer(text) if not m.group().startswith("//")]
+    return pieces[2 + 2 * imports].end()
+
+
+def _header_cases(texts: list[tuple[str, str]]) -> Counter:
+    """Check ``read_package_header`` against ``parse_package`` on each text;
+    count the texts that parse, those whose header fails and those that
+    fail only after their imports."""
+
+    cases: Counter = Counter()
+    for name, text in texts:
+        try:
+            full = parse_package(text, name)
+        except ParseError as failure:
+            full = failure
+        try:
+            header = read_package_header(text, name)
+        except ParseError as failure:
+            assert (type(failure), str(failure)) == (type(full), str(full)), name
+            assert failure.loc == full.loc, name
+            cases["header fails"] += 1
+            continue
+        if isinstance(full, ParseError):
+            assert _offset(text, full.loc.line, full.loc.column) >= \
+                _header_end(text, len(header.imports)), name
+            cases["body fails"] += 1
+            continue
+        assert (header.id, header.imports, header.definitions, header.loc) == \
+            (full.id, full.imports, (), full.loc), name
+        cases["parses"] += 1
+    return cases
+
+
+def test_the_header_reader_agrees_with_the_parser():
+    snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    pinned = [(e["name"], e["text"]) for e in snapshot if e["parser"] == "package"]
+    assert pinned == [(name, text) for name, kind, text in _inputs() if kind == "package"]
+    assert _header_cases(pinned) == {"parses": 38, "header fails": 22, "body fails": 112}
+    cases = _header_cases(_header_texts())
+    assert min(cases.values()) > 30 and len(cases) == 3, cases
 
 
 def _write_snapshot() -> None:
