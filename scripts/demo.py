@@ -16,7 +16,7 @@ from pathlib import Path
 
 from prefacer.constraints import check_constraints
 from prefacer.model import builtin_check
-from prefacer.preface import compose, explain, lookup_scalar
+from prefacer.preface import compose, explain, lookup_scalar, render_literal
 from prefacer.skeletongen import generate_monitor, generate_skeleton
 from prefacer.textio import (
     parse_model,
@@ -45,10 +45,9 @@ def main() -> int:
     print(print_report(eff), end="")
 
     banner("explain max")
-    chain = explain(eff, "max")
+    for definition, prov in explain(eff, "max"):
+        print(f"  {prov.package_id}: {render_literal(definition.value)}")
     value, provenance = lookup_scalar(eff, "max")
-    for entry in chain.entries:
-        print(f"  {entry.package_id}: {entry.render()}")
     print(f"  -> {value} wins, defined by {provenance.package_id}")
 
     banner("validate")

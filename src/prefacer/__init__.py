@@ -25,7 +25,6 @@ from .model import (
 )
 from .preface import (
     EffectiveDefinitions,
-    OverrideChain,
     Package,
     PackageRepository,
     Provenance,
@@ -63,7 +62,6 @@ __all__ = [
     "Model",
     "Operation",
     "Origin",
-    "OverrideChain",
     "Package",
     "PackageRepository",
     "Param",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Five commands share one pipeline (load preface directory, compose, then
-act): ``compose`` prints the effective-definitions report, ``validate``
-checks a model, ``transform`` applies statechart induction and prints the
-transformed model, ``explain`` shows a key's override chain, ``skeleton``
-writes skeleton and monitor files.
+Five commands share one pipeline: load the preface directory, compose it,
+read the model when the command takes one, then act.  ``compose`` prints
+the effective-definitions report, ``validate`` checks a model,
+``transform`` applies statechart induction and prints the transformed
+model, ``explain`` shows a key's override chain, ``skeleton`` writes
+skeleton and monitor files.  ``_COMMANDS`` maps each name to its
+function; every one takes the same arguments and returns the exit code.
 
 A preface directory is a library: it may hold many prefaces, and a
 preface is a root package together with everything it imports.  The
@@ -19,13 +21,16 @@ imports do not read.  Both loads report a package id that two files
 define (E108).
 
 Exit codes: 0 success (warnings allowed), 1 error diagnostics, 2 parse or
-usage failure (an input file that cannot be read or is not UTF-8 is one
-``error: <path>: ...`` line), 3 composition failure (import cycle, unknown
-import or root).  Diagnostics go to standard error, payload and summaries
-to standard output, and identical inputs produce identical output bytes.
-No run ends in a traceback: any other exception (an evaluation too deep
-for the interpreter, say) is reported as one ``internal error: <type>:
-<message>`` line on standard error, with exit code 2.
+usage failure, 3 composition failure.  ``_run`` turns each failure into one
+plain-text line on standard error, under either format: ``parse error:``
+or ``error:`` (an input file that cannot be read or is not UTF-8, a
+preface directory that is missing or holds no package, an output path
+that cannot be written) with exit code 2, ``composition error:`` (import
+cycle, unknown import or root) with 3.  Diagnostics go to standard error,
+payload and summaries to standard output, and identical inputs produce
+identical output bytes.  No run ends in a traceback: any other exception
+(an evaluation too deep for the interpreter, say) is one ``internal error:
+<type>: <message>`` line, with exit code 2.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable
 
 from .constraints import check_constraints
 from .diagnostics import Diagnostic, error_count, has_errors, warning_count
@@ -48,6 +53,7 @@ from .preface import (
     _walk_imports,
     compose,
     explain,
+    render_literal,
     validate_preface,
 )
 from .skeletongen import UntransformedInputError, generate_monitor, generate_skeleton
@@ -123,13 +129,23 @@ def render_diagnostics(diags: list[Diagnostic], format: str = "text") -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _render(diags: list[Diagnostic], format: str, text: str = "", **fields) -> str:
+    """The diagnostics, then ``text``; under ``json`` one object holding
+    the diagnostics and ``fields`` instead."""
+
+    if format == "json":
+        return json.dumps({"diagnostics": _diagnostics_payload(diags), **fields}, indent=2) + "\n"
+    return render_diagnostics(diags) + text
+
+
 # ---------------------------------------------------------------------------
 # Pipeline pieces
 # ---------------------------------------------------------------------------
 
 
 class UnreadableInputError(Exception):
-    """An input file whose bytes are not UTF-8 text."""
+    """An input that cannot be read as text: a file whose bytes are not
+    UTF-8, or a preface directory that is missing or holds no packages."""
 
 
 def _read_text(path: Path) -> str:
@@ -140,8 +156,8 @@ def _read_text(path: Path) -> str:
 
 
 @collector_paused()  # once for the whole directory, not once per file
-def _load_repository(preface_dir: str, stderr: IO[str], diags: list[Diagnostic],
-                     root_id: str | None = None) -> PackageRepository | None:
+def _load_repository(preface_dir: str, diags: list[Diagnostic],
+                     root_id: str | None = None) -> PackageRepository:
     """The packages of ``preface_dir``: every one, or with ``root_id`` the
     ones that root reaches, each from the last file (in sorted order) that
     defines its id.
@@ -154,12 +170,10 @@ def _load_repository(preface_dir: str, stderr: IO[str], diags: list[Diagnostic],
 
     directory = Path(preface_dir)
     if not directory.is_dir():
-        stderr.write(f"error: '{preface_dir}' is not a directory\n")
-        return None
+        raise UnreadableInputError(f"'{preface_dir}' is not a directory")
     files = sorted(directory.glob("*.preface"))
     if not files:
-        stderr.write(f"error: no .preface files in '{preface_dir}'\n")
-        return None
+        raise UnreadableInputError(f"no .preface files in '{preface_dir}'")
     read = parse_package if root_id is None else read_package_header
     repo: PackageRepository = {}
     sources: dict[str, tuple[str, str]] = {}  # id -> its file's path and text
@@ -185,16 +199,12 @@ def _read_model(config: RunConfig) -> Model:
     return parse_model(_read_text(Path(config.model_path)), config.model_path)
 
 
-def _summary(diags: list[Diagnostic]) -> str:
-    return f"{error_count(diags)} errors, {warning_count(diags)} warnings\n"
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_compose(config: RunConfig, eff: EffectiveDefinitions,
+def _cmd_compose(config: RunConfig, model: Model | None, eff: EffectiveDefinitions,
                  diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
     stderr.write(render_diagnostics(diags, config.format))
     stdout.write(print_report(eff))
@@ -208,7 +218,7 @@ def _cmd_validate(config: RunConfig, model: Model, eff: EffectiveDefinitions,
     if not has_errors(structural):
         diags = diags + check_constraints(model, eff)
     stderr.write(render_diagnostics(diags, config.format))
-    stdout.write(_summary(diags))
+    stdout.write(f"{error_count(diags)} errors, {warning_count(diags)} warnings\n")
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
@@ -224,88 +234,76 @@ def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diag
     return transformed, report, diags + report.diagnostics
 
 
-def _render_transform(diags: list[Diagnostic], report: TransformReport | None,
-                      format: str) -> str:
-    """The diagnostics, then the report of what was induced (``None`` when
-    nothing was transformed); under ``json`` one object holding both."""
-
-    if format == "json":
-        payload: dict[str, list] = {"diagnostics": _diagnostics_payload(diags)}
-        for title, entries in transform_report_sections(report or TransformReport()):
-            payload[title.replace(" ", "_")] = [
-                {"path": path, "description": description} for path, description in entries]
-        return json.dumps(payload, indent=2) + "\n"
-    text = render_diagnostics(diags)
-    return text + print_transform_report(report) if report is not None else text
-
-
 def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                    diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
     transformed, report, diags = _transform_prelude(model, eff, diags)
-    stderr.write(_render_transform(diags, report, config.format))
-    if transformed is None:
-        return EXIT_DIAGNOSTICS
-    text = print_model(transformed)
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        stdout.write(text)
+    # The model goes out before the report, so an output path that cannot
+    # be written leaves the one error line alone on stderr.
+    if transformed is not None:
+        text = print_model(transformed)
+        if config.output:
+            Path(config.output).write_text(text, encoding="utf-8", newline="\n")
+        else:
+            stdout.write(text)
+    induced = print_transform_report(report) if report is not None else ""
+    # text ignores the sections, so only json formats them a second time
+    sections = (transform_report_sections(report or TransformReport())
+                if config.format == "json" else [])
+    stderr.write(_render(diags, config.format, induced, **{
+        title.replace(" ", "_"): [{"path": path, "description": description}
+                                  for path, description in entries]
+        for title, entries in sections}))
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
-def _render_explain(diags: list[Diagnostic], error: str | None, format: str) -> str:
-    """The diagnostics, then the error when the key is not defined (``None``
-    when it is); under ``json`` one object holding both."""
-
-    if format == "json":
-        payload = {"diagnostics": _diagnostics_payload(diags), "error": error}
-        return json.dumps(payload, indent=2) + "\n"
-    text = render_diagnostics(diags)
-    return text + f"error: {error}\n" if error is not None else text
-
-
-def _cmd_explain(config: RunConfig, eff: EffectiveDefinitions,
+def _cmd_explain(config: RunConfig, model: Model | None, eff: EffectiveDefinitions,
                  diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
     assert config.key is not None
     try:
         chain = explain(eff, config.key)
     except NotDefinedError as failure:
-        stderr.write(_render_explain(diags, str(failure), config.format))
+        stderr.write(_render(diags, config.format, f"error: {failure}\n", error=str(failure)))
         return EXIT_DIAGNOSTICS
-    stderr.write(_render_explain(diags, None, config.format))
+    stderr.write(_render(diags, config.format, error=None))
     stdout.write(f"{config.key}\n")
-    for index, entry in enumerate(chain.entries):
-        mark = " (winner)" if index == len(chain.entries) - 1 else ""
-        stdout.write(f"  {entry.package_id}: {entry.render()}{mark}\n")
+    for index, (definition, provenance) in enumerate(chain, 1):
+        mark = " (winner)" if index == len(chain) else ""
+        stdout.write(f"  {provenance.package_id}: {render_literal(definition.value)}{mark}\n")
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
 def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                   diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
     transformed, _, diags = _transform_prelude(model, eff, diags)
-    if transformed is None or has_errors(diags):
-        stderr.write(render_diagnostics(diags, config.format))
-        return EXIT_DIAGNOSTICS
-    try:
-        skeletons = generate_skeleton(transformed, eff)
-        monitors = generate_monitor(transformed, eff)
-    except UntransformedInputError as failure:
-        diags = diags + [Diagnostic("error", "E303", "", str(failure))]
-        stderr.write(render_diagnostics(diags, config.format))
-        return EXIT_DIAGNOSTICS
-    assert config.output is not None
-    out_dir = Path(config.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for unit in skeletons:
-        path = out_dir / f"{unit.class_name}.skel"
-        path.write_text(unit.text, encoding="utf-8", newline="\n")
-        stdout.write(f"wrote {path}\n")
-    for unit in monitors:
-        path = out_dir / f"{unit.class_name}.monitor"
-        path.write_text(unit.monitor_text, encoding="utf-8", newline="\n")
-        stdout.write(f"wrote {path}\n")
+    if transformed is not None and not has_errors(diags):
+        try:
+            files = ([(f"{unit.class_name}.skel", unit.text)
+                      for unit in generate_skeleton(transformed, eff)]
+                     + [(f"{unit.class_name}.monitor", unit.monitor_text)
+                        for unit in generate_monitor(transformed, eff)])
+        except UntransformedInputError as failure:
+            diags = diags + [Diagnostic("error", "E303", "", str(failure))]
+        else:
+            assert config.output is not None
+            out_dir = Path(config.output)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in files:
+                path = out_dir / name
+                path.write_text(text, encoding="utf-8", newline="\n")
+                stdout.write(f"wrote {path}\n")
     stderr.write(render_diagnostics(diags, config.format))
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+
+
+_COMMANDS: dict[str, Callable[..., int]] = {
+    "compose": _cmd_compose,
+    "validate": _cmd_validate,
+    "transform": _cmd_transform,
+    "explain": _cmd_explain,
+    "skeleton": _cmd_skeleton,
+}
+
+_MODEL_COMMANDS = ("validate", "transform", "skeleton")
 
 
 # ---------------------------------------------------------------------------
@@ -329,49 +327,24 @@ def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
     try:
         # compose, the preface author's command, reads the whole directory
         root = None if config.command == "compose" else config.root_package
-        repo = _load_repository(config.preface_dir, stderr, diags, root)
+        repo = _load_repository(config.preface_dir, diags, root)
+        diags.extend(validate_preface(repo, config.root_package))
+        eff = compose(repo, config.root_package)
+        model = _read_model(config) if config.command in _MODEL_COMMANDS else None
+        command = _COMMANDS.get(config.command)
+        if command is None:
+            stderr.write(f"error: unknown command '{config.command}'\n")
+            return EXIT_USAGE
+        return command(config, model, eff, diags, stdout, stderr)
     except ParseError as failure:
         stderr.write(f"parse error: {failure}\n")
         return EXIT_USAGE
     except (OSError, UnreadableInputError) as failure:
         stderr.write(f"error: {failure}\n")
         return EXIT_USAGE
-    if repo is None:
-        return EXIT_USAGE
-
-    diags.extend(validate_preface(repo, config.root_package))
-    try:
-        eff = compose(repo, config.root_package)
     except CompositionError as failure:
         stderr.write(f"composition error: {failure}\n")
         return EXIT_COMPOSITION
-
-    model: Model | None = None
-    if config.command in ("validate", "transform", "skeleton"):
-        try:
-            model = _read_model(config)
-        except ParseError as failure:
-            stderr.write(f"parse error: {failure}\n")
-            return EXIT_USAGE
-        except (OSError, UnreadableInputError) as failure:
-            stderr.write(f"error: {failure}\n")
-            return EXIT_USAGE
-
-    if config.command == "compose":
-        return _cmd_compose(config, eff, diags, stdout, stderr)
-    if config.command == "validate":
-        assert model is not None
-        return _cmd_validate(config, model, eff, diags, stdout, stderr)
-    if config.command == "transform":
-        assert model is not None
-        return _cmd_transform(config, model, eff, diags, stdout, stderr)
-    if config.command == "explain":
-        return _cmd_explain(config, eff, diags, stdout, stderr)
-    if config.command == "skeleton":
-        assert model is not None
-        return _cmd_skeleton(config, model, eff, diags, stdout, stderr)
-    stderr.write(f"error: unknown command '{config.command}'\n")
-    return EXIT_USAGE
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,9 @@ first, in listed order, depth first, each package emitted once, root last).
 table, ``EffectiveDefinitions.chains``: each ``(kind, key)`` holds every
 definition of that key with where it came from, oldest first.  ``KINDS``
 names the kind and the key of each definition class; constants and options
-share the ``scalar`` kind.  The newest entry of a chain wins.  A predicated
+share the ``scalar`` kind.  The newest entry of a chain wins, and
+``explain`` hands out a constant's or option's chain as it stands: the
+override history that is the reason a key means what it does.  A predicated
 rule chain is consulted newest first, so a later, more specific rule
 shadows an older general one exactly like an if-then-else with the newest
 test on top.
@@ -300,30 +302,6 @@ class Provenance:
     definition_index: int
 
 
-@dataclass(frozen=True)
-class ChainEntry:
-    package_id: str
-    value: LiteralValue
-
-    def render(self) -> str:
-        return render_literal(self.value)
-
-
-@dataclass(frozen=True)
-class OverrideChain:
-    """All definitions of one key, oldest first; the last entry wins."""
-
-    key: str
-    entries: tuple[ChainEntry, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @property
-    def winner(self) -> ChainEntry:
-        return self.entries[-1]
-
-
 def render_literal(value: LiteralValue) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -394,7 +372,10 @@ def compose(repo: PackageRepository, root_id: str) -> EffectiveDefinitions:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_chain(eff: EffectiveDefinitions, key: str) -> Chain:
+def explain(eff: EffectiveDefinitions, key: str) -> Chain:
+    """Every definition of a constant or option key with its provenance, in
+    flattened order, winner last: the key's chain in ``eff.chains``."""
+
     try:
         return eff.chains["scalar", key]
     except KeyError:
@@ -404,7 +385,7 @@ def _scalar_chain(eff: EffectiveDefinitions, key: str) -> Chain:
 def lookup_scalar(eff: EffectiveDefinitions, key: str) -> tuple[LiteralValue, Provenance]:
     """The winning value of a constant or option key."""
 
-    definition, prov = _scalar_chain(eff, key)[-1]
+    definition, prov = explain(eff, key)[-1]
     return definition.value, prov
 
 
@@ -436,14 +417,6 @@ def _matches(predicate: Predicate, subject: ModelElement) -> bool:
     if isinstance(predicate, IsMetaclass):
         return metaclass_of(subject) == predicate.metaclass
     raise TypeError(f"unknown predicate: {predicate!r}")
-
-
-def explain(eff: EffectiveDefinitions, key: str) -> OverrideChain:
-    """Every definition of a constant or option key in flattened order,
-    winner last."""
-
-    return OverrideChain(key, (ChainEntry(prov.package_id, definition.value)
-                               for definition, prov in _scalar_chain(eff, key)))
 
 
 # ---------------------------------------------------------------------------

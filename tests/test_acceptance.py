@@ -27,7 +27,6 @@ from prefacer import expr as E
 from prefacer.constraints import Env, EvalError, eval_expr, iter_scope
 from prefacer.model import ClassDef, Model
 from prefacer.preface import (
-    ChainEntry,
     ConstDef,
     OptionDef,
     Package,
@@ -72,8 +71,8 @@ def test_criterion_1_constant_override_with_provenance(worked_repo):
     elapsed = perf_counter() - start
 
     assert (value, provenance) == (8, Provenance("project-p", 6))
-    assert chain.entries == (
-        ChainEntry("uml-core", 10), ChainEntry("project-p", 8))
+    assert chain == ((ConstDef("max", 10), Provenance("uml-core", 0)),
+                     (ConstDef("max", 8), Provenance("project-p", 6)))
     assert line == "  max = 8 (project-p, overrides uml-core: 10)"
     assert elapsed < FAST_BUDGET
     report(1, "max = 8 from project-p, chain uml-core:10 -> project-p:8", elapsed)

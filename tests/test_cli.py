@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from prefacer.preface import resolve
 from prefacer.textio import parse_package
 
 BAD_MODEL = "model m\n  class X specializes Ghost { }\n"
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def cli(config: RunConfig) -> tuple[int, str, str]:
@@ -309,6 +311,98 @@ def test_a_long_guard_warns_like_a_short_one(sample_dir, tmp_path, terms):
                    "not Boolean attributes of 'C'\n")
 
 
+# ---------------------------------------------------------------------------
+# Every failure class, byte for byte: each is one plain-text line on stderr,
+# nothing on stdout, the same bytes under either format and for every
+# command that reaches it.  An unknown command is only found after the
+# load and the composition, so those failures win over it.
+# ---------------------------------------------------------------------------
+
+ALL_COMMANDS = ("compose", "validate", "transform", "explain", "skeleton", "frobnicate")
+MODEL_COMMANDS = ("validate", "transform", "skeleton")
+
+
+def _not_a_directory(tmp_path):
+    void = tmp_path / "void"
+    return {"preface_dir": str(void)}, EXIT_USAGE, f"error: '{void}' is not a directory\n"
+
+
+def _no_preface_files(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    return {"preface_dir": str(empty)}, EXIT_USAGE, f"error: no .preface files in '{empty}'\n"
+
+
+def _model_not_utf8(tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"model m\n  class C\xff { }\n")
+    return {"model_path": str(bad)}, EXIT_USAGE, (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 17: "
+        "invalid start byte\n")
+
+
+def _model_missing(tmp_path):
+    void = tmp_path / "void.model"
+    return {"model_path": str(void)}, EXIT_USAGE, (
+        f"error: [Errno 2] No such file or directory: '{void}'\n")
+
+
+def _model_unparsable(tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_text("model\n")
+    return {"model_path": str(bad)}, EXIT_USAGE, (
+        f"parse error: {bad}:2:1: expected a model name, found end of input\n")
+
+
+def _unknown_root(tmp_path):
+    return {"root_package": "ghost"}, EXIT_COMPOSITION, (
+        "composition error: root package 'ghost' is not in the repository\n")
+
+
+def _unknown_command(tmp_path):
+    return {}, EXIT_USAGE, "error: unknown command 'frobnicate'\n"
+
+
+FAILURES = {
+    "not-a-directory": (_not_a_directory, ALL_COMMANDS),
+    "no-preface-files": (_no_preface_files, ALL_COMMANDS),
+    "model-not-utf8": (_model_not_utf8, MODEL_COMMANDS),
+    "model-missing": (_model_missing, MODEL_COMMANDS),
+    "model-unparsable": (_model_unparsable, MODEL_COMMANDS),
+    "unknown-root": (_unknown_root, ALL_COMMANDS),
+    "unknown-command": (_unknown_command, ("frobnicate",)),
+}
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_a_failure_is_one_exact_line(sample_dir, tmp_path, case, format):
+    make, commands = FAILURES[case]
+    overrides, code, err = make(tmp_path)
+    out_dir = tmp_path / "out"
+    for command in commands:
+        config = config_for(sample_dir, command, key="max", output=str(out_dir),
+                            format=format, **overrides)
+        assert cli(config) == (code, "", err), command
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_an_output_file_in_a_missing_directory_is_one_error_line(sample_dir, tmp_path, format):
+    target = tmp_path / "missing" / "x.model"
+    result = cli(config_for(sample_dir, "transform", output=str(target), format=format))
+    assert result == (EXIT_USAGE, "", f"error: [Errno 2] No such file or directory: '{target}'\n")
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_an_output_directory_that_is_a_file_is_one_error_line(sample_dir, tmp_path, format):
+    target = tmp_path / "existing"
+    target.write_text("x")
+    result = cli(config_for(sample_dir, "skeleton", output=str(target), format=format))
+    assert result == (EXIT_USAGE, "", f"error: [Errno 17] File exists: '{target}'\n")
+    assert target.read_text() == "x"
+
+
 def test_unknown_root_exits_three(sample_dir):
     code, _, err = cli(config_for(sample_dir, "compose", root_package="ghost"))
     assert code == EXIT_COMPOSITION
@@ -344,7 +438,7 @@ def test_reading_a_preface_directory_pauses_the_collector_once(tmp_path):
     gc.collect()
     gc.callbacks.append(count)
     try:
-        repo = cli_module._load_repository(str(tmp_path), io.StringIO(), [])
+        repo = cli_module._load_repository(str(tmp_path), [])
     finally:
         gc.callbacks.remove(count)
     # At most the one collection deferred to the moment the collector
@@ -493,6 +587,17 @@ def test_transform_json_of_a_broken_model_is_one_document(sample_dir, tmp_path):
     payload = json.loads(err)
     assert [entry["code"] for entry in payload["diagnostics"]] == ["E007"]
     assert payload["induced_attributes"] == payload["induced_preconditions"] == []
+
+
+@pytest.mark.parametrize("command", ["compose", "skeleton"])
+def test_json_stderr_of_compose_and_skeleton_is_one_document(command, tmp_path):
+    config = RunConfig(command, str(SAMPLE / "defs"), "project-p",
+                       model_path=str(SAMPLE / "example.model"),
+                       output=str(tmp_path / "out"), format="json")
+    code, out, err = cli(config)
+    assert code == EXIT_OK
+    assert out
+    assert json.loads(err) == []
 
 
 def test_explain_json_is_one_document(sample_dir):

@@ -20,7 +20,6 @@ from prefacer.model import Attribute, ClassDef, Statechart
 from prefacer.preface import (
     CATALOGUE_DEFAULT,
     OPTION_CATALOGUE,
-    ChainEntry,
     CompositionError,
     ConstDef,
     ConstraintDef,
@@ -257,14 +256,15 @@ def test_unknown_property_has_no_applicable_rule(worked_eff):
 
 def test_explain_shows_the_whole_chain(worked_eff):
     chain = explain(worked_eff, "max")
-    assert chain.entries == (
-        ChainEntry("uml-core", 10), ChainEntry("project-p", 8))
-    assert chain.winner.value == 8
+    assert chain == ((ConstDef("max", 10), Provenance("uml-core", 0)),
+                     (ConstDef("max", 8), Provenance("project-p", 6)))
+    assert chain[-1][0].value == 8
 
 
 def test_explain_answers_for_unset_options(worked_eff):
     chain = explain(worked_eff, "framing.default")
-    assert chain.entries == (ChainEntry(CATALOGUE_DEFAULT, "unconstrained"),)
+    assert chain == (
+        (OptionDef("framing.default", "unconstrained"), Provenance(CATALOGUE_DEFAULT, -1)),)
 
 
 def test_explain_raises_for_unknown_keys(worked_eff):
