@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable
 
@@ -56,6 +55,7 @@ from .preface import (
     render_literal,
     validate_preface,
 )
+from .record import record
 from .skeletongen import UntransformedInputError, generate_monitor, generate_skeleton
 from .textio import (
     ParseError,
@@ -76,7 +76,7 @@ EXIT_USAGE = 2
 EXIT_COMPOSITION = 3
 
 
-@dataclass
+@record(mutable=True)
 class RunConfig:
     """One resolved invocation; ``run`` is pure apart from file IO."""
 

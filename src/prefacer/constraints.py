@@ -27,7 +27,7 @@ attributes and operations expose ``name`` only.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable
 
 from . import expr as E
@@ -44,6 +44,7 @@ from .model import (
     stereotypes_of,
     transition_path,
 )
+from .record import record
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions, lookup_scalar
 
 Value = object  # bool | int | str | element reference | tuple of Value
@@ -57,7 +58,7 @@ class EvalError(Exception):
         super().__init__(message)
 
 
-@dataclass
+@record(mutable=True)
 class Env:
     """Variable bindings plus the model used to resolve element names."""
 

@@ -17,13 +17,14 @@ the same hundreds digit as the phase that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal
+
+from .record import record
 
 Severity = Literal["error", "warning", "info"]
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class SourceLocation:
     """1-based position of a construct inside an input file."""
 
@@ -35,7 +36,7 @@ class SourceLocation:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     """One finding about a model, a preface, or a transformation.
 

@@ -6,16 +6,18 @@ bounded quantifiers over sequences, feature navigation via ``.``, and
 four built-in calls (``size``, ``isEmpty``, ``hasStereotype`` and the
 n-ary ``exactlyOne``).
 
-Nodes are immutable.  Source locations are carried for diagnostics but
-never participate in structural equality, so a reparsed expression
-compares equal to the tree it was printed from.
+Nodes are immutable records (``record.record``).  Source locations are
+carried for diagnostics but never participate in structural equality, so a
+reparsed expression compares equal to the tree it was printed from.
+Equality and hashing walk an explicit stack, so trees of any depth compare.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .diagnostics import SourceLocation
+from .record import record
 
 #: Values a literal node may hold.  ``bool`` must be tested before ``int``
 #: everywhere, since Python bools are ints.
@@ -24,19 +26,23 @@ LiteralValue = bool | int | str
 COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Literal:
+    """A Boolean, integer or string constant."""
+
     value: LiteralValue
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class VarRef:
+    """A name: ``self``, a quantifier's variable or an attribute of the class."""
+
     name: str
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Nav:
     """Feature navigation, ``target.feature``."""
 
@@ -45,7 +51,7 @@ class Nav:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Call:
     """Built-in call: ``size``, ``isEmpty``, ``hasStereotype`` or
     ``exactlyOne``, which takes one or more Boolean arguments."""
@@ -58,66 +64,84 @@ class Call:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Forall:
+    """``forall(var in domain | body)``: the body holds for every member."""
+
     var: str
     domain: Expr
     body: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Exists:
+    """``exists(var in domain | body)``: the body holds for some member."""
+
     var: str
     domain: Expr
     body: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class And:
+    """Conjunction, ``lhs and rhs``."""
+
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Or:
+    """Disjunction, ``lhs or rhs``."""
+
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Not:
+    """Negation, ``not operand``."""
+
     operand: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Implies:
+    """Implication, ``lhs implies rhs``."""
+
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Compare:
+    """Comparison ``lhs op rhs``, ``op`` one of ``COMPARE_OPS``."""
+
     op: str
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Add:
+    """Integer sum, ``lhs + rhs``."""
+
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Sub:
+    """Integer difference, ``lhs - rhs``."""
+
     lhs: Expr
     rhs: Expr
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)

@@ -8,20 +8,21 @@ by a transformation rather than written by the modeller) carries an
 ``Origin`` recording which rule produced it and from which chart, which is
 what makes transformations idempotent and conservative.
 
-Name resolution is deferred: the dataclasses happily represent broken
-models, and ``builtin_check`` reports every structural violation as a
-diagnostic instead of raising.  All values are immutable after
-construction.
+Name resolution is deferred: the records (``record.record``) happily
+represent broken models, and ``builtin_check`` reports every structural
+violation as a diagnostic instead of raising.  All values are immutable
+after construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import And, Expr, LiteralValue
+from .record import record
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -49,7 +50,7 @@ class MalformedPathError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Origin:
     """Where an element came from.
 
@@ -65,21 +66,25 @@ class Origin:
 AUTHORED = Origin("authored")
 
 
-@dataclass(frozen=True)
+@record
 class Attribute:
+    """A typed attribute of a class."""
+
     name: str
     type_name: str
     origin: Origin = AUTHORED
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class Param:
+    """A typed parameter of an operation."""
+
     name: str
     type_name: str
 
 
-@dataclass(frozen=True)
+@record
 class Operation:
     """An operation of a class.
 
@@ -111,14 +116,18 @@ class Operation:
         return And(self.pre_authored, self.pre_induced[0])
 
 
-@dataclass(frozen=True)
+@record
 class Invariant:
+    """A Boolean condition every instance of the class satisfies."""
+
     expr: Expr
     origin: Origin = AUTHORED
 
 
-@dataclass(frozen=True)
+@record
 class ClassDef:
+    """A class: its superclasses, stereotypes and members."""
+
     name: str
     superclasses: tuple[str, ...] = ()
     stereotypes: frozenset[str] = frozenset()
@@ -136,15 +145,19 @@ class ClassDef:
         object.__setattr__(self, "invariants", tuple(self.invariants))
 
 
-@dataclass(frozen=True)
+@record
 class State:
+    """A state of a statechart; exactly one per chart is initial."""
+
     name: str
     initial: bool = False
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
+    """A move between two states on an event, with an optional guard."""
+
     source: str
     target: str
     event: str
@@ -152,8 +165,10 @@ class Transition:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class Statechart:
+    """The states and transitions of one class's lifecycle."""
+
     name: str
     attached_to: str
     states: tuple[State, ...] = ()
@@ -171,8 +186,10 @@ class Statechart:
         return tuple(s.name for s in self.states)
 
 
-@dataclass(frozen=True)
+@record
 class Model:
+    """A model: classes plus the statecharts attached to them."""
+
     name: str
     classes: tuple[ClassDef, ...] = ()
     statecharts: tuple[Statechart, ...] = ()
@@ -183,8 +200,9 @@ class Model:
         object.__setattr__(self, "statecharts", tuple(self.statecharts))
 
     # The name indexes are built on first lookup and cached in the
-    # instance dict: they are not fields, so equality, repr and
-    # ``dataclasses.replace`` ignore them, and a replaced model builds its own.
+    # instance dict, which is why ``Model`` is not slotted.  They are not
+    # fields, so equality, hashing, repr and ``dataclasses.replace`` ignore
+    # them, and a replaced or copied model builds its own.
 
     @cached_property
     def _class_index(self) -> dict[str, ClassDef]:

@@ -29,20 +29,23 @@ it (E110).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Iterable, Iterator
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import Expr, LiteralValue
 from .model import METACLASSES, Model, ModelElement, stereotypes_of, metaclass_of
+from .record import record
 
 # ---------------------------------------------------------------------------
 # Option catalogue
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OptionEntry:
+    """An option's value domain and its catalogue default."""
+
     domain: tuple[str, ...]
     default: str
 
@@ -70,22 +73,28 @@ STATECHART_TO_CLASS = "statechart-to-class"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConstDef:
+    """``const key = value``: a named constant."""
+
     key: str
     value: LiteralValue
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class OptionDef:
+    """``option key = value``: a semantic option selection."""
+
     key: str
     value: str
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class StereotypeDef:
+    """``stereotype name on base``, with the tags it requires."""
+
     name: str
     base: str
     required_tags: tuple[str, ...] = ()
@@ -95,15 +104,19 @@ class StereotypeDef:
         object.__setattr__(self, "required_tags", tuple(self.required_tags))
 
 
-@dataclass(frozen=True)
+@record
 class TagDef:
+    """``tagdef name : type``: a tag and the type of its values."""
+
     name: str
     value_type: str  # "string" | "int" | "bool"
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintDef:
+    """A named well-formedness constraint over one metaclass."""
+
     name: str
     scope: str  # a metaclass name
     severity: str  # "error" | "warning"
@@ -111,34 +124,42 @@ class ConstraintDef:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class MatchAll:
-    pass
+    """The rule predicate ``all``: matches every element."""
 
 
-@dataclass(frozen=True)
+@record
 class HasStereotype:
+    """The rule predicate ``stereotype(name)``."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class IsMetaclass:
+    """The rule predicate ``metaclass(name)``."""
+
     metaclass: str
 
 
 Predicate = MatchAll | HasStereotype | IsMetaclass
 
 
-@dataclass(frozen=True)
+@record
 class PredicatedRuleDef:
+    """One case of a property rule: the value where the predicate holds."""
+
     property_key: str
     predicate: Predicate
     value: str
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class TransformSelection:
+    """``transform id on|off``: switches a transform."""
+
     transform_id: str
     enabled: bool
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
@@ -167,7 +188,7 @@ KINDS: dict[type, tuple[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Package:
     """One definition package: an id, ordered imports, ordered definitions."""
 
@@ -293,7 +314,7 @@ def flatten_imports(repo: PackageRepository, root_id: str) -> list[Package]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Provenance:
     """Which package supplied a winning definition, and where it sat in the
     flattened definition list."""
@@ -314,7 +335,7 @@ def render_literal(value: LiteralValue) -> str:
 Chain = tuple[tuple[Definition, Provenance], ...]
 
 
-@dataclass(frozen=True)
+@record
 class EffectiveDefinitions:
     """The language member a flattened preface denotes, as one provenance
     table.

@@ -27,10 +27,10 @@ effective definitions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .model import ClassDef, Model, Statechart, Transition
 from .preface import EffectiveDefinitions
+from .record import record
 from .textio import format_expr
 from .transformer import induced_by
 
@@ -40,8 +40,10 @@ class UntransformedInputError(Exception):
     not transformed (or the transform was disabled)."""
 
 
-@dataclass(frozen=True)
+@record
 class SkeletonUnit:
+    """The generated text for one class: a skeleton or a monitor."""
+
     class_name: str
     text: str = ""
     monitor_text: str = ""

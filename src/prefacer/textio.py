@@ -81,7 +81,6 @@ from .model import (
 )
 from .preface import (
     CATALOGUE_DEFAULT,
-    OPTION_CATALOGUE,
     Chain,
     ConstDef,
     ConstraintDef,
@@ -976,12 +975,19 @@ def print_package(pkg: Package) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _scalar_value(definition: ConstDef | OptionDef) -> str:
+    """The value as the definition's own line writes it: a constant's as a
+    literal, an option's bare."""
+
+    return _print_definition(definition).split(" = ", 1)[1]
+
+
 def _chain_note(chain: Chain) -> str:
     *older, (_, winner) = chain
     if not older:
         return "(default)" if winner.package_id == CATALOGUE_DEFAULT else f"({winner.package_id})"
     overridden = ", ".join(
-        f"{prov.package_id}: {render_literal(definition.value)}" for definition, prov in older)
+        f"{prov.package_id}: {_scalar_value(definition)}" for definition, prov in older)
     return f"({winner.package_id}, overrides {overridden})"
 
 
@@ -990,8 +996,11 @@ def print_report(eff: EffectiveDefinitions) -> str:
 
     One pass over the chains, sorted by kind and key, fills the sections.
     Scalar lines show the winning value and the full override chain, e.g.
-    ``max = 8 (project-p, overrides uml-core: 10)``; catalogue defaults are
-    marked ``(default)``.  Rules list every case, newest first.
+    ``max = 8 (project-p, overrides uml-core: 10)``, each value as its
+    definition's line writes it.
+    A key goes under ``options`` when an option wins it, whether or not the
+    catalogue knows the key; catalogue defaults are marked ``(default)``.
+    Rules list every case, newest first.
     """
 
     sections: dict[str, list[str]] = {title: [] for title in (
@@ -1002,11 +1011,9 @@ def print_report(eff: EffectiveDefinitions) -> str:
         chain = eff.chains[kind, key]
         definition, prov = chain[-1]
         source = f"({prov.package_id})"
-        if kind == "scalar" and key in OPTION_CATALOGUE:
-            sections["options"].append(f"  {key} = {definition.value} {_chain_note(chain)}")
-        elif kind == "scalar":
-            sections["constants"].append(
-                f"  {key} = {render_literal(definition.value)} {_chain_note(chain)}")
+        if kind == "scalar":
+            sections["options" if isinstance(definition, OptionDef) else "constants"].append(
+                f"  {key} = {_scalar_value(definition)} {_chain_note(chain)}")
         elif kind == "rule":
             sections["rules"].append(f"  {key}")
             sections["rules"].extend(

@@ -23,7 +23,7 @@ generated code rather than guessed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 from . import expr as E
 from .diagnostics import Diagnostic, has_errors
@@ -38,9 +38,10 @@ from .model import (
     member_path,
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
+from .record import record
 
 
-@dataclass
+@record(mutable=True)
 class TransformReport:
     """What a transformation run added, and what it had to refuse; its
     expressions are formatted when rendered, by ``textio``."""

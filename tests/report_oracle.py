@@ -1,9 +1,12 @@
 """The compose report, written from the sequential replay alone.
 
 ``report_reference`` prints what ``textio.print_report`` prints, but takes
-every value from ``oracles.replay_view``: the same sections in the same
-order, each sorted by key, ``(default)`` on an option nobody set and an
-``overrides`` note on every redefined constant or option.  It lives apart
+every winner and override history from ``oracles.replay_view``: the same
+sections in the same order, each sorted by key, ``(default)`` on an option
+nobody set and an ``overrides`` note on every redefined constant or option.
+Each scalar value is shown as its definition writes it, an option's bare and
+a constant's as a literal, and a key is an option when an option wins it;
+those two facts it reads from the packages in order.  It lives apart
 from ``tests/oracles.py`` because the benchmark harness imports that
 module, and its size shows in the harness's peak memory.
 """
@@ -13,9 +16,11 @@ from __future__ import annotations
 from oracles import replay_view
 from prefacer.preface import (
     OPTION_CATALOGUE,
+    ConstDef,
     HasStereotype,
     IsMetaclass,
     MatchAll,
+    OptionDef,
     Package,
 )
 
@@ -39,28 +44,35 @@ def _predicate(predicate) -> str:
     raise TypeError(predicate)
 
 
-def _note(history: tuple[tuple[str, object], ...]) -> str:
+def _note(history: tuple[tuple[str, object], ...], written: list[str]) -> str:
     *older, (winner, _) = history
     if not older:
         return "(default)" if winner == "catalogue-default" else f"({winner})"
-    overridden = ", ".join(f"{pkg}: {_literal(value)}" for pkg, value in older)
+    overridden = ", ".join(f"{pkg}: {text}" for (pkg, _), text in zip(older, written))
     return f"({winner}, overrides {overridden})"
 
 
 def report_reference(flattened: list[Package]) -> str:
     view = replay_view(flattened)
-    scalars = sorted(view["scalars"].items())
+    # Each constant and option as written, oldest first, and whether an
+    # option wins its key; a catalogue option nobody set is its default.
+    written: dict[str, list[str]] = {}
+    is_option = dict.fromkeys(OPTION_CATALOGUE, True)
+    for d in (d for pkg in flattened for d in pkg.definitions):
+        if isinstance(d, (ConstDef, OptionDef)):
+            is_option[d.key] = isinstance(d, OptionDef)
+            written.setdefault(d.key, []).append(d.value if is_option[d.key] else _literal(d.value))
 
-    def note(key: str) -> str:
+    def line(key: str) -> str:
         value, pkg = view["scalars"][key]
-        return _note(view["history"].get(key, ((pkg, value),)))
+        texts = written.get(key, [value])
+        return f"{key} = {texts[-1]} {_note(view['history'].get(key, ((pkg, value),)), texts)}"
 
+    keys = sorted(view["scalars"])
     sections = {
         "packages": [pkg.id for pkg in flattened],
-        "constants": [f"{key} = {_literal(value)} {note(key)}"
-                      for key, (value, _) in scalars if key not in OPTION_CATALOGUE],
-        "options": [f"{key} = {value} {note(key)}"
-                    for key, (value, _) in scalars if key in OPTION_CATALOGUE],
+        "constants": [line(key) for key in keys if not is_option[key]],
+        "options": [line(key) for key in keys if is_option[key]],
         "rules": [line for key, chain in sorted(view["rules"].items())
                   for line in [key] + [f"  when {_predicate(predicate)} -> {value} ({pkg})"
                                        for predicate, value, pkg in chain]],

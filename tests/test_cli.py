@@ -287,6 +287,20 @@ def test_a_twelve_hundred_term_constraint_validates(sample_dir, capsys):
     assert (code, captured.out, captured.err) == (EXIT_OK, "0 errors, 0 warnings\n", "")
 
 
+def test_comparing_operations_with_twelve_hundred_term_preconditions_validates(tmp_path, capsys):
+    (tmp_path / "p.preface").write_text(
+        'package "p" {\n  constraint same on Class : '
+        'forall(c in self.superclasses | c.operations <> self.operations)\n}\n')
+    chain = " and ".join(["true"] * 1200)
+    path = tmp_path / "m.model"
+    path.write_text(f"model m\n  class B {{\n    operation go() pre: {chain}\n  }}\n"
+                    f"  class C specializes B {{\n    operation go() pre: {chain}\n  }}\n")
+    code = main(["validate", str(path), "--preface", str(tmp_path), "--root", "p"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        EXIT_DIAGNOSTICS, "1 errors, 0 warnings\n", "error E201 C: constraint 'same' violated [p]\n")
+
+
 GUARDED_MODEL = """model g
   class C {
     attribute busy : Boolean
@@ -538,6 +552,28 @@ def test_the_catalogue_default_id_is_reserved(tmp_path):
     assert (code, out, err) == (EXIT_DIAGNOSTICS, "1 errors, 0 warnings\n", e110)
 
 
+def test_the_compose_report_writes_each_value_as_its_definition_does(tmp_path):
+    (tmp_path / "c.preface").write_text(
+        'package "base" {\n  const label = "x"\n  option inheritance.multiple = forbidden\n}\n')
+    (tmp_path / "r.preface").write_text(
+        'package "r" {\n  import "base"\n  const label = "y"\n  option foo = bar\n'
+        '  option inheritance.multiple = allowed\n}\n')
+    code, out, err = cli(RunConfig("compose", str(tmp_path), "r"))
+    assert (code, err) == (
+        EXIT_DIAGNOSTICS, f"error E103 {tmp_path / 'r.preface'}:4:3 r: unknown option key 'foo'\n")
+    assert out.split("\n\nrules\n")[0] == (
+        "packages\n  base\n  r\n\n"
+        'constants\n  label = "y" (r, overrides base: "x")\n\n'
+        "options\n"
+        "  aggregation.semantics = weak (default)\n"
+        "  communication.paradigm = procedure_call (default)\n"
+        "  foo = bar (r)\n"
+        "  framing.default = unconstrained (default)\n"
+        "  inheritance.multiple = allowed (r, overrides base: forbidden)\n"
+        "  statechart.attach_to = class (default)\n"
+        "  statechart.unexpected_event = error (default)")
+
+
 def test_a_thousand_package_chain_composes(tmp_path):
     # "p0000" imports "p0001" ... imports "p0999"; the root file sorts first.
     for i in range(1000):
@@ -642,10 +678,11 @@ def test_one_name_in_every_definition_kind(tmp_path):
     assert (code, err) == (EXIT_DIAGNOSTICS, unknown_option)
     assert out == (
         "packages\n  r\n\n"
-        'constants\n  foo = "bar" (r, overrides r: 1)\n\n'
+        "constants\n  (none)\n\n"
         "options\n"
         "  aggregation.semantics = weak (default)\n"
         "  communication.paradigm = procedure_call (default)\n"
+        "  foo = bar (r, overrides r: 1)\n"
         "  framing.default = unconstrained (default)\n"
         "  inheritance.multiple = allowed (default)\n"
         "  statechart.attach_to = class (default)\n"
