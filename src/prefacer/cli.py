@@ -52,13 +52,13 @@ from .preface import (
     _walk_imports,
     compose,
     explain,
-    render_literal,
     validate_preface,
 )
 from .record import record
 from .skeletongen import UntransformedInputError, generate_monitor, generate_skeleton
 from .textio import (
     ParseError,
+    _scalar_value,
     collector_paused,
     parse_model,
     parse_package,
@@ -268,7 +268,7 @@ def _cmd_explain(config: RunConfig, model: Model | None, eff: EffectiveDefinitio
     stdout.write(f"{config.key}\n")
     for index, (definition, provenance) in enumerate(chain, 1):
         mark = " (winner)" if index == len(chain) else ""
-        stdout.write(f"  {provenance.package_id}: {render_literal(definition.value)}{mark}\n")
+        stdout.write(f"  {provenance.package_id}: {_scalar_value(definition)}{mark}\n")
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 

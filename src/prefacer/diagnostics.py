@@ -17,16 +17,16 @@ the same hundreds digit as the phase that produced them.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
-from .record import record
+from .record import _reduce, record
 
 Severity = Literal["error", "warning", "info"]
 
 
 @record(slots=True)
 class SourceLocation:
-    """1-based position of a construct inside an input file."""
+    """1-based position of a construct in an input file; see ``LazyLocation``."""
 
     file: str
     line: int
@@ -34,6 +34,21 @@ class SourceLocation:
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+class LazyLocation:
+    """A ``SourceLocation`` worked out when read.  Its ``__class__`` is the
+    record's, so the record's ``==``, ``hash``, ``repr`` and pickling take both."""
+
+    __slots__ = ("offset", "lines")
+
+    def __init__(self, offset: int, lines: Callable[[int], tuple[str, int, int]]):
+        self.offset, self.lines = offset, lines
+
+    __class__ = property(lambda self: SourceLocation)
+    file, line, column = (property(lambda s, i=i: s.lines(s.offset)[i]) for i in range(3))
+    __str__, __repr__ = SourceLocation.__str__, SourceLocation.__repr__
+    __eq__, __hash__, __reduce__ = SourceLocation.__eq__, SourceLocation.__hash__, _reduce
 
 
 @record

@@ -5,7 +5,8 @@
 ``__post_init__``) and the ``__repr__``, ``__eq__`` and ``__hash__`` that all
 records share.  A record is frozen unless ``mutable=True``, which also makes
 it unhashable.  ``dataclasses`` would compile five or six methods per class,
-and every command pays that at start-up before it does any work.
+and every command pays that at start-up before it does any work.  A frozen
+record's ``__init__`` sets each field in its slot or in ``self.__dict__``.
 
 ``dataclasses`` stays as the field registry: ``dataclass(init=False,
 repr=False, eq=False)`` generates no method, and keeps ``is_dataclass``,
@@ -15,7 +16,8 @@ records through it: ``perfbench/check.py`` walks expressions through
 
 ``==`` walks an explicit stack through records and tuples, so trees of any
 depth compare, and compares leaves with ``==`` (``Literal(True) ==
-Literal(1)``).  ``hash`` hashes the same walk, flattened.
+Literal(1)``).  ``hash`` hashes the same walk, flattened; ``repr`` writes
+the ``dataclasses`` text by such a walk too.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def record(cls=None, /, *, slots: bool = False, mutable: bool = False):
 
 
 def _init(cls, mutable: bool):
-    env, params, body = {"__set": object.__setattr__, "__factory": _Factory()}, [], []
+    env, params, slotted = {"__factory": _Factory()}, [], "__slots__" in vars(cls)
+    body = [] if mutable or slotted else ["__dict = self.__dict__"]
     for f in fields(cls):
         param = value = f.name
         if f.default is not MISSING:
@@ -60,7 +63,10 @@ def _init(cls, mutable: bool):
             env[f"__d_{f.name}"], param = f.default_factory, f"{f.name}=__factory"
             value = f"__d_{f.name}() if {f.name} is __factory else {f.name}"
         params.append(param)
-        body.append(f"self.{f.name} = {value}" if mutable else f"__set(self, {f.name!r}, {value})")
+        if slotted:
+            env[f"__s_{f.name}"] = vars(cls)[f.name].__set__
+        body.append(f"self.{f.name} = {value}" if mutable else f"__s_{f.name}(self, {value})"
+                    if slotted else f"__dict[{f.name!r}] = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     namespace: dict = {}
@@ -73,8 +79,32 @@ def _init(cls, mutable: bool):
 
 
 def _repr(self) -> str:
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SHOWN[self.__class__])
-    return f"{self.__class__.__qualname__}({shown})"
+    # Last in first out: text, a value (in a 1-tuple), or a written record's id.
+    parts, stack, inside = [], [(self,)], set()
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+        elif item.__class__ is int:
+            inside.discard(item)
+        else:
+            value, names = item[0], _SHOWN.get(item[0].__class__)
+            if value.__class__ is tuple:
+                parts.append("(")
+                stack.append(",)" if len(value) == 1 else ")")
+                entries = [("", entry) for entry in value]
+            elif names is None or id(value) in inside:  # a record inside itself is "..."
+                parts.append(repr(value) if names is None else "...")
+                continue
+            else:
+                inside.add(id(value))
+                parts.append(f"{value.__class__.__qualname__}(")
+                stack += (id(value), ")")
+                entries = [(f"{name}=", getattr(value, name)) for name in names]
+            for index in range(len(entries) - 1, -1, -1):
+                label, entry = entries[index]
+                stack += ((entry,), (", " if index else "") + label)
+    return "".join(parts)
 
 
 def _eq(self, other):
@@ -118,4 +148,5 @@ def _frozen(self, name, *value):
 
 
 def _reduce(self):
-    return self.__class__, tuple(getattr(self, name) for name in self.__dataclass_fields__)
+    cls = self.__class__
+    return cls, tuple(getattr(self, name) for name in cls.__dataclass_fields__)

@@ -23,10 +23,9 @@ lists, the token texts and their start offsets, and the parser builds no
 object per token.  A string keeps its quotes, so the first character of a text tells
 its kind: a letter or ``_`` starts an identifier, a digit an integer,
 ``"`` a string, anything else is a symbol, and the empty text is the end
-of input.  A ``SourceLocation`` is built only where one is kept, on a
-node, an element or a ``ParseError``: its line is found by bisection over
-the line-start offsets, which a parse computes once, when it first needs
-a location.
+of input.  A node, an element or a ``ParseError`` keeps a ``LazyLocation``:
+its token's offset and the parse's ``_line_table`` (file name and text, no
+token list), which finds the line starts on the first read of a location.
 
 Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
 located ``ParseError``, so no text makes a parser (or the evaluator, on
@@ -61,12 +60,11 @@ import gc
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import accumulate, count, islice
-from operator import add
+from itertools import accumulate, islice
 from typing import Iterator
 
 from . import expr as E
-from .diagnostics import SourceLocation
+from .diagnostics import LazyLocation, SourceLocation
 from .model import (
     METACLASSES,
     Attribute,
@@ -174,6 +172,20 @@ def _scan(source: str, file: str) -> tuple[list[str], list[int]]:
     return texts, starts
 
 
+def _line_table(file: str, text: str):
+    """Where an offset of ``text`` is; the line starts are found on the first call."""
+
+    starts: list[int] = []
+
+    def position(offset: int) -> tuple[str, int, int]:
+        if not starts:  # each line starts one past the lines before it
+            starts[:] = accumulate((len(line) + 1 for line in text.split("\n")), initial=0)
+        line = bisect_right(starts, offset)
+        return file, line, offset - starts[line - 1] + 1
+
+    return position
+
+
 def _refuse(source: str, file: str, parts: list[str | None]) -> None:
     """Raise the error for the first character no token accepts."""
 
@@ -181,15 +193,7 @@ def _refuse(source: str, file: str, parts: list[str | None]) -> None:
     refused = parts[index]
     raise ParseError(
         "unterminated string" if refused == '"' else f"unexpected character {refused!r}",
-        _location(source, file, sum(map(len, filter(None, parts[:index])))))
-
-
-def _location(source: str, file: str, offset: int) -> SourceLocation:
-    """Where ``offset`` sits in ``source``, for a parse that keeps no
-    line starts."""
-
-    line_start = source.rfind("\n", 0, offset) + 1
-    return SourceLocation(file, source.count("\n", 0, offset) + 1, offset - line_start + 1)
+        LazyLocation(sum(map(len, filter(None, parts[:index]))), _line_table(file, source)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,27 +216,17 @@ class _Parser:
     (unquoted, for a string) or its index, which ``loc`` turns into a
     location where one is kept."""
 
-    __slots__ = ("file", "source", "texts", "starts", "pos", "depth", "line_starts")
+    __slots__ = ("texts", "starts", "lines", "pos", "depth")
 
     def __init__(self, source: str, file: str):
-        self.file = file
-        self.source = source
         self.texts, self.starts = _scan(source, file)
-        self.pos = 0
-        self.depth = 0
-        self.line_starts: list[int] | None = None
+        self.lines = _line_table(file, source)
+        self.pos = self.depth = 0
 
-    def loc(self, index: int) -> SourceLocation:
+    def loc(self, index: int) -> LazyLocation:
         """The location of the token at ``index``."""
 
-        line_starts = self.line_starts
-        if line_starts is None:
-            # Each line starts one past the lengths of the lines before it.
-            line_starts = self.line_starts = [0, *map(
-                add, accumulate(map(len, self.source.split("\n"))), count(1))]
-        offset = self.starts[index]
-        line = bisect_right(line_starts, offset)
-        return SourceLocation(self.file, line, offset - line_starts[line - 1] + 1)
+        return LazyLocation(self.starts[index], self.lines)
 
     # -- primitives ------------------------------------------------------------
 
@@ -457,7 +451,6 @@ class _Parser:
                 f"'{name}' is not a metaclass (expected one of "
                 f"{', '.join(sorted(METACLASSES))})", self.loc(index))
         return name
-
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +766,8 @@ def read_package_header(source: str, file: str = "<package>") -> Package:
         if imported[:1] != '"':
             return parse_package(source, file)
         imports.append(imported[1:-1])
-    return Package(pkg_id[1:-1], tuple(imports), loc=_location(source, file, head.start(2)))
+    loc = LazyLocation(head.start(2), _line_table(file, source))
+    return Package(pkg_id[1:-1], tuple(imports), loc=loc)
 
 
 # ---------------------------------------------------------------------------

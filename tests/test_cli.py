@@ -76,7 +76,7 @@ def test_explain_marks_the_winner(sample_dir):
 def test_explain_catalogue_default(sample_dir):
     code, out, _ = cli(config_for(sample_dir, "explain", key="statechart.attach_to"))
     assert code == EXIT_OK
-    assert out == 'statechart.attach_to\n  catalogue-default: "class" (winner)\n'
+    assert out == 'statechart.attach_to\n  catalogue-default: class (winner)\n'
 
 
 def test_explain_unknown_key(sample_dir):
@@ -695,7 +695,7 @@ def test_one_name_in_every_definition_kind(tmp_path):
 
     code, out, err = cli(RunConfig("explain", str(tmp_path), "r", key="foo"))
     assert (code, err) == (EXIT_DIAGNOSTICS, unknown_option)
-    assert out == 'foo\n  r: 1\n  r: "bar" (winner)\n'
+    assert out == 'foo\n  r: 1\n  r: bar (winner)\n'
 
     flattened = [parse_package(ONE_NAME_EVERY_KIND)]
     assert snapshot_view(resolve(flattened)) == replay_view(flattened)
