@@ -24,7 +24,7 @@ from .record import _reduce, record
 Severity = Literal["error", "warning", "info"]
 
 
-@record(slots=True)
+@record
 class SourceLocation:
     """1-based position of a construct in an input file; see ``LazyLocation``."""
 

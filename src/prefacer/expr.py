@@ -26,7 +26,7 @@ LiteralValue = bool | int | str
 COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-@record(slots=True)
+@record
 class Literal:
     """A Boolean, integer or string constant."""
 
@@ -34,7 +34,7 @@ class Literal:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class VarRef:
     """A name: ``self``, a quantifier's variable or an attribute of the class."""
 
@@ -42,7 +42,7 @@ class VarRef:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Nav:
     """Feature navigation, ``target.feature``."""
 
@@ -51,7 +51,7 @@ class Nav:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Call:
     """Built-in call: ``size``, ``isEmpty``, ``hasStereotype`` or
     ``exactlyOne``, which takes one or more Boolean arguments."""
@@ -64,7 +64,7 @@ class Call:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@record(slots=True)
+@record
 class Forall:
     """``forall(var in domain | body)``: the body holds for every member."""
 
@@ -74,7 +74,7 @@ class Forall:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Exists:
     """``exists(var in domain | body)``: the body holds for some member."""
 
@@ -84,7 +84,7 @@ class Exists:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class And:
     """Conjunction, ``lhs and rhs``."""
 
@@ -93,7 +93,7 @@ class And:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Or:
     """Disjunction, ``lhs or rhs``."""
 
@@ -102,7 +102,7 @@ class Or:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Not:
     """Negation, ``not operand``."""
 
@@ -110,7 +110,7 @@ class Not:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Implies:
     """Implication, ``lhs implies rhs``."""
 
@@ -119,7 +119,7 @@ class Implies:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Compare:
     """Comparison ``lhs op rhs``, ``op`` one of ``COMPARE_OPS``."""
 
@@ -129,7 +129,7 @@ class Compare:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Add:
     """Integer sum, ``lhs + rhs``."""
 
@@ -138,7 +138,7 @@ class Add:
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
 
-@record(slots=True)
+@record
 class Sub:
     """Integer difference, ``lhs - rhs``."""
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import field
-from functools import cached_property
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import And, Expr, LiteralValue
@@ -131,7 +130,7 @@ class ClassDef:
     name: str
     superclasses: tuple[str, ...] = ()
     stereotypes: frozenset[str] = frozenset()
-    tagged_values: dict[str, LiteralValue] = field(default_factory=dict)
+    tagged_values: tuple[tuple[str, LiteralValue], ...] = ()
     attributes: tuple[Attribute, ...] = ()
     operations: tuple[Operation, ...] = ()
     invariants: tuple[Invariant, ...] = ()
@@ -194,29 +193,18 @@ class Model:
     classes: tuple[ClassDef, ...] = ()
     statecharts: tuple[Statechart, ...] = ()
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
+    # Name -> the first class or chart of that name, built from the fields
+    # above: equality, hashing and repr ignore them, and a replaced, copied
+    # or unpickled model builds its own.
+    _class_index: dict[str, ClassDef] = field(init=False, repr=False, compare=False)
+    _chart_index: dict[str, Statechart] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "statecharts", tuple(self.statecharts))
-
-    # The name indexes are built on first lookup and cached in the
-    # instance dict, which is why ``Model`` is not slotted.  They are not
-    # fields, so equality, hashing, repr and ``dataclasses.replace`` ignore
-    # them, and a replaced or copied model builds its own.
-
-    @cached_property
-    def _class_index(self) -> dict[str, ClassDef]:
-        index: dict[str, ClassDef] = {}
-        for cls in self.classes:
-            index.setdefault(cls.name, cls)
-        return index
-
-    @cached_property
-    def _chart_index(self) -> dict[str, Statechart]:
-        index: dict[str, Statechart] = {}
-        for chart in self.statecharts:
-            index.setdefault(chart.name, chart)
-        return index
+        # read backwards, so the first element of a name is the one kept
+        object.__setattr__(self, "_class_index", {c.name: c for c in reversed(self.classes)})
+        object.__setattr__(self, "_chart_index", {c.name: c for c in reversed(self.statecharts)})
 
     def class_named(self, name: str) -> ClassDef | None:
         """The first class declared with ``name``, or ``None``."""

@@ -5,19 +5,22 @@
 ``__post_init__``) and the ``__repr__``, ``__eq__`` and ``__hash__`` that all
 records share.  A record is frozen unless ``mutable=True``, which also makes
 it unhashable.  ``dataclasses`` would compile five or six methods per class,
-and every command pays that at start-up before it does any work.  A frozen
-record's ``__init__`` sets each field in its slot or in ``self.__dict__``.
+and every command pays that at start-up before it does any work.  Every
+record is slotted: ``__init__`` sets each field through its slot's
+descriptor, past a frozen record's ``__setattr__``, and leaves a field with
+``init=False`` to ``__post_init__``.
 
 ``dataclasses`` stays as the field registry: ``dataclass(init=False,
-repr=False, eq=False)`` generates no method, and keeps ``is_dataclass``,
-``fields``, ``replace`` and ``__match_args__`` working.  The benchmark reads
-records through it: ``perfbench/check.py`` walks expressions through
-``__dataclass_fields__`` and ``perfbench/worker.py`` through ``fields``.
+repr=False, eq=False, slots=True)`` generates no method, and keeps
+``is_dataclass``, ``fields``, ``replace`` and ``__match_args__`` working.
+The benchmark reads records through it: ``perfbench/check.py`` walks
+expressions through ``__dataclass_fields__`` and ``perfbench/worker.py``
+through ``fields``.
 
 ``==`` walks an explicit stack through records and tuples, so trees of any
 depth compare, and compares leaves with ``==`` (``Literal(True) ==
 Literal(1)``).  ``hash`` hashes the same walk, flattened; ``repr`` writes
-the ``dataclasses`` text by such a walk too.
+the ``dataclasses`` text by such a walk through lists and dicts too.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ class _Factory:
         return "<factory>"
 
 
-def record(cls=None, /, *, slots: bool = False, mutable: bool = False):
-    """Make ``cls`` a record; ``@record`` or ``@record(slots=True, ...)``."""
+def record(cls=None, /, *, mutable: bool = False):
+    """Make ``cls`` a record; ``@record`` or ``@record(mutable=True)``."""
 
     def wrap(cls):
-        cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+        cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
         _COMPARED[cls] = tuple(f.name for f in reversed(fields(cls)) if f.compare)
         _SHOWN[cls] = tuple(f.name for f in fields(cls) if f.repr)
-        cls.__init__, cls.__repr__, cls.__eq__ = _init(cls, mutable), _repr, _eq
+        cls.__init__, cls.__repr__, cls.__eq__ = _init(cls), _repr, _eq
         if mutable:
             cls.__hash__ = None
         else:
@@ -52,10 +55,10 @@ def record(cls=None, /, *, slots: bool = False, mutable: bool = False):
     return wrap if cls is None else wrap(cls)
 
 
-def _init(cls, mutable: bool):
-    env, params, slotted = {"__factory": _Factory()}, [], "__slots__" in vars(cls)
-    body = [] if mutable or slotted else ["__dict = self.__dict__"]
-    for f in fields(cls):
+def _init(cls):
+    env, params, body = {"__factory": _Factory()}, [], []
+    init_fields = [f for f in fields(cls) if f.init]
+    for f in init_fields:
         param = value = f.name
         if f.default is not MISSING:
             env[f"__d_{f.name}"], param = f.default, f"{f.name}=__d_{f.name}"
@@ -63,10 +66,8 @@ def _init(cls, mutable: bool):
             env[f"__d_{f.name}"], param = f.default_factory, f"{f.name}=__factory"
             value = f"__d_{f.name}() if {f.name} is __factory else {f.name}"
         params.append(param)
-        if slotted:
-            env[f"__s_{f.name}"] = vars(cls)[f.name].__set__
-        body.append(f"self.{f.name} = {value}" if mutable else f"__s_{f.name}(self, {value})"
-                    if slotted else f"__dict[{f.name!r}] = {value}")
+        env[f"__s_{f.name}"] = vars(cls)[f.name].__set__
+        body.append(f"__s_{f.name}(self, {value})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     namespace: dict = {}
@@ -74,12 +75,15 @@ def _init(cls, mutable: bool):
          + "\n  ".join(body or ["pass"]) + "\n return __init__", {}, namespace)
     init = namespace["make"](*env.values())
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    init.__annotations__ = {**{f.name: f.type for f in init_fields}, "return": None}
     return init
 
 
+_BRACKETS = {tuple: "()", list: "[]", dict: "{}"}
+
+
 def _repr(self) -> str:
-    # Last in first out: text, a value (in a 1-tuple), or a written record's id.
+    # Last in first out: text, a value (in a 1-tuple), or an open value's id.
     parts, stack, inside = [], [(self,)], set()
     while stack:
         item = stack.pop()
@@ -88,22 +92,29 @@ def _repr(self) -> str:
         elif item.__class__ is int:
             inside.discard(item)
         else:
-            value, names = item[0], _SHOWN.get(item[0].__class__)
-            if value.__class__ is tuple:
-                parts.append("(")
-                stack.append(",)" if len(value) == 1 else ")")
-                entries = [("", entry) for entry in value]
-            elif names is None or id(value) in inside:  # a record inside itself is "..."
-                parts.append(repr(value) if names is None else "...")
-                continue
+            value = item[0]
+            names, brackets = _SHOWN.get(value.__class__), _BRACKETS.get(value.__class__)
+            if names is not None:
+                brackets = f"{value.__class__.__qualname__}(", ")"
+            if brackets is None:
+                parts.append(repr(value))
+            elif id(value) in inside:  # inside itself, as ``dataclasses`` and ``list`` write it
+                parts.append("..." if names is not None else "...".join(brackets))
             else:
                 inside.add(id(value))
-                parts.append(f"{value.__class__.__qualname__}(")
-                stack += (id(value), ")")
-                entries = [(f"{name}=", getattr(value, name)) for name in names]
-            for index in range(len(entries) - 1, -1, -1):
-                label, entry = entries[index]
-                stack += ((entry,), (", " if index else "") + label)
+                parts.append(brackets[0])
+                one = value.__class__ is tuple and len(value) == 1
+                stack += (id(value), ",)" if one else brackets[1])
+                if names is not None:
+                    entries = [(f", {name}=", getattr(value, name)) for name in names]
+                elif brackets == "{}":
+                    entries = [pair for key, entry in value.items()
+                               for pair in ((", ", key), (": ", entry))]
+                else:
+                    entries = [(", ", entry) for entry in value]
+                for index in range(len(entries) - 1, -1, -1):
+                    label, entry = entries[index]
+                    stack += ((entry,), label if index else label[2:])
     return "".join(parts)
 
 
@@ -149,4 +160,4 @@ def _frozen(self, name, *value):
 
 def _reduce(self):
     cls = self.__class__
-    return cls, tuple(getattr(self, name) for name in cls.__dataclass_fields__)
+    return cls, tuple(getattr(self, f.name) for f in fields(cls) if f.init)

@@ -83,7 +83,7 @@ def random_model(
             invariants = (Invariant(E.VarRef(rng.choice(bool_attrs))),)
 
         classes.append(ClassDef(
-            name, supers, stereotypes, {}, attrs, tuple(ops), invariants))
+            name, supers, stereotypes, (), attrs, tuple(ops), invariants))
 
     statecharts = []
     if charts:

@@ -4,7 +4,7 @@
 stack through records and tuples; ``tests/test_records.py`` holds it to the
 real ``dataclasses`` twins on generated corpora.  Here it must also write
 trees far deeper than the interpreter's recursion limit, and stop at a
-record that holds itself.
+record that holds itself, also through a list or a dict.
 """
 
 from __future__ import annotations
@@ -63,3 +63,27 @@ def test_a_record_inside_itself_is_written_as_dataclasses_writes_it():
     shared = E.VarRef("x")  # the same node twice is no cycle
     assert repr(E.And(shared, shared)) == \
         "And(lhs=VarRef(name='x'), rhs=VarRef(name='x'))"
+
+
+@dataclass
+class TransformReportTwin:
+    induced_attributes: list = field(default_factory=list)
+    induced_invariants: list = field(default_factory=list)
+    induced_operations: list = field(default_factory=list)
+    induced_preconditions: list = field(default_factory=list)
+    diagnostics: list = field(default_factory=list)
+
+
+def test_a_record_inside_itself_through_a_list_or_a_dict_is_written_as_dataclasses_writes_it():
+    report, twin = TransformReport(), TransformReportTwin()
+    for value in (report, twin):
+        value.induced_attributes.append(value)
+        value.diagnostics.append(value.diagnostics)
+    assert repr(report) == repr(twin).replace("Twin", "") == (
+        "TransformReport(induced_attributes=[...], induced_invariants=[], "
+        "induced_operations=[], induced_preconditions=[], diagnostics=[[...]])")
+    env, twin = Env(), EnvTwin()
+    for value in (env, twin):
+        value.bindings.update({"self": value, "n": (value.bindings, [1]), E.VarRef("x"): 2})
+    assert repr(env) == repr(twin).replace("EnvTwin", "Env") == (
+        "Env(bindings={'self': ..., 'n': ({...}, [1]), VarRef(name='x'): 2}, model=None)")
