@@ -27,7 +27,6 @@ attributes and operations expose ``name`` only.
 from __future__ import annotations
 
 import operator
-from dataclasses import field
 from typing import Callable
 
 from . import expr as E
@@ -44,7 +43,7 @@ from .model import (
     stereotypes_of,
     transition_path,
 )
-from .record import record
+from .record import field, record
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions, lookup_scalar
 
 Value = object  # bool | int | str | element reference | tuple of Value

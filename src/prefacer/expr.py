@@ -14,10 +14,8 @@ Equality and hashing walk an explicit stack, so trees of any depth compare.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 from .diagnostics import SourceLocation
-from .record import record
+from .record import field, record
 
 #: Values a literal node may hold.  ``bool`` must be tested before ``int``
 #: everywhere, since Python bools are ints.

@@ -17,11 +17,10 @@ after construction.
 from __future__ import annotations
 
 import re
-from dataclasses import field
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import And, Expr, LiteralValue
-from .record import record
+from .record import field, record
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -220,22 +219,15 @@ class Model:
 ModelElement = Model | ClassDef | Attribute | Operation | Statechart | Transition | State
 
 
+_METACLASS_OF = {ClassDef: "Class", Attribute: "Attribute", Operation: "Operation",
+                 Statechart: "Statechart", Transition: "Transition", State: "State",
+                 Model: "Model"}
+
+
 def metaclass_of(element: ModelElement) -> str:
-    if isinstance(element, ClassDef):
-        return "Class"
-    if isinstance(element, Attribute):
-        return "Attribute"
-    if isinstance(element, Operation):
-        return "Operation"
-    if isinstance(element, Statechart):
-        return "Statechart"
-    if isinstance(element, Transition):
-        return "Transition"
-    if isinstance(element, State):
-        return "State"
-    if isinstance(element, Model):
-        return "Model"
-    raise TypeError(f"not a model element: {element!r}")
+    if element.__class__ not in _METACLASS_OF:
+        raise TypeError(f"not a model element: {element!r}")
+    return _METACLASS_OF[element.__class__]
 
 
 def stereotypes_of(element: ModelElement) -> frozenset[str]:

@@ -29,13 +29,13 @@ it (E110).
 
 from __future__ import annotations
 
-from dataclasses import field
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import Expr, LiteralValue
 from .model import METACLASSES, Model, ModelElement, stereotypes_of, metaclass_of
-from .record import record
+from .record import field, record
 
 # ---------------------------------------------------------------------------
 # Option catalogue
@@ -340,13 +340,17 @@ class EffectiveDefinitions:
     """The language member a flattened preface denotes, as one provenance
     table.
 
-    ``chains`` maps each ``(kind, key)`` of ``KINDS`` to its chain, so
+    ``table`` pairs each ``(kind, key)`` of ``KINDS`` with its chain, so
     ``chain[-1]`` is the winner.  It is ordered by first definition, with
-    the catalogue defaults of unset options last.
+    the catalogue defaults of unset options last.  ``chains`` indexes it.
     """
 
     flattened_order: tuple[str, ...]
-    chains: dict[tuple[str, str], Chain]
+    table: tuple[tuple[tuple[str, str], Chain], ...]
+    chains: MappingProxyType[tuple[str, str], Chain] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "chains", MappingProxyType(dict(self.table)))
 
     def winners(self, kind: str) -> dict[str, tuple[Definition, Provenance]]:
         """The winning definition of every key of ``kind``, by key."""
@@ -379,7 +383,7 @@ def resolve(flattened: list[Package]) -> EffectiveDefinitions:
             (OptionDef(key, entry.default), Provenance(CATALOGUE_DEFAULT, -1))])
 
     return EffectiveDefinitions(
-        tuple(pkg.id for pkg in flattened), {k: tuple(v) for k, v in chains.items()})
+        tuple(pkg.id for pkg in flattened), tuple((k, tuple(v)) for k, v in chains.items()))
 
 
 def compose(repo: PackageRepository, root_id: str) -> EffectiveDefinitions:

@@ -1,63 +1,111 @@
 """Records: the package's data classes, cheap to define.
 
-``@record`` gives an annotated class one generated ``__init__`` (the
-``dataclasses`` signature, defaults and ``default_factory``, then
-``__post_init__``) and the ``__repr__``, ``__eq__`` and ``__hash__`` that all
-records share.  A record is frozen unless ``mutable=True``, which also makes
-it unhashable.  ``dataclasses`` would compile five or six methods per class,
-and every command pays that at start-up before it does any work.  Every
-record is slotted: ``__init__`` sets each field through its slot's
-descriptor, past a frozen record's ``__setattr__``, and leaves a field with
-``init=False`` to ``__post_init__``.
+``@record`` reads a class's annotated fields and their ``field`` specs into
+the record's own field table, and creates the class once more, slotted.  The
+generated ``__init__`` (the ``dataclasses`` signature, fields set through
+their slots, then ``__post_init__``), ``replace``, and the ``__repr__``,
+``__eq__``, ``__hash__`` and ``__reduce__`` all records share read that
+table.  A record is frozen unless ``mutable=True``, which makes it unhashable.
 
-``dataclasses`` stays as the field registry: ``dataclass(init=False,
-repr=False, eq=False, slots=True)`` generates no method, and keeps
-``is_dataclass``, ``fields``, ``replace`` and ``__match_args__`` working.
-The benchmark reads records through it: ``perfbench/check.py`` walks
-expressions through ``__dataclass_fields__`` and ``perfbench/worker.py``
-through ``fields``.
+Start-up imports no ``dataclasses``.  Outside readers get its registry all the
+same: ``make_dataclass`` builds it on the first read of
+``__dataclass_fields__``.  A table it refuses, or an ``init=False`` field
+given to ``replace``, is handed to it to raise its error.
 
-``==`` walks an explicit stack through records and tuples, so trees of any
-depth compare, and compares leaves with ``==`` (``Literal(True) ==
-Literal(1)``).  ``hash`` hashes the same walk, flattened; ``repr`` writes
-the ``dataclasses`` text by such a walk through lists and dicts too.
+``==``, ``hash`` and ``repr`` walk explicit stacks, so trees of any depth
+compare (leaves with ``==``), hash and print (the ``dataclasses`` text).
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+MISSING = object()  # a ``field`` spec left unset
 
+_FIELDS: dict[type, tuple[Field, ...]] = {}  # record class -> its field table
 #: Record class -> its compared fields, last first, for a stack to pop in order.
 _COMPARED: dict[type, tuple[str, ...]] = {}
 _SHOWN: dict[type, tuple[str, ...]] = {}  # record class -> the fields ``repr`` shows
 
 
+class Field:
+    """A row of a field table: the spec ``dataclasses.field`` takes, a name and a type."""
+
+    __slots__ = ("name", "type", "default", "default_factory", "init", "repr", "compare")
+
+    def __init__(self, *, default=MISSING, default_factory=MISSING, init=True, repr=True,
+                 compare=True):
+        if default is not MISSING and default_factory is not MISSING:
+            raise ValueError("cannot specify both default and default_factory")
+        self.default, self.default_factory = default, default_factory
+        self.init, self.repr, self.compare = init, repr, compare
+
+
+field = Field
+
+
 class _Factory:
-    def __repr__(self) -> str:  # as ``inspect.signature`` shows a factory default
-        return "<factory>"
+    __repr__ = lambda self: "<factory>"  # as ``inspect.signature`` shows a factory default
+
+
+class _Registry:
+    """``__dataclass_fields__``, built on first read and kept in its place."""
+
+    def __get__(self, instance, cls):
+        made = _dataclass(cls.__name__, _FIELDS[cls], init=False, repr=False, eq=False)
+        cls.__dataclass_fields__ = made.__dataclass_fields__
+        return made.__dataclass_fields__
+
+
+def _dataclass(name: str, table, **options):
+    from dataclasses import field, make_dataclass
+    return make_dataclass(name, [(f.name, f.type, field(**{
+        spec: getattr(f, spec) for spec in Field.__slots__[2:]
+        if getattr(f, spec) is not MISSING})) for f in table], **options)
 
 
 def record(cls=None, /, *, mutable: bool = False):
     """Make ``cls`` a record; ``@record`` or ``@record(mutable=True)``."""
 
     def wrap(cls):
-        cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
-        _COMPARED[cls] = tuple(f.name for f in reversed(fields(cls)) if f.compare)
-        _SHOWN[cls] = tuple(f.name for f in fields(cls) if f.repr)
-        cls.__init__, cls.__repr__, cls.__eq__ = _init(cls), _repr, _eq
-        if mutable:
-            cls.__hash__ = None
-        else:
-            cls.__hash__, cls.__reduce__ = _hash, _reduce
-            cls.__setattr__ = cls.__delattr__ = _frozen
+        namespace = {key: value for key, value in vars(cls).items()
+                     if key not in ("__dict__", "__weakref__")}
+        table = []
+        for name, type_ in namespace.get("__annotations__", {}).items():
+            spec = namespace.pop(name, MISSING)
+            table.append(spec if isinstance(spec, Field) else Field(default=spec))
+            table[-1].name, table[-1].type = name, type_
+        given = [f.default is not MISSING or f.default_factory is not MISSING
+                 for f in table if f.init]  # unsorted: a default before a non-default
+        if sorted(given) != given or any(f.default.__class__.__hash__ is None for f in table):
+            _dataclass(cls.__name__, table)  # raises what ``dataclass`` raises
+        namespace.setdefault("__match_args__", tuple(f.name for f in table if f.init))
+        if not mutable:
+            namespace.update(__reduce__=_reduce, __setattr__=_frozen, __delattr__=_frozen)
+        namespace.update(__slots__=tuple(f.name for f in table), __qualname__=cls.__qualname__,
+                         __dataclass_fields__=_Registry(), __repr__=_repr, __eq__=_eq,
+                         __hash__=None if mutable else _hash)
+        cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+        _FIELDS[cls] = table = tuple(table)
+        _COMPARED[cls] = tuple(f.name for f in reversed(table) if f.compare)
+        _SHOWN[cls] = tuple(f.name for f in table if f.repr)
+        cls.__init__ = _init(cls, table)
         return cls
 
     return wrap if cls is None else wrap(cls)
 
 
-def _init(cls):
+def replace(obj, /, **changes):
+    """``dataclasses.replace`` for a record."""
+
+    table = _FIELDS[obj.__class__]
+    if any(not f.init and f.name in changes for f in table):
+        from dataclasses import replace
+        return replace(obj, **changes)  # raises its error
+    return obj.__class__(**{**{f.name: getattr(obj, f.name) for f in table if f.init}, **changes})
+
+
+def _init(cls, table):
     env, params, body = {"__factory": _Factory()}, [], []
-    init_fields = [f for f in fields(cls) if f.init]
+    init_fields = [f for f in table if f.init]
     for f in init_fields:
         param = value = f.name
         if f.default is not MISSING:
@@ -155,9 +203,10 @@ def _hash(self) -> int:
 
 
 def _frozen(self, name, *value):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _reduce(self):
     cls = self.__class__
-    return cls, tuple(getattr(self, f.name) for f in fields(cls) if f.init)
+    return cls, tuple(getattr(self, f.name) for f in _FIELDS[cls] if f.init)

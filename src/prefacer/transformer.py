@@ -23,8 +23,6 @@ generated code rather than guessed here.
 
 from __future__ import annotations
 
-from dataclasses import field, replace
-
 from . import expr as E
 from .diagnostics import Diagnostic, has_errors
 from .model import (
@@ -38,7 +36,7 @@ from .model import (
     member_path,
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
-from .record import record
+from .record import field, record, replace
 
 
 @record(mutable=True)

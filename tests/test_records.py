@@ -7,6 +7,8 @@ compositions, transform results and expression trees, plus hand-picked edge
 cases, are converted into twins, and both sides must agree on ``repr``,
 ``==``/``!=``, hashing, ``dataclasses.replace``, ``fields``,
 ``__match_args__``, the ``__init__`` signature and ``FrozenInstanceError``.
+``record.replace`` must agree with ``dataclasses.replace``, and a
+declaration that ``dataclass`` refuses must fail the same way as a record.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import pytest
 import prefacer
 from generators import random_expr, random_model, random_package, random_repo, scoped_expr
 from prefacer import expr as E
+from prefacer import record as R
 from prefacer.cli import RunConfig
 from prefacer.constraints import Env
 from prefacer.diagnostics import Diagnostic, SourceLocation
@@ -184,15 +187,15 @@ def test_every_record_class_is_built_by_the_corpus():
 
 
 def test_every_frozen_record_hashes():
-    # ``EffectiveDefinitions`` keeps its ``chains`` table in a dict, so it
-    # does not hash; nor does its twin.
     frozen = [r for r in FIRST + OTHER + EDGES if type(r).__name__ not in MUTABLE]
     assert {type(r) for r in frozen} == {cls for cls in RECORDS if cls.__name__ not in MUTABLE}
     for record in frozen:
-        if type(record).__name__ == "EffectiveDefinitions":
-            assert _hash_or_error(record) == ("unhashable", "unhashable type: 'dict'")
-        else:
-            assert hash(record) == hash(copy.copy(record)), record
+        assert hash(record) == hash(copy.copy(record)), record
+    eff = next(r for r in FIRST if type(r).__name__ == "EffectiveDefinitions")
+    key = next(iter(eff.chains))
+    with pytest.raises(TypeError):
+        eff.chains[key] = ()
+    assert dict(eff.chains) == dict(eff.table) and eff.chains[key] == eff.table[0][1]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -247,6 +250,62 @@ def test_replace_agrees():
             assert repr(changed) == repr(ref)
             assert (changed == record, changed == other) == (ref == twin(record), ref == twin(other))
         assert replace(record) == record and replace(record) is not record
+
+
+def test_record_replace_agrees_with_dataclasses_replace():
+    others = _by_class(OTHER + EDGES)
+    for record in FIRST + OTHER + EDGES:
+        init = [f.name for f in fields(record) if f.init]
+        for name, other in itertools.product([None, *init], others[type(record)][:2]):
+            changes = {} if name is None else {name: getattr(other, name)}
+            ours, ref = R.replace(record, **changes), replace(record, **changes)
+            assert type(ours) is type(ref) and ours == ref and ours is not record
+            assert all(getattr(ours, f.name) is getattr(ref, f.name) for f in fields(ref)
+                       if f.init), (record, name)
+            assert all(getattr(ours, f.name) == getattr(ref, f.name) for f in fields(ref))
+
+
+def test_record_replace_refuses_an_init_false_field_and_rebuilds_a_model_index():
+    model = parse_model("model m\n  class A {\n  }\n  class B {\n  }\n")
+    refused = ValueError if sys.version_info < (3, 13) else TypeError
+    for changes in ({"_class_index": {}}, {"name": "n", "_chart_index": {}}):
+        with pytest.raises(refused) as ours:
+            R.replace(model, **changes)
+        with pytest.raises(refused) as ref:
+            replace(model, **changes)
+        assert str(ours.value) == str(ref.value)
+    assert "init=False, it cannot be specified with replace()" in str(ours.value)
+    narrowed = R.replace(model, classes=model.classes[1:])
+    assert narrowed.class_named("B") is model.classes[1] and narrowed.class_named("A") is None
+    assert model.class_named("A") is model.classes[0]
+
+
+#: Class bodies that ``dataclass`` refuses, and one it accepts: an
+#: ``init=False`` field is no ``__init__`` parameter, so its default does
+#: not count.
+DECLARATIONS = [
+    "x: list = []",
+    "x: dict = field(default={})",
+    "x: set = set()",
+    "x: int = field(default=1, default_factory=int)",
+    "x: int = 0\n    y: str",
+    "x: list = field(default_factory=list)\n    y: str = ''\n    z: str",
+    "x: int = field(default=0, init=False)\n    y: str",
+]
+
+
+@pytest.mark.parametrize("body", DECLARATIONS)
+def test_a_declaration_fails_as_dataclass_fails(body):
+    outcomes = []
+    for decorate, make_field in ((R.record, R.field), (dataclass(frozen=True, slots=True), field)):
+        try:
+            exec(f"@decorate\nclass Declared:\n    {body}\n",
+                 {"decorate": decorate, "field": make_field})
+            outcomes.append(None)
+        except (TypeError, ValueError) as error:
+            outcomes.append((type(error), str(error)))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == ("init=False" in body)
 
 
 def test_assignment_agrees():
@@ -336,11 +395,12 @@ def test_deep_trees_compare_and_hash_without_recursion():
 
 
 # ---------------------------------------------------------------------------
-# Start-up: the import generates no method but one ``__init__`` per record
+# Start-up: the import generates no method but one ``__init__`` per record,
+# and loads no ``dataclasses``
 # ---------------------------------------------------------------------------
 
 _IMPORT_AUDIT = """\
-import dataclasses, importlib, json, re, sys
+import importlib, json, re, sys
 sys.path.insert(0, sys.argv[1])
 for name in sys.argv[2:]:
     importlib.import_module(name)
@@ -349,10 +409,6 @@ sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>
                  and sources.append(args[0]))
 import prefacer, prefacer.cli
 imported = list(sources)
-@dataclasses.dataclass(init=False, repr=False, eq=False)
-class Probe:
-    "A registration with nothing to generate."
-    x: int
 records = [(cls.__qualname__, cls.__doc__) for name, module in sorted(sys.modules.items())
            if name.startswith("prefacer") for cls in vars(module).values()
            if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")
@@ -360,8 +416,7 @@ records = [(cls.__qualname__, cls.__doc__) for name, module in sorted(sys.module
 methods = [name for text in imported if isinstance(text, (str, bytes))
            for name in re.findall(r"^[ \\t]+def (\\w+)", text if isinstance(text, str)
                                   else text.decode(), re.M)]
-print(json.dumps({"compiles": len(imported), "registration": len(sources) - len(imported),
-                  "records": records, "methods": methods}))
+print(json.dumps({"compiles": len(imported), "records": records, "methods": methods}))
 """
 
 
@@ -387,12 +442,20 @@ def test_importing_the_package_generates_one_init_per_record():
     seen = json.loads(done.stdout)
     records = dict(seen["records"])
     assert len(records) == len(seen["records"]) == len(RECORDS)
-    # Each generated method is nested in the factory ``exec`` defines.
+    # Each generated method is nested in the factory ``exec`` defines, and
+    # nothing else is compiled.
     assert set(seen["methods"]) <= {"__init__"}
-    assert len(seen["methods"]) <= len(records)
-    # ``dataclasses`` itself compiles an empty factory per registration on
-    # some releases; nothing else may be compiled.
-    assert seen["compiles"] <= len(records) * (1 + seen["registration"])
+    assert seen["compiles"] == len(seen["methods"]) == len(records)
     undocumented = [name for name, doc in records.items()
                     if not doc or doc.startswith(name + "(")]
     assert undocumented == []
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", "import json, sys\nsys.path.insert(0, sys.argv[1])\n"
+         "import prefacer, prefacer.cli\n"
+         "print(json.dumps([name for name in ('dataclasses', 'inspect', 'copy')"
+         " if name in sys.modules]))", str(SRC)],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == []
