@@ -36,7 +36,6 @@ identical output bytes.  No run ends in a traceback: any other exception
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import IO, Callable
@@ -114,6 +113,7 @@ def render_diagnostics(diags: list[Diagnostic], format: str = "text") -> str:
     """Stable text or JSON rendering; empty string for an empty list."""
 
     if format == "json":
+        import json  # only here: start-up does without it
         return json.dumps(_diagnostics_payload(diags), indent=2) + "\n"
 
     lines = []
@@ -134,6 +134,7 @@ def _render(diags: list[Diagnostic], format: str, text: str = "", **fields) -> s
     the diagnostics and ``fields`` instead."""
 
     if format == "json":
+        import json
         return json.dumps({"diagnostics": _diagnostics_payload(diags), **fields}, indent=2) + "\n"
     return render_diagnostics(diags) + text
 
@@ -245,14 +246,14 @@ def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
             Path(config.output).write_text(text, encoding="utf-8", newline="\n")
         else:
             stdout.write(text)
-    induced = print_transform_report(report) if report is not None else ""
-    # text ignores the sections, so only json formats them a second time
-    sections = (transform_report_sections(report or TransformReport())
-                if config.format == "json" else [])
-    stderr.write(_render(diags, config.format, induced, **{
-        title.replace(" ", "_"): [{"path": path, "description": description}
-                                  for path, description in entries]
-        for title, entries in sections}))
+    if config.format == "json":
+        stderr.write(_render(diags, "json", **{
+            title.replace(" ", "_"): [{"path": path, "description": description}
+                                      for path, description in entries]
+            for title, entries in transform_report_sections(report or TransformReport())}))
+    else:
+        stderr.write(_render(diags, "text",
+                             print_transform_report(report) if report is not None else ""))
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 

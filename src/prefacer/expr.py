@@ -58,9 +58,6 @@ class Call:
     args: tuple[Expr, ...]
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-
 
 @record
 class Forall:

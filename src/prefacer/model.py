@@ -99,9 +99,6 @@ class Operation:
     origin: Origin = AUTHORED
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-
     @property
     def effective_pre(self) -> Expr | None:
         """``pre_authored and pre_induced``, either alone, or ``None``: the
@@ -135,13 +132,6 @@ class ClassDef:
     invariants: tuple[Invariant, ...] = ()
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "superclasses", tuple(self.superclasses))
-        object.__setattr__(self, "stereotypes", frozenset(self.stereotypes))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "operations", tuple(self.operations))
-        object.__setattr__(self, "invariants", tuple(self.invariants))
-
 
 @record
 class State:
@@ -173,10 +163,6 @@ class Statechart:
     transitions: tuple[Transition, ...] = ()
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-
     def initial_states(self) -> tuple[State, ...]:
         return tuple(s for s in self.states if s.initial)
 
@@ -199,8 +185,6 @@ class Model:
     _chart_index: dict[str, Statechart] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "statecharts", tuple(self.statecharts))
         # read backwards, so the first element of a name is the one kept
         object.__setattr__(self, "_class_index", {c.name: c for c in reversed(self.classes)})
         object.__setattr__(self, "_chart_index", {c.name: c for c in reversed(self.statecharts)})

@@ -100,9 +100,6 @@ class StereotypeDef:
     required_tags: tuple[str, ...] = ()
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "required_tags", tuple(self.required_tags))
-
 
 @record
 class TagDef:
@@ -196,10 +193,6 @@ class Package:
     imports: tuple[str, ...] = ()
     definitions: tuple[Definition, ...] = ()
     loc: SourceLocation | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "imports", tuple(self.imports))
-        object.__setattr__(self, "definitions", tuple(self.definitions))
 
 
 #: Package id -> package.  Insertion order is the load order and only

@@ -6,6 +6,8 @@ generated ``__init__`` (the ``dataclasses`` signature, fields set through
 their slots, then ``__post_init__``), ``replace``, and the ``__repr__``,
 ``__eq__``, ``__hash__`` and ``__reduce__`` all records share read that
 table.  A record is frozen unless ``mutable=True``, which makes it unhashable.
+It stores exactly what its constructor is given: ``__post_init__`` derives
+the ``init=False`` fields and never normalises the others.
 
 Start-up imports no ``dataclasses``.  Outside readers get its registry all the
 same: ``make_dataclass`` builds it on the first read of

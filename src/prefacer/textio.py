@@ -507,22 +507,23 @@ def _parse_operation(p: _Parser, index: int) -> Operation:
     return Operation(name, tuple(params), pre, post, loc=p.loc(index))
 
 
-def _names(p: _Parser, what: str) -> list[str]:
-    """One identifier, then more after commas."""
+def _idents(p: _Parser, separator: str, what: str) -> list[str]:
+    """One identifier, then more after each ``separator``: a comma-separated
+    name list, a dashed transform id or a dotted option key."""
 
-    names = [p.ident(what)]
-    while p.take(","):
-        names.append(p.ident(what))
-    return names
+    idents = [p.ident(what)]
+    while p.take(separator):
+        idents.append(p.ident(what))
+    return idents
 
 
 def _parse_class(p: _Parser) -> ClassDef:
     loc = p.loc(p.eat("class"))
     name = p.ident("a class name")
-    superclasses = _names(p, "a class name") if p.take("specializes") else []
+    superclasses = _idents(p, ",", "a class name") if p.take("specializes") else []
     stereotypes: list[str] = []
     if p.take("<<"):
-        stereotypes = _names(p, "a stereotype name")
+        stereotypes = _idents(p, ",", "a stereotype name")
         p.eat(">>")
     p.eat("{")
     attributes: list[Attribute] = []
@@ -614,17 +615,6 @@ def parse_model(source: str, file: str = "<model>") -> Model:
 # Package parsing
 # ---------------------------------------------------------------------------
 
-
-def _joined_ident(p: _Parser, separator: str, what: str) -> str:
-    """Identifiers joined by ``separator``: a dashed transform id or a
-    dotted option key."""
-
-    parts = [p.ident(what)]
-    while p.take(separator):
-        parts.append(p.ident(what))
-    return separator.join(parts)
-
-
 # Each definition parser starts after its keyword, whose location it is given.
 
 
@@ -635,7 +625,7 @@ def _parse_const(p: _Parser, loc: SourceLocation) -> Definition:
 
 
 def _parse_option(p: _Parser, loc: SourceLocation) -> Definition:
-    key = _joined_ident(p, ".", "an option key")
+    key = ".".join(_idents(p, ".", "an option key"))
     p.eat("=")
     return OptionDef(key, p.ident("an option value"), loc=loc)
 
@@ -644,7 +634,7 @@ def _parse_stereotype(p: _Parser, loc: SourceLocation) -> Definition:
     name = p.ident("a stereotype name")
     p.eat("on")
     base = p.metaclass()
-    required = _names(p, "a tag name") if p.take("requires") else []
+    required = _idents(p, ",", "a tag name") if p.take("requires") else []
     return StereotypeDef(name, base, tuple(required), loc=loc)
 
 
@@ -697,7 +687,7 @@ def _parse_rule(p: _Parser, loc: SourceLocation) -> Definition:
 
 
 def _parse_transform(p: _Parser, loc: SourceLocation) -> Definition:
-    transform_id = _joined_ident(p, "-", "a transform id")
+    transform_id = "-".join(_idents(p, "-", "a transform id"))
     if p.take("on"):
         return TransformSelection(transform_id, True, loc=loc)
     if p.take("off"):

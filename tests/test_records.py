@@ -9,6 +9,8 @@ cases, are converted into twins, and both sides must agree on ``repr``,
 ``__match_args__``, the ``__init__`` signature and ``FrozenInstanceError``.
 ``record.replace`` must agree with ``dataclasses.replace``, and a
 declaration that ``dataclass`` refuses must fail the same way as a record.
+A record stores what it is given: its ``__post_init__`` sets only
+``init=False`` fields.
 """
 
 from __future__ import annotations
@@ -49,7 +51,14 @@ from prefacer.preface import (
     compose,
 )
 from prefacer.skeletongen import generate_monitor, generate_skeleton
-from prefacer.textio import format_expr, parse_expr, parse_model, print_model
+from prefacer.textio import (
+    format_expr,
+    parse_expr,
+    parse_model,
+    parse_package,
+    print_model,
+    print_package,
+)
 from prefacer.transformer import TransformReport, apply_transforms
 
 #: The records that may be changed after construction; every other record
@@ -150,7 +159,7 @@ def corpus(seed: int) -> list:
         for _ in range(8):
             tree = random_expr(rng, 4)
             roots += [tree, parse_expr(format_expr(tree))]
-        roots += [random_package(rng), random_package(rng),
+        roots += [random_package(rng), parse_package(print_package(random_package(rng))),
                   ConstraintDef("c", "Class", "error", scoped_expr(rng, "Class"))]
     roots += [ClassDef("T", tagged_values=(("owner", "me"), ("weight", 3))),
               PredicatedRuleDef("visibility", IsMetaclass("Class"), "public")]
@@ -162,7 +171,7 @@ OTHER = records_in(corpus(8), [])
 EDGES = [E.Literal(True), E.Literal(1), E.Literal(1, SourceLocation("f", 9, 9)),
          E.Literal(0), E.Literal(False), E.Literal("1"),
          E.And(E.VarRef("x"), E.VarRef("y")), E.Or(E.VarRef("x"), E.VarRef("y")),
-         E.Call("size", [E.VarRef("x")]), E.Call("size", (E.VarRef("x"),)),
+         E.Call("size", (E.VarRef("x"),)),
          Operation("go"), Operation("go", pre_authored=E.Literal(True)),
          Operation("go", pre_authored=E.Literal(1))]
 
@@ -358,6 +367,47 @@ def test_every_record_is_slotted_and_a_model_keeps_its_name_index():
     assert narrowed.chart_named("S") is model.statecharts[1]
 
 
+def _assigned_to_self(function: ast.FunctionDef) -> list[str]:
+    """The attributes ``function`` sets on ``self``, by assignment or through
+    ``object.__setattr__``/``setattr``; a name not written out reads ``?``."""
+
+    out = []
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.attr for t in targets if isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self"]
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func)
+              in ("object.__setattr__", "setattr") and len(node.args) > 1):
+            name = node.args[1]
+            out.append(name.value if isinstance(name, ast.Constant) else "?")
+    return out
+
+
+def test_post_init_only_derives_init_false_fields():
+    # A record stores what its constructor is given: ``__post_init__`` may
+    # set a field ``init=False`` keeps out of ``__init__``, and nothing else.
+    derived = {}
+    for path in sorted((SRC / "prefacer").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef) or "record" not in [
+                    ast.unparse(d).split("(")[0] for d in cls.decorator_list]:
+                continue
+            init_false = {
+                node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func) == "field"
+                and any(k.arg == "init" and ast.literal_eval(k.value) is False
+                        for k in node.value.keywords)}
+            for function in cls.body:
+                if isinstance(function, ast.FunctionDef) and function.name == "__post_init__":
+                    assigned = _assigned_to_self(function)
+                    assert assigned and set(assigned) <= init_false, (path.name, cls.name, assigned)
+                    derived[cls.name] = sorted(assigned)
+    assert derived["Model"] == ["_chart_index", "_class_index"]
+    assert derived["EffectiveDefinitions"] == ["chains"]
+
+
 def test_mutable_records_stay_mutable_and_unhashable():
     report = TransformReport()
     report.induced_attributes.append(("C", "s1"))
@@ -452,10 +502,11 @@ def test_importing_the_package_generates_one_init_per_record():
 
 
 def test_importing_the_package_loads_no_dataclasses():
+    # ``json`` too, which only ``--format json`` needs; so the probe prints a repr
     done = subprocess.run(
-        [sys.executable, "-I", "-c", "import json, sys\nsys.path.insert(0, sys.argv[1])\n"
+        [sys.executable, "-I", "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n"
          "import prefacer, prefacer.cli\n"
-         "print(json.dumps([name for name in ('dataclasses', 'inspect', 'copy')"
+         "print(repr([name for name in ('dataclasses', 'inspect', 'copy', 'json')"
          " if name in sys.modules]))", str(SRC)],
         capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(done.stdout) == []
+    assert ast.literal_eval(done.stdout) == []
