@@ -25,17 +25,24 @@ usage failure, 3 composition failure.  ``_run`` turns each failure into one
 plain-text line on standard error, under either format: ``parse error:``
 or ``error:`` (an input file that cannot be read or is not UTF-8, a
 preface directory that is missing or holds no package, an output path
-that cannot be written) with exit code 2, ``composition error:`` (import
+that cannot be written, a ``RunConfig`` without a field its command
+needs) with exit code 2, ``composition error:`` (import
 cycle, unknown import or root) with 3.  Diagnostics go to standard error,
 payload and summaries to standard output, and identical inputs produce
 identical output bytes.  No run ends in a traceback: any other exception
 (an evaluation too deep for the interpreter, say) is one ``internal error:
 <type>: <message>`` line, with exit code 2.
+
+All file I/O goes through ``_read_text`` and ``_write_text``: whole files
+of UTF-8 bytes, decoded and encoded in one call, with no text layer per
+file.  Inputs read CR LF and a lone CR as line ends, as universal
+newlines do; outputs are written with LF only.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import IO, Callable
@@ -149,11 +156,43 @@ class UnreadableInputError(Exception):
     UTF-8, or a preface directory that is missing or holds no packages."""
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: str) -> str:
+    """The file's text: UTF-8, with CR LF and a lone CR read as LF, as
+    ``Path.read_text`` reads it."""
+
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        return path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as failure:
         raise UnreadableInputError(f"{path}: {failure}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+# ``open(path, "wb")``'s flags and mode, without its file objects; binary
+# where the platform has a text mode, so that LF stays LF.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as they are."""
+
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        data = memoryview(text.encode("utf-8"))
+        while data:  # a write may take less than it is given
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _child(directory: str, name: str) -> str:
+    """``str(Path(directory) / name)`` for a ``directory`` spelled as
+    ``str(Path(...))`` spells it."""
+
+    return name if directory == "." else os.path.join(directory, name)
 
 
 @collector_paused()  # once for the whole directory, not once per file
@@ -172,7 +211,12 @@ def _load_repository(preface_dir: str, diags: list[Diagnostic],
     directory = Path(preface_dir)
     if not directory.is_dir():
         raise UnreadableInputError(f"'{preface_dir}' is not a directory")
-    files = sorted(directory.glob("*.preface"))
+    base = str(directory)
+    try:
+        names = os.listdir(base)
+    except PermissionError:  # as Path.glob: a directory it may not list holds none
+        names = []
+    files = [_child(base, name) for name in sorted(names) if name.endswith(".preface")]
     if not files:
         raise UnreadableInputError(f"no .preface files in '{preface_dir}'")
     read = parse_package if root_id is None else read_package_header
@@ -180,13 +224,13 @@ def _load_repository(preface_dir: str, diags: list[Diagnostic],
     sources: dict[str, tuple[str, str]] = {}  # id -> its file's path and text
     for path in files:
         text = _read_text(path)
-        pkg = read(text, str(path))
+        pkg = read(text, path)
         if pkg.id in repo:
             diags.append(Diagnostic(
                 "error", "E108", pkg.id,
                 f"package '{pkg.id}' is defined by more than one file", pkg.loc))
         repo[pkg.id] = pkg
-        sources[pkg.id] = str(path), text
+        sources[pkg.id] = path, text
     if root_id is None:
         return repo
     walk = _walk_imports(repo, (root_id,)) if root_id in repo else ()
@@ -196,8 +240,7 @@ def _load_repository(preface_dir: str, diags: list[Diagnostic],
 
 
 def _read_model(config: RunConfig) -> Model:
-    assert config.model_path is not None
-    return parse_model(_read_text(Path(config.model_path)), config.model_path)
+    return parse_model(_read_text(str(Path(config.model_path))), config.model_path)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +286,7 @@ def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
     if transformed is not None:
         text = print_model(transformed)
         if config.output:
-            Path(config.output).write_text(text, encoding="utf-8", newline="\n")
+            _write_text(str(Path(config.output)), text)
         else:
             stdout.write(text)
     if config.format == "json":
@@ -259,7 +302,6 @@ def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
 
 def _cmd_explain(config: RunConfig, model: Model | None, eff: EffectiveDefinitions,
                  diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    assert config.key is not None
     try:
         chain = explain(eff, config.key)
     except NotDefinedError as failure:
@@ -285,13 +327,17 @@ def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
         except UntransformedInputError as failure:
             diags = diags + [Diagnostic("error", "E303", "", str(failure))]
         else:
-            assert config.output is not None
             out_dir = Path(config.output)
             out_dir.mkdir(parents=True, exist_ok=True)
-            for name, text in files:
-                path = out_dir / name
-                path.write_text(text, encoding="utf-8", newline="\n")
-                stdout.write(f"wrote {path}\n")
+            base = str(out_dir)
+            wrote = []
+            try:
+                for name, text in files:
+                    path = _child(base, name)
+                    _write_text(path, text)
+                    wrote.append(f"wrote {path}\n")
+            finally:  # a failed write still reports the files before it
+                stdout.write("".join(wrote))
     stderr.write(render_diagnostics(diags, config.format))
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
@@ -305,6 +351,14 @@ _COMMANDS: dict[str, Callable[..., int]] = {
 }
 
 _MODEL_COMMANDS = ("validate", "transform", "skeleton")
+
+# The RunConfig fields some commands cannot run without: which, and how
+# the error line names the field.
+_REQUIRED = {
+    "model_path": (_MODEL_COMMANDS, "a model path"),
+    "output": (("skeleton",), "an output directory"),
+    "key": (("explain",), "a key"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +378,10 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
 
 
 def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
+    for field, (commands, what) in _REQUIRED.items():
+        if config.command in commands and getattr(config, field) is None:
+            stderr.write(f"error: '{config.command}' needs {what}\n")
+            return EXIT_USAGE
     diags: list[Diagnostic] = []
     try:
         # compose, the preface author's command, reads the whole directory

@@ -8,6 +8,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import replay_view, snapshot_view
 from prefacer import cli as cli_module
@@ -17,6 +19,7 @@ from prefacer.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    UnreadableInputError,
     main,
     run,
 )
@@ -415,6 +418,128 @@ def test_an_output_directory_that_is_a_file_is_one_error_line(sample_dir, tmp_pa
     result = cli(config_for(sample_dir, "skeleton", output=str(target), format=format))
     assert result == (EXIT_USAGE, "", f"error: [Errno 17] File exists: '{target}'\n")
     assert target.read_text() == "x"
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+@pytest.mark.parametrize("command, missing, message", [
+    ("validate", "model_path", "error: 'validate' needs a model path\n"),
+    ("transform", "model_path", "error: 'transform' needs a model path\n"),
+    ("skeleton", "model_path", "error: 'skeleton' needs a model path\n"),
+    ("skeleton", "output", "error: 'skeleton' needs an output directory\n"),
+    ("explain", "key", "error: 'explain' needs a key\n"),
+])
+def test_a_config_without_a_field_its_command_needs_is_one_error_line(
+        tmp_path, command, missing, message, format):
+    # a missing preface directory: the field is checked before anything is read
+    settings = dict(model_path=str(tmp_path / "m.model"), key="max",
+                    output=str(tmp_path / "out"), format=format)
+    settings[missing] = None
+    config = RunConfig(command, str(tmp_path / "void"), "project-p", **settings)
+    assert cli(config) == (EXIT_USAGE, "", message)
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# Reading and writing files: the bytes Path.read_text, Path.glob and
+# Path.write_text would give, through plain binary files
+# ---------------------------------------------------------------------------
+
+#: Pieces of raw input: ASCII, every line end, multibyte UTF-8, a BOM, a
+#: byte UTF-8 never uses and the first bytes of a multibyte sequence.
+_NON_ASCII = st.characters(min_codepoint=0x80, exclude_categories=("Cs",))
+_RAW_PIECES = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6).map(str.encode),
+    st.sampled_from([b"\r\n", b"\r", b"\n", b"\xef\xbb\xbf", b"\xff"]),
+    _NON_ASCII.map(str.encode),
+    _NON_ASCII.map(str.encode).flatmap(
+        lambda code: st.integers(1, len(code) - 1).map(lambda n: code[:n])),
+)
+
+
+@given(st.lists(_RAW_PIECES, max_size=12).map(b"".join))
+@settings(max_examples=300, deadline=None)
+def test_reading_a_file_gives_what_path_read_text_gives(tmp_path_factory, data):
+    path = str(tmp_path_factory.getbasetemp() / "raw.txt")
+    with open(path, "wb") as file:
+        file.write(data)
+    try:
+        expected = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        with pytest.raises(UnreadableInputError) as failure:
+            cli_module._read_text(path)
+        assert str(failure.value) == f"{path}: {error}"
+    else:
+        assert cli_module._read_text(path) == expected
+
+
+def test_a_write_the_system_takes_in_part_is_carried_on(tmp_path, monkeypatch):
+    write = cli_module.os.write
+    monkeypatch.setattr(cli_module.os, "write", lambda fd, data: write(fd, data[:7]))
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"longer than what replaces it" * 20)
+    text = "line \u00e9\u4e2d\U0001f600\n" * 20
+    cli_module._write_text(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def _spell(tmp_path, monkeypatch, spelling: str) -> str:
+    """``spelling`` of a directory, run from an empty working directory
+    under ``tmp_path``; ``abs`` is an absolute path."""
+
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    return str(tmp_path / "abs") if spelling == "abs" else spelling
+
+
+SPELLINGS = ["out", "out/", "./out", "./o2/", "out//deep", "abs", "."]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_a_preface_directory_lists_what_path_glob_lists(tmp_path, monkeypatch, spelling):
+    directory = _spell(tmp_path, monkeypatch, spelling)
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for name in ("b.preface", "a.preface", ".hidden.preface", ".preface", "B.preface",
+                 "c.PREFACE", "d.preface.bak", "preface", "e.pre\nface.preface"):
+        (Path(directory) / name).write_text("")
+    (Path(directory) / "dir.preface").mkdir()
+    read = []
+
+    def record_read(path):
+        read.append(path)
+        return f'package "p{len(read)}" {{ }}\n'
+
+    monkeypatch.setattr(cli_module, "_read_text", record_read)
+    cli_module._load_repository(directory, [])
+    assert read == [str(path) for path in sorted(Path(directory).glob("*.preface"))]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_skeleton_names_each_file_as_path_joins_it(sample_dir, tmp_path, monkeypatch,
+                                                  spelling):
+    reference = tmp_path / "reference"
+    code, _, _ = cli(config_for(sample_dir, "skeleton", output=str(reference)))
+    assert code == EXIT_OK
+    output = _spell(tmp_path, monkeypatch, spelling)
+    code, out, err = cli(config_for(sample_dir, "skeleton", output=output))
+    assert (code, err) == (EXIT_OK, "")
+    names = ["C.skel", "C.monitor"]
+    assert out == "".join(f"wrote {Path(output) / name}\n" for name in names)
+    for name in names:
+        written = (Path(output) / name).read_bytes()
+        assert written == (reference / name).read_bytes()
+        assert b"\r" not in written
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_a_write_that_fails_partway_keeps_the_lines_before_it(sample_dir, tmp_path, format):
+    out_dir = tmp_path / "out"
+    (out_dir / "C.monitor").mkdir(parents=True)
+    result = cli(config_for(sample_dir, "skeleton", output=str(out_dir), format=format))
+    assert result == (
+        EXIT_USAGE, f"wrote {out_dir / 'C.skel'}\n",
+        f"error: [Errno 21] Is a directory: '{out_dir / 'C.monitor'}'\n")
+    assert (out_dir / "C.skel").read_bytes()
 
 
 def test_unknown_root_exits_three(sample_dir):
