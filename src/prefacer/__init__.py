@@ -7,7 +7,7 @@ override semantics, validates models against the result, applies
 statechart-to-class induction, and emits skeleton and monitor code.
 """
 
-from .constraints import Env, EvalError, check_constraints, eval_expr
+from .constraints import EvalError, check_constraints, eval_expr
 from .diagnostics import Diagnostic, Severity, SourceLocation
 from .model import (
     Attribute,
@@ -56,7 +56,6 @@ __all__ = [
     "ClassDef",
     "Diagnostic",
     "EffectiveDefinitions",
-    "Env",
     "EvalError",
     "Invariant",
     "Model",

@@ -82,7 +82,7 @@ EXIT_USAGE = 2
 EXIT_COMPOSITION = 3
 
 
-@record(mutable=True)
+@record
 class RunConfig:
     """One resolved invocation; ``run`` is pure apart from file IO."""
 
@@ -275,7 +275,7 @@ def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diag
     if has_errors(diags):
         return None, None, diags
     transformed, report = apply_transforms(model, eff)
-    return transformed, report, diags + report.diagnostics
+    return transformed, report, [*diags, *report.diagnostics]
 
 
 def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
@@ -325,7 +325,8 @@ def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                      + [(f"{unit.class_name}.monitor", unit.monitor_text)
                         for unit in generate_monitor(transformed, eff)])
         except UntransformedInputError as failure:
-            diags = diags + [Diagnostic("error", "E303", "", str(failure))]
+            diags = diags + [Diagnostic("error", "E303", failure.class_name, str(failure),
+                                        failure.loc)]
         else:
             out_dir = Path(config.output)
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,6 @@ from .model import (
     stereotypes_of,
     transition_path,
 )
-from .record import field, record
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions, lookup_scalar
 
 Value = object  # bool | int | str | element reference | tuple of Value
@@ -55,14 +54,6 @@ class EvalError(Exception):
     def __init__(self, message: str, loc: SourceLocation | None = None):
         self.loc = loc
         super().__init__(message)
-
-
-@record(mutable=True)
-class Env:
-    """Variable bindings plus the model used to resolve element names."""
-
-    bindings: dict[str, Value] = field(default_factory=dict)
-    model: Model | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +238,11 @@ def compile_expr(e: E.Expr) -> Callable:
     return _raising(message, loc)
 
 
-def eval_expr(e: E.Expr, env: Env) -> Value:
-    """Evaluate ``e`` under ``env``; raises ``EvalError``, never anything else."""
+def eval_expr(e: E.Expr, bindings: dict[str, Value], model: Model | None = None) -> Value:
+    """Evaluate ``e`` with ``bindings`` for its variables and ``model`` to
+    resolve element names; raises ``EvalError``, never anything else."""
 
-    return compile_expr(e)(env.bindings, env.model)
+    return compile_expr(e)(bindings, model)
 
 
 # ---------------------------------------------------------------------------

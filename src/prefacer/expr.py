@@ -6,7 +6,7 @@ bounded quantifiers over sequences, feature navigation via ``.``, and
 four built-in calls (``size``, ``isEmpty``, ``hasStereotype`` and the
 n-ary ``exactlyOne``).
 
-Nodes are immutable records (``record.record``).  Source locations are
+Nodes are frozen records (``record.record``).  Source locations are
 carried for diagnostics but never participate in structural equality, so a
 reparsed expression compares equal to the tree it was printed from.
 Equality and hashing walk an explicit stack, so trees of any depth compare.

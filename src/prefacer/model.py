@@ -10,7 +10,7 @@ what makes transformations idempotent and conservative.
 
 Name resolution is deferred: the records (``record.record``) happily
 represent broken models, and ``builtin_check`` reports every structural
-violation as a diagnostic instead of raising.  All values are immutable
+violation as a diagnostic instead of raising.  All values are frozen
 after construction.
 """
 

@@ -5,9 +5,8 @@ the record's own field table, and creates the class once more, slotted.  The
 generated ``__init__`` (the ``dataclasses`` signature, fields set through
 their slots, then ``__post_init__``), ``replace``, and the ``__repr__``,
 ``__eq__``, ``__hash__`` and ``__reduce__`` all records share read that
-table.  A record is frozen unless ``mutable=True``, which makes it unhashable.
-It stores exactly what its constructor is given: ``__post_init__`` derives
-the ``init=False`` fields and never normalises the others.
+table.  It stores exactly what its constructor is given: ``__post_init__``
+derives the ``init=False`` fields and never normalises the others.
 
 Start-up imports no ``dataclasses``.  Outside readers get its registry all the
 same: ``make_dataclass`` builds it on the first read of
@@ -31,21 +30,13 @@ _SHOWN: dict[type, tuple[str, ...]] = {}  # record class -> the fields ``repr`` 
 class Field:
     """A row of a field table: the spec ``dataclasses.field`` takes, a name and a type."""
 
-    __slots__ = ("name", "type", "default", "default_factory", "init", "repr", "compare")
+    __slots__ = ("name", "type", "default", "init", "repr", "compare")
 
-    def __init__(self, *, default=MISSING, default_factory=MISSING, init=True, repr=True,
-                 compare=True):
-        if default is not MISSING and default_factory is not MISSING:
-            raise ValueError("cannot specify both default and default_factory")
-        self.default, self.default_factory = default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
+    def __init__(self, *, default=MISSING, init=True, repr=True, compare=True):
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
 
 
 field = Field
-
-
-class _Factory:
-    __repr__ = lambda self: "<factory>"  # as ``inspect.signature`` shows a factory default
 
 
 class _Registry:
@@ -64,35 +55,31 @@ def _dataclass(name: str, table, **options):
         if getattr(f, spec) is not MISSING})) for f in table], **options)
 
 
-def record(cls=None, /, *, mutable: bool = False):
-    """Make ``cls`` a record; ``@record`` or ``@record(mutable=True)``."""
+def record(cls):
+    """Make ``cls`` a record, a frozen value: ``@record``."""
 
-    def wrap(cls):
-        namespace = {key: value for key, value in vars(cls).items()
-                     if key not in ("__dict__", "__weakref__")}
-        table = []
-        for name, type_ in namespace.get("__annotations__", {}).items():
-            spec = namespace.pop(name, MISSING)
-            table.append(spec if isinstance(spec, Field) else Field(default=spec))
-            table[-1].name, table[-1].type = name, type_
-        given = [f.default is not MISSING or f.default_factory is not MISSING
-                 for f in table if f.init]  # unsorted: a default before a non-default
-        if sorted(given) != given or any(f.default.__class__.__hash__ is None for f in table):
-            _dataclass(cls.__name__, table)  # raises what ``dataclass`` raises
-        namespace.setdefault("__match_args__", tuple(f.name for f in table if f.init))
-        if not mutable:
-            namespace.update(__reduce__=_reduce, __setattr__=_frozen, __delattr__=_frozen)
-        namespace.update(__slots__=tuple(f.name for f in table), __qualname__=cls.__qualname__,
-                         __dataclass_fields__=_Registry(), __repr__=_repr, __eq__=_eq,
-                         __hash__=None if mutable else _hash)
-        cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-        _FIELDS[cls] = table = tuple(table)
-        _COMPARED[cls] = tuple(f.name for f in reversed(table) if f.compare)
-        _SHOWN[cls] = tuple(f.name for f in table if f.repr)
-        cls.__init__ = _init(cls, table)
-        return cls
-
-    return wrap if cls is None else wrap(cls)
+    namespace = {key: value for key, value in vars(cls).items()
+                 if key not in ("__dict__", "__weakref__")}
+    table = []
+    for name, type_ in namespace.get("__annotations__", {}).items():
+        spec = namespace.pop(name, MISSING)
+        table.append(spec if isinstance(spec, Field) else Field(default=spec))
+        table[-1].name, table[-1].type = name, type_
+    # unsorted: a default before a non-default
+    given = [f.default is not MISSING for f in table if f.init]
+    if sorted(given) != given or any(f.default.__class__.__hash__ is None for f in table):
+        _dataclass(cls.__name__, table)  # raises what ``dataclass`` raises
+    namespace.setdefault("__match_args__", tuple(f.name for f in table if f.init))
+    namespace.update(__slots__=tuple(f.name for f in table), __qualname__=cls.__qualname__,
+                     __dataclass_fields__=_Registry(), __repr__=_repr, __eq__=_eq,
+                     __hash__=_hash, __reduce__=_reduce, __setattr__=_frozen,
+                     __delattr__=_frozen)
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    _FIELDS[cls] = table = tuple(table)
+    _COMPARED[cls] = tuple(f.name for f in reversed(table) if f.compare)
+    _SHOWN[cls] = tuple(f.name for f in table if f.repr)
+    cls.__init__ = _init(cls, table)
+    return cls
 
 
 def replace(obj, /, **changes):
@@ -106,18 +93,15 @@ def replace(obj, /, **changes):
 
 
 def _init(cls, table):
-    env, params, body = {"__factory": _Factory()}, [], []
+    env, params, body = {}, [], []
     init_fields = [f for f in table if f.init]
     for f in init_fields:
-        param = value = f.name
+        param = f.name
         if f.default is not MISSING:
             env[f"__d_{f.name}"], param = f.default, f"{f.name}=__d_{f.name}"
-        elif f.default_factory is not MISSING:
-            env[f"__d_{f.name}"], param = f.default_factory, f"{f.name}=__factory"
-            value = f"__d_{f.name}() if {f.name} is __factory else {f.name}"
         params.append(param)
         env[f"__s_{f.name}"] = vars(cls)[f.name].__set__
-        body.append(f"__s_{f.name}(self, {value})")
+        body.append(f"__s_{f.name}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     namespace: dict = {}

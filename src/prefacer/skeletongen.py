@@ -37,7 +37,13 @@ from .transformer import induced_by
 
 class UntransformedInputError(Exception):
     """A chart-attached class has no induced state flags: the model was
-    not transformed (or the transform was disabled)."""
+    not transformed (or the transform was disabled).  ``class_name`` and
+    ``loc``, the chart's location, place the finding."""
+
+    def __init__(self, cls: ClassDef, chart: Statechart):
+        self.class_name, self.loc = cls.name, chart.loc
+        super().__init__(f"class '{cls.name}' has no state flags for statechart "
+                         f"'{chart.name}'; run the statechart-to-class transform first")
 
 
 @record
@@ -66,9 +72,7 @@ def _require_transformed(cls: ClassDef, charts: list[Statechart]) -> None:
         if not chart.states:
             continue
         if not any(induced_by(a.origin, chart) for a in cls.attributes):
-            raise UntransformedInputError(
-                f"class '{cls.name}' has no state flags for statechart "
-                f"'{chart.name}'; run the statechart-to-class transform first")
+            raise UntransformedInputError(cls, chart)
 
 
 # ---------------------------------------------------------------------------

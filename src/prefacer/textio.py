@@ -61,7 +61,7 @@ import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate, islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import expr as E
 from .diagnostics import LazyLocation, SourceLocation
@@ -1017,7 +1017,7 @@ def print_report(eff: EffectiveDefinitions) -> str:
                        for title, lines in sections.items()) + "\n"
 
 
-def transform_report_sections(report) -> list[tuple[str, list[tuple[str, str]]]]:
+def transform_report_sections(report) -> list[tuple[str, Sequence[tuple[str, str]]]]:
     """The four sections of a ``TransformReport``: titles with ``(path,
     description)`` entries, the induced expressions formatted here.  A
     precondition entry holds its effective precondition when an authored

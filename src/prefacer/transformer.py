@@ -36,26 +36,19 @@ from .model import (
     member_path,
 )
 from .preface import STATECHART_TO_CLASS, EffectiveDefinitions
-from .record import field, record, replace
+from .record import record, replace
 
 
-@record(mutable=True)
+@record
 class TransformReport:
     """What a transformation run added, and what it had to refuse; its
     expressions are formatted when rendered, by ``textio``."""
 
-    induced_attributes: list[tuple[str, str]] = field(default_factory=list)
-    induced_invariants: list[tuple[str, E.Expr]] = field(default_factory=list)
-    induced_operations: list[tuple[str, str]] = field(default_factory=list)
-    induced_preconditions: list[tuple[str, E.Expr, E.Expr | None]] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def merge(self, other: "TransformReport") -> None:
-        self.induced_attributes.extend(other.induced_attributes)
-        self.induced_invariants.extend(other.induced_invariants)
-        self.induced_operations.extend(other.induced_operations)
-        self.induced_preconditions.extend(other.induced_preconditions)
-        self.diagnostics.extend(other.diagnostics)
+    induced_attributes: tuple[tuple[str, str], ...] = ()
+    induced_invariants: tuple[tuple[str, E.Expr], ...] = ()
+    induced_operations: tuple[tuple[str, str], ...] = ()
+    induced_preconditions: tuple[tuple[str, E.Expr, E.Expr | None], ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
 
 
 def _origin_for(chart: Statechart) -> Origin:
@@ -95,23 +88,23 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
     their origin and left alone.
     """
 
-    report = TransformReport()
     attrs = {a.name: a for a in cls.attributes}
     ops = {o.name for o in cls.operations}
 
     added: list[Attribute] = []
+    induced, diagnostics = [], []
     for state in chart.states:
         existing = attrs.get(state.name)
         if existing is not None:
             if induced_by(existing.origin, chart):
                 continue
-            report.diagnostics.append(Diagnostic(
+            diagnostics.append(Diagnostic(
                 "error", "E301", member_path(cls, state.name),
                 f"cannot induce state attribute '{state.name}': the name is "
                 f"already taken on '{cls.name}'", existing.loc))
             continue
         if state.name in ops:
-            report.diagnostics.append(Diagnostic(
+            diagnostics.append(Diagnostic(
                 "error", "E301", member_path(cls, state.name),
                 f"cannot induce state attribute '{state.name}': an operation "
                 f"of '{cls.name}' has that name", cls.loc))
@@ -119,9 +112,9 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
         flag = Attribute(state.name, "Boolean", _origin_for(chart))
         added.append(flag)
         attrs[state.name] = flag
-        report.induced_attributes.append(
-            (member_path(cls, state.name), f"{state.name} : Boolean"))
+        induced.append((member_path(cls, state.name), f"{state.name} : Boolean"))
 
+    report = TransformReport(induced_attributes=tuple(induced), diagnostics=tuple(diagnostics))
     if not added:
         return cls, report
     return replace(cls, attributes=cls.attributes + tuple(added)), report
@@ -150,9 +143,8 @@ def rule2_mutex_invariant(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, T
     in between, the stale invariant is replaced rather than duplicated.
     """
 
-    report = TransformReport()
     if not chart.states:
-        return cls, report
+        return cls, TransformReport()
     wanted = exactly_one(chart.state_names())
 
     kept: list[Invariant] = []
@@ -166,7 +158,7 @@ def rule2_mutex_invariant(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, T
         kept.append(inv)
     if not found:
         kept.append(Invariant(wanted, _origin_for(chart)))
-        report.induced_invariants.append((cls.name, wanted))
+    report = TransformReport(induced_invariants=() if found else ((cls.name, wanted),))
     if tuple(kept) == cls.invariants:
         return cls, report
     return replace(cls, invariants=tuple(kept)), report
@@ -192,16 +184,16 @@ def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
     already bears is a clash: nothing is induced for it.
     """
 
-    report = TransformReport()
     op_names = {o.name for o in cls.operations}
     attr_names = {a.name for a in cls.attributes}
 
     added: list[Operation] = []
+    induced, diagnostics = [], []
     for event in chart_events(chart):
         if event in op_names:
             continue
         if event in attr_names:
-            report.diagnostics.append(Diagnostic(
+            diagnostics.append(Diagnostic(
                 "error", "E302", member_path(cls, event),
                 f"cannot induce operation '{event}': an attribute of "
                 f"'{cls.name}' has that name", cls.loc))
@@ -209,12 +201,13 @@ def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
         op = Operation(event, origin=_origin_for(chart))
         added.append(op)
         op_names.add(event)
-        report.induced_operations.append((member_path(cls, event), f"{event}()"))
-        report.diagnostics.append(Diagnostic(
+        induced.append((member_path(cls, event), f"{event}()"))
+        diagnostics.append(Diagnostic(
             "info", "I301", member_path(cls, event),
             f"induced parameterless operation '{event}' for event '{event}' "
             f"of '{chart.name}'"))
 
+    report = TransformReport(induced_operations=tuple(induced), diagnostics=tuple(diagnostics))
     if not added:
         return cls, report
     return replace(cls, operations=cls.operations + tuple(added)), report
@@ -249,7 +242,6 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
     was already reported).  Postconditions are left alone.
     """
 
-    report = TransformReport()
     attrs = {a.name: a for a in cls.attributes}
     order = {name: i for i, name in enumerate(chart.state_names())}
     sources_of: dict[str, set[str]] = {}
@@ -261,6 +253,7 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
 
     new_ops = list(cls.operations)
     changed = False
+    induced, diagnostics = [], []
     for event, source_set in sources_of.items():
         sources = sorted(source_set, key=lambda name: order.get(name, len(order)))
         flags_ok = all(
@@ -277,7 +270,7 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
         if op.pre_induced is not None:
             previous_origin = op.pre_induced[1]
             if previous_origin.chart_name != chart.name:
-                report.diagnostics.append(Diagnostic(
+                diagnostics.append(Diagnostic(
                     "warning", "W301", member_path(cls, event),
                     f"precondition for '{event}' was already induced from "
                     f"'{previous_origin.chart_name}'; '{chart.name}' leaves it alone"))
@@ -288,8 +281,10 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
         new_ops[index] = replace(op, pre_induced=(wanted, _origin_for(chart)))
         changed = True
         effective = new_ops[index].effective_pre if op.pre_authored is not None else None
-        report.induced_preconditions.append((member_path(cls, event), wanted, effective))
+        induced.append((member_path(cls, event), wanted, effective))
 
+    report = TransformReport(induced_preconditions=tuple(induced),
+                             diagnostics=tuple(diagnostics))
     if not changed:
         return cls, report
     return replace(cls, operations=tuple(new_ops)), report
@@ -314,31 +309,30 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
     ones induced, and the model is rebuilt once, at the end.
     """
 
-    report = TransformReport()
     if not eff.transform_enabled(STATECHART_TO_CLASS):
-        return model, report
+        return model, TransformReport()
     if eff.option("statechart.attach_to") == "method":
-        for chart in model.statecharts:
-            report.diagnostics.append(Diagnostic(
-                "warning", "W302", chart.name,
-                "statechart attachment to methods is not supported; "
-                f"'{chart.name}' was not transformed", chart.loc))
-        return model, report
+        return model, TransformReport(diagnostics=tuple(Diagnostic(
+            "warning", "W302", chart.name,
+            "statechart attachment to methods is not supported; "
+            f"'{chart.name}' was not transformed", chart.loc) for chart in model.statecharts))
 
     changed: dict[str, ClassDef] = {}
+    reports = []
     for chart in model.statecharts:
         before = changed.get(chart.attached_to) or _attached(model, chart)
         cls, r1 = rule1_state_attributes(before, chart)
-        report.merge(r1)
+        reports.append(r1)
         if not has_errors(r1.diagnostics):
             cls, r2 = rule2_mutex_invariant(cls, chart)
-            report.merge(r2)
-        cls, r3 = rule3_event_operations(cls, chart)
-        report.merge(r3)
-        cls, r4 = rule4_preconditions(cls, chart)
-        report.merge(r4)
+            reports.append(r2)
+        for rule in (rule3_event_operations, rule4_preconditions):
+            cls, found = rule(cls, chart)
+            reports.append(found)
         if cls is not before:
             changed[cls.name] = cls
+    report = TransformReport(*(tuple(entry for found in reports for entry in getattr(found, name))
+                               for name in TransformReport.__match_args__))
     if not changed:
         return model, report
     return replace(model, classes=tuple(

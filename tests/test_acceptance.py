@@ -24,7 +24,7 @@ from oracles import (
     snapshot_view,
 )
 from prefacer import expr as E
-from prefacer.constraints import Env, EvalError, eval_expr, iter_scope
+from prefacer.constraints import EvalError, eval_expr, iter_scope
 from prefacer.model import ClassDef, Model
 from prefacer.preface import (
     ConstDef,
@@ -242,7 +242,7 @@ def test_criterion_8_evaluator_agrees_with_brute_force():
         expression = scoped_expr(rng, metaclass, depth=2)
         element = rng.choice(elements)
         try:
-            mine = eval_expr(expression, Env({"self": element}, model))
+            mine = eval_expr(expression, {"self": element}, model)
         except EvalError:
             mine = EvalError
         try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,37 @@ def test_transform_refuses_a_broken_model(sample_dir, tmp_path):
     assert code == EXIT_DIAGNOSTICS
     assert out == ""
     assert "E007" in err
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_skeleton_of_an_untransformed_chart_names_its_class(sample_dir, tmp_path, format):
+    preface_dir, _, model_path = sample_dir
+    core = preface_dir / "uml-core.preface"
+    core.write_text(core.read_text().replace("statechart-to-class on", "statechart-to-class off"))
+    code, out, err = cli(config_for(sample_dir, "skeleton", output=str(tmp_path / "out"),
+                                    format=format))
+    assert code == EXIT_DIAGNOSTICS and out == "" and not (tmp_path / "out").exists()
+    message = ("class 'C' has no state flags for statechart 'SC'; "
+               "run the statechart-to-class transform first")
+    if format == "text":  # the chart's location, then the class
+        assert err == f"error E303 {model_path}:7:3 C: {message}\n"
+    else:
+        assert json.loads(err) == [{
+            "severity": "error", "code": "E303", "file": str(model_path), "line": 7,
+            "col": 3, "path": "C", "message": message, "provenance": None}]
+
+
+def test_the_readme_diagnostics_table_lists_exactly_the_codes_emitted():
+    readme = (SAMPLE.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for codes in re.findall(r"^\| ([^|]*) \|", table, re.M):
+        for first, last in re.findall(r"([EWI]\d{3})(?:–[EWI](\d{3}))?", codes):
+            listed.update(f"{first[0]}{n:03}" for n in range(int(first[1:]),
+                                                              int(last or first[1:]) + 1))
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in Path(cli_module.__file__).parent.glob("*.py"))
+    assert listed == set(re.findall(r'"([EWI]\d{3})"', source))
 
 
 def test_duplicate_package_id_is_reported(sample_dir):

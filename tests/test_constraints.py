@@ -12,7 +12,6 @@ from generators import random_expr, random_model, scoped_expr
 from oracles import BruteEvalFailure, brute_eval, free_vars_reference
 from prefacer import expr as E
 from prefacer.constraints import (
-    Env,
     EvalError,
     check_constraints,
     compile_expr,
@@ -39,7 +38,7 @@ from prefacer.textio import MAX_NESTING, ParseError, parse_expr
 
 
 def ev(source: str, model: Model | None = None, **bindings):
-    return eval_expr(parse_expr(source), Env(dict(bindings), model))
+    return eval_expr(parse_expr(source), dict(bindings), model)
 
 
 SAMPLE = Model("m", (
@@ -107,22 +106,23 @@ def test_implies_always_evaluates_both_sides():
 
 def test_quantifiers_visit_every_binding():
     cls = SAMPLE.class_named("C")
-    env = Env({"self": cls}, SAMPLE)
+    bindings = {"self": cls}
     # The first binding already decides each quantifier; the second one
     # raises.  A lazily stopping quantifier would return a value here.
     trap = parse_expr('forall(a in self.attributes | a.name <> "a" and size(a) = 0)')
     with pytest.raises(EvalError):
-        eval_expr(trap, env)
+        eval_expr(trap, bindings, SAMPLE)
     trap = parse_expr('exists(a in self.attributes | a.name = "a" or size(a) = 0)')
     with pytest.raises(EvalError):
-        eval_expr(trap, env)
+        eval_expr(trap, bindings, SAMPLE)
 
 
 def test_quantifiers_over_empty_domains():
     empty = ClassDef("E")
-    env = Env({"self": empty}, Model("m", (empty,)))
-    assert eval_expr(parse_expr("forall(a in self.attributes | false)"), env) is True
-    assert eval_expr(parse_expr("exists(a in self.attributes | true)"), env) is False
+    model = Model("m", (empty,))
+    bindings = {"self": empty}
+    assert eval_expr(parse_expr("forall(a in self.attributes | false)"), bindings, model) is True
+    assert eval_expr(parse_expr("exists(a in self.attributes | true)"), bindings, model) is False
 
 
 def test_unbound_variable_is_an_error():
@@ -133,42 +133,43 @@ def test_unbound_variable_is_an_error():
 def test_navigation_features():
     cls = SAMPLE.class_named("C")
     chart = SAMPLE.chart_named("SC")
-    env = Env({"self": cls, "sc": chart}, SAMPLE)
-    assert eval_expr(parse_expr("self.name"), env) == "C"
-    assert eval_expr(parse_expr("size(self.attributes)"), env) == 2
-    assert eval_expr(parse_expr("size(self.operations)"), env) == 2
-    assert eval_expr(parse_expr("self.superclasses"), env) == (SAMPLE.class_named("Base"),)
-    assert eval_expr(parse_expr("self.stereotypes"), env) == ("event",)
-    assert eval_expr(parse_expr("sc.states"), env) == ("idle", "run")
-    assert eval_expr(parse_expr("sc.attachedTo.name"), env) == "C"
-    assert eval_expr(parse_expr("size(sc.transitions)"), env) == 2
+    bindings = {"self": cls, "sc": chart}
+    assert eval_expr(parse_expr("self.name"), bindings, SAMPLE) == "C"
+    assert eval_expr(parse_expr("size(self.attributes)"), bindings, SAMPLE) == 2
+    assert eval_expr(parse_expr("size(self.operations)"), bindings, SAMPLE) == 2
+    assert eval_expr(parse_expr("self.superclasses"), bindings, SAMPLE) == (
+        SAMPLE.class_named("Base"),)
+    assert eval_expr(parse_expr("self.stereotypes"), bindings, SAMPLE) == ("event",)
+    assert eval_expr(parse_expr("sc.states"), bindings, SAMPLE) == ("idle", "run")
+    assert eval_expr(parse_expr("sc.attachedTo.name"), bindings, SAMPLE) == "C"
+    assert eval_expr(parse_expr("size(sc.transitions)"), bindings, SAMPLE) == 2
     assert eval_expr(
-        parse_expr("forall(t in sc.transitions | t.source <> t.target)"), env) is True
+        parse_expr("forall(t in sc.transitions | t.source <> t.target)"), bindings, SAMPLE) is True
 
 
 def test_navigation_errors():
     cls = SAMPLE.class_named("C")
-    env = Env({"self": cls, "n": 3}, SAMPLE)
+    bindings = {"self": cls, "n": 3}
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("self.volume"), env)
+        eval_expr(parse_expr("self.volume"), bindings, SAMPLE)
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("n.name"), env)
+        eval_expr(parse_expr("n.name"), bindings, SAMPLE)
     # Navigating to an unresolvable class is an error, not a silent skip.
     orphan = Statechart("X", "Ghost")
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("x.attachedTo"), Env({"x": orphan}, SAMPLE))
+        eval_expr(parse_expr("x.attachedTo"), {"x": orphan}, SAMPLE)
 
 
 def test_builtin_calls():
     cls = SAMPLE.class_named("C")
-    env = Env({"self": cls}, SAMPLE)
-    assert eval_expr(parse_expr("isEmpty(self.attributes)"), env) is False
-    assert eval_expr(parse_expr('hasStereotype(self, "event")'), env) is True
-    assert eval_expr(parse_expr('hasStereotype(self, "entity")'), env) is False
+    bindings = {"self": cls}
+    assert eval_expr(parse_expr("isEmpty(self.attributes)"), bindings, SAMPLE) is False
+    assert eval_expr(parse_expr('hasStereotype(self, "event")'), bindings, SAMPLE) is True
+    assert eval_expr(parse_expr('hasStereotype(self, "entity")'), bindings, SAMPLE) is False
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("size(self.name)"), env)
+        eval_expr(parse_expr("size(self.name)"), bindings, SAMPLE)
     with pytest.raises(EvalError):
-        eval_expr(parse_expr('hasStereotype(self.name, "event")'), env)
+        eval_expr(parse_expr('hasStereotype(self.name, "event")'), bindings, SAMPLE)
 
 
 def test_exactly_one_counts_the_true_arguments():
@@ -186,7 +187,7 @@ def test_exactly_one_evaluates_every_argument():
     with pytest.raises(EvalError):
         ev('exactlyOne(true, true, 1 = "x")')
     with pytest.raises(EvalError, match="at least one argument"):
-        eval_expr(E.Call("exactlyOne", ()), Env())
+        eval_expr(E.Call("exactlyOne", ()), {})
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def test_free_vars_matches_the_recursive_walk_on_random_trees():
 
 def both_ways(e, element, model):
     try:
-        mine = eval_expr(e, Env({"self": element}, model))
+        mine = eval_expr(e, {"self": element}, model)
     except EvalError:
         mine = EvalError
     try:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from generators import random_expr, random_model, scoped_expr
 from prefacer import expr as E
-from prefacer.constraints import Env, EvalError, check_constraints, eval_expr, iter_scope
+from prefacer.constraints import EvalError, check_constraints, eval_expr, iter_scope
 from prefacer.model import Attribute, ClassDef, Model, State, Statechart, Transition
 from prefacer.preface import ConstraintDef, Package, resolve
 from prefacer.textio import format_expr, parse_expr
@@ -135,7 +135,7 @@ def _shown(value, paths: dict[int, str]):
 
 def _outcome(e: E.Expr, bindings: dict, model: Model, paths: dict[int, str]) -> dict:
     try:
-        value = eval_expr(e, Env(dict(bindings), model))
+        value = eval_expr(e, dict(bindings), model)
     except EvalError as failure:
         return {"error": str(failure), "at": None if failure.loc is None else str(failure.loc)}
     return {"value": _shown(value, paths)}

@@ -2,7 +2,7 @@
 
 For each record class of a ``prefacer`` module, a twin is built with the
 real ``dataclasses.dataclass`` from the same annotations and ``field``
-specs, frozen and slotted as the record is.  Generated models, packages,
+specs, frozen and slotted, as every record is.  Generated models, packages,
 compositions, transform results and expression trees, plus hand-picked edge
 cases, are converted into twins, and both sides must agree on ``repr``,
 ``==``/``!=``, hashing, ``dataclasses.replace``, ``fields``,
@@ -37,9 +37,8 @@ from generators import random_expr, random_model, random_package, random_repo, s
 from prefacer import expr as E
 from prefacer import record as R
 from prefacer.cli import RunConfig
-from prefacer.constraints import Env
 from prefacer.diagnostics import Diagnostic, SourceLocation
-from prefacer.model import ClassDef, Model, Operation, builtin_check
+from prefacer.model import ClassDef, Operation, builtin_check
 from prefacer.preface import (
     OPTION_CATALOGUE,
     STATECHART_TO_CLASS,
@@ -59,11 +58,7 @@ from prefacer.textio import (
     print_model,
     print_package,
 )
-from prefacer.transformer import TransformReport, apply_transforms
-
-#: The records that may be changed after construction; every other record
-#: is frozen.
-MUTABLE = {"Env", "RunConfig", "TransformReport"}
+from prefacer.transformer import apply_transforms
 
 SRC = Path(prefacer.__file__).resolve().parent.parent
 
@@ -86,12 +81,11 @@ def _twin_class(cls: type) -> type:
                  "__module__": cls.__module__, "__qualname__": cls.__qualname__}
     for f in fields(cls):
         namespace[f.name] = field(
-            default=f.default, default_factory=f.default_factory, init=f.init,
-            repr=f.repr, hash=f.hash, compare=f.compare, metadata=f.metadata,
-            kw_only=f.kw_only)
+            default=f.default, init=f.init, repr=f.repr, hash=f.hash, compare=f.compare,
+            metadata=f.metadata, kw_only=f.kw_only)
     if "__post_init__" in vars(cls):
         namespace["__post_init__"] = vars(cls)["__post_init__"]
-    return dataclass(frozen=cls.__name__ not in MUTABLE, slots="__slots__" in vars(cls))(
+    return dataclass(frozen=True, slots="__slots__" in vars(cls))(
         type(cls.__name__, (), namespace))
 
 
@@ -152,8 +146,7 @@ def corpus(seed: int) -> list:
         model = random_model(rng)
         transformed, report = apply_transforms(model, eff)
         reread = parse_model(print_model(transformed))
-        roots += [repo, eff, model, transformed, report, reread, builtin_check(reread),
-                  Env({"self": model.classes[0], "n": 3}, model)]
+        roots += [repo, eff, model, transformed, report, reread, builtin_check(reread)]
         plain = random_model(rng, charts=False)
         roots += [generate_skeleton(plain, eff), generate_monitor(plain, eff)]
         for _ in range(8):
@@ -196,9 +189,7 @@ def test_every_record_class_is_built_by_the_corpus():
 
 
 def test_every_frozen_record_hashes():
-    frozen = [r for r in FIRST + OTHER + EDGES if type(r).__name__ not in MUTABLE]
-    assert {type(r) for r in frozen} == {cls for cls in RECORDS if cls.__name__ not in MUTABLE}
-    for record in frozen:
+    for record in FIRST + OTHER + EDGES:
         assert hash(record) == hash(copy.copy(record)), record
     eff = next(r for r in FIRST if type(r).__name__ == "EffectiveDefinitions")
     key = next(iter(eff.chains))
@@ -216,7 +207,7 @@ def test_class_surface_agrees(cls):
     assert cls.__match_args__ == ref.__match_args__
     assert str(inspect.signature(cls)) == str(inspect.signature(ref))
     assert getattr(cls, "__slots__", None) == getattr(ref, "__slots__", None)
-    assert (cls.__hash__ is None) == (ref.__hash__ is None) == (cls.__name__ in MUTABLE)
+    assert cls.__hash__ is not None and ref.__hash__ is not None
 
 
 def test_repr_agrees():
@@ -296,9 +287,7 @@ DECLARATIONS = [
     "x: list = []",
     "x: dict = field(default={})",
     "x: set = set()",
-    "x: int = field(default=1, default_factory=int)",
     "x: int = 0\n    y: str",
-    "x: list = field(default_factory=list)\n    y: str = ''\n    z: str",
     "x: int = field(default=0, init=False)\n    y: str",
 ]
 
@@ -315,6 +304,11 @@ def test_a_declaration_fails_as_dataclass_fails(body):
             outcomes.append((type(error), str(error)))
     assert outcomes[0] == outcomes[1]
     assert (outcomes[0] is None) == ("init=False" in body)
+
+
+def test_a_field_takes_no_default_factory():
+    with pytest.raises(TypeError):
+        R.field(default_factory=list)
 
 
 def test_assignment_agrees():
@@ -334,8 +328,7 @@ def test_assignment_agrees():
                     except AttributeError:
                         outcomes.append("attribute error")
             assert outcomes[:2] == outcomes[2:], (type(record), name)
-            if type(record).__name__ not in MUTABLE:
-                assert outcomes[0].startswith("frozen")
+            assert outcomes[0].startswith("frozen")
 
 
 def test_copy_and_pickle_keep_the_record():
@@ -406,19 +399,6 @@ def test_post_init_only_derives_init_false_fields():
                     derived[cls.name] = sorted(assigned)
     assert derived["Model"] == ["_chart_index", "_class_index"]
     assert derived["EffectiveDefinitions"] == ["chains"]
-
-
-def test_mutable_records_stay_mutable_and_unhashable():
-    report = TransformReport()
-    report.induced_attributes.append(("C", "s1"))
-    assert TransformReport() != report and report == TransformReport([("C", "s1")])
-    assert TransformReport().induced_attributes is not TransformReport().induced_attributes
-    env = Env()
-    env.model = Model("m")
-    assert env == Env({}, Model("m"))
-    for value in (report, env, RunConfig("compose", "d", "r")):
-        with pytest.raises(TypeError):
-            hash(value)
 
 
 # ---------------------------------------------------------------------------

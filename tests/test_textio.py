@@ -17,7 +17,7 @@ from generators import random_expr, random_model, random_package, random_repo
 from oracles import format_expr_reference, lex_reference
 from report_oracle import report_reference
 from prefacer import expr as E
-from prefacer.constraints import Env, eval_expr
+from prefacer.constraints import eval_expr
 from prefacer.model import Origin
 from prefacer.preface import (
     ConstDef,
@@ -167,7 +167,7 @@ def test_expressions_nest_a_hundred_levels_deep(form):
     assert MAX_NESTING == 100
     e = parse_expr(_nested(form, 100))
     assert parse_expr(format_expr(e)) == e
-    assert eval_expr(e, Env({"s": (1,)})) is True
+    assert eval_expr(e, {"s": (1,)}) is True
     with pytest.raises(ParseError) as failure:
         parse_expr(_nested(form, 101), file="q")
     assert str(failure.value) == (
@@ -180,7 +180,7 @@ def test_a_long_not_chain_fails_at_the_extra_level():
     assert str(failure.value) == "q:1:401: expression nested deeper than 100 levels"
     # levels close again: a hundred at a time, side by side, is fine
     wide = " and ".join([_nested("group", 100)] * 3 + [_nested("not", 100)] * 3)
-    assert eval_expr(parse_expr(wide), Env()) is True
+    assert eval_expr(parse_expr(wide), {}) is True
 
 
 def test_nesting_is_limited_in_models_and_packages():
@@ -501,8 +501,11 @@ def test_package_parse_errors():
         parse_package('package "p" { rule r when sometimes = x }')
     with pytest.raises(ParseError):
         parse_package('package "p" { stereotype s on Widget }')
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"<package>:1:26: 'float' is not a tag type "
+                                         r"\(expected string, int or bool\)$"):
         parse_package('package "p" { tagdef t : float }')
+    with pytest.raises(ParseError, match="<package>:1:26: expected an integer, found 'foo'$"):
+        parse_package('package "p" { const x = -foo }')
     with pytest.raises(ParseError):
         parse_package('package "p" { transform x maybe }')
     with pytest.raises(ParseError):
@@ -567,10 +570,9 @@ def test_report_agrees_with_the_replay_reference():
 
 
 def test_transform_report_rendering():
-    report = TransformReport()
-    assert print_transform_report(report) == "nothing induced\n"
-    report.induced_attributes.append(("C.s1", "s1 : Boolean"))
-    report.induced_preconditions.append(("C.m1", E.VarRef("s1"), None))
+    assert print_transform_report(TransformReport()) == "nothing induced\n"
+    report = TransformReport(induced_attributes=(("C.s1", "s1 : Boolean"),),
+                             induced_preconditions=(("C.m1", E.VarRef("s1"), None),))
     assert print_transform_report(report) == (
         "induced attributes\n  C.s1: s1 : Boolean\n"
         "induced preconditions\n  C.m1: s1\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from generators import random_model
 from oracles import authored_view, brute_eval, exactly_one_reference
 from prefacer import expr as E
-from prefacer.constraints import Env, eval_expr
+from prefacer.constraints import eval_expr
 from prefacer.diagnostics import has_errors
 from prefacer.model import (
     Attribute,
@@ -70,7 +70,7 @@ def test_rule1_adds_one_boolean_flag_per_state(three_state_model):
         assert a.origin == Origin("induced", STATECHART_TO_CLASS, "SC")
     assert [path for path, _ in report.induced_attributes] == [
         "C.s1", "C.s2", "C.s3"]
-    assert report.diagnostics == []
+    assert report.diagnostics == ()
 
 
 def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
@@ -80,7 +80,7 @@ def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
     (inv,) = cls.invariants
     assert format_expr(inv.expr) == "exactlyOne(s1, s2, s3)"
     assert inv.origin == Origin("induced", STATECHART_TO_CLASS, "SC")
-    assert report.induced_invariants == [("C", inv.expr)]
+    assert report.induced_invariants == (("C", inv.expr),)
 
 
 def test_exactly_one_of_a_single_state_is_the_bare_flag():
@@ -95,7 +95,7 @@ def test_exactly_one_agrees_with_the_reference_encoding():
         reference = exactly_one_reference(names)
         for values in itertools.product((False, True), repeat=n):
             bindings = dict(zip(names, values))
-            assert eval_expr(built, Env(bindings)) == brute_eval(reference, bindings)
+            assert eval_expr(built, bindings) == brute_eval(reference, bindings)
 
 
 def _distinct_nodes_by_kind(e) -> dict[str, int]:
@@ -133,7 +133,7 @@ def test_rule3_binds_existing_operations_and_invents_missing_ones():
     assert ops[0].origin.kind == "authored"
     assert ops[1].origin == Origin("induced", STATECHART_TO_CLASS, "SC")
     assert [d.code for d in report.diagnostics] == ["I301"]
-    assert report.induced_operations == [("C.ping", "ping()")]
+    assert report.induced_operations == (("C.ping", "ping()"),)
 
 
 def test_rule4_induces_source_state_preconditions(three_state_model):
@@ -202,6 +202,19 @@ def test_rule3_clash_with_authored_attribute():
     out, report = rule3_event_operations(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E302"]
     assert out.operations == ()
+
+
+def test_rule4_skips_an_event_rule3_refused():
+    cls = ClassDef("C", attributes=(Attribute("go", "Integer"),))
+    chart = Statechart("SC", "C", (State("a", initial=True), State("b")),
+                       (Transition("a", "b", "go"),))
+    model, report = transform(Model("m", (cls,), (chart,)))
+    assert [(d.code, d.path) for d in report.diagnostics] == [("E302", "C.go")]
+    # Rule 1 induced both flags, so only the missing operation stops rule 4.
+    assert [a.name for a in induced_attrs(model.class_named("C"))] == ["a", "b"]
+    assert model.class_named("C").operations == ()
+    assert report.induced_operations == report.induced_preconditions == ()
+    assert "induced preconditions" not in print_transform_report(report)
 
 
 def test_clash_withholds_the_invariant_but_not_the_rest():
@@ -273,12 +286,12 @@ def _transform_chart_by_chart(model):
     next rule looks it up: the reference that the one rebuild per pass
     must agree with."""
 
-    report = TransformReport()
+    reports = []
 
     def run(rule, chart):
         nonlocal model
         cls, found = rule(model.class_named(chart.attached_to), chart)
-        report.merge(found)
+        reports.append(found)
         model = replace(model, classes=tuple(
             cls if c.name == cls.name else c for c in model.classes))
         return found
@@ -288,7 +301,8 @@ def _transform_chart_by_chart(model):
             run(rule2_mutex_invariant, chart)
         run(rule3_event_operations, chart)
         run(rule4_preconditions, chart)
-    return model, report
+    return model, TransformReport(*(sum((getattr(r, name) for r in reports), ())
+                                    for name in TransformReport.__match_args__))
 
 
 def test_one_rebuild_per_pass_agrees_with_chart_by_chart_rebuilds():
@@ -311,8 +325,8 @@ def test_one_rebuild_per_pass_agrees_with_chart_by_chart_rebuilds():
 def test_disabled_transform_is_the_identity(three_state_model):
     model, report = apply_transforms(three_state_model, DISABLED)
     assert model == three_state_model
-    assert report.diagnostics == []
-    assert report.induced_attributes == []
+    assert report.diagnostics == ()
+    assert report.induced_attributes == ()
 
 
 def test_method_attachment_skips_charts_with_a_warning(three_state_model):
@@ -329,10 +343,10 @@ def test_transforming_twice_changes_nothing(three_state_model):
     once, _ = transform(three_state_model)
     twice, second_report = transform(once)
     assert twice == once
-    assert second_report.induced_attributes == []
-    assert second_report.induced_invariants == []
-    assert second_report.induced_operations == []
-    assert second_report.induced_preconditions == []
+    assert second_report.induced_attributes == ()
+    assert second_report.induced_invariants == ()
+    assert second_report.induced_operations == ()
+    assert second_report.induced_preconditions == ()
 
 
 def test_transforming_twice_is_a_no_op_at_six_hundred_states():
@@ -346,11 +360,7 @@ def test_transforming_twice_is_a_no_op_at_six_hundred_states():
     once, _ = transform(Model("big", (ClassDef("C"),), (chart,)))
     twice, second_report = transform(once)
     assert twice is once
-    assert second_report.induced_attributes == []
-    assert second_report.induced_invariants == []
-    assert second_report.induced_operations == []
-    assert second_report.induced_preconditions == []
-    assert second_report.diagnostics == []
+    assert second_report == TransformReport()
 
 
 def test_idempotence_on_random_models():
@@ -360,8 +370,8 @@ def test_idempotence_on_random_models():
         once, _ = transform(model)
         twice, report = transform(once)
         assert twice == once
-        assert report.induced_attributes == []
-        assert report.induced_preconditions == []
+        assert report.induced_attributes == ()
+        assert report.induced_preconditions == ()
 
 
 def test_conservativity_on_random_models():
