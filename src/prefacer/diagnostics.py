@@ -37,16 +37,17 @@ class SourceLocation:
 
 
 class LazyLocation:
-    """A ``SourceLocation`` worked out when read.  Its ``__class__`` is the
-    record's, so the record's ``==``, ``hash``, ``repr`` and pickling take both."""
+    """A ``SourceLocation`` worked out when read, from a token's index and
+    its parse's token table.  Its ``__class__`` is the record's, so the
+    record's ``==``, ``hash``, ``repr`` and pickling take both."""
 
-    __slots__ = ("offset", "lines")
+    __slots__ = ("index", "table")
 
-    def __init__(self, offset: int, lines: Callable[[int], tuple[str, int, int]]):
-        self.offset, self.lines = offset, lines
+    def __init__(self, index: int, table: Callable[[int], tuple[str, int, int]]):
+        self.index, self.table = index, table
 
     __class__ = property(lambda self: SourceLocation)
-    file, line, column = (property(lambda s, i=i: s.lines(s.offset)[i]) for i in range(3))
+    file, line, column = (property(lambda s, i=i: s.table(s.index)[i]) for i in range(3))
     __str__, __repr__ = SourceLocation.__str__, SourceLocation.__repr__
     __eq__, __hash__, __reduce__ = SourceLocation.__eq__, SourceLocation.__hash__, _reduce
 

@@ -12,27 +12,29 @@ Comments run from ``//`` to end of line in both.  Parsers are recursive
 descent over the token texts of one scan and fail with a located
 ``ParseError``; they never guess.
 
-The scanner is one regular expression applied with ``split``, so the
-whole text is cut up in C into one flat list of strings, with no tuple
-per match.  Each match is the blanks and comments before a token, then
-the token or one character no token accepts.  Identifiers are
-ASCII (``[A-Za-z_][A-Za-z0-9_]*``, what ``model.is_identifier`` accepts)
-and integers are runs of ASCII digits; any other character outside a
-string or comment is a located "unexpected character".  A parse keeps two
-lists, the token texts and their start offsets, and the parser builds no
-object per token.  A string keeps its quotes, so the first character of a text tells
-its kind: a letter or ``_`` starts an identifier, a digit an integer,
-``"`` a string, anything else is a symbol, and the empty text is the end
-of input.  A node, an element or a ``ParseError`` keeps a ``LazyLocation``:
-its token's offset and the parse's ``_line_table`` (file name and text, no
-token list), which finds the line starts on the first read of a location.
+The scanner is one ``findall`` of one regular expression, so the whole
+text is cut up in C into one flat list of token texts, with no tuple or
+offset per match.  Each match is the blanks and comments before a token,
+then the token, or one character no token accepts, or ``""`` at the end.
+Identifiers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``, what
+``model.is_identifier`` accepts) and integers are runs of ASCII digits;
+any other character outside a string or comment is a located
+"unexpected character".  A string keeps its quotes, so the first
+character of a text tells its kind: a letter or ``_`` starts an
+identifier, a digit an integer, ``"`` a string, anything else is a
+symbol, and the empty text is the end of input.  A node, an element or a
+``ParseError`` keeps a ``LazyLocation``: its token's index and the
+parse's ``_token_table`` (file name and text, no token list).  On the
+first read of a location the table finds every token start, in one more
+pass of the same expression, and the line starts; a parse none of whose
+locations is read never pays for them.
 
 Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
 located ``ParseError``, so no text makes a parser (or the evaluator, on
 what a parser built) exhaust the interpreter's recursion limit.
 
 ``read_package_header`` reads a package file only as far as its last
-import, matching ``_SCAN`` one token at a time, and hands any text whose
+import, matching ``_TOKEN`` one token at a time, and hands any text whose
 header is broken to ``parse_package`` for the error.
 
 ``parse_expr``, ``parse_model`` and ``parse_package`` pause the cyclic
@@ -58,9 +60,9 @@ from __future__ import annotations
 
 import gc
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from . import expr as E
@@ -119,81 +121,79 @@ MAX_NESTING = 100
 # Scanner
 # ---------------------------------------------------------------------------
 
-#: Blanks, line ends and comments, then a token (two-character symbols
-#: before one-character ones) or one character no token accepts (a stray
-#: quote is an unterminated string).  At the end of input neither
-#: matches.
-_SCAN = re.compile(r"""
-    ([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)
-    (?:
-      ( [A-Za-z_][A-Za-z0-9_]*
-      | [0-9]+
-      | "[^"\n]*"
-      | ->|<<|>>|<>|<=|>=|[{}()\[\]:,=.<>+|-]
-      )
-    | (.)
-    )?
+#: Blanks, line ends and comments, then the one group: a token
+#: (two-character symbols before one-character ones), or one character no
+#: token accepts (a stray quote is an unterminated string), or ``""`` at
+#: the end of input.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    ( [A-Za-z_][A-Za-z0-9_]*
+    | [0-9]+
+    | "[^"\n]*"
+    | ->|<<|>>|<>|<=|>=|[{}()\[\]:,=.<>+|-]
+    | .
+    |
+    )
 """, re.VERBOSE)
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
+#: The one-character texts that are tokens.
+_SINGLE = _IDENT_START | _DIGITS | frozenset("{}()[]:,=.<>+|-")
 
 
-def _scan(source: str, file: str) -> tuple[list[str], list[int]]:
-    """The token texts of ``source`` and the offset where each starts.
+def _scan(source: str, file: str):
+    """The token texts of ``source``, ending in ``""`` (the end of input)
+    and with strings in their quotes, and the parse's ``_token_table``."""
 
-    The last text is ``""``, the end of input, which sits at the end of the
-    text or, when the last line ends in a comment, where that comment
-    begins.  Strings keep their quotes.
+    texts = _TOKEN.findall(source)
+    # Blanks or a comment after the last token give a second "" at the end.
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()
+    table = _token_table(file, source)
+    refused = [text for text in set(texts) if len(text) == 1 and text not in _SINGLE]
+    if refused:
+        index = min(map(texts.index, refused))
+        found = texts[index]
+        raise ParseError(
+            "unterminated string" if found == '"' else f"unexpected character {found!r}",
+            LazyLocation(index, table))
+    return texts, table
+
+
+def _offsets(text: str) -> tuple[list[int], list[int]]:
+    """Where each token of ``text`` starts, and where each line starts.
+
+    The end of input sits at the end of the text or, when the last line
+    ends in a comment, where that comment begins.
     """
 
-    # One flat list, four entries per match: the text between matches
-    # (always empty, as matches touch), the blanks and comments, the token
-    # and the refused character, which are None where they did not match.
-    parts = _SCAN.split(source)
-    if any(parts[3::4]):
-        _refuse(source, file, parts)
-    del parts[3::4]
-    # The last match, or the last two when blanks or a comment trail the
-    # last token, have no token: the first of them is the end of input.
-    end = len(parts) - 2
-    if end > 2 and parts[end - 3] is None:
-        end -= 3
-    tail = parts[end - 1]
-    parts[end] = ""
-    del parts[end + 1:]
-    texts = parts[2::3]
-    # The offsets after each entry; every third is where a token starts.
-    starts = list(islice(accumulate(map(len, parts)), 1, None, 3))
-    del parts
-    comment = tail.find("//", tail.rfind("\n") + 1)
+    starts = [found.start(1) for found in _TOKEN.finditer(text)]
+    end = bisect_left(starts, len(text))
+    # What follows the last token on the last line is blanks and maybe a comment.
+    tail = _TOKEN.match(text, starts[end - 1]).end() if end else 0
+    comment = text.find("//", max(tail, text.rfind("\n") + 1))
     if comment >= 0:
-        starts[-1] -= len(tail) - comment
-    return texts, starts
+        starts[end] = comment
+    # each line starts one past the lines before it
+    lines = list(accumulate((len(line) + 1 for line in text.split("\n")), initial=0))
+    return starts, lines
 
 
-def _line_table(file: str, text: str):
-    """Where an offset of ``text`` is; the line starts are found on the first call."""
+def _token_table(file: str, text: str):
+    """Where the token at an index is; the offsets are found on the first call."""
 
-    starts: list[int] = []
+    starts = lines = None
 
-    def position(offset: int) -> tuple[str, int, int]:
-        if not starts:  # each line starts one past the lines before it
-            starts[:] = accumulate((len(line) + 1 for line in text.split("\n")), initial=0)
-        line = bisect_right(starts, offset)
-        return file, line, offset - starts[line - 1] + 1
+    def position(index: int) -> tuple[str, int, int]:
+        nonlocal starts, lines
+        if starts is None:
+            starts, lines = _offsets(text)
+        offset = starts[index]
+        line = bisect_right(lines, offset)
+        return file, line, offset - lines[line - 1] + 1
 
     return position
-
-
-def _refuse(source: str, file: str, parts: list[str | None]) -> None:
-    """Raise the error for the first character no token accepts."""
-
-    index = 4 * next(i for i, refused in enumerate(parts[3::4]) if refused) + 3
-    refused = parts[index]
-    raise ParseError(
-        "unterminated string" if refused == '"' else f"unexpected character {refused!r}",
-        LazyLocation(sum(map(len, filter(None, parts[:index]))), _line_table(file, source)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +216,16 @@ class _Parser:
     (unquoted, for a string) or its index, which ``loc`` turns into a
     location where one is kept."""
 
-    __slots__ = ("texts", "starts", "lines", "pos", "depth")
+    __slots__ = ("texts", "table", "pos", "depth")
 
     def __init__(self, source: str, file: str):
-        self.texts, self.starts = _scan(source, file)
-        self.lines = _line_table(file, source)
+        self.texts, self.table = _scan(source, file)
         self.pos = self.depth = 0
 
     def loc(self, index: int) -> LazyLocation:
         """The location of the token at ``index``."""
 
-        return LazyLocation(self.starts[index], self.lines)
+        return LazyLocation(index, self.table)
 
     # -- primitives ------------------------------------------------------------
 
@@ -743,20 +742,18 @@ def read_package_header(source: str, file: str = "<package>") -> Package:
     ``parse_package``, so a broken header fails with the same
     ``ParseError``; whatever follows the imports is not read."""
 
-    head = _SCAN.match(source)
-    # The token texts after ``package``; a refused character or the end of
-    # input reads as "", which no step of the header accepts.
-    texts = (found[2] or "" for found in _SCAN.finditer(source, head.end()))
-    pkg_id = next(texts, "") if head[2] == "package" else ""
-    if pkg_id[:1] != '"' or next(texts, "") != "{":
+    # A lone '"' is a refused character, not a quoted id.
+    texts = (found[1] for found in _TOKEN.finditer(source))
+    pkg_id = next(texts, "") if next(texts) == "package" else ""
+    if pkg_id[:1] != '"' or pkg_id == '"' or next(texts, "") != "{":
         return parse_package(source, file)
     imports: list[str] = []
     while next(texts, "") == "import":
         imported = next(texts, "")
-        if imported[:1] != '"':
+        if imported[:1] != '"' or imported == '"':
             return parse_package(source, file)
         imports.append(imported[1:-1])
-    loc = LazyLocation(head.start(2), _line_table(file, source))
+    loc = LazyLocation(0, _token_table(file, source))
     return Package(pkg_id[1:-1], tuple(imports), loc=loc)
 
 

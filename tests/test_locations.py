@@ -1,17 +1,20 @@
 """Parsed locations stand for ``SourceLocation`` records they never build.
 
 A parser gives each node, element and ``ParseError`` a ``LazyLocation``:
-the offset of its token and the parse's shared line table.  Here every such
-location, on every text of ``tests/parse_outcomes.json`` and on seeded
-round trips, must equal, hash, print and pickle exactly like the eager
-record for the same place, worked out apart from the parser: from the
-snapshot's pinned positions, or from the offset by counting line ends and
-checked against the reference tokenizer of ``tests/oracles.py``.
+the index of its token and the parse's shared token table, which finds
+the token offsets on the first read.  Here every such location, on every
+text of ``tests/parse_outcomes.json``, on edits of those texts and on
+seeded round trips, must equal, hash, print and pickle exactly like the
+eager record for the same place, worked out apart from the parser: from
+the snapshot's pinned positions, or from the token at the same index of
+the reference tokenizer of ``tests/oracles.py``.  Counting the offset
+passes pins when they happen.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import json
 import pickle
 import random
@@ -19,9 +22,13 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import random_expr, random_model, random_package
 from oracles import lex_reference
+from prefacer import textio
+from prefacer.cli import RunConfig, run
 from prefacer.diagnostics import Diagnostic, LazyLocation, SourceLocation
 from prefacer.textio import (
     ParseError,
@@ -33,6 +40,8 @@ from prefacer.textio import (
     print_package,
     read_package_header,
 )
+from test_parse_outcomes import _header_cases
+from test_textio import LEX_PIECES, _compare_with_reference, _lex_new, _lexed, _offset
 
 HERE = Path(__file__).resolve().parent
 PARSERS = {"model": parse_model, "package": parse_package, "expr": parse_expr}
@@ -77,22 +86,13 @@ def assert_stands_for(loc, ref: SourceLocation) -> None:
     assert repr(found) == repr(kept)
 
 
-def counted(text: str, file: str, offset: int) -> SourceLocation:
-    """The eager record for ``offset``, by counting line ends before it."""
-
-    return SourceLocation(file, text.count("\n", 0, offset) + 1,
-                          offset - text.rfind("\n", 0, offset))
-
-
 def assert_at_tokens(text: str, file: str, locs: list) -> None:
-    """Each location is where the reference tokenizer starts a token (or
-    the end of input), and stands for the record counted from its offset."""
+    """Each location stands for the record of the reference tokenizer's
+    token at the location's index (the end of input last)."""
 
-    token_starts = {(t.loc.line, t.loc.column) for t in lex_reference(text, file)}
+    tokens = lex_reference(text, file)
     for loc in locs:
-        ref = counted(text, file, loc.offset)
-        assert (ref.line, ref.column) in token_starts, (file, ref)
-        assert_stands_for(loc, ref)
+        assert_stands_for(loc, tokens[loc.index].loc)
 
 
 def test_every_snapshot_text_locates_as_the_eager_records():
@@ -113,6 +113,53 @@ def test_every_snapshot_text_locates_as_the_eager_records():
             assert_stands_for(loc, SourceLocation(name, line, column))
         nodes += len(locs)
     assert errors > 300 and nodes > 1500
+
+
+SNAPSHOT_TEXTS = [entry["text"] for entry in
+                  json.loads((HERE / "parse_outcomes.json").read_text(encoding="utf-8"))]
+
+#: One edit: insert a piece at a position, or delete or replace as many
+#: characters there as the piece has.
+EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                 st.integers(0, 10**6), st.sampled_from(LEX_PIECES))
+
+
+def _edited(text: str, edits: list) -> str:
+    for kind, where, piece in edits:
+        at = where % (len(text) + 1)
+        cut = at if kind == "insert" else at + len(piece)
+        text = text[:at] + ("" if kind == "delete" else piece) + text[cut:]
+    return text
+
+
+@given(st.sampled_from(SNAPSHOT_TEXTS), st.lists(EDIT, min_size=1, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_edited_snapshot_texts_locate_at_the_reference_tokens(text, edits):
+    """Every parser raises only ``ParseError`` on an edited text, and every
+    location it gives, of a node or of the error, is where the reference
+    tokenizer puts the token at the location's index."""
+
+    text = _edited(text, edits)
+    # Judges the scanner's texts and positions, with the one documented
+    # difference: a non-ASCII letter or digit is refused.
+    _compare_with_reference(text)
+    # Before a refused character both tokenizers agree.
+    _, refused = _lexed(_lex_new, text)
+    cut = len(text) if refused is None else _offset(text, *refused[1:])
+    tokens = lex_reference(text[:cut], "t")
+    for parse in (*PARSERS.values(), read_package_header):
+        try:
+            locs = located(parse(text, "t"))
+        except ParseError as failure:
+            assert refused is None or (
+                str(failure), failure.loc.line, failure.loc.column) == refused
+            locs = [failure.loc]
+        else:  # the header reader does not read past its imports ...
+            assert refused is None or parse is read_package_header
+        for loc in locs:
+            assert_stands_for(loc, tokens[loc.index].loc)
+    # ... and where it reads, it agrees with the package parser.
+    _header_cases([("t", text)])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -142,7 +189,24 @@ def test_scanner_errors_locate_as_the_reference_tokenizer_does():
         assert_stands_for(failure.value.loc, reference.value.loc)
 
 
-def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch):
+@pytest.fixture
+def passes(monkeypatch) -> list[str]:
+    """The text of each pass that finds token offsets, in order."""
+
+    texts: list[str] = []
+    offsets = textio._offsets
+
+    def counting(text: str):
+        texts.append(text)
+        return offsets(text)
+
+    monkeypatch.setattr(textio, "_offsets", counting)
+    return texts
+
+
+def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch, passes):
+    text = (HERE.parent / "sample" / "example.model").read_text(encoding="utf-8")
+    tokens = lex_reference(text, "example.model")
     built = []
     init = SourceLocation.__init__
 
@@ -151,23 +215,13 @@ def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SourceLocation, "__init__", counting_init)
-    text = (HERE.parent / "sample" / "example.model").read_text(encoding="utf-8")
     locs = located(parse_model(text, "example.model"))
-    assert built == [] and len(locs) > 10
+    assert built == [] and len(locs) > 10 and passes == []
     assert all(type(loc) is LazyLocation for loc in locs)
-    # One line table per parse, holding the file name and the text; its
-    # line starts are found on the first read, and no token list is kept.
-    tables = {id(loc.lines) for loc in locs}
-    assert len(tables) == 1
-    table = locs[0].lines
-    kept = dict(zip(table.__code__.co_freevars,
-                    (cell.cell_contents for cell in table.__closure__)))
-    assert kept == {"file": "example.model", "starts": [], "text": text}
+    # One token table per parse.
+    assert len({id(loc.table) for loc in locs}) == 1
     # Reading, comparing, hashing and printing build no record either.
-    assert [str(loc) for loc in locs] == [
-        f"example.model:{text.count(chr(10), 0, loc.offset) + 1}:"
-        f"{loc.offset - text.rfind(chr(10), 0, loc.offset)}" for loc in locs]
-    assert kept["starts"][:2] == [0, text.index("\n") + 1]
+    assert [str(loc) for loc in locs] == [str(tokens[loc.index].loc) for loc in locs]
     assert len({hash(loc) for loc in locs}) > 1 and locs[0] == locs[0]
     assert repr(locs[0]).startswith("SourceLocation(file='example.model', line=")
     assert built == []
@@ -176,8 +230,39 @@ def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch):
     assert len(built) == 1
 
 
-def test_a_lazy_location_holds_an_offset_and_the_line_table():
-    loc = parse_expr("a and\n  b", "e").lhs.loc
-    assert LazyLocation.__slots__ == ("offset", "lines")
-    assert not hasattr(loc, "__dict__")
-    assert str(parse_expr("a and\n  b", "e").rhs.loc) == "e:2:3"
+def test_offsets_are_found_once_on_the_first_location_read(passes):
+    text = (HERE.parent / "sample" / "example.model").read_text(encoding="utf-8")
+    locs = located(parse_model(text, "example.model"))
+    assert passes == []
+    assert locs[-1].line > 1
+    assert passes == [text]
+    assert locs[-1].column > 0 and str(locs[-1]).startswith("example.model:")
+    assert all(loc == loc and loc.file == "example.model" for loc in locs)
+    assert len({str(loc) for loc in locs}) == len({hash(loc) for loc in locs}) > 10
+    assert passes == [text]
+    # Each parse has its own table; a parse error names its location, so
+    # a failed parse makes its one pass as it fails.
+    with pytest.raises(ParseError) as failure:
+        parse_model(text + "}", "broken.model")
+    assert passes == [text, text + "}"]
+    assert str(failure.value).startswith("broken.model:") and failure.value.loc.line > 1
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("command", ["compose", "validate", "transform", "skeleton"])
+def test_commands_that_print_no_location_find_no_offsets(passes, command, tmp_path):
+    sample = HERE.parent / "sample"
+    config = RunConfig(command=command, preface_dir=str(sample / "defs"),
+                       root_package="project-p", model_path=str(sample / "example.model"),
+                       output=str(tmp_path / "out") if command == "skeleton" else None)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(config, stdout=out, stderr=err) == 0, err.getvalue()
+    assert passes == []
+
+
+def test_a_lazy_location_holds_a_token_index_and_the_table():
+    tree = parse_expr("a and\n  b", "e")
+    assert LazyLocation.__slots__ == ("index", "table")
+    assert not hasattr(tree.lhs.loc, "__dict__")
+    assert (tree.lhs.loc.index, tree.loc.index, tree.rhs.loc.index) == (0, 1, 2)
+    assert str(tree.rhs.loc) == "e:2:3"

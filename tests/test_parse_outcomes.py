@@ -249,6 +249,14 @@ def test_the_header_reader_agrees_with_the_parser():
     assert min(cases.values()) > 30 and len(cases) == 3, cases
 
 
+def test_a_lone_quote_is_not_a_quoted_id_to_the_header_reader():
+    # A quote with no partner on its line is an unterminated string, even
+    # where the header wants a quoted id.
+    texts = [("lone-id", 'package " {\n}\n'),
+             ("lone-import", 'package "p" {\n  import " {\n}\n')]
+    assert _header_cases(texts) == {"header fails": 2}
+
+
 def _write_snapshot() -> None:
     entries = [{"name": name, "parser": kind, "text": text,
                 "outcome": _outcome(kind, text, name)}

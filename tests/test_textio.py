@@ -716,16 +716,15 @@ def _kind(text: str) -> str:
 
 
 def _lex_new(source: str):
-    """``(kind, text, line, column)`` of every token, rebuilt from the
-    scanner's texts and start offsets."""
+    """``(kind, text, line, column)`` of every token: the scanner's texts,
+    placed by its token table."""
 
-    texts, starts = _scan(source, "t")
+    texts, table = _scan(source, "t")
     out = []
-    for text, start in zip(texts, starts):
-        line_start = source.rfind("\n", 0, start) + 1
+    for index, text in enumerate(texts):
+        _, line, column = table(index)
         kind = _kind(text)
-        out.append((kind, text[1:-1] if kind == "string" else text,
-                    source.count("\n", 0, start) + 1, start - line_start + 1))
+        out.append((kind, text[1:-1] if kind == "string" else text, line, column))
     return out
 
 
