@@ -5,8 +5,20 @@ read the model when the command takes one, then act.  ``compose`` prints
 the effective-definitions report, ``validate`` checks a model,
 ``transform`` applies statechart induction and prints the transformed
 model, ``explain`` shows a key's override chain, ``skeleton`` writes
-skeleton and monitor files.  ``_COMMANDS`` maps each name to its
-function; every one takes the same arguments and returns the exit code.
+skeleton and monitor files.  ``_COMMANDS`` describes each command once
+(its function, help, operand, ``-o`` option and how much of the preface
+directory it reads), and the argument parser, the check of a
+``RunConfig`` and the dispatch all read it.
+
+A command writes its payload to standard output as it runs and returns
+what standard error shows; ``_run`` renders that once, after the payload.
+Under ``--format text`` it is the diagnostics, one line each, then the
+command's text: the transform report, or the ``error:`` line of a key
+``explain`` does not know.  Under ``--format json`` it is one object whose
+first key, ``diagnostics``, holds a list of objects (``severity``,
+``code``, ``file``, ``line``, ``col``, ``path``, ``message``,
+``provenance``); ``transform`` adds its four report sections and
+``explain`` an ``error`` that is ``null`` or the message.
 
 A preface directory is a library: it may hold many prefaces, and a
 preface is a root package together with everything it imports.  The
@@ -20,16 +32,15 @@ package the root does not reach stops the run only when its id or
 imports do not read.  Both loads report a package id that two files
 define (E108).
 
-Exit codes: 0 success (warnings allowed), 1 error diagnostics, 2 parse or
-usage failure, 3 composition failure.  ``_run`` turns each failure into one
-plain-text line on standard error, under either format: ``parse error:``
-or ``error:`` (an input file that cannot be read or is not UTF-8, a
-preface directory that is missing or holds no package, an output path
-that cannot be written, a ``RunConfig`` without a field its command
-needs) with exit code 2, ``composition error:`` (import
-cycle, unknown import or root) with 3.  Diagnostics go to standard error,
-payload and summaries to standard output, and identical inputs produce
-identical output bytes.  No run ends in a traceback: any other exception
+Exit codes: 0 success (warnings allowed), 1 error diagnostics or a key
+``explain`` does not know, 2 parse or usage failure, 3 composition
+failure.  ``_run`` turns each failure into one plain-text line on
+standard error, under either format: ``parse error:`` or ``error:`` (an
+input file that cannot be read or is not UTF-8, a preface directory that
+is missing or holds no package, an output path that cannot be written, a
+``RunConfig`` without a field its command needs) with exit code 2,
+``composition error:`` (import cycle, unknown import or root) with 3.
+Identical inputs produce identical output bytes.  No run ends in a traceback: any other exception
 (an evaluation too deep for the interpreter, say) is one ``internal error:
 <type>: <message>`` line, with exit code 2.
 
@@ -45,7 +56,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO
 
 from .constraints import check_constraints
 from .diagnostics import Diagnostic, error_count, has_errors, warning_count
@@ -70,7 +81,7 @@ from .textio import (
     parse_package,
     print_model,
     print_report,
-    print_transform_report,
+    print_report_sections,
     read_package_header,
     transform_report_sections,
 )
@@ -100,28 +111,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _diagnostics_payload(diags: list[Diagnostic]) -> list[dict]:
-    return [
-        {
-            "severity": d.severity,
-            "code": d.code,
-            "file": d.location.file if d.location else None,
-            "line": d.location.line if d.location else None,
-            "col": d.location.column if d.location else None,
-            "path": d.path,
-            "message": d.message,
-            "provenance": d.provenance,
-        }
-        for d in diags
-    ]
-
-
-def render_diagnostics(diags: list[Diagnostic], format: str = "text") -> str:
-    """Stable text or JSON rendering; empty string for an empty list."""
-
-    if format == "json":
-        import json  # only here: start-up does without it
-        return json.dumps(_diagnostics_payload(diags), indent=2) + "\n"
+def render_diagnostics(diags: list[Diagnostic]) -> str:
+    """One stable line per diagnostic; empty string for an empty list."""
 
     lines = []
     for d in diags:
@@ -136,13 +127,25 @@ def render_diagnostics(diags: list[Diagnostic], format: str = "text") -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _render(diags: list[Diagnostic], format: str, text: str = "", **fields) -> str:
-    """The diagnostics, then ``text``; under ``json`` one object holding
-    the diagnostics and ``fields`` instead."""
+def _render(diags: list[Diagnostic], format: str, text: str, fields: dict) -> str:
+    """A command's standard error: the diagnostics, then ``text``; under
+    ``json`` one object holding the diagnostics, then ``fields``."""
 
     if format == "json":
-        import json
-        return json.dumps({"diagnostics": _diagnostics_payload(diags), **fields}, indent=2) + "\n"
+        import json  # only here: start-up does without it
+        return json.dumps({"diagnostics": [
+            {
+                "severity": d.severity,
+                "code": d.code,
+                "file": d.location.file if d.location else None,
+                "line": d.location.line if d.location else None,
+                "col": d.location.column if d.location else None,
+                "path": d.path,
+                "message": d.message,
+                "provenance": d.provenance,
+            }
+            for d in diags
+        ], **fields}, indent=2) + "\n"
     return render_diagnostics(diags) + text
 
 
@@ -239,31 +242,25 @@ def _load_repository(preface_dir: str, diags: list[Diagnostic],
     return {pkg_id: parsed[pkg_id] for pkg_id in repo if pkg_id in parsed}
 
 
-def _read_model(config: RunConfig) -> Model:
-    return parse_model(_read_text(str(Path(config.model_path))), config.model_path)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_compose(config: RunConfig, model: Model | None, eff: EffectiveDefinitions,
-                 diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
-    stderr.write(render_diagnostics(diags, config.format))
+                 diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     stdout.write(print_report(eff))
-    return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+    return diags, "", {}
 
 
 def _cmd_validate(config: RunConfig, model: Model, eff: EffectiveDefinitions,
-                  diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
+                  diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     structural = builtin_check(model)
     diags = structural + diags
     if not has_errors(structural):
         diags = diags + check_constraints(model, eff)
-    stderr.write(render_diagnostics(diags, config.format))
     stdout.write(f"{error_count(diags)} errors, {warning_count(diags)} warnings\n")
-    return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+    return diags, "", {}
 
 
 def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diagnostic],
@@ -279,7 +276,7 @@ def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diag
 
 
 def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
-                   diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
+                   diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     transformed, report, diags = _transform_prelude(model, eff, diags)
     # The model goes out before the report, so an output path that cannot
     # be written leaves the one error line alone on stderr.
@@ -289,34 +286,28 @@ def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
             _write_text(str(Path(config.output)), text)
         else:
             stdout.write(text)
-    if config.format == "json":
-        stderr.write(_render(diags, "json", **{
-            title.replace(" ", "_"): [{"path": path, "description": description}
-                                      for path, description in entries]
-            for title, entries in transform_report_sections(report or TransformReport())}))
-    else:
-        stderr.write(_render(diags, "text",
-                             print_transform_report(report) if report is not None else ""))
-    return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+    sections = transform_report_sections(report or TransformReport())
+    return diags, print_report_sections(sections) if report is not None else "", {
+        title.replace(" ", "_"): [{"path": path, "description": description}
+                                  for path, description in entries]
+        for title, entries in sections}
 
 
 def _cmd_explain(config: RunConfig, model: Model | None, eff: EffectiveDefinitions,
-                 diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
+                 diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     try:
         chain = explain(eff, config.key)
     except NotDefinedError as failure:
-        stderr.write(_render(diags, config.format, f"error: {failure}\n", error=str(failure)))
-        return EXIT_DIAGNOSTICS
-    stderr.write(_render(diags, config.format, error=None))
+        return diags, f"error: {failure}\n", {"error": str(failure)}
     stdout.write(f"{config.key}\n")
     for index, (definition, provenance) in enumerate(chain, 1):
         mark = " (winner)" if index == len(chain) else ""
         stdout.write(f"  {provenance.package_id}: {_scalar_value(definition)}{mark}\n")
-    return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+    return diags, "", {"error": None}
 
 
 def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
-                  diags: list[Diagnostic], stdout: IO[str], stderr: IO[str]) -> int:
+                  diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     transformed, _, diags = _transform_prelude(model, eff, diags)
     if transformed is not None and not has_errors(diags):
         try:
@@ -339,26 +330,27 @@ def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                     wrote.append(f"wrote {path}\n")
             finally:  # a failed write still reports the files before it
                 stdout.write("".join(wrote))
-    stderr.write(render_diagnostics(diags, config.format))
-    return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+    return diags, "", {}
 
 
-_COMMANDS: dict[str, Callable[..., int]] = {
-    "compose": _cmd_compose,
-    "validate": _cmd_validate,
-    "transform": _cmd_transform,
-    "explain": _cmd_explain,
-    "skeleton": _cmd_skeleton,
-}
+# An operand or an ``-o`` option: its metavar, its help, the RunConfig
+# field it fills, and, when the command cannot run without it, how the
+# error line for a RunConfig without that field names it.
+_MODEL = ("model", "model file", "model_path", "a model path")
+_KEY = ("key", "constant or option key", "key", "a key")
 
-_MODEL_COMMANDS = ("validate", "transform", "skeleton")
-
-# The RunConfig fields some commands cannot run without: which, and how
-# the error line names the field.
-_REQUIRED = {
-    "model_path": (_MODEL_COMMANDS, "a model path"),
-    "output": (("skeleton",), "an output directory"),
-    "key": (("explain",), "a key"),
+#: Each command: its function, its help, its operand, its ``-o`` option,
+#: and whether it reads the whole preface directory.
+_COMMANDS: dict[str, tuple] = {
+    "compose": (_cmd_compose, "print the effective definitions", None, None, True),
+    "validate": (_cmd_validate, "check a model", _MODEL, None, False),
+    "transform": (_cmd_transform, "apply statechart induction", _MODEL,
+                  ("FILE", "write the transformed model here instead of stdout", "output", None),
+                  False),
+    "explain": (_cmd_explain, "show a key's override chain", _KEY, None, False),
+    "skeleton": (_cmd_skeleton, "write skeletons and monitors", _MODEL,
+                 ("DIR", "directory for the generated files", "output", "an output directory"),
+                 False),
 }
 
 
@@ -379,23 +371,23 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
 
 
 def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
-    for field, (commands, what) in _REQUIRED.items():
-        if config.command in commands and getattr(config, field) is None:
+    command, _, operand, output, whole = _COMMANDS.get(config.command, (None,) * 5)
+    for _, _, field, what in filter(None, (operand, output)):
+        if what and getattr(config, field) is None:
             stderr.write(f"error: '{config.command}' needs {what}\n")
             return EXIT_USAGE
     diags: list[Diagnostic] = []
     try:
-        # compose, the preface author's command, reads the whole directory
-        root = None if config.command == "compose" else config.root_package
-        repo = _load_repository(config.preface_dir, diags, root)
+        repo = _load_repository(config.preface_dir, diags,
+                                None if whole else config.root_package)
         diags.extend(validate_preface(repo, config.root_package))
         eff = compose(repo, config.root_package)
-        model = _read_model(config) if config.command in _MODEL_COMMANDS else None
-        command = _COMMANDS.get(config.command)
+        model = (parse_model(_read_text(str(Path(config.model_path))), config.model_path)
+                 if operand is _MODEL else None)
         if command is None:
             stderr.write(f"error: unknown command '{config.command}'\n")
             return EXIT_USAGE
-        return command(config, model, eff, diags, stdout, stderr)
+        diags, text, fields = command(config, model, eff, diags, stdout)
     except ParseError as failure:
         stderr.write(f"parse error: {failure}\n")
         return EXIT_USAGE
@@ -405,6 +397,9 @@ def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
     except CompositionError as failure:
         stderr.write(f"composition error: {failure}\n")
         return EXIT_COMPOSITION
+    stderr.write(_render(diags, config.format, text, fields))
+    failed = has_errors(diags) or fields.get("error") is not None
+    return EXIT_DIAGNOSTICS if failed else EXIT_OK
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -413,53 +408,25 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Compose definition packages, validate models against the "
                     "result, and generate skeleton and monitor code.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--preface", required=True, metavar="DIR",
+    # Each destination is the RunConfig field the argument fills.
+    for name, (_, summary, operand, output, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if operand:
+            p.add_argument(operand[2], metavar=operand[0], help=operand[1])
+        p.add_argument("--preface", required=True, metavar="DIR", dest="preface_dir",
                        help="directory of .preface package files")
-        p.add_argument("--root", required=True, metavar="ID",
+        p.add_argument("--root", required=True, metavar="ID", dest="root_package",
                        help="id of the root package")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="diagnostic rendering (default: text)")
-
-    p_compose = sub.add_parser("compose", help="print the effective definitions")
-    common(p_compose)
-
-    p_validate = sub.add_parser("validate", help="check a model")
-    p_validate.add_argument("model", help="model file")
-    common(p_validate)
-
-    p_transform = sub.add_parser("transform", help="apply statechart induction")
-    p_transform.add_argument("model", help="model file")
-    common(p_transform)
-    p_transform.add_argument("-o", "--output", metavar="FILE",
-                             help="write the transformed model here instead of stdout")
-
-    p_explain = sub.add_parser("explain", help="show a key's override chain")
-    p_explain.add_argument("key", help="constant or option key")
-    common(p_explain)
-
-    p_skeleton = sub.add_parser("skeleton", help="write skeletons and monitors")
-    p_skeleton.add_argument("model", help="model file")
-    common(p_skeleton)
-    p_skeleton.add_argument("-o", "--output", required=True, metavar="DIR",
-                            help="directory for the generated files")
-
+        if output:
+            p.add_argument("-o", "--output", required=output[3] is not None,
+                           metavar=output[0], help=output[1])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        preface_dir=args.preface,
-        root_package=args.root,
-        model_path=getattr(args, "model", None),
-        key=getattr(args, "key", None),
-        output=getattr(args, "output", None),
-        format=args.format,
-    )
-    return run(config)
+    return run(RunConfig(**vars(_build_arg_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

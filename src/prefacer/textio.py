@@ -1034,8 +1034,14 @@ def transform_report_sections(report) -> list[tuple[str, Sequence[tuple[str, str
 def print_transform_report(report) -> str:
     """Render what a transformation run induced (diagnostics excluded)."""
 
+    return print_report_sections(transform_report_sections(report))
+
+
+def print_report_sections(sections) -> str:
+    """The text of a report's ``transform_report_sections``."""
+
     out: list[str] = []
-    for title, entries in transform_report_sections(report):
+    for title, entries in sections:
         if entries:
             out.append(title)
             out.extend(f"  {path}: {description}" for path, description in entries)

@@ -218,19 +218,6 @@ def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
 # ---------------------------------------------------------------------------
 
 
-def _disjuncts(e: E.Expr) -> list[E.Expr]:
-    """The operands of a left-associated disjunction, in order, found with
-    a loop rather than the recursive ``==`` down its spine."""
-
-    out = []
-    while type(e) is E.Or:
-        out.append(e.rhs)
-        e = e.lhs
-    out.append(e)
-    out.reverse()
-    return out
-
-
 def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
     """Give every event operation of ``cls``, the attached class, the
     induced precondition "the object is in one of the event's source
@@ -266,7 +253,7 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
         if index is None:
             continue
         op = new_ops[index]
-        flags = [E.VarRef(name) for name in sources]
+        wanted = E.disjoin([E.VarRef(name) for name in sources])
         if op.pre_induced is not None:
             previous_origin = op.pre_induced[1]
             if previous_origin.chart_name != chart.name:
@@ -275,9 +262,8 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
                     f"precondition for '{event}' was already induced from "
                     f"'{previous_origin.chart_name}'; '{chart.name}' leaves it alone"))
                 continue
-            if _disjuncts(op.pre_induced[0]) == flags:
+            if op.pre_induced[0] == wanted:
                 continue
-        wanted = E.disjoin(flags)
         new_ops[index] = replace(op, pre_induced=(wanted, _origin_for(chart)))
         changed = True
         effective = new_ops[index].effective_pre if op.pre_authored is not None else None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import io
 import json
@@ -138,6 +139,108 @@ def test_warnings_do_not_fail_the_run(sample_dir, tmp_path):
     assert " SC: " in err
 
 
+SAMPLE_COMPOSE = """\
+packages
+  uml-core
+  client-c
+  project-p
+
+constants
+  max = 8 (project-p, overrides uml-core: 10)
+
+options
+  aggregation.semantics = weak (default)
+  communication.paradigm = procedure_call (default)
+  framing.default = unconstrained (default)
+  inheritance.multiple = allowed (default)
+  statechart.attach_to = class (default)
+  statechart.unexpected_event = error (uml-core)
+
+rules
+  persistence
+    when stereotype(event) -> transient (client-c)
+    when all -> persistent (uml-core)
+
+constraints
+  (none)
+
+stereotypes
+  event on Class (uml-core)
+
+tags
+  (none)
+
+transforms
+  statechart-to-class = on (uml-core)
+"""
+
+SAMPLE_TRANSFORMED = """\
+model example
+  class C {
+    attribute s1 : Boolean // induced by statechart-to-class
+    attribute s2 : Boolean // induced by statechart-to-class
+    attribute s3 : Boolean // induced by statechart-to-class
+    operation m1() pre: s1 // induced by statechart-to-class
+    operation m2() pre: s2 // induced by statechart-to-class
+    operation m3() pre: s1 or s2 // induced by statechart-to-class
+    invariant exactlyOne(s1, s2, s3) // induced by statechart-to-class
+  }
+  statechart SC for C {
+    initial state s1
+    state s2
+    state s3
+    transition s1 -> s2 on m1
+    transition s2 -> s1 on m2
+    transition s1 -> s3 on m3
+    transition s2 -> s3 on m3
+  }
+"""
+
+SAMPLE_TRANSFORM_REPORT = """\
+induced attributes
+  C.s1: s1 : Boolean
+  C.s2: s2 : Boolean
+  C.s3: s3 : Boolean
+induced invariants
+  C: exactlyOne(s1, s2, s3)
+induced preconditions
+  C.m1: s1
+  C.m2: s2
+  C.m3: s1 or s2
+"""
+
+#: Text-mode runs on ``sample/``: the command, RunConfig fields besides
+#: the sample's, and the exit code, stdout and stderr, where ``{out}`` is
+#: the output path and ``{bad}`` a model with an unknown superclass.  A
+#: clean ``validate`` and ``skeleton`` are pinned whole above.
+SAMPLE_RUNS = {
+    "compose": ("compose", {}, (EXIT_OK, SAMPLE_COMPOSE, "")),
+    "validate-broken": ("validate", {"model_path": "{bad}"}, (
+        EXIT_DIAGNOSTICS, "1 errors, 0 warnings\n",
+        "error E007 {bad}:2:3 X: unknown superclass 'Ghost' of 'X'\n")),
+    "transform": ("transform", {}, (EXIT_OK, SAMPLE_TRANSFORMED, SAMPLE_TRANSFORM_REPORT)),
+    "transform-o": ("transform", {"output": "{out}"}, (EXIT_OK, "", SAMPLE_TRANSFORM_REPORT)),
+    "explain": ("explain", {"key": "max"}, (
+        EXIT_OK, "max\n  uml-core: 10\n  project-p: 8 (winner)\n", "")),
+    "explain-ghost": ("explain", {"key": "ghost"}, (
+        EXIT_DIAGNOSTICS, "", "error: 'ghost' is not defined by the preface\n")),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLE_RUNS))
+def test_every_command_on_the_sample_prints_these_bytes(tmp_path, case):
+    command, overrides, expected = SAMPLE_RUNS[case]
+    bad, out = tmp_path / "bad.model", tmp_path / "out"
+    bad.write_text(BAD_MODEL)
+    fill = lambda text: text.replace("{bad}", str(bad)).replace("{out}", str(out))
+    settings = {"model_path": str(SAMPLE / "example.model"),
+                **{field: fill(value) for field, value in overrides.items()}}
+    config = RunConfig(command, str(SAMPLE / "defs"), "project-p", **settings)
+    assert cli(config) == (expected[0], fill(expected[1]), fill(expected[2]))
+    if case == "transform-o":
+        assert out.read_text() == SAMPLE_TRANSFORMED
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics and exit codes
 # ---------------------------------------------------------------------------
@@ -175,9 +278,9 @@ def test_skeleton_of_an_untransformed_chart_names_its_class(sample_dir, tmp_path
     if format == "text":  # the chart's location, then the class
         assert err == f"error E303 {model_path}:7:3 C: {message}\n"
     else:
-        assert json.loads(err) == [{
+        assert json.loads(err) == {"diagnostics": [{
             "severity": "error", "code": "E303", "file": str(model_path), "line": 7,
-            "col": 3, "path": "C", "message": message, "provenance": None}]
+            "col": 3, "path": "C", "message": message, "provenance": None}]}
 
 
 def test_the_readme_diagnostics_table_lists_exactly_the_codes_emitted():
@@ -741,20 +844,45 @@ def test_a_thousand_package_chain_composes(tmp_path):
     assert out.index("  p0999\n") < out.index("  p0000\n")
 
 
-def test_json_diagnostics_are_valid_json(sample_dir, tmp_path):
-    bad = tmp_path / "bad.model"
-    bad.write_text(BAD_MODEL)
-    code, _, err = cli(config_for(
-        sample_dir, "validate", model_path=str(bad), format="json"))
-    assert code == EXIT_DIAGNOSTICS
+#: The keys after ``diagnostics`` in each command's JSON stderr.
+JSON_FIELDS = {
+    "compose": [], "validate": [], "skeleton": [], "explain": ["error"],
+    "transform": ["induced_attributes", "induced_invariants", "induced_operations",
+                  "induced_preconditions"],
+}
+
+
+@pytest.mark.parametrize("outcome", ["clean", "diagnostic"])
+@pytest.mark.parametrize("command", list(JSON_FIELDS))
+def test_json_stderr_is_one_object_led_by_its_diagnostics(sample_dir, tmp_path, command,
+                                                          outcome):
+    preface_dir, _, model_path = sample_dir
+    if outcome == "diagnostic":  # E007 in the model, or E108 in the preface
+        model_path = tmp_path / "bad.model"
+        model_path.write_text(BAD_MODEL)
+        (preface_dir / "zzz-copy.preface").write_text(
+            (preface_dir / "uml-core.preface").read_text())
+    settings = dict(model_path=str(model_path), key="max", output=str(tmp_path / "out"))
+    code, out, err = cli(config_for(sample_dir, command, format="json", **settings))
+    assert (code, out) == cli(config_for(sample_dir, command, **settings))[:2]
     payload = json.loads(err)
-    (entry,) = payload
-    assert entry["severity"] == "error"
-    assert entry["code"] == "E007"
-    assert entry["path"] == "X"
-    assert entry["file"] == str(bad)
-    assert isinstance(entry["line"], int)
-    assert entry["provenance"] is None
+    assert list(payload) == ["diagnostics", *JSON_FIELDS[command]]
+    diagnostics = payload["diagnostics"]
+    if outcome == "clean":
+        assert (code, diagnostics) == (EXIT_OK, [])
+        return
+    assert code == EXIT_DIAGNOSTICS
+    expected = {"severity": "error", "code": "E108", "path": "uml-core", "line": 1,
+                "col": 1, "file": str(preface_dir / "zzz-copy.preface"),
+                "message": "package 'uml-core' is defined by more than one file",
+                "provenance": None}
+    if command in MODEL_COMMANDS:
+        assert diagnostics[0] == {
+            "severity": "error", "code": "E007", "file": str(model_path), "line": 2,
+            "col": 3, "path": "X", "message": "unknown superclass 'Ghost' of 'X'",
+            "provenance": None}
+        diagnostics = diagnostics[1:]
+    assert diagnostics == [expected]
 
 
 def test_transform_json_is_one_document(sample_dir):
@@ -780,17 +908,6 @@ def test_transform_json_of_a_broken_model_is_one_document(sample_dir, tmp_path):
     payload = json.loads(err)
     assert [entry["code"] for entry in payload["diagnostics"]] == ["E007"]
     assert payload["induced_attributes"] == payload["induced_preconditions"] == []
-
-
-@pytest.mark.parametrize("command", ["compose", "skeleton"])
-def test_json_stderr_of_compose_and_skeleton_is_one_document(command, tmp_path):
-    config = RunConfig(command, str(SAMPLE / "defs"), "project-p",
-                       model_path=str(SAMPLE / "example.model"),
-                       output=str(tmp_path / "out"), format="json")
-    code, out, err = cli(config)
-    assert code == EXIT_OK
-    assert out
-    assert json.loads(err) == []
 
 
 def test_explain_json_is_one_document(sample_dir):
@@ -911,3 +1028,55 @@ def test_main_skeleton_requires_output(sample_dir, capsys):
     with pytest.raises(SystemExit):
         main(["skeleton", str(model_path),
               "--preface", str(preface_dir), "--root", root])
+
+
+def _hand_written_parser() -> argparse.ArgumentParser:
+    """The parser as it was written before the command table built it:
+    the reference for every ``--help`` byte."""
+
+    parser = argparse.ArgumentParser(
+        prog="prefacer",
+        description="Compose definition packages, validate models against the "
+                    "result, and generate skeleton and monitor code.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--preface", required=True, metavar="DIR",
+                       help="directory of .preface package files")
+        p.add_argument("--root", required=True, metavar="ID",
+                       help="id of the root package")
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="diagnostic rendering (default: text)")
+
+    common(sub.add_parser("compose", help="print the effective definitions"))
+    for name, help in [("validate", "check a model"),
+                       ("transform", "apply statechart induction"),
+                       ("explain", "show a key's override chain"),
+                       ("skeleton", "write skeletons and monitors")]:
+        p = sub.add_parser(name, help=help)
+        if name == "explain":
+            p.add_argument("key", help="constant or option key")
+        else:
+            p.add_argument("model", help="model file")
+        common(p)
+        if name == "transform":
+            p.add_argument("-o", "--output", metavar="FILE",
+                           help="write the transformed model here instead of stdout")
+        if name == "skeleton":
+            p.add_argument("-o", "--output", required=True, metavar="DIR",
+                           help="directory for the generated files")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in cli_module._COMMANDS)],
+                         ids=lambda argv: argv[0] if argv else "prefacer")
+def test_help_is_the_hand_written_parsers(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for parse in (main, _hand_written_parser().parse_args):
+        with pytest.raises(SystemExit) as leave:
+            parse([*argv, "--help"])
+        assert leave.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith(f"usage: prefacer {' '.join(argv)}".rstrip())
