@@ -278,18 +278,20 @@ def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diag
 def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                    diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     transformed, report, diags = _transform_prelude(model, eff, diags)
+    texts: dict = {}  # each induced expression's text, shared by the model and the report
     # The model goes out before the report, so an output path that cannot
     # be written leaves the one error line alone on stderr.
     if transformed is not None:
-        text = print_model(transformed)
+        text = print_model(transformed, texts)
         if config.output:
             _write_text(str(Path(config.output)), text)
         else:
             stdout.write(text)
-    sections = transform_report_sections(report or TransformReport())
-    return diags, print_report_sections(sections) if report is not None else "", {
-        title.replace(" ", "_"): [{"path": path, "description": description}
-                                  for path, description in entries]
+    sections = transform_report_sections(report or TransformReport(), texts)
+    if config.format != "json":
+        return diags, print_report_sections(sections) if report is not None else "", {}
+    return diags, "", {title.replace(" ", "_"): [
+        {"path": path, "description": description} for path, description in entries]
         for title, entries in sections}
 
 

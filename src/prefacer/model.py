@@ -321,44 +321,48 @@ def _check_origin(origin: Origin, path: str, loc: SourceLocation | None,
 
 def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
                  diags: list[Diagnostic]) -> None:
+    # A member's path is built only for a diagnostic, and the shared
+    # ``AUTHORED`` origin needs no check.
     attr_names: set[str] = set()
     for attr in cls.attributes:
-        path = member_path(cls, attr.name)
         if attr.name in attr_names:
-            diags.append(_err("E004", path, f"duplicate attribute name '{attr.name}'", attr.loc))
+            diags.append(_err("E004", member_path(cls, attr.name),
+                              f"duplicate attribute name '{attr.name}'", attr.loc))
         attr_names.add(attr.name)
         if attr.type_name not in ATTRIBUTE_TYPES:
             diags.append(_err(
-                "E009", path,
+                "E009", member_path(cls, attr.name),
                 f"attribute type '{attr.type_name}' is not one of Boolean, Integer, String",
                 attr.loc))
-        _check_origin(attr.origin, path, attr.loc, diags)
+        if attr.origin is not AUTHORED:
+            _check_origin(attr.origin, member_path(cls, attr.name), attr.loc, diags)
 
     op_names: set[str] = set()
     for op in cls.operations:
-        path = member_path(cls, op.name)
         if op.name in op_names:
-            diags.append(_err("E005", path, f"duplicate operation name '{op.name}'", op.loc))
+            diags.append(_err("E005", member_path(cls, op.name),
+                              f"duplicate operation name '{op.name}'", op.loc))
         op_names.add(op.name)
         if op.name in attr_names:
             diags.append(_err(
-                "E006", path,
+                "E006", member_path(cls, op.name),
                 f"'{op.name}' names both an attribute and an operation of '{cls.name}'",
                 op.loc))
         param_names: set[str] = set()
         for param in op.params:
             if param.name in param_names:
-                diags.append(_err(
-                    "E013", path, f"duplicate parameter name '{param.name}'", op.loc))
+                diags.append(_err("E013", member_path(cls, op.name),
+                                  f"duplicate parameter name '{param.name}'", op.loc))
             param_names.add(param.name)
             if param.type_name not in ATTRIBUTE_TYPES:
                 diags.append(_err(
-                    "E016", path,
+                    "E016", member_path(cls, op.name),
                     f"parameter type '{param.type_name}' is not one of Boolean, Integer, String",
                     op.loc))
-        _check_origin(op.origin, path, op.loc, diags)
+        if op.origin is not AUTHORED:
+            _check_origin(op.origin, member_path(cls, op.name), op.loc, diags)
         if op.pre_induced is not None:
-            _check_origin(op.pre_induced[1], path, op.loc, diags)
+            _check_origin(op.pre_induced[1], member_path(cls, op.name), op.loc, diags)
 
     for sup in cls.superclasses:
         if model.class_named(sup) is None:
@@ -369,7 +373,8 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
             "E008", cls.name, f"'{cls.name}' is its own transitive superclass", cls.loc))
 
     for inv in cls.invariants:
-        _check_origin(inv.origin, cls.name, cls.loc, diags)
+        if inv.origin is not AUTHORED:
+            _check_origin(inv.origin, cls.name, cls.loc, diags)
 
 
 def _names_on_cycles(graph: dict[str, tuple[str, ...]]) -> set[str]:
@@ -470,15 +475,14 @@ def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> No
             f"statechart '{chart.name}' declares {len(initials)} initial states, expected exactly 1",
             chart.loc))
 
-    for index, t in enumerate(chart.transitions):
-        path = transition_path(chart, index)
+    for index, t in enumerate(chart.transitions):  # the path only for a diagnostic
         for end, label in ((t.source, "source"), (t.target, "target")):
             if end not in state_names:
-                diags.append(_err(
-                    "E012", path, f"transition {label} '{end}' is not a declared state", t.loc))
+                diags.append(_err("E012", transition_path(chart, index),
+                                  f"transition {label} '{end}' is not a declared state", t.loc))
         if not is_identifier(t.event):
-            diags.append(_err(
-                "E014", path, f"transition event {t.event!r} is not a valid identifier", t.loc))
+            diags.append(_err("E014", transition_path(chart, index),
+                              f"transition event {t.event!r} is not a valid identifier", t.loc))
 
 
 def builtin_check(model: Model) -> list[Diagnostic]:

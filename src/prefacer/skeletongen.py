@@ -15,7 +15,10 @@ declaration order.  For the chart ``SC`` of states ``s1``, ``s2``, ``s3``
 on class ``C``, ``ENTER s2 OF SC`` stands for ``SET s2 := true``, ``SET
 s1 := false``, ``SET s3 := false``.  An event whose moves share a target
 enters it unguarded; one with several targets wraps each move in ``GUARD
-<source> ... END``, so the move taken is the one whose source flag holds.
+<source> ... END``.  The pseudo-language does not yet define these blocks
+as alternatives judged on entry: read top to bottom, one call can take a
+move and then a second one out of the state it just entered (ROADMAP item
+4 gives the blocks that meaning).
 
 What happens when a guard fails is the preface's decision, not ours:
 ``statechart.unexpected_event = error`` plants a ``TRAP

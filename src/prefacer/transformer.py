@@ -19,12 +19,20 @@ and the element is left alone, while the rest of the chart is still
 processed).  Postconditions are never induced: which flags an operation
 may change is a framing question, and the framing option is recorded in
 generated code rather than guessed here.
+
+The pass visits each chart once and runs the four rules as steps over a
+working copy of the attached class (``_Work``): lists of its attributes,
+operations and invariants, and a name index over them, which later charts
+on the same class share.  A chart's steps share one ``Origin`` and one
+flag ``VarRef`` per state, so the invariant and the preconditions point
+at the same flag nodes, and they append to the lists of one report.  Each
+changed class is rebuilt once, the model once, at the end.
 """
 
 from __future__ import annotations
 
 from . import expr as E
-from .diagnostics import Diagnostic, has_errors
+from .diagnostics import Diagnostic
 from .model import (
     Attribute,
     ClassDef,
@@ -51,10 +59,6 @@ class TransformReport:
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-def _origin_for(chart: Statechart) -> Origin:
-    return Origin("induced", STATECHART_TO_CLASS, chart.name)
-
-
 def induced_by(origin: Origin, chart: Statechart) -> bool:
     """Whether an element with this origin was induced from ``chart`` by
     this transform: the one test every consumer of induced output uses."""
@@ -64,109 +68,12 @@ def induced_by(origin: Origin, chart: Statechart) -> bool:
             and origin.chart_name == chart.name)
 
 
-def _attached(model: Model, chart: Statechart) -> ClassDef:
-    cls = model.class_named(chart.attached_to)
-    if cls is None:
-        raise ValueError(
-            f"statechart '{chart.name}' is attached to unknown class "
-            f"'{chart.attached_to}'; run builtin_check first")
-    return cls
+def exactly_one(flags: tuple[E.Expr, ...]) -> E.Expr:
+    """Exactly one of ``flags`` is true: the built-in call
+    ``exactlyOne(a, b, ...)`` over the flags in the order given, or the
+    one flag alone."""
 
-
-# ---------------------------------------------------------------------------
-# Rule 1: a Boolean attribute per state
-# ---------------------------------------------------------------------------
-
-
-def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
-    """Give ``cls``, the class ``chart`` is attached to, one Boolean flag
-    per state.
-
-    A state whose name an authored attribute or operation already bears is
-    reported as a name clash and skipped; the other states are still
-    induced.  Flags this rule induced on an earlier run are recognised by
-    their origin and left alone.
-    """
-
-    attrs = {a.name: a for a in cls.attributes}
-    ops = {o.name for o in cls.operations}
-
-    added: list[Attribute] = []
-    induced, diagnostics = [], []
-    for state in chart.states:
-        existing = attrs.get(state.name)
-        if existing is not None:
-            if induced_by(existing.origin, chart):
-                continue
-            diagnostics.append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
-                f"cannot induce state attribute '{state.name}': the name is "
-                f"already taken on '{cls.name}'", existing.loc))
-            continue
-        if state.name in ops:
-            diagnostics.append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
-                f"cannot induce state attribute '{state.name}': an operation "
-                f"of '{cls.name}' has that name", cls.loc))
-            continue
-        flag = Attribute(state.name, "Boolean", _origin_for(chart))
-        added.append(flag)
-        attrs[state.name] = flag
-        induced.append((member_path(cls, state.name), f"{state.name} : Boolean"))
-
-    report = TransformReport(induced_attributes=tuple(induced), diagnostics=tuple(diagnostics))
-    if not added:
-        return cls, report
-    return replace(cls, attributes=cls.attributes + tuple(added)), report
-
-
-# ---------------------------------------------------------------------------
-# Rule 2: the states are mutually exclusive and one always holds
-# ---------------------------------------------------------------------------
-
-
-def exactly_one(names: tuple[str, ...]) -> E.Expr:
-    """Exactly one of ``names`` is true: the built-in call
-    ``exactlyOne(a, b, ...)`` over the flags in declaration order, one
-    node per name.  A single name is just that name.
-    """
-
-    flags = tuple(E.VarRef(n) for n in names)
     return flags[0] if len(flags) == 1 else E.Call("exactlyOne", flags)
-
-
-def rule2_mutex_invariant(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
-    """Add the exactly-one invariant over the chart's state flags to ``cls``.
-
-    Requires rule 1 to have run for this chart.  The invariant this rule
-    added on an earlier run is recognised by origin; if the chart changed
-    in between, the stale invariant is replaced rather than duplicated.
-    """
-
-    if not chart.states:
-        return cls, TransformReport()
-    wanted = exactly_one(chart.state_names())
-
-    kept: list[Invariant] = []
-    found = False
-    for inv in cls.invariants:
-        if induced_by(inv.origin, chart):
-            if inv.expr == wanted and not found:
-                found = True
-                kept.append(inv)
-            continue  # a stale induced invariant for this chart is dropped
-        kept.append(inv)
-    if not found:
-        kept.append(Invariant(wanted, _origin_for(chart)))
-    report = TransformReport(induced_invariants=() if found else ((cls.name, wanted),))
-    if tuple(kept) == cls.invariants:
-        return cls, report
-    return replace(cls, invariants=tuple(kept)), report
-
-
-# ---------------------------------------------------------------------------
-# Rule 3: events are operations
-# ---------------------------------------------------------------------------
 
 
 def chart_events(chart: Statechart) -> tuple[str, ...]:
@@ -175,105 +82,166 @@ def chart_events(chart: Statechart) -> tuple[str, ...]:
     return tuple(dict.fromkeys(t.event for t in chart.transitions))
 
 
-def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
-    """Bind every event to the same-named operation of ``cls``, the
-    attached class.
+class _Work:
+    """The working copy of one class that charts are attached to: its
+    members as lists the rule steps extend or edit, a name index over
+    them, and whether any step changed the class."""
+
+    __slots__ = ("cls", "attributes", "operations", "invariants", "attrs", "ops", "changed")
+
+    def __init__(self, cls: ClassDef):
+        self.cls, self.changed = cls, False
+        self.attributes, self.operations = list(cls.attributes), list(cls.operations)
+        self.invariants = list(cls.invariants)
+        self.attrs = {a.name: a for a in cls.attributes}  # the last attribute of a name
+        # name -> the index of the first operation of that name
+        self.ops = {op.name: i for i, op in reversed(tuple(enumerate(cls.operations)))}
+
+
+# ---------------------------------------------------------------------------
+# The four rules.  Each is a step over the working copy of the attached
+# class; it gives what it induces the chart's one ``origin`` and appends
+# its entries and diagnostics to ``found``, the report's lists by field.
+# ---------------------------------------------------------------------------
+
+
+def _rule1_state_attributes(work: _Work, chart: Statechart, origin: Origin,
+                            found: dict[str, list]) -> bool:
+    """One Boolean flag per state; whether a state's name clashed.
+
+    A state whose name an authored attribute or operation already bears is
+    reported as a name clash and skipped; the other states are still
+    induced.  Flags this rule induced on an earlier run are recognised by
+    their origin and left alone.
+    """
+
+    cls, clashed = work.cls, False
+    for state in chart.states:
+        existing = work.attrs.get(state.name)
+        if existing is not None:
+            if induced_by(existing.origin, chart):
+                continue
+            found["diagnostics"].append(Diagnostic(
+                "error", "E301", member_path(cls, state.name),
+                f"cannot induce state attribute '{state.name}': the name is "
+                f"already taken on '{cls.name}'", existing.loc))
+        elif state.name in work.ops:
+            found["diagnostics"].append(Diagnostic(
+                "error", "E301", member_path(cls, state.name),
+                f"cannot induce state attribute '{state.name}': an operation "
+                f"of '{cls.name}' has that name", cls.loc))
+        else:
+            flag = work.attrs[state.name] = Attribute(state.name, "Boolean", origin)
+            work.attributes.append(flag)
+            work.changed = True
+            found["induced_attributes"].append(
+                (member_path(cls, state.name), f"{state.name} : Boolean"))
+            continue
+        clashed = True
+    return clashed
+
+
+def _rule2_mutex_invariant(work: _Work, chart: Statechart, origin: Origin,
+                           flags: dict[str, E.VarRef], found: dict[str, list]) -> None:
+    """The exactly-one invariant over the chart's state flags.
+
+    Runs only when rule 1 had no clash for this chart.  The invariant this
+    rule added on an earlier run is recognised by origin; if the chart
+    changed in between, the stale invariant is replaced rather than
+    duplicated.
+    """
+
+    if not chart.states:
+        return
+    wanted = exactly_one(tuple(flags[state.name] for state in chart.states))
+    kept, have = [], False
+    for inv in work.invariants:
+        if induced_by(inv.origin, chart):
+            if inv.expr == wanted and not have:
+                have = True
+                kept.append(inv)
+            continue  # a stale induced invariant for this chart is dropped
+        kept.append(inv)
+    if not have:
+        kept.append(Invariant(wanted, origin))
+        found["induced_invariants"].append((work.cls.name, wanted))
+    if not have or len(kept) != len(work.invariants):
+        work.invariants, work.changed = kept, True
+
+
+def _rule3_event_operations(work: _Work, chart: Statechart, origin: Origin,
+                            found: dict[str, list]) -> None:
+    """Bind every event to the same-named operation of the class.
 
     An event with no such operation gets a parameterless one, recorded
     with an informational diagnostic.  An event whose name an attribute
     already bears is a clash: nothing is induced for it.
     """
 
-    op_names = {o.name for o in cls.operations}
-    attr_names = {a.name for a in cls.attributes}
-
-    added: list[Operation] = []
-    induced, diagnostics = [], []
+    cls = work.cls
     for event in chart_events(chart):
-        if event in op_names:
+        if event in work.ops:
             continue
-        if event in attr_names:
-            diagnostics.append(Diagnostic(
-                "error", "E302", member_path(cls, event),
+        path = member_path(cls, event)
+        if event in work.attrs:
+            found["diagnostics"].append(Diagnostic(
+                "error", "E302", path,
                 f"cannot induce operation '{event}': an attribute of "
                 f"'{cls.name}' has that name", cls.loc))
             continue
-        op = Operation(event, origin=_origin_for(chart))
-        added.append(op)
-        op_names.add(event)
-        induced.append((member_path(cls, event), f"{event}()"))
-        diagnostics.append(Diagnostic(
-            "info", "I301", member_path(cls, event),
+        work.ops[event] = len(work.operations)
+        work.operations.append(Operation(event, origin=origin))
+        work.changed = True
+        found["induced_operations"].append((path, f"{event}()"))
+        found["diagnostics"].append(Diagnostic(
+            "info", "I301", path,
             f"induced parameterless operation '{event}' for event '{event}' "
             f"of '{chart.name}'"))
 
-    report = TransformReport(induced_operations=tuple(induced), diagnostics=tuple(diagnostics))
-    if not added:
-        return cls, report
-    return replace(cls, operations=cls.operations + tuple(added)), report
 
-
-# ---------------------------------------------------------------------------
-# Rule 4: events may only fire from their source states
-# ---------------------------------------------------------------------------
-
-
-def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, TransformReport]:
-    """Give every event operation of ``cls``, the attached class, the
-    induced precondition "the object is in one of the event's source
-    states".
+def _rule4_preconditions(work: _Work, chart: Statechart, origin: Origin,
+                         flags: dict[str, E.VarRef], found: dict[str, list]) -> None:
+    """Give every event operation the induced precondition "the object is
+    in one of the event's source states".
 
     The disjuncts follow state declaration order, and a single source
     prints as the bare flag.  Requires rules 1 and 3 for this chart; an
     event whose source flag fell to a rule-1 clash is skipped (the clash
-    was already reported).  Postconditions are left alone.
+    was already reported), and so is one whose operation rule 3 refused.
+    Postconditions are left alone.
     """
 
-    attrs = {a.name: a for a in cls.attributes}
-    order = {name: i for i, name in enumerate(chart.state_names())}
-    sources_of: dict[str, set[str]] = {}
+    rank = {state.name: i for i, state in enumerate(chart.states)}
+    outside, sources_of = len(rank), {}
     for t in chart.transitions:
         sources_of.setdefault(t.event, set()).add(t.source)
-    op_index: dict[str, int] = {}
-    for i, o in enumerate(cls.operations):
-        op_index.setdefault(o.name, i)
-
-    new_ops = list(cls.operations)
-    changed = False
-    induced, diagnostics = [], []
+        if t.source not in rank:  # not a state, yet a flag a changed chart left may bear it
+            rank[t.source], flags[t.source] = outside, E.VarRef(t.source)
+    attrs = work.attrs
+    ready = {name for name in rank if name in attrs and induced_by(attrs[name].origin, chart)}
     for event, source_set in sources_of.items():
-        sources = sorted(source_set, key=lambda name: order.get(name, len(order)))
-        flags_ok = all(
-            name in attrs and induced_by(attrs[name].origin, chart)
-            for name in sources)
-        if not flags_ok:
+        index = work.ops.get(event)
+        if index is None or not source_set <= ready:
             continue
-
-        index = op_index.get(event)
-        if index is None:
-            continue
-        op = new_ops[index]
-        wanted = E.disjoin([E.VarRef(name) for name in sources])
+        op = work.operations[index]
+        wanted = E.disjoin([flags[name] for name in sorted(source_set, key=rank.__getitem__)])
         if op.pre_induced is not None:
             previous_origin = op.pre_induced[1]
             if previous_origin.chart_name != chart.name:
-                diagnostics.append(Diagnostic(
-                    "warning", "W301", member_path(cls, event),
+                found["diagnostics"].append(Diagnostic(
+                    "warning", "W301", member_path(work.cls, event),
                     f"precondition for '{event}' was already induced from "
                     f"'{previous_origin.chart_name}'; '{chart.name}' leaves it alone"))
                 continue
             if op.pre_induced[0] == wanted:
                 continue
-        new_ops[index] = replace(op, pre_induced=(wanted, _origin_for(chart)))
-        changed = True
-        effective = new_ops[index].effective_pre if op.pre_authored is not None else None
-        induced.append((member_path(cls, event), wanted, effective))
-
-    report = TransformReport(induced_preconditions=tuple(induced),
-                             diagnostics=tuple(diagnostics))
-    if not changed:
-        return cls, report
-    return replace(cls, operations=tuple(new_ops)), report
+        op = work.operations[index] = Operation(
+            op.name, op.params, op.pre_authored, op.post_authored, (wanted, origin),
+            op.origin, op.loc)
+        work.changed = True
+        found["induced_preconditions"].append((
+            member_path(work.cls, event), wanted,
+            op.effective_pre if op.pre_authored is not None else None))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +256,8 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
     A clash on one element never aborts the others: rule 2 is withheld for
     a chart whose rule-1 run clashed (its invariant would name the wrong
     attribute), rule 4 skips the affected events, and everything else
-    proceeds.  Applying the pass twice is a no-op the second time.
-
-    The rules work on the attached class alone.  A class a chart changed is
-    kept by name, so a later chart on the same class sees what the earlier
-    ones induced, and the model is rebuilt once, at the end.
+    proceeds.  Applying the pass twice is a no-op the second time, and
+    returns the model it was given.
     """
 
     if not eff.transform_enabled(STATECHART_TO_CLASS):
@@ -303,23 +268,27 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
             "statechart attachment to methods is not supported; "
             f"'{chart.name}' was not transformed", chart.loc) for chart in model.statecharts))
 
-    changed: dict[str, ClassDef] = {}
-    reports = []
+    work: dict[str, _Work] = {}
+    found: dict[str, list] = {name: [] for name in TransformReport.__match_args__}
     for chart in model.statecharts:
-        before = changed.get(chart.attached_to) or _attached(model, chart)
-        cls, r1 = rule1_state_attributes(before, chart)
-        reports.append(r1)
-        if not has_errors(r1.diagnostics):
-            cls, r2 = rule2_mutex_invariant(cls, chart)
-            reports.append(r2)
-        for rule in (rule3_event_operations, rule4_preconditions):
-            cls, found = rule(cls, chart)
-            reports.append(found)
-        if cls is not before:
-            changed[cls.name] = cls
-    report = TransformReport(*(tuple(entry for found in reports for entry in getattr(found, name))
-                               for name in TransformReport.__match_args__))
+        target = work.get(chart.attached_to)
+        if target is None:
+            cls = model.class_named(chart.attached_to)
+            if cls is None:
+                raise ValueError(
+                    f"statechart '{chart.name}' is attached to unknown class "
+                    f"'{chart.attached_to}'; run builtin_check first")
+            target = work[cls.name] = _Work(cls)
+        origin = Origin("induced", STATECHART_TO_CLASS, chart.name)
+        flags = {state.name: E.VarRef(state.name) for state in chart.states}
+        if not _rule1_state_attributes(target, chart, origin, found):
+            _rule2_mutex_invariant(target, chart, origin, flags, found)
+        _rule3_event_operations(target, chart, origin, found)
+        _rule4_preconditions(target, chart, origin, flags, found)
+    report = TransformReport(**{name: tuple(entries) for name, entries in found.items()})
+    changed = {name: replace(w.cls, attributes=tuple(w.attributes),
+                             operations=tuple(w.operations), invariants=tuple(w.invariants))
+               for name, w in work.items() if w.changed}
     if not changed:
         return model, report
-    return replace(model, classes=tuple(
-        changed.get(c.name, c) for c in model.classes)), report
+    return replace(model, classes=tuple(changed.get(c.name, c) for c in model.classes)), report

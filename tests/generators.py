@@ -2,9 +2,10 @@
 
 Every generator takes a ``random.Random`` so a failing case can be
 replayed from its seed.  Models come out structurally valid (no duplicate
-names, known superclasses, exactly one initial state) and free of
-accidental name clashes between states and class members: the pools are
-disjoint.  Tests that need broken or clashing inputs build them by hand.
+names, known superclasses, exactly one initial state).  By default they
+are free of name clashes between states and class members, since the pools
+are disjoint; ``random_model(..., clashes=True)`` plants some (see there).
+Tests that need broken inputs build them by hand.
 """
 
 from __future__ import annotations
@@ -53,7 +54,19 @@ def random_model(
     max_classes: int = 5,
     max_states: int = 6,
     charts: bool = True,
+    clashes: bool = False,
 ) -> Model:
+    """Classes and, with ``charts``, up to two statecharts on them.
+
+    With ``clashes`` a state may take the name of an attribute or an
+    operation of its class (E301, which withholds the chart's invariant),
+    an event the name of an attribute (E302), and the second chart, whose
+    states are ``t*``, often goes on the class of the first, where a shared
+    event meets the precondition the first chart induced (W301).  The
+    draws this costs are made only then, so a seed gives the same model as
+    ever without it.
+    """
+
     class_names = [f"C{i}" for i in range(rng.randint(1, max_classes))]
     classes = []
     for i, name in enumerate(class_names):
@@ -89,7 +102,13 @@ def random_model(
     if charts:
         for i in range(rng.randint(0, 2)):
             owner = rng.choice(classes)
-            state_names = [f"s{j}" for j in range(rng.randint(1, max_states))]
+            if clashes and statecharts and rng.random() < 0.5:  # events the first chart bound
+                owner = next(c for c in classes if c.name == statecharts[0].attached_to)
+            prefix = "t" if clashes and i else "s"  # a second chart's flags are its own
+            state_names = [f"{prefix}{j}" for j in range(rng.randint(1, max_states))]
+            members = owner.attributes + owner.operations
+            if clashes and members and rng.random() < 0.5:
+                state_names[rng.randrange(len(state_names))] = rng.choice(members).name
             states = tuple(
                 State(n, initial=(j == 0)) for j, n in enumerate(state_names))
             transitions = []
@@ -98,6 +117,8 @@ def random_model(
             for _ in range(rng.randint(0, 2 * len(state_names))):
                 event = rng.choice(op_names) if op_names and rng.random() < 0.6 \
                     else f"e{rng.randint(0, 3)}"
+                if clashes and owner.attributes and rng.random() < 0.1:
+                    event = rng.choice(owner.attributes).name
                 guard = E.VarRef(rng.choice(flag_names)) \
                     if flag_names and rng.random() < 0.2 else None
                 transitions.append(Transition(

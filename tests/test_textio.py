@@ -303,6 +303,22 @@ def test_format_matches_the_recursive_printer_on_random_trees():
         "negative int", "string", "1-argument call", "2-argument call"}
 
 
+def test_format_takes_a_text_it_was_given_and_keeps_the_one_it_made():
+    """``texts`` maps a tree's id to the tree and its text: a text found
+    there is used as it is, and a text made goes in beside its tree."""
+
+    rng = random.Random(454)
+    for _ in range(300):
+        e = random_expr(rng, depth=rng.randint(1, 5))
+        if isinstance(e, (E.VarRef, E.Literal)):  # a leaf is its own text
+            continue
+        texts: dict = {}
+        assert format_expr(e, texts) == format_expr_reference(e)
+        assert texts == {id(e): (e, format_expr_reference(e))}
+        texts[id(e)] = e, "given"
+        assert format_expr(e, texts) == "given"
+
+
 def _sample_expressions() -> list:
     sample = Path(__file__).resolve().parent.parent / "sample"
     repo = {}

@@ -13,7 +13,6 @@ from generators import random_model
 from oracles import authored_view, brute_eval, exactly_one_reference
 from prefacer import expr as E
 from prefacer.constraints import eval_expr
-from prefacer.diagnostics import has_errors
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -32,17 +31,15 @@ from prefacer.preface import (
     TransformSelection,
     resolve,
 )
-from prefacer.textio import format_expr, print_model, print_transform_report
-from prefacer.transformer import (
-    TransformReport,
-    apply_transforms,
-    chart_events,
-    exactly_one,
-    rule1_state_attributes,
-    rule2_mutex_invariant,
-    rule3_event_operations,
-    rule4_preconditions,
+from prefacer.textio import (
+    format_expr,
+    parse_model,
+    print_model,
+    print_transform_report,
+    transform_report_sections,
 )
+from prefacer.transformer import TransformReport, apply_transforms, chart_events, exactly_one
+from transform_oracle import transform_reference
 
 ENABLED = resolve([Package("t", (), (TransformSelection(STATECHART_TO_CLASS, True),))])
 DISABLED = resolve([Package("t", (), ())])
@@ -50,6 +47,14 @@ DISABLED = resolve([Package("t", (), ())])
 
 def transform(model):
     return apply_transforms(model, ENABLED)
+
+
+def transform_class(cls, chart):
+    """The pass over a model of ``cls`` and ``chart`` alone: the class it
+    leaves and the report."""
+
+    model, report = transform(Model("m", (cls,), (chart,)))
+    return model.class_named(cls.name), report
 
 
 def induced_attrs(cls):
@@ -62,7 +67,7 @@ def induced_attrs(cls):
 
 
 def test_rule1_adds_one_boolean_flag_per_state(three_state_model):
-    cls, report = rule1_state_attributes(
+    cls, report = transform_class(
         three_state_model.class_named("C"), three_state_model.statecharts[0])
     assert [(a.name, a.type_name) for a in cls.attributes] == [
         ("s1", "Boolean"), ("s2", "Boolean"), ("s3", "Boolean")]
@@ -74,24 +79,27 @@ def test_rule1_adds_one_boolean_flag_per_state(three_state_model):
 
 
 def test_rule2_builds_the_canonical_mutex_invariant(three_state_model):
-    chart = three_state_model.statecharts[0]
-    cls, _ = rule1_state_attributes(three_state_model.class_named("C"), chart)
-    cls, report = rule2_mutex_invariant(cls, chart)
+    cls, report = transform_class(
+        three_state_model.class_named("C"), three_state_model.statecharts[0])
     (inv,) = cls.invariants
     assert format_expr(inv.expr) == "exactlyOne(s1, s2, s3)"
     assert inv.origin == Origin("induced", STATECHART_TO_CLASS, "SC")
     assert report.induced_invariants == (("C", inv.expr),)
 
 
+def flags(names):
+    return tuple(E.VarRef(n) for n in names)
+
+
 def test_exactly_one_of_a_single_state_is_the_bare_flag():
-    assert format_expr(exactly_one(("s",))) == "s"
-    assert format_expr(exactly_one(("a", "b"))) == "exactlyOne(a, b)"
+    assert format_expr(exactly_one(flags(("s",)))) == "s"
+    assert format_expr(exactly_one(flags(("a", "b")))) == "exactlyOne(a, b)"
 
 
 def test_exactly_one_agrees_with_the_reference_encoding():
     for n in range(1, 11):
         names = tuple(f"s{i}" for i in range(n))
-        built = exactly_one(names)
+        built = exactly_one(flags(names))
         reference = exactly_one_reference(names)
         for values in itertools.product((False, True), repeat=n):
             bindings = dict(zip(names, values))
@@ -117,17 +125,20 @@ def _distinct_nodes_by_kind(e) -> dict[str, int]:
 
 
 def test_exactly_one_builds_each_literal_once():
-    assert exactly_one(("s",)) == E.VarRef("s")
+    assert exactly_one(flags(("s",))) == E.VarRef("s")
     for n in (2, 3, 7, 40):
         names = tuple(f"s{i}" for i in range(n))
-        assert _distinct_nodes_by_kind(exactly_one(names)) == {"Call": 1, "VarRef": n}
+        chart = Statechart("SC", "C", tuple(State(name, initial=not i)
+                                            for i, name in enumerate(names)))
+        (inv,) = transform_class(ClassDef("C"), chart)[0].invariants
+        assert _distinct_nodes_by_kind(inv.expr) == {"Call": 1, "VarRef": n}
 
 
 def test_rule3_binds_existing_operations_and_invents_missing_ones():
     cls = ClassDef("C", operations=(Operation("m1"),))
     chart = Statechart("SC", "C", (State("x", initial=True),), (
         Transition("x", "x", "m1"), Transition("x", "x", "ping")))
-    out, report = rule3_event_operations(cls, chart)
+    out, report = transform_class(cls, chart)
     ops = out.operations
     assert [op.name for op in ops] == ["m1", "ping"]
     assert ops[0].origin.kind == "authored"
@@ -181,7 +192,7 @@ def test_authored_precondition_is_kept_and_conjoined_in_reports():
 def test_rule1_clash_with_authored_attribute():
     cls = ClassDef("C", attributes=(Attribute("s1", "Integer"),))
     chart = Statechart("SC", "C", (State("s1", initial=True), State("s2")), ())
-    out, report = rule1_state_attributes(cls, chart)
+    out, report = transform_class(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E301"]
     # The clashing flag is withheld, the other state is still induced.
     assert [(a.name, a.type_name) for a in out.attributes] == [
@@ -191,7 +202,7 @@ def test_rule1_clash_with_authored_attribute():
 def test_rule1_clash_with_authored_operation():
     cls = ClassDef("C", operations=(Operation("s1"),))
     chart = Statechart("SC", "C", (State("s1", initial=True),), ())
-    _, report = rule1_state_attributes(cls, chart)
+    _, report = transform_class(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E301"]
 
 
@@ -199,7 +210,7 @@ def test_rule3_clash_with_authored_attribute():
     cls = ClassDef("C", attributes=(Attribute("ping", "String"),))
     chart = Statechart("SC", "C", (State("x", initial=True),),
                        (Transition("x", "x", "ping"),))
-    out, report = rule3_event_operations(cls, chart)
+    out, report = transform_class(cls, chart)
     assert [d.code for d in report.diagnostics] == ["E302"]
     assert out.operations == ()
 
@@ -277,32 +288,8 @@ def test_a_second_chart_on_a_class_sees_what_the_first_induced():
     assert [(d.code, d.path) for d in report.diagnostics] == [
         ("I301", "C.go"), ("I301", "C.stop"), ("W301", "C.go")]
     assert [o.origin.chart_name for o in model.class_named("C").operations] == ["A", "B"]
-    assert (model, report) == _transform_chart_by_chart(
+    assert (model, report) == transform_reference(
         Model("m", (ClassDef("C"),), (first, second)))
-
-
-def _transform_chart_by_chart(model):
-    """The pass with every rule's class put back into the model before the
-    next rule looks it up: the reference that the one rebuild per pass
-    must agree with."""
-
-    reports = []
-
-    def run(rule, chart):
-        nonlocal model
-        cls, found = rule(model.class_named(chart.attached_to), chart)
-        reports.append(found)
-        model = replace(model, classes=tuple(
-            cls if c.name == cls.name else c for c in model.classes))
-        return found
-
-    for chart in model.statecharts:
-        if not has_errors(run(rule1_state_attributes, chart).diagnostics):
-            run(rule2_mutex_invariant, chart)
-        run(rule3_event_operations, chart)
-        run(rule4_preconditions, chart)
-    return model, TransformReport(*(sum((getattr(r, name) for r in reports), ())
-                                    for name in TransformReport.__match_args__))
 
 
 def test_one_rebuild_per_pass_agrees_with_chart_by_chart_rebuilds():
@@ -313,8 +300,70 @@ def test_one_rebuild_per_pass_agrees_with_chart_by_chart_rebuilds():
         model = random_model(rng, max_classes=1 + index % 2)
         owners = [chart.attached_to for chart in model.statecharts]
         shared += len(owners) != len(set(owners))
-        assert transform(model) == _transform_chart_by_chart(model)
+        assert transform(model) == transform_reference(model)
     assert shared > 50, shared
+
+
+def test_the_pass_agrees_with_the_rule_by_rule_reference_on_clashing_models():
+    """Once and again, on models with planted clashes: the model (origins
+    included) and the report equal the four rules run one by one.  Half
+    the models are read back from their text, so that their diagnostics
+    carry locations."""
+
+    rng = random.Random(434)
+    seen = dict.fromkeys(("E301 attribute", "E301 operation", "E302", "W301", "withheld"), 0)
+    for index in range(400):
+        model = random_model(rng, max_classes=1 + index % 2, clashes=True)
+        if index % 4 > 1:
+            model = parse_model(print_model(model))
+        once = transform(model)
+        assert once == transform_reference(model)
+        assert transform(once[0]) == transform_reference(once[0])
+        for d in once[1].diagnostics:
+            if d.code == "E301":
+                seen["E301 operation" if "an operation" in d.message else "E301 attribute"] += 1
+            elif d.code in seen:
+                seen[d.code] += 1
+        for chart in once[0].statecharts:
+            seen["withheld"] += not any(
+                inv.origin.chart_name == chart.name
+                for inv in once[0].class_named(chart.attached_to).invariants)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_chart_induces_with_one_origin_and_one_flag_per_state(three_state_model):
+    model, _ = transform(three_state_model)
+    cls = model.class_named("C")
+    origins = [a.origin for a in cls.attributes] + [i.origin for i in cls.invariants] + [
+        o.pre_induced[1] for o in cls.operations]
+    assert len({id(origin) for origin in origins}) == 1
+    (inv,) = cls.invariants
+    flags = {id(flag) for flag in inv.expr.args}
+    for op in cls.operations:
+        work = [op.pre_induced[0]]
+        while work:
+            node = work.pop()
+            if isinstance(node, E.Or):
+                work += (node.lhs, node.rhs)
+            else:
+                assert id(node) in flags
+    # an induced operation shares the origin too
+    chart = Statechart("SC", "C", (State("a", initial=True), State("b")),
+                       (Transition("a", "b", "go"), Transition("b", "a", "back")))
+    cls, _ = transform_class(ClassDef("C"), chart)
+    origins = [a.origin for a in cls.attributes] + [i.origin for i in cls.invariants] + [
+        origin for o in cls.operations for origin in (o.origin, o.pre_induced[1])]
+    assert len({id(origin) for origin in origins}) == 1
+    assert cls.operations[0].pre_induced[0] is cls.invariants[0].expr.args[0]
+
+
+def test_the_report_reuses_the_texts_the_model_printed(three_state_model):
+    model, report = transform(three_state_model)
+    texts: dict = {}
+    print_model(model, texts)
+    assert all(id(e) in texts for _, e in report.induced_invariants)
+    assert id(report.induced_preconditions[2][1]) in texts  # m3's "s1 or s2"
+    assert transform_report_sections(report, texts) == transform_report_sections(report)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +452,18 @@ def test_stale_induced_invariant_is_replaced_after_chart_change(three_state_mode
     assert len(invariants) == 1
     assert "s4" in format_expr(invariants[0].expr)
     assert report.induced_invariants != []
+
+
+def test_a_stale_invariant_beside_the_current_one_is_dropped(three_state_model):
+    once, _ = transform(three_state_model)
+    cls = once.class_named("C")
+    (current,) = cls.invariants
+    stale = Invariant(E.VarRef("s1"), current.origin)
+    doubled = replace(once, classes=(replace(cls, invariants=(stale, current)),))
+    again, report = transform(doubled)
+    assert again.class_named("C").invariants == (current,)
+    assert report == TransformReport()
+    assert (again, report) == transform_reference(doubled)
 
 
 def test_chart_events_are_distinct_in_first_appearance_order(three_state_model):
