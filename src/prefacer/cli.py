@@ -81,7 +81,7 @@ from .textio import (
     parse_package,
     print_model,
     print_report,
-    print_report_sections,
+    print_transform_report,
     read_package_header,
     transform_report_sections,
 )
@@ -278,21 +278,19 @@ def _transform_prelude(model: Model, eff: EffectiveDefinitions, diags: list[Diag
 def _cmd_transform(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                    diags: list[Diagnostic], stdout: IO[str]) -> tuple[list[Diagnostic], str, dict]:
     transformed, report, diags = _transform_prelude(model, eff, diags)
-    texts: dict = {}  # each induced expression's text, shared by the model and the report
     # The model goes out before the report, so an output path that cannot
     # be written leaves the one error line alone on stderr.
     if transformed is not None:
-        text = print_model(transformed, texts)
+        text = print_model(transformed)
         if config.output:
             _write_text(str(Path(config.output)), text)
         else:
             stdout.write(text)
-    sections = transform_report_sections(report or TransformReport(), texts)
     if config.format != "json":
-        return diags, print_report_sections(sections) if report is not None else "", {}
+        return diags, print_transform_report(report) if report is not None else "", {}
     return diags, "", {title.replace(" ", "_"): [
         {"path": path, "description": description} for path, description in entries]
-        for title, entries in sections}
+        for title, entries in transform_report_sections(report or TransformReport())}
 
 
 def _cmd_explain(config: RunConfig, model: Model | None, eff: EffectiveDefinitions,

@@ -23,6 +23,9 @@ LiteralValue = bool | int | str
 
 COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
+#: The words that are never a name in an expression.
+KEYWORDS = frozenset({"and", "or", "not", "implies", "forall", "exists", "in", "true", "false"})
+
 
 @record
 class Literal:

@@ -202,10 +202,6 @@ def _token_table(file: str, text: str):
 
 _COMPARE = frozenset(E.COMPARE_OPS)
 
-_RESERVED = frozenset({
-    "and", "or", "not", "implies", "forall", "exists", "in", "true", "false",
-})
-
 #: The built-in calls of the expression grammar.
 _CALLS = frozenset({"size", "isEmpty", "hasStereotype", "exactlyOne"})
 
@@ -350,7 +346,7 @@ class _Parser:
         text = texts[index]
         head = text[:1]
         if head in _IDENT_START:
-            if text in _RESERVED:
+            if text in E.KEYWORDS:
                 if text == "true" or text == "false":
                     self.pos = index + 1
                     out = E.Literal(text == "true", loc=self.loc(index))
@@ -775,25 +771,18 @@ _INFIX: dict[type, tuple[str, int, int, int]] = {
 }
 
 
-def format_expr(e: E.Expr, texts: dict | None = None) -> str:
+def format_expr(e: E.Expr) -> str:
     """Canonical text of an expression, with the fewest parentheses that
     keep reparsing structure-faithful.
 
     One pass over an explicit stack, so a tree of any depth prints without
     recursion; the pieces of text go into one list, joined once.
-
-    ``texts``, when given, is one command's dict of ``id(tree) -> (tree,
-    text)``: the text of ``e``, unless a bare name or literal, is taken
-    from there or goes in.  Each entry holds its tree, so no other tree
-    takes that id while the dict lives.
     """
 
     if isinstance(e, E.VarRef):
         return e.name
     if isinstance(e, E.Literal):
         return render_literal(e.value)
-    if texts is not None and id(e) in texts:
-        return texts[id(e)][1]
 
     parts: list[str] = []
     # Work still to do, last in first out: text to emit as it is, or a node
@@ -848,10 +837,7 @@ def format_expr(e: E.Expr, texts: dict | None = None) -> str:
             stack += (")", (node.body, _IMPLIES), " | ", (node.domain, _IMPLIES))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-    text = "".join(parts)
-    if texts is not None:
-        texts[id(e)] = e, text
-    return text
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -863,13 +849,12 @@ def _induced_note(origin) -> str:
     return f" // induced by {origin.rule_id}" if origin.kind == "induced" else ""
 
 
-def _print_operation(op: Operation, texts: dict | None) -> str:
+def _print_operation(op: Operation) -> str:
     params = ", ".join(f"{p.name} : {p.type_name}" for p in op.params)
     line = f"operation {op.name}({params})"
     pre = op.effective_pre
     if pre is not None:
-        # a conjunction is built afresh on every read, so no one else formats it
-        line += f" pre: {format_expr(pre, None if op.pre_authored is not None else texts)}"
+        line += f" pre: {format_expr(pre)}"
     if op.post_authored is not None:
         line += f" post: {format_expr(op.post_authored)}"
     if op.origin.kind == "induced":
@@ -879,11 +864,9 @@ def _print_operation(op: Operation, texts: dict | None) -> str:
     return line
 
 
-def print_model(model: Model, texts: dict | None = None) -> str:
+def print_model(model: Model) -> str:
     """Canonical model text: declaration order, two-space indentation,
-    induced elements annotated, one trailing newline.  The texts of
-    invariants and preconditions go into ``texts`` (see ``format_expr``),
-    for ``transform_report_sections`` to reuse."""
+    induced elements annotated, one trailing newline."""
 
     lines = [f"model {model.name}"]
     for cls in model.classes:
@@ -898,10 +881,10 @@ def print_model(model: Model, texts: dict | None = None) -> str:
                 f"    attribute {attr.name} : {attr.type_name}"
                 + _induced_note(attr.origin))
         for op in cls.operations:
-            lines.append("    " + _print_operation(op, texts))
+            lines.append("    " + _print_operation(op))
         for inv in cls.invariants:
             lines.append(
-                f"    invariant {format_expr(inv.expr, texts)}" + _induced_note(inv.origin))
+                f"    invariant {format_expr(inv.expr)}" + _induced_note(inv.origin))
         lines.append("  }")
     for chart in model.statecharts:
         lines.append(f"  statechart {chart.name} for {chart.attached_to} {{")
@@ -1027,36 +1010,30 @@ def print_report(eff: EffectiveDefinitions) -> str:
                        for title, lines in sections.items()) + "\n"
 
 
-def transform_report_sections(report, texts: dict | None = None,
-                              ) -> list[tuple[str, Sequence[tuple[str, str]]]]:
-    """The four sections of a ``TransformReport``: titles with ``(path,
-    description)`` entries, the induced expressions formatted here or
-    taken from ``texts`` (see ``format_expr``).  A precondition entry
-    holds its effective precondition when an authored part was conjoined
-    to the induced one, else ``None``."""
+def transform_report_sections(report) -> list[tuple[str, Sequence[tuple[str, str]]]]:
+    """The four sections of a ``TransformReport``, the fields of its JSON
+    form: titles with ``(path, description)`` entries, the induced
+    expressions formatted here.  A precondition's description adds its
+    effective precondition when an authored part was conjoined to the
+    induced one."""
 
     return [
         ("induced attributes", report.induced_attributes),
-        ("induced invariants", [(p, format_expr(e, texts)) for p, e in report.induced_invariants]),
+        ("induced invariants", [(p, format_expr(e)) for p, e in report.induced_invariants]),
         ("induced operations", report.induced_operations),
         ("induced preconditions", [
-            (p, format_expr(pre, texts) if full is None else
-             f"{format_expr(pre, texts)}; effective precondition: {format_expr(full)}")
+            (p, format_expr(pre) if full is None
+             else f"{format_expr(pre)}; effective precondition: {format_expr(full)}")
             for p, pre, full in report.induced_preconditions]),
     ]
 
 
 def print_transform_report(report) -> str:
-    """Render what a transformation run induced (diagnostics excluded)."""
-
-    return print_report_sections(transform_report_sections(report))
-
-
-def print_report_sections(sections) -> str:
-    """The text of a report's ``transform_report_sections``."""
+    """What a transformation run induced (diagnostics excluded): each
+    non-empty section's title, then one ``  path: description`` line each."""
 
     out: list[str] = []
-    for title, entries in sections:
+    for title, entries in transform_report_sections(report):
         if entries:
             out.append(title)
             out.extend(f"  {path}: {description}" for path, description in entries)

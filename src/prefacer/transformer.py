@@ -109,7 +109,8 @@ def _rule1_state_attributes(work: _Work, chart: Statechart, origin: Origin,
                             found: dict[str, list]) -> bool:
     """One Boolean flag per state; whether a state's name clashed.
 
-    A state whose name an authored attribute or operation already bears is
+    A state whose name an authored attribute or operation already bears,
+    or an expression keyword (its flag could not be read back), is
     reported as a name clash and skipped; the other states are still
     induced.  Flags this rule induced on an earlier run are recognised by
     their origin and left alone.
@@ -118,7 +119,12 @@ def _rule1_state_attributes(work: _Work, chart: Statechart, origin: Origin,
     cls, clashed = work.cls, False
     for state in chart.states:
         existing = work.attrs.get(state.name)
-        if existing is not None:
+        if state.name in E.KEYWORDS:
+            found["diagnostics"].append(Diagnostic(
+                "error", "E301", member_path(cls, state.name),
+                f"cannot induce state attribute '{state.name}': the name is "
+                "an expression keyword", state.loc))
+        elif existing is not None:
             if induced_by(existing.origin, chart):
                 continue
             found["diagnostics"].append(Diagnostic(

@@ -27,6 +27,8 @@ from prefacer.cli import (
 )
 from prefacer.preface import resolve
 from prefacer.textio import parse_package
+from test_locations import _edited
+from test_textio import LEX_PIECES
 
 BAD_MODEL = "model m\n  class X specializes Ghost { }\n"
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
@@ -605,6 +607,37 @@ def test_reading_a_file_gives_what_path_read_text_gives(tmp_path_factory, data):
         assert str(failure.value) == f"{path}: {error}"
     else:
         assert cli_module._read_text(path) == expected
+
+
+#: The sample model and the model texts of ``tests/parse_outcomes.json``.
+MODEL_TEXTS = [(SAMPLE / "example.model").read_text(encoding="utf-8")] + [
+    entry["text"] for entry in json.loads(
+        (Path(__file__).parent / "parse_outcomes.json").read_text(encoding="utf-8"))
+    if entry["parser"] == "model"]
+#: The lexer's pieces, and the words of the model grammar.
+MODEL_EDIT = st.tuples(
+    st.sampled_from(("insert", "delete", "replace")), st.integers(0, 10**6),
+    st.sampled_from(LEX_PIECES + (
+        "state ", "initial ", "transition ", " -> ", " on ", "class ", "attribute ",
+        "operation ", " pre: ", "invariant ", " specializes ", "C", "SC", "s1", "m1", "true")))
+
+
+# half the draws edit the sample model itself
+@given(st.one_of(st.just(MODEL_TEXTS[0]), st.sampled_from(MODEL_TEXTS)),
+       st.lists(MODEL_EDIT, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_an_edited_model_ends_every_command_with_an_exit_code(tmp_path_factory, text, edits):
+    """``validate``, ``transform`` and ``skeleton`` on an edited model exit
+    with 0 to 3 and never write an ``internal error:`` line."""
+
+    base = tmp_path_factory.getbasetemp()
+    model = base / "edited.model"
+    model.write_text(_edited(text, edits), encoding="utf-8")
+    for command in ("validate", "transform", "skeleton"):
+        code, _, err = cli(RunConfig(
+            command=command, preface_dir=str(SAMPLE / "defs"), root_package="project-p",
+            model_path=str(model), output=str(base / "edited-out") if command == "skeleton" else None))
+        assert 0 <= code <= 3 and "internal error:" not in err, (command, code, err)
 
 
 def test_a_write_the_system_takes_in_part_is_carried_on(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from generators import random_expr, random_model, scoped_expr
 from oracles import BruteEvalFailure, brute_eval, free_vars_reference
+from test_locations import _edited
+from test_textio import LEX_PIECES, read_sample
 from prefacer import expr as E
 from prefacer.constraints import (
     EvalError,
@@ -34,7 +38,7 @@ from prefacer.preface import (
     TransformSelection,
     resolve,
 )
-from prefacer.textio import MAX_NESTING, ParseError, parse_expr
+from prefacer.textio import MAX_NESTING, ParseError, format_expr, parse_expr, parse_package
 
 
 def ev(source: str, model: Model | None = None, **bindings):
@@ -417,3 +421,56 @@ def test_method_attachment_warns_per_chart():
                    TransformSelection("statechart-to-class", True))
     out = [d for d in check_constraints(SAMPLE, eff) if d.code == "W205"]
     assert [d.path for d in out] == ["SC"]
+
+
+# ---------------------------------------------------------------------------
+# Edited expression texts
+# ---------------------------------------------------------------------------
+
+
+def _snapshot_expressions() -> list[str]:
+    """The expression texts of ``tests/parse_outcomes.json``, and the
+    bodies of the constraints its package texts declare."""
+
+    snapshot = json.loads((Path(__file__).parent / "parse_outcomes.json").read_text("utf-8"))
+    texts = [entry["text"] for entry in snapshot if entry["parser"] == "expr"]
+    for entry in snapshot:
+        if entry["parser"] == "package":
+            try:
+                pkg = parse_package(entry["text"])
+            except ParseError:
+                continue
+            texts += [format_expr(d.body) for d in pkg.definitions if isinstance(d, ConstraintDef)]
+    return texts
+
+
+SNAPSHOT_EXPRESSIONS = _snapshot_expressions()
+#: The transformed sample model, and each of its elements of every metaclass.
+SAMPLE_MODEL = read_sample()[2]
+SAMPLE_ELEMENTS = [element for metaclass in ("Class", "Attribute", "Operation", "Statechart",
+                                             "Transition")
+                   for _, element in iter_scope(SAMPLE_MODEL, metaclass)]
+#: The lexer's pieces, and the words and features the evaluator knows.
+EXPR_EDIT = st.tuples(
+    st.sampled_from(("insert", "delete", "replace")), st.integers(0, 10**6),
+    st.sampled_from(LEX_PIECES + (
+        "self", "x", "size(", "isEmpty(", "hasStereotype(", "exactlyOne(", "forall(",
+        "exists(", " in ", " | ", ".operations", ".attributes", ".name", ".states",
+        ".event", ".source", "true", " or ", " implies ", " = ", '"C"')))
+
+
+@given(st.sampled_from(SNAPSHOT_EXPRESSIONS), st.lists(EXPR_EDIT, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_an_edited_expression_evaluates_or_raises_eval_error(text, edits):
+    """Whatever an edited text parses to, evaluating it with ``self``
+    bound to any element of the sample gives a value or an ``EvalError``."""
+
+    try:
+        e = parse_expr(_edited(text, edits))
+    except ParseError:
+        return
+    for element in SAMPLE_ELEMENTS:
+        try:
+            eval_expr(e, {"self": element}, SAMPLE_MODEL)
+        except EvalError:
+            pass

@@ -18,7 +18,7 @@ from oracles import format_expr_reference, lex_reference
 from report_oracle import report_reference
 from prefacer import expr as E
 from prefacer.constraints import eval_expr
-from prefacer.model import Origin
+from prefacer.model import Model, Origin
 from prefacer.preface import (
     ConstDef,
     HasStereotype,
@@ -303,30 +303,21 @@ def test_format_matches_the_recursive_printer_on_random_trees():
         "negative int", "string", "1-argument call", "2-argument call"}
 
 
-def test_format_takes_a_text_it_was_given_and_keeps_the_one_it_made():
-    """``texts`` maps a tree's id to the tree and its text: a text found
-    there is used as it is, and a text made goes in beside its tree."""
+def read_sample() -> tuple[dict, Model, Model]:
+    """The packages of ``sample/defs``, ``sample/example.model`` and that
+    model transformed under ``project-p``."""
 
-    rng = random.Random(454)
-    for _ in range(300):
-        e = random_expr(rng, depth=rng.randint(1, 5))
-        if isinstance(e, (E.VarRef, E.Literal)):  # a leaf is its own text
-            continue
-        texts: dict = {}
-        assert format_expr(e, texts) == format_expr_reference(e)
-        assert texts == {id(e): (e, format_expr_reference(e))}
-        texts[id(e)] = e, "given"
-        assert format_expr(e, texts) == "given"
-
-
-def _sample_expressions() -> list:
     sample = Path(__file__).resolve().parent.parent / "sample"
     repo = {}
     for path in sorted((sample / "defs").glob("*.preface")):
         pkg = parse_package(path.read_text(encoding="utf-8"), str(path))
         repo[pkg.id] = pkg
     model = parse_model((sample / "example.model").read_text(encoding="utf-8"))
-    transformed, _ = apply_transforms(model, compose(repo, "project-p"))
+    return repo, model, apply_transforms(model, compose(repo, "project-p"))[0]
+
+
+def _sample_expressions() -> list:
+    repo, model, transformed = read_sample()
     found = [d.body for pkg in repo.values() for d in pkg.definitions
              if hasattr(d, "body")]
     for m in (model, transformed):

@@ -43,10 +43,10 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
     """Give ``cls``, the class ``chart`` is attached to, one Boolean flag
     per state.
 
-    A state whose name an authored attribute or operation already bears is
-    reported as a name clash and skipped; the other states are still
-    induced.  Flags this rule induced on an earlier run are recognised by
-    their origin and left alone.
+    A state whose name an authored attribute or operation already bears,
+    or an expression keyword, is reported as a name clash and skipped; the
+    other states are still induced.  Flags this rule induced on an earlier
+    run are recognised by their origin and left alone.
     """
 
     attrs = {a.name: a for a in cls.attributes}
@@ -55,6 +55,12 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
     added: list[Attribute] = []
     induced, diagnostics = [], []
     for state in chart.states:
+        if state.name in E.KEYWORDS:
+            diagnostics.append(Diagnostic(
+                "error", "E301", member_path(cls, state.name),
+                f"cannot induce state attribute '{state.name}': the name is "
+                "an expression keyword", state.loc))
+            continue
         existing = attrs.get(state.name)
         if existing is not None:
             if induced_by(existing.origin, chart):
