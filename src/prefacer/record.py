@@ -2,11 +2,13 @@
 
 ``@record`` reads a class's annotated fields and their ``field`` specs into
 the record's own field table, and creates the class once more, slotted.  The
-generated ``__init__`` (the ``dataclasses`` signature, fields set through
-their slots, then ``__post_init__``), ``replace``, and the ``__repr__``,
-``__eq__``, ``__hash__`` and ``__reduce__`` all records share read that
-table.  It stores exactly what its constructor is given: ``__post_init__``
-derives the ``init=False`` fields and never normalises the others.
+``__init__`` (the ``dataclasses`` signature, fields set through their slots,
+then ``__post_init__``), ``replace``, and the ``__repr__``, ``__eq__``,
+``__hash__`` and ``__reduce__`` all records share read that table.  A record
+stores exactly what its constructor is given: ``__post_init__`` derives the
+``init=False`` fields and never normalises the others.  No record compiles
+its ``__init__``: it takes the code compiled once per shape (``__init__``
+field count, ``__post_init__`` or not), with its field names and defaults.
 
 Start-up imports no ``dataclasses``.  Outside readers get its registry all the
 same: ``make_dataclass`` builds it on the first read of
@@ -18,6 +20,8 @@ compare (leaves with ``==``), hash and print (the ``dataclasses`` text).
 """
 
 from __future__ import annotations
+
+from types import CodeType, FunctionType
 
 MISSING = object()  # a ``field`` spec left unset
 
@@ -92,24 +96,31 @@ def replace(obj, /, **changes):
     return obj.__class__(**{**{f.name: getattr(obj, f.name) for f in table if f.init}, **changes})
 
 
+#: (``__init__`` field count, has ``__post_init__``) -> the ``__init__`` template
+_TEMPLATES: dict[tuple[int, bool], CodeType] = {}
+
+
+def _template(count: int, post: bool) -> CodeType:
+    if (count, post) not in _TEMPLATES:
+        body = [f"s{i}(self, a{i})" for i in range(count)] + ["self.__post_init__()"] * post
+        namespace: dict = {}
+        exec(f"def __init__(self, {', '.join(f'a{i}' for i in range(count))}):\n "
+             + "\n ".join(body or ["pass"]), {}, namespace)
+        _TEMPLATES[count, post] = namespace["__init__"].__code__
+    return _TEMPLATES[count, post]
+
+
 def _init(cls, table):
-    env, params, body = {}, [], []
-    init_fields = [f for f in table if f.init]
-    for f in init_fields:
-        param = f.name
-        if f.default is not MISSING:
-            env[f"__d_{f.name}"], param = f.default, f"{f.name}=__d_{f.name}"
-        params.append(param)
-        env[f"__s_{f.name}"] = vars(cls)[f.name].__set__
-        body.append(f"__s_{f.name}(self, {f.name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    namespace: dict = {}
-    exec(f"def make({', '.join(env)}):\n def __init__(self, {', '.join(params)}):\n  "
-         + "\n  ".join(body or ["pass"]) + "\n return __init__", {}, namespace)
-    init = namespace["make"](*env.values())
+    # The slots' setters are the template's globals; ``self`` as in ``dataclasses``.
+    fields = [f for f in table if f.init]
+    names = [f.name for f in fields]
+    code = _template(len(fields), hasattr(cls, "__post_init__")).replace(
+        co_varnames=("__dataclass_self__" if "self" in names else "self", *names))
+    defaults = tuple(f.default for f in fields if f.default is not MISSING) or None
+    init = FunctionType(code, {f"s{i}": vars(cls)[name].__set__ for i, name in enumerate(names)},
+                        "__init__", defaults)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in init_fields}, "return": None}
+    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
     return init
 
 

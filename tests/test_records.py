@@ -428,8 +428,8 @@ def test_deep_trees_compare_and_hash_without_recursion():
 
 
 # ---------------------------------------------------------------------------
-# Start-up: the import generates no method but one ``__init__`` per record,
-# and loads no ``dataclasses``
+# Start-up: the import compiles one ``__init__`` per parameter shape and no
+# other method, and loads no ``dataclasses``
 # ---------------------------------------------------------------------------
 
 _IMPORT_AUDIT = """\
@@ -446,10 +446,10 @@ records = [(cls.__qualname__, cls.__doc__) for name, module in sorted(sys.module
            if name.startswith("prefacer") for cls in vars(module).values()
            if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")
            and cls.__module__ == name]
-methods = [name for text in imported if isinstance(text, (str, bytes))
-           for name in re.findall(r"^[ \\t]+def (\\w+)", text if isinstance(text, str)
-                                  else text.decode(), re.M)]
-print(json.dumps({"compiles": len(imported), "records": records, "methods": methods}))
+methods = [re.findall(r"^[ \\t]*def (\\w+)", text if isinstance(text, str) else text.decode(),
+                      re.M) if isinstance(text, (str, bytes)) else None for text in imported]
+print(json.dumps({"methods": methods, "records": records,
+                  "templates": sorted(prefacer.record._TEMPLATES)}))
 """
 
 
@@ -466,7 +466,14 @@ def _standard_imports() -> list[str]:
     return sorted(names)
 
 
-def test_importing_the_package_generates_one_init_per_record():
+def _shape(cls: type) -> tuple[int, bool]:
+    """What an ``__init__`` template is compiled for: the number of
+    ``__init__`` fields, and whether there is a ``__post_init__``."""
+
+    return sum(f.init for f in fields(cls)), hasattr(cls, "__post_init__")
+
+
+def test_importing_the_package_compiles_one_init_per_shape():
     # The standard library is imported first: some of its modules compile
     # code (``namedtuple``) on import, and that is not the package's cost.
     done = subprocess.run(
@@ -475,10 +482,12 @@ def test_importing_the_package_generates_one_init_per_record():
     seen = json.loads(done.stdout)
     records = dict(seen["records"])
     assert len(records) == len(seen["records"]) == len(RECORDS)
-    # Each generated method is nested in the factory ``exec`` defines, and
-    # nothing else is compiled.
-    assert set(seen["methods"]) <= {"__init__"}
-    assert seen["compiles"] == len(seen["methods"]) == len(records)
+    # Each compiled text defines one ``__init__``, the template of a shape
+    # the records have; none is compiled for a record of its own.
+    shapes = {_shape(cls) for cls in RECORDS}
+    assert seen["methods"] == [["__init__"]] * len(shapes)
+    assert [tuple(shape) for shape in seen["templates"]] == sorted(shapes)
+    assert len(shapes) == 11 < len(records)
     undocumented = [name for name, doc in records.items()
                     if not doc or doc.startswith(name + "(")]
     assert undocumented == []
@@ -493,3 +502,65 @@ def test_importing_the_package_loads_no_dataclasses():
          " if name in sys.modules]))", str(SRC)],
         capture_output=True, text=True, timeout=120, check=True)
     assert ast.literal_eval(done.stdout) == []
+
+
+#: Records declared after import, each a body for ``record`` and for
+#: ``dataclass``: a shape no package record has (12 fields, five defaulted,
+#: and a ``__post_init__``), two records of one shared shape that no package
+#: record has either, and a field named ``self``.
+LATE = {
+    "Wide": "".join(f"    f{i}: int{f' = {i}' if i > 6 else ''}\n" for i in range(12))
+    + "    total: int = field(init=False)\n"
+    "    def __post_init__(self):\n"
+    "        object.__setattr__(self, 'total', self.f0 + self.f11)\n",
+    "Left": "".join(f"    l{i}: int\n" for i in range(10)),
+    "Right": "".join(f"    r{i}: str = 'r{i}'\n" for i in range(10)),
+    "Selfish": "    self: int\n    other: str = ''\n",
+}
+
+
+def _declare(decorate, make_field) -> dict[str, type]:
+    namespace = {"decorate": decorate, "field": make_field}
+    for name, body in LATE.items():
+        exec(f"@decorate\nclass {name}:\n{body}", namespace)
+    return {name: namespace[name] for name in LATE}
+
+
+def test_a_record_declared_after_import_agrees_through_its_shape_template():
+    before = set(R._TEMPLATES)
+    ours = _declare(R.record, R.field)
+    refs = _declare(dataclass(frozen=True, slots=True), field)
+    assert {(12, True), (10, False)} - before == {(12, True), (10, False)}
+    assert {(12, True), (10, False)} <= set(R._TEMPLATES)
+    left, right = ours["Left"].__init__, ours["Right"].__init__
+    assert left.__code__.co_code == right.__code__.co_code
+    assert left.__code__.co_varnames != right.__code__.co_varnames
+    argument_sets = {"Wide": [list(range(7)), list(range(12)), [1] * 12],
+                     "Left": [list(range(10)), list(range(1, 11))],
+                     "Right": [[], ["x"] * 10, ["y"]],
+                     "Selfish": [[1], [1, "o"], [2]]}
+    for name, cls in ours.items():
+        ref = refs[name]
+        assert str(inspect.signature(cls)) == str(inspect.signature(ref))
+        assert str(inspect.signature(cls.__init__)) == str(inspect.signature(ref.__init__))
+        built = [(cls(*args), ref(*args)) for args in argument_sets[name]]
+        for (a, ref_a), (b, ref_b) in itertools.product(built, repeat=2):
+            assert repr(a) == repr(ref_a)
+            assert (a == b, a != b, hash(a) == hash(b)) == (ref_a == ref_b, ref_a != ref_b,
+                                                            hash(ref_a) == hash(ref_b))
+        for value in (built[0][0], built[0][1]):
+            with pytest.raises(FrozenInstanceError) as frozen:
+                setattr(value, fields(value)[0].name, 0)
+            assert str(frozen.value) == f"cannot assign to field {fields(value)[0].name!r}"
+        errors = []
+        for make in (cls, ref):
+            with pytest.raises(TypeError) as missing:
+                make(*[0] * 13, bogus=1)
+            errors.append(str(missing.value))
+        assert errors[0] == errors[1]
+    # Each record of the shared shape sets its own slots, whichever was built last.
+    for _ in range(2):
+        for name, fill in (("Left", 5), ("Right", "s")):
+            made = ours[name](*[fill] * 10)
+            assert [getattr(made, f.name) for f in fields(made)] == [fill] * 10
+    assert ours["Selfish"](self=3).self == 3

@@ -244,14 +244,17 @@ def test_rule4_skips_an_event_rule3_refused():
     assert "induced preconditions" not in print_transform_report(report)
 
 
-@pytest.mark.parametrize("keyword", (
-    "and", "or", "not", "implies", "forall", "exists", "in", "true", "false"))
-def test_a_state_named_by_an_expression_keyword_is_a_clash(keyword):
-    """Its flag would print as text that does not read back, so rule 1
-    refuses it at the state: rule 2 is withheld and rule 4 skips its
+@pytest.mark.parametrize("keyword, reason", [
+    *(pytest.param(keyword, "an expression keyword", id=keyword) for keyword in (
+        "and", "or", "not", "implies", "forall", "exists", "in", "true", "false")),
+    pytest.param("self", "the bound element", id="self")])
+def test_a_state_named_by_an_expression_keyword_is_a_clash(keyword, reason):
+    """A keyword's flag would print as text that does not read back, and
+    ``self`` would read as the bound element, never as its flag; so rule 1
+    refuses either at the state: rule 2 is withheld and rule 4 skips its
     events, and the transformed model still reads back."""
 
-    assert keyword in E.KEYWORDS
+    assert (keyword in E.KEYWORDS) == (keyword != "self")
     model = parse_model(
         f"model m\n  class C {{ }}\n  statechart SC for C {{\n"
         f"    initial state {keyword}\n    state b\n"
@@ -262,7 +265,7 @@ def test_a_state_named_by_an_expression_keyword_is_a_clash(keyword):
     (clash,) = [d for d in report.diagnostics if d.severity == "error"]
     assert (clash.code, clash.path, clash.message) == (
         "E301", f"C.{keyword}",
-        f"cannot induce state attribute '{keyword}': the name is an expression keyword")
+        f"cannot induce state attribute '{keyword}': the name is {reason}")
     assert clash.location == model.statecharts[0].states[0].loc
     cls = transformed.class_named("C")
     assert [a.name for a in cls.attributes] == ["b"] and cls.invariants == ()
