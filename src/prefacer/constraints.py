@@ -366,13 +366,6 @@ def check_constraints(model: Model, eff: EffectiveDefinitions) -> list[Diagnosti
         _check_single_inheritance(model, eff, diags)
     if not eff.transform_enabled(STATECHART_TO_CLASS):
         _check_event_names(model, diags)
-    if eff.option("statechart.attach_to") == "method":
-        for chart in model.statecharts:
-            diags.append(Diagnostic(
-                "warning", "W205", chart.name,
-                "statechart attachment to methods is not supported; "
-                f"'{chart.name}' remains attached to class '{chart.attached_to}'",
-                chart.loc))
     _check_guards(model, diags)
 
     return diags

@@ -192,15 +192,6 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
-def conjoin(parts: list[Expr]) -> Expr:
-    """Left-associated conjunction of one or more expressions."""
-
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def disjoin(parts: list[Expr]) -> Expr:
     """Left-associated disjunction of one or more expressions."""
 

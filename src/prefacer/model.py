@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import Diagnostic, SourceLocation
-from .expr import And, Expr, LiteralValue
+from .expr import KEYWORDS, And, Expr, LiteralValue
 from .record import field, record
 
 # ---------------------------------------------------------------------------
@@ -31,6 +31,10 @@ ATTRIBUTE_TYPES = frozenset({"Boolean", "Integer", "String"})
 
 #: The metaclasses constraints and stereotypes may scope over.
 METACLASSES = frozenset({"Class", "Attribute", "Operation", "Statechart", "Transition"})
+
+#: Names no expression can read: a keyword, or ``self``, the bound element.
+#: No attribute, parameter or state may bear one (E017).
+UNREADABLE = KEYWORDS | {"self"}
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -311,6 +315,11 @@ def _err(code: str, path: str, message: str, loc: SourceLocation | None) -> Diag
     return Diagnostic("error", code, path, message, loc)
 
 
+def _unreadable(path: str, name: str, loc: SourceLocation | None) -> Diagnostic:
+    return _err("E017", path, f"no expression can read '{name}': it is "
+                + ("the bound element" if name == "self" else "an expression keyword"), loc)
+
+
 def _check_origin(origin: Origin, path: str, loc: SourceLocation | None,
                   diags: list[Diagnostic]) -> None:
     if origin.kind not in ("authored", "induced"):
@@ -329,6 +338,8 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
             diags.append(_err("E004", member_path(cls, attr.name),
                               f"duplicate attribute name '{attr.name}'", attr.loc))
         attr_names.add(attr.name)
+        if attr.name in UNREADABLE:
+            diags.append(_unreadable(member_path(cls, attr.name), attr.name, attr.loc))
         if attr.type_name not in ATTRIBUTE_TYPES:
             diags.append(_err(
                 "E009", member_path(cls, attr.name),
@@ -354,6 +365,8 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
                 diags.append(_err("E013", member_path(cls, op.name),
                                   f"duplicate parameter name '{param.name}'", op.loc))
             param_names.add(param.name)
+            if param.name in UNREADABLE:
+                diags.append(_unreadable(member_path(cls, op.name), param.name, op.loc))
             if param.type_name not in ATTRIBUTE_TYPES:
                 diags.append(_err(
                     "E016", member_path(cls, op.name),
@@ -467,6 +480,8 @@ def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> No
                 "E010", state_path(chart, state.name),
                 f"duplicate state name '{state.name}'", state.loc))
         state_names.add(state.name)
+        if state.name in UNREADABLE:
+            diags.append(_unreadable(state_path(chart, state.name), state.name, state.loc))
 
     initials = chart.initial_states()
     if len(initials) != 1:

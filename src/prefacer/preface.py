@@ -53,7 +53,6 @@ class OptionEntry:
 #: Every option key a preface may set, with its value domain and default.
 OPTION_CATALOGUE: dict[str, OptionEntry] = {
     "aggregation.semantics": OptionEntry(("strong", "weak"), "weak"),
-    "statechart.attach_to": OptionEntry(("class", "method"), "class"),
     "statechart.unexpected_event": OptionEntry(("error", "ignore"), "error"),
     "inheritance.multiple": OptionEntry(("allowed", "forbidden"), "allowed"),
     "framing.default": OptionEntry(("unmentioned_unchanged", "unconstrained"), "unconstrained"),

@@ -1014,8 +1014,8 @@ def transform_report_sections(report) -> list[tuple[str, Sequence[tuple[str, str
     """The four sections of a ``TransformReport``, the fields of its JSON
     form: titles with ``(path, description)`` entries, the induced
     expressions formatted here.  A precondition's description adds its
-    effective precondition when an authored part was conjoined to the
-    induced one."""
+    effective precondition when an authored part was joined by ``and`` to
+    the induced one."""
 
     return [
         ("induced attributes", report.induced_attributes),

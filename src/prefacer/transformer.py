@@ -109,23 +109,17 @@ def _rule1_state_attributes(work: _Work, chart: Statechart, origin: Origin,
                             found: dict[str, list]) -> bool:
     """One Boolean flag per state; whether a state's name clashed.
 
-    A state whose name an authored attribute or operation already bears, an
-    expression keyword (its flag could not be read back) or ``self`` (the
-    bound element, which would hide its flag) is reported as a name clash
-    and skipped; the other states are still induced.  Flags this rule
-    induced on an earlier run are recognised by their origin and left alone.
+    A state whose name an authored attribute or operation already bears is
+    reported as a name clash and skipped; the other states are still
+    induced.  Flags this rule induced on an earlier run are recognised by
+    their origin and left alone.  No state bears a name that no expression
+    can read: ``builtin_check`` refuses those (E017) before any transform.
     """
 
     cls, clashed = work.cls, False
     for state in chart.states:
         existing = work.attrs.get(state.name)
-        if state.name in E.KEYWORDS or state.name == "self":
-            found["diagnostics"].append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
-                f"cannot induce state attribute '{state.name}': the name is "
-                + ("the bound element" if state.name == "self" else "an expression keyword"),
-                state.loc))
-        elif existing is not None:
+        if existing is not None:
             if induced_by(existing.origin, chart):
                 continue
             found["diagnostics"].append(Diagnostic(
@@ -259,7 +253,8 @@ def _rule4_preconditions(work: _Work, chart: Statechart, origin: Origin,
 def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, TransformReport]:
     """Run the enabled transforms over every statechart in declaration order.
 
-    With the transform disabled (or never selected) this is the identity.
+    Requires a model that passed ``builtin_check`` without errors.  With
+    the transform disabled (or never selected) this is the identity.
     A clash on one element never aborts the others: rule 2 is withheld for
     a chart whose rule-1 run clashed (its invariant would name the wrong
     attribute), rule 4 skips the affected events, and everything else
@@ -269,11 +264,6 @@ def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, Tr
 
     if not eff.transform_enabled(STATECHART_TO_CLASS):
         return model, TransformReport()
-    if eff.option("statechart.attach_to") == "method":
-        return model, TransformReport(diagnostics=tuple(Diagnostic(
-            "warning", "W302", chart.name,
-            "statechart attachment to methods is not supported; "
-            f"'{chart.name}' was not transformed", chart.loc) for chart in model.statecharts))
 
     work: dict[str, _Work] = {}
     found: dict[str, list] = {name: [] for name in TransformReport.__match_args__}

@@ -27,7 +27,6 @@ from prefacer.expr import (
     Or,
     Sub,
     VarRef,
-    conjoin,
     disjoin,
 )
 from prefacer.model import (
@@ -531,6 +530,15 @@ def free_vars_reference(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Statechart induction and monitors, as first written
 # ---------------------------------------------------------------------------
+
+
+def conjoin(parts: list[Expr]) -> Expr:
+    """Left-associated conjunction of one or more expressions."""
+
+    out = parts[0]
+    for p in parts[1:]:
+        out = And(out, p)
+    return out
 
 
 def exactly_one_reference(names: tuple[str, ...]) -> Expr:

@@ -81,9 +81,9 @@ def test_explain_marks_the_winner(sample_dir):
 
 
 def test_explain_catalogue_default(sample_dir):
-    code, out, _ = cli(config_for(sample_dir, "explain", key="statechart.attach_to"))
+    code, out, _ = cli(config_for(sample_dir, "explain", key="framing.default"))
     assert code == EXIT_OK
-    assert out == 'statechart.attach_to\n  catalogue-default: class (winner)\n'
+    assert out == 'framing.default\n  catalogue-default: unconstrained (winner)\n'
 
 
 def test_explain_unknown_key(sample_dir):
@@ -128,17 +128,34 @@ def test_skeleton_writes_files(sample_dir, tmp_path):
 
 def test_warnings_do_not_fail_the_run(sample_dir, tmp_path):
     preface_dir, _, model_path = sample_dir
-    (preface_dir / "method-root.preface").write_text(
-        'package "method-root" {\n'
+    (preface_dir / "warn-root.preface").write_text(
+        'package "warn-root" {\n'
         '  import "project-p"\n'
-        '  option statechart.attach_to = method\n'
+        '  constraint few on Class severity warning : size(self.operations) <= 2\n'
         '}\n')
     code, out, err = cli(RunConfig(
-        "validate", str(preface_dir), "method-root", model_path=str(model_path)))
+        "validate", str(preface_dir), "warn-root", model_path=str(model_path)))
     assert code == EXIT_OK
     assert out == "0 errors, 1 warnings\n"
-    assert err.startswith("warning W205 ")
-    assert " SC: " in err
+    assert err.startswith("warning W201 ")
+    assert " C: " in err
+
+
+def test_the_method_attachment_option_is_an_unknown_key(sample_dir):
+    """No option attaches a chart to a method: a package that sets
+    ``statechart.attach_to`` gets E103 at the option's line, and
+    ``explain`` knows no such key."""
+
+    preface_dir, _, model_path = sample_dir
+    path = preface_dir / "method-root.preface"
+    path.write_text('package "method-root" {\n  import "project-p"\n'
+                    '  option statechart.attach_to = method\n}\n')
+    e103 = f"error E103 {path}:3:3 method-root: unknown option key 'statechart.attach_to'\n"
+    for command in ("compose", "validate"):
+        code, _, err = cli(RunConfig(command, str(preface_dir), "method-root", str(model_path)))
+        assert (code, err) == (EXIT_DIAGNOSTICS, e103), command
+    code, out, _ = cli(config_for(sample_dir, "explain", key="statechart.attach_to"))
+    assert (code, out) == (EXIT_DIAGNOSTICS, "")
 
 
 SAMPLE_COMPOSE = """\
@@ -155,7 +172,6 @@ options
   communication.paradigm = procedure_call (default)
   framing.default = unconstrained (default)
   inheritance.multiple = allowed (default)
-  statechart.attach_to = class (default)
   statechart.unexpected_event = error (uml-core)
 
 rules
@@ -863,7 +879,6 @@ def test_the_compose_report_writes_each_value_as_its_definition_does(tmp_path):
         "  foo = bar (r)\n"
         "  framing.default = unconstrained (default)\n"
         "  inheritance.multiple = allowed (r, overrides base: forbidden)\n"
-        "  statechart.attach_to = class (default)\n"
         "  statechart.unexpected_event = error (default)")
 
 
@@ -992,7 +1007,6 @@ def test_one_name_in_every_definition_kind(tmp_path):
         "  foo = bar (r, overrides r: 1)\n"
         "  framing.default = unconstrained (default)\n"
         "  inheritance.multiple = allowed (default)\n"
-        "  statechart.attach_to = class (default)\n"
         "  statechart.unexpected_event = error (default)\n\n"
         "rules\n  foo\n    when all -> x (r)\n\n"
         "constraints\n  foo on Class severity error (r)\n\n"

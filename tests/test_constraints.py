@@ -416,13 +416,6 @@ def test_guard_variables_must_be_boolean_attributes():
     assert "'ghost'" in out[1].message
 
 
-def test_method_attachment_warns_per_chart():
-    eff = eff_with(OptionDef("statechart.attach_to", "method"),
-                   TransformSelection("statechart-to-class", True))
-    out = [d for d in check_constraints(SAMPLE, eff) if d.code == "W205"]
-    assert [d.path for d in out] == ["SC"]
-
-
 # ---------------------------------------------------------------------------
 # Edited expression texts
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_expr, random_model, random_package, random_repo
-from oracles import format_expr_reference, lex_reference
+from oracles import conjoin, format_expr_reference, lex_reference
 from report_oracle import report_reference
 from prefacer import expr as E
 from prefacer.constraints import eval_expr
@@ -341,7 +341,7 @@ def test_format_matches_the_recursive_printer_on_the_sample():
 def test_format_of_deep_trees_needs_no_recursion():
     assert sys.getrecursionlimit() <= 1000
     names = [f"x{i}" for i in range(1200)]
-    assert format_expr(E.conjoin([E.VarRef(n) for n in names])) == " and ".join(names)
+    assert format_expr(conjoin([E.VarRef(n) for n in names])) == " and ".join(names)
 
     nest = E.VarRef("x")
     for _ in range(5000):

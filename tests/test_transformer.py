@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 from dataclasses import replace
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from generators import random_model
 from oracles import authored_view, brute_eval, exactly_one_reference
 from prefacer import expr as E
+from prefacer.cli import EXIT_DIAGNOSTICS, RunConfig
+from prefacer.cli import run as cli_run
 from prefacer.constraints import eval_expr
 from prefacer.model import (
     AUTHORED,
@@ -25,10 +28,11 @@ from prefacer.model import (
     State,
     Statechart,
     Transition,
+    UNREADABLE,
+    builtin_check,
 )
 from prefacer.preface import (
     STATECHART_TO_CLASS,
-    OptionDef,
     Package,
     TransformSelection,
     resolve,
@@ -244,34 +248,55 @@ def test_rule4_skips_an_event_rule3_refused():
     assert "induced preconditions" not in print_transform_report(report)
 
 
+#: One model per kind of member that can bear a name no expression can
+#: read, with the path its E017 is reported at and the element whose
+#: location it carries.
+UNREADABLE_MEMBERS = {
+    "attribute": ("model m\n  class C {{\n    attribute {name} : Boolean\n  }}\n",
+                  "C.{name}", lambda m: m.classes[0].attributes[0]),
+    "parameter": ("model m\n  class C {{\n    operation go({name} : Boolean)\n  }}\n",
+                  "C.go", lambda m: m.classes[0].operations[0]),
+    "state": ("model m\n  class C {{ }}\n  statechart SC for C {{\n"
+              "    initial state {name}\n    state b\n"
+              "    transition {name} -> b on go\n  }}\n",
+              "SC/{name}", lambda m: m.statecharts[0].states[0]),
+}
+
+
 @pytest.mark.parametrize("keyword, reason", [
     *(pytest.param(keyword, "an expression keyword", id=keyword) for keyword in (
         "and", "or", "not", "implies", "forall", "exists", "in", "true", "false")),
     pytest.param("self", "the bound element", id="self")])
-def test_a_state_named_by_an_expression_keyword_is_a_clash(keyword, reason):
-    """A keyword's flag would print as text that does not read back, and
-    ``self`` would read as the bound element, never as its flag; so rule 1
-    refuses either at the state: rule 2 is withheld and rule 4 skips its
-    events, and the transformed model still reads back."""
+def test_a_state_named_by_an_expression_keyword_is_a_clash(keyword, reason, sample_dir, tmp_path):
+    """A keyword would print as text that does not read back, and ``self``
+    reads as the bound element: no expression can read either.  So an
+    attribute, parameter or state of such a name is one E017 from
+    ``builtin_check``, located like the member's other errors, and the
+    model commands stop there: exit 1, no E301 from a transform, nothing
+    written."""
 
+    assert UNREADABLE == E.KEYWORDS | {"self"}
     assert (keyword in E.KEYWORDS) == (keyword != "self")
-    model = parse_model(
-        f"model m\n  class C {{ }}\n  statechart SC for C {{\n"
-        f"    initial state {keyword}\n    state b\n"
-        f"    transition {keyword} -> b on go\n    transition b -> b on stay\n  }}\n", "k")
-    once = transform(model)
-    assert once == transform_reference(model)
-    transformed, report = once
-    (clash,) = [d for d in report.diagnostics if d.severity == "error"]
-    assert (clash.code, clash.path, clash.message) == (
-        "E301", f"C.{keyword}",
-        f"cannot induce state attribute '{keyword}': the name is {reason}")
-    assert clash.location == model.statecharts[0].states[0].loc
-    cls = transformed.class_named("C")
-    assert [a.name for a in cls.attributes] == ["b"] and cls.invariants == ()
-    assert [(op.name, op.pre_induced and format_expr(op.pre_induced[0]))
-            for op in cls.operations] == [("go", None), ("stay", "b")]
-    assert parse_model(print_model(transformed)) == read_back(transformed)
+    preface_dir, root, _ = sample_dir
+    for kind, (text, path, element_of) in UNREADABLE_MEMBERS.items():
+        file = tmp_path / f"{kind}.model"
+        file.write_text(text.format(name=keyword))
+        model = parse_model(file.read_text(), str(file))
+        where, loc = path.format(name=keyword), element_of(model).loc
+        message = f"no expression can read '{keyword}': it is {reason}"
+        (found,) = builtin_check(model)
+        assert (found.code, found.path, found.message, found.location) == (
+            "E017", where, message, loc), kind
+        line = f"error E017 {loc} {where}: {message}\n"
+        for command in ("validate", "transform", "skeleton"):
+            target = tmp_path / f"{kind}-{command}-out"
+            out, err = io.StringIO(), io.StringIO()
+            code = cli_run(RunConfig(command, str(preface_dir), root, str(file),
+                                     output=str(target) if command != "validate" else None),
+                           stdout=out, stderr=err)
+            assert (code, err.getvalue()) == (EXIT_DIAGNOSTICS, line), (kind, command)
+            assert out.getvalue() == ("1 errors, 0 warnings\n" if command == "validate" else "")
+            assert not target.exists(), (kind, command)
 
 
 def test_clash_withholds_the_invariant_but_not_the_rest():
@@ -413,16 +438,6 @@ def test_disabled_transform_is_the_identity(three_state_model):
     assert model == three_state_model
     assert report.diagnostics == ()
     assert report.induced_attributes == ()
-
-
-def test_method_attachment_skips_charts_with_a_warning(three_state_model):
-    eff = resolve([Package("t", (), (
-        TransformSelection(STATECHART_TO_CLASS, True),
-        OptionDef("statechart.attach_to", "method"),
-    ))])
-    model, report = apply_transforms(three_state_model, eff)
-    assert model == three_state_model
-    assert [d.code for d in report.diagnostics] == ["W302"]
 
 
 def test_transforming_twice_changes_nothing(three_state_model):

@@ -43,10 +43,11 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
     """Give ``cls``, the class ``chart`` is attached to, one Boolean flag
     per state.
 
-    A state whose name an authored attribute or operation already bears, an
-    expression keyword or ``self`` is reported as a name clash and skipped;
-    the other states are still induced.  Flags this rule induced on an
-    earlier run are recognised by their origin and left alone.
+    A state whose name an authored attribute or operation already bears is
+    reported as a name clash and skipped; the other states are still
+    induced.  Flags this rule induced on an earlier run are recognised by
+    their origin and left alone.  The model has passed ``builtin_check``,
+    so no state bears a name that no expression can read.
     """
 
     attrs = {a.name: a for a in cls.attributes}
@@ -55,13 +56,6 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
     added: list[Attribute] = []
     induced, diagnostics = [], []
     for state in chart.states:
-        if state.name in E.KEYWORDS or state.name == "self":
-            diagnostics.append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
-                f"cannot induce state attribute '{state.name}': the name is "
-                + ("the bound element" if state.name == "self" else "an expression keyword"),
-                state.loc))
-            continue
         existing = attrs.get(state.name)
         if existing is not None:
             if induced_by(existing.origin, chart):
