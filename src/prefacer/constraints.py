@@ -11,11 +11,24 @@ must be a boolean; it holds when exactly one of them is true.
 Quantifiers evaluate their body under every binding (``forall`` over an
 empty sequence is true, ``exists`` false).
 
-An expression is compiled once, then run on every element in scope:
-``compile_expr`` settles all dispatch and returns a function of
-``(bindings, model)``.  A chain of ``and``, ``or``, ``+``/``-`` or ``.`` runs
-as one loop, so evaluation recurses only through nesting, which the parser
-bounds at ``textio.MAX_NESTING`` levels.
+An expression is compiled once, then run over batches: ``compile_expr``
+settles all dispatch and returns a function of ``(columns, n, model)``,
+where ``columns`` holds n values for each bound name, one row per element,
+and the result is the n values.  ``check_constraints`` runs a constraint
+over its whole scope at once, and a quantifier runs its body over the items
+of all its rows at once.  Outcomes are still those of each element alone:
+an ``and`` or ``or`` runs a later operand only on the rows the earlier ones
+left undecided, and a batch that raises ``EvalError`` runs again one row
+at a time (the scope's elements, a quantifier's items, in order), so each
+element gets the error of its own first failing node and item.  On one
+row, a quantifier takes its items in groups that double from one, so the
+row meets its first error about as soon as the element alone would.  No
+batch holds more than ``BATCH_ROWS`` rows, but for one row whose domain is
+longer.
+
+A chain of ``and``, ``or``, ``+``/``-`` or ``.`` runs as one loop, so
+evaluation recurses only through nesting, which the parser bounds at
+``textio.MAX_NESTING`` levels.
 
 The feature table is closed.  Classes navigate to ``name``,
 ``superclasses``, ``attributes``, ``operations`` and ``stereotypes``;
@@ -27,6 +40,7 @@ attributes and operations expose ``name`` only.
 from __future__ import annotations
 
 import operator
+from itertools import chain, compress, repeat
 from typing import Callable
 
 from . import expr as E
@@ -47,6 +61,10 @@ from .preface import STATECHART_TO_CLASS, EffectiveDefinitions, lookup_scalar
 
 Value = object  # bool | int | str | element reference | tuple of Value
 
+#: The most rows of one batch: a scope is run in slices of this many
+#: elements, and a quantifier's body in groups of at most this many items.
+BATCH_ROWS = 4096
+
 
 class EvalError(Exception):
     """An expression could not be evaluated over the given bindings."""
@@ -63,6 +81,9 @@ class EvalError(Exception):
 _ELEMENT_TYPES = (ClassDef, Attribute, Operation, Statechart, Transition)
 _LABELS = {bool: "boolean", int: "integer", str: "string", tuple: "sequence",
            **dict.fromkeys(_ELEMENT_TYPES, "element")}
+#: The exact types that pass each check without a look at every value.
+_BOOL, _INT, _STR, _TUPLE = (frozenset({kind}) for kind in (bool, int, str, tuple))
+_ELEMENTS, _ORDERED = frozenset(_ELEMENT_TYPES), frozenset({int, str})
 
 
 def _type_label(value: Value) -> str:
@@ -78,6 +99,15 @@ def _need(value: Value, kind, loc, what: str = "", verb: str = "expected") -> Va
     return value
 
 
+def _column(values: list, exact: frozenset, kind, loc, what: str = "",
+            verb: str = "expected") -> list:
+    """``values`` if each is a ``kind``, else the first one's ``EvalError``."""
+    if not exact.issuperset(map(type, values)):
+        for value in values:
+            _need(value, kind, loc, what, verb)
+    return values
+
+
 def _raising(message: str, loc) -> Callable:
     def fail(*args):
         raise EvalError(message, loc)
@@ -91,20 +121,27 @@ def _resolve_class(name: str, model: Model | None, nav: E.Nav) -> ClassDef:
     return cls
 
 
-#: Feature name -> element type -> getter of ``(element, model, nav node)``.
+def _read(name: str, make: Callable | None = None) -> Callable:
+    get = operator.attrgetter(name)
+    return lambda xs, m, n: list(map(make, map(get, xs)) if make else map(get, xs))
+
+
+#: Feature name -> element type -> getter of ``(elements, model, nav node)``
+#: that returns the feature of each element.
 _FEATURES = {
-    "name": dict.fromkeys((ClassDef, Statechart, Attribute, Operation), lambda x, m, n: x.name),
-    "superclasses": {ClassDef: lambda c, m, n: tuple(
-        _resolve_class(name, m, n) for name in c.superclasses)},
-    "attributes": {ClassDef: lambda c, m, n: tuple(c.attributes)},
-    "operations": {ClassDef: lambda c, m, n: tuple(c.operations)},
-    "stereotypes": {ClassDef: lambda c, m, n: tuple(sorted(c.stereotypes))},
-    "states": {Statechart: lambda s, m, n: s.state_names()},
-    "transitions": {Statechart: lambda s, m, n: tuple(s.transitions)},
-    "attachedTo": {Statechart: lambda s, m, n: _resolve_class(s.attached_to, m, n)},
-    "source": {Transition: lambda t, m, n: t.source},
-    "target": {Transition: lambda t, m, n: t.target},
-    "event": {Transition: lambda t, m, n: t.event},
+    "name": dict.fromkeys((ClassDef, Statechart, Attribute, Operation), _read("name")),
+    "superclasses": {ClassDef: lambda cs, m, n: [tuple(
+        [_resolve_class(name, m, n) for name in c.superclasses]) for c in cs]},
+    "attributes": {ClassDef: _read("attributes", tuple)},
+    "operations": {ClassDef: _read("operations", tuple)},
+    "stereotypes": {ClassDef: lambda cs, m, n: [tuple(sorted(c.stereotypes)) for c in cs]},
+    "states": {Statechart: lambda ss, m, n: [s.state_names() for s in ss]},
+    "transitions": {Statechart: _read("transitions", tuple)},
+    "attachedTo": {Statechart: lambda ss, m, n: [
+        _resolve_class(s.attached_to, m, n) for s in ss]},
+    "source": {Transition: _read("source")},
+    "target": {Transition: _read("target")},
+    "event": {Transition: _read("event")},
 }
 
 
@@ -118,22 +155,57 @@ def _getter(value: Value, getters: dict, nav: E.Nav) -> Callable:
     raise EvalError(f"cannot navigate '.{nav.feature}' on a {_type_label(value)}", nav.loc)
 
 
+def _groups(domains: list[tuple]):
+    """A quantifier's body rows in groups: (the row of each item, the items).
+
+    Over many rows, a group is whole rows of at most ``BATCH_ROWS`` items
+    (or one longer row).  Over one row, the groups double from one item."""
+
+    if len(domains) == 1:
+        items, start, size = domains[0], 0, 1
+        while start < len(items):
+            group = list(items[start:start + size])
+            yield [0] * len(group), group
+            start, size = start + size, min(2 * size, BATCH_ROWS)
+        return
+    if sum(map(len, domains)) <= BATCH_ROWS:
+        yield _spread(domains, 0)
+        return
+    start = size = 0
+    for stop, items in enumerate(domains):
+        if size and size + len(items) > BATCH_ROWS:
+            yield _spread(domains[start:stop], start)
+            start, size = stop, 0
+        size += len(items)
+    if size:
+        yield _spread(domains[start:], start)
+
+
+def _spread(domains: list[tuple], first: int) -> tuple[list[int], list]:
+    rows = range(first, first + len(domains))
+    return (list(chain.from_iterable(map(repeat, rows, map(len, domains)))),
+            list(chain.from_iterable(domains)))
+
+
 _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def compile_expr(e: E.Expr) -> Callable:
-    """Compile ``e`` into a function of ``(bindings, model)`` that raises
-    ``EvalError`` exactly where evaluating ``e`` fails.  Compiling never raises;
-    neither recurses through a helper, so each nests about as deep as the parser."""
+    """Compile ``e`` into a function of ``(columns, n, model)`` that gives
+    the value of ``e`` on each of the n rows of ``columns`` (one list of
+    values per bound name), or raises ``EvalError`` where evaluating ``e``
+    on some row fails.  It is never called on no rows.  Compiling never
+    raises; neither recurses through a helper, so each nests about as
+    deep as the parser."""
 
     loc = getattr(e, "loc", None)
     if isinstance(e, E.Literal):
         value = e.value
-        return lambda bindings, model: value
+        return lambda cols, n, model: [value] * n
     if isinstance(e, E.VarRef):
         name, unbound = e.name, _raising(f"unbound variable '{e.name}'", loc)
-        return lambda bindings, model: bindings[name] if name in bindings else unbound()
+        return lambda cols, n, model: cols[name] if name in cols else unbound()
     if isinstance(e, (E.And, E.Or, E.Add, E.Sub)):
         # A left-leaning chain; each operand is checked at the node that joins it.
         kinds = (E.Add, E.Sub) if isinstance(e, (E.Add, E.Sub)) else type(e)
@@ -141,28 +213,43 @@ def compile_expr(e: E.Expr) -> Callable:
         while isinstance(e, kinds):
             nodes.append(e)
             e = e.lhs
-        steps = [(compile_expr(e), nodes[-1].loc, False)]
+        steps = [(compile_expr(e), nodes[-1].loc, operator.add)]
         for node in reversed(nodes):
-            steps.append((compile_expr(node.rhs), node.loc, isinstance(node, E.Sub)))
+            steps.append((compile_expr(node.rhs), node.loc,
+                          operator.sub if isinstance(node, E.Sub) else operator.add))
         if kinds is not E.And and kinds is not E.Or:
-            def total(bindings, model):
-                value = 0
-                for run, at, minus in steps:
-                    term = run(bindings, model)
-                    if type(term) is bool or not isinstance(term, int):
-                        raise EvalError(f"expected an integer, got {_type_label(term)}", at)
-                    value = value - term if minus else value + term
-                return value
+            def total(cols, n, model):
+                values = [0] * n
+                for run, at, op in steps:
+                    terms = run(cols, n, model)
+                    if not _INT.issuperset(map(type, terms)):
+                        for term in terms:
+                            if type(term) is bool or not isinstance(term, int):
+                                raise EvalError(f"expected an integer, got {_type_label(term)}", at)
+                    values = list(map(op, values, terms))
+                return values
             return total
         decisive = kinds is E.Or  # or stops at true, and at false
-        def junction(bindings, model):
+        def junction(cols, n, model):
+            out, rows = [not decisive] * n, None  # rows: where each row's value goes
             for run, at, _ in steps:
-                value = run(bindings, model)
-                if value is decisive:
-                    return decisive
-                if type(value) is not bool:
-                    _need(value, bool, at)
-            return not decisive
+                values = run(cols, n, model)
+                if decisive not in values and _BOOL.issuperset(map(type, values)):
+                    continue  # every row still undecided
+                keep = []
+                for index, value in enumerate(values):
+                    if value is decisive:
+                        out[index if rows is None else rows[index]] = decisive
+                    elif type(value) is not bool:
+                        _need(value, bool, at)
+                    else:
+                        keep.append(index)
+                if not keep:
+                    break
+                rows = keep if rows is None else [rows[index] for index in keep]
+                cols = {name: list(map(col.__getitem__, keep)) for name, col in cols.items()}
+                n = len(keep)
+            return out
         return junction
     if isinstance(e, E.Nav):
         steps = []
@@ -170,67 +257,92 @@ def compile_expr(e: E.Expr) -> Callable:
             steps.append((_FEATURES.get(e.feature, {}), e))
             e = e.target
         target, steps = compile_expr(e), steps[::-1]
-        def navigate(bindings, model):
-            value = target(bindings, model)
+        def navigate(cols, n, model):
+            values = target(cols, n, model)
             for getters, nav in steps:
-                getter = getters.get(type(value)) or _getter(value, getters, nav)
-                value = getter(value, model, nav)
-            return value
+                kinds = set(map(type, values))
+                getter = getters.get(kinds.pop()) if len(kinds) == 1 else None
+                values = getter(values, model, nav) if getter else [
+                    (getters.get(type(value)) or _getter(value, getters, nav))(
+                        (value,), model, nav)[0] for value in values]
+            return values
         return navigate
     if isinstance(e, E.Compare):
         lhs, rhs, ordered = compile_expr(e.lhs), compile_expr(e.rhs), e.op not in ("=", "<>")
         test = _COMPARISONS.get(e.op) or _raising(f"unknown comparison operator '{e.op}'", loc)
-        def compare(bindings, model):
-            left, right = lhs(bindings, model), rhs(bindings, model)
-            if type(left) is not type(right) or ordered and type(left) not in (int, str):
-                label = _type_label(left)
-                if label != _type_label(right):
-                    raise EvalError(f"cannot compare {label} with {_type_label(right)}", loc)
-                if ordered and label not in ("integer", "string"):
-                    raise EvalError(f"ordering is not defined on {label} values", loc)
-            return test(left, right)
+        def compare(cols, n, model):
+            lefts, rights = lhs(cols, n, model), rhs(cols, n, model)
+            kinds = set(map(type, lefts))
+            if len(kinds) != 1 or kinds != set(map(type, rights)) \
+                    or ordered and not kinds <= _ORDERED:
+                for left, right in zip(lefts, rights):
+                    if type(left) is type(right) and (not ordered or type(left) in _ORDERED):
+                        continue
+                    label = _type_label(left)
+                    if label != _type_label(right):
+                        raise EvalError(f"cannot compare {label} with {_type_label(right)}", loc)
+                    if ordered and label not in ("integer", "string"):
+                        raise EvalError(f"ordering is not defined on {label} values", loc)
+            return list(map(test, lefts, rights))
         return compare
     if isinstance(e, (E.Forall, E.Exists)):
         domain, body, var = compile_expr(e.domain), compile_expr(e.body), e.var
         universal = isinstance(e, E.Forall)  # forall fails at false, exists holds at true
-        def quantifier(bindings, model):
-            result, inner = universal, dict(bindings)
-            for item in _need(domain(bindings, model), tuple, loc):
-                inner[var] = item
-                value = body(inner, model)
-                if value is not universal:
-                    result = _need(value, bool, loc)
-            return result
+        outer = E.free_vars(e.body) - {var}  # the columns the body reads
+        def quantifier(cols, n, model):
+            results, flip = [universal] * n, not universal
+            for rows, items in _groups(_column(domain(cols, n, model), _TUPLE, tuple, loc)):
+                inner = {name: list(map(col.__getitem__, rows))
+                         for name, col in cols.items() if name in outer}
+                inner[var] = items
+                try:
+                    values = body(inner, len(items), model)
+                except EvalError:
+                    if n > 1 or len(items) == 1:
+                        raise  # rows are run again one at a time above; one item is exact
+                    values = []  # the items again one at a time, in order
+                    for index in range(len(items)):
+                        values += body({name: [col[index]] for name, col in inner.items()},
+                                       1, model)
+                        _need(values[-1], bool, loc)
+                if flip in _column(values, _BOOL, bool, loc):
+                    for row, value in zip(rows, values):
+                        if value is flip:
+                            results[row] = flip
+            return results
         return quantifier
     if isinstance(e, E.Not):
         operand = compile_expr(e.operand)
-        return lambda bindings, model: not _need(operand(bindings, model), bool, loc)
+        return lambda cols, n, model: list(map(
+            operator.not_, _column(operand(cols, n, model), _BOOL, bool, loc)))
     if isinstance(e, E.Implies):
         lhs, rhs = compile_expr(e.lhs), compile_expr(e.rhs)
-        return lambda bindings, model: (  # implication is <= on booleans
-            _need(lhs(bindings, model), bool, loc) <= _need(rhs(bindings, model), bool, loc))
+        return lambda cols, n, model: list(map(  # implication is <= on booleans
+            operator.le, _column(lhs(cols, n, model), _BOOL, bool, loc),
+            _column(rhs(cols, n, model), _BOOL, bool, loc)))
     if not isinstance(e, E.Call):
         return _raising(f"not an expression node: {e!r}", loc)
     fn, runs = e.fn, list(map(compile_expr, e.args))
     if fn in ("size", "isEmpty") and len(runs) == 1:
-        arg = runs[0]
-        if fn == "size":
-            return lambda bindings, model: len(_need(arg(bindings, model), tuple, loc))
-        return lambda bindings, model: not _need(arg(bindings, model), tuple, loc)
+        arg, count = runs[0], len if fn == "size" else operator.not_
+        return lambda cols, n, model: list(map(
+            count, _column(arg(cols, n, model), _TUPLE, tuple, loc)))
     if fn == "hasStereotype" and len(runs) == 2:
         element_of, name_of = runs
-        def has_stereotype(bindings, model):
+        def has_stereotype(cols, n, model):
             verb = "hasStereotype expects"
-            element = _need(element_of(bindings, model), _ELEMENT_TYPES, loc, "an element", verb)
-            name = _need(name_of(bindings, model), str, loc, "a string", verb)
-            return name in stereotypes_of(element)
+            elements = _column(element_of(cols, n, model), _ELEMENTS, _ELEMENT_TYPES, loc,
+                               "an element", verb)
+            names = _column(name_of(cols, n, model), _STR, str, loc, "a string", verb)
+            return [name in stereotypes_of(element) for element, name in zip(elements, names)]
         return has_stereotype
     if fn == "exactlyOne" and runs:
-        def exactly_one(bindings, model):
-            count = 0
+        def exactly_one(cols, n, model):
+            counts = [0] * n
             for run in runs:
-                count += _need(run(bindings, model), bool, loc)
-            return count == 1
+                counts = list(map(operator.add, counts,
+                                  _column(run(cols, n, model), _BOOL, bool, loc)))
+            return [count == 1 for count in counts]
         return exactly_one
     arity = {"size": "exactly one argument", "isEmpty": "exactly one argument",
              "hasStereotype": "exactly two arguments", "exactlyOne": "at least one argument"}
@@ -242,7 +354,7 @@ def eval_expr(e: E.Expr, bindings: dict[str, Value], model: Model | None = None)
     """Evaluate ``e`` with ``bindings`` for its variables and ``model`` to
     resolve element names; raises ``EvalError``, never anything else."""
 
-    return compile_expr(e)(bindings, model)
+    return compile_expr(e)({name: [value] for name, value in bindings.items()}, 1, model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,53 +362,57 @@ def eval_expr(e: E.Expr, bindings: dict[str, Value], model: Model | None = None)
 # ---------------------------------------------------------------------------
 
 
-def iter_scope(model: Model, metaclass: str):
+def iter_scope(model: Model, metaclass: str) -> list[tuple[str, object]]:
     """(path, element) pairs of one metaclass, in declaration order."""
 
     if metaclass == "Class":
-        for cls in model.classes:
-            yield cls.name, cls
-    elif metaclass == "Attribute":
-        for cls in model.classes:
-            for attr in cls.attributes:
-                yield member_path(cls, attr.name), attr
-    elif metaclass == "Operation":
-        for cls in model.classes:
-            for op in cls.operations:
-                yield member_path(cls, op.name), op
-    elif metaclass == "Statechart":
-        for chart in model.statecharts:
-            yield chart.name, chart
-    elif metaclass == "Transition":
-        for chart in model.statecharts:
-            for index, t in enumerate(chart.transitions):
-                yield transition_path(chart, index), t
-    else:
-        raise ValueError(f"unknown metaclass '{metaclass}'")
+        return [(cls.name, cls) for cls in model.classes]
+    if metaclass == "Attribute":
+        return [(member_path(cls, attr.name), attr)
+                for cls in model.classes for attr in cls.attributes]
+    if metaclass == "Operation":
+        return [(member_path(cls, op.name), op) for cls in model.classes for op in cls.operations]
+    if metaclass == "Statechart":
+        return [(chart.name, chart) for chart in model.statecharts]
+    if metaclass == "Transition":
+        return [(transition_path(chart, index), t) for chart in model.statecharts
+                for index, t in enumerate(chart.transitions)]
+    raise ValueError(f"unknown metaclass '{metaclass}'")
 
 
 def _check_one(model: Model, definition, provenance_id: str,
                diags: list[Diagnostic]) -> None:
     holds_for = compile_expr(definition.body)
-    for path, element in iter_scope(model, definition.scope):
+    scope = list(iter_scope(model, definition.scope))
+    for start in range(0, len(scope), BATCH_ROWS):
+        chunk = scope[start:start + BATCH_ROWS]
+        elements = list(map(operator.itemgetter(1), chunk))
         try:
-            holds = holds_for({"self": element}, model)
-        except EvalError as failure:
-            diags.append(Diagnostic(
-                "error", "E202", path,
-                f"constraint '{definition.name}' could not be evaluated: {failure}",
-                failure.loc, provenance_id))
-            continue
-        if type(holds) is not bool:
-            diags.append(Diagnostic(
-                "error", "E202", path,
-                f"constraint '{definition.name}' did not evaluate to a boolean",
-                definition.body.loc, provenance_id))
-        elif not holds:
-            code = "E201" if definition.severity == "error" else "W201"
-            diags.append(Diagnostic(
-                definition.severity, code, path,
-                f"constraint '{definition.name}' violated", None, provenance_id))
+            outcomes = holds_for({"self": elements}, len(elements), model)
+        except EvalError:  # again element by element, for each one's own outcome
+            outcomes = []
+            for element in elements:
+                try:
+                    outcomes += holds_for({"self": [element]}, 1, model)
+                except EvalError as failure:
+                    outcomes.append(failure)
+        for (path, _), holds in compress(zip(chunk, outcomes),  # all but the holding
+                                         map(operator.is_not, outcomes, repeat(True))):
+            if isinstance(holds, EvalError):
+                diags.append(Diagnostic(
+                    "error", "E202", path,
+                    f"constraint '{definition.name}' could not be evaluated: {holds}",
+                    holds.loc, provenance_id))
+            elif type(holds) is not bool:
+                diags.append(Diagnostic(
+                    "error", "E202", path,
+                    f"constraint '{definition.name}' did not evaluate to a boolean",
+                    definition.body.loc, provenance_id))
+            elif not holds:
+                code = "E201" if definition.severity == "error" else "W201"
+                diags.append(Diagnostic(
+                    definition.severity, code, path,
+                    f"constraint '{definition.name}' violated", None, provenance_id))
 
 
 def _check_single_inheritance(model: Model, eff: EffectiveDefinitions,

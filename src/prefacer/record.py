@@ -2,13 +2,15 @@
 
 ``@record`` reads a class's annotated fields and their ``field`` specs into
 the record's own field table, and creates the class once more, slotted.  The
-``__init__`` (the ``dataclasses`` signature, fields set through their slots,
-then ``__post_init__``), ``replace``, and the ``__repr__``, ``__eq__``,
-``__hash__`` and ``__reduce__`` all records share read that table.  A record
-stores exactly what its constructor is given: ``__post_init__`` derives the
-``init=False`` fields and never normalises the others.  No record compiles
-its ``__init__``: it takes the code compiled once per shape (``__init__``
-field count, ``__post_init__`` or not), with its field names and defaults.
+``__init__`` (the ``dataclasses`` signature, fields and the defaults of
+``init=False`` fields set through their slots, then ``__post_init__``),
+``replace``, and the ``__repr__``, ``__eq__``, ``__hash__`` and
+``__reduce__`` all records share read that table.  A record stores exactly
+what its constructor is given: ``__post_init__`` derives the ``init=False``
+fields that have no default and never normalises the others.  No record
+compiles its ``__init__``: it takes the code compiled once per shape
+(``__init__`` field count, count of defaulted ``init=False`` fields,
+``__post_init__`` or not), with its field names and defaults.
 
 Start-up imports no ``dataclasses``.  Outside readers get its registry all the
 same: ``make_dataclass`` builds it on the first read of
@@ -96,28 +98,35 @@ def replace(obj, /, **changes):
     return obj.__class__(**{**{f.name: getattr(obj, f.name) for f in table if f.init}, **changes})
 
 
-#: (``__init__`` field count, has ``__post_init__``) -> the ``__init__`` template
-_TEMPLATES: dict[tuple[int, bool], CodeType] = {}
+#: (``__init__`` field count, ``init=False`` defaults, has ``__post_init__``)
+#: -> the ``__init__`` template
+_TEMPLATES: dict[tuple[int, int, bool], CodeType] = {}
 
 
-def _template(count: int, post: bool) -> CodeType:
-    if (count, post) not in _TEMPLATES:
-        body = [f"s{i}(self, a{i})" for i in range(count)] + ["self.__post_init__()"] * post
+def _template(count: int, unset: int, post: bool) -> CodeType:
+    if (count, unset, post) not in _TEMPLATES:
+        body = ([f"s{i}(self, a{i})" for i in range(count)]
+                + [f"s{count + i}(self, d{i})" for i in range(unset)]
+                + ["self.__post_init__()"] * post)
         namespace: dict = {}
         exec(f"def __init__(self, {', '.join(f'a{i}' for i in range(count))}):\n "
              + "\n ".join(body or ["pass"]), {}, namespace)
-        _TEMPLATES[count, post] = namespace["__init__"].__code__
-    return _TEMPLATES[count, post]
+        _TEMPLATES[count, unset, post] = namespace["__init__"].__code__
+    return _TEMPLATES[count, unset, post]
 
 
 def _init(cls, table):
-    # The slots' setters are the template's globals; ``self`` as in ``dataclasses``.
+    # The slots' setters and the ``init=False`` defaults are the template's
+    # globals.  As in ``dataclasses``, those defaults are set before
+    # ``__post_init__``, and a field named ``self`` renames the instance.
     fields = [f for f in table if f.init]
+    unset = [f for f in table if not f.init and f.default is not MISSING]
     names = [f.name for f in fields]
-    code = _template(len(fields), hasattr(cls, "__post_init__")).replace(
+    code = _template(len(fields), len(unset), hasattr(cls, "__post_init__")).replace(
         co_varnames=("__dataclass_self__" if "self" in names else "self", *names))
     defaults = tuple(f.default for f in fields if f.default is not MISSING) or None
-    init = FunctionType(code, {f"s{i}": vars(cls)[name].__set__ for i, name in enumerate(names)},
+    setters = {f"s{i}": vars(cls)[f.name].__set__ for i, f in enumerate(fields + unset)}
+    init = FunctionType(code, {**setters, **{f"d{i}": f.default for i, f in enumerate(unset)}},
                         "__init__", defaults)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eval_oracle
 from generators import random_expr, random_model, scoped_expr
 from oracles import BruteEvalFailure, brute_eval, free_vars_reference
 from test_locations import _edited
 from test_textio import LEX_PIECES, read_sample
+from prefacer import constraints
 from prefacer import expr as E
 from prefacer.constraints import (
     EvalError,
@@ -265,7 +268,7 @@ def test_the_deepest_text_that_parses_compiles_and_evaluates(shape):
     # The innermost level adds a class name to 1: a located EvalError
     # there, not a RecursionError on the way.
     with pytest.raises(EvalError, match="expected an integer, got string") as caught:
-        run({"self": SAMPLE.class_named("C")}, SAMPLE)
+        run({"self": [SAMPLE.class_named("C")]}, 1, SAMPLE)
     assert caught.value.loc.column == text.index("+ self.name") + 1
     assert E.free_vars(e) == {"self"}
 
@@ -414,6 +417,187 @@ def test_guard_variables_must_be_boolean_attributes():
     assert [d.path for d in out] == ["SC/1", "SC/2"]
     assert "'n'" in out[0].message
     assert "'ghost'" in out[1].message
+
+
+# ---------------------------------------------------------------------------
+# Batches: the closure evaluator, one element at a time, as the reference
+# ---------------------------------------------------------------------------
+
+METACLASSES = ("Class", "Attribute", "Operation", "Statechart", "Transition")
+
+
+def _diagnostics(found) -> list[tuple]:
+    return [(d.severity, d.code, d.path, d.message,
+             None if d.location is None else str(d.location), d.provenance) for d in found]
+
+
+def _agrees_with_the_reference(model: Model, eff) -> list[tuple]:
+    mine = _diagnostics(check_constraints(model, eff))
+    assert mine == _diagnostics(eval_oracle.check_constraints_reference(model, eff))
+    return mine
+
+
+def _random_constraints(rng: random.Random, count: int) -> list[ConstraintDef]:
+    """Typed bodies over ``self`` (some ill typed) and untyped ones, whose
+    ``x``, ``y`` and ``count`` are unbound; each read back from its text,
+    so that its nodes carry the locations the diagnostics give."""
+
+    out = []
+    for k in range(count):
+        metaclass = rng.choice(METACLASSES)
+        body = scoped_expr(rng, metaclass, rng.randint(2, 4)) if rng.random() < 0.8 \
+            else random_expr(rng, 3)
+        out.append(ConstraintDef(f"c{k}", metaclass, rng.choice(("error", "warning")),
+                                 parse_expr(format_expr(body), f"c{k}")))
+    return out
+
+
+def _batch_agrees_element_by_element(e: E.Expr, model: Model, metaclass: str) -> None:
+    """One batch over the whole scope raises if and only if some element
+    fails alone, and otherwise gives each element its value alone."""
+
+    elements = [element for _, element in iter_scope(model, metaclass)]
+    if not elements:
+        return
+    alone = []
+    for element in elements:
+        try:
+            alone.append(eval_oracle.eval_expr(e, {"self": element}, model))
+        except EvalError:
+            alone.append(EvalError)
+    try:
+        together = compile_expr(e)({"self": elements}, len(elements), model)
+    except EvalError:
+        assert EvalError in alone, e
+        return
+    assert together == alone, e
+
+
+def test_batches_agree_with_the_reference_on_seeded_models():
+    rng = random.Random(2029)
+    seen = set()
+    for _ in range(400):
+        model = random_model(rng, max_classes=rng.choice((3, 8, 14)))
+        constraints = _random_constraints(rng, 4)
+        seen.update(d[1] for d in _agrees_with_the_reference(
+            model, eff_with(*constraints)))
+        for definition in constraints:
+            _batch_agrees_element_by_element(definition.body, model, definition.scope)
+    assert {"E201", "W201", "E202"} <= seen
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batch_agreement_is_seed_independent(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_classes=10)
+    constraints = _random_constraints(rng, 3)
+    _agrees_with_the_reference(model, eff_with(*constraints))
+    for definition in constraints:
+        _batch_agrees_element_by_element(definition.body, model, definition.scope)
+
+
+def _classes(*specs) -> Model:
+    """Classes from ``(name, attribute names)`` pairs; a name that ends in
+    ``()`` gives its class the operation ``f``."""
+
+    return Model("m", tuple(
+        ClassDef(name.rstrip("()"), attributes=tuple(Attribute(a, "Integer") for a in attrs),
+                 operations=(Operation("f"),) if name.endswith("()") else ())
+        for name, attrs in specs))
+
+
+def _checked(model: Model, text: str) -> list[tuple]:
+    eff = eff_with(ConstraintDef("k", "Class", "error", parse_expr(text, "k")))
+    return [(code, path, message.removeprefix("constraint 'k' "), where)
+            for _, code, path, message, where, _ in _agrees_with_the_reference(model, eff)]
+
+
+def test_the_first_failing_item_gives_the_error():
+    # Item x fails at the second conjunct; item y, after it, fails earlier,
+    # at the first, where a batch of both items meets y's failure first.
+    # Alone, a class's items run in groups of 1, 2, 4...: w, x and y put x
+    # and y in one group.
+    text = ('forall(a in self.attributes | (a.name <> "y" or size(a.name) = 0)'
+            ' and (a.name <> "x" or 1 = "one"))')
+    late = ("E202", "C", "could not be evaluated: cannot compare integer with string", "k:1:91")
+    early = ("E202", "D", "could not be evaluated: expected a sequence, got string", "k:1:49")
+    for items in ("xy", "wxy"):
+        assert _checked(_classes(("C", items)), text) == [late]
+        assert _checked(_classes(("B", ""), ("C", items), ("D", "y")), text) == [late, early]
+    assert _checked(_classes(("D", "y")), text) == [early]
+
+
+def test_and_runs_its_right_operand_only_on_undecided_rows():
+    # size(self.name) fails on every class, but only B reaches it.
+    model = _classes(("A", ""), ("B", ""), ("C", ""))
+    assert _checked(model, 'self.name = "B" and size(self.name) = 0') == [
+        ("E201", "A", "violated", None),
+        ("E202", "B", "could not be evaluated: expected a sequence, got string", "k:1:21"),
+        ("E201", "C", "violated", None)]
+    # Here it would fail on A and C, which the left operand decides, so the
+    # batch of all three classes does not raise.
+    text = 'self.name = "B" and (self.name = "B" or size(self.name) = 0)'
+    assert _checked(model, text) == [("E201", "A", "violated", None),
+                                     ("E201", "C", "violated", None)]
+    classes = list(model.classes)
+    assert compile_expr(parse_expr(text))({"self": classes}, 3, model) == [False, True, False]
+
+
+def test_an_element_failing_mid_scope_leaves_the_rest_reported():
+    model = _classes(("A", ""), ("B()", ""), ("C", ""), ("D()", "x"), ("E", ""))
+    assert _checked(model, 'self.name <> "C" and (size(self.operations) = 0 or self.name < 3)') \
+        == [("E202", "B", "could not be evaluated: cannot compare string with integer", "k:1:62"),
+            ("E201", "C", "violated", None),
+            ("E202", "D", "could not be evaluated: cannot compare string with integer", "k:1:62")]
+
+
+def test_each_scope_is_drawn_once_per_constraint(monkeypatch):
+    drawn = []
+
+    def counted(model, metaclass):
+        for pair in iter_scope(model, metaclass):
+            drawn.append(metaclass)
+            yield pair
+
+    model = _classes(("A", "ab"), ("B()", ""), ("C", "c"))
+    eff = eff_with(  # the second fails on B, so its batch runs again element by element
+        ConstraintDef("one", "Attribute", "error", parse_expr('self.name <> "c"')),
+        ConstraintDef("two", "Class", "error", parse_expr("size(self.operations) = 0 or self.name < 3")))
+    monkeypatch.setattr(constraints, "iter_scope", counted)
+    check_constraints(model, eff)
+    assert drawn == ["Attribute"] * 3 + ["Class"] * 3
+
+
+def test_nested_quantifiers_are_run_in_bounded_batches(monkeypatch):
+    """Four classes of 120 attributes: the inner body has 57,600 rows, over
+    ten times ``BATCH_ROWS``, and is run in groups of at most that many.
+    Class ``Ci`` repeats ``i`` attribute names, each with another type."""
+
+    width = 120
+    model = Model("m", tuple(
+        ClassDef(f"C{i}", attributes=tuple(
+            Attribute(f"a{j % (width - i)}", "Integer" if j < width - i else "String")
+            for j in range(width)))
+        for i in range(4)))
+    assert len(model.classes) * width ** 2 > 10 * constraints.BATCH_ROWS
+    eff = eff_with(ConstraintDef("distinct", "Class", "error", parse_expr(
+        "forall(a in self.attributes | forall(b in self.attributes | a = b or a.name <> b.name))",
+        "k")))
+    expected = _diagnostics(eval_oracle.check_constraints_reference(model, eff))
+    assert [d[1:3] for d in expected] == [("E201", "C1"), ("E201", "C2"), ("E201", "C3")]
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            assert _diagnostics(check_constraints(model, eff)) == expected
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 1_000_000  # bytes; about 0.5 MB
+    monkeypatch.setattr(constraints, "BATCH_ROWS", 10 ** 9)
+    assert peak() > 2_000_000  # one batch of every row needs this much
 
 
 # ---------------------------------------------------------------------------

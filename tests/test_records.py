@@ -26,7 +26,7 @@ import pkgutil
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass, replace
 
 from pathlib import Path
 
@@ -466,11 +466,14 @@ def _standard_imports() -> list[str]:
     return sorted(names)
 
 
-def _shape(cls: type) -> tuple[int, bool]:
+def _shape(cls: type) -> tuple[int, int, bool]:
     """What an ``__init__`` template is compiled for: the number of
-    ``__init__`` fields, and whether there is a ``__post_init__``."""
+    ``__init__`` fields and of ``init=False`` fields with a default, and
+    whether there is a ``__post_init__``."""
 
-    return sum(f.init for f in fields(cls)), hasattr(cls, "__post_init__")
+    return (sum(f.init for f in fields(cls)),
+            sum(not f.init and f.default is not MISSING for f in fields(cls)),
+            hasattr(cls, "__post_init__"))
 
 
 def test_importing_the_package_compiles_one_init_per_shape():
@@ -507,7 +510,8 @@ def test_importing_the_package_loads_no_dataclasses():
 #: Records declared after import, each a body for ``record`` and for
 #: ``dataclass``: a shape no package record has (12 fields, five defaulted,
 #: and a ``__post_init__``), two records of one shared shape that no package
-#: record has either, and a field named ``self``.
+#: record has either, a field named ``self``, and an ``init=False`` field
+#: whose default no ``__post_init__`` replaces.
 LATE = {
     "Wide": "".join(f"    f{i}: int{f' = {i}' if i > 6 else ''}\n" for i in range(12))
     + "    total: int = field(init=False)\n"
@@ -516,6 +520,7 @@ LATE = {
     "Left": "".join(f"    l{i}: int\n" for i in range(10)),
     "Right": "".join(f"    r{i}: str = 'r{i}'\n" for i in range(10)),
     "Selfish": "    self: int\n    other: str = ''\n",
+    "Unset": "    x: int\n    y: int = field(default=5, init=False)\n",
 }
 
 
@@ -530,15 +535,16 @@ def test_a_record_declared_after_import_agrees_through_its_shape_template():
     before = set(R._TEMPLATES)
     ours = _declare(R.record, R.field)
     refs = _declare(dataclass(frozen=True, slots=True), field)
-    assert {(12, True), (10, False)} - before == {(12, True), (10, False)}
-    assert {(12, True), (10, False)} <= set(R._TEMPLATES)
+    assert {(12, 0, True), (10, 0, False)} - before == {(12, 0, True), (10, 0, False)}
+    assert {(12, 0, True), (10, 0, False), (1, 1, False)} <= set(R._TEMPLATES)
     left, right = ours["Left"].__init__, ours["Right"].__init__
     assert left.__code__.co_code == right.__code__.co_code
     assert left.__code__.co_varnames != right.__code__.co_varnames
     argument_sets = {"Wide": [list(range(7)), list(range(12)), [1] * 12],
                      "Left": [list(range(10)), list(range(1, 11))],
                      "Right": [[], ["x"] * 10, ["y"]],
-                     "Selfish": [[1], [1, "o"], [2]]}
+                     "Selfish": [[1], [1, "o"], [2]],
+                     "Unset": [[1], [2]]}
     for name, cls in ours.items():
         ref = refs[name]
         assert str(inspect.signature(cls)) == str(inspect.signature(ref))
@@ -564,3 +570,4 @@ def test_a_record_declared_after_import_agrees_through_its_shape_template():
             made = ours[name](*[fill] * 10)
             assert [getattr(made, f.name) for f in fields(made)] == [fill] * 10
     assert ours["Selfish"](self=3).self == 3
+    assert (ours["Unset"](1).y, repr(ours["Unset"](1))) == (5, "Unset(x=1, y=5)")
