@@ -15,16 +15,19 @@ An expression is compiled once, then run over batches: ``compile_expr``
 settles all dispatch and returns a function of ``(columns, n, model)``,
 where ``columns`` holds n values for each bound name, one row per element,
 and the result is the n values.  ``check_constraints`` runs a constraint
-over its whole scope at once, and a quantifier runs its body over the items
-of all its rows at once.  Outcomes are still those of each element alone:
-an ``and`` or ``or`` runs a later operand only on the rows the earlier ones
-left undecided, and a batch that raises ``EvalError`` runs again one row
-at a time (the scope's elements, a quantifier's items, in order), so each
-element gets the error of its own first failing node and item.  On one
-row, a quantifier takes its items in groups that double from one, so the
-row meets its first error about as soon as the element alone would.  No
+over its whole scope at once, and a quantifier over many rows runs its
+body over the items of all of them at once.  Outcomes are still those of
+each element alone: an ``and`` or ``or`` runs a later operand only on the
+rows the earlier ones left undecided, and a scope's batch that raises
+``EvalError`` runs again one element at a time.  On one row, a quantifier
+runs its items one at a time, in order, as the element alone would, so
+each element gets the error of its own first failing node and item.  No
 batch holds more than ``BATCH_ROWS`` rows, but for one row whose domain is
 longer.
+
+Each expression has one type, so each column holds values of one type,
+and a check of a column's type reads its first value only.  That holds as
+long as the model's records hold the types their fields declare.
 
 A chain of ``and``, ``or``, ``+``/``-`` or ``.`` runs as one loop, so
 evaluation recurses only through nesting, which the parser bounds at
@@ -62,7 +65,8 @@ from .preface import STATECHART_TO_CLASS, EffectiveDefinitions, lookup_scalar
 Value = object  # bool | int | str | element reference | tuple of Value
 
 #: The most rows of one batch: a scope is run in slices of this many
-#: elements, and a quantifier's body in groups of at most this many items.
+#: elements, and a quantifier's body over many rows in groups of whole rows
+#: of at most this many items.
 BATCH_ROWS = 4096
 
 
@@ -81,9 +85,6 @@ class EvalError(Exception):
 _ELEMENT_TYPES = (ClassDef, Attribute, Operation, Statechart, Transition)
 _LABELS = {bool: "boolean", int: "integer", str: "string", tuple: "sequence",
            **dict.fromkeys(_ELEMENT_TYPES, "element")}
-#: The exact types that pass each check without a look at every value.
-_BOOL, _INT, _STR, _TUPLE = (frozenset({kind}) for kind in (bool, int, str, tuple))
-_ELEMENTS, _ORDERED = frozenset(_ELEMENT_TYPES), frozenset({int, str})
 
 
 def _type_label(value: Value) -> str:
@@ -91,20 +92,12 @@ def _type_label(value: Value) -> str:
                 type(value).__name__)
 
 
-def _need(value: Value, kind, loc, what: str = "", verb: str = "expected") -> Value:
-    """``value`` if it is a ``kind``, else an ``EvalError`` at ``loc``."""
-    if not isinstance(value, kind):
+def _column(values: list, kind, loc, what: str = "", verb: str = "expected") -> list:
+    """``values`` if they are ``kind``s, else an ``EvalError`` at ``loc``;
+    a column holds one type, so its first value stands for all."""
+    if not isinstance(values[0], kind):
         what = what or {bool: "a boolean", tuple: "a sequence"}[kind]
-        raise EvalError(f"{verb} {what}, got {_type_label(value)}", loc)
-    return value
-
-
-def _column(values: list, exact: frozenset, kind, loc, what: str = "",
-            verb: str = "expected") -> list:
-    """``values`` if each is a ``kind``, else the first one's ``EvalError``."""
-    if not exact.issuperset(map(type, values)):
-        for value in values:
-            _need(value, kind, loc, what, verb)
+        raise EvalError(f"{verb} {what}, got {_type_label(values[0])}", loc)
     return values
 
 
@@ -158,18 +151,13 @@ def _getter(value: Value, getters: dict, nav: E.Nav) -> Callable:
 def _groups(domains: list[tuple]):
     """A quantifier's body rows in groups: (the row of each item, the items).
 
-    Over many rows, a group is whole rows of at most ``BATCH_ROWS`` items
-    (or one longer row).  Over one row, the groups double from one item."""
+    Over one row, each item is a group of its own.  Over many rows, a group
+    is whole rows of at most ``BATCH_ROWS`` items (or one longer row).  No
+    group is empty."""
 
     if len(domains) == 1:
-        items, start, size = domains[0], 0, 1
-        while start < len(items):
-            group = list(items[start:start + size])
-            yield [0] * len(group), group
-            start, size = start + size, min(2 * size, BATCH_ROWS)
-        return
-    if sum(map(len, domains)) <= BATCH_ROWS:
-        yield _spread(domains, 0)
+        for item in domains[0]:
+            yield [0], [item]
         return
     start = size = 0
     for stop, items in enumerate(domains):
@@ -194,10 +182,11 @@ _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
 def compile_expr(e: E.Expr) -> Callable:
     """Compile ``e`` into a function of ``(columns, n, model)`` that gives
     the value of ``e`` on each of the n rows of ``columns`` (one list of
-    values per bound name), or raises ``EvalError`` where evaluating ``e``
-    on some row fails.  It is never called on no rows.  Compiling never
-    raises; neither recurses through a helper, so each nests about as
-    deep as the parser."""
+    values of one type per bound name), or raises ``EvalError`` where
+    evaluating ``e`` on some row fails.  It is never called on no rows, and
+    the values it gives are of one type too.  Compiling never raises;
+    neither recurses through a helper, so each nests about as deep as the
+    parser."""
 
     loc = getattr(e, "loc", None)
     if isinstance(e, E.Literal):
@@ -222,10 +211,8 @@ def compile_expr(e: E.Expr) -> Callable:
                 values = [0] * n
                 for run, at, op in steps:
                     terms = run(cols, n, model)
-                    if not _INT.issuperset(map(type, terms)):
-                        for term in terms:
-                            if type(term) is bool or not isinstance(term, int):
-                                raise EvalError(f"expected an integer, got {_type_label(term)}", at)
+                    if type(terms[0]) is bool or not isinstance(terms[0], int):
+                        raise EvalError(f"expected an integer, got {_type_label(terms[0])}", at)
                     values = list(map(op, values, terms))
                 return values
             return total
@@ -233,15 +220,13 @@ def compile_expr(e: E.Expr) -> Callable:
         def junction(cols, n, model):
             out, rows = [not decisive] * n, None  # rows: where each row's value goes
             for run, at, _ in steps:
-                values = run(cols, n, model)
-                if decisive not in values and _BOOL.issuperset(map(type, values)):
+                values = _column(run(cols, n, model), bool, at)
+                if decisive not in values:
                     continue  # every row still undecided
                 keep = []
                 for index, value in enumerate(values):
                     if value is decisive:
                         out[index if rows is None else rows[index]] = decisive
-                    elif type(value) is not bool:
-                        _need(value, bool, at)
                     else:
                         keep.append(index)
                 if not keep:
@@ -260,11 +245,8 @@ def compile_expr(e: E.Expr) -> Callable:
         def navigate(cols, n, model):
             values = target(cols, n, model)
             for getters, nav in steps:
-                kinds = set(map(type, values))
-                getter = getters.get(kinds.pop()) if len(kinds) == 1 else None
-                values = getter(values, model, nav) if getter else [
-                    (getters.get(type(value)) or _getter(value, getters, nav))(
-                        (value,), model, nav)[0] for value in values]
+                getter = getters.get(type(values[0])) or _getter(values[0], getters, nav)
+                values = getter(values, model, nav)
             return values
         return navigate
     if isinstance(e, E.Compare):
@@ -272,17 +254,11 @@ def compile_expr(e: E.Expr) -> Callable:
         test = _COMPARISONS.get(e.op) or _raising(f"unknown comparison operator '{e.op}'", loc)
         def compare(cols, n, model):
             lefts, rights = lhs(cols, n, model), rhs(cols, n, model)
-            kinds = set(map(type, lefts))
-            if len(kinds) != 1 or kinds != set(map(type, rights)) \
-                    or ordered and not kinds <= _ORDERED:
-                for left, right in zip(lefts, rights):
-                    if type(left) is type(right) and (not ordered or type(left) in _ORDERED):
-                        continue
-                    label = _type_label(left)
-                    if label != _type_label(right):
-                        raise EvalError(f"cannot compare {label} with {_type_label(right)}", loc)
-                    if ordered and label not in ("integer", "string"):
-                        raise EvalError(f"ordering is not defined on {label} values", loc)
+            label, other = _type_label(lefts[0]), _type_label(rights[0])
+            if label != other:
+                raise EvalError(f"cannot compare {label} with {other}", loc)
+            if ordered and label not in ("integer", "string"):
+                raise EvalError(f"ordering is not defined on {label} values", loc)
             return list(map(test, lefts, rights))
         return compare
     if isinstance(e, (E.Forall, E.Exists)):
@@ -291,21 +267,12 @@ def compile_expr(e: E.Expr) -> Callable:
         outer = E.free_vars(e.body) - {var}  # the columns the body reads
         def quantifier(cols, n, model):
             results, flip = [universal] * n, not universal
-            for rows, items in _groups(_column(domain(cols, n, model), _TUPLE, tuple, loc)):
+            for rows, items in _groups(_column(domain(cols, n, model), tuple, loc)):
                 inner = {name: list(map(col.__getitem__, rows))
                          for name, col in cols.items() if name in outer}
                 inner[var] = items
-                try:
-                    values = body(inner, len(items), model)
-                except EvalError:
-                    if n > 1 or len(items) == 1:
-                        raise  # rows are run again one at a time above; one item is exact
-                    values = []  # the items again one at a time, in order
-                    for index in range(len(items)):
-                        values += body({name: [col[index]] for name, col in inner.items()},
-                                       1, model)
-                        _need(values[-1], bool, loc)
-                if flip in _column(values, _BOOL, bool, loc):
+                values = _column(body(inner, len(items), model), bool, loc)
+                if flip in values:
                     for row, value in zip(rows, values):
                         if value is flip:
                             results[row] = flip
@@ -314,26 +281,25 @@ def compile_expr(e: E.Expr) -> Callable:
     if isinstance(e, E.Not):
         operand = compile_expr(e.operand)
         return lambda cols, n, model: list(map(
-            operator.not_, _column(operand(cols, n, model), _BOOL, bool, loc)))
+            operator.not_, _column(operand(cols, n, model), bool, loc)))
     if isinstance(e, E.Implies):
         lhs, rhs = compile_expr(e.lhs), compile_expr(e.rhs)
         return lambda cols, n, model: list(map(  # implication is <= on booleans
-            operator.le, _column(lhs(cols, n, model), _BOOL, bool, loc),
-            _column(rhs(cols, n, model), _BOOL, bool, loc)))
+            operator.le, _column(lhs(cols, n, model), bool, loc),
+            _column(rhs(cols, n, model), bool, loc)))
     if not isinstance(e, E.Call):
         return _raising(f"not an expression node: {e!r}", loc)
     fn, runs = e.fn, list(map(compile_expr, e.args))
     if fn in ("size", "isEmpty") and len(runs) == 1:
         arg, count = runs[0], len if fn == "size" else operator.not_
         return lambda cols, n, model: list(map(
-            count, _column(arg(cols, n, model), _TUPLE, tuple, loc)))
+            count, _column(arg(cols, n, model), tuple, loc)))
     if fn == "hasStereotype" and len(runs) == 2:
         element_of, name_of = runs
         def has_stereotype(cols, n, model):
             verb = "hasStereotype expects"
-            elements = _column(element_of(cols, n, model), _ELEMENTS, _ELEMENT_TYPES, loc,
-                               "an element", verb)
-            names = _column(name_of(cols, n, model), _STR, str, loc, "a string", verb)
+            elements = _column(element_of(cols, n, model), _ELEMENT_TYPES, loc, "an element", verb)
+            names = _column(name_of(cols, n, model), str, loc, "a string", verb)
             return [name in stereotypes_of(element) for element, name in zip(elements, names)]
         return has_stereotype
     if fn == "exactlyOne" and runs:
@@ -341,7 +307,7 @@ def compile_expr(e: E.Expr) -> Callable:
             counts = [0] * n
             for run in runs:
                 counts = list(map(operator.add, counts,
-                                  _column(run(cols, n, model), _BOOL, bool, loc)))
+                                  _column(run(cols, n, model), bool, loc)))
             return [count == 1 for count in counts]
         return exactly_one
     arity = {"size": "exactly one argument", "isEmpty": "exactly one argument",

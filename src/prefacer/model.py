@@ -36,11 +36,11 @@ METACLASSES = frozenset({"Class", "Attribute", "Operation", "Statechart", "Trans
 #: No attribute, parameter or state may bear one (E017).
 UNREADABLE = KEYWORDS | {"self"}
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def is_identifier(text: str) -> bool:
-    return bool(_IDENT_RE.match(text))
+    return bool(_IDENT_RE.fullmatch(text))
 
 
 class MalformedPathError(ValueError):

@@ -497,6 +497,49 @@ def test_batch_agreement_is_seed_independent(seed):
         _batch_agrees_element_by_element(definition.body, model, definition.scope)
 
 
+def _recording_compiler(monkeypatch) -> list[tuple[int, set]]:
+    """Wraps every node ``compile_expr`` compiles (it recurses through the
+    module global); each run records its row count and its result's types."""
+
+    calls = []
+    compile_node = constraints.compile_expr
+
+    def compile_recorded(e):
+        run = compile_node(e)
+
+        def recorded(cols, n, model):
+            calls.append((n, None))
+            values = run(cols, n, model)
+            calls[-1] = (n, {type(value) for value in values})
+            return values
+        return recorded
+
+    monkeypatch.setattr(constraints, "compile_expr", compile_recorded)
+    return calls
+
+
+def test_every_column_holds_one_type_and_no_node_runs_on_no_rows(monkeypatch):
+    calls = _recording_compiler(monkeypatch)
+    rng = random.Random(2029)  # the models and bodies of the seeded agreement test
+    for _ in range(400):
+        model = random_model(rng, max_classes=rng.choice((3, 8, 14)))
+        check_constraints(model, eff_with(*_random_constraints(rng, 4)))
+    finished = [kinds for _, kinds in calls if kinds is not None]
+    assert len(finished) > 5_000
+    assert all(len(kinds) == 1 for kinds in finished)
+    assert all(n > 0 for n, _ in calls)
+
+
+def test_a_quantifier_over_empty_domains_runs_no_body(monkeypatch):
+    calls = _recording_compiler(monkeypatch)
+    model = _classes(("A", ""), ("B", ""))
+    body = '(a in self.attributes | a.name <> "x")'
+    assert _checked(model, "forall" + body) == []
+    assert _checked(model, "exists" + body) == [("E201", "A", "violated", None),
+                                                 ("E201", "B", "violated", None)]
+    assert calls and all(n > 0 for n, _ in calls)
+
+
 def _classes(*specs) -> Model:
     """Classes from ``(name, attribute names)`` pairs; a name that ends in
     ``()`` gives its class the operation ``f``."""
@@ -516,8 +559,7 @@ def _checked(model: Model, text: str) -> list[tuple]:
 def test_the_first_failing_item_gives_the_error():
     # Item x fails at the second conjunct; item y, after it, fails earlier,
     # at the first, where a batch of both items meets y's failure first.
-    # Alone, a class's items run in groups of 1, 2, 4...: w, x and y put x
-    # and y in one group.
+    # Alone, a class runs its items one at a time, so x's failure comes first.
     text = ('forall(a in self.attributes | (a.name <> "y" or size(a.name) = 0)'
             ' and (a.name <> "x" or 1 = "one"))')
     late = ("E202", "C", "could not be evaluated: cannot compare integer with string", "k:1:91")

@@ -75,7 +75,7 @@ def test_lookup_transition_by_index():
 
 @pytest.mark.parametrize("path", [
     "", " C", "C ", "a.b.c", "a/b/c", "a.b/c", "a/b.c", "1C", "C.", "C/",
-    "C.1x", "a b",
+    "C.1x", "a b", "C\n.m", "SC\n/0",
 ])
 def test_malformed_paths_raise(path):
     model = Model("m", (ClassDef("C"),), ())
@@ -181,6 +181,12 @@ def test_chart_problems_each_get_a_code():
     ))
     out = builtin_check(model)
     assert codes(out) == ["E003", "E010", "E012", "E014", "E011"]
+
+
+def test_an_event_with_a_trailing_newline_is_not_an_identifier():
+    model = Model("m", (ClassDef("C"),), (
+        Statechart("SC", "C", (State("a", initial=True),), (Transition("a", "a", "go\n"),)),))
+    assert codes(builtin_check(model)) == ["E014"]
 
 
 def test_duplicate_params_detected():
