@@ -40,9 +40,11 @@ input file that cannot be read or is not UTF-8, a preface directory that
 is missing or holds no package, an output path that cannot be written, a
 ``RunConfig`` without a field its command needs) with exit code 2,
 ``composition error:`` (import cycle, unknown import or root) with 3.
-Identical inputs produce identical output bytes.  No run ends in a traceback: any other exception
-(an evaluation too deep for the interpreter, say) is one ``internal error:
-<type>: <message>`` line, with exit code 2.
+Identical inputs produce identical output bytes.  No run ends in a
+traceback: any other exception (an evaluation too deep for the
+interpreter, say) is one ``internal error: <type>: <message>`` line, with
+exit code 2.  ``run`` pauses the cyclic garbage collector for the whole
+command, restoring the caller's setting on every exit (see ``textio``).
 
 All file I/O goes through ``_read_text`` and ``_write_text``: whole files
 of UTF-8 bytes, decoded and encoded in one call, with no text layer per
@@ -132,8 +134,7 @@ def _render(diags: list[Diagnostic], format: str, text: str, fields: dict) -> st
     ``json`` one object holding the diagnostics, then ``fields``."""
 
     if format == "json":
-        import json  # only here: start-up does without it
-        return json.dumps({"diagnostics": [
+        return _json({"diagnostics": [
             {
                 "severity": d.severity,
                 "code": d.code,
@@ -145,8 +146,22 @@ def _render(diags: list[Diagnostic], format: str, text: str, fields: dict) -> st
                 "provenance": d.provenance,
             }
             for d in diags
-        ], **fields}, indent=2) + "\n"
+        ], **fields}) + "\n"
     return render_diagnostics(diags) + text
+
+
+def _json(value, margin: str = "") -> str:
+    """``json.dumps(value, indent=2)``, without the reference cycle that its
+    encoder of indented text leaves behind on every call."""
+
+    from json import dumps  # only here: start-up does without it
+    if value.__class__ not in (dict, list) or not value:
+        return dumps(value)
+    inner = margin + "  "
+    items = ([f"{dumps(key)}: {_json(item, inner)}" for key, item in value.items()]
+             if value.__class__ is dict else [_json(item, inner) for item in value])
+    start, end = "{}" if value.__class__ is dict else "[]"
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}{end}"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +213,6 @@ def _child(directory: str, name: str) -> str:
     return name if directory == "." else os.path.join(directory, name)
 
 
-@collector_paused()  # once for the whole directory, not once per file
 def _load_repository(preface_dir: str, diags: list[Diagnostic],
                      root_id: str | None = None) -> PackageRepository:
     """The packages of ``preface_dir``: every one, or with ``root_id`` the
@@ -364,7 +378,8 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        return _run(config, stdout, stderr)
+        with collector_paused():
+            return _run(config, stdout, stderr)
     except Exception as failure:  # the last resort: one line, not a traceback
         stderr.write(f"internal error: {type(failure).__name__}: {failure}\n")
         return EXIT_USAGE

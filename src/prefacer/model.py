@@ -66,6 +66,7 @@ class Origin:
 
 
 AUTHORED = Origin("authored")
+NO_STEREOTYPES: frozenset[str] = frozenset()  # shared by every class without any
 
 
 @record
@@ -129,7 +130,7 @@ class ClassDef:
 
     name: str
     superclasses: tuple[str, ...] = ()
-    stereotypes: frozenset[str] = frozenset()
+    stereotypes: frozenset[str] = NO_STEREOTYPES
     tagged_values: tuple[tuple[str, LiteralValue], ...] = ()
     attributes: tuple[Attribute, ...] = ()
     operations: tuple[Operation, ...] = ()

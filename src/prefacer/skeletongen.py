@@ -166,17 +166,21 @@ def _call_sequences(chart: Statechart, max_len: int = 3) -> list[tuple[str, ...]
     for index, t in enumerate(chart.transitions):
         outgoing.setdefault(t.source, []).append((index, t))
     sequences: list[tuple[str, ...]] = []
-
-    def walk(state: str, used: frozenset[int], events: tuple[str, ...]) -> None:
-        for index, t in outgoing.get(state, ()):
-            if index in used:
-                continue
-            seq = events + (t.event,)
-            sequences.append(seq)
-            if len(seq) < max_len:
-                walk(t.target, used | {index}, seq)
-
-    walk(initials[0].name, frozenset(), ())
+    # A depth-first stack of (moves left to try, transitions used, events):
+    # a recursive inner function would hold itself through its closure cell,
+    # a cycle that keeps the chart alive until the cyclic collector runs.
+    stack = [(iter(outgoing.get(initials[0].name, ())), frozenset(), ())]
+    while stack:
+        moves, used, events = stack[-1]
+        for index, t in moves:
+            if index not in used:
+                seq = events + (t.event,)
+                sequences.append(seq)
+                if len(seq) < max_len:
+                    stack.append((iter(outgoing.get(t.target, ())), used | {index}, seq))
+                break
+        else:
+            stack.pop()
     return list(dict.fromkeys(sequences))
 
 

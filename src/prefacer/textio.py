@@ -37,11 +37,11 @@ what a parser built) exhaust the interpreter's recursion limit.
 import, matching ``_TOKEN`` one token at a time, and hands any text whose
 header is broken to ``parse_package`` for the error.
 
-``parse_expr``, ``parse_model`` and ``parse_package`` pause the cyclic
-garbage collector while they build their tree and then restore the
-caller's setting.  That is safe because a parse only allocates and its
-trees hold no reference cycles, so reference counting alone frees them;
-collections during the parse would only traverse the growing tree.
+``cli.run`` pauses the cyclic garbage collector once per command, and
+``parse_expr``, ``parse_model`` and ``parse_package`` pause it for library
+callers, each restoring the caller's setting.  Nothing ``cli.run`` makes
+holds a reference cycle (``tests/test_cli.py`` pins it), so reference
+counting alone frees it all; a collection would only traverse live trees.
 
 Printers emit a canonical form (two-space indentation, declaration order,
 ``LF`` line ends) chosen so that parse-print-parse is the identity on
@@ -68,7 +68,9 @@ from typing import Iterator, Sequence
 from . import expr as E
 from .diagnostics import LazyLocation, SourceLocation
 from .model import (
+    AUTHORED,
     METACLASSES,
+    NO_STEREOTYPES,
     Attribute,
     ClassDef,
     Invariant,
@@ -230,9 +232,6 @@ class _Parser:
         found = repr(text) if text else "end of input"
         return ParseError(f"expected {expected}, found {found}", self.loc(self.pos))
 
-    def at(self, text: str) -> bool:
-        return self.texts[self.pos] == text
-
     def eat(self, text: str) -> int:
         """Consume ``text``, or fail; the index of the token eaten."""
 
@@ -267,6 +266,15 @@ class _Parser:
     def expect_eof(self) -> None:
         if self.texts[self.pos]:
             raise self.fail("end of input")
+
+    def replay(self, index: int, *steps: str) -> None:
+        """Raise what the primitives raise on a member line read straight off
+        the token list: from the token at ``index``, ``ident`` each step that
+        describes a name (it has a blank) and ``eat`` each token text."""
+
+        self.pos = index
+        for step in steps:
+            self.ident(step) if " " in step else self.eat(step)
 
     def deeper(self, index: int) -> None:
         """Open one more nesting level at the token at ``index``."""
@@ -460,8 +468,8 @@ def collector_paused() -> Iterator[None]:
     A parse allocates its whole tree before any of it can die, so every
     collection it would trigger traverses the growing tree in vain; the
     trees hold no cycles, so reference counting alone frees them.  A
-    caller that parses many texts in a row, like the command line reading
-    a preface directory, pauses it once around the whole loop."""
+    caller that parses many texts, like a command of the command line,
+    pauses it once around all of its work."""
 
     enabled = gc.isenabled()
     gc.disable()
@@ -480,28 +488,6 @@ def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     return out
 
 
-def _parse_operation(p: _Parser, index: int) -> Operation:
-    name = p.ident("an operation name")
-    p.eat("(")
-    params: list[Param] = []
-    if not p.at(")"):
-        while True:
-            pname = p.ident("a parameter name")
-            p.eat(":")
-            params.append(Param(pname, p.ident("a type name")))
-            if not p.take(","):
-                break
-    p.eat(")")
-    pre = post = None
-    if p.take("pre"):
-        p.eat(":")
-        pre = p.expression()
-    if p.take("post"):
-        p.eat(":")
-        post = p.expression()
-    return Operation(name, tuple(params), pre, post, loc=p.loc(index))
-
-
 def _idents(p: _Parser, separator: str, what: str) -> list[str]:
     """One identifier, then more after each ``separator``: a comma-separated
     name list, a dashed transform id or a dotted option key."""
@@ -512,42 +498,70 @@ def _idents(p: _Parser, separator: str, what: str) -> list[str]:
     return idents
 
 
+def _parse_operation(p: _Parser, index: int) -> Operation:
+    texts = p.texts
+    if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "(":
+        p.replay(index + 1, "an operation name", "(")
+    at = index + 3
+    params: list[Param] = []
+    if texts[at] != ")":
+        while (texts[at][:1] in _IDENT_START and texts[at + 1] == ":"
+               and texts[at + 2][:1] in _IDENT_START):
+            params.append(Param(texts[at], texts[at + 2]))
+            at += 3
+            if texts[at] != ",":
+                break
+            at += 1
+        else:
+            p.replay(at, "a parameter name", ":", "a type name")
+        if texts[at] != ")":
+            p.replay(at, ")")
+    p.pos = at + 1
+    pre = post = None
+    if p.take("pre"):
+        p.eat(":")
+        pre = p.expression()
+    if p.take("post"):
+        p.eat(":")
+        post = p.expression()
+    return Operation(texts[index + 1], tuple(params), pre, post, None, AUTHORED,
+                     LazyLocation(index, p.table))
+
+
 def _parse_class(p: _Parser) -> ClassDef:
     loc = p.loc(p.eat("class"))
     name = p.ident("a class name")
     superclasses = _idents(p, ",", "a class name") if p.take("specializes") else []
-    stereotypes: list[str] = []
+    stereotypes = NO_STEREOTYPES
     if p.take("<<"):
-        stereotypes = _idents(p, ",", "a stereotype name")
+        stereotypes = frozenset(_idents(p, ",", "a stereotype name"))
         p.eat(">>")
     p.eat("{")
     attributes: list[Attribute] = []
     operations: list[Operation] = []
     invariants: list[Invariant] = []
-    texts = p.texts
-    while not p.take("}"):
+    texts, table = p.texts, p.table
+    while True:
         index = p.pos
         word = texts[index]
-        if word not in ("attribute", "operation", "invariant"):
-            raise p.fail("'attribute', 'operation', 'invariant' or '}'")
-        p.pos = index + 1
         if word == "attribute":
-            attr_name = p.ident("an attribute name")
-            p.eat(":")
-            attributes.append(
-                Attribute(attr_name, p.ident("a type name"), loc=p.loc(index)))
+            if not (texts[index + 1][:1] in _IDENT_START and texts[index + 2] == ":"
+                    and texts[index + 3][:1] in _IDENT_START):
+                p.replay(index + 1, "an attribute name", ":", "a type name")
+            attributes.append(Attribute(texts[index + 1], texts[index + 3], AUTHORED,
+                                        LazyLocation(index, table)))
+            p.pos = index + 4
         elif word == "operation":
             operations.append(_parse_operation(p, index))
+        elif word == "invariant":
+            p.pos = index + 1
+            invariants.append(Invariant(p.expression(), AUTHORED))
+        elif word == "}":
+            p.pos = index + 1
+            return ClassDef(name, tuple(superclasses), stereotypes, (), tuple(attributes),
+                            tuple(operations), tuple(invariants), loc)
         else:
-            invariants.append(Invariant(p.expression()))
-    return ClassDef(
-        name,
-        superclasses=tuple(superclasses),
-        stereotypes=frozenset(stereotypes),
-        attributes=tuple(attributes),
-        operations=tuple(operations),
-        invariants=tuple(invariants),
-        loc=loc)
+            raise p.fail("'attribute', 'operation', 'invariant' or '}'")
 
 
 def _parse_chart(p: _Parser) -> Statechart:
@@ -558,29 +572,34 @@ def _parse_chart(p: _Parser) -> Statechart:
     p.eat("{")
     states: list[State] = []
     transitions: list[Transition] = []
-    texts = p.texts
-    while not p.take("}"):
+    texts, table = p.texts, p.table
+    while True:
         index = p.pos
         word = texts[index]
         if word == "state" or word == "initial":
-            initial = p.take("initial")
-            state_index = p.eat("state")
-            states.append(State(p.ident("a state name"), initial, loc=p.loc(state_index)))
+            at = index + (word == "initial")  # the ``state`` token
+            if texts[at] != "state" or texts[at + 1][:1] not in _IDENT_START:
+                p.replay(at, "state", "a state name")
+            states.append(State(texts[at + 1], word == "initial", LazyLocation(at, table)))
+            p.pos = at + 2
         elif word == "transition":
-            p.pos = index + 1
-            source = p.ident("a state name")
-            p.eat("->")
-            target = p.ident("a state name")
-            p.eat("on")
-            event = p.ident("an event name")
+            if not (texts[index + 1][:1] in _IDENT_START and texts[index + 2] == "->"
+                    and texts[index + 3][:1] in _IDENT_START and texts[index + 4] == "on"
+                    and texts[index + 5][:1] in _IDENT_START):
+                p.replay(index + 1, "a state name", "->", "a state name", "on",
+                         "an event name")
+            p.pos = index + 6
             guard = None
             if p.take("["):
                 guard = p.expression()
                 p.eat("]")
-            transitions.append(Transition(source, target, event, guard, loc=p.loc(index)))
+            transitions.append(Transition(texts[index + 1], texts[index + 3], texts[index + 5],
+                                          guard, LazyLocation(index, table)))
+        elif word == "}":
+            p.pos = index + 1
+            return Statechart(name, attached_to, tuple(states), tuple(transitions), loc)
         else:
             raise p.fail("'state', 'initial', 'transition' or '}'")
-    return Statechart(name, attached_to, tuple(states), tuple(transitions), loc=loc)
 
 
 @collector_paused()

@@ -6,6 +6,7 @@ import argparse
 import gc
 import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import random_model
 from oracles import replay_view, snapshot_view
 from prefacer import cli as cli_module
 from prefacer.cli import (
@@ -26,7 +28,7 @@ from prefacer.cli import (
     run,
 )
 from prefacer.preface import resolve
-from prefacer.textio import parse_package
+from prefacer.textio import parse_package, print_model
 from test_locations import _edited
 from test_textio import LEX_PIECES
 
@@ -748,10 +750,18 @@ def test_unknown_import_exits_three(tmp_path):
     assert "ghost" in err
 
 
-def test_reading_a_preface_directory_pauses_the_collector_once(tmp_path):
+# ---------------------------------------------------------------------------
+# The collector: one pause per command, and nothing left for it to find
+# ---------------------------------------------------------------------------
+
+
+def test_a_command_over_a_hundred_packages_runs_at_most_one_collection(tmp_path):
+    preface_dir, model_path = _closure_dir(tmp_path, {})
+    imports = "\n".join(f'  import "p{i}"' for i in range(100))
+    (preface_dir / "root.preface").write_text(f'package "root" {{\n{imports}\n}}\n')
     for i in range(100):
         consts = "\n".join(f"  const c{j} = {j}" for j in range(40))
-        (tmp_path / f"p{i:03}.preface").write_text(f'package "p{i}" {{\n{consts}\n}}\n')
+        (preface_dir / f"p{i:03}.preface").write_text(f'package "p{i}" {{\n{consts}\n}}\n')
     started = []
 
     def count(phase, info):
@@ -761,12 +771,82 @@ def test_reading_a_preface_directory_pauses_the_collector_once(tmp_path):
     gc.collect()
     gc.callbacks.append(count)
     try:
-        repo = cli_module._load_repository(str(tmp_path), [])
+        result = cli(RunConfig("validate", str(preface_dir), "root", str(model_path)))
     finally:
         gc.callbacks.remove(count)
     # At most the one collection deferred to the moment the collector
-    # resumes; pausing per file lets about ten run between the files.
-    assert (len(repo), len(started) <= 1, gc.isenabled()) == (100, True, True)
+    # resumes; pausing per parse lets several run inside the command.
+    assert (result, len(started) <= 1, gc.isenabled()) == (
+        (EXIT_OK, "0 errors, 0 warnings\n", ""), True, True)
+
+
+def _exits(sample_dir, tmp_path, monkeypatch):
+    """Runs ending in each exit code, and in an internal error: the exit
+    code, how standard error starts, and the run."""
+
+    broken = tmp_path / "broken.model"
+    broken.write_text("model m\n  class {\n")
+    bad = tmp_path / "bad.model"
+    bad.write_text(BAD_MODEL)
+    yield EXIT_OK, "", config_for(sample_dir, "validate")
+    yield EXIT_DIAGNOSTICS, "error E007", config_for(sample_dir, "validate", model_path=str(bad))
+    yield EXIT_USAGE, "parse error:", config_for(sample_dir, "validate", model_path=str(broken))
+    yield EXIT_COMPOSITION, "composition error:", config_for(sample_dir, "validate",
+                                                             root_package="ghost")
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "check_constraints", boom)
+    yield EXIT_USAGE, "internal error:", config_for(sample_dir, "validate")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_every_exit_leaves_the_collector_as_the_caller_set_it(
+        sample_dir, tmp_path, monkeypatch, enabled):
+    seen, expected = [], []
+    try:
+        for code, stderr, config in _exits(sample_dir, tmp_path, monkeypatch):
+            (gc.enable if enabled else gc.disable)()
+            got, _, err = cli(config)
+            seen.append((got, err.startswith(stderr), gc.isenabled()))
+            expected.append((code, True, enabled))
+    finally:
+        gc.enable()
+    assert seen == expected
+
+
+def _no_cycle_projects(tmp_path):
+    """``sample/``, and three seeded models read against ``sample/defs``."""
+
+    yield str(SAMPLE / "defs"), str(SAMPLE / "example.model")
+    for seed in (2, 5, 7):  # each with a chart that skeleton walks
+        path = tmp_path / f"random-{seed}.model"
+        path.write_text(print_model(random_model(random.Random(seed))))
+        yield str(SAMPLE / "defs"), str(path)
+
+
+def test_no_command_leaves_a_reference_cycle(tmp_path):
+    # Then reference counting alone frees all that a command made.
+    runs = [RunConfig(command, preface_dir, "project-p", model_path, "max",
+                      str(tmp_path / f"{command}-{index}-{format}"), format)
+            for index, (preface_dir, model_path) in enumerate(_no_cycle_projects(tmp_path))
+            for command in cli_module._COMMANDS for format in ("text", "json")]
+    for config in runs[:2 * len(cli_module._COMMANDS)]:  # warm up: first-use imports
+        cli(config)
+    gc.collect()
+    found = []
+    gc.disable()
+    try:
+        for config in runs:
+            code = cli(config)[0]
+            found.append((config.command, config.model_path, config.format, code,
+                          gc.collect()))
+    finally:
+        gc.enable()
+    assert [run for run in found if run[4]] == []
+    assert {code for *_, code, _ in found} <= {EXIT_OK, EXIT_DIAGNOSTICS}
+    assert all(code == EXIT_OK for command, *_, code, _ in found if command == "skeleton")
 
 
 # ---------------------------------------------------------------------------
@@ -973,6 +1053,18 @@ def test_explain_json_of_an_unknown_key_is_one_document(sample_dir):
     # text mode keeps its one plain line
     assert cli(config_for(sample_dir, "explain", key="ghost"))[2] == (
         "error: 'ghost' is not defined by the preface\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_json_stderr_is_written_as_an_indented_dump(value):
+    assert cli_module._json(value) == json.dumps(value, indent=2)
 
 
 #: One name in all seven definition kinds.  Constants and options share one

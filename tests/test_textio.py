@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parse_oracle
 from generators import random_expr, random_model, random_package, random_repo
 from oracles import conjoin, format_expr_reference, lex_reference
 from report_oracle import report_reference
@@ -34,6 +35,7 @@ from prefacer.textio import (
     ImportAfterDefinitionError,
     ParseError,
     _scan,
+    _TOKEN,
     format_expr,
     parse_expr,
     parse_model,
@@ -853,3 +855,57 @@ def test_parsing_leaves_the_collector_as_the_caller_had_it(enabled):
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# ---------------------------------------------------------------------------
+# Member lines against the productions that read them one primitive at a time
+# ---------------------------------------------------------------------------
+
+#: The first words of member lines, and what a token is replaced with.
+MEMBER_WORDS = ("attribute", "operation", "invariant", "initial", "state", "transition")
+REPLACEMENTS = (":", "(", '"x"', "1")
+
+
+def _member_edits(text: str):
+    """Every text made from ``text`` by deleting, duplicating or replacing
+    one token of a line that starts with a member word, a replacement
+    being one of ``REPLACEMENTS`` or the end of input."""
+
+    spans = [found.span(1) for found in _TOKEN.finditer(text) if found.group(1)]
+    first: dict[int, str] = {}  # line number -> its first token
+    for start, end in spans:
+        first.setdefault(text.count("\n", 0, start), text[start:end])
+    for start, end in spans:
+        if first[text.count("\n", 0, start)] in MEMBER_WORDS:
+            yield text[:start] + text[end:]
+            yield text[:start] + text[start:end] + " " + text[start:]
+            yield from (text[:start] + other + text[end:] for other in REPLACEMENTS)
+            yield text[:start]
+
+
+def _parse_outcome(parse, text: str):
+    """The model with its ``repr`` and every located node, or the error."""
+
+    try:
+        model = parse(text, "m.model")
+    except ParseError as failure:
+        return type(failure), str(failure)
+    return model, repr(model), _located_nodes(model, "m.model")
+
+
+def test_member_lines_parse_as_the_primitives_read_them():
+    sources = [EVERY_NODE_MODEL, MODEL_SOURCE]
+    sources += [print_model(random_model(random.Random(seed), max_classes=3, max_states=4))
+                for seed in range(6)]
+    texts = [edited for source in sources for edited in (source, *_member_edits(source))]
+    outcomes = [(_parse_outcome(parse_oracle.parse_model, text),
+                 _parse_outcome(parse_model, text)) for text in texts]
+    assert [text for text, (old, new) in zip(texts, outcomes) if old != new] == []
+    # Both kinds of outcome, and every message a member line can fail with.
+    messages = {new[1].split(": ", 1)[1].split(", found")[0]
+                for _, new in outcomes if new[0] is ParseError}
+    assert {"expected an attribute name", "expected a type name", "expected ':'",
+            "expected an operation name", "expected '('", "expected a parameter name",
+            "expected ')'", "expected 'state'", "expected a state name", "expected '->'",
+            "expected 'on'", "expected an event name"} <= messages
+    assert sum(new[0] is not ParseError for _, new in outcomes) > len(sources)
