@@ -45,6 +45,9 @@ traceback: any other exception (an evaluation too deep for the
 interpreter, say) is one ``internal error: <type>: <message>`` line, with
 exit code 2.  ``run`` pauses the cyclic garbage collector for the whole
 command, restoring the caller's setting on every exit (see ``textio``).
+``main`` builds its argument parser on its first call and keeps it, so a
+process that runs many commands builds it once and no command leaves a
+reference cycle behind.
 
 All file I/O goes through ``_read_text`` and ``_write_text``: whole files
 of UTF-8 bytes, decoded and encoded in one call, with no text layer per
@@ -57,6 +60,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import IO
 
@@ -417,7 +421,11 @@ def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
     return EXIT_DIAGNOSTICS if failed else EXIT_OK
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on the first call: a
+    parser is a web of reference cycles, which only a collection frees."""
+
     parser = argparse.ArgumentParser(
         prog="prefacer",
         description="Compose definition packages, validate models against the "
@@ -441,7 +449,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(RunConfig(**vars(_build_arg_parser().parse_args(argv))))
+    return run(RunConfig(**vars(_arg_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

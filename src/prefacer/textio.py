@@ -8,9 +8,16 @@ Two line-oriented surface syntaxes share one expression sub-grammar:
   options, stereotypes, tag types, constraints, predicated rules and
   transform switches).
 
-Comments run from ``//`` to end of line in both.  Parsers are recursive
-descent over the token texts of one scan and fail with a located
-``ParseError``; they never guess.
+Comments run from ``//`` to end of line in both.  Parsers read the token
+texts of one scan and fail with a located ``ParseError``; they never
+guess.  A line of fixed shape (a class or chart head, a member line, a
+package definition line) reads its tokens by index off the token list,
+checks each where it stands, builds its record positionally and moves the
+position once, past the line.  A token out of place replays the checked
+primitives (``ident``, ``eat``, ``metaclass``) from the start of that
+part of the line, and they raise the same ``ParseError`` at the same
+token; there is no second way through the grammar.  Expressions are
+parsed by precedence climbing (see ``_Parser.expression``).
 
 The scanner is one ``findall`` of one regular expression, so the whole
 text is cut up in C into one flat list of token texts, with no tuple or
@@ -19,15 +26,16 @@ then the token, or one character no token accepts, or ``""`` at the end.
 Identifiers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``, what
 ``model.is_identifier`` accepts) and integers are runs of ASCII digits;
 any other character outside a string or comment is a located
-"unexpected character".  A string keeps its quotes, so the first
-character of a text tells its kind: a letter or ``_`` starts an
-identifier, a digit an integer, ``"`` a string, anything else is a
-symbol, and the empty text is the end of input.  A node, an element or a
-``ParseError`` keeps a ``LazyLocation``: its token's index and the
-parse's ``_token_table`` (file name and text, no token list).  On the
-first read of a location the table finds every token start, in one more
-pass of the same expression, and the line starts; a parse none of whose
-locations is read never pays for them.
+"unexpected character" (one match of ``_CLEAN`` tells a text that has
+none).  A string keeps its quotes, so the first character of a text
+tells its kind: a letter or ``_`` starts an identifier, a digit an
+integer, ``"`` a string, anything else is a symbol, and the empty text
+is the end of input.  A node, an element or a ``ParseError`` keeps a
+``LazyLocation``: its token's index and the parse's ``_token_table``
+(file name and text, no token list).  On the first read of a location
+the table finds every token start, in one more pass of the same
+expression, and the line starts; a parse none of whose locations is
+read never pays for them.
 
 Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
 located ``ParseError``, so no text makes a parser (or the evaluator, on
@@ -40,8 +48,10 @@ header is broken to ``parse_package`` for the error.
 ``cli.run`` pauses the cyclic garbage collector once per command, and
 ``parse_expr``, ``parse_model`` and ``parse_package`` pause it for library
 callers, each restoring the caller's setting.  Nothing ``cli.run`` makes
-holds a reference cycle (``tests/test_cli.py`` pins it), so reference
-counting alone frees it all; a collection would only traverse live trees.
+holds a reference cycle, nor does ``cli.main`` after its first call, which
+builds the argument parser it keeps (``tests/test_cli.py`` pins both), so
+reference counting alone frees it all; a collection would only traverse
+live trees.
 
 Printers emit a canonical form (two-space indentation, declaration order,
 ``LF`` line ends) chosen so that parse-print-parse is the identity on
@@ -60,6 +70,7 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from itertools import accumulate
@@ -126,17 +137,30 @@ MAX_NESTING = 100
 #: Blanks, line ends and comments, then the one group: a token
 #: (two-character symbols before one-character ones), or one character no
 #: token accepts (a stray quote is an unterminated string), or ``""`` at
-#: the end of input.
-_TOKEN = re.compile(r"""
-    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
-    ( [A-Za-z_][A-Za-z0-9_]*
-    | [0-9]+
-    | "[^"\n]*"
+#: the end of input.  The group's last choice always matches, so no match
+#: backtracks into a repeat: each repeat is possessive, which spares the
+#: matcher its backtracking marks and changes no match.
+_TOKEN_PATTERN = r"""
+    [ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+
+    ( [A-Za-z_][A-Za-z0-9_]*+
+    | [0-9]++
+    | "[^"\n]*+"
     | ->|<<|>>|<>|<=|>=|[{}()\[\]:,=.<>+|-]
     | .
     |
     )
-""", re.VERBOSE)
+"""
+if sys.version_info < (3, 11):  # no possessive repeats: the same matches, slower
+    _TOKEN_PATTERN = _TOKEN_PATTERN.replace("*+", "*").replace("++", "+")
+_TOKEN = re.compile(_TOKEN_PATTERN, re.VERBOSE)
+
+#: A text in which no token refuses a character: runs of the characters
+#: tokens and blanks are made of, strings and comments.  Each run is taken
+#: whole (the lookaheads keep a failing match from trying shorter ones),
+#: so the match fails in linear time too.
+_TOKEN_CHARS = r"[A-Za-z0-9_ \t\r\n{}()\[\]:,=.<>+|-]"
+_CLEAN = re.compile(
+    "(?:" + _TOKEN_CHARS + "+(?!" + _TOKEN_CHARS + r""")|"[^"\n]*"|//[^\n]*(?![^\n]))*""")
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
@@ -153,8 +177,9 @@ def _scan(source: str, file: str):
     if len(texts) > 1 and not texts[-2]:
         texts.pop()
     table = _token_table(file, source)
-    refused = [text for text in set(texts) if len(text) == 1 and text not in _SINGLE]
-    if refused:
+    # One match clears a text; in any other, a token refuses a character.
+    if not _CLEAN.fullmatch(source):
+        refused = [text for text in set(texts) if len(text) == 1 and text not in _SINGLE]
         index = min(map(texts.index, refused))
         found = texts[index]
         raise ParseError(
@@ -202,10 +227,28 @@ def _token_table(file: str, text: str):
 # Parser plumbing
 # ---------------------------------------------------------------------------
 
-_COMPARE = frozenset(E.COMPARE_OPS)
-
 #: The built-in calls of the expression grammar.
 _CALLS = frozenset({"size", "isEmpty", "hasStereotype", "exactlyOne"})
+
+#: Expression levels, loosest first, which the parser and the printer
+#: share; ``_END`` is the level of a token that continues no expression.
+_END, _IMPLIES, _OR, _AND, _NOT, _CMP, _ADD, _POSTFIX = range(8)
+
+#: Binary operators spelled the same in every node: the text between the
+#: operands, the operator's own level, and the floors its left and right
+#: operands print at.  ``Compare`` spells its own operator.
+_INFIX: dict[type, tuple[str, int, int, int]] = {
+    E.Implies: (" implies ", _IMPLIES, _OR, _IMPLIES),
+    E.Or: (" or ", _OR, _OR, _AND),
+    E.And: (" and ", _AND, _AND, _NOT),
+    E.Add: (" + ", _ADD, _ADD, _POSTFIX),
+    E.Sub: (" - ", _ADD, _ADD, _POSTFIX),
+}
+
+#: Each binary operator's text: its level and the node it makes.
+_BINARY = {text.strip(): (level, node) for node, (text, level, _, _) in _INFIX.items()}
+_BINARY.update(dict.fromkeys(E.COMPARE_OPS, (_CMP, E.Compare)))
+_NO_OPERATOR = (_END, None)
 
 
 class _Parser:
@@ -268,13 +311,20 @@ class _Parser:
             raise self.fail("end of input")
 
     def replay(self, index: int, *steps: str) -> None:
-        """Raise what the primitives raise on a member line read straight off
-        the token list: from the token at ``index``, ``ident`` each step that
-        describes a name (it has a blank) and ``eat`` each token text."""
+        """Raise what the primitives raise on a line read straight off the
+        token list: from the token at ``index``, read each step with
+        ``metaclass`` if it is "a metaclass name", with ``ident`` if it
+        describes another name (it has a blank), and else ``eat`` it.  A
+        caller whose check is stricter than its steps raises after them."""
 
         self.pos = index
         for step in steps:
-            self.ident(step) if " " in step else self.eat(step)
+            if step == "a metaclass name":
+                self.metaclass()
+            elif " " in step:
+                self.ident(step)
+            else:
+                self.eat(step)
 
     def deeper(self, index: int) -> None:
         """Open one more nesting level at the token at ``index``."""
@@ -286,95 +336,86 @@ class _Parser:
 
     # -- shared expression grammar -------------------------------------------
     #
-    # Five methods, one per frame of the recursion through a nesting level:
-    # ``expression`` (implies, or), ``_conjunction`` (and), ``_negation``
-    # (not, comparison), ``_sum`` (+ -) and ``_operand`` (literals,
-    # variables, groups, calls, quantifiers, navigation).
+    # Precedence climbing, after Pratt's "Top down operator precedence"
+    # (POPL 1973): two methods, so one frame each per nesting level.
+    # ``expression`` reads the operands of one level left to right, with the
+    # ``not``s before them and the binary operators between them;
+    # ``_operand`` reads a literal, a variable, a group, a call or a
+    # quantifier, then the navigations from it.
 
     def expression(self) -> E.Expr:
-        texts = self.texts
-        out = self._conjunction()
-        while texts[self.pos] == "or":
-            index = self.pos
-            self.pos = index + 1
-            out = E.Or(out, self._conjunction(), loc=self.loc(index))
-        if texts[self.pos] != "implies":
-            return out
-        index = self.pos
-        self.pos = index + 1
-        self.deeper(index)
-        rhs = self.expression()
-        self.depth -= 1
-        return E.Implies(out, rhs, loc=self.loc(index))
+        """An expression.  Each operator waits on a stack until one no
+        tighter than it follows its right operand (for ``implies``, one
+        looser: it groups to the right); that completes the operand.  A
+        ``not`` waits the same way, at its own level, for the negation it
+        starts: its ``not``s, then a sum, then maybe a comparison and a
+        second sum."""
 
-    def _conjunction(self) -> E.Expr:
-        texts = self.texts
-        out = self._negation()
-        while texts[self.pos] == "and":
-            index = self.pos
-            self.pos = index + 1
-            out = E.And(out, self._negation(), loc=self.loc(index))
-        return out
-
-    def _negation(self) -> E.Expr:
-        texts = self.texts
-        first = self.pos
-        while texts[self.pos] == "not":
-            self.deeper(self.pos)
-            self.pos += 1
-        nots = range(first, self.pos)
-        out = self._sum()
-        index = self.pos
-        if texts[index] in _COMPARE:
-            self.pos = index + 1
-            out = E.Compare(texts[index], out, self._sum(), loc=self.loc(index))
-        for index in reversed(nots):
-            out = E.Not(out, loc=self.loc(index))
-        self.depth -= len(nots)
-        return out
-
-    def _sum(self) -> E.Expr:
-        texts = self.texts
-        out = self._operand()
+        texts, table = self.texts, self.table
+        depth = self.depth
+        # (level, node, left operand or None for a ``not``, operator index)
+        waiting: list = []
+        negation = True  # one starts first, and after 'and', 'or' and 'implies'
         while True:
+            if negation:
+                compared = False
+                while texts[self.pos] == "not":
+                    self.deeper(self.pos)
+                    waiting.append((_NOT, E.Not, None, self.pos))
+                    self.pos += 1
+            out = self._operand()
             index = self.pos
-            op = texts[index]
-            if op == "+":
-                node = E.Add
-            elif op == "-":
-                node = E.Sub
-            else:
+            level, node = _BINARY.get(texts[index], _NO_OPERATOR)
+            if level == _CMP:
+                if compared:  # comparisons do not chain: it ends here
+                    level = _END
+                compared = True
+            floor = level + 1 if level == _IMPLIES else level
+            while waiting and waiting[-1][0] >= floor:
+                _, make, lhs, at = waiting.pop()
+                if lhs is None:
+                    out = make(out, LazyLocation(at, table))
+                    self.depth -= 1
+                elif make is E.Compare:
+                    out = make(texts[at], lhs, out, LazyLocation(at, table))
+                else:
+                    out = make(lhs, out, LazyLocation(at, table))
+            if level == _END:
+                self.depth = depth  # each 'implies' opened a level
                 return out
+            waiting.append((level, node, out, index))
             self.pos = index + 1
-            out = node(out, self._operand(), loc=self.loc(index))
+            if level == _IMPLIES:
+                self.deeper(index)
+            negation = level <= _AND
 
     def _operand(self) -> E.Expr:
-        texts = self.texts
+        texts, table = self.texts, self.table
         index = self.pos
         text = texts[index]
         head = text[:1]
         if head in _IDENT_START:
-            if text in E.KEYWORDS:
-                if text == "true" or text == "false":
-                    self.pos = index + 1
-                    out = E.Literal(text == "true", loc=self.loc(index))
-                elif text == "forall" or text == "exists":
-                    out = self._quantifier(index)
+            if text not in E.KEYWORDS:
+                # A call is told by the next text with any quotes taken off,
+                # so ``size "("`` fails at the string, expecting '('.
+                if text in _CALLS and texts[index + 1] in ("(", '"("'):
+                    out = self._call(index)
                 else:
-                    raise self.fail("an expression")
-            # A call is told by the next text with any quotes taken off, so
-            # ``size "("`` fails at the string, expecting '('.
-            elif text in _CALLS and texts[index + 1] in ("(", '"("'):
-                out = self._call(index)
-            else:
+                    self.pos = index + 1
+                    out = E.VarRef(text, LazyLocation(index, table))
+            elif text == "true" or text == "false":
                 self.pos = index + 1
-                out = E.VarRef(text, loc=self.loc(index))
+                out = E.Literal(text == "true", LazyLocation(index, table))
+            elif text == "forall" or text == "exists":
+                out = self._quantifier(index)
+            else:
+                raise self.fail("an expression")
         elif head in _DIGITS:
             self.pos = index + 1
-            out = E.Literal(int(text), loc=self.loc(index))
+            out = E.Literal(int(text), LazyLocation(index, table))
         elif head == '"':
             self.pos = index + 1
-            out = E.Literal(text[1:-1], loc=self.loc(index))
+            out = E.Literal(text[1:-1], LazyLocation(index, table))
         elif text == "(":
             self.pos = index + 1
             self.deeper(index)
@@ -383,24 +424,32 @@ class _Parser:
             self.depth -= 1
         else:
             raise self.fail("an expression")
-        while texts[self.pos] == ".":
-            index = self.pos + 1
-            self.pos = index
-            out = E.Nav(out, self.ident("a feature name"), loc=self.loc(index))
+        index = self.pos
+        while texts[index] == ".":
+            index += 1
+            if texts[index][:1] not in _IDENT_START:
+                self.pos = index
+                raise self.fail("a feature name")
+            out = E.Nav(out, texts[index], LazyLocation(index, table))
+            index += 1
+        self.pos = index
         return out
 
     def _quantifier(self, index: int) -> E.Expr:
-        node = E.Forall if self.texts[index] == "forall" else E.Exists
-        self.pos = index + 1
-        self.deeper(self.eat("("))
-        var = self.ident("a variable name")
-        self.eat("in")
+        texts = self.texts
+        if texts[index + 1] != "(":
+            self.replay(index + 1, "(")
+        self.deeper(index + 1)
+        if texts[index + 2][:1] not in _IDENT_START or texts[index + 3] != "in":
+            self.replay(index + 2, "a variable name", "in")
+        self.pos = index + 4
         domain = self.expression()
         self.eat("|")
         body = self.expression()
         self.eat(")")
         self.depth -= 1
-        return node(var, domain, body, loc=self.loc(index))
+        node = E.Forall if texts[index] == "forall" else E.Exists
+        return node(texts[index + 2], domain, body, LazyLocation(index, self.table))
 
     def _call(self, index: int) -> E.Expr:
         fn = self.texts[index]
@@ -411,7 +460,7 @@ class _Parser:
             self.eat(",")
             name_index = self.pos
             name = self.string("a stereotype name string")
-            args: tuple[E.Expr, ...] = (element, E.Literal(name, loc=self.loc(name_index)))
+            args: tuple[E.Expr, ...] = (element, E.Literal(name, self.loc(name_index)))
         elif fn == "exactlyOne":
             found = [self.expression()]
             while self.take(","):
@@ -421,7 +470,7 @@ class _Parser:
             args = (self.expression(),)
         self.eat(")")
         self.depth -= 1
-        return E.Call(fn, args, loc=self.loc(index))
+        return E.Call(fn, args, self.loc(index))
 
     # -- literals (package constants) ----------------------------------------
 
@@ -488,14 +537,17 @@ def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     return out
 
 
-def _idents(p: _Parser, separator: str, what: str) -> list[str]:
-    """One identifier, then more after each ``separator``: a comma-separated
-    name list, a dashed transform id or a dotted option key."""
+def _names(p: _Parser, index: int, separator: str, what: str) -> int:
+    """Where names joined by ``separator`` from the token at ``index`` end,
+    the index after the last name: a comma-separated name list, a dashed
+    transform id or a dotted option key."""
 
-    idents = [p.ident(what)]
-    while p.take(separator):
-        idents.append(p.ident(what))
-    return idents
+    texts = p.texts
+    while texts[index][:1] in _IDENT_START and texts[index + 1] == separator:
+        index += 2
+    if texts[index][:1] not in _IDENT_START:
+        p.replay(index, what)
+    return index + 1
 
 
 def _parse_operation(p: _Parser, index: int) -> Operation:
@@ -528,19 +580,27 @@ def _parse_operation(p: _Parser, index: int) -> Operation:
                      LazyLocation(index, p.table))
 
 
-def _parse_class(p: _Parser) -> ClassDef:
-    loc = p.loc(p.eat("class"))
-    name = p.ident("a class name")
-    superclasses = _idents(p, ",", "a class name") if p.take("specializes") else []
+def _parse_class(p: _Parser, start: int) -> ClassDef:
+    texts, table = p.texts, p.table
+    if texts[start + 1][:1] not in _IDENT_START:
+        p.replay(start + 1, "a class name")
+    index = start + 2
+    superclasses = ()
+    if texts[index] == "specializes":
+        end = _names(p, index + 1, ",", "a class name")
+        superclasses, index = tuple(texts[index + 1:end:2]), end
     stereotypes = NO_STEREOTYPES
-    if p.take("<<"):
-        stereotypes = frozenset(_idents(p, ",", "a stereotype name"))
-        p.eat(">>")
-    p.eat("{")
+    if texts[index] == "<<":
+        end = _names(p, index + 1, ",", "a stereotype name")
+        stereotypes, index = frozenset(texts[index + 1:end:2]), end + 1
+        if texts[end] != ">>":
+            p.replay(end, ">>")
+    if texts[index] != "{":
+        p.replay(index, "{")
+    p.pos = index + 1
     attributes: list[Attribute] = []
     operations: list[Operation] = []
     invariants: list[Invariant] = []
-    texts, table = p.texts, p.table
     while True:
         index = p.pos
         word = texts[index]
@@ -558,21 +618,20 @@ def _parse_class(p: _Parser) -> ClassDef:
             invariants.append(Invariant(p.expression(), AUTHORED))
         elif word == "}":
             p.pos = index + 1
-            return ClassDef(name, tuple(superclasses), stereotypes, (), tuple(attributes),
-                            tuple(operations), tuple(invariants), loc)
+            return ClassDef(texts[start + 1], superclasses, stereotypes, (), tuple(attributes),
+                            tuple(operations), tuple(invariants), LazyLocation(start, table))
         else:
             raise p.fail("'attribute', 'operation', 'invariant' or '}'")
 
 
-def _parse_chart(p: _Parser) -> Statechart:
-    loc = p.loc(p.eat("statechart"))
-    name = p.ident("a statechart name")
-    p.eat("for")
-    attached_to = p.ident("a class name")
-    p.eat("{")
+def _parse_chart(p: _Parser, start: int) -> Statechart:
+    texts, table = p.texts, p.table
+    if not (texts[start + 1][:1] in _IDENT_START and texts[start + 2] == "for"
+            and texts[start + 3][:1] in _IDENT_START and texts[start + 4] == "{"):
+        p.replay(start + 1, "a statechart name", "for", "a class name", "{")
+    p.pos = start + 5
     states: list[State] = []
     transitions: list[Transition] = []
-    texts, table = p.texts, p.table
     while True:
         index = p.pos
         word = texts[index]
@@ -597,7 +656,8 @@ def _parse_chart(p: _Parser) -> Statechart:
                                           guard, LazyLocation(index, table)))
         elif word == "}":
             p.pos = index + 1
-            return Statechart(name, attached_to, tuple(states), tuple(transitions), loc)
+            return Statechart(texts[start + 1], texts[start + 3], tuple(states),
+                              tuple(transitions), LazyLocation(start, table))
         else:
             raise p.fail("'state', 'initial', 'transition' or '}'")
 
@@ -614,11 +674,12 @@ def parse_model(source: str, file: str = "<model>") -> Model:
     charts: list[Statechart] = []
     texts = p.texts
     while True:
-        word = texts[p.pos]
+        index = p.pos
+        word = texts[index]
         if word == "class":
-            classes.append(_parse_class(p))
+            classes.append(_parse_class(p, index))
         elif word == "statechart":
-            charts.append(_parse_chart(p))
+            charts.append(_parse_chart(p, index))
         elif not word:
             return Model(name, tuple(classes), tuple(charts), loc=loc)
         else:
@@ -629,84 +690,120 @@ def parse_model(source: str, file: str = "<model>") -> Model:
 # Package parsing
 # ---------------------------------------------------------------------------
 
-# Each definition parser starts after its keyword, whose location it is given.
+# Each definition line is read by index from its keyword's, ``index``, and
+# leaves ``p.pos`` after its last token.
 
 
-def _parse_const(p: _Parser, loc: SourceLocation) -> Definition:
-    key = p.ident("a constant name")
-    p.eat("=")
-    return ConstDef(key, p.literal(), loc=loc)
+def _parse_const(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "=":
+        p.replay(index + 1, "a constant name", "=")
+    p.pos = index + 3
+    return ConstDef(texts[index + 1], p.literal(), LazyLocation(index, p.table))
 
 
-def _parse_option(p: _Parser, loc: SourceLocation) -> Definition:
-    key = ".".join(_idents(p, ".", "an option key"))
-    p.eat("=")
-    return OptionDef(key, p.ident("an option value"), loc=loc)
+def _parse_option(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    end = _names(p, index + 1, ".", "an option key")
+    if texts[end] != "=" or texts[end + 1][:1] not in _IDENT_START:
+        p.replay(end, "=", "an option value")
+    p.pos = end + 2
+    return OptionDef("".join(texts[index + 1:end]), texts[end + 1],
+                     LazyLocation(index, p.table))
 
 
-def _parse_stereotype(p: _Parser, loc: SourceLocation) -> Definition:
-    name = p.ident("a stereotype name")
-    p.eat("on")
-    base = p.metaclass()
-    required = _idents(p, ",", "a tag name") if p.take("requires") else []
-    return StereotypeDef(name, base, tuple(required), loc=loc)
+def _parse_stereotype(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    if (texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "on"
+            or texts[index + 3] not in METACLASSES):
+        p.replay(index + 1, "a stereotype name", "on", "a metaclass name")
+    end = index + 4
+    if texts[end] == "requires":
+        end = _names(p, index + 5, ",", "a tag name")
+    p.pos = end
+    # Without ``requires`` the slice of tag names is empty.
+    return StereotypeDef(texts[index + 1], texts[index + 3], tuple(texts[index + 5:end:2]),
+                         LazyLocation(index, p.table))
 
 
-def _parse_tagdef(p: _Parser, loc: SourceLocation) -> Definition:
-    name = p.ident("a tag name")
-    p.eat(":")
-    index = p.pos
-    value_type = p.ident("'string', 'int' or 'bool'")
-    if value_type not in ("string", "int", "bool"):
+def _parse_tagdef(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    if (texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != ":"
+            or texts[index + 3] not in ("string", "int", "bool")):
+        p.replay(index + 1, "a tag name", ":", "'string', 'int' or 'bool'")
         raise ParseError(
-            f"'{value_type}' is not a tag type (expected string, int or bool)",
-            p.loc(index))
-    return TagDef(name, value_type, loc=loc)
+            f"'{texts[index + 3]}' is not a tag type (expected string, int or bool)",
+            p.loc(index + 3))
+    p.pos = index + 4
+    return TagDef(texts[index + 1], texts[index + 3], LazyLocation(index, p.table))
 
 
-def _parse_constraint(p: _Parser, loc: SourceLocation) -> Definition:
-    name = p.ident("a constraint name")
-    p.eat("on")
-    scope = p.metaclass()
+def _parse_constraint(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    if (texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "on"
+            or texts[index + 3] not in METACLASSES):
+        p.replay(index + 1, "a constraint name", "on", "a metaclass name")
+    at = index + 4
     severity = "error"
-    if p.take("severity"):
-        index = p.pos
-        severity = p.ident("'error' or 'warning'")
-        if severity not in ("error", "warning"):
+    if texts[at] == "severity":
+        severity = texts[at + 1]
+        if severity != "error" and severity != "warning":
+            p.replay(at + 1, "'error' or 'warning'")
             raise ParseError(
                 f"'{severity}' is not a severity (expected error or warning)",
-                p.loc(index))
-    p.eat(":")
-    return ConstraintDef(name, scope, severity, p.expression(), loc=loc)
+                p.loc(at + 1))
+        at += 2
+    if texts[at] != ":":
+        p.replay(at, ":")
+    p.pos = at + 1
+    return ConstraintDef(texts[index + 1], texts[index + 3], severity, p.expression(),
+                         LazyLocation(index, p.table))
 
 
-def _parse_rule(p: _Parser, loc: SourceLocation) -> Definition:
-    key = p.ident("a property key")
-    p.eat("when")
+#: The predicate of every ``rule … when all``.
+_MATCH_ALL = MatchAll()
+
+
+def _parse_rule(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "when":
+        p.replay(index + 1, "a property key", "when")
+    at = index + 3
+    word = texts[at]
     predicate: Predicate
-    if p.take("all"):
-        predicate = MatchAll()
-    elif p.take("stereotype"):
-        p.eat("(")
-        predicate = HasStereotype(p.ident("a stereotype name"))
-        p.eat(")")
-    elif p.take("metaclass"):
-        p.eat("(")
-        predicate = IsMetaclass(p.metaclass())
-        p.eat(")")
+    if word == "all":
+        predicate = _MATCH_ALL
+        at += 1
+    elif word == "stereotype":
+        if (texts[at + 1] != "(" or texts[at + 2][:1] not in _IDENT_START
+                or texts[at + 3] != ")"):
+            p.replay(at + 1, "(", "a stereotype name", ")")
+        predicate = HasStereotype(texts[at + 2])
+        at += 4
+    elif word == "metaclass":
+        if texts[at + 1] != "(" or texts[at + 2] not in METACLASSES or texts[at + 3] != ")":
+            p.replay(at + 1, "(", "a metaclass name", ")")
+        predicate = IsMetaclass(texts[at + 2])
+        at += 4
     else:
+        p.pos = at
         raise p.fail("'all', 'stereotype(...)' or 'metaclass(...)'")
-    p.eat("=")
-    return PredicatedRuleDef(key, predicate, p.ident("a value"), loc=loc)
+    if texts[at] != "=" or texts[at + 1][:1] not in _IDENT_START:
+        p.replay(at, "=", "a value")
+    p.pos = at + 2
+    return PredicatedRuleDef(texts[index + 1], predicate, texts[at + 1],
+                             LazyLocation(index, p.table))
 
 
-def _parse_transform(p: _Parser, loc: SourceLocation) -> Definition:
-    transform_id = "-".join(_idents(p, "-", "a transform id"))
-    if p.take("on"):
-        return TransformSelection(transform_id, True, loc=loc)
-    if p.take("off"):
-        return TransformSelection(transform_id, False, loc=loc)
-    raise p.fail("'on' or 'off'")
+def _parse_transform(p: _Parser, index: int) -> Definition:
+    texts = p.texts
+    end = _names(p, index + 1, "-", "a transform id")
+    if texts[end] != "on" and texts[end] != "off":
+        p.pos = end
+        raise p.fail("'on' or 'off'")
+    p.pos = end + 1
+    return TransformSelection("".join(texts[index + 1:end]), texts[end] == "on",
+                              LazyLocation(index, p.table))
 
 
 _DEFINITIONS = {
@@ -733,17 +830,20 @@ def parse_package(source: str, file: str = "<package>") -> Package:
         imports.append(p.string("a quoted package id"))
     definitions: list[Definition] = []
     texts = p.texts
-    while not p.take("}"):
+    while True:
         index = p.pos
         word = texts[index]
         parse = _DEFINITIONS.get(word)
-        if parse is None:
-            if word == "import":
-                raise ImportAfterDefinitionError(
-                    "imports must precede all definitions", p.loc(index))
+        if parse is not None:
+            definitions.append(parse(p, index))
+        elif word == "}":
+            break
+        elif word == "import":
+            raise ImportAfterDefinitionError(
+                "imports must precede all definitions", p.loc(index))
+        else:
             raise p.fail("a definition or '}'")
-        p.pos = index + 1
-        definitions.append(parse(p, p.loc(index)))
+    p.pos = index + 1
     p.expect_eof()
     return Package(pkg_id, tuple(imports), tuple(definitions), loc=loc)
 
@@ -775,20 +875,6 @@ def read_package_header(source: str, file: str = "<package>") -> Package:
 # ---------------------------------------------------------------------------
 # Expression printing
 # ---------------------------------------------------------------------------
-
-_IMPLIES, _OR, _AND, _NOT, _CMP, _ADD, _POSTFIX = range(1, 8)
-
-#: Binary operators spelled the same in every node: the text between the
-#: operands, the operator's own level, and the floors its left and right
-#: operands print at.  ``Compare`` spells its own operator.
-_INFIX: dict[type, tuple[str, int, int, int]] = {
-    E.Implies: (" implies ", _IMPLIES, _OR, _IMPLIES),
-    E.Or: (" or ", _OR, _OR, _AND),
-    E.And: (" and ", _AND, _AND, _NOT),
-    E.Add: (" + ", _ADD, _ADD, _POSTFIX),
-    E.Sub: (" - ", _ADD, _ADD, _POSTFIX),
-}
-
 
 def format_expr(e: E.Expr) -> str:
     """Canonical text of an expression, with the fewest parentheses that

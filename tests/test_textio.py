@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import re
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -773,7 +774,7 @@ def _compare_with_reference(source: str) -> str:
 
 LEX_PIECES = (
     *"{}()[]:,=.<>+-|", "->", "<<", ">>", "<>", "<=", ">=",
-    " ", "\t", "\r", "\n", "//", '"', "\f", "\v", "\u00a0",
+    " ", "\t", "\r", "\n", "//", "/", '"', "\f", "\v", "\u00a0",
     "\u00e9", "\u00b2", "\u0661",
     "a", "Z", "_", "x1", "and", "not", "0", "42", "007", '"s t"', "// c\n",
 )
@@ -788,7 +789,7 @@ def test_lexer_matches_the_reference_on_random_text():
         # lex to the end.
         benign = rng.random() < 0.5
         pieces = [piece for piece in LEX_PIECES
-                  if not benign or piece not in ('"', "\f", "\v", "\u00a0")]
+                  if not benign or piece not in ("/", '"', "\f", "\v", "\u00a0")]
         source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
         outcome = _compare_with_reference(source)
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
@@ -858,54 +859,139 @@ def test_parsing_leaves_the_collector_as_the_caller_had_it(enabled):
 
 
 # ---------------------------------------------------------------------------
-# Member lines against the productions that read them one primitive at a time
+# Parsers against the productions that read one primitive at a time
 # ---------------------------------------------------------------------------
 
-#: The first words of member lines, and what a token is replaced with.
-MEMBER_WORDS = ("attribute", "operation", "invariant", "initial", "state", "transition")
+#: The first words of class and chart heads and of member lines, and what
+#: a token of one is replaced with.
+MEMBER_WORDS = ("class", "statechart", "attribute", "operation", "invariant", "initial",
+                "state", "transition")
 REPLACEMENTS = (":", "(", '"x"', "1")
 
 
-def _member_edits(text: str):
+def _token_edits(text: str, replacements, first_words=None):
     """Every text made from ``text`` by deleting, duplicating or replacing
-    one token of a line that starts with a member word, a replacement
-    being one of ``REPLACEMENTS`` or the end of input."""
+    one token, a replacement being one of ``replacements`` or the end of
+    input; with ``first_words``, only the tokens of lines that start with
+    one of them."""
 
     spans = [found.span(1) for found in _TOKEN.finditer(text) if found.group(1)]
     first: dict[int, str] = {}  # line number -> its first token
     for start, end in spans:
         first.setdefault(text.count("\n", 0, start), text[start:end])
     for start, end in spans:
-        if first[text.count("\n", 0, start)] in MEMBER_WORDS:
+        if first_words is None or first[text.count("\n", 0, start)] in first_words:
             yield text[:start] + text[end:]
             yield text[:start] + text[start:end] + " " + text[start:]
-            yield from (text[:start] + other + text[end:] for other in REPLACEMENTS)
+            yield from (text[:start] + other + text[end:] for other in replacements)
             yield text[:start]
 
 
 def _parse_outcome(parse, text: str):
-    """The model with its ``repr`` and every located node, or the error."""
+    """The tree with its ``repr`` and every located node, or the error."""
 
     try:
-        model = parse(text, "m.model")
+        tree = parse(text, "edited")
     except ParseError as failure:
         return type(failure), str(failure)
-    return model, repr(model), _located_nodes(model, "m.model")
+    return tree, repr(tree), _located_nodes(tree, "edited")
+
+
+def _differences(old, new, texts: list[str]) -> tuple[list[str], list]:
+    """The texts on which the oracle's parser ``old`` and ``textio``'s
+    ``new`` disagree, and what ``new`` made of each text."""
+
+    outcomes = [(_parse_outcome(old, text), _parse_outcome(new, text)) for text in texts]
+    return ([text for text, (was, now) in zip(texts, outcomes) if was != now],
+            [now for _, now in outcomes])
+
+
+def _messages(outcomes) -> set[str]:
+    """What the ``ParseError``s among ``outcomes`` say, before ``, found``."""
+
+    return {new[1].split(": ", 1)[1].split(", found")[0]
+            for new in outcomes if isinstance(new[0], type)}
 
 
 def test_member_lines_parse_as_the_primitives_read_them():
     sources = [EVERY_NODE_MODEL, MODEL_SOURCE]
     sources += [print_model(random_model(random.Random(seed), max_classes=3, max_states=4))
                 for seed in range(6)]
-    texts = [edited for source in sources for edited in (source, *_member_edits(source))]
-    outcomes = [(_parse_outcome(parse_oracle.parse_model, text),
-                 _parse_outcome(parse_model, text)) for text in texts]
-    assert [text for text, (old, new) in zip(texts, outcomes) if old != new] == []
-    # Both kinds of outcome, and every message a member line can fail with.
-    messages = {new[1].split(": ", 1)[1].split(", found")[0]
-                for _, new in outcomes if new[0] is ParseError}
-    assert {"expected an attribute name", "expected a type name", "expected ':'",
+    texts = [edited for source in sources
+             for edited in (source, *_token_edits(source, REPLACEMENTS, MEMBER_WORDS))]
+    different, outcomes = _differences(parse_oracle.parse_model, parse_model, texts)
+    assert different == []
+    # Both kinds of outcome, and every message a head or member line can fail with.
+    assert {"expected a class name", "expected a stereotype name", "expected '>>'",
+            "expected '{'", "expected a statechart name", "expected 'for'",
+            "expected an attribute name", "expected a type name", "expected ':'",
             "expected an operation name", "expected '('", "expected a parameter name",
             "expected ')'", "expected 'state'", "expected a state name", "expected '->'",
-            "expected 'on'", "expected an event name"} <= messages
-    assert sum(new[0] is not ParseError for _, new in outcomes) > len(sources)
+            "expected 'on'", "expected an event name"} <= _messages(outcomes)
+    assert sum(not isinstance(new[0], type) for new in outcomes) > len(sources)
+
+
+def _cuts(pattern, text: str) -> list[tuple[str, str]]:
+    """Each match of the scanner ``pattern`` in ``text``, with its token.
+    The matches tile the text and a token ends its match, so they give
+    every token's offsets."""
+
+    return re.compile(f"({pattern.pattern})", pattern.flags).findall(text)
+
+
+def test_packages_and_expressions_parse_as_the_primitives_read_them():
+    packages = [EVERY_DEFINITION_PACKAGE, PACKAGE_SOURCE]
+    packages += [path.read_text(encoding="utf-8")
+                 for path in sorted((SAMPLE / "defs").glob("*.preface"))]
+    packages += [print_package(random_package(random.Random(seed))) for seed in range(6)]
+    snapshot = json.loads((Path(__file__).parent / "eval_outcomes.json").read_text())
+    expressions = sorted({case["text"] for case in snapshot if "text" in case})
+    replacements = (*REPLACEMENTS, "-", "=")
+    package_texts = [edited for source in packages
+                     for edited in (source, *_token_edits(source, replacements))]
+    # Every expression, and every edit of a seeded sample of them: editing
+    # all 324 would make 33,000 texts and take seconds.  Then each kind of
+    # nesting level, as deep as may be and one deeper, and negations, groups
+    # and quantifiers whose levels close before the next ones open.
+    expression_texts = expressions + [
+        text for levels in (MAX_NESTING, MAX_NESTING + 1) for text in (
+            "not " * levels + "a", "(" * levels + "a" + ")" * levels,
+            "a implies " * levels + "b", "size(" * levels + "a" + ")" * levels,
+            "forall(x in s | " * levels + "x" + ")" * levels)] + [
+        " and ".join(["not " * 60 + "a"] * 2), " or ".join(["(" * 60 + "a" + ")" * 60] * 2),
+        " = ".join(["exists(x in s | " * 60 + "x" + ")" * 60] * 2)] + [
+        edited for source in random.Random(0).sample(expressions, 60)
+        for edited in _token_edits(source, replacements)]
+    # The scanner cuts every text at the same places as the oracle's pattern.
+    for text in package_texts + expression_texts:
+        assert _cuts(_TOKEN, text) == _cuts(parse_oracle._TOKEN, text), text
+    different, package_outcomes = _differences(
+        parse_oracle.parse_package, parse_package, package_texts)
+    assert different == []
+    different, expression_outcomes = _differences(
+        parse_oracle.parse_expr, parse_expr, expression_texts)
+    assert different == []
+    # Both kinds of outcome, and every message a definition line or an
+    # expression can fail with.
+    assert sum(not isinstance(new[0], type) for new in package_outcomes) > len(packages)
+    assert sum(not isinstance(new[0], type) for new in expression_outcomes) > len(expressions)
+    assert {"expected a constant name", "expected '='", "expected an integer",
+            "expected a literal (integer, string, true or false)",
+            "expected an option key", "expected an option value", "expected 'on'",
+            "expected a stereotype name", "expected a metaclass name",
+            "'on' is not a metaclass (expected one of Attribute, Class, Operation, "
+            "Statechart, Transition)",
+            "expected a tag name", "expected ':'", "expected 'string', 'int' or 'bool'",
+            "'option' is not a tag type (expected string, int or bool)",
+            "expected a constraint name", "expected 'error' or 'warning'",
+            "'severity' is not a severity (expected error or warning)",
+            "expected a property key", "expected 'when'",
+            "expected 'all', 'stereotype(...)' or 'metaclass(...)'", "expected '('",
+            "expected ')'", "expected a value", "expected a transform id",
+            "expected 'on' or 'off'", "expected a definition or '}'",
+            } <= _messages(package_outcomes)
+    assert {"expected '('", "expected ')'", "expected ','", "expected 'in'", "expected '|'",
+            "expected a feature name", "expected a stereotype name string",
+            "expected a variable name", "expected an expression", "expected end of input",
+            f"expression nested deeper than {MAX_NESTING} levels",
+            } <= _messages(expression_outcomes)
