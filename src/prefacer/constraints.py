@@ -49,6 +49,7 @@ from typing import Callable
 from . import expr as E
 from .diagnostics import Diagnostic, SourceLocation
 from .model import (
+    METACLASSES,
     Attribute,
     ClassDef,
     Model,
@@ -82,7 +83,7 @@ class EvalError(Exception):
 # Evaluator
 # ---------------------------------------------------------------------------
 
-_ELEMENT_TYPES = (ClassDef, Attribute, Operation, Statechart, Transition)
+_ELEMENT_TYPES = tuple(METACLASSES.values())
 _LABELS = {bool: "boolean", int: "integer", str: "string", tuple: "sequence",
            **dict.fromkeys(_ELEMENT_TYPES, "element")}
 
@@ -310,9 +311,7 @@ def compile_expr(e: E.Expr) -> Callable:
                                   _column(run(cols, n, model), bool, loc)))
             return [count == 1 for count in counts]
         return exactly_one
-    arity = {"size": "exactly one argument", "isEmpty": "exactly one argument",
-             "hasStereotype": "exactly two arguments", "exactlyOne": "at least one argument"}
-    message = f"{fn} takes {arity[fn]}" if fn in arity else f"unknown function '{fn}'"
+    message = f"{fn} takes {E.CALLS[fn]}" if fn in E.CALLS else f"unknown function '{fn}'"
     return _raising(message, loc)
 
 

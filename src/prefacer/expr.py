@@ -26,6 +26,10 @@ COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 #: The words that are never a name in an expression.
 KEYWORDS = frozenset({"and", "or", "not", "implies", "forall", "exists", "in", "true", "false"})
 
+#: The built-in calls, each with the arguments it takes.
+CALLS = {"size": "exactly one argument", "isEmpty": "exactly one argument",
+         "hasStereotype": "exactly two arguments", "exactlyOne": "at least one argument"}
+
 
 @record
 class Literal:

@@ -16,8 +16,6 @@ after construction.
 
 from __future__ import annotations
 
-import re
-
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import KEYWORDS, And, Expr, LiteralValue
 from .record import field, record
@@ -29,18 +27,13 @@ from .record import field, record
 #: The closed set of attribute / parameter types.
 ATTRIBUTE_TYPES = frozenset({"Boolean", "Integer", "String"})
 
-#: The metaclasses constraints and stereotypes may scope over.
-METACLASSES = frozenset({"Class", "Attribute", "Operation", "Statechart", "Transition"})
-
 #: Names no expression can read: a keyword, or ``self``, the bound element.
 #: No attribute, parameter or state may bear one (E017).
 UNREADABLE = KEYWORDS | {"self"}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 def is_identifier(text: str) -> bool:
-    return bool(_IDENT_RE.fullmatch(text))
+    return text.isascii() and text.isidentifier()  # [A-Za-z_][A-Za-z0-9_]*
 
 
 class MalformedPathError(ValueError):
@@ -208,9 +201,13 @@ class Model:
 ModelElement = Model | ClassDef | Attribute | Operation | Statechart | Transition | State
 
 
-_METACLASS_OF = {ClassDef: "Class", Attribute: "Attribute", Operation: "Operation",
-                 Statechart: "Statechart", Transition: "Transition", State: "State",
-                 Model: "Model"}
+#: The metaclasses constraints and stereotypes may scope over, each with
+#: the record class of its elements.
+METACLASSES = {"Class": ClassDef, "Attribute": Attribute, "Operation": Operation,
+               "Statechart": Statechart, "Transition": Transition}
+
+_METACLASS_OF = {**{kind: name for name, kind in METACLASSES.items()},
+                 State: "State", Model: "Model"}
 
 
 def metaclass_of(element: ModelElement) -> str:
@@ -254,57 +251,31 @@ def transition_path(chart: Statechart, index: int) -> str:
 def lookup_element(model: Model, path: str) -> ModelElement | None:
     """Resolve a textual path; ``None`` when nothing bears the name.
 
-    Raises ``MalformedPathError`` for syntactically invalid paths (empty
-    segments, mixed separators, more than two segments).
+    Raises ``MalformedPathError`` for syntactically invalid paths: a head
+    that is not a name, mixed separators, more than two segments, or an
+    item that is not a name (nor ASCII digits, after ``/``), whether or not
+    the head names anything.
     """
 
-    if not path or path != path.strip():
+    separator = "/" if "/" in path else "."
+    head, *items = path.split(separator)
+    item = items[0] if len(items) == 1 else ""  # a third segment is malformed
+    by_index = separator == "/" and item.isascii() and item.isdigit()
+    if not is_identifier(head) or items and not (by_index or is_identifier(item)):
         raise MalformedPathError(f"malformed element path: {path!r}")
-    has_dot = "." in path
-    has_slash = "/" in path
-    if has_dot and has_slash:
-        raise MalformedPathError(f"malformed element path: {path!r}")
-
-    if has_dot:
-        head, _, member = path.partition(".")
-        if not is_identifier(head) or not is_identifier(member) or "." in member:
-            raise MalformedPathError(f"malformed element path: {path!r}")
+    if not items:  # a record is never false
+        return model.class_named(head) or model.chart_named(head)
+    if separator == ".":
         cls = model.class_named(head)
-        if cls is None:
-            return None
-        for attr in cls.attributes:
-            if attr.name == member:
-                return attr
-        for op in cls.operations:
-            if op.name == member:
-                return op
+        members = () if cls is None else cls.attributes + cls.operations
+        return next((member for member in members if member.name == item), None)
+    chart = model.chart_named(head)
+    if chart is None:
         return None
-
-    if has_slash:
-        head, _, item = path.partition("/")
-        if not is_identifier(head) or not item or "/" in item:
-            raise MalformedPathError(f"malformed element path: {path!r}")
-        chart = model.chart_named(head)
-        if chart is None:
-            return None
-        if item.isascii() and item.isdigit():
-            index = int(item)
-            if index < len(chart.transitions):
-                return chart.transitions[index]
-            return None
-        if not is_identifier(item):
-            raise MalformedPathError(f"malformed element path: {path!r}")
-        for state in chart.states:
-            if state.name == item:
-                return state
-        return None
-
-    if not is_identifier(path):
-        raise MalformedPathError(f"malformed element path: {path!r}")
-    cls = model.class_named(path)
-    if cls is not None:
-        return cls
-    return model.chart_named(path)
+    if by_index:
+        index = int(item)
+        return chart.transitions[index] if index < len(chart.transitions) else None
+    return next((state for state in chart.states if state.name == item), None)
 
 
 # ---------------------------------------------------------------------------

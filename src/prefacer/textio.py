@@ -228,7 +228,7 @@ def _token_table(file: str, text: str):
 # ---------------------------------------------------------------------------
 
 #: The built-in calls of the expression grammar.
-_CALLS = frozenset({"size", "isEmpty", "hasStereotype", "exactlyOne"})
+_CALLS = E.CALLS
 
 #: Expression levels, loosest first, which the parser and the printer
 #: share; ``_END`` is the level of a token that continues no expression.

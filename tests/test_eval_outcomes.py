@@ -19,8 +19,7 @@ seed by ``_cases``:
 
 The snapshot is the judge of any change to the evaluator: every outcome
 must stay byte for byte.  Regenerate it only for a deliberate change of
-the semantics or the messages, with
-``PYTHONPATH=src python tests/test_eval_outcomes.py``.
+the semantics or the messages, with ``python3 scripts/golden.py --write``.
 """
 
 from __future__ import annotations
@@ -190,7 +189,9 @@ def _cases():
     return out
 
 
-def _entries() -> list[dict]:
+def snapshot_entries() -> list[dict]:
+    """The entries of the snapshot, freshly made."""
+
     entries = []
     for model_name, model, cases, constraints in _cases():
         paths = _paths(model)
@@ -213,7 +214,7 @@ def _entries() -> list[dict]:
 
 def test_eval_outcomes_match_the_snapshot():
     snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
-    entries = _entries()
+    entries = snapshot_entries()
     assert len(entries) == len(snapshot) >= 500
     for entry, pinned in zip(entries, snapshot):
         assert entry == pinned, pinned["case"]
@@ -231,14 +232,3 @@ def test_eval_outcomes_match_the_snapshot():
                  "not an expression node"):
         assert any(kind in error for error in errors), kind
     assert len(values) > 500 and len(errors) > 500, (len(values), len(errors))
-
-
-def _write_snapshot() -> None:
-    entries = _entries()
-    lines = ",\n".join(json.dumps(entry, ensure_ascii=False) for entry in entries)
-    SNAPSHOT.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {SNAPSHOT}")
-
-
-if __name__ == "__main__":
-    _write_snapshot()

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,47 @@ def test_malformed_paths_raise(path):
     model = Model("m", (ClassDef("C"),), ())
     with pytest.raises(MalformedPathError):
         lookup_element(model, path)
+
+
+#: The element-path grammar, written apart from ``lookup_element``: an
+#: ASCII name, then optionally ``.`` and a name, or ``/`` and either a name
+#: or ASCII digits.
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_PATH = re.compile(f"{_NAME}(?:\\.{_NAME}|/(?:{_NAME}|[0-9]+))?")
+
+
+def test_lookup_refuses_exactly_the_paths_outside_the_grammar():
+    # Whether a path is malformed does not depend on the model: the same
+    # paths are looked up on a model and on that model without its charts,
+    # so a bad item under a chart that does not exist (X/1x) raises too.
+    rng = random.Random(433)
+    seen: Counter = Counter()
+    for _ in range(60):
+        model = random_model(rng)
+        names = sorted({cls.name for cls in model.classes}
+                       | {member.name for cls in model.classes
+                          for member in cls.attributes + cls.operations}
+                       | {chart.name for chart in model.statecharts}
+                       | {state.name for chart in model.statecharts for state in chart.states})
+        alphabet = names + ["X", "0", "01", "\u0661", ".", "/", " ", "_", "\n"]
+        paths = ["X/1x"] + ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                            for _ in range(150)]
+        for chartless in (False, True):
+            shown = replace(model, statecharts=()) if chartless else model
+            table = all_element_paths(shown)
+            for path in paths:
+                if not _PATH.fullmatch(path):
+                    with pytest.raises(MalformedPathError):
+                        lookup_element(shown, path)
+                    seen["malformed"] += 1
+                    continue
+                head, separator, item = path.partition("/")
+                # the enumeration writes a transition's index without leading zeros
+                key = f"{head}/{int(item)}" if separator and item.isdigit() else path
+                found = lookup_element(shown, path)
+                assert found is table.get(key), path
+                seen["found" if found is not None else "none"] += 1
+    assert min(seen.values()) > 500 and len(seen) == 3, seen
 
 
 def test_lookup_by_name_returns_the_first_of_duplicates():

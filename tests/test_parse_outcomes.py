@@ -12,7 +12,7 @@ two together pin the tree and every position in it.
 The snapshot is the judge of any change to the lexer or the parser:
 every outcome must stay byte for byte.  Regenerate it only for a
 deliberate change of the grammar or its messages, with
-``PYTHONPATH=src python tests/test_parse_outcomes.py``.
+``python3 scripts/golden.py --write``.
 """
 
 from __future__ import annotations
@@ -170,6 +170,13 @@ def _outcome(kind: str, text: str, name: str):
             "located": _located_nodes(tree, name)}
 
 
+def snapshot_entries() -> list[dict]:
+    """The entries of the snapshot, freshly made."""
+
+    return [{"name": name, "parser": kind, "text": text, "outcome": _outcome(kind, text, name)}
+            for name, kind, text in _inputs()]
+
+
 def test_parse_outcomes_match_the_snapshot():
     snapshot = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
     assert len(snapshot) >= 400
@@ -255,16 +262,3 @@ def test_a_lone_quote_is_not_a_quoted_id_to_the_header_reader():
     texts = [("lone-id", 'package " {\n}\n'),
              ("lone-import", 'package "p" {\n  import " {\n}\n')]
     assert _header_cases(texts) == {"header fails": 2}
-
-
-def _write_snapshot() -> None:
-    entries = [{"name": name, "parser": kind, "text": text,
-                "outcome": _outcome(kind, text, name)}
-               for name, kind, text in _inputs()]
-    lines = ",\n".join(json.dumps(entry, ensure_ascii=False) for entry in entries)
-    SNAPSHOT.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(entries)} outcomes to {SNAPSHOT}")
-
-
-if __name__ == "__main__":
-    _write_snapshot()
