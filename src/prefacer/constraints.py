@@ -139,11 +139,8 @@ _FEATURES = {
 }
 
 
-def _getter(value: Value, getters: dict, nav: E.Nav) -> Callable:
-    """The getter for a value whose exact type the table does not list."""
-    for kind, getter in getters.items():
-        if isinstance(value, kind):
-            return getter
+def _no_getter(value: Value, nav: E.Nav) -> Callable:
+    """Raise for a value whose type the feature's table does not list."""
     if isinstance(value, _ELEMENT_TYPES):
         raise EvalError(f"'{nav.feature}' is not a feature of {metaclass_of(value)}", nav.loc)
     raise EvalError(f"cannot navigate '.{nav.feature}' on a {_type_label(value)}", nav.loc)
@@ -246,7 +243,7 @@ def compile_expr(e: E.Expr) -> Callable:
         def navigate(cols, n, model):
             values = target(cols, n, model)
             for getters, nav in steps:
-                getter = getters.get(type(values[0])) or _getter(values[0], getters, nav)
+                getter = getters.get(type(values[0])) or _no_getter(values[0], nav)
                 values = getter(values, model, nav)
             return values
         return navigate
@@ -394,8 +391,6 @@ def _check_single_inheritance(model: Model, eff: EffectiveDefinitions,
 def _check_event_names(model: Model, diags: list[Diagnostic]) -> None:
     for chart in model.statecharts:
         cls = model.class_named(chart.attached_to)
-        if cls is None:
-            continue
         op_names = {op.name for op in cls.operations}
         warned: set[str] = set()
         for index, t in enumerate(chart.transitions):
@@ -410,8 +405,6 @@ def _check_event_names(model: Model, diags: list[Diagnostic]) -> None:
 def _check_guards(model: Model, diags: list[Diagnostic]) -> None:
     for chart in model.statecharts:
         cls = model.class_named(chart.attached_to)
-        if cls is None:
-            continue
         flags = {a.name for a in cls.attributes if a.type_name == "Boolean"}
         for index, t in enumerate(chart.transitions):
             if t.guard is None:
@@ -429,8 +422,8 @@ def _check_guards(model: Model, diags: list[Diagnostic]) -> None:
 def check_constraints(model: Model, eff: EffectiveDefinitions) -> list[Diagnostic]:
     """Evaluate every active constraint over its scope.
 
-    Requires a model that passed ``builtin_check`` without errors.  The
-    output is ordered: preface constraints first (by winning definition
+    On a model ``builtin_check`` refuses it may raise or return anything.
+    The output is ordered: preface constraints first (by winning definition
     position, then element declaration order), then the option-activated
     built-in checks.  A false constraint yields a diagnostic at the
     constraint's own severity; an evaluation failure is always an error.

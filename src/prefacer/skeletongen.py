@@ -72,8 +72,6 @@ def _charts_by_class(model: Model) -> dict[str, list[Statechart]]:
 
 def _require_transformed(cls: ClassDef, charts: list[Statechart]) -> None:
     for chart in charts:
-        if not chart.states:
-            continue
         if not any(induced_by(a.origin, chart) for a in cls.attributes):
             raise UntransformedInputError(cls, chart)
 
@@ -109,9 +107,9 @@ def _move_lines(charts: list[Statechart]) -> dict[str, list[str]]:
 def generate_skeleton(model: Model, eff: EffectiveDefinitions) -> list[SkeletonUnit]:
     """One skeleton per class, in declaration order.
 
-    Expects the output of ``apply_transforms`` with no error diagnostics;
-    a chart-attached class without its induced flags raises
-    ``UntransformedInputError``.
+    Expects ``apply_transforms``' error-free output; a chart-attached class
+    without its induced flags raises ``UntransformedInputError``.  On a
+    model ``builtin_check`` refuses it may raise or return anything.
     """
 
     if eff.option("statechart.unexpected_event") == "ignore":
@@ -189,7 +187,8 @@ def generate_monitor(model: Model, eff: EffectiveDefinitions) -> list[SkeletonUn
 
     The monitor asserts each chart's exactly-one state invariant (to be
     checked after every operation) and scripts one call sequence per short
-    transition path from the initial state.
+    transition path from the initial state.  The input is
+    ``generate_skeleton``'s, with the same contract.
     """
 
     charts_of = _charts_by_class(model)

@@ -152,8 +152,6 @@ def _rule2_mutex_invariant(work: _Work, chart: Statechart, origin: Origin,
     duplicated.
     """
 
-    if not chart.states:
-        return
     wanted = exactly_one(tuple(flags[state.name] for state in chart.states))
     kept, have = [], False
     for inv in work.invariants:
@@ -213,11 +211,9 @@ def _rule4_preconditions(work: _Work, chart: Statechart, origin: Origin,
     """
 
     rank = {state.name: i for i, state in enumerate(chart.states)}
-    outside, sources_of = len(rank), {}
+    sources_of: dict[str, set[str]] = {}
     for t in chart.transitions:
         sources_of.setdefault(t.event, set()).add(t.source)
-        if t.source not in rank:  # not a state, yet a flag a changed chart left may bear it
-            rank[t.source], flags[t.source] = outside, E.VarRef(t.source)
     attrs = work.attrs
     ready = {name for name in rank if name in attrs and induced_by(attrs[name].origin, chart)}
     for event, source_set in sources_of.items():
@@ -253,13 +249,13 @@ def _rule4_preconditions(work: _Work, chart: Statechart, origin: Origin,
 def apply_transforms(model: Model, eff: EffectiveDefinitions) -> tuple[Model, TransformReport]:
     """Run the enabled transforms over every statechart in declaration order.
 
-    Requires a model that passed ``builtin_check`` without errors.  With
-    the transform disabled (or never selected) this is the identity.
-    A clash on one element never aborts the others: rule 2 is withheld for
-    a chart whose rule-1 run clashed (its invariant would name the wrong
-    attribute), rule 4 skips the affected events, and everything else
-    proceeds.  Applying the pass twice is a no-op the second time, and
-    returns the model it was given.
+    Requires a model that passed ``builtin_check`` without errors; on any
+    other it may raise or return anything.  With the transform disabled (or
+    never selected) this is the identity.  A clash on one element never
+    aborts the others: rule 2 is withheld for a chart whose rule-1 run
+    clashed (its invariant would name the wrong attribute), rule 4 skips the
+    affected events, and everything else proceeds.  Applying the pass twice
+    is a no-op the second time, and returns the model it was given.
     """
 
     if not eff.transform_enabled(STATECHART_TO_CLASS):

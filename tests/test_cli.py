@@ -285,6 +285,36 @@ def test_transform_refuses_a_broken_model(sample_dir, tmp_path):
     assert "E007" in err
 
 
+#: A model of each shape ``builtin_check`` refuses that a later layer once
+#: tolerated, by the one error that refuses it.
+REFUSED_SHAPES = {
+    "E003": "model m\nclass C {\n}\nstatechart SC for Ghost {\n  initial state a\n}\n",
+    "E011": "model m\nclass C {\n}\nstatechart SC for C {\n}\n",
+    "E012": ("model m\nclass C {\n  operation go()\n}\nstatechart SC for C {\n"
+             "  initial state a\n  transition b -> a on go\n}\n"),
+}
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+@pytest.mark.parametrize("command", ["validate", "transform", "skeleton"])
+@pytest.mark.parametrize("code", sorted(REFUSED_SHAPES))
+def test_no_layer_after_the_structural_check_reads_a_model_it_refuses(
+        sample_dir, tmp_path, code, command, format):
+    bad = tmp_path / "bad.model"
+    bad.write_text(REFUSED_SHAPES[code])
+    out_dir = tmp_path / "out"
+    overrides = {"output": str(out_dir)} if command == "skeleton" else {}
+    status, out, err = cli(config_for(sample_dir, command, model_path=str(bad),
+                                      format=format, **overrides))
+    assert status == EXIT_DIAGNOSTICS and "internal error:" not in err
+    assert out == ("1 errors, 0 warnings\n" if command == "validate" else "")
+    assert not out_dir.exists()
+    if format == "text":
+        assert len(err.splitlines()) == 1 and err.startswith(f"error {code} {bad}:")
+    else:
+        assert [d["code"] for d in json.loads(err)["diagnostics"]] == [code]
+
+
 @pytest.mark.parametrize("format", ["text", "json"])
 def test_skeleton_of_an_untransformed_chart_names_its_class(sample_dir, tmp_path, format):
     preface_dir, _, model_path = sample_dir

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from generators import random_model
 from oracles import all_element_paths, inherits_from_itself_reference
 from prefacer.diagnostics import Diagnostic, SourceLocation
+from prefacer.expr import Literal
 from prefacer.model import (
     Attribute,
     ClassDef,
+    Invariant,
     MalformedPathError,
     Model,
     Operation,
@@ -246,6 +248,27 @@ def test_bad_origins_detected():
         Attribute("b", "Integer", Origin("induced")),
     )),))
     assert codes(builtin_check(model)) == ["E015", "E015"]
+
+
+_AT = SourceLocation("m.model", 3, 5)
+
+
+@pytest.mark.parametrize("origin, message", [
+    (Origin("grown"), "invalid origin kind 'grown'"),
+    (Origin("induced", chart_name="SC"), "induced element lacks a rule id"),
+])
+@pytest.mark.parametrize("member", ["operation", "precondition", "invariant"])
+def test_a_bad_origin_on_an_induced_member_is_one_error_at_its_member(member, origin, message):
+    if member == "invariant":
+        cls = ClassDef("C", invariants=(Invariant(Literal(True), origin),), loc=_AT)
+        path = "C"
+    else:
+        op = (Operation("m", origin=origin, loc=_AT) if member == "operation"
+              else Operation("m", pre_induced=(Literal(True), origin), loc=_AT))
+        cls = ClassDef("C", operations=(op,), loc=SourceLocation("m.model", 2, 1))
+        path = "C.m"
+    (found,) = builtin_check(Model("m", (cls,)))
+    assert (found.code, found.path, found.message, found.location) == ("E015", path, message, _AT)
 
 
 def test_initial_state_count_must_be_one():

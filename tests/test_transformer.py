@@ -5,7 +5,9 @@ from __future__ import annotations
 import io
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +37,13 @@ from prefacer.preface import (
     STATECHART_TO_CLASS,
     Package,
     TransformSelection,
+    compose,
     resolve,
 )
 from prefacer.textio import (
     format_expr,
     parse_model,
+    parse_package,
     print_model,
     print_transform_report,
 )
@@ -493,6 +497,30 @@ def test_the_printed_transform_reads_back_as_authored():
         induced += len(report.induced_invariants) + len(report.induced_preconditions)
         conjoined += sum(full is not None for _, _, full in report.induced_preconditions)
     assert induced > 1000 and conjoined > 20, (induced, conjoined)
+
+
+def test_the_structural_check_passes_what_the_pass_induces():
+    """``builtin_check`` checks the origin of every induced member (E015);
+    the pass's own output, on the sample and on random models with and
+    without clashes, passes it whole."""
+
+    sample = Path(__file__).resolve().parent.parent / "sample"
+    repo = {pkg.id: pkg for pkg in (parse_package(path.read_text(encoding="utf-8"))
+                                    for path in sorted((sample / "defs").glob("*.preface")))}
+    cases = [(parse_model((sample / "example.model").read_text(encoding="utf-8")),
+              compose(repo, "project-p"))]
+    rng = random.Random(436)
+    cases += [(random_model(rng, clashes=index % 2 == 1), ENABLED) for index in range(200)]
+    induced = Counter()
+    for model, eff in cases:
+        assert builtin_check(model) == []
+        transformed, _ = apply_transforms(model, eff)
+        assert builtin_check(transformed) == []
+        for cls in transformed.classes:
+            induced["operations"] += sum(op.origin.kind == "induced" for op in cls.operations)
+            induced["preconditions"] += sum(op.pre_induced is not None for op in cls.operations)
+            induced["invariants"] += sum(inv.origin.kind == "induced" for inv in cls.invariants)
+    assert min(induced.values()) > 100, induced
 
 
 @given(st.integers(0, 2**32 - 1))
