@@ -390,7 +390,10 @@ def run(config: RunConfig, stdout: IO[str] | None = None,
 
 
 def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
-    command, _, operand, output, whole = _COMMANDS.get(config.command, (None,) * 5)
+    if config.command not in _COMMANDS:
+        stderr.write(f"error: unknown command '{config.command}'\n")
+        return EXIT_USAGE
+    command, _, operand, output, whole = _COMMANDS[config.command]
     for _, _, field, what in filter(None, (operand, output)):
         if what and getattr(config, field) is None:
             stderr.write(f"error: '{config.command}' needs {what}\n")
@@ -403,9 +406,6 @@ def _run(config: RunConfig, stdout: IO[str], stderr: IO[str]) -> int:
         eff = compose(repo, config.root_package)
         model = (parse_model(_read_text(str(Path(config.model_path))), config.model_path)
                  if operand is _MODEL else None)
-        if command is None:
-            stderr.write(f"error: unknown command '{config.command}'\n")
-            return EXIT_USAGE
         diags, text, fields = command(config, model, eff, diags, stdout)
     except ParseError as failure:
         stderr.write(f"parse error: {failure}\n")

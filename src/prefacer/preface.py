@@ -34,7 +34,7 @@ from typing import Any, Iterable, Iterator
 
 from .diagnostics import Diagnostic, SourceLocation
 from .expr import Expr, LiteralValue
-from .model import METACLASSES, Model, ModelElement, stereotypes_of, metaclass_of
+from .model import METACLASSES, ModelElement, stereotypes_of, metaclass_of
 from .record import field, record
 
 # ---------------------------------------------------------------------------
@@ -121,25 +121,12 @@ class ConstraintDef:
 
 
 @record
-class MatchAll:
-    """The rule predicate ``all``: matches every element."""
+class Predicate:
+    """The case a rule tests, by the word the rule writes: ``all``,
+    ``stereotype(name)`` or ``metaclass(name)``."""
 
-
-@record
-class HasStereotype:
-    """The rule predicate ``stereotype(name)``."""
-
-    name: str
-
-
-@record
-class IsMetaclass:
-    """The rule predicate ``metaclass(name)``."""
-
-    metaclass: str
-
-
-Predicate = MatchAll | HasStereotype | IsMetaclass
+    kind: str  # "all" | "stereotype" | "metaclass"
+    name: str | None = None  # the stereotype or metaclass; None for "all"
 
 
 @record
@@ -407,16 +394,13 @@ def lookup_scalar(eff: EffectiveDefinitions, key: str) -> tuple[LiteralValue, Pr
 
 
 def resolve_predicated(
-    eff: EffectiveDefinitions,
-    property_key: str,
-    subject: ModelElement,
-    model: Model,
+    eff: EffectiveDefinitions, property_key: str, subject: ModelElement,
 ) -> tuple[str, Provenance]:
     """Walk the property's chain newest first; the first match wins.
 
-    Matching a ``HasStereotype`` test consults the subject's stereotype
-    set (empty for element kinds that cannot carry one), ``IsMetaclass``
-    its metaclass, and ``MatchAll`` everything, so a chain reads as an
+    A ``stereotype`` case consults the subject's stereotype set (empty for
+    element kinds that cannot carry one), a ``metaclass`` case its
+    metaclass, and ``all`` matches everything, so a chain reads as an
     if-then-else with the newest, most specific case on top.
     """
 
@@ -427,13 +411,14 @@ def resolve_predicated(
 
 
 def _matches(predicate: Predicate, subject: ModelElement) -> bool:
-    if isinstance(predicate, MatchAll):
+    kind = predicate.kind
+    if kind == "all":
         return True
-    if isinstance(predicate, HasStereotype):
+    if kind == "stereotype":
         return predicate.name in stereotypes_of(subject)
-    if isinstance(predicate, IsMetaclass):
-        return metaclass_of(subject) == predicate.metaclass
-    raise TypeError(f"unknown predicate: {predicate!r}")
+    if kind == "metaclass":
+        return metaclass_of(subject) == predicate.name
+    raise ValueError(f"unknown predicate kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +508,18 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
                         f"'{pkg.id}'", definition.loc))
                 seen_tags.add(definition.name)
             elif isinstance(definition, PredicatedRuleDef):
-                predicate = definition.predicate
-                if (isinstance(predicate, HasStereotype)
-                        and predicate.name not in declared_stereotypes):
+                kind, name = definition.predicate.kind, definition.predicate.name
+                if kind == "stereotype" and name not in declared_stereotypes:
                     diags.append(Diagnostic(
                         "warning", "W101", pkg.id,
                         f"rule for '{definition.property_key}' tests stereotype "
-                        f"'{predicate.name}', which no package declares",
+                        f"'{name}', which no package declares",
                         definition.loc))
-                if (isinstance(predicate, IsMetaclass)
-                        and predicate.metaclass not in METACLASSES):
+                if kind == "metaclass" and name not in METACLASSES:
                     diags.append(Diagnostic(
                         "error", "E109", pkg.id,
                         f"rule for '{definition.property_key}' tests unknown "
-                        f"metaclass '{predicate.metaclass}'",
+                        f"metaclass '{name}'",
                         definition.loc))
 
     # Base changes are judged in composition order, so "newest" is the one

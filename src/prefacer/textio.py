@@ -99,9 +99,6 @@ from .preface import (
     ConstraintDef,
     Definition,
     EffectiveDefinitions,
-    HasStereotype,
-    IsMetaclass,
-    MatchAll,
     OptionDef,
     Package,
     Predicate,
@@ -761,7 +758,7 @@ def _parse_constraint(p: _Parser, index: int) -> Definition:
 
 
 #: The predicate of every ``rule … when all``.
-_MATCH_ALL = MatchAll()
+_MATCH_ALL = Predicate("all")
 
 
 def _parse_rule(p: _Parser, index: int) -> Definition:
@@ -770,20 +767,16 @@ def _parse_rule(p: _Parser, index: int) -> Definition:
         p.replay(index + 1, "a property key", "when")
     at = index + 3
     word = texts[at]
-    predicate: Predicate
     if word == "all":
         predicate = _MATCH_ALL
         at += 1
-    elif word == "stereotype":
-        if (texts[at + 1] != "(" or texts[at + 2][:1] not in _IDENT_START
+    elif word == "stereotype" or word == "metaclass":
+        if (texts[at + 1] != "("
+                or (texts[at + 2] not in METACLASSES if word == "metaclass"
+                    else texts[at + 2][:1] not in _IDENT_START)
                 or texts[at + 3] != ")"):
-            p.replay(at + 1, "(", "a stereotype name", ")")
-        predicate = HasStereotype(texts[at + 2])
-        at += 4
-    elif word == "metaclass":
-        if texts[at + 1] != "(" or texts[at + 2] not in METACLASSES or texts[at + 3] != ")":
-            p.replay(at + 1, "(", "a metaclass name", ")")
-        predicate = IsMetaclass(texts[at + 2])
+            p.replay(at + 1, "(", f"a {word} name", ")")
+        predicate = Predicate(word, texts[at + 2])
         at += 4
     else:
         p.pos = at
@@ -1011,11 +1004,7 @@ def print_model(model: Model) -> str:
 
 
 def _print_predicate(predicate: Predicate) -> str:
-    if isinstance(predicate, MatchAll):
-        return "all"
-    if isinstance(predicate, HasStereotype):
-        return f"stereotype({predicate.name})"
-    return f"metaclass({predicate.metaclass})"
+    return predicate.kind if predicate.name is None else f"{predicate.kind}({predicate.name})"
 
 
 def _print_definition(definition: Definition) -> str:

@@ -7,10 +7,9 @@ import pytest
 from prefacer.model import ClassDef, Model, Operation, State, Statechart, Transition
 from prefacer.preface import (
     ConstDef,
-    HasStereotype,
-    MatchAll,
     OptionDef,
     Package,
+    Predicate,
     PredicatedRuleDef,
     StereotypeDef,
     TransformSelection,
@@ -27,12 +26,12 @@ def make_worked_repo() -> tuple[dict[str, Package], str]:
     uml_core = Package("uml-core", (), (
         ConstDef("max", 10),
         StereotypeDef("event", "Class"),
-        PredicatedRuleDef("persistence", MatchAll(), "persistent"),
+        PredicatedRuleDef("persistence", Predicate("all"), "persistent"),
         OptionDef("statechart.unexpected_event", "error"),
         TransformSelection("statechart-to-class", True),
     ))
     client_c = Package("client-c", (), (
-        PredicatedRuleDef("persistence", HasStereotype("event"), "transient"),
+        PredicatedRuleDef("persistence", Predicate("stereotype", "event"), "transient"),
     ))
     project_p = Package("project-p", ("uml-core", "client-c"), (
         ConstDef("max", 8),

@@ -28,11 +28,9 @@ from prefacer.preface import (
     OPTION_CATALOGUE,
     ConstDef,
     ConstraintDef,
-    HasStereotype,
-    IsMetaclass,
-    MatchAll,
     OptionDef,
     Package,
+    Predicate,
     PredicatedRuleDef,
     StereotypeDef,
     TagDef,
@@ -174,11 +172,11 @@ def _random_definition(rng: random.Random):
     if kind == 5:
         roll = rng.random()
         if roll < 0.4:
-            predicate = MatchAll()
+            predicate = Predicate("all")
         elif roll < 0.8:
-            predicate = HasStereotype(rng.choice(STEREOTYPE_POOL))
+            predicate = Predicate("stereotype", rng.choice(STEREOTYPE_POOL))
         else:
-            predicate = IsMetaclass(rng.choice(_METACLASSES))
+            predicate = Predicate("metaclass", rng.choice(_METACLASSES))
         return PredicatedRuleDef(
             rng.choice(_RULE_KEYS), predicate, rng.choice(_RULE_VALUES))
     return TransformSelection(rng.choice(_TRANSFORM_IDS), rng.random() < 0.5)

@@ -43,9 +43,6 @@ from prefacer.preface import (
     ConstDef,
     ConstraintDef,
     Definition,
-    HasStereotype,
-    IsMetaclass,
-    MatchAll,
     OptionDef,
     Package,
     Predicate,
@@ -426,14 +423,14 @@ def _parse_rule(p: _Parser, loc: SourceLocation) -> Definition:
     p.eat("when")
     predicate: Predicate
     if p.take("all"):
-        predicate = MatchAll()
+        predicate = Predicate("all")
     elif p.take("stereotype"):
         p.eat("(")
-        predicate = HasStereotype(p.ident("a stereotype name"))
+        predicate = Predicate("stereotype", p.ident("a stereotype name"))
         p.eat(")")
     elif p.take("metaclass"):
         p.eat("(")
-        predicate = IsMetaclass(p.metaclass())
+        predicate = Predicate("metaclass", p.metaclass())
         p.eat(")")
     else:
         raise p.fail("'all', 'stereotype(...)' or 'metaclass(...)'")

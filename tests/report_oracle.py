@@ -17,11 +17,9 @@ from oracles import replay_view
 from prefacer.preface import (
     OPTION_CATALOGUE,
     ConstDef,
-    HasStereotype,
-    IsMetaclass,
-    MatchAll,
     OptionDef,
     Package,
+    Predicate,
 )
 
 
@@ -35,12 +33,10 @@ def _literal(value) -> str:
 
 def _predicate(predicate) -> str:
     match predicate:
-        case MatchAll():
+        case Predicate(kind="all", name=None):
             return "all"
-        case HasStereotype(name=name):
-            return f"stereotype({name})"
-        case IsMetaclass(metaclass=metaclass):
-            return f"metaclass({metaclass})"
+        case Predicate(kind="stereotype" | "metaclass" as kind, name=str(name)):
+            return f"{kind}({name})"
     raise TypeError(predicate)
 
 

@@ -111,8 +111,7 @@ def test_criterion_3_predicated_chain_is_if_then_else(worked_eff):
     start = perf_counter()
     outcomes = {}
     for path, element in iter_scope(model, "Class"):
-        value, provenance = resolve_predicated(
-            worked_eff, "persistence", element, model)
+        value, provenance = resolve_predicated(worked_eff, "persistence", element)
         assert (value, provenance.package_id) == longhand(element), path
         outcomes[path] = value
     elapsed = perf_counter() - start

@@ -8,6 +8,7 @@ import io
 import json
 import random
 import re
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,15 @@ def test_the_readme_diagnostics_table_lists_exactly_the_codes_emitted():
     assert listed == set(re.findall(r'"([EWI]\d{3})"', source))
 
 
+def test_the_declared_console_script_is_main():
+    # an install writes a ``prefacer`` script that loads this entry point
+    declared = (SAMPLE.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = declared.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [(name, target)] = re.findall(r'^(\S+) = "(.*)"$', scripts, re.M)
+    assert name == "prefacer"
+    assert EntryPoint(name, target, "console_scripts").load() is main
+
+
 def test_duplicate_package_id_is_reported(sample_dir):
     preface_dir, _, _ = sample_dir
     original = (preface_dir / "uml-core.preface").read_text()
@@ -516,11 +526,11 @@ def test_a_long_guard_warns_like_a_short_one(sample_dir, tmp_path, terms):
 # ---------------------------------------------------------------------------
 # Every failure class, byte for byte: each is one plain-text line on stderr,
 # nothing on stdout, the same bytes under either format and for every
-# command that reaches it.  An unknown command is only found after the
-# load and the composition, so those failures win over it.
+# command that reaches it.  An unknown command is refused before anything
+# is read, as ``main`` refuses it, so it wins over every other failure.
 # ---------------------------------------------------------------------------
 
-ALL_COMMANDS = ("compose", "validate", "transform", "explain", "skeleton", "frobnicate")
+ALL_COMMANDS = ("compose", "validate", "transform", "explain", "skeleton")
 MODEL_COMMANDS = ("validate", "transform", "skeleton")
 
 
@@ -565,6 +575,13 @@ def _unknown_command(tmp_path):
     return {}, EXIT_USAGE, "error: unknown command 'frobnicate'\n"
 
 
+def _unknown_command_and_nothing_to_read(tmp_path):
+    # each of these alone is a failure of its own above
+    return ({"preface_dir": str(tmp_path / "void"), "root_package": "ghost",
+             "model_path": str(tmp_path / "void.model")},
+            EXIT_USAGE, "error: unknown command 'frobnicate'\n")
+
+
 FAILURES = {
     "not-a-directory": (_not_a_directory, ALL_COMMANDS),
     "no-preface-files": (_no_preface_files, ALL_COMMANDS),
@@ -573,6 +590,7 @@ FAILURES = {
     "model-unparsable": (_model_unparsable, MODEL_COMMANDS),
     "unknown-root": (_unknown_root, ALL_COMMANDS),
     "unknown-command": (_unknown_command, ("frobnicate",)),
+    "unknown-command-first": (_unknown_command_and_nothing_to_read, ("frobnicate",)),
 }
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import inject_cycle, random_repo
+from generators import inject_cycle, random_model, random_repo
 from oracles import (
     OracleCompositionFailure,
     definition_keys,
@@ -16,6 +17,7 @@ from oracles import (
     replay_view,
     snapshot_view,
 )
+from rule_oracle import flattened_definitions, model_elements, resolve_reference
 from prefacer.model import Attribute, ClassDef, Statechart
 from prefacer.preface import (
     CATALOGUE_DEFAULT,
@@ -24,13 +26,11 @@ from prefacer.preface import (
     ConstDef,
     ConstraintDef,
     CycleDetectedError,
-    HasStereotype,
-    IsMetaclass,
-    MatchAll,
     NoApplicableRuleError,
     NotDefinedError,
     OptionDef,
     Package,
+    Predicate,
     PredicatedRuleDef,
     Provenance,
     StereotypeDef,
@@ -216,37 +216,69 @@ def test_replay_agreement_is_seed_independent(seed):
 def test_newest_matching_rule_wins(worked_eff):
     plain = ClassDef("Order")
     flagged = ClassDef("Alert", stereotypes=frozenset({"event"}))
-    model = None  # resolve_predicated never touches it for these subjects
 
-    value, prov = resolve_predicated(worked_eff, "persistence", flagged, model)
+    value, prov = resolve_predicated(worked_eff, "persistence", flagged)
     assert (value, prov.package_id) == ("transient", "client-c")
-    value, prov = resolve_predicated(worked_eff, "persistence", plain, model)
+    value, prov = resolve_predicated(worked_eff, "persistence", plain)
     assert (value, prov.package_id) == ("persistent", "uml-core")
 
 
 def test_metaclass_predicate_matches_by_kind():
     eff = resolve([Package("a", (), (
-        PredicatedRuleDef("visibility", MatchAll(), "public"),
-        PredicatedRuleDef("visibility", IsMetaclass("Statechart"), "hidden"),
+        PredicatedRuleDef("visibility", Predicate("all"), "public"),
+        PredicatedRuleDef("visibility", Predicate("metaclass", "Statechart"), "hidden"),
     ))])
     chart = Statechart("SC", "C")
-    value, _ = resolve_predicated(eff, "visibility", chart, None)
+    value, _ = resolve_predicated(eff, "visibility", chart)
     assert value == "hidden"
-    value, _ = resolve_predicated(eff, "visibility", ClassDef("C"), None)
+    value, _ = resolve_predicated(eff, "visibility", ClassDef("C"))
     assert value == "public"
 
 
 def test_stereotype_predicate_never_matches_a_bare_attribute():
     eff = resolve([Package("a", (), (
-        PredicatedRuleDef("persistence", HasStereotype("event"), "transient"),
+        PredicatedRuleDef("persistence", Predicate("stereotype", "event"), "transient"),
     ))])
     with pytest.raises(NoApplicableRuleError):
-        resolve_predicated(eff, "persistence", Attribute("a", "Integer"), None)
+        resolve_predicated(eff, "persistence", Attribute("a", "Integer"))
 
 
 def test_unknown_property_has_no_applicable_rule(worked_eff):
     with pytest.raises(NoApplicableRuleError):
-        resolve_predicated(worked_eff, "ghost", ClassDef("C"), None)
+        resolve_predicated(worked_eff, "ghost", ClassDef("C"))
+
+
+def test_rule_resolution_agrees_with_an_independent_replay():
+    rng = random.Random(2039)
+    winners: Counter = Counter()
+    for _ in range(500):
+        repo, root = random_repo(rng)
+        eff = compose(repo, root)
+        definitions = flattened_definitions(repo, root)
+        keys = {d.property_key for _, d in definitions if isinstance(d, PredicatedRuleDef)}
+        model = random_model(rng)
+        for key in sorted(keys) + ["ghost"]:
+            for element in model_elements(model):
+                expected = resolve_reference(definitions, key, element)
+                if expected is None:
+                    with pytest.raises(NoApplicableRuleError):
+                        resolve_predicated(eff, key, element)
+                    winners[None] += 1
+                else:
+                    rule, prov = expected
+                    assert resolve_predicated(eff, key, element) == (rule.value, prov)
+                    winners[rule.predicate.kind] += 1
+    # every kind of case decides some elements, and some elements none
+    assert min(winners[kind] for kind in ("all", "stereotype", "metaclass", None)) > 50
+
+
+def test_a_rule_of_an_unknown_kind_is_refused_when_matched():
+    eff = resolve([Package("a", (), (
+        PredicatedRuleDef("visibility", Predicate("all"), "public"),
+        PredicatedRuleDef("visibility", Predicate("tagged", "owner"), "hidden"),
+    ))])
+    with pytest.raises(ValueError, match="unknown predicate kind: 'tagged'"):
+        resolve_predicated(eff, "visibility", ClassDef("C"))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +432,8 @@ def test_stereotype_base_change_outside_the_root_is_not_reported():
 
 def test_rule_predicates_are_checked():
     repo = {"a": Package("a", (), (
-        PredicatedRuleDef("persistence", HasStereotype("ghostly"), "x"),
-        PredicatedRuleDef("persistence", IsMetaclass("Widget"), "x"),
+        PredicatedRuleDef("persistence", Predicate("stereotype", "ghostly"), "x"),
+        PredicatedRuleDef("persistence", Predicate("metaclass", "Widget"), "x"),
     ))}
     assert vcodes(repo, "a") == ["W101", "E109"]
 
@@ -410,7 +442,7 @@ def test_rule_stereotype_may_be_declared_by_any_package():
     repo = {
         "base": Package("base", (), (StereotypeDef("event", "Class"),)),
         "user": Package("user", ("base",), (
-            PredicatedRuleDef("persistence", HasStereotype("event"), "x"),)),
+            PredicatedRuleDef("persistence", Predicate("stereotype", "event"), "x"),)),
     }
     assert validate_preface(repo, "user") == []
 

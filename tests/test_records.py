@@ -43,8 +43,8 @@ from prefacer.preface import (
     OPTION_CATALOGUE,
     STATECHART_TO_CLASS,
     ConstraintDef,
-    IsMetaclass,
     Package,
+    Predicate,
     PredicatedRuleDef,
     TransformSelection,
     compose,
@@ -155,7 +155,7 @@ def corpus(seed: int) -> list:
         roots += [random_package(rng), parse_package(print_package(random_package(rng))),
                   ConstraintDef("c", "Class", "error", scoped_expr(rng, "Class"))]
     roots += [ClassDef("T", tagged_values=(("owner", "me"), ("weight", 3))),
-              PredicatedRuleDef("visibility", IsMetaclass("Class"), "public")]
+              PredicatedRuleDef("visibility", Predicate("metaclass", "Class"), "public")]
     return roots
 
 
@@ -490,7 +490,7 @@ def test_importing_the_package_compiles_one_init_per_shape():
     shapes = {_shape(cls) for cls in RECORDS}
     assert seen["methods"] == [["__init__"]] * len(shapes)
     assert [tuple(shape) for shape in seen["templates"]] == sorted(shapes)
-    assert len(shapes) == 11 < len(records)
+    assert len(shapes) == 9 < len(records)
     undocumented = [name for name, doc in records.items()
                     if not doc or doc.startswith(name + "(")]
     assert undocumented == []

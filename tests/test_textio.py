@@ -23,10 +23,8 @@ from prefacer.constraints import eval_expr
 from prefacer.model import Model, Origin
 from prefacer.preface import (
     ConstDef,
-    HasStereotype,
-    IsMetaclass,
-    MatchAll,
     Package,
+    Predicate,
     compose,
     flatten_imports,
     resolve,
@@ -486,9 +484,9 @@ def test_parse_package_every_definition_kind():
     constraint = pkg.definitions[7]
     assert (constraint.scope, constraint.severity) == ("Class", "warning")
     rules = pkg.definitions[8:11]
-    assert rules[0].predicate == MatchAll()
-    assert rules[1].predicate == HasStereotype("event")
-    assert rules[2].predicate == IsMetaclass("Statechart")
+    assert rules[0].predicate == Predicate("all")
+    assert rules[1].predicate == Predicate("stereotype", "event")
+    assert rules[2].predicate == Predicate("metaclass", "Statechart")
     assert pkg.definitions[11].enabled is True
     assert pkg.definitions[12].enabled is False
 
