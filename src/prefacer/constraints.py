@@ -16,14 +16,16 @@ settles all dispatch and returns a function of ``(columns, n, model)``,
 where ``columns`` holds n values for each bound name, one row per element,
 and the result is the n values.  ``check_constraints`` runs a constraint
 over its whole scope at once, and a quantifier over many rows runs its
-body over the items of all of them at once.  Outcomes are still those of
-each element alone: an ``and`` or ``or`` runs a later operand only on the
-rows the earlier ones left undecided, and a scope's batch that raises
-``EvalError`` runs again one element at a time.  On one row, a quantifier
-runs its items one at a time, in order, as the element alone would, so
-each element gets the error of its own first failing node and item.  No
-batch holds more than ``BATCH_ROWS`` rows, but for one row whose domain is
-longer.
+body over the items of all of them at once.  A scope is the bare elements
+of its metaclass (``iter_scope``); a path is built only for an element
+that gets a diagnostic, in one pass over the scope's owners.  Outcomes
+are still those of each element alone: an ``and`` or ``or`` runs a later
+operand only on the rows the earlier ones left undecided, and a scope's
+batch that raises ``EvalError`` runs again one element at a time.  On one
+row, a quantifier runs its items one at a time, in order, as the element
+alone would, so each element gets the error of its own first failing node
+and item.  No batch holds more than ``BATCH_ROWS`` rows, but for one row
+whose domain is longer.
 
 Each expression has one type, so each column holds values of one type,
 and a check of a column's type reads its first value only.  That holds as
@@ -43,7 +45,7 @@ attributes and operations expose ``name`` only.
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from typing import Callable
 
 from . import expr as E
@@ -324,31 +326,46 @@ def eval_expr(e: E.Expr, bindings: dict[str, Value], model: Model | None = None)
 # ---------------------------------------------------------------------------
 
 
-def iter_scope(model: Model, metaclass: str) -> list[tuple[str, object]]:
-    """(path, element) pairs of one metaclass, in declaration order."""
+#: Metaclass -> the model's field of its owners and their field of it.
+_OWNED = {"Attribute": ("classes", "attributes"), "Operation": ("classes", "operations"),
+          "Transition": ("statecharts", "transitions")}
 
-    if metaclass == "Class":
-        return [(cls.name, cls) for cls in model.classes]
-    if metaclass == "Attribute":
-        return [(member_path(cls, attr.name), attr)
-                for cls in model.classes for attr in cls.attributes]
-    if metaclass == "Operation":
-        return [(member_path(cls, op.name), op) for cls in model.classes for op in cls.operations]
-    if metaclass == "Statechart":
-        return [(chart.name, chart) for chart in model.statecharts]
-    if metaclass == "Transition":
-        return [(transition_path(chart, index), t) for chart in model.statecharts
-                for index, t in enumerate(chart.transitions)]
-    raise ValueError(f"unknown metaclass '{metaclass}'")
+
+def iter_scope(model: Model, metaclass: str) -> list:
+    """The elements of one metaclass, in declaration order."""
+
+    if metaclass == "Class" or metaclass == "Statechart":
+        return list(model.classes if metaclass == "Class" else model.statecharts)
+    if metaclass not in _OWNED:
+        raise ValueError(f"unknown metaclass '{metaclass}'")
+    owners, members = _OWNED[metaclass]
+    return list(chain.from_iterable(getattr(o, members) for o in getattr(model, owners)))
+
+
+def _paths(model: Model, metaclass: str, scope: list, positions: list[int]) -> list[str]:
+    """The paths of the elements at ``positions`` (ascending) of ``scope``,
+    ``iter_scope(model, metaclass)``, in one pass over their owners."""
+
+    if metaclass not in _OWNED:
+        return [scope[at].name for at in positions]
+    owners, members = _OWNED[metaclass]
+    owners, paths, start, end = iter(getattr(model, owners)), [], 0, 0
+    for at in positions:
+        while at >= end:
+            owner = next(owners)
+            start, end = end, end + len(getattr(owner, members))
+        paths.append(transition_path(owner, at - start) if metaclass == "Transition"
+                     else member_path(owner, scope[at].name))
+    return paths
 
 
 def _check_one(model: Model, definition, provenance_id: str,
                diags: list[Diagnostic]) -> None:
     holds_for = compile_expr(definition.body)
     scope = list(iter_scope(model, definition.scope))
+    found = []  # (position in the scope, outcome) of each element that does not hold
     for start in range(0, len(scope), BATCH_ROWS):
-        chunk = scope[start:start + BATCH_ROWS]
-        elements = list(map(operator.itemgetter(1), chunk))
+        elements = scope[start:start + BATCH_ROWS]
         try:
             outcomes = holds_for({"self": elements}, len(elements), model)
         except EvalError:  # again element by element, for each one's own outcome
@@ -358,23 +375,25 @@ def _check_one(model: Model, definition, provenance_id: str,
                     outcomes += holds_for({"self": [element]}, 1, model)
                 except EvalError as failure:
                     outcomes.append(failure)
-        for (path, _), holds in compress(zip(chunk, outcomes),  # all but the holding
-                                         map(operator.is_not, outcomes, repeat(True))):
-            if isinstance(holds, EvalError):
-                diags.append(Diagnostic(
-                    "error", "E202", path,
-                    f"constraint '{definition.name}' could not be evaluated: {holds}",
-                    holds.loc, provenance_id))
-            elif type(holds) is not bool:
-                diags.append(Diagnostic(
-                    "error", "E202", path,
-                    f"constraint '{definition.name}' did not evaluate to a boolean",
-                    definition.body.loc, provenance_id))
-            elif not holds:
-                code = "E201" if definition.severity == "error" else "W201"
-                diags.append(Diagnostic(
-                    definition.severity, code, path,
-                    f"constraint '{definition.name}' violated", None, provenance_id))
+        found += compress(zip(count(start), outcomes),  # all but the holding
+                          map(operator.is_not, outcomes, repeat(True)))
+    paths = _paths(model, definition.scope, scope, [at for at, _ in found])
+    for path, (_, holds) in zip(paths, found):
+        if isinstance(holds, EvalError):
+            diags.append(Diagnostic(
+                "error", "E202", path,
+                f"constraint '{definition.name}' could not be evaluated: {holds}",
+                holds.loc, provenance_id))
+        elif type(holds) is not bool:
+            diags.append(Diagnostic(
+                "error", "E202", path,
+                f"constraint '{definition.name}' did not evaluate to a boolean",
+                definition.body.loc, provenance_id))
+        elif not holds:
+            code = "E201" if definition.severity == "error" else "W201"
+            diags.append(Diagnostic(
+                definition.severity, code, path,
+                f"constraint '{definition.name}' violated", None, provenance_id))
 
 
 def _check_single_inheritance(model: Model, eff: EffectiveDefinitions,

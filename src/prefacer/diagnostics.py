@@ -39,7 +39,9 @@ class SourceLocation:
 class LazyLocation:
     """A ``SourceLocation`` worked out when read, from a token's index and
     its parse's token table.  Its ``__class__`` is the record's, so the
-    record's ``==``, ``hash``, ``repr`` and pickling take both."""
+    record's ``==``, ``hash``, ``repr`` and pickling take both.  A parsed
+    record keeps only the pair ``(index, table)``; ``location_slot`` builds
+    the ``LazyLocation`` when its ``loc`` is read."""
 
     __slots__ = ("index", "table")
 
@@ -50,6 +52,21 @@ class LazyLocation:
     file, line, column = (property(lambda s, i=i: s.table(s.index)[i]) for i in range(3))
     __str__, __repr__ = SourceLocation.__str__, SourceLocation.__repr__
     __eq__, __hash__, __reduce__ = SourceLocation.__eq__, SourceLocation.__hash__, _reduce
+
+
+def location_slot(slot) -> property:
+    """A record's ``loc``, which ``@record`` installs over ``slot``, the
+    slot's member descriptor, whose setter constructors keep.  A stored
+    ``(index, table)`` pair reads as the ``LazyLocation`` built on its
+    first read, which then takes its place; anything else reads as stored."""
+
+    def read(record):
+        value = slot.__get__(record)
+        if value.__class__ is tuple:
+            value = LazyLocation(*value)
+            slot.__set__(record, value)  # so that each read gives this one
+        return value
+    return property(read)
 
 
 @record

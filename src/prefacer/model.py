@@ -362,10 +362,12 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
             _check_origin(inv.origin, cls.name, cls.loc, diags)
 
 
-def _names_on_cycles(graph: dict[str, tuple[str, ...]]) -> set[str]:
+def _names_on_cycles(graph: dict[str, tuple[str, ...]],
+                     reach: dict[str, int] | None = None) -> set[str]:
     """The names that reach themselves along one or more edges: members of
     strongly connected components of two or more names, and names with an
-    edge to themselves.
+    edge to themselves.  Given ``reach``, a bit for each name, it leaves
+    each name the bits of every name it reaches, itself included.
 
     Tarjan's algorithm with an explicit stack of (name, successor
     iterator) frames, so the depth of the graph never meets the recursion
@@ -411,6 +413,11 @@ def _names_on_cycles(graph: dict[str, tuple[str, ...]]) -> set[str]:
                             break
                     if len(members) > 1 or name in graph[name]:
                         cyclic.update(members)
+                    if reach is not None:  # each component it reaches is done
+                        bits = 0
+                        for reached in [n for member in members for n in (member, *graph[member])]:
+                            bits |= reach[reached]
+                        reach.update(dict.fromkeys(members, bits))
     return cyclic
 
 
@@ -422,8 +429,8 @@ def _classes_on_cycles(model: Model) -> list[bool]:
     unknown names lead nowhere, so the first class of each name is on a
     cycle exactly when its name is.  A later class of a repeated name
     (already an E001 error) has superclasses of its own: it is on a cycle
-    exactly when its name is in the graph where the name's edges are its
-    superclasses, which costs one more pass for each such class.
+    exactly when one of them reaches its name, which the same pass finds
+    when the model repeats a name.
     """
 
     index = model._class_index
@@ -432,9 +439,12 @@ def _classes_on_cycles(model: Model) -> list[bool]:
         return tuple(s for s in cls.superclasses if s in index)
 
     graph = {name: edges(cls) for name, cls in index.items()}
-    cyclic = _names_on_cycles(graph)
+    repeated = len(index) < len(model.classes)  # only then are bits needed
+    bit = {name: 1 << at for at, name in enumerate(graph)} if repeated else {}
+    reach = dict(bit) if repeated else None
+    cyclic = _names_on_cycles(graph, reach)
     return [cls.name in cyclic if index[cls.name] is cls
-            else cls.name in _names_on_cycles({**graph, cls.name: edges(cls)})
+            else any(reach[s] & bit[cls.name] for s in edges(cls))
             for cls in model.classes]
 
 
@@ -463,10 +473,11 @@ def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> No
             chart.loc))
 
     for index, t in enumerate(chart.transitions):  # the path only for a diagnostic
-        for end, label in ((t.source, "source"), (t.target, "target")):
-            if end not in state_names:
-                diags.append(_err("E012", transition_path(chart, index),
-                                  f"transition {label} '{end}' is not a declared state", t.loc))
+        if t.source not in state_names or t.target not in state_names:
+            diags += [_err("E012", transition_path(chart, index),
+                           f"transition {label} '{end}' is not a declared state", t.loc)
+                      for end, label in ((t.source, "source"), (t.target, "target"))
+                      if end not in state_names]
         if not is_identifier(t.event):
             diags.append(_err("E014", transition_path(chart, index),
                               f"transition event {t.event!r} is not a valid identifier", t.loc))

@@ -7,10 +7,13 @@ the record's own field table, and creates the class once more, slotted.  The
 ``replace``, and the ``__repr__``, ``__eq__``, ``__hash__`` and
 ``__reduce__`` all records share read that table.  A record stores exactly
 what its constructor is given: ``__post_init__`` derives the ``init=False``
-fields that have no default and never normalises the others.  No record
-compiles its ``__init__``: it takes the code compiled once per shape
-(``__init__`` field count, count of defaulted ``init=False`` fields,
-``__post_init__`` or not), with its field names and defaults.
+fields that have no default and never normalises the others.  A ``loc``
+field reads through ``diagnostics.location_slot``: a parse stores its
+``(token index, token table)`` pair there, which reads as a
+``LazyLocation`` built on the read.  No record compiles its ``__init__``:
+it takes the code compiled once per shape (``__init__`` field count, count
+of defaulted ``init=False`` fields, ``__post_init__`` or not), with its
+field names and defaults.
 
 Start-up imports no ``dataclasses``.  Outside readers get its registry all the
 same: ``make_dataclass`` builds it on the first read of
@@ -85,6 +88,9 @@ def record(cls):
     _COMPARED[cls] = tuple(f.name for f in reversed(table) if f.compare)
     _SHOWN[cls] = tuple(f.name for f in table if f.repr)
     cls.__init__ = _init(cls, table)
+    if "loc" in namespace["__slots__"]:  # after ``_init`` took the slot's setter
+        from .diagnostics import location_slot
+        cls.loc = location_slot(vars(cls)["loc"])
     return cls
 
 

@@ -30,12 +30,14 @@ any other character outside a string or comment is a located
 none).  A string keeps its quotes, so the first character of a text
 tells its kind: a letter or ``_`` starts an identifier, a digit an
 integer, ``"`` a string, anything else is a symbol, and the empty text
-is the end of input.  A node, an element or a ``ParseError`` keeps a
-``LazyLocation``: its token's index and the parse's ``_token_table``
-(file name and text, no token list).  On the first read of a location
-the table finds every token start, in one more pass of the same
-expression, and the line starts; a parse none of whose locations is
-read never pays for them.
+is the end of input.  A node or an element keeps the pair of its
+token's index and the parse's ``_token_table`` (file name and text, no
+token list) in its ``loc`` slot, and reading its ``loc`` builds the
+``LazyLocation`` for that pair (see ``diagnostics.location_slot``); a
+``ParseError`` keeps a ``LazyLocation``.  On the first read of a
+location the table finds every token start, in one more pass of the
+same expression, and the line starts; a parse none of whose locations
+is read never pays for them, nor builds a location object.
 
 Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
 located ``ParseError``, so no text makes a parser (or the evaluator, on
@@ -251,8 +253,9 @@ _NO_OPERATOR = (_END, None)
 class _Parser:
     """A position in the token texts of one source.  The primitives look
     at ``texts[pos]``; a method that consumes a token returns its text
-    (unquoted, for a string) or its index, which ``loc`` turns into a
-    location where one is kept."""
+    (unquoted, for a string) or its index, which a record keeps in the
+    pair ``(index, table)`` and ``loc`` turns into a ``ParseError``'s
+    location."""
 
     __slots__ = ("texts", "table", "pos", "depth")
 
@@ -261,7 +264,7 @@ class _Parser:
         self.pos = self.depth = 0
 
     def loc(self, index: int) -> LazyLocation:
-        """The location of the token at ``index``."""
+        """The location of the token at ``index``, for a ``ParseError``."""
 
         return LazyLocation(index, self.table)
 
@@ -336,9 +339,9 @@ class _Parser:
     # Precedence climbing, after Pratt's "Top down operator precedence"
     # (POPL 1973): two methods, so one frame each per nesting level.
     # ``expression`` reads the operands of one level left to right, with the
-    # ``not``s before them and the binary operators between them;
-    # ``_operand`` reads a literal, a variable, a group, a call or a
-    # quantifier, then the navigations from it.
+    # ``not``s before them, the variables among them and the binary
+    # operators between them; ``_operand`` reads a literal, a group, a call
+    # or a quantifier, then the navigations from it or from a variable.
 
     def expression(self) -> E.Expr:
         """An expression.  Each operator waits on a stack until one no
@@ -360,7 +363,19 @@ class _Parser:
                     self.deeper(self.pos)
                     waiting.append((_NOT, E.Not, None, self.pos))
                     self.pos += 1
-            out = self._operand()
+            index = self.pos
+            text = texts[index]
+            # A variable, the one operand that cannot fail, is read here.  A
+            # call is told by the next text with any quotes taken off, so
+            # ``size "("`` fails at the string, expecting '('.
+            if (text[:1] in _IDENT_START and text not in E.KEYWORDS
+                    and not (text in _CALLS and texts[index + 1] in ("(", '"("'))):
+                self.pos = index + 1
+                out = E.VarRef(text, (index, table))
+                if texts[index + 1] == ".":
+                    out = self._operand(out)
+            else:
+                out = self._operand()
             index = self.pos
             level, node = _BINARY.get(texts[index], _NO_OPERATOR)
             if level == _CMP:
@@ -371,12 +386,12 @@ class _Parser:
             while waiting and waiting[-1][0] >= floor:
                 _, make, lhs, at = waiting.pop()
                 if lhs is None:
-                    out = make(out, LazyLocation(at, table))
+                    out = make(out, (at, table))
                     self.depth -= 1
                 elif make is E.Compare:
-                    out = make(texts[at], lhs, out, LazyLocation(at, table))
+                    out = make(texts[at], lhs, out, (at, table))
                 else:
-                    out = make(lhs, out, LazyLocation(at, table))
+                    out = make(lhs, out, (at, table))
             if level == _END:
                 self.depth = depth  # each 'implies' opened a level
                 return out
@@ -386,48 +401,46 @@ class _Parser:
                 self.deeper(index)
             negation = level <= _AND
 
-    def _operand(self) -> E.Expr:
+    def _operand(self, out: E.Expr | None = None) -> E.Expr:
+        """An operand other than a variable, or ``out``, the variable
+        ``expression`` just read; then the navigations from it."""
+
         texts, table = self.texts, self.table
-        index = self.pos
-        text = texts[index]
-        head = text[:1]
-        if head in _IDENT_START:
-            if text not in E.KEYWORDS:
-                # A call is told by the next text with any quotes taken off,
-                # so ``size "("`` fails at the string, expecting '('.
-                if text in _CALLS and texts[index + 1] in ("(", '"("'):
+        if out is None:
+            index = self.pos
+            text = texts[index]
+            head = text[:1]
+            if head in _IDENT_START:
+                if text not in E.KEYWORDS:  # the head of a call
                     out = self._call(index)
-                else:
+                elif text == "true" or text == "false":
                     self.pos = index + 1
-                    out = E.VarRef(text, LazyLocation(index, table))
-            elif text == "true" or text == "false":
+                    out = E.Literal(text == "true", (index, table))
+                elif text == "forall" or text == "exists":
+                    out = self._quantifier(index)
+                else:
+                    raise self.fail("an expression")
+            elif head in _DIGITS:
                 self.pos = index + 1
-                out = E.Literal(text == "true", LazyLocation(index, table))
-            elif text == "forall" or text == "exists":
-                out = self._quantifier(index)
+                out = E.Literal(int(text), (index, table))
+            elif head == '"':
+                self.pos = index + 1
+                out = E.Literal(text[1:-1], (index, table))
+            elif text == "(":
+                self.pos = index + 1
+                self.deeper(index)
+                out = self.expression()
+                self.eat(")")
+                self.depth -= 1
             else:
                 raise self.fail("an expression")
-        elif head in _DIGITS:
-            self.pos = index + 1
-            out = E.Literal(int(text), LazyLocation(index, table))
-        elif head == '"':
-            self.pos = index + 1
-            out = E.Literal(text[1:-1], LazyLocation(index, table))
-        elif text == "(":
-            self.pos = index + 1
-            self.deeper(index)
-            out = self.expression()
-            self.eat(")")
-            self.depth -= 1
-        else:
-            raise self.fail("an expression")
         index = self.pos
         while texts[index] == ".":
             index += 1
             if texts[index][:1] not in _IDENT_START:
                 self.pos = index
                 raise self.fail("a feature name")
-            out = E.Nav(out, texts[index], LazyLocation(index, table))
+            out = E.Nav(out, texts[index], (index, table))
             index += 1
         self.pos = index
         return out
@@ -446,7 +459,7 @@ class _Parser:
         self.eat(")")
         self.depth -= 1
         node = E.Forall if texts[index] == "forall" else E.Exists
-        return node(texts[index + 2], domain, body, LazyLocation(index, self.table))
+        return node(texts[index + 2], domain, body, (index, self.table))
 
     def _call(self, index: int) -> E.Expr:
         fn = self.texts[index]
@@ -457,7 +470,7 @@ class _Parser:
             self.eat(",")
             name_index = self.pos
             name = self.string("a stereotype name string")
-            args: tuple[E.Expr, ...] = (element, E.Literal(name, self.loc(name_index)))
+            args: tuple[E.Expr, ...] = (element, E.Literal(name, (name_index, self.table)))
         elif fn == "exactlyOne":
             found = [self.expression()]
             while self.take(","):
@@ -467,7 +480,7 @@ class _Parser:
             args = (self.expression(),)
         self.eat(")")
         self.depth -= 1
-        return E.Call(fn, args, self.loc(index))
+        return E.Call(fn, args, (index, self.table))
 
     # -- literals (package constants) ----------------------------------------
 
@@ -574,7 +587,7 @@ def _parse_operation(p: _Parser, index: int) -> Operation:
         p.eat(":")
         post = p.expression()
     return Operation(texts[index + 1], tuple(params), pre, post, None, AUTHORED,
-                     LazyLocation(index, p.table))
+                     (index, p.table))
 
 
 def _parse_class(p: _Parser, start: int) -> ClassDef:
@@ -606,7 +619,7 @@ def _parse_class(p: _Parser, start: int) -> ClassDef:
                     and texts[index + 3][:1] in _IDENT_START):
                 p.replay(index + 1, "an attribute name", ":", "a type name")
             attributes.append(Attribute(texts[index + 1], texts[index + 3], AUTHORED,
-                                        LazyLocation(index, table)))
+                                        (index, table)))
             p.pos = index + 4
         elif word == "operation":
             operations.append(_parse_operation(p, index))
@@ -616,7 +629,7 @@ def _parse_class(p: _Parser, start: int) -> ClassDef:
         elif word == "}":
             p.pos = index + 1
             return ClassDef(texts[start + 1], superclasses, stereotypes, (), tuple(attributes),
-                            tuple(operations), tuple(invariants), LazyLocation(start, table))
+                            tuple(operations), tuple(invariants), (start, table))
         else:
             raise p.fail("'attribute', 'operation', 'invariant' or '}'")
 
@@ -636,7 +649,7 @@ def _parse_chart(p: _Parser, start: int) -> Statechart:
             at = index + (word == "initial")  # the ``state`` token
             if texts[at] != "state" or texts[at + 1][:1] not in _IDENT_START:
                 p.replay(at, "state", "a state name")
-            states.append(State(texts[at + 1], word == "initial", LazyLocation(at, table)))
+            states.append(State(texts[at + 1], word == "initial", (at, table)))
             p.pos = at + 2
         elif word == "transition":
             if not (texts[index + 1][:1] in _IDENT_START and texts[index + 2] == "->"
@@ -650,11 +663,11 @@ def _parse_chart(p: _Parser, start: int) -> Statechart:
                 guard = p.expression()
                 p.eat("]")
             transitions.append(Transition(texts[index + 1], texts[index + 3], texts[index + 5],
-                                          guard, LazyLocation(index, table)))
+                                          guard, (index, table)))
         elif word == "}":
             p.pos = index + 1
             return Statechart(texts[start + 1], texts[start + 3], tuple(states),
-                              tuple(transitions), LazyLocation(start, table))
+                              tuple(transitions), (start, table))
         else:
             raise p.fail("'state', 'initial', 'transition' or '}'")
 
@@ -665,7 +678,7 @@ def parse_model(source: str, file: str = "<model>") -> Model:
     structurally broken model parses fine and fails ``builtin_check``."""
 
     p = _Parser(source, file)
-    loc = p.loc(p.eat("model"))
+    loc = (p.eat("model"), p.table)
     name = p.ident("a model name")
     classes: list[ClassDef] = []
     charts: list[Statechart] = []
@@ -696,7 +709,7 @@ def _parse_const(p: _Parser, index: int) -> Definition:
     if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "=":
         p.replay(index + 1, "a constant name", "=")
     p.pos = index + 3
-    return ConstDef(texts[index + 1], p.literal(), LazyLocation(index, p.table))
+    return ConstDef(texts[index + 1], p.literal(), (index, p.table))
 
 
 def _parse_option(p: _Parser, index: int) -> Definition:
@@ -706,7 +719,7 @@ def _parse_option(p: _Parser, index: int) -> Definition:
         p.replay(end, "=", "an option value")
     p.pos = end + 2
     return OptionDef("".join(texts[index + 1:end]), texts[end + 1],
-                     LazyLocation(index, p.table))
+                     (index, p.table))
 
 
 def _parse_stereotype(p: _Parser, index: int) -> Definition:
@@ -720,7 +733,7 @@ def _parse_stereotype(p: _Parser, index: int) -> Definition:
     p.pos = end
     # Without ``requires`` the slice of tag names is empty.
     return StereotypeDef(texts[index + 1], texts[index + 3], tuple(texts[index + 5:end:2]),
-                         LazyLocation(index, p.table))
+                         (index, p.table))
 
 
 def _parse_tagdef(p: _Parser, index: int) -> Definition:
@@ -732,7 +745,7 @@ def _parse_tagdef(p: _Parser, index: int) -> Definition:
             f"'{texts[index + 3]}' is not a tag type (expected string, int or bool)",
             p.loc(index + 3))
     p.pos = index + 4
-    return TagDef(texts[index + 1], texts[index + 3], LazyLocation(index, p.table))
+    return TagDef(texts[index + 1], texts[index + 3], (index, p.table))
 
 
 def _parse_constraint(p: _Parser, index: int) -> Definition:
@@ -754,7 +767,7 @@ def _parse_constraint(p: _Parser, index: int) -> Definition:
         p.replay(at, ":")
     p.pos = at + 1
     return ConstraintDef(texts[index + 1], texts[index + 3], severity, p.expression(),
-                         LazyLocation(index, p.table))
+                         (index, p.table))
 
 
 #: The predicate of every ``rule … when all``.
@@ -785,7 +798,7 @@ def _parse_rule(p: _Parser, index: int) -> Definition:
         p.replay(at, "=", "a value")
     p.pos = at + 2
     return PredicatedRuleDef(texts[index + 1], predicate, texts[at + 1],
-                             LazyLocation(index, p.table))
+                             (index, p.table))
 
 
 def _parse_transform(p: _Parser, index: int) -> Definition:
@@ -796,7 +809,7 @@ def _parse_transform(p: _Parser, index: int) -> Definition:
         raise p.fail("'on' or 'off'")
     p.pos = end + 1
     return TransformSelection("".join(texts[index + 1:end]), texts[end] == "on",
-                              LazyLocation(index, p.table))
+                              (index, p.table))
 
 
 _DEFINITIONS = {
@@ -815,7 +828,7 @@ def parse_package(source: str, file: str = "<package>") -> Package:
     """Parse one package file: quoted id, imports first, then definitions."""
 
     p = _Parser(source, file)
-    loc = p.loc(p.eat("package"))
+    loc = (p.eat("package"), p.table)
     pkg_id = p.string("a quoted package id")
     p.eat("{")
     imports: list[str] = []
@@ -861,7 +874,7 @@ def read_package_header(source: str, file: str = "<package>") -> Package:
         if imported[:1] != '"' or imported == '"':
             return parse_package(source, file)
         imports.append(imported[1:-1])
-    loc = LazyLocation(0, _token_table(file, source))
+    loc = (0, _token_table(file, source))
     return Package(pkg_id[1:-1], tuple(imports), loc=loc)
 
 

@@ -23,7 +23,6 @@ from prefacer.constraints import (
     _check_event_names,
     _check_guards,
     _check_single_inheritance,
-    iter_scope,
 )
 from prefacer.diagnostics import Diagnostic
 from prefacer.model import (
@@ -231,6 +230,24 @@ def eval_expr(e: E.Expr, bindings: dict[str, Value], model: Model | None = None)
 
 
 
+def scope_pairs(model: Model, metaclass: str) -> list[tuple[str, object]]:
+    """(path, element) pairs of one metaclass, in declaration order, by a
+    walk of the model's own, apart from ``prefacer.constraints.iter_scope``."""
+
+    pairs: list[tuple[str, object]] = []
+    for cls in model.classes:
+        if metaclass == "Class":
+            pairs.append((cls.name, cls))
+        members = {"Attribute": cls.attributes, "Operation": cls.operations}.get(metaclass, ())
+        pairs += [(f"{cls.name}.{member.name}", member) for member in members]
+    for chart in model.statecharts:
+        if metaclass == "Statechart":
+            pairs.append((chart.name, chart))
+        if metaclass == "Transition":
+            pairs += [(f"{chart.name}/{index}", t) for index, t in enumerate(chart.transitions)]
+    return pairs
+
+
 def check_constraints_reference(model: Model, eff: EffectiveDefinitions) -> list[Diagnostic]:
     """``check_constraints``, each constraint evaluated element by element."""
 
@@ -239,7 +256,7 @@ def check_constraints_reference(model: Model, eff: EffectiveDefinitions) -> list
                     key=lambda pair: pair[1].definition_index)
     for definition, prov in active:
         holds_for = compile_expr(definition.body)
-        for path, element in iter_scope(model, definition.scope):
+        for path, element in scope_pairs(model, definition.scope):
             try:
                 holds = holds_for({"self": element}, model)
             except EvalError as failure:

@@ -110,10 +110,10 @@ def test_criterion_3_predicated_chain_is_if_then_else(worked_eff):
 
     start = perf_counter()
     outcomes = {}
-    for path, element in iter_scope(model, "Class"):
+    for element in iter_scope(model, "Class"):
         value, provenance = resolve_predicated(worked_eff, "persistence", element)
-        assert (value, provenance.package_id) == longhand(element), path
-        outcomes[path] = value
+        assert (value, provenance.package_id) == longhand(element), element.name
+        outcomes[element.name] = value
     elapsed = perf_counter() - start
 
     assert outcomes == {"A": "persistent", "B": "transient", "C": "persistent",
@@ -235,7 +235,7 @@ def test_criterion_8_evaluator_agrees_with_brute_force():
     while pairs < EVAL_CORPUS:
         model = random_model(rng)
         metaclass = rng.choice(("Class", "Statechart"))
-        elements = [element for _, element in iter_scope(model, metaclass)]
+        elements = iter_scope(model, metaclass)
         if not elements:
             continue
         expression = scoped_expr(rng, metaclass, depth=2)

@@ -312,7 +312,7 @@ def test_evaluator_agrees_with_brute_force_on_random_input():
         metaclass = rng.choice(
             ("Class", "Attribute", "Operation", "Statechart", "Transition"))
         e = scoped_expr(rng, metaclass)
-        for _, element in iter_scope(model, metaclass):
+        for element in iter_scope(model, metaclass):
             both_ways(e, element, model)
             checked += 1
     assert checked > 300
@@ -324,7 +324,7 @@ def test_evaluator_agreement_is_seed_independent(seed):
     rng = random.Random(seed)
     model = random_model(rng)
     e = scoped_expr(rng, "Class")
-    for _, element in iter_scope(model, "Class"):
+    for element in iter_scope(model, "Class"):
         both_ways(e, element, model)
 
 
@@ -456,7 +456,7 @@ def _batch_agrees_element_by_element(e: E.Expr, model: Model, metaclass: str) ->
     """One batch over the whole scope raises if and only if some element
     fails alone, and otherwise gives each element its value alone."""
 
-    elements = [element for _, element in iter_scope(model, metaclass)]
+    elements = iter_scope(model, metaclass)
     if not elements:
         return
     alone = []
@@ -495,6 +495,36 @@ def test_batch_agreement_is_seed_independent(seed):
     _agrees_with_the_reference(model, eff_with(*constraints))
     for definition in constraints:
         _batch_agrees_element_by_element(definition.body, model, definition.scope)
+
+
+def test_finding_paths_agree_with_the_reference_on_scopes_full_of_findings(monkeypatch):
+    """Every scope of every metaclass, each element a finding: violated
+    everywhere, an E202 everywhere, not a boolean, or an E202 on some
+    elements and holding on the rest; also in batches of three, so that
+    findings straddle batches and owners with no element of the scope."""
+
+    seen: dict[tuple[str, str], int] = {}
+    for rows in (constraints.BATCH_ROWS, 3):
+        monkeypatch.setattr(constraints, "BATCH_ROWS", rows)
+        rng = random.Random(4040)
+        for _ in range(60):
+            model = random_model(rng, max_classes=12, max_states=8)
+            definitions = []
+            for metaclass in METACLASSES:
+                name = "self.event" if metaclass == "Transition" else "self.name"
+                for body in (f'{name} = "zz"', f"size({name}) = 0", name,
+                             f'{name} < "m" or size({name}) = 0'):
+                    definitions.append(ConstraintDef(
+                        f"k{len(definitions)}", metaclass, rng.choice(("error", "warning")),
+                        parse_expr(body, f"k{len(definitions)}")))
+            scope_of = {d.name: d.scope for d in definitions}
+            for _, code, _, message, *_ in _agrees_with_the_reference(
+                    model, eff_with(*definitions)):
+                if message.startswith("constraint "):
+                    metaclass = scope_of[message.split("'")[1]]
+                    seen[metaclass, code] = seen.get((metaclass, code), 0) + 1
+    assert all(seen.get((metaclass, code), 0) > 30 for metaclass in METACLASSES
+               for code in ("E202", "E201", "W201")), seen
 
 
 def _recording_compiler(monkeypatch) -> list[tuple[int, set]]:
@@ -598,9 +628,9 @@ def test_each_scope_is_drawn_once_per_constraint(monkeypatch):
     drawn = []
 
     def counted(model, metaclass):
-        for pair in iter_scope(model, metaclass):
+        for element in iter_scope(model, metaclass):
             drawn.append(metaclass)
-            yield pair
+            yield element
 
     model = _classes(("A", "ab"), ("B()", ""), ("C", "c"))
     eff = eff_with(  # the second fails on B, so its batch runs again element by element
@@ -668,7 +698,7 @@ SNAPSHOT_EXPRESSIONS = _snapshot_expressions()
 SAMPLE_MODEL = read_sample()[2]
 SAMPLE_ELEMENTS = [element for metaclass in ("Class", "Attribute", "Operation", "Statechart",
                                              "Transition")
-                   for _, element in iter_scope(SAMPLE_MODEL, metaclass)]
+                   for element in iter_scope(SAMPLE_MODEL, metaclass)]
 #: The lexer's pieces, and the words and features the evaluator knows.
 EXPR_EDIT = st.tuples(
     st.sampled_from(("insert", "delete", "replace")), st.integers(0, 10**6),

@@ -29,9 +29,10 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+from eval_oracle import scope_pairs
 from generators import random_expr, random_model, scoped_expr
 from prefacer import expr as E
-from prefacer.constraints import EvalError, check_constraints, eval_expr, iter_scope
+from prefacer.constraints import EvalError, check_constraints, eval_expr
 from prefacer.model import Attribute, ClassDef, Model, State, Statechart, Transition
 from prefacer.preface import ConstraintDef, Package, resolve
 from prefacer.textio import format_expr, parse_expr
@@ -121,7 +122,7 @@ def _dangling_model() -> Model:
 def _paths(model: Model) -> dict[int, str]:
     return {id(element): f"{metaclass}:{path}"
             for metaclass in METACLASSES
-            for path, element in iter_scope(model, metaclass)}
+            for path, element in scope_pairs(model, metaclass)}
 
 
 def _shown(value, paths: dict[int, str]):
@@ -200,7 +201,7 @@ def snapshot_entries() -> list[dict]:
                 "case": name, "text": text, "scope": metaclass,
                 "outcomes": [
                     [path, _outcome(tree, {"self": element, **extra}, model, paths)]
-                    for path, element in iter_scope(model, metaclass)]})
+                    for path, element in scope_pairs(model, metaclass)]})
         if model_name != "dangling":
             eff = resolve([Package("pins", (), tuple(constraints))])
             entries.append({

@@ -1,14 +1,15 @@
 """Parsed locations stand for ``SourceLocation`` records they never build.
 
-A parser gives each node, element and ``ParseError`` a ``LazyLocation``:
-the index of its token and the parse's shared token table, which finds
-the token offsets on the first read.  Here every such location, on every
-text of ``tests/parse_outcomes.json``, on edits of those texts and on
-seeded round trips, must equal, hash, print and pickle exactly like the
-eager record for the same place, worked out apart from the parser: from
-the snapshot's pinned positions, or from the token at the same index of
-the reference tokenizer of ``tests/oracles.py``.  Counting the offset
-passes pins when they happen.
+A parser keeps in each node and element the index of its token and the
+parse's shared token table, which a read of its ``loc`` turns into a
+``LazyLocation``, and gives each ``ParseError`` a ``LazyLocation``; the
+table finds the token offsets on the first read.  Here every such
+location, on every text of ``tests/parse_outcomes.json``, on edits of
+those texts and on seeded round trips, must equal, hash, print and pickle
+exactly like the eager record for the same place, worked out apart from
+the parser: from the snapshot's pinned positions, or from the token at
+the same index of the reference tokenizer of ``tests/oracles.py``.
+Counting the offset passes pins when they happen.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from oracles import lex_reference
 from prefacer import textio
 from prefacer.cli import RunConfig, run
 from prefacer.diagnostics import Diagnostic, LazyLocation, SourceLocation
+from prefacer.preface import ConstraintDef
 from prefacer.textio import (
     ParseError,
     format_expr,
@@ -41,7 +43,14 @@ from prefacer.textio import (
     read_package_header,
 )
 from test_parse_outcomes import _header_cases
-from test_textio import LEX_PIECES, _compare_with_reference, _lex_new, _lexed, _offset
+from test_textio import (
+    LEX_PIECES,
+    _compare_with_reference,
+    _lex_new,
+    _lexed,
+    _offset,
+    read_sample,
+)
 
 HERE = Path(__file__).resolve().parent
 PARSERS = {"model": parse_model, "package": parse_package, "expr": parse_expr}
@@ -204,22 +213,61 @@ def passes(monkeypatch) -> list[str]:
     return texts
 
 
+def _located_texts() -> list[tuple]:
+    """(parser, text) for the texts of ``sample/``, the transformed sample
+    model printed, the sample's constraint bodies, and seeded texts of
+    ``tests/generators``: every parser, and the header reader on every
+    package text."""
+
+    sample = HERE.parent / "sample"
+    models = [(sample / "example.model").read_text(encoding="utf-8"),
+              print_model(read_sample()[2])]
+    packages = [path.read_text(encoding="utf-8")
+                for path in sorted((sample / "defs").glob("*.preface"))]
+    exprs = [format_expr(d.body) for text in packages
+             for d in parse_package(text).definitions if isinstance(d, ConstraintDef)]
+    rng = random.Random(40)
+    for _ in range(8):
+        models.append(print_model(random_model(rng)))
+        packages.append(print_package(random_package(rng)))
+        exprs.append(format_expr(random_expr(rng, 4)))
+    return ([(parse_model, text) for text in models] + [(parse_expr, text) for text in exprs]
+            + [(parse, text) for text in packages
+               for parse in (parse_package, read_package_header)])
+
+
 def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch, passes):
     text = (HERE.parent / "sample" / "example.model").read_text(encoding="utf-8")
     tokens = lex_reference(text, "example.model")
-    built = []
-    init = SourceLocation.__init__
+    texts = _located_texts()  # the transformed sample reads locations as it is made
+    built, lazy = [], []
+    init, lazy_init = SourceLocation.__init__, LazyLocation.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_lazy_init(self, *args):
+        lazy.append(args)
+        lazy_init(self, *args)
+
     monkeypatch.setattr(SourceLocation, "__init__", counting_init)
+    monkeypatch.setattr(LazyLocation, "__init__", counting_lazy_init)
+    # No parser builds a location object of either kind: each node keeps
+    # its token's index and the parse's table, and a read builds one.
+    trees = [(source, parse(source, "t")) for parse, source in texts]
+    assert built == [] and lazy == [] and passes == [] and len(trees) > 30
+    for source, tree in trees:
+        locs = located(tree)
+        assert len(lazy) == len(locs) and all(type(loc) is LazyLocation for loc in locs)
+        assert [loc is again for loc, again in zip(locs, located(tree))] == [True] * len(locs)
+        # One token table per parse.
+        assert len({id(loc.table) for loc in locs}) == 1
+        assert_at_tokens(source, "t", locs)
+        lazy.clear()
+    built.clear()
     locs = located(parse_model(text, "example.model"))
-    assert built == [] and len(locs) > 10 and passes == []
-    assert all(type(loc) is LazyLocation for loc in locs)
-    # One token table per parse.
-    assert len({id(loc.table) for loc in locs}) == 1
+    assert built == [] and len(locs) > 10
     # Reading, comparing, hashing and printing build no record either.
     assert [str(loc) for loc in locs] == [str(tokens[loc.index].loc) for loc in locs]
     assert len({hash(loc) for loc in locs}) > 1 and locs[0] == locs[0]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from generators import random_model
 from oracles import all_element_paths, inherits_from_itself_reference
+from prefacer import model as model_module
 from prefacer.diagnostics import Diagnostic, SourceLocation
 from prefacer.expr import Literal
 from prefacer.model import (
@@ -327,6 +328,30 @@ def test_hierarchy_diagnostics_match_the_per_class_walk_on_random_graphs():
         duplicates += len({c.name for c in model.classes}) < len(model.classes)
     # The corpus must exercise both cycles and duplicate names.
     assert cycles > 500 and duplicates > 500
+
+
+def test_repeated_class_names_are_decided_in_one_pass(monkeypatch):
+    # A chain of 2,000 classes, each declared twice as distinct records;
+    # the second C0 specializes C1999, which reaches C0 through the first
+    # declarations, so that class alone is on a cycle.
+    # One pass of the cycle finder decides every class: a pass per later
+    # class of a repeated name made the check quadratic in them.
+    passes = []
+    names_on_cycles = model_module._names_on_cycles
+
+    def counted(*args):
+        passes.append(len(args[0]))
+        return names_on_cycles(*args)
+
+    monkeypatch.setattr(model_module, "_names_on_cycles", counted)
+    n = 2000
+    first = [ClassDef(f"C{i}", superclasses=(f"C{i - 1}",) if i else ()) for i in range(n)]
+    again = [ClassDef(f"C{i}", superclasses=(f"C{i - 1}" if i else f"C{n - 1}",))
+             for i in range(n)]
+    out = builtin_check(Model("twice", tuple(first + again)))
+    assert passes == [n]
+    assert [(d.code, d.path) for d in out] == [("E001", "C0"), ("E008", "C0")] + [
+        ("E001", f"C{i}") for i in range(1, n)]
 
 
 def test_cycle_in_a_long_chain_marks_exactly_its_members():

@@ -960,6 +960,19 @@ def test_packages_and_expressions_parse_as_the_primitives_read_them():
         " = ".join(["exists(x in s | " * 60 + "x" + ")" * 60] * 2)] + [
         edited for source in random.Random(0).sample(expressions, 60)
         for edited in _token_edits(source, replacements)]
+    # Runs of operands, where a variable is read apart from the other
+    # operands: chains, n-ary arguments, navigation and call heads, and
+    # keywords where an operand stands; each with every one-token edit.
+    operand_words = (*replacements, ".", ",", "not", "true", "forall", "size", "or", "x")
+    runs = [" or ".join(f"a{i}" for i in range(12)), " and ".join(f"b{i}" for i in range(12)),
+            "a and b or c and d or e implies f = g", "exactlyOne(a, b, c, d, e)",
+            "exactlyOne(a.b, c, size(d) = 1)", "a.b", "a.b.c = x.y or z",
+            'self.name <> "x" and self.attributes', "size(a) = 0 and isEmpty(b.c)",
+            'size "(" a', 'hasStereotype(self, "x") or y', "a or true and not b",
+            "not a implies true or false", "a and forall(x in s | x) or b",
+            "exists(y in t | y.z) and not forall(x in s | x)"]
+    expression_texts += [edited for source in runs
+                         for edited in (source, *_token_edits(source, operand_words))]
     # The scanner cuts every text at the same places as the oracle's pattern.
     for text in package_texts + expression_texts:
         assert _cuts(_TOKEN, text) == _cuts(parse_oracle._TOKEN, text), text
