@@ -248,7 +248,7 @@ def _load_repository(preface_dir: str, diags: list[Diagnostic],
         pkg = read(text, path)
         if pkg.id in repo:
             diags.append(Diagnostic(
-                "error", "E108", pkg.id,
+                "E108", pkg.id,
                 f"package '{pkg.id}' is defined by more than one file", pkg.loc))
         repo[pkg.id] = pkg
         sources[pkg.id] = path, text
@@ -334,8 +334,7 @@ def _cmd_skeleton(config: RunConfig, model: Model, eff: EffectiveDefinitions,
                      + [(f"{unit.class_name}.monitor", unit.monitor_text)
                         for unit in generate_monitor(transformed, eff)])
         except UntransformedInputError as failure:
-            diags = diags + [Diagnostic("error", "E303", failure.class_name, str(failure),
-                                        failure.loc)]
+            diags = diags + [Diagnostic("E303", failure.class_name, str(failure), failure.loc)]
         else:
             out_dir = Path(config.output)
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -381,18 +381,17 @@ def _check_one(model: Model, definition, provenance_id: str,
     for path, (_, holds) in zip(paths, found):
         if isinstance(holds, EvalError):
             diags.append(Diagnostic(
-                "error", "E202", path,
+                "E202", path,
                 f"constraint '{definition.name}' could not be evaluated: {holds}",
                 holds.loc, provenance_id))
         elif type(holds) is not bool:
             diags.append(Diagnostic(
-                "error", "E202", path,
+                "E202", path,
                 f"constraint '{definition.name}' did not evaluate to a boolean",
                 definition.body.loc, provenance_id))
         elif not holds:
-            code = "E201" if definition.severity == "error" else "W201"
             diags.append(Diagnostic(
-                definition.severity, code, path,
+                "E201" if definition.severity == "error" else "W201", path,
                 f"constraint '{definition.name}' violated", None, provenance_id))
 
 
@@ -401,7 +400,7 @@ def _check_single_inheritance(model: Model, eff: EffectiveDefinitions,
     for cls in model.classes:
         if len(cls.superclasses) > 1:
             diags.append(Diagnostic(
-                "error", "E203", cls.name,
+                "E203", cls.name,
                 f"'{cls.name}' has {len(cls.superclasses)} superclasses but "
                 "inheritance.multiple is forbidden",
                 cls.loc, lookup_scalar(eff, "inheritance.multiple")[1].package_id))
@@ -416,9 +415,8 @@ def _check_event_names(model: Model, diags: list[Diagnostic]) -> None:
             if t.event in op_names or t.event in warned:
                 continue
             warned.add(t.event)
-            diags.append(Diagnostic(
-                "warning", "W203", transition_path(chart, index),
-                f"event '{t.event}' names no operation of '{cls.name}'", t.loc))
+            diags.append(Diagnostic("W203", transition_path(chart, index),
+                                    f"event '{t.event}' names no operation of '{cls.name}'", t.loc))
 
 
 def _check_guards(model: Model, diags: list[Diagnostic]) -> None:
@@ -431,7 +429,7 @@ def _check_guards(model: Model, diags: list[Diagnostic]) -> None:
             loose = sorted(E.free_vars(t.guard) - flags - {"self"})
             if loose:
                 diags.append(Diagnostic(
-                    "warning", "W204", transition_path(chart, index),
+                    "W204", transition_path(chart, index),
                     "guard references "
                     + ", ".join(f"'{name}'" for name in loose)
                     + f", not Boolean attributes of '{cls.name}'",
@@ -444,8 +442,8 @@ def check_constraints(model: Model, eff: EffectiveDefinitions) -> list[Diagnosti
     On a model ``builtin_check`` refuses it may raise or return anything.
     The output is ordered: preface constraints first (by winning definition
     position, then element declaration order), then the option-activated
-    built-in checks.  A false constraint yields a diagnostic at the
-    constraint's own severity; an evaluation failure is always an error.
+    built-in checks.  A false constraint yields E201 when its severity is
+    ``error`` and W201 otherwise; an evaluation failure is always E202.
     """
 
     diags: list[Diagnostic] = []

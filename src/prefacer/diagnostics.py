@@ -1,4 +1,4 @@
-"""Severity-tagged findings shared by every checking phase.
+"""Coded findings shared by every checking phase.
 
 A ``Diagnostic`` never aborts anything: checkers collect them and the caller
 decides what an error-severity finding means (the command line turns them
@@ -11,8 +11,9 @@ into exit codes).  Codes are stable so scripts can match on them:
 ``E3xx``   transformation and generation
 =========  ====================================================
 
-Warnings carry a ``W`` prefix and informational notes an ``I`` prefix, with
-the same hundreds digit as the phase that produced them.
+A code's first letter is its severity, and the record reads its severity
+from it: ``E`` is an error, ``W`` a warning and ``I`` an informational
+note, with the same hundreds digit as the phase that produced them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Iterable, Literal
 from .record import _reduce, record
 
 Severity = Literal["error", "warning", "info"]
+SEVERITIES: dict[str, Severity] = {"E": "error", "W": "warning", "I": "info"}  # by code letter
 
 
 @record
@@ -75,15 +77,16 @@ class Diagnostic:
 
     ``path`` names the offending element ("C", "C.m1", "SC/2", a package id);
     ``provenance`` names the package whose definition triggered the finding,
-    when there is one.
+    when there is one.  ``severity`` is the word the code's letter names.
     """
 
-    severity: Severity
     code: str
     path: str
     message: str
     location: SourceLocation | None = None
     provenance: str | None = None
+
+    severity = property(lambda self: SEVERITIES[self.code[0]])
 
 
 def error_count(diags: Iterable[Diagnostic]) -> int:

@@ -283,21 +283,17 @@ def lookup_element(model: Model, path: str) -> ModelElement | None:
 # ---------------------------------------------------------------------------
 
 
-def _err(code: str, path: str, message: str, loc: SourceLocation | None) -> Diagnostic:
-    return Diagnostic("error", code, path, message, loc)
-
-
 def _unreadable(path: str, name: str, loc: SourceLocation | None) -> Diagnostic:
-    return _err("E017", path, f"no expression can read '{name}': it is "
-                + ("the bound element" if name == "self" else "an expression keyword"), loc)
+    return Diagnostic("E017", path, f"no expression can read '{name}': it is "
+                      + ("the bound element" if name == "self" else "an expression keyword"), loc)
 
 
 def _check_origin(origin: Origin, path: str, loc: SourceLocation | None,
                   diags: list[Diagnostic]) -> None:
     if origin.kind not in ("authored", "induced"):
-        diags.append(_err("E015", path, f"invalid origin kind {origin.kind!r}", loc))
+        diags.append(Diagnostic("E015", path, f"invalid origin kind {origin.kind!r}", loc))
     elif origin.kind == "induced" and not origin.rule_id:
-        diags.append(_err("E015", path, "induced element lacks a rule id", loc))
+        diags.append(Diagnostic("E015", path, "induced element lacks a rule id", loc))
 
 
 def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
@@ -307,13 +303,13 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
     attr_names: set[str] = set()
     for attr in cls.attributes:
         if attr.name in attr_names:
-            diags.append(_err("E004", member_path(cls, attr.name),
-                              f"duplicate attribute name '{attr.name}'", attr.loc))
+            diags.append(Diagnostic("E004", member_path(cls, attr.name),
+                                    f"duplicate attribute name '{attr.name}'", attr.loc))
         attr_names.add(attr.name)
         if attr.name in UNREADABLE:
             diags.append(_unreadable(member_path(cls, attr.name), attr.name, attr.loc))
         if attr.type_name not in ATTRIBUTE_TYPES:
-            diags.append(_err(
+            diags.append(Diagnostic(
                 "E009", member_path(cls, attr.name),
                 f"attribute type '{attr.type_name}' is not one of Boolean, Integer, String",
                 attr.loc))
@@ -323,24 +319,24 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
     op_names: set[str] = set()
     for op in cls.operations:
         if op.name in op_names:
-            diags.append(_err("E005", member_path(cls, op.name),
-                              f"duplicate operation name '{op.name}'", op.loc))
+            diags.append(Diagnostic("E005", member_path(cls, op.name),
+                                    f"duplicate operation name '{op.name}'", op.loc))
         op_names.add(op.name)
         if op.name in attr_names:
-            diags.append(_err(
+            diags.append(Diagnostic(
                 "E006", member_path(cls, op.name),
                 f"'{op.name}' names both an attribute and an operation of '{cls.name}'",
                 op.loc))
         param_names: set[str] = set()
         for param in op.params:
             if param.name in param_names:
-                diags.append(_err("E013", member_path(cls, op.name),
-                                  f"duplicate parameter name '{param.name}'", op.loc))
+                diags.append(Diagnostic("E013", member_path(cls, op.name),
+                                        f"duplicate parameter name '{param.name}'", op.loc))
             param_names.add(param.name)
             if param.name in UNREADABLE:
                 diags.append(_unreadable(member_path(cls, op.name), param.name, op.loc))
             if param.type_name not in ATTRIBUTE_TYPES:
-                diags.append(_err(
+                diags.append(Diagnostic(
                     "E016", member_path(cls, op.name),
                     f"parameter type '{param.type_name}' is not one of Boolean, Integer, String",
                     op.loc))
@@ -351,10 +347,10 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
 
     for sup in cls.superclasses:
         if model.class_named(sup) is None:
-            diags.append(_err(
+            diags.append(Diagnostic(
                 "E007", cls.name, f"unknown superclass '{sup}' of '{cls.name}'", cls.loc))
     if on_cycle:
-        diags.append(_err(
+        diags.append(Diagnostic(
             "E008", cls.name, f"'{cls.name}' is its own transitive superclass", cls.loc))
 
     for inv in cls.invariants:
@@ -450,7 +446,7 @@ def _classes_on_cycles(model: Model) -> list[bool]:
 
 def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> None:
     if model.class_named(chart.attached_to) is None:
-        diags.append(_err(
+        diags.append(Diagnostic(
             "E003", chart.name,
             f"statechart '{chart.name}' is attached to unknown class '{chart.attached_to}'",
             chart.loc))
@@ -458,7 +454,7 @@ def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> No
     state_names: set[str] = set()
     for state in chart.states:
         if state.name in state_names:
-            diags.append(_err(
+            diags.append(Diagnostic(
                 "E010", state_path(chart, state.name),
                 f"duplicate state name '{state.name}'", state.loc))
         state_names.add(state.name)
@@ -467,20 +463,21 @@ def _check_chart(model: Model, chart: Statechart, diags: list[Diagnostic]) -> No
 
     initials = chart.initial_states()
     if len(initials) != 1:
-        diags.append(_err(
+        diags.append(Diagnostic(
             "E011", chart.name,
             f"statechart '{chart.name}' declares {len(initials)} initial states, expected exactly 1",
             chart.loc))
 
     for index, t in enumerate(chart.transitions):  # the path only for a diagnostic
         if t.source not in state_names or t.target not in state_names:
-            diags += [_err("E012", transition_path(chart, index),
-                           f"transition {label} '{end}' is not a declared state", t.loc)
+            diags += [Diagnostic("E012", transition_path(chart, index),
+                                 f"transition {label} '{end}' is not a declared state", t.loc)
                       for end, label in ((t.source, "source"), (t.target, "target"))
                       if end not in state_names]
         if not is_identifier(t.event):
-            diags.append(_err("E014", transition_path(chart, index),
-                              f"transition event {t.event!r} is not a valid identifier", t.loc))
+            diags.append(Diagnostic("E014", transition_path(chart, index),
+                                    f"transition event {t.event!r} is not a valid identifier",
+                                    t.loc))
 
 
 def builtin_check(model: Model) -> list[Diagnostic]:
@@ -495,14 +492,15 @@ def builtin_check(model: Model) -> list[Diagnostic]:
     seen_classes: set[str] = set()
     for cls, on_cycle in zip(model.classes, _classes_on_cycles(model)):
         if cls.name in seen_classes:
-            diags.append(_err("E001", cls.name, f"duplicate class name '{cls.name}'", cls.loc))
+            diags.append(Diagnostic(
+                "E001", cls.name, f"duplicate class name '{cls.name}'", cls.loc))
         seen_classes.add(cls.name)
         _check_class(model, cls, on_cycle, diags)
 
     seen_charts: set[str] = set()
     for chart in model.statecharts:
         if chart.name in seen_charts:
-            diags.append(_err(
+            diags.append(Diagnostic(
                 "E002", chart.name, f"duplicate statechart name '{chart.name}'", chart.loc))
         seen_charts.add(chart.name)
         _check_chart(model, chart, diags)

@@ -434,8 +434,7 @@ def _cycle_diagnostics(repo: PackageRepository) -> list[Diagnostic]:
             continue
         reported.add(frozenset(cycle))
         diags.append(Diagnostic(
-            "error", "E102", pkg_id, "import cycle: " + " -> ".join(cycle),
-            repo[pkg_id].loc))
+            "E102", pkg_id, "import cycle: " + " -> ".join(cycle), repo[pkg_id].loc))
     return diags
 
 
@@ -453,18 +452,16 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
 
     if root_id not in repo:
         diags.append(Diagnostic(
-            "error", "E107", root_id,
-            f"root package '{root_id}' is not in the repository"))
+            "E107", root_id, f"root package '{root_id}' is not in the repository"))
 
     for pkg in repo.values():
         if pkg.id == CATALOGUE_DEFAULT:
             diags.append(Diagnostic(
-                "error", "E110", pkg.id,
-                f"package id '{CATALOGUE_DEFAULT}' is reserved", pkg.loc))
+                "E110", pkg.id, f"package id '{CATALOGUE_DEFAULT}' is reserved", pkg.loc))
         for imported in pkg.imports:
             if imported not in repo:
                 diags.append(Diagnostic(
-                    "error", "E101", pkg.id,
+                    "E101", pkg.id,
                     f"package '{pkg.id}' imports unknown package '{imported}'",
                     pkg.loc))
 
@@ -484,11 +481,10 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
                 entry = OPTION_CATALOGUE.get(definition.key)
                 if entry is None:
                     diags.append(Diagnostic(
-                        "error", "E103", pkg.id,
-                        f"unknown option key '{definition.key}'", definition.loc))
+                        "E103", pkg.id, f"unknown option key '{definition.key}'", definition.loc))
                 elif definition.value not in entry.domain:
                     diags.append(Diagnostic(
-                        "error", "E104", pkg.id,
+                        "E104", pkg.id,
                         f"'{definition.value}' is not a valid value for "
                         f"'{definition.key}' (expected one of "
                         f"{', '.join(entry.domain)})",
@@ -496,14 +492,14 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
             elif isinstance(definition, StereotypeDef):
                 if definition.name in seen_stereotypes:
                     diags.append(Diagnostic(
-                        "error", "E105", pkg.id,
+                        "E105", pkg.id,
                         f"stereotype '{definition.name}' defined twice in "
                         f"package '{pkg.id}'", definition.loc))
                 seen_stereotypes.add(definition.name)
             elif isinstance(definition, TagDef):
                 if definition.name in seen_tags:
                     diags.append(Diagnostic(
-                        "error", "E106", pkg.id,
+                        "E106", pkg.id,
                         f"tag '{definition.name}' defined twice in package "
                         f"'{pkg.id}'", definition.loc))
                 seen_tags.add(definition.name)
@@ -511,13 +507,13 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
                 kind, name = definition.predicate.kind, definition.predicate.name
                 if kind == "stereotype" and name not in declared_stereotypes:
                     diags.append(Diagnostic(
-                        "warning", "W101", pkg.id,
+                        "W101", pkg.id,
                         f"rule for '{definition.property_key}' tests stereotype "
                         f"'{name}', which no package declares",
                         definition.loc))
                 if kind == "metaclass" and name not in METACLASSES:
                     diags.append(Diagnostic(
-                        "error", "E109", pkg.id,
+                        "E109", pkg.id,
                         f"rule for '{definition.property_key}' tests unknown "
                         f"metaclass '{name}'",
                         definition.loc))
@@ -535,7 +531,7 @@ def validate_preface(repo: PackageRepository, root_id: str) -> list[Diagnostic]:
             previous_base = stereotype_base.get(definition.name)
             if previous_base is not None and previous_base != definition.base:
                 diags.append(Diagnostic(
-                    "warning", "W102", pkg_id,
+                    "W102", pkg_id,
                     f"stereotype '{definition.name}' redefined on metaclass "
                     f"'{definition.base}' (previously '{previous_base}'); "
                     "the newest definition wins",

@@ -123,12 +123,12 @@ def _rule1_state_attributes(work: _Work, chart: Statechart, origin: Origin,
             if induced_by(existing.origin, chart):
                 continue
             found["diagnostics"].append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
+                "E301", member_path(cls, state.name),
                 f"cannot induce state attribute '{state.name}': the name is "
                 f"already taken on '{cls.name}'", existing.loc))
         elif state.name in work.ops:
             found["diagnostics"].append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
+                "E301", member_path(cls, state.name),
                 f"cannot induce state attribute '{state.name}': an operation "
                 f"of '{cls.name}' has that name", cls.loc))
         else:
@@ -184,7 +184,7 @@ def _rule3_event_operations(work: _Work, chart: Statechart, origin: Origin,
         path = member_path(cls, event)
         if event in work.attrs:
             found["diagnostics"].append(Diagnostic(
-                "error", "E302", path,
+                "E302", path,
                 f"cannot induce operation '{event}': an attribute of "
                 f"'{cls.name}' has that name", cls.loc))
             continue
@@ -193,7 +193,7 @@ def _rule3_event_operations(work: _Work, chart: Statechart, origin: Origin,
         work.changed = True
         found["induced_operations"].append((path, f"{event}()"))
         found["diagnostics"].append(Diagnostic(
-            "info", "I301", path,
+            "I301", path,
             f"induced parameterless operation '{event}' for event '{event}' "
             f"of '{chart.name}'"))
 
@@ -226,7 +226,7 @@ def _rule4_preconditions(work: _Work, chart: Statechart, origin: Origin,
             previous_origin = op.pre_induced[1]
             if previous_origin.chart_name != chart.name:
                 found["diagnostics"].append(Diagnostic(
-                    "warning", "W301", member_path(work.cls, event),
+                    "W301", member_path(work.cls, event),
                     f"precondition for '{event}' was already induced from "
                     f"'{previous_origin.chart_name}'; '{chart.name}' leaves it alone"))
                 continue

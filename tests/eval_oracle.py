@@ -261,19 +261,18 @@ def check_constraints_reference(model: Model, eff: EffectiveDefinitions) -> list
                 holds = holds_for({"self": element}, model)
             except EvalError as failure:
                 diags.append(Diagnostic(
-                    "error", "E202", path,
+                    "E202", path,
                     f"constraint '{definition.name}' could not be evaluated: {failure}",
                     failure.loc, prov.package_id))
                 continue
             if type(holds) is not bool:
                 diags.append(Diagnostic(
-                    "error", "E202", path,
+                    "E202", path,
                     f"constraint '{definition.name}' did not evaluate to a boolean",
                     definition.body.loc, prov.package_id))
             elif not holds:
-                code = "E201" if definition.severity == "error" else "W201"
                 diags.append(Diagnostic(
-                    definition.severity, code, path,
+                    "E201" if definition.severity == "error" else "W201", path,
                     f"constraint '{definition.name}' violated", None, prov.package_id))
     if eff.option("inheritance.multiple") == "forbidden":
         _check_single_inheritance(model, eff, diags)

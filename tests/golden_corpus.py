@@ -10,6 +10,11 @@ standard error and the files it wrote, in run order.  The projects are:
   ignores (``guards``), an undeclared stereotype (``ghost``), a
   postcondition that names nothing (``post``) and a precondition, an
   invariant and a guard that no check types (``unchecked``);
+* two more read against ``sample/defs``, which reach diagnostic codes: every
+  structural code that text can reach (``structure``), and the induction
+  codes E302, W301 and I301 (``induction``);
+* ``hygiene``: a preface of its own whose ``compose`` reaches the package
+  codes and whose ``validate`` reaches the constraint codes;
 * ``generated-<seed>``: a package repository and a model that
   ``tests/generators`` draws from the seed.
 
@@ -92,7 +97,91 @@ model unchecked
     transition idle -> busy on go [n]
   }
 """,
+    # E001-E013, E016 and E017, each at least once
+    "structure": """\
+model structure
+  class A specializes Z { attribute a : Integer attribute a : Real attribute self : Boolean }
+  class A specializes A { operation f(p : Integer, p : Real) operation f() attribute g : Integer operation g() }
+  statechart S for A { state s state s transition s -> t on f }
+  statechart S for Q { initial state x initial state y }
+""",
+    # E302 for go, I301 for tick, W301 for stop
+    "induction": """\
+model induction
+  class C {
+    attribute go : Integer
+    operation stop()
+  }
+  statechart A for C {
+    initial state a1
+    state a2
+    transition a1 -> a2 on go
+    transition a2 -> a1 on stop
+    transition a1 -> a1 on tick
+  }
+  statechart B for C {
+    initial state b1
+    state b2
+    transition b1 -> b2 on stop
+  }
+""",
 }
+
+#: A preface of its own, with its root and model.  The root reaches
+#: ``base`` only: the other packages' errors show under ``compose`` alone,
+#: except E108, which every command reads.
+HYGIENE = ({
+    "project-q.preface": """\
+package "project-q" {
+  import "base"
+  option inheritance.multiple = forbidden
+  stereotype event on Operation
+  rule persistence when stereotype(ghost) = transient
+  constraint named on Class severity error : self.name <> "Bad"
+  constraint small on Class severity warning : size(self.attributes) < 2
+  constraint typed on Class severity error : self.name <> "A" or self.name < 3
+}
+""",
+    "base.preface": """\
+package "base" {
+  stereotype event on Class
+  rule persistence when all = persistent
+  transform statechart-to-class off
+}
+""",
+    "loose.preface": """\
+package "loose" {
+  import "missing"
+  import "loop"
+  option no.such = x
+  option inheritance.multiple = sometimes
+  stereotype s on Class
+  stereotype s on Class
+  tagdef t : string
+  tagdef t : int
+}
+""",
+    "loop.preface": 'package "loop" {\n  import "loose"\n}\n',
+    "reserved.preface": 'package "catalogue-default" {\n}\n',
+    "twice-1.preface": 'package "twice" {\n}\n',
+    "twice-2.preface": 'package "twice" {\n}\n',
+}, "project-q", """\
+model hygiene
+  class A {
+    attribute x : Integer
+    attribute y : Integer
+  }
+  class B {
+    operation go()
+  }
+  class Bad specializes A, B { }
+  statechart S for B {
+    initial state s
+    state t
+    transition s -> t on go [x]
+    transition t -> s on halt
+  }
+""")
 
 
 def projects() -> dict[str, tuple[dict[str, str], str, str, bool]]:
@@ -105,6 +194,7 @@ def projects() -> dict[str, tuple[dict[str, str], str, str, bool]]:
     found = {"sample": (defs, "project-p", sample, True)}
     found.update((name, (defs, "project-p", text, False))
                  for name, text in REPRODUCTIONS.items())
+    found["hygiene"] = (*HYGIENE, True)
     for seed in SEEDS:
         rng = random.Random(seed)
         repo, root = random_repo(rng, max_packages=3, max_defs=6)

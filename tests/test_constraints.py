@@ -25,6 +25,7 @@ from prefacer.constraints import (
     eval_expr,
     iter_scope,
 )
+from prefacer.diagnostics import error_count, warning_count
 from prefacer.model import (
     Attribute,
     ClassDef,
@@ -348,6 +349,15 @@ def test_violations_carry_severity_code_and_provenance():
     assert [(d.code, d.path) for d in out] == [("E201", "C"), ("W201", "C.stop")]
     assert out[0].provenance == "test-pkg"
     assert out[1].severity == "warning"
+
+
+def test_a_severity_that_is_no_error_is_a_counted_warning():
+    # A library-built definition may carry any severity word; its code
+    # decides, and the count sees the finding.
+    eff = eff_with(ConstraintDef("no_c", "Class", "fatal", parse_expr('self.name <> "C"')))
+    out = check_constraints(SAMPLE, eff)
+    assert [(d.severity, d.code, d.path) for d in out] == [("warning", "W201", "C")]
+    assert (error_count(out), warning_count(out)) == (0, 1)
 
 
 def test_constraints_run_in_definition_order():

@@ -89,8 +89,8 @@ def assert_stands_for(loc, ref: SourceLocation) -> None:
     moved = SourceLocation(ref.file, ref.line, ref.column + 1)
     assert loc != moved and moved != loc and not loc == moved
     assert loc != (ref.file, ref.line, ref.column) and loc.__eq__(None) is NotImplemented
-    found = Diagnostic("error", "E001", "C", "m", loc)
-    kept = Diagnostic("error", "E001", "C", "m", ref)
+    found = Diagnostic("E001", "C", "m", loc)
+    kept = Diagnostic("E001", "C", "m", ref)
     assert found == kept and kept == found and hash(found) == hash(kept)
     assert repr(found) == repr(kept)
 

@@ -308,10 +308,10 @@ def _hierarchy_diagnostics_reference(model: Model) -> list[Diagnostic]:
     for cls in model.classes:
         for sup in cls.superclasses:
             if sup not in names:
-                out.append(Diagnostic("error", "E007", cls.name,
+                out.append(Diagnostic("E007", cls.name,
                                       f"unknown superclass '{sup}' of '{cls.name}'", cls.loc))
         if inherits_from_itself_reference(model, cls):
-            out.append(Diagnostic("error", "E008", cls.name,
+            out.append(Diagnostic("E008", cls.name,
                                   f"'{cls.name}' is its own transitive superclass", cls.loc))
     return out
 

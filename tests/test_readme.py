@@ -1,8 +1,9 @@
 """The README's examples, run as written.
 
-The package block under "Preface packages" is package text, and the
+The package block under "Preface packages" is package text, the
 ``python`` block under "Library use" runs on ``sample/``: each line whose
-comment starts with a value gives that value.
+comment starts with a value gives that value, and the table under
+"Diagnostics" names every code the source can emit.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import ast
 import re
 from pathlib import Path
 
+from test_golden import source_codes
 from prefacer.preface import Provenance
 from prefacer.textio import parse_model, parse_package, print_package
 
@@ -38,6 +40,7 @@ STATED = {
     "builtin_check": "[]",
     "resolve_predicated": '("persistent", Provenance("uml-core", 2))',
     "eval_expr": "3",
+    "Diagnostic": '"warning"',
 }
 
 
@@ -66,3 +69,15 @@ def test_the_readme_library_example_gives_the_values_its_comments_state():
                 assert value == eval(stated, {"Provenance": Provenance}), line
                 checked.append(call)
     assert checked == list(STATED)
+
+
+def test_the_readme_diagnostics_table_names_every_code_the_source_emits():
+    body = README.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in body.splitlines() if line.startswith("| ")]
+    named = []
+    for entry in (entry.strip() for row in rows[1:] for entry in row.split(",")):
+        first, _, last = entry.partition("\N{EN DASH}")
+        named += [f"{first[0]}{number:03}"
+                  for number in range(int(first[1:]), int((last or first)[1:]) + 1)]
+    assert len(named) == len(set(named)) == 40
+    assert set(named) == source_codes()

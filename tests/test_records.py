@@ -136,7 +136,7 @@ def corpus(seed: int) -> list:
     separate objects, in the same order."""
 
     rng = random.Random(seed)
-    roots: list = [SourceLocation("f", 1, 2), Diagnostic("error", "E001", "C", "m"),
+    roots: list = [SourceLocation("f", 1, 2), Diagnostic("E001", "C", "m"),
                    RunConfig("validate", "defs", "root", model_path="m.model"),
                    dict(OPTION_CATALOGUE)]
     for _ in range(4):
@@ -490,7 +490,7 @@ def test_importing_the_package_compiles_one_init_per_shape():
     shapes = {_shape(cls) for cls in RECORDS}
     assert seen["methods"] == [["__init__"]] * len(shapes)
     assert [tuple(shape) for shape in seen["templates"]] == sorted(shapes)
-    assert len(shapes) == 9 < len(records)
+    assert len(shapes) == 8 < len(records)
     undocumented = [name for name, doc in records.items()
                     if not doc or doc.startswith(name + "(")]
     assert undocumented == []

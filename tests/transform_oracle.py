@@ -61,13 +61,13 @@ def rule1_state_attributes(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
             if induced_by(existing.origin, chart):
                 continue
             diagnostics.append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
+                "E301", member_path(cls, state.name),
                 f"cannot induce state attribute '{state.name}': the name is "
                 f"already taken on '{cls.name}'", existing.loc))
             continue
         if state.name in ops:
             diagnostics.append(Diagnostic(
-                "error", "E301", member_path(cls, state.name),
+                "E301", member_path(cls, state.name),
                 f"cannot induce state attribute '{state.name}': an operation "
                 f"of '{cls.name}' has that name", cls.loc))
             continue
@@ -156,7 +156,7 @@ def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
             continue
         if event in attr_names:
             diagnostics.append(Diagnostic(
-                "error", "E302", member_path(cls, event),
+                "E302", member_path(cls, event),
                 f"cannot induce operation '{event}': an attribute of "
                 f"'{cls.name}' has that name", cls.loc))
             continue
@@ -165,7 +165,7 @@ def rule3_event_operations(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, 
         op_names.add(event)
         induced.append((member_path(cls, event), f"{event}()"))
         diagnostics.append(Diagnostic(
-            "info", "I301", member_path(cls, event),
+            "I301", member_path(cls, event),
             f"induced parameterless operation '{event}' for event '{event}' "
             f"of '{chart.name}'"))
 
@@ -220,7 +220,7 @@ def rule4_preconditions(cls: ClassDef, chart: Statechart) -> tuple[ClassDef, Tra
             previous_origin = op.pre_induced[1]
             if previous_origin.chart_name != chart.name:
                 diagnostics.append(Diagnostic(
-                    "warning", "W301", member_path(cls, event),
+                    "W301", member_path(cls, event),
                     f"precondition for '{event}' was already induced from "
                     f"'{previous_origin.chart_name}'; '{chart.name}' leaves it alone"))
                 continue
