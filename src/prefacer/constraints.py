@@ -95,18 +95,18 @@ def _type_label(value: Value) -> str:
                 type(value).__name__)
 
 
-def _column(values: list, kind, loc, what: str = "", verb: str = "expected") -> list:
-    """``values`` if they are ``kind``s, else an ``EvalError`` at ``loc``;
+def _column(values: list, kind, node: E.Expr, what: str = "", verb: str = "expected") -> list:
+    """``values`` if they are ``kind``s, else an ``EvalError`` at ``node``;
     a column holds one type, so its first value stands for all."""
     if not isinstance(values[0], kind):
         what = what or {bool: "a boolean", tuple: "a sequence"}[kind]
-        raise EvalError(f"{verb} {what}, got {_type_label(values[0])}", loc)
+        raise EvalError(f"{verb} {what}, got {_type_label(values[0])}", node.loc)
     return values
 
 
-def _raising(message: str, loc) -> Callable:
+def _raising(message: str, node) -> Callable:
     def fail(*args):
-        raise EvalError(message, loc)
+        raise EvalError(message, getattr(node, "loc", None))
     return fail
 
 
@@ -186,14 +186,14 @@ def compile_expr(e: E.Expr) -> Callable:
     evaluating ``e`` on some row fails.  It is never called on no rows, and
     the values it gives are of one type too.  Compiling never raises;
     neither recurses through a helper, so each nests about as deep as the
-    parser."""
+    parser.  A node's location is read only for the ``EvalError`` it
+    raises."""
 
-    loc = getattr(e, "loc", None)
     if isinstance(e, E.Literal):
         value = e.value
         return lambda cols, n, model: [value] * n
     if isinstance(e, E.VarRef):
-        name, unbound = e.name, _raising(f"unbound variable '{e.name}'", loc)
+        name, unbound = e.name, _raising(f"unbound variable '{e.name}'", e)
         return lambda cols, n, model: cols[name] if name in cols else unbound()
     if isinstance(e, (E.And, E.Or, E.Add, E.Sub)):
         # A left-leaning chain; each operand is checked at the node that joins it.
@@ -202,9 +202,9 @@ def compile_expr(e: E.Expr) -> Callable:
         while isinstance(e, kinds):
             nodes.append(e)
             e = e.lhs
-        steps = [(compile_expr(e), nodes[-1].loc, operator.add)]
+        steps = [(compile_expr(e), nodes[-1], operator.add)]
         for node in reversed(nodes):
-            steps.append((compile_expr(node.rhs), node.loc,
+            steps.append((compile_expr(node.rhs), node,
                           operator.sub if isinstance(node, E.Sub) else operator.add))
         if kinds is not E.And and kinds is not E.Or:
             def total(cols, n, model):
@@ -212,7 +212,7 @@ def compile_expr(e: E.Expr) -> Callable:
                 for run, at, op in steps:
                     terms = run(cols, n, model)
                     if type(terms[0]) is bool or not isinstance(terms[0], int):
-                        raise EvalError(f"expected an integer, got {_type_label(terms[0])}", at)
+                        raise EvalError(f"expected an integer, got {_type_label(terms[0])}", at.loc)
                     values = list(map(op, values, terms))
                 return values
             return total
@@ -251,14 +251,14 @@ def compile_expr(e: E.Expr) -> Callable:
         return navigate
     if isinstance(e, E.Compare):
         lhs, rhs, ordered = compile_expr(e.lhs), compile_expr(e.rhs), e.op not in ("=", "<>")
-        test = _COMPARISONS.get(e.op) or _raising(f"unknown comparison operator '{e.op}'", loc)
+        test = _COMPARISONS.get(e.op) or _raising(f"unknown comparison operator '{e.op}'", e)
         def compare(cols, n, model):
             lefts, rights = lhs(cols, n, model), rhs(cols, n, model)
             label, other = _type_label(lefts[0]), _type_label(rights[0])
             if label != other:
-                raise EvalError(f"cannot compare {label} with {other}", loc)
+                raise EvalError(f"cannot compare {label} with {other}", e.loc)
             if ordered and label not in ("integer", "string"):
-                raise EvalError(f"ordering is not defined on {label} values", loc)
+                raise EvalError(f"ordering is not defined on {label} values", e.loc)
             return list(map(test, lefts, rights))
         return compare
     if isinstance(e, (E.Forall, E.Exists)):
@@ -267,11 +267,11 @@ def compile_expr(e: E.Expr) -> Callable:
         outer = E.free_vars(e.body) - {var}  # the columns the body reads
         def quantifier(cols, n, model):
             results, flip = [universal] * n, not universal
-            for rows, items in _groups(_column(domain(cols, n, model), tuple, loc)):
+            for rows, items in _groups(_column(domain(cols, n, model), tuple, e)):
                 inner = {name: list(map(col.__getitem__, rows))
                          for name, col in cols.items() if name in outer}
                 inner[var] = items
-                values = _column(body(inner, len(items), model), bool, loc)
+                values = _column(body(inner, len(items), model), bool, e)
                 if flip in values:
                     for row, value in zip(rows, values):
                         if value is flip:
@@ -281,25 +281,25 @@ def compile_expr(e: E.Expr) -> Callable:
     if isinstance(e, E.Not):
         operand = compile_expr(e.operand)
         return lambda cols, n, model: list(map(
-            operator.not_, _column(operand(cols, n, model), bool, loc)))
+            operator.not_, _column(operand(cols, n, model), bool, e)))
     if isinstance(e, E.Implies):
         lhs, rhs = compile_expr(e.lhs), compile_expr(e.rhs)
         return lambda cols, n, model: list(map(  # implication is <= on booleans
-            operator.le, _column(lhs(cols, n, model), bool, loc),
-            _column(rhs(cols, n, model), bool, loc)))
+            operator.le, _column(lhs(cols, n, model), bool, e),
+            _column(rhs(cols, n, model), bool, e)))
     if not isinstance(e, E.Call):
-        return _raising(f"not an expression node: {e!r}", loc)
+        return _raising(f"not an expression node: {e!r}", e)
     fn, runs = e.fn, list(map(compile_expr, e.args))
     if fn in ("size", "isEmpty") and len(runs) == 1:
         arg, count = runs[0], len if fn == "size" else operator.not_
         return lambda cols, n, model: list(map(
-            count, _column(arg(cols, n, model), tuple, loc)))
+            count, _column(arg(cols, n, model), tuple, e)))
     if fn == "hasStereotype" and len(runs) == 2:
         element_of, name_of = runs
         def has_stereotype(cols, n, model):
             verb = "hasStereotype expects"
-            elements = _column(element_of(cols, n, model), _ELEMENT_TYPES, loc, "an element", verb)
-            names = _column(name_of(cols, n, model), str, loc, "a string", verb)
+            elements = _column(element_of(cols, n, model), _ELEMENT_TYPES, e, "an element", verb)
+            names = _column(name_of(cols, n, model), str, e, "a string", verb)
             return [name in stereotypes_of(element) for element, name in zip(elements, names)]
         return has_stereotype
     if fn == "exactlyOne" and runs:
@@ -307,11 +307,11 @@ def compile_expr(e: E.Expr) -> Callable:
             counts = [0] * n
             for run in runs:
                 counts = list(map(operator.add, counts,
-                                  _column(run(cols, n, model), bool, loc)))
+                                  _column(run(cols, n, model), bool, e)))
             return [count == 1 for count in counts]
         return exactly_one
     message = f"{fn} takes {E.CALLS[fn]}" if fn in E.CALLS else f"unknown function '{fn}'"
-    return _raising(message, loc)
+    return _raising(message, e)
 
 
 def eval_expr(e: E.Expr, bindings: dict[str, Value], model: Model | None = None) -> Value:

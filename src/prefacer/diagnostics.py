@@ -18,9 +18,9 @@ note, with the same hundreds digit as the phase that produced them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Literal
+from typing import Iterable, Literal
 
-from .record import _reduce, record
+from .record import record
 
 Severity = Literal["error", "warning", "info"]
 SEVERITIES: dict[str, Severity] = {"E": "error", "W": "warning", "I": "info"}  # by code letter
@@ -28,7 +28,9 @@ SEVERITIES: dict[str, Severity] = {"E": "error", "W": "warning", "I": "info"}  #
 
 @record
 class SourceLocation:
-    """1-based position of a construct in an input file; see ``LazyLocation``."""
+    """1-based position of a construct in an input file.  A parsed record
+    holds its token's index and its parse's ``textio._token_table`` in its
+    ``loc`` slot until ``location_slot`` makes this record of them."""
 
     file: str
     line: int
@@ -38,35 +40,19 @@ class SourceLocation:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-class LazyLocation:
-    """A ``SourceLocation`` worked out when read, from a token's index and
-    its parse's token table.  Its ``__class__`` is the record's, so the
-    record's ``==``, ``hash``, ``repr`` and pickling take both.  A parsed
-    record keeps only the pair ``(index, table)``; ``location_slot`` builds
-    the ``LazyLocation`` when its ``loc`` is read."""
-
-    __slots__ = ("index", "table")
-
-    def __init__(self, index: int, table: Callable[[int], tuple[str, int, int]]):
-        self.index, self.table = index, table
-
-    __class__ = property(lambda self: SourceLocation)
-    file, line, column = (property(lambda s, i=i: s.table(s.index)[i]) for i in range(3))
-    __str__, __repr__ = SourceLocation.__str__, SourceLocation.__repr__
-    __eq__, __hash__, __reduce__ = SourceLocation.__eq__, SourceLocation.__hash__, _reduce
-
-
 def location_slot(slot) -> property:
     """A record's ``loc``, which ``@record`` installs over ``slot``, the
     slot's member descriptor, whose setter constructors keep.  A stored
-    ``(index, table)`` pair reads as the ``LazyLocation`` built on its
-    first read, which then takes its place; anything else reads as stored."""
+    ``(index, table)`` pair reads as the ``SourceLocation`` that
+    ``table(index)`` makes on the first read, which then takes its place in
+    the slot, so that each later read gives that one; anything else reads
+    as stored."""
 
     def read(record):
         value = slot.__get__(record)
         if value.__class__ is tuple:
-            value = LazyLocation(*value)
-            slot.__set__(record, value)  # so that each read gives this one
+            value = value[1](value[0])
+            slot.__set__(record, value)
         return value
     return property(read)
 

@@ -288,12 +288,12 @@ def _unreadable(path: str, name: str, loc: SourceLocation | None) -> Diagnostic:
                       + ("the bound element" if name == "self" else "an expression keyword"), loc)
 
 
-def _check_origin(origin: Origin, path: str, loc: SourceLocation | None,
-                  diags: list[Diagnostic]) -> None:
+def _check_origin(origin: Origin, path: str, located, diags: list[Diagnostic]) -> None:
+    # ``located`` is the element the finding is placed at, read only for one.
     if origin.kind not in ("authored", "induced"):
-        diags.append(Diagnostic("E015", path, f"invalid origin kind {origin.kind!r}", loc))
+        diags.append(Diagnostic("E015", path, f"invalid origin kind {origin.kind!r}", located.loc))
     elif origin.kind == "induced" and not origin.rule_id:
-        diags.append(Diagnostic("E015", path, "induced element lacks a rule id", loc))
+        diags.append(Diagnostic("E015", path, "induced element lacks a rule id", located.loc))
 
 
 def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
@@ -314,7 +314,7 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
                 f"attribute type '{attr.type_name}' is not one of Boolean, Integer, String",
                 attr.loc))
         if attr.origin is not AUTHORED:
-            _check_origin(attr.origin, member_path(cls, attr.name), attr.loc, diags)
+            _check_origin(attr.origin, member_path(cls, attr.name), attr, diags)
 
     op_names: set[str] = set()
     for op in cls.operations:
@@ -341,9 +341,9 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
                     f"parameter type '{param.type_name}' is not one of Boolean, Integer, String",
                     op.loc))
         if op.origin is not AUTHORED:
-            _check_origin(op.origin, member_path(cls, op.name), op.loc, diags)
+            _check_origin(op.origin, member_path(cls, op.name), op, diags)
         if op.pre_induced is not None:
-            _check_origin(op.pre_induced[1], member_path(cls, op.name), op.loc, diags)
+            _check_origin(op.pre_induced[1], member_path(cls, op.name), op, diags)
 
     for sup in cls.superclasses:
         if model.class_named(sup) is None:
@@ -355,7 +355,7 @@ def _check_class(model: Model, cls: ClassDef, on_cycle: bool,
 
     for inv in cls.invariants:
         if inv.origin is not AUTHORED:
-            _check_origin(inv.origin, cls.name, cls.loc, diags)
+            _check_origin(inv.origin, cls.name, cls, diags)
 
 
 def _names_on_cycles(graph: dict[str, tuple[str, ...]],

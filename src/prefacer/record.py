@@ -9,16 +9,17 @@ the record's own field table, and creates the class once more, slotted.  The
 what its constructor is given: ``__post_init__`` derives the ``init=False``
 fields that have no default and never normalises the others.  A ``loc``
 field reads through ``diagnostics.location_slot``: a parse stores its
-``(token index, token table)`` pair there, which reads as a
-``LazyLocation`` built on the read.  No record compiles its ``__init__``:
+``(token index, token table)`` pair there, which the first read turns into
+its ``SourceLocation``, and ``replace`` carries it over unread.  No record
+compiles its ``__init__``:
 it takes the code compiled once per shape (``__init__`` field count, count
 of defaulted ``init=False`` fields, ``__post_init__`` or not), with its
 field names and defaults.
 
 Start-up imports no ``dataclasses``.  Outside readers get its registry all the
 same: ``make_dataclass`` builds it on the first read of
-``__dataclass_fields__``.  A table it refuses, or an ``init=False`` field
-given to ``replace``, is handed to it to raise its error.
+``__dataclass_fields__``.  A table it refuses, or a field ``replace``
+cannot take, is handed to it to raise its error.
 
 ``==``, ``hash`` and ``repr`` walk explicit stacks, so trees of any depth
 compare (leaves with ``==``), hash and print (the ``dataclasses`` text).
@@ -34,6 +35,8 @@ _FIELDS: dict[type, tuple[Field, ...]] = {}  # record class -> its field table
 #: Record class -> its compared fields, last first, for a stack to pop in order.
 _COMPARED: dict[type, tuple[str, ...]] = {}
 _SHOWN: dict[type, tuple[str, ...]] = {}  # record class -> the fields ``repr`` shows
+#: Record class -> its ``__init__`` fields' names and slot getters, in order.
+_STORED: dict[type, dict] = {}
 
 
 class Field:
@@ -88,6 +91,7 @@ def record(cls):
     _COMPARED[cls] = tuple(f.name for f in reversed(table) if f.compare)
     _SHOWN[cls] = tuple(f.name for f in table if f.repr)
     cls.__init__ = _init(cls, table)
+    _STORED[cls] = {f.name: vars(cls)[f.name].__get__ for f in table if f.init}
     if "loc" in namespace["__slots__"]:  # after ``_init`` took the slot's setter
         from .diagnostics import location_slot
         cls.loc = location_slot(vars(cls)["loc"])
@@ -97,11 +101,12 @@ def record(cls):
 def replace(obj, /, **changes):
     """``dataclasses.replace`` for a record."""
 
-    table = _FIELDS[obj.__class__]
-    if any(not f.init and f.name in changes for f in table):
+    cls = obj.__class__
+    stored = _STORED[cls]
+    if not changes.keys() <= stored.keys():
         from dataclasses import replace
         return replace(obj, **changes)  # raises its error
-    return obj.__class__(**{**{f.name: getattr(obj, f.name) for f in table if f.init}, **changes})
+    return cls(*[changes[name] if name in changes else get(obj) for name, get in stored.items()])
 
 
 #: (``__init__`` field count, ``init=False`` defaults, has ``__post_init__``)

@@ -32,12 +32,12 @@ tells its kind: a letter or ``_`` starts an identifier, a digit an
 integer, ``"`` a string, anything else is a symbol, and the empty text
 is the end of input.  A node or an element keeps the pair of its
 token's index and the parse's ``_token_table`` (file name and text, no
-token list) in its ``loc`` slot, and reading its ``loc`` builds the
-``LazyLocation`` for that pair (see ``diagnostics.location_slot``); a
-``ParseError`` keeps a ``LazyLocation``.  On the first read of a
-location the table finds every token start, in one more pass of the
-same expression, and the line starts; a parse none of whose locations
-is read never pays for them, nor builds a location object.
+token list) in its ``loc`` slot, which the first read turns into the
+``SourceLocation`` the slot then keeps (``diagnostics.location_slot``); a
+``ParseError`` gets its ``SourceLocation`` from the table.  On its first
+call the table finds every token start, in one more pass of the same
+expression, and the line starts; a parse none of whose locations is read
+never pays for them, nor builds a location object.
 
 Expressions nest at most ``MAX_NESTING`` levels deep; deeper text is a
 located ``ParseError``, so no text makes a parser (or the evaluator, on
@@ -79,7 +79,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from . import expr as E
-from .diagnostics import LazyLocation, SourceLocation
+from .diagnostics import SourceLocation
 from .model import (
     AUTHORED,
     METACLASSES,
@@ -183,7 +183,7 @@ def _scan(source: str, file: str):
         found = texts[index]
         raise ParseError(
             "unterminated string" if found == '"' else f"unexpected character {found!r}",
-            LazyLocation(index, table))
+            table(index))
     return texts, table
 
 
@@ -207,17 +207,17 @@ def _offsets(text: str) -> tuple[list[int], list[int]]:
 
 
 def _token_table(file: str, text: str):
-    """Where the token at an index is; the offsets are found on the first call."""
+    """The ``SourceLocation`` of the token at an index; offsets found on the first call."""
 
     starts = lines = None
 
-    def position(index: int) -> tuple[str, int, int]:
+    def position(index: int) -> SourceLocation:
         nonlocal starts, lines
         if starts is None:
             starts, lines = _offsets(text)
         offset = starts[index]
         line = bisect_right(lines, offset)
-        return file, line, offset - lines[line - 1] + 1
+        return SourceLocation(file, line, offset - lines[line - 1] + 1)
 
     return position
 
@@ -254,8 +254,8 @@ class _Parser:
     """A position in the token texts of one source.  The primitives look
     at ``texts[pos]``; a method that consumes a token returns its text
     (unquoted, for a string) or its index, which a record keeps in the
-    pair ``(index, table)`` and ``loc`` turns into a ``ParseError``'s
-    location."""
+    pair ``(index, table)``, and that ``loc`` locates for a
+    ``ParseError``."""
 
     __slots__ = ("texts", "table", "pos", "depth")
 
@@ -263,10 +263,10 @@ class _Parser:
         self.texts, self.table = _scan(source, file)
         self.pos = self.depth = 0
 
-    def loc(self, index: int) -> LazyLocation:
+    def loc(self, index: int) -> SourceLocation:
         """The location of the token at ``index``, for a ``ParseError``."""
 
-        return LazyLocation(index, self.table)
+        return self.table(index)
 
     # -- primitives ------------------------------------------------------------
 
@@ -1033,6 +1033,9 @@ def _print_definition(definition: Definition) -> str:
     if isinstance(definition, TagDef):
         return f"tagdef {definition.name} : {definition.value_type}"
     if isinstance(definition, ConstraintDef):
+        if definition.severity != "error" and definition.severity != "warning":
+            raise ValueError(f"constraint '{definition.name}': '{definition.severity}' is "
+                             "not a severity (expected error or warning)")
         return (f"constraint {definition.name} on {definition.scope} "
                 f"severity {definition.severity} : {format_expr(definition.body)}")
     if isinstance(definition, PredicatedRuleDef):

@@ -232,9 +232,7 @@ def _rule4_preconditions(work: _Work, chart: Statechart, origin: Origin,
                 continue
             if op.pre_induced[0] == wanted:
                 continue
-        op = work.operations[index] = Operation(
-            op.name, op.params, op.pre_authored, op.post_authored, (wanted, origin),
-            op.origin, op.loc)
+        op = work.operations[index] = replace(op, pre_induced=(wanted, origin))
         work.changed = True
         found["induced_preconditions"].append((
             member_path(work.cls, event), wanted,

@@ -42,7 +42,14 @@ from prefacer.preface import (
     TransformSelection,
     resolve,
 )
-from prefacer.textio import MAX_NESTING, ParseError, format_expr, parse_expr, parse_package
+from prefacer.textio import (
+    MAX_NESTING,
+    ParseError,
+    format_expr,
+    parse_expr,
+    parse_package,
+    print_package,
+)
 
 
 def ev(source: str, model: Model | None = None, **bindings):
@@ -358,6 +365,16 @@ def test_a_severity_that_is_no_error_is_a_counted_warning():
     out = check_constraints(SAMPLE, eff)
     assert [(d.severity, d.code, d.path) for d in out] == [("warning", "W201", "C")]
     assert (error_count(out), warning_count(out)) == (0, 1)
+
+
+def test_a_severity_no_package_text_can_say_is_refused_by_the_printer():
+    # ``ConstraintDef`` checks nothing; the printer refuses to write a line
+    # that ``parse_package`` would refuse, and names the constraint.
+    fatal = ConstraintDef("no_c", "Class", "fatal", parse_expr("true"))
+    with pytest.raises(ValueError, match=r"constraint 'no_c': 'fatal' is not a severity"):
+        print_package(Package("p", (), (fatal,)))
+    warned = ConstraintDef("no_c", "Class", "warning", parse_expr("true"))
+    assert parse_package(print_package(Package("p", (), (warned,)))).definitions == (warned,)
 
 
 def test_constraints_run_in_definition_order():

@@ -1,15 +1,17 @@
-"""Parsed locations stand for ``SourceLocation`` records they never build.
+"""A parsed location is a ``SourceLocation`` built when it is read.
 
 A parser keeps in each node and element the index of its token and the
-parse's shared token table, which a read of its ``loc`` turns into a
-``LazyLocation``, and gives each ``ParseError`` a ``LazyLocation``; the
-table finds the token offsets on the first read.  Here every such
-location, on every text of ``tests/parse_outcomes.json``, on edits of
-those texts and on seeded round trips, must equal, hash, print and pickle
-exactly like the eager record for the same place, worked out apart from
-the parser: from the snapshot's pinned positions, or from the token at
-the same index of the reference tokenizer of ``tests/oracles.py``.
-Counting the offset passes pins when they happen.
+parse's shared token table, and the first read of its ``loc`` turns that
+pair into the ``SourceLocation`` the slot then keeps; each ``ParseError``
+gets a ``SourceLocation`` from the table, which finds the token offsets
+on its first call.  Here every such location, on every text of
+``tests/parse_outcomes.json``, on edits of those texts and on seeded
+round trips, must equal, hash, print and pickle exactly like the record
+for the same place worked out apart from the parser: from the snapshot's
+pinned positions, or from the token at the stored index in the reference
+tokenizer of ``tests/oracles.py``.  Counting offset passes and location
+records pins when they happen: never in a command, nor a layer, that
+reports no location.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import pickle
 import random
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -27,11 +30,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_expr, random_model, random_package
+from golden_corpus import projects
 from oracles import lex_reference
-from prefacer import textio
+from prefacer import record, textio
 from prefacer.cli import RunConfig, run
-from prefacer.diagnostics import Diagnostic, LazyLocation, SourceLocation
-from prefacer.preface import ConstraintDef
+from prefacer.constraints import check_constraints
+from prefacer.diagnostics import Diagnostic, SourceLocation
+from prefacer.model import builtin_check
+from prefacer.preface import ConstraintDef, compose
 from prefacer.textio import (
     ParseError,
     format_expr,
@@ -42,6 +48,7 @@ from prefacer.textio import (
     print_package,
     read_package_header,
 )
+from prefacer.transformer import apply_transforms
 from test_parse_outcomes import _header_cases
 from test_textio import (
     LEX_PIECES,
@@ -57,8 +64,8 @@ PARSERS = {"model": parse_model, "package": parse_package, "expr": parse_expr}
 
 
 def located(tree) -> list:
-    """The ``loc`` of every node under ``tree`` that has one, in the order
-    of ``test_textio._located_nodes``."""
+    """Every node under ``tree`` that has a ``loc``, in the order of
+    ``test_textio._located_nodes``; their locations are left unread."""
 
     out, stack = [], [tree]
     while stack:
@@ -68,17 +75,23 @@ def located(tree) -> list:
         elif is_dataclass(node):
             names = [f.name for f in fields(node)]
             if "loc" in names:
-                out.append(node.loc)
+                out.append(node)
             stack.extend(getattr(node, name) for name in reversed(names) if name != "loc")
     return out
 
 
+def stored(node):
+    """What ``node``'s ``loc`` slot holds, read without building anything:
+    a parse's ``(token index, token table)`` until the first read."""
+
+    return record._STORED[node.__class__]["loc"](node)
+
+
 def assert_stands_for(loc, ref: SourceLocation) -> None:
-    """``loc`` is lazy and behaves as the eager record ``ref`` in every way
+    """``loc`` is a record and behaves as the record ``ref`` in every way
     a caller can see, either way round."""
 
-    assert type(loc) is LazyLocation and type(ref) is SourceLocation
-    assert isinstance(loc, SourceLocation) and loc.__class__ is SourceLocation
+    assert type(loc) is type(ref) is SourceLocation
     assert (loc.file, loc.line, loc.column) == (ref.file, ref.line, ref.column)
     assert loc == ref and ref == loc and not loc != ref and not ref != loc
     assert hash(loc) == hash(ref) and {ref: 1}[loc] == 1
@@ -95,13 +108,15 @@ def assert_stands_for(loc, ref: SourceLocation) -> None:
     assert repr(found) == repr(kept)
 
 
-def assert_at_tokens(text: str, file: str, locs: list) -> None:
-    """Each location stands for the record of the reference tokenizer's
-    token at the location's index (the end of input last)."""
+def assert_at_tokens(text: str, file: str, nodes: list) -> None:
+    """Each node's location, read after its stored pair, stands for the
+    record of the reference tokenizer's token at the pair's index (the end
+    of input last)."""
 
     tokens = lex_reference(text, file)
-    for loc in locs:
-        assert_stands_for(loc, tokens[loc.index].loc)
+    for node in nodes:
+        index, _ = stored(node)
+        assert_stands_for(node.loc, tokens[index].loc)
 
 
 def test_every_snapshot_text_locates_as_the_eager_records():
@@ -116,7 +131,7 @@ def test_every_snapshot_text_locates_as_the_eager_records():
             assert_stands_for(failure.loc, SourceLocation(name, int(line), int(column)))
             errors += 1
             continue
-        locs = located(tree)
+        locs = [node.loc for node in located(tree)]
         assert len(locs) == len(outcome["located"]), name
         for loc, (_, line, column) in zip(locs, outcome["located"]):
             assert_stands_for(loc, SourceLocation(name, line, column))
@@ -144,9 +159,9 @@ def _edited(text: str, edits: list) -> str:
 @given(st.sampled_from(SNAPSHOT_TEXTS), st.lists(EDIT, min_size=1, max_size=2))
 @settings(max_examples=300, deadline=None)
 def test_edited_snapshot_texts_locate_at_the_reference_tokens(text, edits):
-    """Every parser raises only ``ParseError`` on an edited text, and every
-    location it gives, of a node or of the error, is where the reference
-    tokenizer puts the token at the location's index."""
+    """Every parser raises only ``ParseError`` on an edited text; every
+    location it gives a node is where the reference tokenizer puts the
+    token at the stored index, and an error's is where it puts one."""
 
     text = _edited(text, edits)
     # Judges the scanner's texts and positions, with the one documented
@@ -158,15 +173,18 @@ def test_edited_snapshot_texts_locate_at_the_reference_tokens(text, edits):
     tokens = lex_reference(text[:cut], "t")
     for parse in (*PARSERS.values(), read_package_header):
         try:
-            locs = located(parse(text, "t"))
+            nodes = located(parse(text, "t"))
         except ParseError as failure:
             assert refused is None or (
                 str(failure), failure.loc.line, failure.loc.column) == refused
-            locs = [failure.loc]
-        else:  # the header reader does not read past its imports ...
-            assert refused is None or parse is read_package_header
-        for loc in locs:
-            assert_stands_for(loc, tokens[loc.index].loc)
+            if refused is None:
+                assert failure.loc in [token.loc for token in tokens]
+            continue
+        # the header reader does not read past its imports ...
+        assert refused is None or parse is read_package_header
+        for node in nodes:
+            index, _ = stored(node)
+            assert_stands_for(node.loc, tokens[index].loc)
     # ... and where it reads, it agrees with the package parser.
     _header_cases([("t", text)])
 
@@ -181,7 +199,7 @@ def test_round_trips_locate_as_the_eager_records(seed):
         tree = parse_package(text, f"p{index}")
         assert_at_tokens(text, f"p{index}", located(tree))
         header = read_package_header(text, f"p{index}")
-        assert_at_tokens(text, f"p{index}", [header.loc])
+        assert_at_tokens(text, f"p{index}", [header])
         assert header.loc == tree.loc
         text = format_expr(random_expr(rng, 4))
         assert_at_tokens(text, f"e{index}", located(parse_expr(text, f"e{index}")))
@@ -213,6 +231,36 @@ def passes(monkeypatch) -> list[str]:
     return texts
 
 
+@pytest.fixture
+def built(monkeypatch) -> list[tuple]:
+    """The arguments of each ``SourceLocation`` built, in order."""
+
+    made: list[tuple] = []
+    init = SourceLocation.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SourceLocation, "__init__", counting)
+    return made
+
+
+@pytest.fixture
+def reads(monkeypatch) -> list[str]:
+    """The record class of each ``loc`` read, in order: the read that turns
+    a stored pair into a location object, or that gives one already made."""
+
+    classes: list[str] = []
+    for cls in record._FIELDS:
+        if isinstance(vars(cls).get("loc"), property):
+            def read(node, get=vars(cls)["loc"].fget):
+                classes.append(node.__class__.__name__)
+                return get(node)
+            monkeypatch.setattr(cls, "loc", property(read))
+    return classes
+
+
 def _located_texts() -> list[tuple]:
     """(parser, text) for the texts of ``sample/``, the transformed sample
     model printed, the sample's constraint bodies, and seeded texts of
@@ -236,43 +284,30 @@ def _located_texts() -> list[tuple]:
                for parse in (parse_package, read_package_header)])
 
 
-def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch, passes):
-    text = (HERE.parent / "sample" / "example.model").read_text(encoding="utf-8")
-    tokens = lex_reference(text, "example.model")
-    texts = _located_texts()  # the transformed sample reads locations as it is made
-    built, lazy = [], []
-    init, lazy_init = SourceLocation.__init__, LazyLocation.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    def counting_lazy_init(self, *args):
-        lazy.append(args)
-        lazy_init(self, *args)
-
-    monkeypatch.setattr(SourceLocation, "__init__", counting_init)
-    monkeypatch.setattr(LazyLocation, "__init__", counting_lazy_init)
-    # No parser builds a location object of either kind: each node keeps
-    # its token's index and the parse's table, and a read builds one.
+def test_parsing_builds_no_location_record_until_one_is_read(passes, built):
+    texts = _located_texts()
+    # No parser builds a location object: each node keeps its token's
+    # index and the parse's table, and a read builds one.
     trees = [(source, parse(source, "t")) for parse, source in texts]
-    assert built == [] and lazy == [] and passes == [] and len(trees) > 30
+    assert built == [] and passes == [] and len(trees) > 30
     for source, tree in trees:
-        locs = located(tree)
-        assert len(lazy) == len(locs) and all(type(loc) is LazyLocation for loc in locs)
-        assert [loc is again for loc, again in zip(locs, located(tree))] == [True] * len(locs)
+        nodes = located(tree)
+        pairs = [stored(node) for node in nodes]
+        assert all(pair.__class__ is tuple and len(pair) == 2 for pair in pairs)
         # One token table per parse.
-        assert len({id(loc.table) for loc in locs}) == 1
-        assert_at_tokens(source, "t", locs)
-        lazy.clear()
-    built.clear()
-    locs = located(parse_model(text, "example.model"))
-    assert built == [] and len(locs) > 10
-    # Reading, comparing, hashing and printing build no record either.
-    assert [str(loc) for loc in locs] == [str(tokens[loc.index].loc) for loc in locs]
-    assert len({hash(loc) for loc in locs}) > 1 and locs[0] == locs[0]
-    assert repr(locs[0]).startswith("SourceLocation(file='example.model', line=")
-    assert built == []
+        assert len({id(table) for _, table in pairs}) == 1
+        # One record per node, built on its first read and kept in the
+        # slot: a second read, comparing, hashing and printing build no more.
+        locs = [node.loc for node in nodes]
+        assert len(built) == len(nodes)
+        built.clear()
+        assert all(loc is node.loc is stored(node) for loc, node in zip(locs, nodes))
+        assert len({str(loc) for loc in locs}) == len({hash(loc) for loc in locs})
+        assert built == []
+        tokens = lex_reference(source, "t")
+        for (index, _), loc in zip(pairs, locs):
+            assert_stands_for(loc, tokens[index].loc)
+        built.clear()
     # The counter does see a record being built: unpickling builds one.
     assert pickle.loads(pickle.dumps(locs[0])) == locs[0]
     assert len(built) == 1
@@ -280,10 +315,11 @@ def test_parsing_builds_no_location_record_until_one_is_read(monkeypatch, passes
 
 def test_offsets_are_found_once_on_the_first_location_read(passes):
     text = (HERE.parent / "sample" / "example.model").read_text(encoding="utf-8")
-    locs = located(parse_model(text, "example.model"))
+    nodes = located(parse_model(text, "example.model"))
     assert passes == []
-    assert locs[-1].line > 1
+    assert nodes[-1].loc.line > 1
     assert passes == [text]
+    locs = [node.loc for node in nodes]
     assert locs[-1].column > 0 and str(locs[-1]).startswith("example.model:")
     assert all(loc == loc and loc.file == "example.model" for loc in locs)
     assert len({str(loc) for loc in locs}) == len({hash(loc) for loc in locs}) > 10
@@ -297,20 +333,84 @@ def test_offsets_are_found_once_on_the_first_location_read(passes):
     assert len(passes) == 2
 
 
+def _run(config: RunConfig) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    assert run(config, stdout=out, stderr=err) == 0, err.getvalue()
+
+
 @pytest.mark.parametrize("command", ["compose", "validate", "transform", "skeleton"])
-def test_commands_that_print_no_location_find_no_offsets(passes, command, tmp_path):
+def test_commands_that_print_no_location_find_no_offsets(passes, built, reads, command,
+                                                          tmp_path):
     sample = HERE.parent / "sample"
     config = RunConfig(command=command, preface_dir=str(sample / "defs"),
                        root_package="project-p", model_path=str(sample / "example.model"),
-                       output=str(tmp_path / "out") if command == "skeleton" else None)
+                       output=str(tmp_path / "out") if command in ("transform", "skeleton")
+                       else None)
+    _run(config)
+    if command == "transform":  # and the file it wrote, validated
+        _run(RunConfig("validate", str(sample / "defs"), "project-p", str(tmp_path / "out")))
+    assert passes == [] and built == [] and reads == []
+
+
+@pytest.mark.parametrize("workload", ["hierarchy", "statecharts", "prefaces"])
+def test_the_benchmark_operations_find_no_offsets(passes, built, reads, workload, tmp_path):
+    """The four operations of the benchmark's seed-1 project 0 of each
+    workload (``perfbench/gen.py``: long ``specializes`` chains, guarded
+    charts, quantified package constraints) report warnings without a
+    location: no offset pass, no location read and no location record."""
+
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(HERE.parent / "perfbench"))
+    project = gen.generate(workload, 1, 1, str(tmp_path))[0]
+    out_model = str(tmp_path / "out.model")
+    for kind, output in (("validate", None), ("transform", out_model),
+                         ("revalidate", None), ("skeleton", str(tmp_path / "out"))):
+        preface, model = project.inputs[kind]
+        _run(RunConfig("validate" if kind == "revalidate" else kind, preface, project.root,
+                       model or out_model, output=output))
+    assert passes == [] and built == [] and reads == []
+
+
+def test_findings_find_offsets_once_per_file_that_holds_one(passes, tmp_path):
+    files, root, model, _ = projects()["structure"]
+    (tmp_path / "defs").mkdir()
+    for name, text in files.items():
+        (tmp_path / "defs" / name).write_text(text, encoding="utf-8")
+    (tmp_path / "m.model").write_text(model, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    assert run(config, stdout=out, stderr=err) == 0, err.getvalue()
-    assert passes == []
+    assert run(RunConfig("validate", str(tmp_path / "defs"), root, str(tmp_path / "m.model")),
+               stdout=out, stderr=err) == 1
+    assert err.getvalue().count("m.model:") >= 15
+    assert passes == [model]
 
 
-def test_a_lazy_location_holds_a_token_index_and_the_table():
+def test_layers_that_report_no_location_read_none(built, reads):
+    repo, model, _ = read_sample()
+    eff = compose(repo, "project-p")
+    transformed = apply_transforms(model, eff)[0]
+    assert builtin_check(transformed) == []
+    assert all(d.location is None for d in check_constraints(transformed, eff))
+    assert built == [] and reads == []
+
+
+def test_replace_carries_a_stored_location_unread():
+    cls = parse_model("model m\n  class C { attribute a : Integer }", "m").classes[0]
+    pair = stored(cls)
+    again = record.replace(cls, name="D")
+    assert stored(again) is pair and stored(cls) is pair
+    assert again.loc == cls.loc == SourceLocation("m", 2, 3)
+    assert record.replace(again).loc is again.loc  # a read location is carried as it is
+
+
+def test_a_parsed_location_is_stored_as_its_token_index_and_the_table():
     tree = parse_expr("a and\n  b", "e")
-    assert LazyLocation.__slots__ == ("index", "table")
-    assert not hasattr(tree.lhs.loc, "__dict__")
-    assert (tree.lhs.loc.index, tree.loc.index, tree.rhs.loc.index) == (0, 1, 2)
-    assert str(tree.rhs.loc) == "e:2:3"
+    nodes = (tree.lhs, tree, tree.rhs)
+    pairs = [stored(node) for node in nodes]
+    assert [index for index, _ in pairs] == [0, 1, 2]
+    assert pairs[0][1] is pairs[1][1] is pairs[2][1]
+    assert pairs[2][1](2) == SourceLocation("e", 2, 3)
+    loc = tree.rhs.loc
+    assert str(loc) == "e:2:3" and stored(tree.rhs) is loc and tree.rhs.loc is loc

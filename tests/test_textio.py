@@ -730,9 +730,8 @@ def _lex_new(source: str):
     texts, table = _scan(source, "t")
     out = []
     for index, text in enumerate(texts):
-        _, line, column = table(index)
-        kind = _kind(text)
-        out.append((kind, text[1:-1] if kind == "string" else text, line, column))
+        loc, kind = table(index), _kind(text)
+        out.append((kind, text[1:-1] if kind == "string" else text, loc.line, loc.column))
     return out
 
 
