@@ -303,10 +303,16 @@ class Provenance:
 
 
 def render_literal(value: LiteralValue) -> str:
+    """A literal's text; ``ValueError`` for a value no literal reads as: a
+    string holding ``"`` or a line end, or a value of another type."""
+
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
+    if not isinstance(value, str) or '"' in value or "\n" in value:
+        raise ValueError(f"{value!r} is not a literal (integer, string, true or false) "
+                         "that a line can hold")
     return f'"{value}"'
 
 

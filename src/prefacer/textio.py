@@ -8,16 +8,23 @@ Two line-oriented surface syntaxes share one expression sub-grammar:
   options, stereotypes, tag types, constraints, predicated rules and
   transform switches).
 
-Comments run from ``//`` to end of line in both.  Parsers read the token
-texts of one scan and fail with a located ``ParseError``; they never
-guess.  A line of fixed shape (a class or chart head, a member line, a
-package definition line) reads its tokens by index off the token list,
-checks each where it stands, builds its record positionally and moves the
-position once, past the line.  A token out of place replays the checked
-primitives (``ident``, ``eat``, ``metaclass``) from the start of that
-part of the line, and they raise the same ``ParseError`` at the same
-token; there is no second way through the grammar.  Expressions are
-parsed by precedence climbing (see ``_Parser.expression``).
+Comments run from ``//`` to end of line in both.  Each declaration is
+one row of one table, ``_grammar()``: its line as it prints, a format string
+whose literal text holds the fixed words and whose ``{field}`` slots say
+how each field reads and prints.  Parsers read the token texts of one scan
+and fail with a located ``ParseError``; they never guess.  A row's reader
+checks its fixed tokens by index off the token list, builds its record
+positionally and moves past the line.  A token out of place replays the
+row's steps with the checked primitives (``ident``, ``eat``, a slot's own
+``replay``) from the start of that part of the line, which raise the same
+``ParseError`` at the same token; there is no second way through the
+grammar.  A row's printer writes its line and refuses, with a
+``ValueError`` naming the record and the field, a value the row would not
+read back.  A model file and a package file each have one reader and one
+printer, compiled from the code their rows give, with every row under the
+file's own read or printed inline, the first time such a file is read or
+printed; the import compiles none.
+Expressions are parsed by precedence climbing (see ``_Parser.expression``).
 
 The scanner is one ``findall`` of one regular expression, so the whole
 text is cut up in C into one flat list of token texts, with no tuple or
@@ -70,18 +77,19 @@ Expression operator precedence, loosest first::
 
 from __future__ import annotations
 
+import _string
 import gc
 import re
 import sys
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from itertools import accumulate
+from functools import cache, partial
+from itertools import accumulate, count
 from typing import Iterator, Sequence
 
 from . import expr as E
 from .diagnostics import SourceLocation
 from .model import (
-    AUTHORED,
     METACLASSES,
     NO_STEREOTYPES,
     Attribute,
@@ -89,17 +97,18 @@ from .model import (
     Invariant,
     Model,
     Operation,
+    Origin,
     Param,
     State,
     Statechart,
     Transition,
+    is_identifier,
 )
 from .preface import (
     CATALOGUE_DEFAULT,
     Chain,
     ConstDef,
     ConstraintDef,
-    Definition,
     EffectiveDefinitions,
     OptionDef,
     Package,
@@ -110,6 +119,7 @@ from .preface import (
     TransformSelection,
     render_literal,
 )
+from .record import _FIELDS
 
 
 class ParseError(Exception):
@@ -310,17 +320,17 @@ class _Parser:
         if self.texts[self.pos]:
             raise self.fail("end of input")
 
-    def replay(self, index: int, *steps: str) -> None:
+    def replay(self, index: int, *steps) -> None:
         """Raise what the primitives raise on a line read straight off the
         token list: from the token at ``index``, read each step with
-        ``metaclass`` if it is "a metaclass name", with ``ident`` if it
-        describes another name (it has a blank), and else ``eat`` it.  A
-        caller whose check is stricter than its steps raises after them."""
+        ``ident`` if it describes a name (it has a blank), with ``eat`` if it
+        is a word, and else with its own ``replay`` (allowed words, a
+        metaclass name among them)."""
 
         self.pos = index
         for step in steps:
-            if step == "a metaclass name":
-                self.metaclass()
+            if step.__class__ is not str:
+                step.replay(self)
             elif " " in step:
                 self.ident(step)
             else:
@@ -505,18 +515,9 @@ class _Parser:
             return text == "true"
         raise self.fail("a literal (integer, string, true or false)")
 
-    def metaclass(self) -> str:
-        index = self.pos
-        name = self.ident("a metaclass name")
-        if name not in METACLASSES:
-            raise ParseError(
-                f"'{name}' is not a metaclass (expected one of "
-                f"{', '.join(sorted(METACLASSES))})", self.loc(index))
-        return name
-
 
 # ---------------------------------------------------------------------------
-# Model parsing
+# The collector and expressions
 # ---------------------------------------------------------------------------
 
 
@@ -545,313 +546,6 @@ def parse_expr(source: str, file: str = "<expr>") -> E.Expr:
     out = parser.expression()
     parser.expect_eof()
     return out
-
-
-def _names(p: _Parser, index: int, separator: str, what: str) -> int:
-    """Where names joined by ``separator`` from the token at ``index`` end,
-    the index after the last name: a comma-separated name list, a dashed
-    transform id or a dotted option key."""
-
-    texts = p.texts
-    while texts[index][:1] in _IDENT_START and texts[index + 1] == separator:
-        index += 2
-    if texts[index][:1] not in _IDENT_START:
-        p.replay(index, what)
-    return index + 1
-
-
-def _parse_operation(p: _Parser, index: int) -> Operation:
-    texts = p.texts
-    if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "(":
-        p.replay(index + 1, "an operation name", "(")
-    at = index + 3
-    params: list[Param] = []
-    if texts[at] != ")":
-        while (texts[at][:1] in _IDENT_START and texts[at + 1] == ":"
-               and texts[at + 2][:1] in _IDENT_START):
-            params.append(Param(texts[at], texts[at + 2]))
-            at += 3
-            if texts[at] != ",":
-                break
-            at += 1
-        else:
-            p.replay(at, "a parameter name", ":", "a type name")
-        if texts[at] != ")":
-            p.replay(at, ")")
-    p.pos = at + 1
-    pre = post = None
-    if p.take("pre"):
-        p.eat(":")
-        pre = p.expression()
-    if p.take("post"):
-        p.eat(":")
-        post = p.expression()
-    return Operation(texts[index + 1], tuple(params), pre, post, None, AUTHORED,
-                     (index, p.table))
-
-
-def _parse_class(p: _Parser, start: int) -> ClassDef:
-    texts, table = p.texts, p.table
-    if texts[start + 1][:1] not in _IDENT_START:
-        p.replay(start + 1, "a class name")
-    index = start + 2
-    superclasses = ()
-    if texts[index] == "specializes":
-        end = _names(p, index + 1, ",", "a class name")
-        superclasses, index = tuple(texts[index + 1:end:2]), end
-    stereotypes = NO_STEREOTYPES
-    if texts[index] == "<<":
-        end = _names(p, index + 1, ",", "a stereotype name")
-        stereotypes, index = frozenset(texts[index + 1:end:2]), end + 1
-        if texts[end] != ">>":
-            p.replay(end, ">>")
-    if texts[index] != "{":
-        p.replay(index, "{")
-    p.pos = index + 1
-    attributes: list[Attribute] = []
-    operations: list[Operation] = []
-    invariants: list[Invariant] = []
-    while True:
-        index = p.pos
-        word = texts[index]
-        if word == "attribute":
-            if not (texts[index + 1][:1] in _IDENT_START and texts[index + 2] == ":"
-                    and texts[index + 3][:1] in _IDENT_START):
-                p.replay(index + 1, "an attribute name", ":", "a type name")
-            attributes.append(Attribute(texts[index + 1], texts[index + 3], AUTHORED,
-                                        (index, table)))
-            p.pos = index + 4
-        elif word == "operation":
-            operations.append(_parse_operation(p, index))
-        elif word == "invariant":
-            p.pos = index + 1
-            invariants.append(Invariant(p.expression(), AUTHORED))
-        elif word == "}":
-            p.pos = index + 1
-            return ClassDef(texts[start + 1], superclasses, stereotypes, (), tuple(attributes),
-                            tuple(operations), tuple(invariants), (start, table))
-        else:
-            raise p.fail("'attribute', 'operation', 'invariant' or '}'")
-
-
-def _parse_chart(p: _Parser, start: int) -> Statechart:
-    texts, table = p.texts, p.table
-    if not (texts[start + 1][:1] in _IDENT_START and texts[start + 2] == "for"
-            and texts[start + 3][:1] in _IDENT_START and texts[start + 4] == "{"):
-        p.replay(start + 1, "a statechart name", "for", "a class name", "{")
-    p.pos = start + 5
-    states: list[State] = []
-    transitions: list[Transition] = []
-    while True:
-        index = p.pos
-        word = texts[index]
-        if word == "state" or word == "initial":
-            at = index + (word == "initial")  # the ``state`` token
-            if texts[at] != "state" or texts[at + 1][:1] not in _IDENT_START:
-                p.replay(at, "state", "a state name")
-            states.append(State(texts[at + 1], word == "initial", (at, table)))
-            p.pos = at + 2
-        elif word == "transition":
-            if not (texts[index + 1][:1] in _IDENT_START and texts[index + 2] == "->"
-                    and texts[index + 3][:1] in _IDENT_START and texts[index + 4] == "on"
-                    and texts[index + 5][:1] in _IDENT_START):
-                p.replay(index + 1, "a state name", "->", "a state name", "on",
-                         "an event name")
-            p.pos = index + 6
-            guard = None
-            if p.take("["):
-                guard = p.expression()
-                p.eat("]")
-            transitions.append(Transition(texts[index + 1], texts[index + 3], texts[index + 5],
-                                          guard, (index, table)))
-        elif word == "}":
-            p.pos = index + 1
-            return Statechart(texts[start + 1], texts[start + 3], tuple(states),
-                              tuple(transitions), (start, table))
-        else:
-            raise p.fail("'state', 'initial', 'transition' or '}'")
-
-
-@collector_paused()
-def parse_model(source: str, file: str = "<model>") -> Model:
-    """Parse one model file.  Name resolution is not attempted here; a
-    structurally broken model parses fine and fails ``builtin_check``."""
-
-    p = _Parser(source, file)
-    loc = (p.eat("model"), p.table)
-    name = p.ident("a model name")
-    classes: list[ClassDef] = []
-    charts: list[Statechart] = []
-    texts = p.texts
-    while True:
-        index = p.pos
-        word = texts[index]
-        if word == "class":
-            classes.append(_parse_class(p, index))
-        elif word == "statechart":
-            charts.append(_parse_chart(p, index))
-        elif not word:
-            return Model(name, tuple(classes), tuple(charts), loc=loc)
-        else:
-            raise p.fail("'class', 'statechart' or end of input")
-
-
-# ---------------------------------------------------------------------------
-# Package parsing
-# ---------------------------------------------------------------------------
-
-# Each definition line is read by index from its keyword's, ``index``, and
-# leaves ``p.pos`` after its last token.
-
-
-def _parse_const(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "=":
-        p.replay(index + 1, "a constant name", "=")
-    p.pos = index + 3
-    return ConstDef(texts[index + 1], p.literal(), (index, p.table))
-
-
-def _parse_option(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    end = _names(p, index + 1, ".", "an option key")
-    if texts[end] != "=" or texts[end + 1][:1] not in _IDENT_START:
-        p.replay(end, "=", "an option value")
-    p.pos = end + 2
-    return OptionDef("".join(texts[index + 1:end]), texts[end + 1],
-                     (index, p.table))
-
-
-def _parse_stereotype(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    if (texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "on"
-            or texts[index + 3] not in METACLASSES):
-        p.replay(index + 1, "a stereotype name", "on", "a metaclass name")
-    end = index + 4
-    if texts[end] == "requires":
-        end = _names(p, index + 5, ",", "a tag name")
-    p.pos = end
-    # Without ``requires`` the slice of tag names is empty.
-    return StereotypeDef(texts[index + 1], texts[index + 3], tuple(texts[index + 5:end:2]),
-                         (index, p.table))
-
-
-def _parse_tagdef(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    if (texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != ":"
-            or texts[index + 3] not in ("string", "int", "bool")):
-        p.replay(index + 1, "a tag name", ":", "'string', 'int' or 'bool'")
-        raise ParseError(
-            f"'{texts[index + 3]}' is not a tag type (expected string, int or bool)",
-            p.loc(index + 3))
-    p.pos = index + 4
-    return TagDef(texts[index + 1], texts[index + 3], (index, p.table))
-
-
-def _parse_constraint(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    if (texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "on"
-            or texts[index + 3] not in METACLASSES):
-        p.replay(index + 1, "a constraint name", "on", "a metaclass name")
-    at = index + 4
-    severity = "error"
-    if texts[at] == "severity":
-        severity = texts[at + 1]
-        if severity != "error" and severity != "warning":
-            p.replay(at + 1, "'error' or 'warning'")
-            raise ParseError(
-                f"'{severity}' is not a severity (expected error or warning)",
-                p.loc(at + 1))
-        at += 2
-    if texts[at] != ":":
-        p.replay(at, ":")
-    p.pos = at + 1
-    return ConstraintDef(texts[index + 1], texts[index + 3], severity, p.expression(),
-                         (index, p.table))
-
-
-#: The predicate of every ``rule … when all``.
-_MATCH_ALL = Predicate("all")
-
-
-def _parse_rule(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    if texts[index + 1][:1] not in _IDENT_START or texts[index + 2] != "when":
-        p.replay(index + 1, "a property key", "when")
-    at = index + 3
-    word = texts[at]
-    if word == "all":
-        predicate = _MATCH_ALL
-        at += 1
-    elif word == "stereotype" or word == "metaclass":
-        if (texts[at + 1] != "("
-                or (texts[at + 2] not in METACLASSES if word == "metaclass"
-                    else texts[at + 2][:1] not in _IDENT_START)
-                or texts[at + 3] != ")"):
-            p.replay(at + 1, "(", f"a {word} name", ")")
-        predicate = Predicate(word, texts[at + 2])
-        at += 4
-    else:
-        p.pos = at
-        raise p.fail("'all', 'stereotype(...)' or 'metaclass(...)'")
-    if texts[at] != "=" or texts[at + 1][:1] not in _IDENT_START:
-        p.replay(at, "=", "a value")
-    p.pos = at + 2
-    return PredicatedRuleDef(texts[index + 1], predicate, texts[at + 1],
-                             (index, p.table))
-
-
-def _parse_transform(p: _Parser, index: int) -> Definition:
-    texts = p.texts
-    end = _names(p, index + 1, "-", "a transform id")
-    if texts[end] != "on" and texts[end] != "off":
-        p.pos = end
-        raise p.fail("'on' or 'off'")
-    p.pos = end + 1
-    return TransformSelection("".join(texts[index + 1:end]), texts[end] == "on",
-                              (index, p.table))
-
-
-_DEFINITIONS = {
-    "const": _parse_const,
-    "option": _parse_option,
-    "stereotype": _parse_stereotype,
-    "tagdef": _parse_tagdef,
-    "constraint": _parse_constraint,
-    "rule": _parse_rule,
-    "transform": _parse_transform,
-}
-
-
-@collector_paused()
-def parse_package(source: str, file: str = "<package>") -> Package:
-    """Parse one package file: quoted id, imports first, then definitions."""
-
-    p = _Parser(source, file)
-    loc = (p.eat("package"), p.table)
-    pkg_id = p.string("a quoted package id")
-    p.eat("{")
-    imports: list[str] = []
-    while p.take("import"):
-        imports.append(p.string("a quoted package id"))
-    definitions: list[Definition] = []
-    texts = p.texts
-    while True:
-        index = p.pos
-        word = texts[index]
-        parse = _DEFINITIONS.get(word)
-        if parse is not None:
-            definitions.append(parse(p, index))
-        elif word == "}":
-            break
-        elif word == "import":
-            raise ImportAfterDefinitionError(
-                "imports must precede all definitions", p.loc(index))
-        else:
-            raise p.fail("a definition or '}'")
-    p.pos = index + 1
-    p.expect_eof()
-    return Package(pkg_id, tuple(imports), tuple(definitions), loc=loc)
 
 
 def read_package_header(source: str, file: str = "<package>") -> Package:
@@ -952,109 +646,669 @@ def format_expr(e: E.Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Model printing
+# The grammar: one row per declaration
 # ---------------------------------------------------------------------------
 
 
-def _induced_note(origin) -> str:
-    return f" // induced by {origin.rule_id}" if origin.kind == "induced" else ""
+def _either(words) -> str:
+    """``a, b or c``."""
+
+    *most, last = words
+    return f"{', '.join(most)} or {last}" if most else last
 
 
-def _print_operation(op: Operation) -> str:
-    params = ", ".join(f"{p.name} : {p.type_name}" for p in op.params)
-    line = f"operation {op.name}({params})"
-    pre = op.effective_pre
-    if pre is not None:
-        line += f" pre: {format_expr(pre)}"
-    if op.post_authored is not None:
-        line += f" post: {format_expr(op.post_authored)}"
-    if op.origin.kind == "induced":
-        line += _induced_note(op.origin)
-    elif op.pre_induced is not None:
-        line += _induced_note(op.pre_induced[1])
-    return line
+def _tokens(text: str) -> list[str]:
+    return [token for token in _TOKEN.findall(text) if token]
+
+
+def _refuse() -> str:
+    """What a compiled printer calls when a slot's check fails;
+    ``_Row.text`` then finds the slot and says why."""
+
+    raise ValueError
+
+
+class _Refused(ValueError):
+    """A slot's refusal, named by its record and field."""
+
+
+class _Slot:
+    """How one slot of a row reads and prints.
+
+    A slot one token wide (``width``) gives the code of its ``check`` and
+    its ``value`` off a token ``t``, and the ``step`` that replays it; any
+    other appends the code that reads it (``reading``) to a reader's.
+    ``text`` prints a value, or raises ``ValueError`` for one the slot
+    would not read back; ``show`` and ``ok`` are the code a printer inlines
+    for the two, given the code of a value ``v`` (no ``ok``: ``show``
+    refuses by itself).  ``g`` names a global of that code, and ``fresh``
+    a new local."""
+
+    width, shown = 0, None
+
+    def show(self, v: str, g, fresh) -> str:
+        return f"{g(self.text)}({v})"
+
+    def ok(self, v: str, g) -> str | None:
+        return None
+
+    def refuse(self, value) -> ValueError:
+        return ValueError(f"{value!r} is not {self.what}")
+
+
+class _Name(_Slot):
+    """An identifier, described as "a … name" (or key, id, value)."""
+
+    width = 1
+
+    def __init__(self, what: str):
+        self.what = self.step = what
+
+    def check(self, t: str, g) -> str:
+        return f"{t}[:1] in {g(_IDENT_START)}"
+
+    def value(self, t: str, g) -> str:
+        return t
+
+    def show(self, v: str, g, fresh) -> str:
+        return v
+
+    def ok(self, v: str, g) -> str:
+        # ``isidentifier`` takes non-ASCII letters: ``_printed`` checks ``isascii``
+        return f"{v}.isidentifier()"
+
+    def text(self, value) -> str:
+        if isinstance(value, str) and is_identifier(value):
+            return value
+        raise self.refuse(value)
+
+
+class _Words(_Slot):
+    """Allowed words, each standing for a value.  With a ``noun``, another
+    name is refused as not being one ("'x' is not a tag type (expected
+    …)"); without, any other token is one more ``expected``."""
+
+    width = 1
+
+    def __init__(self, noun: str | None, *words: str, values: Sequence = (),
+                 expected: str = "", listed: str = ""):
+        self.noun, self.step = noun, self
+        self.choices = dict(zip(words, values or words))  # word -> value
+        self.words = {value: word for word, value in self.choices.items()}
+        self.expected = expected or _either([f"'{word}'" for word in words])
+        self.what = (f"a {noun} (expected {listed or _either(words)})" if noun
+                     else _either(map(repr, self.words)))
+
+    def check(self, t: str, g) -> str:
+        return f"{t} in {g(self.choices)}"
+
+    def value(self, t: str, g) -> str:
+        return f"{g(self.choices)}[{t}]"
+
+    def show(self, v: str, g, fresh) -> str:
+        return f"{g(self.words)}[{v}]"
+
+    def ok(self, v: str, g) -> str:
+        return f"{v} in {g(self.words)}"
+
+    def replay(self, p: _Parser) -> None:
+        index = p.pos
+        if self.noun is None:
+            if p.texts[index] not in self.choices:
+                raise p.fail(self.expected)
+            p.pos = index + 1
+        elif p.ident(self.expected) not in self.choices:
+            raise ParseError(f"'{p.texts[index]}' is not {self.what}", p.loc(index))
+
+    def text(self, value) -> str:
+        if value in self.words:
+            return self.words[value]
+        raise self.refuse(value)
+
+
+class _Primitive(_Slot):
+    """What a parser primitive reads: an expression, a literal or a quoted
+    package id."""
+
+    def __init__(self, what: str, primitive, text):
+        self.what, self.primitive, self.text = what, primitive, text
+
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
+        value, end = fresh("v"), fresh("b")
+        out += [f"{pad}p.pos = {start}", f"{pad}{value} = {g(self.primitive)}(p)",
+                f"{pad}{end} = p.pos"]
+        return value, end
+
+
+class _Names(_Slot):
+    """Names joined by a separator as it prints: a list, or one dotted or
+    dashed name kept joined (``into`` is ``str``); or, for a record class
+    ``item``, the records of its row, none when ``until`` is next."""
+
+    row = property(lambda self: _grammar().get(self.item))  # the row of a record ``item``
+
+    def __init__(self, item, separator: str, into: type = tuple, until: str | None = None):
+        self.item, self.separator, self.into, self.until = item, separator, into, until
+        self.token = separator.strip()
+        if isinstance(item, str):
+            self.what = f"one or more {item.split(' ', 1)[1]}s joined by '{self.token}'"
+
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
+        value, j, token = fresh("v"), fresh("j"), g(self.token)
+        out.append(f"{pad}{j} = {start}")
+        if self.row is None:
+            out += [f"{pad}while t[{j}][:1] in {g(_IDENT_START)} and t[{j} + 1] == {token}:",
+                    f"{pad}    {j} += 2",
+                    f"{pad}if t[{j}][:1] not in {g(_IDENT_START)}: p.replay({j}, {g(self.item)})",
+                    f"{pad}{value} = " + (f"{g(''.join)}(t[{start}:{j} + 1])" if self.into is str
+                                          else f"{g(self.into)}(t[{start}:{j} + 1:2])")]
+            return value, f"{j} + 1"
+        out += [f"{pad}{value} = []", f"{pad}if t[{j}] != {g(self.until)}:",
+                f"{pad}    while True:"]
+        got, stop = self.row.reading(out, pad + "        ", j, g, fresh)
+        out += [f"{pad}        {value}.append({got})", f"{pad}        {j} = {stop}",
+                f"{pad}        if t[{j}] != {token}:", f"{pad}            break",
+                f"{pad}        {j} += 1"]
+        return f"{g(tuple)}({value})", j
+
+    def show(self, v: str, g, fresh) -> str:
+        if self.row is None:
+            return v if self.into is str else f"{g(self.separator.join)}(" + (
+                f"{g(sorted)}({v}))" if self.into is frozenset else f"{v})")
+        x = fresh("r")
+        return (f"{g(self.separator.join)}([{_line(self.row.pieces, x, None, g, fresh, True)} "
+                f"for {x} in {v}])")
+
+    def ok(self, v: str, g) -> str | None:
+        names = f"{v}.split({g(self.token)})" if self.into is str else v
+        return None if self.row else f"{v} and all(map({g(str.isidentifier)}, {names}))"
+
+    def text(self, value) -> str:
+        if self.row is not None:
+            return self.separator.join([self.row.text(record) for record in value])
+        names = () if not isinstance(value, self.into) else (
+            value.split(self.token) if self.into is str
+            else sorted(value) if self.into is frozenset else value)
+        if not names or not all(isinstance(name, str) and is_identifier(name) for name in names):
+            raise self.refuse(value)
+        return self.separator.join(names)
+
+
+class _Opt(_Slot):
+    """A clause led by its word: ``text`` with the value of ``slot`` in its
+    ``{}``, or, without a slot, a flag that is true when present.  Absent,
+    it reads as ``default``; it prints unless its value is false and the
+    default.  ``shown`` names the field the printer reads when it is not
+    the one the parser fills."""
+
+    def __init__(self, text: str, slot: _Slot | None = None, default=None,
+                 shown: str | None = None):
+        self.row = _Row(None, text, *[slot] * (slot is not None))
+        self.default, self.shown, self.word = default, shown, self.row.items[0]
+
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
+        value, end = fresh("v"), fresh("b")
+        out.append(f"{pad}if t[{start}] == {g(self.word)}:")
+        got, stop = self.row.reading(out, pad + "    ", start, g, fresh, dispatched=True)
+        out += [f"{pad}    {value}, {end} = {got}, {stop}", f"{pad}else:",
+                f"{pad}    {value}, {end} = {g(self.default)}, {start}"]
+        return value, end
+
+    def show(self, v: str, g, fresh) -> str:
+        x = fresh("x")  # the value, read once
+        return (f"({_line(self.row.pieces, x, None, g, fresh, True)} "
+                f"if ({x} := {v}) or {x} != {g(self.default)} else {g('')})")
+
+    def text(self, value) -> str:
+        return "" if not value and value == self.default else self.row.text(value)
+
+
+class _Choice(_Slot):
+    """One of several rows of one record class, told by its first word;
+    ``what`` refuses any other.  The printer takes the row whose
+    constants the record has."""
+
+    def __init__(self, what: str, *rows: _Row):
+        self.what, self.rows = what, {row.keyword: row for row in rows}
+
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
+        value, end = fresh("v"), fresh("b")
+        for k, row in enumerate(self.rows.values()):
+            out.append(f"{pad}{'el' * bool(k)}if t[{start}] == {g(row.keyword)}:")
+            got, stop = row.reading(out, pad + "    ", start, g, fresh, dispatched=True)
+            out.append(f"{pad}    {value}, {end} = {got}, {stop}")
+        out += [f"{pad}else:", f"{pad}    {g(self.fail)}(p, {start})"]
+        return value, end
+
+    def fail(self, p: _Parser, index: int) -> None:
+        p.pos = index
+        raise p.fail(self.what)
+
+    def text(self, value) -> str:
+        for row in self.rows.values():
+            if all(getattr(value, name, None) == constant
+                   for name, constant in row.constants.items()):
+                return row.text(value)
+        raise self.refuse(value)
+
+
+class _Note(_Slot):
+    """The comment after an induced element, from the origin of the field's
+    value, or of what ``origin_of`` gives for the record; the parser skips
+    it as it skips any comment."""
+
+    note = " // induced by "
+
+    def __init__(self, origin_of=None):
+        self.origin_of = origin_of
+
+    def show(self, v: str, g, fresh) -> str:
+        origin, x = f"{g(self.origin_of)}({v})" if self.origin_of else v, fresh("x")
+        return (f"({g(self.note)} + {x}.rule_id if ({x} := {origin}).kind == {g('induced')} "
+                f"else {g('')})")
+
+    def text(self, value) -> str:
+        origin = self.origin_of(value) if self.origin_of else value
+        return self.note + origin.rule_id if origin.kind == "induced" else ""
+
+
+class _Block(_Slot):
+    """Member lines, each read and printed by the row of its record class,
+    into the field given with that class.  With a ``message``, the block
+    ends at the word its row has next (the end of input if none) and
+    refuses any other word with it, or a word of an earlier block of its
+    row with ``ImportAfterDefinitionError``."""
+
+    def __init__(self, message: str | None, **fields):
+        self.message = message
+        self.fields = {name: kinds if isinstance(kinds, tuple) else (kinds,)
+                       for name, kinds in fields.items()}
+        self.earlier: dict[str, str] = {}  # a word of an earlier block -> its fields
+
+    def words(self) -> list[str]:
+        """The words its member lines start with."""
+
+        return [word for kinds in self.fields.values() for cls in kinds
+                for word in _grammar()[cls].first_words()]
+
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after):
+        """Its members' lists, and the index after them."""
+
+        found, j = [fresh("v") for _ in self.fields], fresh("j")
+        out += [f"{pad}{', '.join(found)} = {', '.join(['[]'] * len(found))}",
+                f"{pad}{j} = {start}", f"{pad}while True:", f"{pad}    w = t[{j}]"]
+        branch = "if"
+        for k, kinds in enumerate(self.fields.values()):
+            for row in map(_grammar().__getitem__, kinds):
+                out.append(f"{pad}    {branch} " + " or ".join(
+                    f"w == {g(word)}" for word in row.first_words()) + ":")
+                got, stop = row.reading(out, pad + "        ", j, g, fresh, dispatched=True)
+                out += [f"{pad}        {found[k]}.append({got})", f"{pad}        {j} = {stop}"]
+                branch = "elif"
+        if self.message is None:
+            out += [f"{pad}    else:", f"{pad}        break"]
+        else:
+            out += [f"{pad}    elif w == {g(after if isinstance(after, str) else '')}:",
+                    f"{pad}        break", f"{pad}    else:",
+                    f"{pad}        {g(self.fail)}(p, {j})"]
+        return found, j
+
+    def fail(self, p: _Parser, index: int) -> None:
+        p.pos, word = index, p.texts[index]
+        if word in self.earlier:
+            raise ImportAfterDefinitionError(
+                f"{self.earlier[word]} must precede all {', '.join(self.fields)}", p.loc(index))
+        raise p.fail(self.message)
+
+    def text(self, record) -> str:
+        """Check every member; the lines are the compiled printer's."""
+
+        for name, kinds in self.fields.items():
+            for member in getattr(record, name):
+                if type(member) not in kinds:
+                    raise ValueError(f"{member!r} is not one of the {name}")
+                _grammar()[type(member)].text(member)
+        return ""
+
+
+def _global(env: dict, value) -> str:
+    """The name of a new global of ``env`` holding ``value``."""
+
+    name = f"G{len(env)}"
+    env[name] = value
+    return name
+
+
+def _line(pieces: list, r: str, indent: str | None, g, fresh, joined: bool = False) -> str:
+    """The code of one line, or of a clause (no ``indent``), of the record
+    ``r``: an f-string, or a sum of strings when ``joined`` (to sit in an
+    f-string's braces, which take no quote); the code refuses a value its
+    slots' cheap checks fail."""
+
+    parts, checks = [], []
+    for piece in [indent] * bool(indent) + pieces:
+        if isinstance(piece, str):
+            parts.append(g(piece) if joined else piece.replace("\\", "\\\\").replace(
+                "'", "\\'").replace("{", "{{").replace("}", "}}"))
+            continue
+        name, kind = piece
+        value = f"{r}.{kind.shown or name}" if name else r
+        ok = kind.ok(value, g)
+        checks += [ok] if ok else []
+        shown = kind.show(value, g, fresh)
+        parts.append(shown if joined else f"{{{shown}}}")
+    made = "(" + " + ".join(parts) + ")" if joined else "f'" + "".join(parts) + "'"
+    return f"({made} if {' and '.join(checks)} else {g(_refuse)}())" if checks else made
+
+
+class _Row:
+    """One declaration: the record class it reads and prints (``None`` for
+    a clause, ``str`` for a line that holds one string), and its line as it
+    prints.  The line is a format string whose literal text holds the
+    fixed words and whose ``{field}`` slots each name a record field; a
+    ``{}`` takes the next unnamed slot, which reads and prints the whole
+    record, or the value of a clause.  Fields the line does not hold take
+    the given constants, or their defaults.
+
+    ``reading`` and ``printing`` give the code of the row's reader and
+    printer, with the rows its slots hold inline; ``_made`` compiles the
+    row of a model or a package into ``read(p, index)``, the record at
+    ``index`` and the index after it, and ``show(record, out)``."""
+
+    def __init__(self, cls, text: str, *unnamed: _Slot, **slots):
+        self.cls, given, self.pieces = cls, iter(unnamed), []
+        for literal, field, _, _ in _string.formatter_parser(text):
+            if literal:
+                self.pieces.append(literal)
+            if field is not None:
+                slot = slots.pop(field) if field else next(given)
+                self.pieces.append((field, _Name(slot) if isinstance(slot, str) else slot))
+        self.constants = slots  # values of fields the line does not hold
+        self.slots = dict(piece for piece in self.pieces if isinstance(piece, tuple))
+        # literal text as its tokens, and the slots a parser reads
+        self.items = [item for piece in self.pieces for item in (
+            _tokens(piece) if isinstance(piece, str)
+            else [] if isinstance(piece[1], _Note) else [piece])]
+        self.keyword = next((item for item in self.items if isinstance(item, str)), "")
+
+    def first_words(self) -> list[str]:
+        """The words a member line of this row starts with."""
+
+        first = self.items[0]
+        return [first] if isinstance(first, str) else [self.keyword, first[1].word]
+
+    def reading(self, out: list[str], pad: str, base: str, g, fresh,
+                dispatched: bool = False) -> tuple[str, str]:
+        """Append to ``out`` the code, indented by ``pad``, that reads the
+        row's line from the token at index ``base``, its first word
+        ``dispatched`` (checked already); return the code of the value read
+        and of the index after it.  ``fresh`` names a new local."""
+
+        run: list = []  # the one-token items since the last slot: (index, check, step)
+        values: dict[str, str] = {}  # field -> the code of its value
+        blocks: list[_Block] = []
+        base, _, offset = base.partition(" + ")  # an index is a local, maybe plus a number
+        offset, loc = int(offset or 0), None
+
+        def at() -> str:
+            return f"{base} + {offset}" if offset else base
+
+        def flush() -> None:
+            checks = " and ".join(check for _, check, _ in run if check)
+            if checks:
+                steps = g(tuple(step for _, _, step in run))
+                out.append(f"{pad}if not ({checks}): p.replay({run[0][0]}, *{steps})")
+            run.clear()
+
+        for n, item in enumerate(self.items):
+            if isinstance(item, str):
+                loc = loc or at()
+                run.append((at(), None if n == 0 and dispatched
+                            else f"t[{at()}] == {g(item)}", item))
+                offset += 1
+                continue
+            field, kind = item
+            if kind.width:
+                run.append((at(), kind.check(f"t[{at()}]", g), kind.step))
+                values[field] = kind.value(f"t[{at()}]", g)
+                offset += 1
+                continue
+            flush()
+            if isinstance(kind, _Block):
+                kind.earlier = {word: ", ".join(block.fields)
+                                for block in blocks for word in block.words()}
+                blocks.append(kind)
+            after = self.items[n + 1] if n + 1 < len(self.items) else ""
+            value, base = kind.reading(out, pad, at(), g, fresh, after)
+            base, _, offset = base.partition(" + ")
+            offset = int(offset or 0)
+            if isinstance(kind, _Block):
+                values.update((name, f"{g(tuple)}({found})")
+                              for name, found in zip(kind.fields, value))
+            else:
+                values[field] = value
+        flush()
+        if self.cls is None or self.cls is str:  # a clause's value, or a flag's
+            return next(iter(values.values()), "True"), at()
+        return g(self.cls) + "(" + ", ".join(
+            values[f.name] if f.name in values
+            else f"({loc}, p.table)" if f.name == "loc"
+            else g(self.constants.get(f.name, f.default))
+            for f in _FIELDS[self.cls] if f.init) + ")", at()
+
+    def printing(self, out: list[str], pad: str, r: str, indent: str, g, fresh) -> None:
+        """Append to ``out`` the code, indented by ``pad``, that appends to
+        ``o`` the lines of the record ``r`` at ``indent``, with every row
+        under this one printed inline."""
+
+        line: list = []  # the pieces of this line
+        for piece in self.pieces:
+            if not (isinstance(piece, tuple) and isinstance(piece[1], _Block)):
+                line.append(piece)
+                continue
+            if line:
+                out.append(f"{pad}o.append({_line(line, r, indent, g, fresh)})")
+                line = []
+            for name, classes in piece[1].fields.items():
+                x, rows = fresh("r"), [_grammar()[cls] for cls in classes]
+                out.append(f"{pad}for {x} in {r}.{name}:")
+                if len(rows) == 1:
+                    rows[0].printing(out, pad + "    ", x, indent + "  ", g, fresh)
+                    continue
+                for k, row in enumerate(rows):
+                    out.append(f"{pad}    {'el' * bool(k)}if {x}.__class__ is {g(row.cls)}:")
+                    row.printing(out, pad + "        ", x, indent + "  ", g, fresh)
+                out += [f"{pad}    else:", f"{pad}        {g(_refuse)}()"]
+        if line:
+            out.append(f"{pad}o.append({_line(line, r, indent, g, fresh)})")
+
+    def text(self, record, start: int = 0) -> str:
+        """The row's line for ``record``, unindented, from its ``start``-th
+        piece (a block checks its members and prints nothing), or the
+        ``ValueError`` of the first slot that refuses its value, naming the
+        record and the field."""
+
+        out = []
+        for piece in self.pieces[start:]:
+            if isinstance(piece, str):
+                out.append(piece)
+                continue
+            field, slot = piece
+            try:
+                out.append(slot.text(getattr(record, slot.shown or field) if field else record))
+            except _Refused:
+                raise
+            except ValueError as failure:
+                if self.cls is None:
+                    raise
+                named = next((f" {getattr(record, name)!r}" for name, kind in self.slots.items()
+                              if isinstance(kind, _Name)), "")
+                raise _Refused(f"{self.keyword or self.cls.__name__}{named}: {failure} "
+                               f"[{self.cls.__name__}.{field or 'value'}]") from None
+        return "".join(out)
+
+
+def _made(cls: type, part: str) -> _Row:
+    """The row of a model or a package, with its reader (``part`` "read")
+    or printer ("show") compiled the first time it is asked for: a command
+    compiles only what it uses."""
+
+    row = _grammar()[cls]
+    if part not in vars(row):
+        out: list[str] = []
+        env: dict = {}
+        numbers = count()
+        g, fresh = partial(_global, env), lambda stem: f"{stem}{next(numbers)}"
+        if part == "read":
+            made, end = row.reading(out, "    ", "i", g, fresh)
+            out = ["def read(p, i):", "    t = p.texts", *out, f"    return {made}, {end}"]
+        else:
+            row.printing(out, "    ", "r", "", g, fresh)
+            out.insert(0, "def show(r, o):")
+        exec("\n".join(out) + "\n", env)
+        setattr(row, part, env.pop(part))
+    return row
+
+
+def _noted(op: Operation) -> Origin:
+    """The origin an operation's line notes: its own if it was induced, else
+    that of its induced precondition, if any."""
+
+    return op.pre_induced[1] if op.origin.kind != "induced" and op.pre_induced else op.origin
+
+
+def _quoted(value) -> str:
+    if isinstance(value, str):
+        return render_literal(value)
+    raise ValueError(f"{value!r} is not a quoted package id")
+
+
+_EXPR = _Primitive("an expression", _Parser.expression, format_expr)
+_LITERAL = _Primitive("a literal (integer, string, true or false)", _Parser.literal,
+                      render_literal)
+_QUOTED = _Primitive("a quoted package id", partial(_Parser.string, what="a quoted package id"),
+                     _quoted)
+_METACLASS = _Words("metaclass", *sorted(METACLASSES), expected="a metaclass name",
+                    listed="one of " + ", ".join(sorted(METACLASSES)))
+
+@cache
+def _grammar() -> dict[type, _Row]:
+    """Every declaration of a model file and of a package file, by record
+    class, in the order README's Grammar lists them; built on first use, so
+    an import pays nothing for it."""
+
+    return {row.cls: row for row in (
+        _Row(Model, "model {name}{}",
+             _Block("'class', 'statechart' or end of input",
+                    classes=ClassDef, statecharts=Statechart),
+             name="a model name"),
+        _Row(ClassDef, "class {name}{superclasses}{stereotypes} {{{}}}",
+             _Block("'attribute', 'operation', 'invariant' or '}'",
+                    attributes=Attribute, operations=Operation, invariants=Invariant),
+             name="a class name",
+             superclasses=_Opt(" specializes {}", _Names("a class name", ", "), ()),
+             stereotypes=_Opt(" <<{}>>", _Names("a stereotype name", ", ", frozenset),
+                              NO_STEREOTYPES)),
+        _Row(Attribute, "attribute {name} : {type_name}{origin}",
+             name="an attribute name", type_name="a type name", origin=_Note()),
+        _Row(Operation, "operation {name}({params}){pre_authored}{post_authored}{}", _Note(_noted),
+             name="an operation name", params=_Names(Param, ", ", until=")"),
+             pre_authored=_Opt(" pre: {}", _EXPR, shown="effective_pre"),
+             post_authored=_Opt(" post: {}", _EXPR)),
+        _Row(Param, "{name} : {type_name}", name="a parameter name", type_name="a type name"),
+        _Row(Invariant, "invariant {expr}{origin}", expr=_EXPR, origin=_Note()),
+        _Row(Statechart, "statechart {name} for {attached_to} {{{}}}",
+             _Block("'state', 'initial', 'transition' or '}'",
+                    states=State, transitions=Transition),
+             name="a statechart name", attached_to="a class name"),
+        _Row(State, "{initial}state {name}", initial=_Opt("initial ", default=False),
+             name="a state name"),
+        _Row(Transition, "transition {source} -> {target} on {event}{guard}",
+             source="a state name", target="a state name", event="an event name",
+             guard=_Opt(" [{}]", _EXPR)),
+        _Row(Package, "package {id} {{{}{}}}",
+             _Block(None, imports=str),
+             _Block("a definition or '}'", definitions=(
+                 ConstDef, OptionDef, StereotypeDef, TagDef, ConstraintDef, PredicatedRuleDef,
+                 TransformSelection)),
+             id=_QUOTED),
+        _Row(str, "import {}", _QUOTED),
+        _Row(ConstDef, "const {key} = {value}", key="a constant name", value=_LITERAL),
+        _Row(OptionDef, "option {key} = {value}",
+             key=_Names("an option key", ".", str), value="an option value"),
+        _Row(StereotypeDef, "stereotype {name} on {base}{required_tags}",
+             name="a stereotype name", base=_METACLASS,
+             required_tags=_Opt(" requires {}", _Names("a tag name", ", "), ())),
+        _Row(TagDef, "tagdef {name} : {value_type}",
+             name="a tag name", value_type=_Words("tag type", "string", "int", "bool")),
+        _Row(ConstraintDef, "constraint {name} on {scope}{severity} : {body}",
+             name="a constraint name", scope=_METACLASS,
+             severity=_Opt(" severity {}", _Words("severity", "error", "warning"), "error"),
+             body=_EXPR),
+        _Row(PredicatedRuleDef, "rule {property_key} when {predicate} = {value}",
+             property_key="a property key", value="a value",
+             predicate=_Choice("'all', 'stereotype(...)' or 'metaclass(...)'",
+                               _Row(Predicate, "all", kind="all"),
+                               _Row(Predicate, "stereotype({name})", kind="stereotype",
+                                    name="a stereotype name"),
+                               _Row(Predicate, "metaclass({name})", kind="metaclass",
+                                    name=_METACLASS))),
+        _Row(TransformSelection, "transform {transform_id} {enabled}",
+             transform_id=_Names("a transform id", "-", str),
+             enabled=_Words(None, "on", "off", values=(True, False))),
+    )}
+
+
+# ---------------------------------------------------------------------------
+# Reading and printing models and packages
+# ---------------------------------------------------------------------------
+
+
+@collector_paused()
+def parse_model(source: str, file: str = "<model>") -> Model:
+    """Parse one model file.  Name resolution is not attempted here; a
+    structurally broken model parses fine and fails ``builtin_check``."""
+
+    return _made(Model, "read").read(_Parser(source, file), 0)[0]
+
+
+@collector_paused()
+def parse_package(source: str, file: str = "<package>") -> Package:
+    """Parse one package file: quoted id, imports first, then definitions."""
+
+    p = _Parser(source, file)
+    package, p.pos = _made(Package, "read").read(p, 0)
+    p.expect_eof()
+    return package
 
 
 def print_model(model: Model) -> str:
     """Canonical model text: declaration order, two-space indentation,
     induced elements annotated, one trailing newline."""
 
-    lines = [f"model {model.name}"]
-    for cls in model.classes:
-        head = f"  class {cls.name}"
-        if cls.superclasses:
-            head += " specializes " + ", ".join(cls.superclasses)
-        if cls.stereotypes:
-            head += " <<" + ", ".join(sorted(cls.stereotypes)) + ">>"
-        lines.append(head + " {")
-        for attr in cls.attributes:
-            lines.append(
-                f"    attribute {attr.name} : {attr.type_name}"
-                + _induced_note(attr.origin))
-        for op in cls.operations:
-            lines.append("    " + _print_operation(op))
-        for inv in cls.invariants:
-            lines.append(
-                f"    invariant {format_expr(inv.expr)}" + _induced_note(inv.origin))
-        lines.append("  }")
-    for chart in model.statecharts:
-        lines.append(f"  statechart {chart.name} for {chart.attached_to} {{")
-        for state in chart.states:
-            prefix = "initial state" if state.initial else "state"
-            lines.append(f"    {prefix} {state.name}")
-        for t in chart.transitions:
-            line = f"    transition {t.source} -> {t.target} on {t.event}"
-            if t.guard is not None:
-                line += f" [{format_expr(t.guard)}]"
-            lines.append(line)
-        lines.append("  }")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Package printing
-# ---------------------------------------------------------------------------
-
-
-def _print_predicate(predicate: Predicate) -> str:
-    return predicate.kind if predicate.name is None else f"{predicate.kind}({predicate.name})"
-
-
-def _print_definition(definition: Definition) -> str:
-    if isinstance(definition, ConstDef):
-        return f"const {definition.key} = {render_literal(definition.value)}"
-    if isinstance(definition, OptionDef):
-        return f"option {definition.key} = {definition.value}"
-    if isinstance(definition, StereotypeDef):
-        line = f"stereotype {definition.name} on {definition.base}"
-        if definition.required_tags:
-            line += " requires " + ", ".join(definition.required_tags)
-        return line
-    if isinstance(definition, TagDef):
-        return f"tagdef {definition.name} : {definition.value_type}"
-    if isinstance(definition, ConstraintDef):
-        if definition.severity != "error" and definition.severity != "warning":
-            raise ValueError(f"constraint '{definition.name}': '{definition.severity}' is "
-                             "not a severity (expected error or warning)")
-        return (f"constraint {definition.name} on {definition.scope} "
-                f"severity {definition.severity} : {format_expr(definition.body)}")
-    if isinstance(definition, PredicatedRuleDef):
-        return (f"rule {definition.property_key} when "
-                f"{_print_predicate(definition.predicate)} = {definition.value}")
-    if isinstance(definition, TransformSelection):
-        return (f"transform {definition.transform_id} "
-                + ("on" if definition.enabled else "off"))
-    raise TypeError(f"unknown definition kind: {definition!r}")
+    return _printed(_made(Model, "show"), model)
 
 
 def print_package(pkg: Package) -> str:
-    lines = [f'package "{pkg.id}" {{']
-    for imported in pkg.imports:
-        lines.append(f'  import "{imported}"')
-    for definition in pkg.definitions:
-        lines.append("  " + _print_definition(definition))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _printed(_made(Package, "show"), pkg)
+
+
+def _printed(row: _Row, record) -> str:
+    """The lines the row's compiled printer writes for ``record``.  Where it
+    fails, or writes a character outside ASCII (which ``isidentifier`` lets
+    into a name), ``text`` checks every slot and names the one that
+    refuses."""
+
+    out: list[str] = []
+    try:
+        row.show(record, out)
+    except (AttributeError, KeyError, TypeError, ValueError):  # what a bad value raises
+        row.text(record)
+        raise
+    text = "\n".join(out) + "\n"
+    if not text.isascii():
+        row.text(record)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1320,14 @@ def _scalar_value(definition: ConstDef | OptionDef) -> str:
     """The value as the definition's own line writes it: a constant's as a
     literal, an option's bare."""
 
-    return _print_definition(definition).split(" = ", 1)[1]
+    return _grammar()[type(definition)].slots["value"].text(definition.value)
+
+
+def _entry(definition) -> str:
+    """A scalar's, stereotype's or tag's report line: its definition's line
+    without the keyword."""
+
+    return "  " + _grammar()[type(definition)].text(definition, 1)
 
 
 def _chain_note(chain: Chain) -> str:
@@ -1094,17 +1355,18 @@ def print_report(eff: EffectiveDefinitions) -> str:
         "packages", "constants", "options", "rules", "constraints", "stereotypes",
         "tags", "transforms")}
     sections["packages"] = [f"  {pkg_id}" for pkg_id in eff.flattened_order]
+    predicate = _grammar()[PredicatedRuleDef].slots["predicate"]
     for kind, key in sorted(eff.chains):
         chain = eff.chains[kind, key]
         definition, prov = chain[-1]
         source = f"({prov.package_id})"
         if kind == "scalar":
             sections["options" if isinstance(definition, OptionDef) else "constants"].append(
-                f"  {key} = {_scalar_value(definition)} {_chain_note(chain)}")
+                f"{_entry(definition)} {_chain_note(chain)}")
         elif kind == "rule":
             sections["rules"].append(f"  {key}")
             sections["rules"].extend(
-                f"    when {_print_predicate(d.predicate)} -> {d.value} ({p.package_id})"
+                f"    when {predicate.text(d.predicate)} -> {d.value} ({p.package_id})"
                 for d, p in reversed(chain))
         elif kind == "constraint":
             sections["constraints"].append(
@@ -1112,9 +1374,8 @@ def print_report(eff: EffectiveDefinitions) -> str:
         elif kind == "transform":
             sections["transforms"].append(
                 f"  {key} = {'on' if definition.enabled else 'off'} {source}")
-        else:  # a stereotype or tag: its definition line without the keyword
-            sections[kind + "s"].append(
-                "  " + _print_definition(definition).split(" ", 1)[1] + f" {source}")
+        else:
+            sections[kind + "s"].append(f"{_entry(definition)} {source}")
 
     return "\n\n".join(title + "".join("\n" + line for line in lines or ["  (none)"])
                        for title, lines in sections.items()) + "\n"

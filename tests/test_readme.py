@@ -2,8 +2,9 @@
 
 The package block under "Preface packages" is package text, the
 ``python`` block under "Library use" runs on ``sample/``: each line whose
-comment starts with a value gives that value, and the table under
-"Diagnostics" names every code the source can emit.
+comment starts with a value gives that value, the table under
+"Diagnostics" names every code the source can emit, and the block under
+"Grammar" is the grammar table, one line per row.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 from pathlib import Path
 
 from test_golden import source_codes
+from prefacer import textio
 from prefacer.preface import Provenance
 from prefacer.textio import parse_model, parse_package, print_package
 
@@ -81,3 +83,44 @@ def test_the_readme_diagnostics_table_names_every_code_the_source_emits():
                   for number in range(int(first[1:]), int((last or first)[1:]) + 1)]
     assert len(named) == len(set(named)) == 40
     assert set(named) == source_codes()
+
+
+def _rendered(row, outer: str = "") -> str:
+    """A row as the README writes it: a name by its field in capitals,
+    allowed words as ``a|b``, a clause in ``[…]``, a block as ``…``; an
+    induced-element note is left out."""
+
+    out = []
+    for piece in row.pieces:
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        field, slot = piece
+        if isinstance(slot, textio._Opt):
+            out.append("[" + _rendered(slot.row, field) + "]")
+        elif isinstance(slot, textio._Block):
+            out.append(" \N{HORIZONTAL ELLIPSIS} ")
+        elif slot is textio._QUOTED:
+            out.append('"ID"')
+        elif isinstance(slot, textio._Primitive):
+            out.append(slot.what.split()[1].upper())
+        elif slot is textio._METACLASS:
+            out.append("METACLASS")
+        elif isinstance(slot, textio._Words):
+            out.append("|".join(slot.choices))
+        elif not isinstance(slot, textio._Note):
+            out.append((field or outer).upper())
+    return "".join(out)
+
+
+def test_the_readme_grammar_is_the_grammar_table():
+    rows = []
+    for row in textio._grammar().values():
+        rows.append(row)
+        rows += [case for piece in row.pieces if isinstance(piece, tuple)
+                 and isinstance(piece[1], textio._Choice) for case in piece[1].rows.values()]
+    body = README.split("\n### Grammar\n", 1)[1].split("\n## ", 1)[0]
+    block = body.split("\n```\n", 1)[1].split("\n```\n", 1)[0]
+    blocks = re.compile(r"( \N{HORIZONTAL ELLIPSIS} )+")
+    assert block.splitlines() == [
+        blocks.sub(" \N{HORIZONTAL ELLIPSIS} ", _rendered(row)).strip() for row in rows]

@@ -24,6 +24,7 @@ import json
 import pickle
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass, replace
@@ -38,7 +39,7 @@ from prefacer import expr as E
 from prefacer import record as R
 from prefacer.cli import RunConfig
 from prefacer.diagnostics import Diagnostic, SourceLocation
-from prefacer.model import ClassDef, Operation, builtin_check
+from prefacer.model import ClassDef, Model, Operation, builtin_check
 from prefacer.preface import (
     OPTION_CATALOGUE,
     STATECHART_TO_CLASS,
@@ -50,6 +51,7 @@ from prefacer.preface import (
     compose,
 )
 from prefacer.skeletongen import generate_monitor, generate_skeleton
+from prefacer import textio
 from prefacer.textio import (
     format_expr,
     parse_expr,
@@ -435,7 +437,7 @@ def test_deep_trees_compare_and_hash_without_recursion():
 _IMPORT_AUDIT = """\
 import importlib, json, re, sys
 sys.path.insert(0, sys.argv[1])
-for name in sys.argv[2:]:
+for name in sys.argv[4:]:
     importlib.import_module(name)
 sources = []
 sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>"
@@ -448,8 +450,17 @@ records = [(cls.__qualname__, cls.__doc__) for name, module in sorted(sys.module
            and cls.__module__ == name]
 methods = [re.findall(r"^[ \\t]*def (\\w+)", text if isinstance(text, str) else text.decode(),
                       re.M) if isinstance(text, (str, bytes)) else None for text in imported]
+# Read and print every kind of line, then read them all again.
+from prefacer import textio
+for _ in range(2):
+    textio.print_model(textio.parse_model(sys.argv[2]))
+    package = textio.parse_package(sys.argv[3])
+    textio.print_package(package)
+    repo = {name: textio.parse_package(f'package "{name}" {{ }}') for name in package.imports}
+    textio.print_report(prefacer.preface.compose({**repo, package.id: package}, package.id))
+used = [text if isinstance(text, str) else text.decode() for text in sources[len(imported):]]
 print(json.dumps({"methods": methods, "records": records,
-                  "templates": sorted(prefacer.record._TEMPLATES)}))
+                  "templates": sorted(prefacer.record._TEMPLATES), "used": used}))
 """
 
 
@@ -479,8 +490,10 @@ def _shape(cls: type) -> tuple[int, int, bool]:
 def test_importing_the_package_compiles_one_init_per_shape():
     # The standard library is imported first: some of its modules compile
     # code (``namedtuple``) on import, and that is not the package's cost.
+    from test_textio import EVERY_DEFINITION_PACKAGE, EVERY_NODE_MODEL
     done = subprocess.run(
-        [sys.executable, "-I", "-c", _IMPORT_AUDIT, str(SRC), *_standard_imports()],
+        [sys.executable, "-I", "-c", _IMPORT_AUDIT, str(SRC), EVERY_NODE_MODEL,
+         EVERY_DEFINITION_PACKAGE, *_standard_imports()],
         capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(done.stdout)
     records = dict(seen["records"])
@@ -494,6 +507,19 @@ def test_importing_the_package_compiles_one_init_per_shape():
     undocumented = [name for name, doc in records.items()
                     if not doc or doc.startswith(name + "(")]
     assert undocumented == []
+    # The grammar compiles nothing at import.  Its first reads and prints
+    # compile one reader and one printer per file kind, from the code its
+    # rows give with every row under the file's own inline; reading and
+    # printing the same lines again compiles nothing.  No production has a
+    # function of its own.
+    made = [re.match(r"def (read|show)\(", text)[1] for text in seen["used"]]
+    assert sorted(made) == ["read", "read", "show", "show"]
+    print_model(parse_model(EVERY_NODE_MODEL))
+    print_package(parse_package(EVERY_DEFINITION_PACKAGE))
+    compiled = {row.cls: {"read", "show"} & vars(row).keys()
+                for row in textio._grammar().values()}
+    assert {cls: parts for cls, parts in compiled.items() if parts} == {
+        Model: {"read", "show"}, Package: {"read", "show"}}
 
 
 def test_importing_the_package_loads_no_dataclasses():

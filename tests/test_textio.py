@@ -23,8 +23,11 @@ from prefacer.constraints import eval_expr
 from prefacer.model import Model, Origin
 from prefacer.preface import (
     ConstDef,
+    OptionDef,
     Package,
     Predicate,
+    StereotypeDef,
+    TagDef,
     compose,
     flatten_imports,
     resolve,
@@ -531,6 +534,109 @@ def test_worked_package_round_trip(worked_repo):
     repo, _ = worked_repo
     for pkg in repo.values():
         assert parse_package(print_package(pkg)) == pkg
+
+
+# ---------------------------------------------------------------------------
+# Printers refuse what their parsers refuse
+# ---------------------------------------------------------------------------
+
+#: Texts a record's slots are drawn from: names, keywords, metaclasses,
+#: words some slots allow, and texts no name is (blanks, quotes, line ends,
+#: non-ASCII letters, '-' or '.' inside, nothing at all).
+SLOT_TEXTS = ("a", "x_1", "Order", "class", "state", "on", "all", "initial", "not", "true",
+              "Class", "Attribute", "Statechart", "State", "Model", "string", "float",
+              "error", "warning", "fatal", "a b", " ", 'a"b', '"', "a\nb", "\u00e9", "a\u00e9",
+              "a-b", "a.b", "1a", "")
+#: What each kind of slot reads: a record is built from these, but for one
+#: slot, drawn from all the texts above.
+SLOT_WORDS = {"name": ("a", "x_1", "Order", "class", "state", "on", "all", "initial", "not"),
+              "metaclass": ("Class", "Attribute", "Statechart"), "tag type": ("string", "int"),
+              "severity": ("error", "warning")}
+#: Expressions are printed by ``format_expr``; a string literal among them
+#: holds a drawn text.
+EXPRS = (None, E.VarRef("busy"), E.Not(E.VarRef("busy")),
+         E.Compare(">=", E.VarRef("n"), E.Literal(0)))
+
+
+class _Slots:
+    """Draws a record's slots; the ``wild``-th slot drawn takes any text."""
+
+    def __init__(self, draw):
+        self.draw, self.count, self.wild = draw, 0, draw(st.integers(0, 30))
+
+    def __call__(self, kind: str = "name"):
+        self.count += 1
+        texts = SLOT_TEXTS if self.count == self.wild else SLOT_WORDS[kind]
+        return self.draw(st.sampled_from(texts))
+
+    def some(self, kind: str = "name", least: int = 0) -> tuple:
+        return tuple(self(kind) for _ in range(self.draw(st.integers(least, 2))))
+
+    def expr(self):
+        return self.draw(st.sampled_from(EXPRS + (E.Literal(self()),)))
+
+
+def _model_with(slot: _Slots) -> Model:
+    from prefacer.model import (Attribute, ClassDef, Invariant, Operation, Param, State,
+                                Statechart, Transition)
+    operation = Operation(slot(), tuple(Param(slot(), slot()) for _ in slot.some()),
+                          slot.expr(), slot.expr())
+    cls = ClassDef(slot(), slot.some(), frozenset(slot.some()), (), (Attribute(slot(), slot()),),
+                   (operation,), (Invariant(slot.expr() or E.VarRef("busy")),))
+    chart = Statechart(slot(), slot(), (State(slot(), slot.draw(st.booleans())),),
+                       (Transition(slot(), slot(), slot(), slot.expr()),))
+    return Model(slot(), (cls,), (chart,))
+
+
+def _package_with(slot: _Slots) -> Package:
+    from prefacer.preface import (ConstraintDef, PredicatedRuleDef, TransformSelection)
+    kind = slot.draw(st.sampled_from(["all", "stereotype", "metaclass"]))
+    predicate = Predicate(kind, None if kind == "all" else
+                          slot("name" if kind == "stereotype" else "metaclass"))
+    return Package(slot(), slot.some(), (
+        ConstDef(slot(), slot.draw(st.one_of(st.sampled_from(SLOT_TEXTS), st.integers(-5, 5),
+                                             st.booleans()))),
+        OptionDef(".".join(slot.some(least=1)), slot()),
+        StereotypeDef(slot(), slot("metaclass"), slot.some()),
+        TagDef(slot(), slot("tag type")),
+        ConstraintDef(slot(), slot("metaclass"), slot("severity"),
+                      slot.expr() or E.Literal(True)),
+        PredicatedRuleDef(slot(), predicate, slot()),
+        TransformSelection("-".join(slot.some(least=1)), slot.draw(st.booleans()))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_printer_never_writes_text_its_parser_refuses(data):
+    # Every declaration, with its slots drawn: the printed text reads back
+    # equal, or the printer refuses the record with a ``ValueError``.
+    for build, printer, parser in ((_model_with, print_model, parse_model),
+                                   (_package_with, print_package, parse_package)):
+        record = build(_Slots(data.draw))
+        try:
+            text = printer(record)
+        except ValueError:
+            continue
+        assert parser(text) == record, text
+
+
+@pytest.mark.parametrize("record, field", [
+    (TagDef("t", "float"), "TagDef.value_type"),
+    (StereotypeDef("s", "State"), "StereotypeDef.base"),
+    (OptionDef("a.b", "x y"), "OptionDef.value"),
+    (ConstDef("k", 'a"b'), "ConstDef.value"),
+])
+def test_a_definition_no_line_can_hold_is_refused_naming_its_field(record, field):
+    with pytest.raises(ValueError, match=re.escape(f"[{field}]")):
+        print_package(Package("p", (), (record,)))
+
+
+def test_a_name_no_line_can_hold_is_refused_naming_its_field():
+    from prefacer.model import Attribute, ClassDef
+    model = Model("m", (ClassDef("C", attributes=(Attribute("a b", "Integer"),)),))
+    with pytest.raises(ValueError, match=re.escape("attribute 'a b': 'a b' is not an "
+                                                   "attribute name [Attribute.name]")):
+        print_model(model)
 
 
 # ---------------------------------------------------------------------------
