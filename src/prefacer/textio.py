@@ -12,18 +12,16 @@ Comments run from ``//`` to end of line in both.  Each declaration is
 one row of one table, ``_grammar()``: its line as it prints, a format string
 whose literal text holds the fixed words and whose ``{field}`` slots say
 how each field reads and prints.  Parsers read the token texts of one scan
-and fail with a located ``ParseError``; they never guess.  A row's reader
-checks its fixed tokens by index off the token list, builds its record
-positionally and moves past the line.  A token out of place replays the
-row's steps with the checked primitives (``ident``, ``eat``, a slot's own
-``replay``) from the start of that part of the line, which raise the same
-``ParseError`` at the same token; there is no second way through the
-grammar.  A row's printer writes its line and refuses, with a
-``ValueError`` naming the record and the field, a value the row would not
-read back.  A model file and a package file each have one reader and one
-printer, compiled from the code their rows give, with every row under the
-file's own read or printed inline, the first time such a file is read or
-printed; the import compiles none.
+and fail with a located ``ParseError``; they never guess.  Each kind of
+slot gives two pieces of code: the lines that read it off the token list,
+one check a token, raising at a token out of place the ``ParseError`` the
+primitives (``ident``, ``eat``) raise there; and the expression that
+prints it, refusing, with a ``ValueError`` naming the record and the field,
+a value the row would not read back.  A model file and a package file each
+have one reader and one printer, compiled from that code with every row
+under the file's own inline, the first time such a file is read or
+printed; the first report compiles the one function that writes its
+definitions' text.  The import compiles none.
 Expressions are parsed by precedence climbing (see ``_Parser.expression``).
 
 The scanner is one ``findall`` of one regular expression, so the whole
@@ -84,7 +82,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from functools import cache, partial
-from itertools import accumulate, count
+from itertools import accumulate, count, groupby
 from typing import Iterator, Sequence
 
 from . import expr as E
@@ -102,7 +100,6 @@ from .model import (
     State,
     Statechart,
     Transition,
-    is_identifier,
 )
 from .preface import (
     CATALOGUE_DEFAULT,
@@ -236,8 +233,8 @@ def _token_table(file: str, text: str):
 # Parser plumbing
 # ---------------------------------------------------------------------------
 
-#: The built-in calls of the expression grammar.
-_CALLS = E.CALLS
+#: The built-in calls and the keywords of the expression grammar.
+_CALLS, _KEYWORDS = E.CALLS, E.KEYWORDS
 
 #: Expression levels, loosest first, which the parser and the printer
 #: share; ``_END`` is the level of a token that continues no expression.
@@ -319,22 +316,6 @@ class _Parser:
     def expect_eof(self) -> None:
         if self.texts[self.pos]:
             raise self.fail("end of input")
-
-    def replay(self, index: int, *steps) -> None:
-        """Raise what the primitives raise on a line read straight off the
-        token list: from the token at ``index``, read each step with
-        ``ident`` if it describes a name (it has a blank), with ``eat`` if it
-        is a word, and else with its own ``replay`` (allowed words, a
-        metaclass name among them)."""
-
-        self.pos = index
-        for step in steps:
-            if step.__class__ is not str:
-                step.replay(self)
-            elif " " in step:
-                self.ident(step)
-            else:
-                self.eat(step)
 
     def deeper(self, index: int) -> None:
         """Open one more nesting level at the token at ``index``."""
@@ -456,20 +437,17 @@ class _Parser:
         return out
 
     def _quantifier(self, index: int) -> E.Expr:
-        texts = self.texts
-        if texts[index + 1] != "(":
-            self.replay(index + 1, "(")
-        self.deeper(index + 1)
-        if texts[index + 2][:1] not in _IDENT_START or texts[index + 3] != "in":
-            self.replay(index + 2, "a variable name", "in")
-        self.pos = index + 4
+        self.pos = index + 1
+        self.deeper(self.eat("("))
+        var = self.ident("a variable name")
+        self.eat("in")
         domain = self.expression()
         self.eat("|")
         body = self.expression()
         self.eat(")")
         self.depth -= 1
-        node = E.Forall if texts[index] == "forall" else E.Exists
-        return node(texts[index + 2], domain, body, (index, self.table))
+        node = E.Forall if self.texts[index] == "forall" else E.Exists
+        return node(var, domain, body, (index, self.table))
 
     def _call(self, index: int) -> E.Expr:
         fn = self.texts[index]
@@ -576,16 +554,37 @@ def read_package_header(source: str, file: str = "<package>") -> Package:
 # Expression printing
 # ---------------------------------------------------------------------------
 
+def _names(values) -> bool:
+    """Whether a line reads back every one of ``values`` as a name."""
+
+    for value in values:
+        if not (value.__class__ is str and value.isascii() and value.isidentifier()):
+            return False
+    return True
+
+
+def _expr_name(name) -> str:
+    """``name``, where an expression reads it back as a variable or a
+    feature: a name that is no keyword."""
+
+    if name.__class__ is str and name.isascii() and name.isidentifier() and name not in _KEYWORDS:
+        return name
+    raise ValueError(f"{name!r} is not a variable or feature name")
+
+
 def format_expr(e: E.Expr) -> str:
     """Canonical text of an expression, with the fewest parentheses that
-    keep reparsing structure-faithful.
+    keep reparsing structure-faithful; ``ValueError`` for a tree no text
+    reads back as: a variable, feature or quantifier variable that is no
+    ASCII identifier or is a keyword, a call outside ``E.CALLS``, or a
+    value that is no node.
 
     One pass over an explicit stack, so a tree of any depth prints without
     recursion; the pieces of text go into one list, joined once.
     """
 
-    if isinstance(e, E.VarRef):
-        return e.name
+    if e.__class__ is E.VarRef:
+        return _expr_name(e.name)
     if isinstance(e, E.Literal):
         return render_literal(e.value)
 
@@ -601,7 +600,7 @@ def format_expr(e: E.Expr) -> str:
         node, floor = item
         kind = type(node)
         if kind is E.VarRef:
-            parts.append(node.name)
+            parts.append(_expr_name(node.name))
         elif kind is E.Not:
             if _NOT < floor:
                 parts.append("(")
@@ -628,8 +627,10 @@ def format_expr(e: E.Expr) -> str:
         elif kind is E.Literal:
             parts.append(render_literal(node.value))
         elif kind is E.Nav:
-            stack += ("." + node.feature, (node.target, _POSTFIX))
+            stack += ("." + _expr_name(node.feature), (node.target, _POSTFIX))
         elif kind is E.Call:
+            if node.fn not in _CALLS:
+                raise ValueError(f"{node.fn!r} is not a call (expected {_either(_CALLS)})")
             parts.append(node.fn + "(")
             stack.append(")")
             for index in range(len(node.args) - 1, -1, -1):
@@ -638,10 +639,10 @@ def format_expr(e: E.Expr) -> str:
                     stack.append(", ")
         elif kind is E.Forall or kind is E.Exists:
             keyword = "forall" if kind is E.Forall else "exists"
-            parts.append(f"{keyword}({node.var} in ")
+            parts.append(f"{keyword}({_expr_name(node.var)} in ")
             stack += (")", (node.body, _IMPLIES), " | ", (node.domain, _IMPLIES))
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            raise ValueError(f"{node!r} is not an expression")
     return "".join(parts)
 
 
@@ -657,70 +658,62 @@ def _either(words) -> str:
     return f"{', '.join(most)} or {last}" if most else last
 
 
-def _tokens(text: str) -> list[str]:
-    return [token for token in _TOKEN.findall(text) if token]
+def _plus(index: str, k: int) -> str:
+    """The code of the index ``k`` tokens past ``index``: a local plus a number."""
+
+    base, _, offset = index.partition(" + ")
+    offset = int(offset or 0) + k
+    return f"{base} + {offset}" if offset else base
 
 
-def _refuse() -> str:
-    """What a compiled printer calls when a slot's check fails;
-    ``_Row.text`` then finds the slot and says why."""
+def _expected(p: _Parser, index: int, what: str) -> None:
+    """Raise, at a token out of place, the ``ParseError`` of the primitives."""
 
-    raise ValueError
+    p.pos = index
+    raise p.fail(what)
 
 
-class _Refused(ValueError):
-    """A slot's refusal, named by its record and field."""
+def _refused(record, place: tuple, value, what: str | None = None) -> None:
+    """Raise a printer's ``ValueError`` for a slot's ``value``, which is not
+    ``what`` (or, with none, is the slot's own printer's refusal), naming
+    the record and the slot as ``place`` says: row keyword, name field and
+    ``[Record.field]``."""
+
+    keyword, name, field = place
+    named = f" {getattr(record, name)!r}" if name else ""
+    failure = value if what is None else f"{value!r} is not {what}"
+    raise ValueError(f"{keyword}{named}: {failure} {field}") from None
 
 
 class _Slot:
-    """How one slot of a row reads and prints.
+    """How one slot of a row reads and prints, as code; ``what`` says what
+    its value is.  ``reading`` appends to ``out``, indented by ``pad``, the
+    lines that read the slot from the token at index ``start``, raising at
+    a token out of place the ``ParseError`` the primitives raise there, and
+    returns the code of the value and of the index after it.  ``show`` is
+    the code of an expression that prints the value ``v``, or passes ``at``
+    (the code of the record and of ``_refused``'s ``place``) to ``_refused``
+    for a value the slot would not read back.  ``g`` names a global of the
+    code, and ``fresh`` a new local."""
 
-    A slot one token wide (``width``) gives the code of its ``check`` and
-    its ``value`` off a token ``t``, and the ``step`` that replays it; any
-    other appends the code that reads it (``reading``) to a reader's.
-    ``text`` prints a value, or raises ``ValueError`` for one the slot
-    would not read back; ``show`` and ``ok`` are the code a printer inlines
-    for the two, given the code of a value ``v`` (no ``ok``: ``show``
-    refuses by itself).  ``g`` names a global of that code, and ``fresh``
-    a new local."""
-
-    width, shown = 0, None
-
-    def show(self, v: str, g, fresh) -> str:
-        return f"{g(self.text)}({v})"
-
-    def ok(self, v: str, g) -> str | None:
-        return None
-
-    def refuse(self, value) -> ValueError:
-        return ValueError(f"{value!r} is not {self.what}")
+    shown = None  # the field a printer reads, where it is not the slot's own
 
 
 class _Name(_Slot):
     """An identifier, described as "a … name" (or key, id, value)."""
 
-    width = 1
-
     def __init__(self, what: str):
-        self.what = self.step = what
+        self.what = what
 
-    def check(self, t: str, g) -> str:
-        return f"{t}[:1] in {g(_IDENT_START)}"
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
+        out.append(f"{pad}if t[{start}][:1] not in {g(_IDENT_START)}: "
+                   f"{g(_expected)}(p, {start}, {g(self.what)})")
+        return f"t[{start}]", _plus(start, 1)
 
-    def value(self, t: str, g) -> str:
-        return t
-
-    def show(self, v: str, g, fresh) -> str:
-        return v
-
-    def ok(self, v: str, g) -> str:
-        # ``isidentifier`` takes non-ASCII letters: ``_printed`` checks ``isascii``
-        return f"{v}.isidentifier()"
-
-    def text(self, value) -> str:
-        if isinstance(value, str) and is_identifier(value):
-            return value
-        raise self.refuse(value)
+    def show(self, v: str, g, fresh, at: str) -> str:
+        x = fresh("x")  # ``_names``, inline
+        return (f"({x} if ({x} := {v}).__class__ is str and {x}.isascii() and {x}.isidentifier() "
+                f"else {g(_refused)}({at}, {x}, {g(self.what)}))")
 
 
 class _Words(_Slot):
@@ -728,56 +721,54 @@ class _Words(_Slot):
     name is refused as not being one ("'x' is not a tag type (expected
     …)"); without, any other token is one more ``expected``."""
 
-    width = 1
-
     def __init__(self, noun: str | None, *words: str, values: Sequence = (),
                  expected: str = "", listed: str = ""):
-        self.noun, self.step = noun, self
+        self.noun = noun
         self.choices = dict(zip(words, values or words))  # word -> value
         self.words = {value: word for word, value in self.choices.items()}
+        # the types of the values: a value of another, a list say, is refused unhashed
+        self.types = frozenset(map(type, self.words))
         self.expected = expected or _either([f"'{word}'" for word in words])
         self.what = (f"a {noun} (expected {listed or _either(words)})" if noun
                      else _either(map(repr, self.words)))
 
-    def check(self, t: str, g) -> str:
-        return f"{t} in {g(self.choices)}"
+    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
+        out.append(f"{pad}if t[{start}] not in {g(self.choices)}: {g(self.fail)}(p, {start})")
+        return f"{g(self.choices)}[t[{start}]]", _plus(start, 1)
 
-    def value(self, t: str, g) -> str:
-        return f"{g(self.choices)}[{t}]"
+    def fail(self, p: _Parser, index: int) -> None:
+        text = p.texts[index]
+        if self.noun and text[:1] in _IDENT_START:
+            raise ParseError(f"'{text}' is not {self.what}", p.loc(index))
+        _expected(p, index, self.expected)
 
-    def show(self, v: str, g, fresh) -> str:
-        return f"{g(self.words)}[{v}]"
-
-    def ok(self, v: str, g) -> str:
-        return f"{v} in {g(self.words)}"
-
-    def replay(self, p: _Parser) -> None:
-        index = p.pos
-        if self.noun is None:
-            if p.texts[index] not in self.choices:
-                raise p.fail(self.expected)
-            p.pos = index + 1
-        elif p.ident(self.expected) not in self.choices:
-            raise ParseError(f"'{p.texts[index]}' is not {self.what}", p.loc(index))
-
-    def text(self, value) -> str:
-        if value in self.words:
-            return self.words[value]
-        raise self.refuse(value)
+    def show(self, v: str, g, fresh, at: str) -> str:
+        x, words = fresh("x"), g(self.words)
+        return (f"({words}[{x}] if ({x} := {v}).__class__ in {g(self.types)} and {x} in {words} "
+                f"else {g(_refused)}({at}, {x}, {g(self.what)}))")
 
 
 class _Primitive(_Slot):
-    """What a parser primitive reads: an expression, a literal or a quoted
-    package id."""
+    """What a parser primitive reads (an expression, a literal or a quoted
+    package id), and the function that prints it or raises ``ValueError``."""
 
-    def __init__(self, what: str, primitive, text):
-        self.what, self.primitive, self.text = what, primitive, text
+    def __init__(self, what: str, primitive, printer):
+        self.what, self.primitive, self.printer = what, primitive, printer
 
     def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
         value, end = fresh("v"), fresh("b")
         out += [f"{pad}p.pos = {start}", f"{pad}{value} = {g(self.primitive)}(p)",
                 f"{pad}{end} = p.pos"]
         return value, end
+
+    def show(self, v: str, g, fresh, at: str) -> str:
+        return f"{g(self.printed)}({v}, {at})"
+
+    def printed(self, value, record, place: tuple) -> str:
+        try:
+            return self.printer(value)
+        except ValueError as failure:
+            _refused(record, place, failure)
 
 
 class _Names(_Slot):
@@ -790,8 +781,8 @@ class _Names(_Slot):
     def __init__(self, item, separator: str, into: type = tuple, until: str | None = None):
         self.item, self.separator, self.into, self.until = item, separator, into, until
         self.token = separator.strip()
-        if isinstance(item, str):
-            self.what = f"one or more {item.split(' ', 1)[1]}s joined by '{self.token}'"
+        self.what = (f"one or more {item.split(' ', 1)[1]}s joined by '{self.token}'"
+                     if isinstance(item, str) else f"{item.__name__} records")
 
     def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
         value, j, token = fresh("v"), fresh("j"), g(self.token)
@@ -799,7 +790,8 @@ class _Names(_Slot):
         if self.row is None:
             out += [f"{pad}while t[{j}][:1] in {g(_IDENT_START)} and t[{j} + 1] == {token}:",
                     f"{pad}    {j} += 2",
-                    f"{pad}if t[{j}][:1] not in {g(_IDENT_START)}: p.replay({j}, {g(self.item)})",
+                    f"{pad}if t[{j}][:1] not in {g(_IDENT_START)}: "
+                    f"{g(_expected)}(p, {j}, {g(self.item)})",
                     f"{pad}{value} = " + (f"{g(''.join)}(t[{start}:{j} + 1])" if self.into is str
                                           else f"{g(self.into)}(t[{start}:{j} + 1:2])")]
             return value, f"{j} + 1"
@@ -811,27 +803,20 @@ class _Names(_Slot):
                 f"{pad}        {j} += 1"]
         return f"{g(tuple)}({value})", j
 
-    def show(self, v: str, g, fresh) -> str:
-        if self.row is None:
-            return v if self.into is str else f"{g(self.separator.join)}(" + (
-                f"{g(sorted)}({v}))" if self.into is frozenset else f"{v})")
-        x = fresh("r")
-        return (f"{g(self.separator.join)}([{_line(self.row.pieces, x, None, g, fresh, True)} "
-                f"for {x} in {v}])")
-
-    def ok(self, v: str, g) -> str | None:
-        names = f"{v}.split({g(self.token)})" if self.into is str else v
-        return None if self.row else f"{v} and all(map({g(str.isidentifier)}, {names}))"
-
-    def text(self, value) -> str:
+    def show(self, v: str, g, fresh, at: str) -> str:
+        x = fresh("x")
         if self.row is not None:
-            return self.separator.join([self.row.text(record) for record in value])
-        names = () if not isinstance(value, self.into) else (
-            value.split(self.token) if self.into is str
-            else sorted(value) if self.into is frozenset else value)
-        if not names or not all(isinstance(name, str) and is_identifier(name) for name in names):
-            raise self.refuse(value)
-        return self.separator.join(names)
+            y = fresh("r")
+            return (f"({g('')} if ({x} := {v}) == () else {g(self.separator.join)}([("
+                    f"{self.row.line(y, None, g, fresh)} if {y}.__class__ is {g(self.item)} else "
+                    f"{g(_refused)}({at}, {y}, {g('one of the ' + self.what)})) for {y} in {x}]) "
+                    f"if {x}.__class__ is tuple else {g(_refused)}({at}, {x}, "
+                    f"{g('a tuple of ' + self.what)}))")
+        names = f"{x}.split({g(self.token)})" if self.into is str else x
+        made = x if self.into is str else f"{g(self.separator.join)}(" + (
+            f"{g(sorted)}({x}))" if self.into is frozenset else f"{x})")
+        return (f"({made} if ({x} := {v}).__class__ is {g(self.into)} and {x} and "
+                f"{g(_names)}({names}) else {g(_refused)}({at}, {x}, {g(self.what)}))")
 
 
 class _Opt(_Slot):
@@ -854,19 +839,17 @@ class _Opt(_Slot):
                 f"{pad}    {value}, {end} = {g(self.default)}, {start}"]
         return value, end
 
-    def show(self, v: str, g, fresh) -> str:
+    def show(self, v: str, g, fresh, at: str) -> str:
         x = fresh("x")  # the value, read once
-        return (f"({_line(self.row.pieces, x, None, g, fresh, True)} "
+        return (f"({self.row.line(x, None, g, fresh, at)} "
                 f"if ({x} := {v}) or {x} != {g(self.default)} else {g('')})")
-
-    def text(self, value) -> str:
-        return "" if not value and value == self.default else self.row.text(value)
 
 
 class _Choice(_Slot):
     """One of several rows of one record class, told by its first word;
     ``what`` refuses any other.  The printer takes the row whose
-    constants the record has."""
+    constants the record has, and refuses a record whose other fields
+    outside that row's line are not their defaults."""
 
     def __init__(self, what: str, *rows: _Row):
         self.what, self.rows = what, {row.keyword: row for row in rows}
@@ -877,19 +860,22 @@ class _Choice(_Slot):
             out.append(f"{pad}{'el' * bool(k)}if t[{start}] == {g(row.keyword)}:")
             got, stop = row.reading(out, pad + "    ", start, g, fresh, dispatched=True)
             out.append(f"{pad}    {value}, {end} = {got}, {stop}")
-        out += [f"{pad}else:", f"{pad}    {g(self.fail)}(p, {start})"]
+        out += [f"{pad}else:", f"{pad}    {g(_expected)}(p, {start}, {g(self.what)})"]
         return value, end
 
-    def fail(self, p: _Parser, index: int) -> None:
-        p.pos = index
-        raise p.fail(self.what)
-
-    def text(self, value) -> str:
-        for row in self.rows.values():
-            if all(getattr(value, name, None) == constant
-                   for name, constant in row.constants.items()):
-                return row.text(value)
-        raise self.refuse(value)
+    def show(self, v: str, g, fresh, at: str) -> str:
+        x = fresh("x")
+        made = refused = f"{g(_refused)}({at}, {x}, {g(self.what)})"
+        for row in reversed(self.rows.values()):
+            line = row.line(x, None, g, fresh)
+            for f in _FIELDS[row.cls]:
+                if f.init and f.compare and f.name not in row.slots and f.name not in row.constants:
+                    line = (f"({line} if {x}.{f.name} == {g(f.default)} else {g(_refused)}("
+                            f"{x}, {g(row.place(f.name))}, {x}.{f.name}, {g(repr(f.default))}))")
+            made = f"({line} if " + " and ".join(
+                f"{x}.{name} == {g(value)}" for name, value in row.constants.items()) + f" else {made})"
+        cls = next(iter(self.rows.values())).cls
+        return f"({made} if ({x} := {v}).__class__ is {g(cls)} else {refused})"
 
 
 class _Note(_Slot):
@@ -902,14 +888,10 @@ class _Note(_Slot):
     def __init__(self, origin_of=None):
         self.origin_of = origin_of
 
-    def show(self, v: str, g, fresh) -> str:
+    def show(self, v: str, g, fresh, at: str) -> str:
         origin, x = f"{g(self.origin_of)}({v})" if self.origin_of else v, fresh("x")
         return (f"({g(self.note)} + {x}.rule_id if ({x} := {origin}).kind == {g('induced')} "
                 f"else {g('')})")
-
-    def text(self, value) -> str:
-        origin = self.origin_of(value) if self.origin_of else value
-        return self.note + origin.rule_id if origin.kind == "induced" else ""
 
 
 class _Block(_Slot):
@@ -954,51 +936,25 @@ class _Block(_Slot):
         return found, j
 
     def fail(self, p: _Parser, index: int) -> None:
-        p.pos, word = index, p.texts[index]
+        word = p.texts[index]
         if word in self.earlier:
             raise ImportAfterDefinitionError(
                 f"{self.earlier[word]} must precede all {', '.join(self.fields)}", p.loc(index))
-        raise p.fail(self.message)
+        _expected(p, index, self.message)
 
-    def text(self, record) -> str:
-        """Check every member; the lines are the compiled printer's."""
+    def show(self, out: list[str], pad: str, r: str, indent: str, g, fresh, at: str) -> None:
+        """Append to ``out``, indented by ``pad``, the code that appends to
+        ``o`` the member lines of the record ``r`` at ``indent``: a block's
+        members are lines of their own."""
 
         for name, kinds in self.fields.items():
-            for member in getattr(record, name):
-                if type(member) not in kinds:
-                    raise ValueError(f"{member!r} is not one of the {name}")
-                _grammar()[type(member)].text(member)
-        return ""
-
-
-def _global(env: dict, value) -> str:
-    """The name of a new global of ``env`` holding ``value``."""
-
-    name = f"G{len(env)}"
-    env[name] = value
-    return name
-
-
-def _line(pieces: list, r: str, indent: str | None, g, fresh, joined: bool = False) -> str:
-    """The code of one line, or of a clause (no ``indent``), of the record
-    ``r``: an f-string, or a sum of strings when ``joined`` (to sit in an
-    f-string's braces, which take no quote); the code refuses a value its
-    slots' cheap checks fail."""
-
-    parts, checks = [], []
-    for piece in [indent] * bool(indent) + pieces:
-        if isinstance(piece, str):
-            parts.append(g(piece) if joined else piece.replace("\\", "\\\\").replace(
-                "'", "\\'").replace("{", "{{").replace("}", "}}"))
-            continue
-        name, kind = piece
-        value = f"{r}.{kind.shown or name}" if name else r
-        ok = kind.ok(value, g)
-        checks += [ok] if ok else []
-        shown = kind.show(value, g, fresh)
-        parts.append(shown if joined else f"{{{shown}}}")
-    made = "(" + " + ".join(parts) + ")" if joined else "f'" + "".join(parts) + "'"
-    return f"({made} if {' and '.join(checks)} else {g(_refuse)}())" if checks else made
+            x, y = fresh("x"), fresh("r")
+            out += [f"{pad}if ({x} := {r}.{name}).__class__ is not tuple: "
+                    f"{g(_refused)}({at}, {x}, {g('a tuple of ' + name)})", f"{pad}for {y} in {x}:"]
+            for k, cls in enumerate(kinds):
+                out.append(f"{pad}    {'el' * bool(k)}if {y}.__class__ is {g(cls)}:")
+                _grammar()[cls].printing(out, pad + "        ", y, indent, g, fresh)
+            out += [f"{pad}    else:", f"{pad}        {g(_refused)}({at}, {y}, {g('one of the ' + name)})"]
 
 
 class _Row:
@@ -1010,10 +966,8 @@ class _Row:
     record, or the value of a clause.  Fields the line does not hold take
     the given constants, or their defaults.
 
-    ``reading`` and ``printing`` give the code of the row's reader and
-    printer, with the rows its slots hold inline; ``_made`` compiles the
-    row of a model or a package into ``read(p, index)``, the record at
-    ``index`` and the index after it, and ``show(record, out)``."""
+    ``reading`` and ``line`` (``printing``, with blocks) give the code of
+    its reader and its printer from its slots' code, rows they hold inline."""
 
     def __init__(self, cls, text: str, *unnamed: _Slot, **slots):
         self.cls, given, self.pieces = cls, iter(unnamed), []
@@ -1027,7 +981,7 @@ class _Row:
         self.slots = dict(piece for piece in self.pieces if isinstance(piece, tuple))
         # literal text as its tokens, and the slots a parser reads
         self.items = [item for piece in self.pieces for item in (
-            _tokens(piece) if isinstance(piece, str)
+            [token for token in _TOKEN.findall(piece) if token] if isinstance(piece, str)
             else [] if isinstance(piece[1], _Note) else [piece])]
         self.keyword = next((item for item in self.items if isinstance(item, str)), "")
 
@@ -1037,115 +991,102 @@ class _Row:
         first = self.items[0]
         return [first] if isinstance(first, str) else [self.keyword, first[1].word]
 
-    def reading(self, out: list[str], pad: str, base: str, g, fresh,
+    def place(self, field: str) -> tuple:
+        """How ``_refused`` names a record of this row and its ``field``."""
+
+        name = next((name for name, kind in self.slots.items() if isinstance(kind, _Name)), None)
+        return self.keyword or self.cls.__name__, name, f"[{self.cls.__name__}.{field or 'value'}]"
+
+    def reading(self, out: list[str], pad: str, start: str, g, fresh,
                 dispatched: bool = False) -> tuple[str, str]:
         """Append to ``out`` the code, indented by ``pad``, that reads the
-        row's line from the token at index ``base``, its first word
-        ``dispatched`` (checked already); return the code of the value read
-        and of the index after it.  ``fresh`` names a new local."""
+        row's line from the token at index ``start``, its first word
+        ``dispatched`` (checked already), one token at a time; return the
+        code of the value read and of the index after it."""
 
-        run: list = []  # the one-token items since the last slot: (index, check, step)
         values: dict[str, str] = {}  # field -> the code of its value
         blocks: list[_Block] = []
-        base, _, offset = base.partition(" + ")  # an index is a local, maybe plus a number
-        offset, loc = int(offset or 0), None
-
-        def at() -> str:
-            return f"{base} + {offset}" if offset else base
-
-        def flush() -> None:
-            checks = " and ".join(check for _, check, _ in run if check)
-            if checks:
-                steps = g(tuple(step for _, _, step in run))
-                out.append(f"{pad}if not ({checks}): p.replay({run[0][0]}, *{steps})")
-            run.clear()
-
+        loc = None
         for n, item in enumerate(self.items):
             if isinstance(item, str):
-                loc = loc or at()
-                run.append((at(), None if n == 0 and dispatched
-                            else f"t[{at()}] == {g(item)}", item))
-                offset += 1
+                loc = loc or start
+                if n or not dispatched:
+                    out.append(f"{pad}if t[{start}] != {g(item)}: "
+                               f"{g(_expected)}(p, {start}, {g(repr(item))})")  # as ``eat``
+                start = _plus(start, 1)
                 continue
             field, kind = item
-            if kind.width:
-                run.append((at(), kind.check(f"t[{at()}]", g), kind.step))
-                values[field] = kind.value(f"t[{at()}]", g)
-                offset += 1
-                continue
-            flush()
             if isinstance(kind, _Block):
                 kind.earlier = {word: ", ".join(block.fields)
                                 for block in blocks for word in block.words()}
                 blocks.append(kind)
             after = self.items[n + 1] if n + 1 < len(self.items) else ""
-            value, base = kind.reading(out, pad, at(), g, fresh, after)
-            base, _, offset = base.partition(" + ")
-            offset = int(offset or 0)
+            value, start = kind.reading(out, pad, start, g, fresh, after)
             if isinstance(kind, _Block):
                 values.update((name, f"{g(tuple)}({found})")
                               for name, found in zip(kind.fields, value))
             else:
                 values[field] = value
-        flush()
         if self.cls is None or self.cls is str:  # a clause's value, or a flag's
-            return next(iter(values.values()), "True"), at()
+            return next(iter(values.values()), "True"), start
         return g(self.cls) + "(" + ", ".join(
             values[f.name] if f.name in values
             else f"({loc}, p.table)" if f.name == "loc"
             else g(self.constants.get(f.name, f.default))
-            for f in _FIELDS[self.cls] if f.init) + ")", at()
+            for f in _FIELDS[self.cls] if f.init) + ")", start
+
+    def line(self, r: str, indent: str | None, g, fresh, at: str = "", pieces=None) -> str:
+        """The code of the text of the record ``r``, of the row's
+        ``pieces`` (all, unless given; no block): a line at ``indent``, as
+        an f-string, or, with no indent, a clause or an item inline, as a
+        sum that can sit in an f-string's braces.  A clause's slots refuse
+        through ``at``, the place of its own."""
+
+        parts = []
+        for piece in self.pieces if pieces is None else pieces:
+            if isinstance(piece, str):
+                parts.append(g(piece) if indent is None else _literal(piece))
+                continue
+            field, kind = piece
+            where = at if self.cls is None else f"{r}, {g(self.place(field))}"
+            shown = kind.show(f"{r}.{kind.shown or field}" if field else r, g, fresh, where)
+            parts.append(shown if indent is None else f"{{{shown}}}")
+        if indent is None:
+            return "(" + " + ".join(parts) + ")" if parts else g("")
+        return f"f'{_literal(indent)}{''.join(parts)}'"
 
     def printing(self, out: list[str], pad: str, r: str, indent: str, g, fresh) -> None:
         """Append to ``out`` the code, indented by ``pad``, that appends to
         ``o`` the lines of the record ``r`` at ``indent``, with every row
         under this one printed inline."""
 
-        line: list = []  # the pieces of this line
-        for piece in self.pieces:
-            if not (isinstance(piece, tuple) and isinstance(piece[1], _Block)):
-                line.append(piece)
-                continue
-            if line:
-                out.append(f"{pad}o.append({_line(line, r, indent, g, fresh)})")
-                line = []
-            for name, classes in piece[1].fields.items():
-                x, rows = fresh("r"), [_grammar()[cls] for cls in classes]
-                out.append(f"{pad}for {x} in {r}.{name}:")
-                if len(rows) == 1:
-                    rows[0].printing(out, pad + "    ", x, indent + "  ", g, fresh)
-                    continue
-                for k, row in enumerate(rows):
-                    out.append(f"{pad}    {'el' * bool(k)}if {x}.__class__ is {g(row.cls)}:")
-                    row.printing(out, pad + "        ", x, indent + "  ", g, fresh)
-                out += [f"{pad}    else:", f"{pad}        {g(_refuse)}()"]
-        if line:
-            out.append(f"{pad}o.append({_line(line, r, indent, g, fresh)})")
+        # a piece is literal text or a (field, slot) pair: its last item tells a block
+        for blocks, pieces in groupby(self.pieces, lambda piece: isinstance(piece[-1], _Block)):
+            if not blocks:
+                out.append(f"{pad}o.append({self.line(r, indent, g, fresh, pieces=list(pieces))})")
+            for _, block in pieces if blocks else ():
+                block.show(out, pad, r, indent + "  ", g, fresh, f"{r}, {g(self.place(''))}")
 
-    def text(self, record, start: int = 0) -> str:
-        """The row's line for ``record``, unindented, from its ``start``-th
-        piece (a block checks its members and prints nothing), or the
-        ``ValueError`` of the first slot that refuses its value, naming the
-        record and the field."""
 
-        out = []
-        for piece in self.pieces[start:]:
-            if isinstance(piece, str):
-                out.append(piece)
-                continue
-            field, slot = piece
-            try:
-                out.append(slot.text(getattr(record, slot.shown or field) if field else record))
-            except _Refused:
-                raise
-            except ValueError as failure:
-                if self.cls is None:
-                    raise
-                named = next((f" {getattr(record, name)!r}" for name, kind in self.slots.items()
-                              if isinstance(kind, _Name)), "")
-                raise _Refused(f"{self.keyword or self.cls.__name__}{named}: {failure} "
-                               f"[{self.cls.__name__}.{field or 'value'}]") from None
-        return "".join(out)
+def _literal(text: str) -> str:
+    """``text`` as the literal text of an f-string in single quotes."""
+
+    return text.replace("\\", "\\\\").replace("'", "\\'").replace("{", "{{").replace("}", "}}")
+
+
+def _compiled(name: str, write):
+    """The function ``name`` compiled from the lines of code ``write(g,
+    fresh)`` gives: ``g`` names a global of the code, ``fresh`` a new local."""
+
+    env: dict = {}
+    numbers = count()
+
+    def g(value) -> str:
+        env[f"G{len(env)}"] = value
+        return f"G{len(env) - 1}"
+
+    exec("\n".join(write(g, lambda stem: f"{stem}{next(numbers)}")) + "\n", env)
+    return env[name]
 
 
 def _made(cls: type, part: str) -> _Row:
@@ -1155,18 +1096,16 @@ def _made(cls: type, part: str) -> _Row:
 
     row = _grammar()[cls]
     if part not in vars(row):
-        out: list[str] = []
-        env: dict = {}
-        numbers = count()
-        g, fresh = partial(_global, env), lambda stem: f"{stem}{next(numbers)}"
-        if part == "read":
+        def write(g, fresh) -> list[str]:
+            if part == "show":
+                out = ["def show(r):", "    o = []"]
+                row.printing(out, "    ", "r", "", g, fresh)
+                return [*out, "    o.append('')", f"    return {g(chr(10).join)}(o)"]
+            out: list[str] = []
             made, end = row.reading(out, "    ", "i", g, fresh)
-            out = ["def read(p, i):", "    t = p.texts", *out, f"    return {made}, {end}"]
-        else:
-            row.printing(out, "    ", "r", "", g, fresh)
-            out.insert(0, "def show(r, o):")
-        exec("\n".join(out) + "\n", env)
-        setattr(row, part, env.pop(part))
+            return ["def read(p, i):", "    t = p.texts", *out, f"    return {made}, {end}"]
+
+        setattr(row, part, _compiled(part, write))
     return row
 
 
@@ -1286,29 +1225,11 @@ def print_model(model: Model) -> str:
     """Canonical model text: declaration order, two-space indentation,
     induced elements annotated, one trailing newline."""
 
-    return _printed(_made(Model, "show"), model)
+    return _made(Model, "show").show(model)
 
 
 def print_package(pkg: Package) -> str:
-    return _printed(_made(Package, "show"), pkg)
-
-
-def _printed(row: _Row, record) -> str:
-    """The lines the row's compiled printer writes for ``record``.  Where it
-    fails, or writes a character outside ASCII (which ``isidentifier`` lets
-    into a name), ``text`` checks every slot and names the one that
-    refuses."""
-
-    out: list[str] = []
-    try:
-        row.show(record, out)
-    except (AttributeError, KeyError, TypeError, ValueError):  # what a bad value raises
-        row.text(record)
-        raise
-    text = "\n".join(out) + "\n"
-    if not text.isascii():
-        row.text(record)
-    return text
+    return _made(Package, "show").show(pkg)
 
 
 # ---------------------------------------------------------------------------
@@ -1316,18 +1237,29 @@ def _printed(row: _Row, record) -> str:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _said():
+    """The text a report or ``explain`` shows for a definition, its line
+    after its keyword, or for a predicate, its text: one function, compiled
+    from the rows' printing code the first time a report or ``explain``
+    needs it."""
+
+    def write(g, fresh) -> list[str]:
+        rows, rule = _grammar(), _grammar()[PredicatedRuleDef]
+        at = f"r, {g((rule.keyword, None, '[PredicatedRuleDef.predicate]'))}"
+        return ["def said(r):", *[f"    if r.__class__ is {g(cls)}: return "
+                                  + rows[cls].line("r", None, g, fresh, pieces=rows[cls].pieces[1:])
+                                  for cls in rows[Package].slots[""].fields["definitions"]],
+                f"    return {rule.slots['predicate'].show('r', g, fresh, at)}"]
+
+    return _compiled("said", write)
+
+
 def _scalar_value(definition: ConstDef | OptionDef) -> str:
-    """The value as the definition's own line writes it: a constant's as a
-    literal, an option's bare."""
+    """The value as the definition's own line writes it, after ``<key> = ``:
+    a constant's as a literal, an option's bare."""
 
-    return _grammar()[type(definition)].slots["value"].text(definition.value)
-
-
-def _entry(definition) -> str:
-    """A scalar's, stereotype's or tag's report line: its definition's line
-    without the keyword."""
-
-    return "  " + _grammar()[type(definition)].text(definition, 1)
+    return _said()(definition)[len(definition.key) + 3:]
 
 
 def _chain_note(chain: Chain) -> str:
@@ -1355,18 +1287,18 @@ def print_report(eff: EffectiveDefinitions) -> str:
         "packages", "constants", "options", "rules", "constraints", "stereotypes",
         "tags", "transforms")}
     sections["packages"] = [f"  {pkg_id}" for pkg_id in eff.flattened_order]
-    predicate = _grammar()[PredicatedRuleDef].slots["predicate"]
+    said = _said()
     for kind, key in sorted(eff.chains):
         chain = eff.chains[kind, key]
         definition, prov = chain[-1]
         source = f"({prov.package_id})"
         if kind == "scalar":
             sections["options" if isinstance(definition, OptionDef) else "constants"].append(
-                f"{_entry(definition)} {_chain_note(chain)}")
+                f"  {said(definition)} {_chain_note(chain)}")
         elif kind == "rule":
             sections["rules"].append(f"  {key}")
             sections["rules"].extend(
-                f"    when {predicate.text(d.predicate)} -> {d.value} ({p.package_id})"
+                f"    when {said(d.predicate)} -> {d.value} ({p.package_id})"
                 for d, p in reversed(chain))
         elif kind == "constraint":
             sections["constraints"].append(
@@ -1375,7 +1307,7 @@ def print_report(eff: EffectiveDefinitions) -> str:
             sections["transforms"].append(
                 f"  {key} = {'on' if definition.enabled else 'off'} {source}")
         else:
-            sections[kind + "s"].append(f"{_entry(definition)} {source}")
+            sections[kind + "s"].append(f"  {said(definition)} {source}")
 
     return "\n\n".join(title + "".join("\n" + line for line in lines or ["  (none)"])
                        for title, lines in sections.items()) + "\n"

@@ -548,32 +548,43 @@ SLOT_TEXTS = ("a", "x_1", "Order", "class", "state", "on", "all", "initial", "no
               "error", "warning", "fatal", "a b", " ", 'a"b', '"', "a\nb", "\u00e9", "a\u00e9",
               "a-b", "a.b", "1a", "")
 #: What each kind of slot reads: a record is built from these, but for one
-#: slot, drawn from all the texts above.
+#: slot, drawn from all the texts above or from integers, which no slot
+#: but a literal holds.
 SLOT_WORDS = {"name": ("a", "x_1", "Order", "class", "state", "on", "all", "initial", "not"),
               "metaclass": ("Class", "Attribute", "Statechart"), "tag type": ("string", "int"),
               "severity": ("error", "warning")}
-#: Expressions are printed by ``format_expr``; a string literal among them
-#: holds a drawn text.
-EXPRS = (None, E.VarRef("busy"), E.Not(E.VarRef("busy")),
-         E.Compare(">=", E.VarRef("n"), E.Literal(0)))
 
 
 class _Slots:
-    """Draws a record's slots; the ``wild``-th slot drawn takes any text."""
+    """Draws a record's slots; the ``wild``-th slot drawn takes any text or an
+    integer."""
 
     def __init__(self, draw):
-        self.draw, self.count, self.wild = draw, 0, draw(st.integers(0, 30))
+        self.draw, self.count, self.wild = draw, 0, draw(st.integers(0, 40))
 
     def __call__(self, kind: str = "name"):
         self.count += 1
-        texts = SLOT_TEXTS if self.count == self.wild else SLOT_WORDS[kind]
-        return self.draw(st.sampled_from(texts))
+        if self.count == self.wild:
+            return self.draw(st.one_of(st.sampled_from(SLOT_TEXTS), st.integers(0, 9)))
+        return self.draw(st.sampled_from(SLOT_WORDS[kind]))
 
-    def some(self, kind: str = "name", least: int = 0) -> tuple:
-        return tuple(self(kind) for _ in range(self.draw(st.integers(least, 2))))
+    def some(self, kind: str = "name", least: int = 0):
+        """A tuple of names, or now and then the list no line reads back."""
+
+        names = [self(kind) for _ in range(self.draw(st.integers(least, 2)))]
+        return names if self.draw(st.integers(0, 7)) == 0 else tuple(names)
 
     def expr(self):
-        return self.draw(st.sampled_from(EXPRS + (E.Literal(self()),)))
+        """An expression or none, its variable, feature or quantifier
+        variable drawn, or a string literal holding a drawn text; the
+        printer writes it with ``format_expr``."""
+
+        name, self_ = self(), E.VarRef("self")
+        return self.draw(st.sampled_from((
+            None, E.VarRef(name), E.Not(E.VarRef(name)),
+            E.Compare(">=", E.Nav(self_, name), E.Literal(0)),
+            E.Exists(name, E.Nav(self_, "attributes"), E.VarRef(name)),
+            E.Literal(self()))))
 
 
 def _model_with(slot: _Slots) -> Model:
@@ -591,18 +602,19 @@ def _model_with(slot: _Slots) -> Model:
 def _package_with(slot: _Slots) -> Package:
     from prefacer.preface import (ConstraintDef, PredicatedRuleDef, TransformSelection)
     kind = slot.draw(st.sampled_from(["all", "stereotype", "metaclass"]))
-    predicate = Predicate(kind, None if kind == "all" else
-                          slot("name" if kind == "stereotype" else "metaclass"))
+    # the 'all' row holds no name: one drawn for it is refused
+    predicate = Predicate(kind, None if kind == "all" and slot.draw(st.booleans()) else
+                          slot("metaclass" if kind == "metaclass" else "name"))
     return Package(slot(), slot.some(), (
         ConstDef(slot(), slot.draw(st.one_of(st.sampled_from(SLOT_TEXTS), st.integers(-5, 5),
                                              st.booleans()))),
-        OptionDef(".".join(slot.some(least=1)), slot()),
+        OptionDef(".".join(map(str, slot.some(least=1))), slot()),
         StereotypeDef(slot(), slot("metaclass"), slot.some()),
         TagDef(slot(), slot("tag type")),
         ConstraintDef(slot(), slot("metaclass"), slot("severity"),
                       slot.expr() or E.Literal(True)),
         PredicatedRuleDef(slot(), predicate, slot()),
-        TransformSelection("-".join(slot.some(least=1)), slot.draw(st.booleans()))))
+        TransformSelection("-".join(map(str, slot.some(least=1))), slot.draw(st.booleans()))))
 
 
 @settings(max_examples=300, deadline=None)
