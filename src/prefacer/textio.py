@@ -8,20 +8,15 @@ Two line-oriented surface syntaxes share one expression sub-grammar:
   options, stereotypes, tag types, constraints, predicated rules and
   transform switches).
 
-Comments run from ``//`` to end of line in both.  Each declaration is
-one row of one table, ``_grammar()``: its line as it prints, a format string
-whose literal text holds the fixed words and whose ``{field}`` slots say
-how each field reads and prints.  Parsers read the token texts of one scan
-and fail with a located ``ParseError``; they never guess.  Each kind of
-slot gives two pieces of code: the lines that read it off the token list,
-one check a token, raising at a token out of place the ``ParseError`` the
-primitives (``ident``, ``eat``) raise there; and the expression that
-prints it, refusing, with a ``ValueError`` naming the record and the field,
-a value the row would not read back.  A model file and a package file each
-have one reader and one printer, compiled from that code with every row
-under the file's own inline, the first time such a file is read or
-printed; the first report compiles the one function that writes its
-definitions' text.  The import compiles none.
+Comments run from ``//`` to end of line in both.  ``parse_model`` and
+``parse_package`` read the token texts of one scan by index, each line
+told by its first word, with one check a token: at a token out of place
+they raise the located ``ParseError`` the primitives (``ident``, ``eat``)
+raise there; they never guess.  ``print_model`` and ``print_package``
+refuse, with a ``ValueError`` naming the record and the field, a value
+that would not read back.  ``_said`` gives a definition's text after its
+word, for ``print_package``, reports and ``explain``.  Nothing is
+generated or compiled at run time.
 Expressions are parsed by precedence climbing (see ``_Parser.expression``).
 
 The scanner is one ``findall`` of one regular expression, so the whole
@@ -75,19 +70,18 @@ Expression operator precedence, loosest first::
 
 from __future__ import annotations
 
-import _string
 import gc
 import re
 import sys
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from functools import cache, partial
-from itertools import accumulate, count, groupby
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from . import expr as E
 from .diagnostics import SourceLocation
 from .model import (
+    AUTHORED,
     METACLASSES,
     NO_STEREOTYPES,
     Attribute,
@@ -116,7 +110,6 @@ from .preface import (
     TransformSelection,
     render_literal,
 )
-from .record import _FIELDS
 
 
 class ParseError(Exception):
@@ -646,11 +639,6 @@ def format_expr(e: E.Expr) -> str:
     return "".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# The grammar: one row per declaration
-# ---------------------------------------------------------------------------
-
-
 def _either(words) -> str:
     """``a, b or c``."""
 
@@ -658,462 +646,339 @@ def _either(words) -> str:
     return f"{', '.join(most)} or {last}" if most else last
 
 
-def _plus(index: str, k: int) -> str:
-    """The code of the index ``k`` tokens past ``index``: a local plus a number."""
+# ---------------------------------------------------------------------------
+# Reading models and packages
+# ---------------------------------------------------------------------------
 
-    base, _, offset = index.partition(" + ")
-    offset = int(offset or 0) + k
-    return f"{base} + {offset}" if offset else base
+#: What a metaclass, a tag type and a severity are, for the reader's and
+#: the printer's refusals.
+_A_METACLASS = f"a metaclass (expected one of {', '.join(sorted(METACLASSES))})"
+_A_TAG_TYPE = "a tag type (expected string, int or bool)"
+_A_SEVERITY = "a severity (expected error or warning)"
+_A_PREDICATE = "'all', 'stereotype(...)' or 'metaclass(...)'"
 
 
-def _expected(p: _Parser, index: int, what: str) -> None:
-    """Raise, at a token out of place, the ``ParseError`` of the primitives."""
+def _expected(p: _Parser, index: int, what: str, noun: str | None = None) -> None:
+    """Raise, at a token out of place, the ``ParseError`` of the primitives;
+    or, with a ``noun`` (the words a slot allows), that a name there is not
+    one."""
 
+    text = p.texts[index]
+    if noun and text[:1] in _IDENT_START:
+        raise ParseError(f"'{text}' is not {noun}", p.loc(index))
     p.pos = index
     raise p.fail(what)
 
 
-def _refused(record, place: tuple, value, what: str | None = None) -> None:
-    """Raise a printer's ``ValueError`` for a slot's ``value``, which is not
-    ``what`` (or, with none, is the slot's own printer's refusal), naming
-    the record and the slot as ``place`` says: row keyword, name field and
-    ``[Record.field]``."""
+def _joined(p: _Parser, index: int, separator: str, what: str) -> int:
+    """The index after one or more names joined by ``separator`` from the
+    token at ``index``; ``what`` is one name."""
 
-    keyword, name, field = place
-    named = f" {getattr(record, name)!r}" if name else ""
-    failure = value if what is None else f"{value!r} is not {what}"
-    raise ValueError(f"{keyword}{named}: {failure} {field}") from None
-
-
-class _Slot:
-    """How one slot of a row reads and prints, as code; ``what`` says what
-    its value is.  ``reading`` appends to ``out``, indented by ``pad``, the
-    lines that read the slot from the token at index ``start``, raising at
-    a token out of place the ``ParseError`` the primitives raise there, and
-    returns the code of the value and of the index after it.  ``show`` is
-    the code of an expression that prints the value ``v``, or passes ``at``
-    (the code of the record and of ``_refused``'s ``place``) to ``_refused``
-    for a value the slot would not read back.  ``g`` names a global of the
-    code, and ``fresh`` a new local."""
-
-    shown = None  # the field a printer reads, where it is not the slot's own
+    t = p.texts
+    while t[index][:1] in _IDENT_START and t[index + 1] == separator:
+        index += 2
+    if t[index][:1] not in _IDENT_START:
+        _expected(p, index, what)
+    return index + 1
 
 
-class _Name(_Slot):
-    """An identifier, described as "a … name" (or key, id, value)."""
+@collector_paused()
+def parse_model(source: str, file: str = "<model>") -> Model:
+    """Parse one model file.  Name resolution is not attempted here; a
+    structurally broken model parses fine and fails ``builtin_check``."""
 
-    def __init__(self, what: str):
-        self.what = what
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
-        out.append(f"{pad}if t[{start}][:1] not in {g(_IDENT_START)}: "
-                   f"{g(_expected)}(p, {start}, {g(self.what)})")
-        return f"t[{start}]", _plus(start, 1)
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        x = fresh("x")  # ``_names``, inline
-        return (f"({x} if ({x} := {v}).__class__ is str and {x}.isascii() and {x}.isidentifier() "
-                f"else {g(_refused)}({at}, {x}, {g(self.what)}))")
-
-
-class _Words(_Slot):
-    """Allowed words, each standing for a value.  With a ``noun``, another
-    name is refused as not being one ("'x' is not a tag type (expected
-    …)"); without, any other token is one more ``expected``."""
-
-    def __init__(self, noun: str | None, *words: str, values: Sequence = (),
-                 expected: str = "", listed: str = ""):
-        self.noun = noun
-        self.choices = dict(zip(words, values or words))  # word -> value
-        self.words = {value: word for word, value in self.choices.items()}
-        # the types of the values: a value of another, a list say, is refused unhashed
-        self.types = frozenset(map(type, self.words))
-        self.expected = expected or _either([f"'{word}'" for word in words])
-        self.what = (f"a {noun} (expected {listed or _either(words)})" if noun
-                     else _either(map(repr, self.words)))
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
-        out.append(f"{pad}if t[{start}] not in {g(self.choices)}: {g(self.fail)}(p, {start})")
-        return f"{g(self.choices)}[t[{start}]]", _plus(start, 1)
-
-    def fail(self, p: _Parser, index: int) -> None:
-        text = p.texts[index]
-        if self.noun and text[:1] in _IDENT_START:
-            raise ParseError(f"'{text}' is not {self.what}", p.loc(index))
-        _expected(p, index, self.expected)
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        x, words = fresh("x"), g(self.words)
-        return (f"({words}[{x}] if ({x} := {v}).__class__ in {g(self.types)} and {x} in {words} "
-                f"else {g(_refused)}({at}, {x}, {g(self.what)}))")
-
-
-class _Primitive(_Slot):
-    """What a parser primitive reads (an expression, a literal or a quoted
-    package id), and the function that prints it or raises ``ValueError``."""
-
-    def __init__(self, what: str, primitive, printer):
-        self.what, self.primitive, self.printer = what, primitive, printer
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
-        value, end = fresh("v"), fresh("b")
-        out += [f"{pad}p.pos = {start}", f"{pad}{value} = {g(self.primitive)}(p)",
-                f"{pad}{end} = p.pos"]
-        return value, end
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        return f"{g(self.printed)}({v}, {at})"
-
-    def printed(self, value, record, place: tuple) -> str:
-        try:
-            return self.printer(value)
-        except ValueError as failure:
-            _refused(record, place, failure)
-
-
-class _Names(_Slot):
-    """Names joined by a separator as it prints: a list, or one dotted or
-    dashed name kept joined (``into`` is ``str``); or, for a record class
-    ``item``, the records of its row, none when ``until`` is next."""
-
-    row = property(lambda self: _grammar().get(self.item))  # the row of a record ``item``
-
-    def __init__(self, item, separator: str, into: type = tuple, until: str | None = None):
-        self.item, self.separator, self.into, self.until = item, separator, into, until
-        self.token = separator.strip()
-        self.what = (f"one or more {item.split(' ', 1)[1]}s joined by '{self.token}'"
-                     if isinstance(item, str) else f"{item.__name__} records")
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
-        value, j, token = fresh("v"), fresh("j"), g(self.token)
-        out.append(f"{pad}{j} = {start}")
-        if self.row is None:
-            out += [f"{pad}while t[{j}][:1] in {g(_IDENT_START)} and t[{j} + 1] == {token}:",
-                    f"{pad}    {j} += 2",
-                    f"{pad}if t[{j}][:1] not in {g(_IDENT_START)}: "
-                    f"{g(_expected)}(p, {j}, {g(self.item)})",
-                    f"{pad}{value} = " + (f"{g(''.join)}(t[{start}:{j} + 1])" if self.into is str
-                                          else f"{g(self.into)}(t[{start}:{j} + 1:2])")]
-            return value, f"{j} + 1"
-        out += [f"{pad}{value} = []", f"{pad}if t[{j}] != {g(self.until)}:",
-                f"{pad}    while True:"]
-        got, stop = self.row.reading(out, pad + "        ", j, g, fresh)
-        out += [f"{pad}        {value}.append({got})", f"{pad}        {j} = {stop}",
-                f"{pad}        if t[{j}] != {token}:", f"{pad}            break",
-                f"{pad}        {j} += 1"]
-        return f"{g(tuple)}({value})", j
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        x = fresh("x")
-        if self.row is not None:
-            y = fresh("r")
-            return (f"({g('')} if ({x} := {v}) == () else {g(self.separator.join)}([("
-                    f"{self.row.line(y, None, g, fresh)} if {y}.__class__ is {g(self.item)} else "
-                    f"{g(_refused)}({at}, {y}, {g('one of the ' + self.what)})) for {y} in {x}]) "
-                    f"if {x}.__class__ is tuple else {g(_refused)}({at}, {x}, "
-                    f"{g('a tuple of ' + self.what)}))")
-        names = f"{x}.split({g(self.token)})" if self.into is str else x
-        made = x if self.into is str else f"{g(self.separator.join)}(" + (
-            f"{g(sorted)}({x}))" if self.into is frozenset else f"{x})")
-        return (f"({made} if ({x} := {v}).__class__ is {g(self.into)} and {x} and "
-                f"{g(_names)}({names}) else {g(_refused)}({at}, {x}, {g(self.what)}))")
-
-
-class _Opt(_Slot):
-    """A clause led by its word: ``text`` with the value of ``slot`` in its
-    ``{}``, or, without a slot, a flag that is true when present.  Absent,
-    it reads as ``default``; it prints unless its value is false and the
-    default.  ``shown`` names the field the printer reads when it is not
-    the one the parser fills."""
-
-    def __init__(self, text: str, slot: _Slot | None = None, default=None,
-                 shown: str | None = None):
-        self.row = _Row(None, text, *[slot] * (slot is not None))
-        self.default, self.shown, self.word = default, shown, self.row.items[0]
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
-        value, end = fresh("v"), fresh("b")
-        out.append(f"{pad}if t[{start}] == {g(self.word)}:")
-        got, stop = self.row.reading(out, pad + "    ", start, g, fresh, dispatched=True)
-        out += [f"{pad}    {value}, {end} = {got}, {stop}", f"{pad}else:",
-                f"{pad}    {value}, {end} = {g(self.default)}, {start}"]
-        return value, end
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        x = fresh("x")  # the value, read once
-        return (f"({self.row.line(x, None, g, fresh, at)} "
-                f"if ({x} := {v}) or {x} != {g(self.default)} else {g('')})")
-
-
-class _Choice(_Slot):
-    """One of several rows of one record class, told by its first word;
-    ``what`` refuses any other.  The printer takes the row whose
-    constants the record has, and refuses a record whose other fields
-    outside that row's line are not their defaults."""
-
-    def __init__(self, what: str, *rows: _Row):
-        self.what, self.rows = what, {row.keyword: row for row in rows}
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after) -> tuple[str, str]:
-        value, end = fresh("v"), fresh("b")
-        for k, row in enumerate(self.rows.values()):
-            out.append(f"{pad}{'el' * bool(k)}if t[{start}] == {g(row.keyword)}:")
-            got, stop = row.reading(out, pad + "    ", start, g, fresh, dispatched=True)
-            out.append(f"{pad}    {value}, {end} = {got}, {stop}")
-        out += [f"{pad}else:", f"{pad}    {g(_expected)}(p, {start}, {g(self.what)})"]
-        return value, end
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        x = fresh("x")
-        made = refused = f"{g(_refused)}({at}, {x}, {g(self.what)})"
-        for row in reversed(self.rows.values()):
-            line = row.line(x, None, g, fresh)
-            for f in _FIELDS[row.cls]:
-                if f.init and f.compare and f.name not in row.slots and f.name not in row.constants:
-                    line = (f"({line} if {x}.{f.name} == {g(f.default)} else {g(_refused)}("
-                            f"{x}, {g(row.place(f.name))}, {x}.{f.name}, {g(repr(f.default))}))")
-            made = f"({line} if " + " and ".join(
-                f"{x}.{name} == {g(value)}" for name, value in row.constants.items()) + f" else {made})"
-        cls = next(iter(self.rows.values())).cls
-        return f"({made} if ({x} := {v}).__class__ is {g(cls)} else {refused})"
-
-
-class _Note(_Slot):
-    """The comment after an induced element, from the origin of the field's
-    value, or of what ``origin_of`` gives for the record; the parser skips
-    it as it skips any comment."""
-
-    note = " // induced by "
-
-    def __init__(self, origin_of=None):
-        self.origin_of = origin_of
-
-    def show(self, v: str, g, fresh, at: str) -> str:
-        origin, x = f"{g(self.origin_of)}({v})" if self.origin_of else v, fresh("x")
-        return (f"({g(self.note)} + {x}.rule_id if ({x} := {origin}).kind == {g('induced')} "
-                f"else {g('')})")
-
-
-class _Block(_Slot):
-    """Member lines, each read and printed by the row of its record class,
-    into the field given with that class.  With a ``message``, the block
-    ends at the word its row has next (the end of input if none) and
-    refuses any other word with it, or a word of an earlier block of its
-    row with ``ImportAfterDefinitionError``."""
-
-    def __init__(self, message: str | None, **fields):
-        self.message = message
-        self.fields = {name: kinds if isinstance(kinds, tuple) else (kinds,)
-                       for name, kinds in fields.items()}
-        self.earlier: dict[str, str] = {}  # a word of an earlier block -> its fields
-
-    def words(self) -> list[str]:
-        """The words its member lines start with."""
-
-        return [word for kinds in self.fields.values() for cls in kinds
-                for word in _grammar()[cls].first_words()]
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh, after):
-        """Its members' lists, and the index after them."""
-
-        found, j = [fresh("v") for _ in self.fields], fresh("j")
-        out += [f"{pad}{', '.join(found)} = {', '.join(['[]'] * len(found))}",
-                f"{pad}{j} = {start}", f"{pad}while True:", f"{pad}    w = t[{j}]"]
-        branch = "if"
-        for k, kinds in enumerate(self.fields.values()):
-            for row in map(_grammar().__getitem__, kinds):
-                out.append(f"{pad}    {branch} " + " or ".join(
-                    f"w == {g(word)}" for word in row.first_words()) + ":")
-                got, stop = row.reading(out, pad + "        ", j, g, fresh, dispatched=True)
-                out += [f"{pad}        {found[k]}.append({got})", f"{pad}        {j} = {stop}"]
-                branch = "elif"
-        if self.message is None:
-            out += [f"{pad}    else:", f"{pad}        break"]
+    p = _Parser(source, file)
+    t, table = p.texts, p.table
+    if t[0] != "model":
+        _expected(p, 0, "'model'")
+    if t[1][:1] not in _IDENT_START:
+        _expected(p, 1, "a model name")
+    classes, charts = [], []
+    i = 2
+    while True:
+        word = t[i]
+        if word == "class":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a class name")
+            j, superclasses, stereotypes = i + 2, (), NO_STEREOTYPES
+            if t[j] == "specializes":
+                end = _joined(p, j + 1, ",", "a class name")
+                superclasses, j = tuple(t[j + 1:end:2]), end
+            if t[j] == "<<":
+                end = _joined(p, j + 1, ",", "a stereotype name")
+                if t[end] != ">>":
+                    _expected(p, end, "'>>'")
+                stereotypes, j = frozenset(t[j + 1:end:2]), end + 1
+            if t[j] != "{":
+                _expected(p, j, "'{'")
+            attributes, operations, invariants = [], [], []
+            j += 1
+            while True:
+                word = t[j]
+                if word == "attribute":
+                    if t[j + 1][:1] not in _IDENT_START:
+                        _expected(p, j + 1, "an attribute name")
+                    if t[j + 2] != ":":
+                        _expected(p, j + 2, "':'")
+                    if t[j + 3][:1] not in _IDENT_START:
+                        _expected(p, j + 3, "a type name")
+                    attributes.append(Attribute(t[j + 1], t[j + 3], AUTHORED, (j, table)))
+                    j += 4
+                elif word == "operation":
+                    if t[j + 1][:1] not in _IDENT_START:
+                        _expected(p, j + 1, "an operation name")
+                    if t[j + 2] != "(":
+                        _expected(p, j + 2, "'('")
+                    k, params = j + 3, []
+                    if t[k] != ")":
+                        while True:
+                            if t[k][:1] not in _IDENT_START:
+                                _expected(p, k, "a parameter name")
+                            if t[k + 1] != ":":
+                                _expected(p, k + 1, "':'")
+                            if t[k + 2][:1] not in _IDENT_START:
+                                _expected(p, k + 2, "a type name")
+                            params.append(Param(t[k], t[k + 2]))
+                            k += 3
+                            if t[k] != ",":
+                                break
+                            k += 1
+                    if t[k] != ")":
+                        _expected(p, k, "')'")
+                    p.pos, pre, post = k + 1, None, None
+                    if t[k + 1] == "pre":
+                        if t[k + 2] != ":":
+                            _expected(p, k + 2, "':'")
+                        p.pos = k + 3
+                        pre = p.expression()
+                    if t[p.pos] == "post":
+                        if t[p.pos + 1] != ":":
+                            _expected(p, p.pos + 1, "':'")
+                        p.pos += 2
+                        post = p.expression()
+                    operations.append(Operation(t[j + 1], tuple(params), pre, post, None,
+                                                AUTHORED, (j, table)))
+                    j = p.pos
+                elif word == "invariant":
+                    p.pos = j + 1
+                    invariants.append(Invariant(p.expression(), AUTHORED))
+                    j = p.pos
+                elif word == "}":
+                    break
+                else:
+                    _expected(p, j, "'attribute', 'operation', 'invariant' or '}'")
+            classes.append(ClassDef(t[i + 1], superclasses, stereotypes, (), tuple(attributes),
+                                    tuple(operations), tuple(invariants), (i, table)))
+            i = j + 1
+        elif word == "statechart":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a statechart name")
+            if t[i + 2] != "for":
+                _expected(p, i + 2, "'for'")
+            if t[i + 3][:1] not in _IDENT_START:
+                _expected(p, i + 3, "a class name")
+            if t[i + 4] != "{":
+                _expected(p, i + 4, "'{'")
+            states, transitions = [], []
+            j = i + 5
+            while True:
+                word = t[j]
+                if word == "state" or word == "initial":
+                    initial = word == "initial"
+                    j += initial  # to the ``state`` token, the state's location
+                    if t[j] != "state":
+                        _expected(p, j, "'state'")
+                    if t[j + 1][:1] not in _IDENT_START:
+                        _expected(p, j + 1, "a state name")
+                    states.append(State(t[j + 1], initial, (j, table)))
+                    j += 2
+                elif word == "transition":
+                    if t[j + 1][:1] not in _IDENT_START:
+                        _expected(p, j + 1, "a state name")
+                    if t[j + 2] != "->":
+                        _expected(p, j + 2, "'->'")
+                    if t[j + 3][:1] not in _IDENT_START:
+                        _expected(p, j + 3, "a state name")
+                    if t[j + 4] != "on":
+                        _expected(p, j + 4, "'on'")
+                    if t[j + 5][:1] not in _IDENT_START:
+                        _expected(p, j + 5, "an event name")
+                    guard, end = None, j + 6
+                    if t[end] == "[":
+                        p.pos = end + 1
+                        guard = p.expression()
+                        end = p.pos
+                        if t[end] != "]":
+                            _expected(p, end, "']'")
+                        end += 1
+                    transitions.append(Transition(t[j + 1], t[j + 3], t[j + 5], guard, (j, table)))
+                    j = end
+                elif word == "}":
+                    break
+                else:
+                    _expected(p, j, "'state', 'initial', 'transition' or '}'")
+            charts.append(Statechart(t[i + 1], t[i + 3], tuple(states), tuple(transitions),
+                                     (i, table)))
+            i = j + 1
+        elif word == "":
+            return Model(t[1], tuple(classes), tuple(charts), (0, table))
         else:
-            out += [f"{pad}    elif w == {g(after if isinstance(after, str) else '')}:",
-                    f"{pad}        break", f"{pad}    else:",
-                    f"{pad}        {g(self.fail)}(p, {j})"]
-        return found, j
-
-    def fail(self, p: _Parser, index: int) -> None:
-        word = p.texts[index]
-        if word in self.earlier:
-            raise ImportAfterDefinitionError(
-                f"{self.earlier[word]} must precede all {', '.join(self.fields)}", p.loc(index))
-        _expected(p, index, self.message)
-
-    def show(self, out: list[str], pad: str, r: str, indent: str, g, fresh, at: str) -> None:
-        """Append to ``out``, indented by ``pad``, the code that appends to
-        ``o`` the member lines of the record ``r`` at ``indent``: a block's
-        members are lines of their own."""
-
-        for name, kinds in self.fields.items():
-            x, y = fresh("x"), fresh("r")
-            out += [f"{pad}if ({x} := {r}.{name}).__class__ is not tuple: "
-                    f"{g(_refused)}({at}, {x}, {g('a tuple of ' + name)})", f"{pad}for {y} in {x}:"]
-            for k, cls in enumerate(kinds):
-                out.append(f"{pad}    {'el' * bool(k)}if {y}.__class__ is {g(cls)}:")
-                _grammar()[cls].printing(out, pad + "        ", y, indent, g, fresh)
-            out += [f"{pad}    else:", f"{pad}        {g(_refused)}({at}, {y}, {g('one of the ' + name)})"]
+            _expected(p, i, "'class', 'statechart' or end of input")
 
 
-class _Row:
-    """One declaration: the record class it reads and prints (``None`` for
-    a clause, ``str`` for a line that holds one string), and its line as it
-    prints.  The line is a format string whose literal text holds the
-    fixed words and whose ``{field}`` slots each name a record field; a
-    ``{}`` takes the next unnamed slot, which reads and prints the whole
-    record, or the value of a clause.  Fields the line does not hold take
-    the given constants, or their defaults.
+@collector_paused()
+def parse_package(source: str, file: str = "<package>") -> Package:
+    """Parse one package file: quoted id, imports first, then definitions."""
 
-    ``reading`` and ``line`` (``printing``, with blocks) give the code of
-    its reader and its printer from its slots' code, rows they hold inline."""
-
-    def __init__(self, cls, text: str, *unnamed: _Slot, **slots):
-        self.cls, given, self.pieces = cls, iter(unnamed), []
-        for literal, field, _, _ in _string.formatter_parser(text):
-            if literal:
-                self.pieces.append(literal)
-            if field is not None:
-                slot = slots.pop(field) if field else next(given)
-                self.pieces.append((field, _Name(slot) if isinstance(slot, str) else slot))
-        self.constants = slots  # values of fields the line does not hold
-        self.slots = dict(piece for piece in self.pieces if isinstance(piece, tuple))
-        # literal text as its tokens, and the slots a parser reads
-        self.items = [item for piece in self.pieces for item in (
-            [token for token in _TOKEN.findall(piece) if token] if isinstance(piece, str)
-            else [] if isinstance(piece[1], _Note) else [piece])]
-        self.keyword = next((item for item in self.items if isinstance(item, str)), "")
-
-    def first_words(self) -> list[str]:
-        """The words a member line of this row starts with."""
-
-        first = self.items[0]
-        return [first] if isinstance(first, str) else [self.keyword, first[1].word]
-
-    def place(self, field: str) -> tuple:
-        """How ``_refused`` names a record of this row and its ``field``."""
-
-        name = next((name for name, kind in self.slots.items() if isinstance(kind, _Name)), None)
-        return self.keyword or self.cls.__name__, name, f"[{self.cls.__name__}.{field or 'value'}]"
-
-    def reading(self, out: list[str], pad: str, start: str, g, fresh,
-                dispatched: bool = False) -> tuple[str, str]:
-        """Append to ``out`` the code, indented by ``pad``, that reads the
-        row's line from the token at index ``start``, its first word
-        ``dispatched`` (checked already), one token at a time; return the
-        code of the value read and of the index after it."""
-
-        values: dict[str, str] = {}  # field -> the code of its value
-        blocks: list[_Block] = []
-        loc = None
-        for n, item in enumerate(self.items):
-            if isinstance(item, str):
-                loc = loc or start
-                if n or not dispatched:
-                    out.append(f"{pad}if t[{start}] != {g(item)}: "
-                               f"{g(_expected)}(p, {start}, {g(repr(item))})")  # as ``eat``
-                start = _plus(start, 1)
-                continue
-            field, kind = item
-            if isinstance(kind, _Block):
-                kind.earlier = {word: ", ".join(block.fields)
-                                for block in blocks for word in block.words()}
-                blocks.append(kind)
-            after = self.items[n + 1] if n + 1 < len(self.items) else ""
-            value, start = kind.reading(out, pad, start, g, fresh, after)
-            if isinstance(kind, _Block):
-                values.update((name, f"{g(tuple)}({found})")
-                              for name, found in zip(kind.fields, value))
+    p = _Parser(source, file)
+    t, table = p.texts, p.table
+    if t[0] != "package":
+        _expected(p, 0, "'package'")
+    p.pos = 1
+    pkg_id = p.string("a quoted package id")
+    if t[2] != "{":
+        _expected(p, 2, "'{'")
+    imports, definitions = [], []
+    i = 3
+    while t[i] == "import":
+        p.pos = i + 1
+        imports.append(p.string("a quoted package id"))
+        i += 2
+    while True:
+        word = t[i]
+        if word == "const":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a constant name")
+            if t[i + 2] != "=":
+                _expected(p, i + 2, "'='")
+            p.pos = i + 3
+            definitions.append(ConstDef(t[i + 1], p.literal(), (i, table)))
+            i = p.pos
+        elif word == "option":
+            end = _joined(p, i + 1, ".", "an option key")
+            if t[end] != "=":
+                _expected(p, end, "'='")
+            if t[end + 1][:1] not in _IDENT_START:
+                _expected(p, end + 1, "an option value")
+            definitions.append(OptionDef("".join(t[i + 1:end]), t[end + 1], (i, table)))
+            i = end + 2
+        elif word == "stereotype":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a stereotype name")
+            if t[i + 2] != "on":
+                _expected(p, i + 2, "'on'")
+            if t[i + 3] not in METACLASSES:
+                _expected(p, i + 3, "a metaclass name", _A_METACLASS)
+            end = i + 4
+            if t[end] == "requires":
+                end = _joined(p, i + 5, ",", "a tag name")
+            # without ``requires`` the slice of tag names is empty
+            definitions.append(StereotypeDef(t[i + 1], t[i + 3], tuple(t[i + 5:end:2]),
+                                             (i, table)))
+            i = end
+        elif word == "tagdef":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a tag name")
+            if t[i + 2] != ":":
+                _expected(p, i + 2, "':'")
+            if t[i + 3] not in ("string", "int", "bool"):
+                _expected(p, i + 3, "'string', 'int' or 'bool'", _A_TAG_TYPE)
+            definitions.append(TagDef(t[i + 1], t[i + 3], (i, table)))
+            i += 4
+        elif word == "constraint":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a constraint name")
+            if t[i + 2] != "on":
+                _expected(p, i + 2, "'on'")
+            if t[i + 3] not in METACLASSES:
+                _expected(p, i + 3, "a metaclass name", _A_METACLASS)
+            severity, end = "error", i + 4
+            if t[end] == "severity":
+                severity = t[end + 1]
+                if severity != "error" and severity != "warning":
+                    _expected(p, end + 1, "'error' or 'warning'", _A_SEVERITY)
+                end += 2
+            if t[end] != ":":
+                _expected(p, end, "':'")
+            p.pos = end + 1
+            definitions.append(ConstraintDef(t[i + 1], t[i + 3], severity, p.expression(),
+                                             (i, table)))
+            i = p.pos
+        elif word == "rule":
+            if t[i + 1][:1] not in _IDENT_START:
+                _expected(p, i + 1, "a property key")
+            if t[i + 2] != "when":
+                _expected(p, i + 2, "'when'")
+            kind, end = t[i + 3], i + 4
+            if kind == "all":
+                predicate = Predicate("all")
+            elif kind == "stereotype" or kind == "metaclass":
+                if t[end] != "(":
+                    _expected(p, end, "'('")
+                if kind == "stereotype" and t[end + 1][:1] not in _IDENT_START:
+                    _expected(p, end + 1, "a stereotype name")
+                if kind == "metaclass" and t[end + 1] not in METACLASSES:
+                    _expected(p, end + 1, "a metaclass name", _A_METACLASS)
+                if t[end + 2] != ")":
+                    _expected(p, end + 2, "')'")
+                predicate = Predicate(kind, t[end + 1])
+                end += 3
             else:
-                values[field] = value
-        if self.cls is None or self.cls is str:  # a clause's value, or a flag's
-            return next(iter(values.values()), "True"), start
-        return g(self.cls) + "(" + ", ".join(
-            values[f.name] if f.name in values
-            else f"({loc}, p.table)" if f.name == "loc"
-            else g(self.constants.get(f.name, f.default))
-            for f in _FIELDS[self.cls] if f.init) + ")", start
-
-    def line(self, r: str, indent: str | None, g, fresh, at: str = "", pieces=None) -> str:
-        """The code of the text of the record ``r``, of the row's
-        ``pieces`` (all, unless given; no block): a line at ``indent``, as
-        an f-string, or, with no indent, a clause or an item inline, as a
-        sum that can sit in an f-string's braces.  A clause's slots refuse
-        through ``at``, the place of its own."""
-
-        parts = []
-        for piece in self.pieces if pieces is None else pieces:
-            if isinstance(piece, str):
-                parts.append(g(piece) if indent is None else _literal(piece))
-                continue
-            field, kind = piece
-            where = at if self.cls is None else f"{r}, {g(self.place(field))}"
-            shown = kind.show(f"{r}.{kind.shown or field}" if field else r, g, fresh, where)
-            parts.append(shown if indent is None else f"{{{shown}}}")
-        if indent is None:
-            return "(" + " + ".join(parts) + ")" if parts else g("")
-        return f"f'{_literal(indent)}{''.join(parts)}'"
-
-    def printing(self, out: list[str], pad: str, r: str, indent: str, g, fresh) -> None:
-        """Append to ``out`` the code, indented by ``pad``, that appends to
-        ``o`` the lines of the record ``r`` at ``indent``, with every row
-        under this one printed inline."""
-
-        # a piece is literal text or a (field, slot) pair: its last item tells a block
-        for blocks, pieces in groupby(self.pieces, lambda piece: isinstance(piece[-1], _Block)):
-            if not blocks:
-                out.append(f"{pad}o.append({self.line(r, indent, g, fresh, pieces=list(pieces))})")
-            for _, block in pieces if blocks else ():
-                block.show(out, pad, r, indent + "  ", g, fresh, f"{r}, {g(self.place(''))}")
+                _expected(p, i + 3, _A_PREDICATE)
+            if t[end] != "=":
+                _expected(p, end, "'='")
+            if t[end + 1][:1] not in _IDENT_START:
+                _expected(p, end + 1, "a value")
+            definitions.append(PredicatedRuleDef(t[i + 1], predicate, t[end + 1], (i, table)))
+            i = end + 2
+        elif word == "transform":
+            end = _joined(p, i + 1, "-", "a transform id")
+            if t[end] != "on" and t[end] != "off":
+                _expected(p, end, "'on' or 'off'")
+            definitions.append(TransformSelection("".join(t[i + 1:end]), t[end] == "on",
+                                                  (i, table)))
+            i = end + 1
+        elif word == "}":
+            break
+        elif word == "import":
+            raise ImportAfterDefinitionError(
+                "imports must precede all definitions", p.loc(i))
+        else:
+            _expected(p, i, "a definition or '}'")
+    p.pos = i + 1
+    p.expect_eof()
+    return Package(pkg_id, tuple(imports), tuple(definitions), (0, table))
 
 
-def _literal(text: str) -> str:
-    """``text`` as the literal text of an f-string in single quotes."""
-
-    return text.replace("\\", "\\\\").replace("'", "\\'").replace("{", "{{").replace("}", "}}")
-
-
-def _compiled(name: str, write):
-    """The function ``name`` compiled from the lines of code ``write(g,
-    fresh)`` gives: ``g`` names a global of the code, ``fresh`` a new local."""
-
-    env: dict = {}
-    numbers = count()
-
-    def g(value) -> str:
-        env[f"G{len(env)}"] = value
-        return f"G{len(env) - 1}"
-
-    exec("\n".join(write(g, lambda stem: f"{stem}{next(numbers)}")) + "\n", env)
-    return env[name]
+# ---------------------------------------------------------------------------
+# Printing models and packages
+# ---------------------------------------------------------------------------
 
 
-def _made(cls: type, part: str) -> _Row:
-    """The row of a model or a package, with its reader (``part`` "read")
-    or printer ("show") compiled the first time it is asked for: a command
-    compiles only what it uses."""
+def _refused(record, where: str, field: str, value, what: str | None = None) -> None:
+    """Raise a printer's ``ValueError``: ``value``, in ``record``'s
+    ``field``, is not ``what`` (with none, ``value`` is the refusal of the
+    printer of a literal, an expression or a package id).  ``where`` names
+    the record, formatted with it."""
 
-    row = _grammar()[cls]
-    if part not in vars(row):
-        def write(g, fresh) -> list[str]:
-            if part == "show":
-                out = ["def show(r):", "    o = []"]
-                row.printing(out, "    ", "r", "", g, fresh)
-                return [*out, "    o.append('')", f"    return {g(chr(10).join)}(o)"]
-            out: list[str] = []
-            made, end = row.reading(out, "    ", "i", g, fresh)
-            return ["def read(p, i):", "    t = p.texts", *out, f"    return {made}, {end}"]
-
-        setattr(row, part, _compiled(part, write))
-    return row
+    failure = value if what is None else f"{value!r} is not {what}"
+    raise ValueError(
+        f"{where.format(record)}: {failure} [{record.__class__.__name__}.{field}]") from None
 
 
-def _noted(op: Operation) -> Origin:
-    """The origin an operation's line notes: its own if it was induced, else
-    that of its induced precondition, if any."""
+def _printed(show, value, record, where: str, field: str) -> str:
+    """``show(value)``, or its ``ValueError`` as the refusal of ``record``'s ``field``."""
 
-    return op.pre_induced[1] if op.origin.kind != "induced" and op.pre_induced else op.origin
+    try:
+        return show(value)
+    except ValueError as failure:
+        _refused(record, where, field, failure)
+
+
+def _note(origin: Origin) -> str:
+    """The comment after an induced element's line; the parser skips it."""
+
+    return " // induced by " + origin.rule_id if origin.kind == "induced" else ""
 
 
 def _quoted(value) -> str:
@@ -1122,114 +987,255 @@ def _quoted(value) -> str:
     raise ValueError(f"{value!r} is not a quoted package id")
 
 
-_EXPR = _Primitive("an expression", _Parser.expression, format_expr)
-_LITERAL = _Primitive("a literal (integer, string, true or false)", _Parser.literal,
-                      render_literal)
-_QUOTED = _Primitive("a quoted package id", partial(_Parser.string, what="a quoted package id"),
-                     _quoted)
-_METACLASS = _Words("metaclass", *sorted(METACLASSES), expected="a metaclass name",
-                    listed="one of " + ", ".join(sorted(METACLASSES)))
-
-@cache
-def _grammar() -> dict[type, _Row]:
-    """Every declaration of a model file and of a package file, by record
-    class, in the order README's Grammar lists them; built on first use, so
-    an import pays nothing for it."""
-
-    return {row.cls: row for row in (
-        _Row(Model, "model {name}{}",
-             _Block("'class', 'statechart' or end of input",
-                    classes=ClassDef, statecharts=Statechart),
-             name="a model name"),
-        _Row(ClassDef, "class {name}{superclasses}{stereotypes} {{{}}}",
-             _Block("'attribute', 'operation', 'invariant' or '}'",
-                    attributes=Attribute, operations=Operation, invariants=Invariant),
-             name="a class name",
-             superclasses=_Opt(" specializes {}", _Names("a class name", ", "), ()),
-             stereotypes=_Opt(" <<{}>>", _Names("a stereotype name", ", ", frozenset),
-                              NO_STEREOTYPES)),
-        _Row(Attribute, "attribute {name} : {type_name}{origin}",
-             name="an attribute name", type_name="a type name", origin=_Note()),
-        _Row(Operation, "operation {name}({params}){pre_authored}{post_authored}{}", _Note(_noted),
-             name="an operation name", params=_Names(Param, ", ", until=")"),
-             pre_authored=_Opt(" pre: {}", _EXPR, shown="effective_pre"),
-             post_authored=_Opt(" post: {}", _EXPR)),
-        _Row(Param, "{name} : {type_name}", name="a parameter name", type_name="a type name"),
-        _Row(Invariant, "invariant {expr}{origin}", expr=_EXPR, origin=_Note()),
-        _Row(Statechart, "statechart {name} for {attached_to} {{{}}}",
-             _Block("'state', 'initial', 'transition' or '}'",
-                    states=State, transitions=Transition),
-             name="a statechart name", attached_to="a class name"),
-        _Row(State, "{initial}state {name}", initial=_Opt("initial ", default=False),
-             name="a state name"),
-        _Row(Transition, "transition {source} -> {target} on {event}{guard}",
-             source="a state name", target="a state name", event="an event name",
-             guard=_Opt(" [{}]", _EXPR)),
-        _Row(Package, "package {id} {{{}{}}}",
-             _Block(None, imports=str),
-             _Block("a definition or '}'", definitions=(
-                 ConstDef, OptionDef, StereotypeDef, TagDef, ConstraintDef, PredicatedRuleDef,
-                 TransformSelection)),
-             id=_QUOTED),
-        _Row(str, "import {}", _QUOTED),
-        _Row(ConstDef, "const {key} = {value}", key="a constant name", value=_LITERAL),
-        _Row(OptionDef, "option {key} = {value}",
-             key=_Names("an option key", ".", str), value="an option value"),
-        _Row(StereotypeDef, "stereotype {name} on {base}{required_tags}",
-             name="a stereotype name", base=_METACLASS,
-             required_tags=_Opt(" requires {}", _Names("a tag name", ", "), ())),
-        _Row(TagDef, "tagdef {name} : {value_type}",
-             name="a tag name", value_type=_Words("tag type", "string", "int", "bool")),
-        _Row(ConstraintDef, "constraint {name} on {scope}{severity} : {body}",
-             name="a constraint name", scope=_METACLASS,
-             severity=_Opt(" severity {}", _Words("severity", "error", "warning"), "error"),
-             body=_EXPR),
-        _Row(PredicatedRuleDef, "rule {property_key} when {predicate} = {value}",
-             property_key="a property key", value="a value",
-             predicate=_Choice("'all', 'stereotype(...)' or 'metaclass(...)'",
-                               _Row(Predicate, "all", kind="all"),
-                               _Row(Predicate, "stereotype({name})", kind="stereotype",
-                                    name="a stereotype name"),
-                               _Row(Predicate, "metaclass({name})", kind="metaclass",
-                                    name=_METACLASS))),
-        _Row(TransformSelection, "transform {transform_id} {enabled}",
-             transform_id=_Names("a transform id", "-", str),
-             enabled=_Words(None, "on", "off", values=(True, False))),
-    )}
-
-
-# ---------------------------------------------------------------------------
-# Reading and printing models and packages
-# ---------------------------------------------------------------------------
-
-
-@collector_paused()
-def parse_model(source: str, file: str = "<model>") -> Model:
-    """Parse one model file.  Name resolution is not attempted here; a
-    structurally broken model parses fine and fails ``builtin_check``."""
-
-    return _made(Model, "read").read(_Parser(source, file), 0)[0]
-
-
-@collector_paused()
-def parse_package(source: str, file: str = "<package>") -> Package:
-    """Parse one package file: quoted id, imports first, then definitions."""
-
-    p = _Parser(source, file)
-    package, p.pos = _made(Package, "read").read(p, 0)
-    p.expect_eof()
-    return package
-
-
 def print_model(model: Model) -> str:
     """Canonical model text: declaration order, two-space indentation,
-    induced elements annotated, one trailing newline."""
+    induced elements annotated, one trailing newline.  Each name is checked
+    where it is printed."""
 
-    return _made(Model, "show").show(model)
+    name = model.name
+    if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+        _refused(model, "model {.name!r}", "name", name, "a model name")
+    out = [f"model {name}"]
+    classes = model.classes
+    if classes.__class__ is not tuple:
+        _refused(model, "model {.name!r}", "classes", classes, "a tuple of classes")
+    for c in classes:
+        if c.__class__ is not ClassDef:
+            _refused(model, "model {.name!r}", "classes", c, "one of the classes")
+        name = c.name
+        if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+            _refused(c, "class {.name!r}", "name", name, "a class name")
+        line = f"  class {name}"
+        names = c.superclasses
+        if names != ():
+            if not (names.__class__ is tuple and names and _names(names)):
+                _refused(c, "class {.name!r}", "superclasses", names,
+                         "one or more class names joined by ','")
+            line += " specializes " + ", ".join(names)
+        names = c.stereotypes
+        if names != NO_STEREOTYPES:
+            if not (names.__class__ is frozenset and names and _names(names)):
+                _refused(c, "class {.name!r}", "stereotypes", names,
+                         "one or more stereotype names joined by ','")
+            line += " <<" + ", ".join(sorted(names)) + ">>"
+        out.append(line + " {")
+        members = c.attributes
+        if members.__class__ is not tuple:
+            _refused(c, "class {.name!r}", "attributes", members, "a tuple of attributes")
+        for a in members:
+            if a.__class__ is not Attribute:
+                _refused(c, "class {.name!r}", "attributes", a, "one of the attributes")
+            name, type_name = a.name, a.type_name
+            if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+                _refused(a, "attribute {.name!r}", "name", name, "an attribute name")
+            if not (type_name.__class__ is str and type_name.isascii()
+                    and type_name.isidentifier()):
+                _refused(a, "attribute {.name!r}", "type_name", type_name, "a type name")
+            out.append(f"    attribute {name} : {type_name}{_note(a.origin)}")
+        members = c.operations
+        if members.__class__ is not tuple:
+            _refused(c, "class {.name!r}", "operations", members, "a tuple of operations")
+        for op in members:
+            if op.__class__ is not Operation:
+                _refused(c, "class {.name!r}", "operations", op, "one of the operations")
+            name, params = op.name, op.params
+            if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+                _refused(op, "operation {.name!r}", "name", name, "an operation name")
+            line = f"    operation {name}("
+            if params.__class__ is not tuple:
+                _refused(op, "operation {.name!r}", "params", params, "a tuple of Param records")
+            shown = []
+            for param in params:
+                if param.__class__ is not Param:
+                    _refused(op, "operation {.name!r}", "params", param, "one of the Param records")
+                name, type_name = param.name, param.type_name
+                if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+                    _refused(param, "parameter {.name!r}", "name", name, "a parameter name")
+                if not (type_name.__class__ is str and type_name.isascii()
+                        and type_name.isidentifier()):
+                    _refused(param, "parameter {.name!r}", "type_name", type_name, "a type name")
+                shown.append(f"{name} : {type_name}")
+            line += ", ".join(shown) + ")"
+            pre, post = op.effective_pre, op.post_authored
+            if pre is not None:
+                line += " pre: " + _printed(format_expr, pre, op, "operation {.name!r}",
+                                            "pre_authored")
+            if post is not None:
+                line += " post: " + _printed(format_expr, post, op, "operation {.name!r}",
+                                             "post_authored")
+            # an authored operation notes the origin of its induced precondition
+            origin = op.origin
+            if origin.kind != "induced" and op.pre_induced:
+                origin = op.pre_induced[1]
+            out.append(line + _note(origin))
+        members = c.invariants
+        if members.__class__ is not tuple:
+            _refused(c, "class {.name!r}", "invariants", members, "a tuple of invariants")
+        for inv in members:
+            if inv.__class__ is not Invariant:
+                _refused(c, "class {.name!r}", "invariants", inv, "one of the invariants")
+            expr = _printed(format_expr, inv.expr, inv, "invariant", "expr")
+            out.append(f"    invariant {expr}{_note(inv.origin)}")
+        out.append("  }")
+    charts = model.statecharts
+    if charts.__class__ is not tuple:
+        _refused(model, "model {.name!r}", "statecharts", charts, "a tuple of statecharts")
+    for chart in charts:
+        if chart.__class__ is not Statechart:
+            _refused(model, "model {.name!r}", "statecharts", chart, "one of the statecharts")
+        name, attached_to = chart.name, chart.attached_to
+        if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+            _refused(chart, "statechart {.name!r}", "name", name, "a statechart name")
+        if not (attached_to.__class__ is str and attached_to.isascii()
+                and attached_to.isidentifier()):
+            _refused(chart, "statechart {.name!r}", "attached_to", attached_to, "a class name")
+        out.append(f"  statechart {name} for {attached_to} {{")
+        members = chart.states
+        if members.__class__ is not tuple:
+            _refused(chart, "statechart {.name!r}", "states", members, "a tuple of states")
+        for state in members:
+            if state.__class__ is not State:
+                _refused(chart, "statechart {.name!r}", "states", state, "one of the states")
+            initial, name = state.initial, state.name
+            if initial.__class__ is not bool:
+                _refused(state, "state {.name!r}", "initial", initial, "True or False")
+            if not (name.__class__ is str and name.isascii() and name.isidentifier()):
+                _refused(state, "state {.name!r}", "name", name, "a state name")
+            out.append(f"    initial state {name}" if initial else f"    state {name}")
+        members = chart.transitions
+        if members.__class__ is not tuple:
+            _refused(chart, "statechart {.name!r}", "transitions", members,
+                     "a tuple of transitions")
+        for tr in members:
+            if tr.__class__ is not Transition:
+                _refused(chart, "statechart {.name!r}", "transitions", tr,
+                         "one of the transitions")
+            source, target, event = tr.source, tr.target, tr.event
+            if not (source.__class__ is str and source.isascii() and source.isidentifier()):
+                _refused(tr, "transition {.source!r}", "source", source, "a state name")
+            if not (target.__class__ is str and target.isascii() and target.isidentifier()):
+                _refused(tr, "transition {.source!r}", "target", target, "a state name")
+            if not (event.__class__ is str and event.isascii() and event.isidentifier()):
+                _refused(tr, "transition {.source!r}", "event", event, "an event name")
+            guard = tr.guard
+            if guard is None:
+                out.append(f"    transition {source} -> {target} on {event}")
+            else:
+                guard = _printed(format_expr, guard, tr, "transition {.source!r}", "guard")
+                out.append(f"    transition {source} -> {target} on {event} [{guard}]")
+        out.append("  }")
+    out.append("")
+    return "\n".join(out)
+
+
+#: The word that starts each definition's line.
+_DEFINITION_WORDS = {ConstDef: "const", OptionDef: "option", StereotypeDef: "stereotype",
+                     TagDef: "tagdef", ConstraintDef: "constraint", PredicatedRuleDef: "rule",
+                     TransformSelection: "transform"}
 
 
 def print_package(pkg: Package) -> str:
-    return _made(Package, "show").show(pkg)
+    """Canonical package text: imports, then definitions, one a line."""
+
+    out = [f"package {_printed(_quoted, pkg.id, pkg, 'package', 'id')} {{"]
+    imports = pkg.imports
+    if imports.__class__ is not tuple:
+        _refused(pkg, "package", "imports", imports, "a tuple of imports")
+    for imported in imports:
+        if imported.__class__ is not str:
+            _refused(pkg, "package", "imports", imported, "one of the imports")
+        out.append(f"  import {_printed(render_literal, imported, pkg, 'import', 'imports')}")
+    definitions = pkg.definitions
+    if definitions.__class__ is not tuple:
+        _refused(pkg, "package", "definitions", definitions, "a tuple of definitions")
+    for definition in definitions:
+        word = _DEFINITION_WORDS.get(definition.__class__)
+        if word is None:
+            _refused(pkg, "package", "definitions", definition, "one of the definitions")
+        out.append(f"  {word} {_said(definition)}")
+    out.append("}\n")
+    return "\n".join(out)
+
+
+def _name(record, where: str, field: str, what: str) -> str:
+    """``record``'s ``field``, a name a line reads back, or the printer's refusal."""
+
+    value = getattr(record, field)
+    if value.__class__ is str and value.isascii() and value.isidentifier():
+        return value
+    _refused(record, where, field, value, what)
+
+
+def _said(d) -> str:
+    """A definition's line after its word: what ``print_package`` writes
+    after the word, and what reports and ``explain`` show."""
+
+    cls = d.__class__
+    if cls is ConstDef:
+        key = _name(d, "const {.key!r}", "key", "a constant name")
+        return f"{key} = {_printed(render_literal, d.value, d, 'const {.key!r}', 'value')}"
+    if cls is OptionDef:
+        key = d.key
+        if not (key.__class__ is str and key and _names(key.split("."))):
+            _refused(d, "option {.key!r}", "key", key, "one or more option keys joined by '.'")
+        return f"{key} = {_name(d, 'option {.key!r}', 'value', 'an option value')}"
+    if cls is StereotypeDef:
+        name, base = _name(d, "stereotype {.name!r}", "name", "a stereotype name"), d.base
+        if not (base.__class__ is str and base in METACLASSES):
+            _refused(d, "stereotype {.name!r}", "base", base, _A_METACLASS)
+        tags = d.required_tags
+        if tags == ():
+            return f"{name} on {base}"
+        if not (tags.__class__ is tuple and tags and _names(tags)):
+            _refused(d, "stereotype {.name!r}", "required_tags", tags,
+                     "one or more tag names joined by ','")
+        return f"{name} on {base} requires {', '.join(tags)}"
+    if cls is TagDef:
+        name, value_type = _name(d, "tagdef {.name!r}", "name", "a tag name"), d.value_type
+        if not (value_type.__class__ is str and value_type in ("string", "int", "bool")):
+            _refused(d, "tagdef {.name!r}", "value_type", value_type, _A_TAG_TYPE)
+        return f"{name} : {value_type}"
+    if cls is ConstraintDef:
+        name = _name(d, "constraint {.name!r}", "name", "a constraint name")
+        scope, severity = d.scope, d.severity
+        if not (scope.__class__ is str and scope in METACLASSES):
+            _refused(d, "constraint {.name!r}", "scope", scope, _A_METACLASS)
+        if not (severity.__class__ is str and severity in ("error", "warning")):
+            _refused(d, "constraint {.name!r}", "severity", severity, _A_SEVERITY)
+        body = _printed(format_expr, d.body, d, "constraint {.name!r}", "body")
+        return f"{name} on {scope} severity {severity} : {body}"
+    if cls is PredicatedRuleDef:
+        key = _name(d, "rule {.property_key!r}", "property_key", "a property key")
+        predicate = _predicate(d)
+        return f"{key} when {predicate} = {_name(d, 'rule {.property_key!r}', 'value', 'a value')}"
+    # a transform switch
+    transform_id, enabled = d.transform_id, d.enabled
+    if not (transform_id.__class__ is str and transform_id and _names(transform_id.split("-"))):
+        _refused(d, "transform", "transform_id", transform_id,
+                 "one or more transform ids joined by '-'")
+    if enabled.__class__ is not bool:
+        _refused(d, "transform", "enabled", enabled, "True or False")
+    return f"{transform_id} {'on' if enabled else 'off'}"
+
+
+def _predicate(rule: PredicatedRuleDef) -> str:
+    """The text of a rule's predicate, as its line and a report write it."""
+
+    predicate = rule.predicate
+    if predicate.__class__ is Predicate:
+        kind, name = predicate.kind, predicate.name
+        if kind == "all":
+            if name is not None:
+                _refused(predicate, "all", "name", name, "None")
+            return "all"
+        if kind == "stereotype":
+            name = _name(predicate, "stereotype {.name!r}", "name", "a stereotype name")
+            return f"stereotype({name})"
+        if kind == "metaclass":
+            if not (name.__class__ is str and name in METACLASSES):
+                _refused(predicate, "metaclass", "name", name, _A_METACLASS)
+            return f"metaclass({name})"
+    _refused(rule, "rule {.property_key!r}", "predicate", predicate, _A_PREDICATE)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,29 +1243,11 @@ def print_package(pkg: Package) -> str:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _said():
-    """The text a report or ``explain`` shows for a definition, its line
-    after its keyword, or for a predicate, its text: one function, compiled
-    from the rows' printing code the first time a report or ``explain``
-    needs it."""
-
-    def write(g, fresh) -> list[str]:
-        rows, rule = _grammar(), _grammar()[PredicatedRuleDef]
-        at = f"r, {g((rule.keyword, None, '[PredicatedRuleDef.predicate]'))}"
-        return ["def said(r):", *[f"    if r.__class__ is {g(cls)}: return "
-                                  + rows[cls].line("r", None, g, fresh, pieces=rows[cls].pieces[1:])
-                                  for cls in rows[Package].slots[""].fields["definitions"]],
-                f"    return {rule.slots['predicate'].show('r', g, fresh, at)}"]
-
-    return _compiled("said", write)
-
-
 def _scalar_value(definition: ConstDef | OptionDef) -> str:
     """The value as the definition's own line writes it, after ``<key> = ``:
     a constant's as a literal, an option's bare."""
 
-    return _said()(definition)[len(definition.key) + 3:]
+    return _said(definition)[len(definition.key) + 3:]
 
 
 def _chain_note(chain: Chain) -> str:
@@ -1287,18 +1275,17 @@ def print_report(eff: EffectiveDefinitions) -> str:
         "packages", "constants", "options", "rules", "constraints", "stereotypes",
         "tags", "transforms")}
     sections["packages"] = [f"  {pkg_id}" for pkg_id in eff.flattened_order]
-    said = _said()
     for kind, key in sorted(eff.chains):
         chain = eff.chains[kind, key]
         definition, prov = chain[-1]
         source = f"({prov.package_id})"
         if kind == "scalar":
             sections["options" if isinstance(definition, OptionDef) else "constants"].append(
-                f"  {said(definition)} {_chain_note(chain)}")
+                f"  {_said(definition)} {_chain_note(chain)}")
         elif kind == "rule":
             sections["rules"].append(f"  {key}")
             sections["rules"].extend(
-                f"    when {said(d.predicate)} -> {d.value} ({p.package_id})"
+                f"    when {_predicate(d)} -> {d.value} ({p.package_id})"
                 for d, p in reversed(chain))
         elif kind == "constraint":
             sections["constraints"].append(
@@ -1307,7 +1294,7 @@ def print_report(eff: EffectiveDefinitions) -> str:
             sections["transforms"].append(
                 f"  {key} = {'on' if definition.enabled else 'off'} {source}")
         else:
-            sections[kind + "s"].append(f"  {said(definition)} {source}")
+            sections[kind + "s"].append(f"  {_said(definition)} {source}")
 
     return "\n\n".join(title + "".join("\n" + line for line in lines or ["  (none)"])
                        for title, lines in sections.items()) + "\n"

@@ -3,20 +3,20 @@
 The package block under "Preface packages" is package text, the
 ``python`` block under "Library use" runs on ``sample/``: each line whose
 comment starts with a value gives that value, the table under
-"Diagnostics" names every code the source can emit, and the block under
-"Grammar" is the grammar table, one line per row.
+"Diagnostics" names every code the source can emit, and each line of the
+block under "Grammar" reads and prints back in every form it gives.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from itertools import product
 from pathlib import Path
 
 from test_golden import source_codes
-from prefacer import textio
 from prefacer.preface import Provenance
-from prefacer.textio import parse_model, parse_package, print_package
+from prefacer.textio import parse_model, parse_package, print_model, print_package
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -85,42 +85,78 @@ def test_the_readme_diagnostics_table_names_every_code_the_source_emits():
     assert set(named) == source_codes()
 
 
-def _rendered(row, outer: str = "") -> str:
-    """A row as the README writes it: a name by its field in capitals,
-    allowed words as ``a|b``, a clause in ``[…]``, a block as ``…``; an
-    induced-element note is left out."""
+#: The sample text each capitalised slot of the Grammar block is filled with.
+SAMPLES = {"NAME": "n", "TYPE_NAME": "Integer", "SUPERCLASSES": "A, B", "STEREOTYPES": "s, t",
+           "PARAMS": "a : Integer, b : String", "EXPRESSION": "size(self.a) > 1",
+           "ATTACHED_TO": "C", "SOURCE": "s", "TARGET": "t", "EVENT": "e", "ID": "p",
+           "KEY": "k", "LITERAL": "-1", "VALUE": "v", "METACLASS": "Class",
+           "REQUIRED_TAGS": "t, u", "PROPERTY_KEY": "k", "PREDICATE": "all",
+           "TRANSFORM_ID": "x-y"}
 
-    out = []
-    for piece in row.pieces:
-        if isinstance(piece, str):
-            out.append(piece)
-            continue
-        field, slot = piece
-        if isinstance(slot, textio._Opt):
-            out.append("[" + _rendered(slot.row, field) + "]")
-        elif isinstance(slot, textio._Block):
-            out.append(" \N{HORIZONTAL ELLIPSIS} ")
-        elif slot is textio._QUOTED:
-            out.append('"ID"')
-        elif isinstance(slot, textio._Primitive):
-            out.append(slot.what.split()[1].upper())
-        elif slot is textio._METACLASS:
-            out.append("METACLASS")
-        elif isinstance(slot, textio._Words):
-            out.append("|".join(slot.choices))
-        elif not isinstance(slot, textio._Note):
-            out.append((field or outer).upper())
-    return "".join(out)
+#: The smallest file that holds a line, by the line's first word (``""`` for
+#: a parameter, whose line starts with a slot); ``@`` marks the line.
+_CLASS_MEMBER = "model m\n  class C {\n    @\n  }\n"
+_CHART_MEMBER = "model m\n  statechart S for C {\n    @\n  }\n"
+_DEFINITION = 'package "p" {\n  @\n}\n'
+HOLDERS = {
+    "model": "@\n", "class": "model m\n  @\n", "statechart": "model m\n  @\n",
+    **dict.fromkeys(["attribute", "operation", "invariant"], _CLASS_MEMBER),
+    "": "model m\n  class C {\n    operation f(@)\n  }\n",
+    **dict.fromkeys(["initial", "state", "transition"], _CHART_MEMBER),
+    "package": "@\n",
+    **dict.fromkeys(["import", "const", "option", "stereotype", "tagdef", "constraint", "rule",
+                     "transform"], _DEFINITION),
+    **dict.fromkeys(["all", "stereotype(", "metaclass("], 'package "p" {\n  rule k when @ = v\n}\n'),
+}
+
+#: A clause that may be left out, brackets inside it kept as they are.
+_CLAUSE = re.compile(r"\[((?:[^][]|\[[^][]*\])*)\]")
+_WORDS = re.compile(r"(\w+(?:\|\w+)+)")  # one of the words given
 
 
-def test_the_readme_grammar_is_the_grammar_table():
-    rows = []
-    for row in textio._grammar().values():
-        rows.append(row)
-        rows += [case for piece in row.pieces if isinstance(piece, tuple)
-                 and isinstance(piece[1], textio._Choice) for case in piece[1].rows.values()]
+def _forms(line: str) -> list[str]:
+    """Every form of a README grammar line: each clause present and left
+    out, each of its ``a|b`` words in turn."""
+
+    pieces = _CLAUSE.split(line)  # text, clause, text, …
+    forms = []
+    for chosen in product(*[[piece] if k % 2 == 0 else [piece, ""]
+                            for k, piece in enumerate(pieces)]):
+        words = _WORDS.split("".join(chosen))  # text, words, text, …
+        forms += map("".join, product(*[[piece] if k % 2 == 0 else piece.split("|")
+                                        for k, piece in enumerate(words)]))
+    return forms
+
+
+def _first_word(form: str) -> str:
+    return re.match(r"[a-z]*\(?", form)[0]
+
+
+def _held(form: str) -> str:
+    """A form of a line, its slots filled with ``SAMPLES``, in its holder:
+    a block's ``{ … }`` opens and closes on lines of their own."""
+
+    holder = HOLDERS[_first_word(form)]
+    indent = holder.split("@")[0].rsplit("\n", 1)[-1]
+    line = re.sub(r"[A-Z][A-Z_]+", lambda slot: SAMPLES[slot[0]], form)
+    line = line.replace(" { \N{HORIZONTAL ELLIPSIS} }", " {\n" + indent + "}")
+    return holder.replace("@", line.removesuffix(" \N{HORIZONTAL ELLIPSIS}"))
+
+
+def test_each_readme_grammar_line_reads_and_prints_back_in_every_form():
     body = README.split("\n### Grammar\n", 1)[1].split("\n## ", 1)[0]
     block = body.split("\n```\n", 1)[1].split("\n```\n", 1)[0]
-    blocks = re.compile(r"( \N{HORIZONTAL ELLIPSIS} )+")
-    assert block.splitlines() == [
-        blocks.sub(" \N{HORIZONTAL ELLIPSIS} ", _rendered(row)).strip() for row in rows]
+    first_words = set()
+    for line in block.splitlines():
+        forms = _forms(line)
+        texts = [_held(form) for form in forms]
+        first_words.update(map(_first_word, forms))
+        for text in texts:
+            parse, show = ((parse_package, print_package) if text.startswith("package")
+                           else (parse_model, print_model))
+            record = parse(text)
+            printed = show(record)
+            # Unchanged, unless two forms read alike: then the one the printer
+            # writes (a constraint's severity left out reads as ``error``).
+            assert printed == text or printed in texts and parse(printed) == record, (line, text)
+    assert first_words == set(HOLDERS)

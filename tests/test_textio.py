@@ -20,7 +20,7 @@ from oracles import conjoin, format_expr_reference, lex_reference
 from report_oracle import report_reference
 from prefacer import expr as E
 from prefacer.constraints import eval_expr
-from prefacer.model import Model, Origin
+from prefacer.model import ClassDef, Model, Operation, Origin, Param, State, Statechart
 from prefacer.preface import (
     ConstDef,
     OptionDef,
@@ -594,7 +594,9 @@ def _model_with(slot: _Slots) -> Model:
                           slot.expr(), slot.expr())
     cls = ClassDef(slot(), slot.some(), frozenset(slot.some()), (), (Attribute(slot(), slot()),),
                    (operation,), (Invariant(slot.expr() or E.VarRef("busy")),))
-    chart = Statechart(slot(), slot(), (State(slot(), slot.draw(st.booleans())),),
+    # now and then an ``initial`` flag that is no bool, which no line reads back
+    initial = slot.draw(st.one_of(st.booleans(), st.sampled_from(("yes", "", 0, 1, None))))
+    chart = Statechart(slot(), slot(), (State(slot(), initial),),
                        (Transition(slot(), slot(), slot(), slot.expr()),))
     return Model(slot(), (cls,), (chart,))
 
@@ -649,6 +651,36 @@ def test_a_name_no_line_can_hold_is_refused_naming_its_field():
     with pytest.raises(ValueError, match=re.escape("attribute 'a b': 'a b' is not an "
                                                    "attribute name [Attribute.name]")):
         print_model(model)
+
+
+def _refusal(printer, record) -> str:
+    with pytest.raises(ValueError) as refused:
+        printer(record)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("printer, record, message", [
+    (print_model, Model("m", (ClassDef("C", operations=(Operation("f", (Param("a b", "T"),)),)),)),
+     "parameter 'a b': 'a b' is not a parameter name [Param.name]"),
+    # a block's member that is not one of its records: the block's own field
+    (print_package, Package("p", (5,)), "package: 5 is not one of the imports [Package.imports]"),
+    (print_model, Model("m", (Statechart("SC", "C"),)),
+     "model 'm': Statechart(name='SC', attached_to='C', states=(), transitions=()) "
+     "is not one of the classes [Model.classes]"),
+    (print_package, Package("p", (), (OptionDef("a.b", "x y"),)),
+     "option 'a.b': 'x y' is not an option value [OptionDef.value]"),
+], ids=["parameter", "import", "class", "option"])
+def test_a_refusal_is_led_by_its_record_and_names_the_field_holding_the_value(
+        printer, record, message):
+    assert _refusal(printer, record) == message
+
+
+@pytest.mark.parametrize("initial", ["yes", 1, None])
+def test_an_initial_flag_that_is_no_bool_is_refused(initial):
+    # ``initial state s`` reads back as ``True``, which no other value equals
+    model = Model("m", (), (Statechart("SC", "C", (State("s", initial),)),))
+    assert _refusal(print_model, model) == (
+        f"state 's': {initial!r} is not True or False [State.initial]")
 
 
 # ---------------------------------------------------------------------------
